@@ -134,7 +134,7 @@ def cmd_fock(args, tol: float) -> int:
     G, tol = load_graph(args.graph, tol=tol)
     F = build_fock(G, args.levels)
     rep = representation_residuals(F)
-    lq = lqck_fock_residuals(G, args.levels)
+    lq = lqck_fock_residuals(F)
     report = {
         "level_dims": list(F.level_dims),
         "representation": rep,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (
-    DEFAULT_TOL,
     AlgebraElement,
     adapted_unit,
 )
@@ -36,6 +35,7 @@ from .graphs import (
     is_completely_positive,
     quantum_sources_sinks,
 )
+from .relations import CKFamily, _comult_tensor, _pair_sum, lqck_residuals
 
 FOCK_COORD_BUDGET = 5000
 
@@ -230,8 +230,6 @@ def canonical_fock_family(F: FockTruncation):
     Returns a CKFamily whose images act on the full truncation; relation
     residuals for it are meaningful only compressed to interior levels.
     """
-    from .relations import CKFamily
-
     G = F.graph
     E = F.edge
     st = G.structure
@@ -246,31 +244,25 @@ def canonical_fock_family(F: FockTruncation):
     return CKFamily(F.total_dim, images)
 
 
-def lqck_fock_residuals(G: QuantumGraph, N: int, budget: int = FOCK_COORD_BUDGET) -> dict:
+def lqck_fock_residuals(F: FockTruncation) -> dict:
     """Interior residuals of LQCK1-3 and the abstract-Toeplitz identities.
 
-    The family is S(x) = (1/delta) T(x.eps) on the depth-N truncation; all
-    norms are compressed to levels 1..N-1 where the truncated operators
-    agree with the untruncated Toeplitz representation.
+    The family is S(x) = (1/delta) T(x.eps) on the truncation F; all norms
+    are compressed to levels 1..N-1 where the truncated operators agree
+    with the untruncated Toeplitz representation.
     """
-    from .relations import lqck_residuals
-
-    F = build_fock(G, N, budget)
+    G = F.graph
     fam = canonical_fock_family(F)
     P = F.interior_projector()
     report = lqck_residuals(fam, G, compression=P)
 
     st = G.structure
-    E = F.edge
     eye = np.eye(st.dim, dtype=complex)
-    bigT = [
-        F.big_creation(E.left_act(AlgebraElement.from_vector(st, eye[p]), E.generator))
-        for p in range(st.dim)
-    ]
-    mt = st.mul_tensor
-    star = st.star_perm
+    delta = np.sqrt(G.delta_sq)
+    bigT = delta * fam.images
     # T*(x) := T(x*)* on basis units
-    bigTstar = [bigT[star[p]].conj().T for p in range(st.dim)]
+    bigTstar = delta * fam.star_images(st)
+    mt = st.mul_tensor
 
     # mu(T* (x) T) = delta^-2 pi A m on basis pairs
     toeplitz1 = 0.0
@@ -283,20 +275,11 @@ def lqck_fock_residuals(G: QuantumGraph, N: int, budget: int = FOCK_COORD_BUDGET
             toeplitz1 = max(toeplitz1, float(np.linalg.norm(P @ (lhs - rhs) @ P)))
 
     # mu(T (x) T*) m* = psi_t, i.e. equals pi on levels >= 1
-    from .blocks import comultiply
-
-    toeplitz2 = 0.0
-    for u in range(st.dim):
-        x = AlgebraElement.from_vector(st, eye[u])
-        W = comultiply(x, G.psi).coeff
-        lhs = np.zeros((F.total_dim, F.total_dim), dtype=complex)
-        for p in range(st.dim):
-            for q in range(st.dim):
-                c = W[p, q]
-                if c != 0:
-                    lhs += c * (bigT[p] @ bigTstar[q])
-        rhs = F.big_pi(x)
-        toeplitz2 = max(toeplitz2, float(np.linalg.norm(P @ (lhs - rhs) @ P)))
+    lhs2 = _pair_sum(_comult_tensor(G), bigT, bigTstar)
+    toeplitz2 = max(
+        float(np.linalg.norm(P @ (lhs2[u] - F.big_pi(AlgebraElement.from_vector(st, eye[u]))) @ P))
+        for u in range(st.dim)
+    )
 
     report["toeplitz1"] = toeplitz1
     report["toeplitz2"] = toeplitz2

@@ -5,6 +5,9 @@ A family is a linear map s: B -> M_k given by its images on the standard
 matrix units.  Residuals are raw Frobenius norms; the optional compression
 argument evaluates ||P X P|| instead, which is how families extracted from
 a Fock truncation are judged on interior levels.
+
+Contractions against the coefficient tensor W of m* run over its sum_a N_a^3
+nonzero entries only (`_pair_sum`), never over all d^3 index triples.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import AlgebraElement, BlockStructure, DeltaState, comultiply
+from .blocks import BlockStructure
 from .errors import NotClassical, ShapeMismatch
 from .graphs import QuantumGraph
 
@@ -55,12 +58,25 @@ def _check_family(s: CKFamily, G: QuantumGraph) -> None:
 
 
 def _comult_tensor(G: QuantumGraph) -> np.ndarray:
-    """W[u, p, q]: coefficient of b_p (x) b_q in m*(b_u)."""
-    st = G.structure
-    eye = np.eye(st.dim, dtype=complex)
-    return np.stack(
-        [comultiply(AlgebraElement.from_vector(st, eye[u]), G.psi).coeff for u in range(st.dim)]
-    )
+    """W[u, p, q]: coefficient of b_p (x) b_q in m*(b_u).
+
+    m*(e_ij) = sum_k psi(e_kk)^-1 e_ik (x) e_kj; psi(e_kk) is the Gram weight of b_p = e_ik.
+    """
+    return G.structure.mul_tensor / G.psi.gram_diag[None, :, None]
+
+
+def _pair_sum(W: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """out[u] = sum_{p,q} W[u,p,q] X[p] @ Y[q], over the nonzero W[u,p,q] only.
+
+    One batched matmul of the pair products, then a segmented sum by u:
+    np.nonzero lists u ascending, so each u is one contiguous run.
+    """
+    u, p, q = np.nonzero(W)
+    terms = W[u, p, q][:, None, None] * (X[p] @ Y[q])
+    out = np.zeros((W.shape[0],) + terms.shape[1:], dtype=complex)
+    rows, starts = np.unique(u, return_index=True)
+    out[rows] = np.add.reduceat(terms, starts)
+    return out
 
 
 def _nrm(X: np.ndarray, P: np.ndarray | None) -> float:
@@ -86,12 +102,11 @@ def qck_residuals(
     A = G.adjacency.matrix
     P = compression
 
-    double = np.einsum("upq,prt->urtq", W, W, optimize=True)
-    q1 = np.einsum("urtq,rab,tbc,qcd->uad", double, S, Ss, S, optimize=True)
+    psi_t = _pair_sum(W, S, Ss)
+    q1 = _pair_sum(W, psi_t, S)
     r1 = max(_nrm(q1[u] - S[u], P) for u in range(st.dim))
 
-    lhs2 = np.einsum("upq,pab,qbc->uac", W, Ss, S, optimize=True)
-    psi_t = np.einsum("vpq,pab,qbc->vac", W, S, Ss, optimize=True)
+    lhs2 = _pair_sum(W, Ss, S)
     rhs2 = np.einsum("vu,vac->uac", A, psi_t, optimize=True)
     r2 = max(_nrm(lhs2[u] - rhs2[u], P) for u in range(st.dim))
 
@@ -187,7 +202,8 @@ def lqck_residuals(
     scale = np.sqrt(G.psi.weight_of_row * G.psi.gram_diag)
     pair_scale = np.outer(scale, scale)
 
-    lhs1 = np.einsum("urt,rab,tbc,vcd->uvad", W, S, Ss, S, optimize=True)
+    psi_t = _pair_sum(W, S, Ss)
+    lhs1 = psi_t[:, None] @ S[None]
     rhs1 = np.einsum("wuv,wab->uvab", mt, S, optimize=True) / d2
     r1 = max(
         _nrm(lhs1[u, v] - rhs1[u, v], P) / pair_scale[u, v]
@@ -196,7 +212,6 @@ def lqck_residuals(
     )
 
     lhs2 = np.einsum("uab,vbc->uvac", Ss, S, optimize=True)
-    psi_t = np.einsum("xpq,pab,qbc->xac", W, S, Ss, optimize=True)
     rhs2 = np.einsum("wuv,xw,xac->uvac", mt, A, psi_t, optimize=True) / d2
     r2 = max(
         _nrm(lhs2[u, v] - rhs2[u, v], P) / pair_scale[u, v]

@@ -230,7 +230,7 @@ def test_criterion_08_fock_truncation(cp_family_graphs):
             assert rep["inner"] <= TOL, name
             assert rep["covariance"] <= TOL, name
             assert rep["vacuum_defect"] > 0.0, name
-            lq = qg.lqck_fock_residuals(G, 3)
+            lq = qg.lqck_fock_residuals(F)
             for key in ("lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2"):
                 assert lq[key] <= TOL, (name, key)
         assert time.monotonic() - start < 60.0

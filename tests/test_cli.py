@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import qgraph as qg
+import qgraph.cli
+import qgraph.fock
 from qgraph.cli import main
 from qgraph.serialize import (
     family_to_document,
@@ -110,6 +112,19 @@ class TestFock:
         assert payload["level_dims"] == [4, 4, 4, 4]
         assert payload["vacuum_defect"] > 0.5
         assert all(v < 1e-9 for v in payload["lqck_interior"].values())
+
+    def test_builds_the_truncation_once(self, capsys, monkeypatch, trivial_path):
+        calls = []
+
+        def counting_build_fock(*args, **kwargs):
+            calls.append(args)
+            return qg.build_fock(*args, **kwargs)
+
+        for module in (qgraph.cli, qgraph.fock):
+            monkeypatch.setattr(module, "build_fock", counting_build_fock)
+        code, _, _ = run(capsys, "fock", trivial_path, "--levels", "3")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_source_graph_rejected(self, capsys, line_path):
         code, payload, _ = run(capsys, "fock", line_path)

@@ -139,13 +139,13 @@ class TestRepresentationIdentities:
 
 class TestFockFamily:
     def test_interior_residuals(self, graph_trivial_m2):
-        rep = qg.lqck_fock_residuals(graph_trivial_m2, 3)
+        rep = qg.lqck_fock_residuals(qg.build_fock(graph_trivial_m2, 3))
         for key in ("lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2"):
             assert rep[key] < 1e-9, key
         assert rep["level_dims"] == (4, 4, 4, 4)
 
     def test_interior_residuals_rank_one(self, graph_rank_one):
-        rep = qg.lqck_fock_residuals(graph_rank_one, 3)
+        rep = qg.lqck_fock_residuals(qg.build_fock(graph_rank_one, 3))
         for key in ("lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2"):
             assert rep[key] < 1e-9, key
 

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 import qgraph as qg
+from qgraph.relations import _comult_tensor
 
 RNG = np.random.default_rng(23)
+ROOT5 = 5.0 ** 0.5
 
 
 def two_cycle_family():
@@ -156,3 +158,103 @@ class TestClassicalReduction:
         fam = qg.CKFamily.zero(graph_trivial_m2.structure, k=1)
         with pytest.raises(qg.NotClassical):
             qg.classical_reduction(graph_trivial_m2, fam)
+
+
+def stacked_comultiply(psi):
+    """W[u] = m*(b_u), one comultiply call per standard unit."""
+    st = psi.structure
+    eye = np.eye(st.dim)
+    return np.stack(
+        [qg.comultiply(qg.AlgebraElement.from_vector(st, eye[u]), psi).coeff for u in range(st.dim)]
+    )
+
+
+def _nrm(X, P):
+    return float(np.linalg.norm(X if P is None else P @ X @ P))
+
+
+def dense_qck_oracle(s, G, P=None):
+    """QCK1-3 by dense einsums over all d^3 index triples of m*."""
+    st = G.structure
+    W = stacked_comultiply(G.psi)
+    S = s.images
+    Ss = s.star_images(st)
+    double = np.einsum("upq,prt->urtq", W, W, optimize=True)
+    q1 = np.einsum("urtq,rab,tbc,qcd->uad", double, S, Ss, S, optimize=True)
+    lhs2 = np.einsum("upq,pab,qbc->uac", W, Ss, S, optimize=True)
+    psi_t = np.einsum("vpq,pab,qbc->vac", W, S, Ss, optimize=True)
+    rhs2 = np.einsum("vu,vac->uac", G.adjacency.matrix, psi_t, optimize=True)
+    q3 = np.einsum("u,uac->ac", st.unit_vector, psi_t)
+    return {
+        "qck1": max(_nrm(q1[u] - S[u], P) for u in range(st.dim)),
+        "qck2": max(_nrm(lhs2[u] - rhs2[u], P) for u in range(st.dim)),
+        "qck3": _nrm(q3 - np.eye(s.k) / G.delta_sq, P),
+    }
+
+
+def dense_lqck_oracle(s, G, P=None):
+    """LQCK1-3 by dense einsums over all d^3 index triples of m*."""
+    st = G.structure
+    W = stacked_comultiply(G.psi)
+    S = s.images
+    Ss = s.star_images(st)
+    mt = st.mul_tensor
+    d2 = G.delta_sq
+    scale = np.sqrt(G.psi.weight_of_row * G.psi.gram_diag)
+    pair_scale = np.outer(scale, scale)
+    pairs = [(u, v) for u in range(st.dim) for v in range(st.dim)]
+    lhs1 = np.einsum("urt,rab,tbc,vcd->uvad", W, S, Ss, S, optimize=True)
+    rhs1 = np.einsum("wuv,wab->uvab", mt, S, optimize=True) / d2
+    lhs2 = np.einsum("uab,vbc->uvac", Ss, S, optimize=True)
+    psi_t = np.einsum("xpq,pab,qbc->xac", W, S, Ss, optimize=True)
+    rhs2 = np.einsum("wuv,xw,xac->uvac", mt, G.adjacency.matrix, psi_t, optimize=True) / d2
+    q3 = np.einsum("u,uac->ac", st.unit_vector, psi_t)
+    return {
+        "lqck1": max(_nrm(lhs1[u, v] - rhs1[u, v], P) / pair_scale[u, v] for u, v in pairs),
+        "lqck2": max(_nrm(lhs2[u, v] - rhs2[u, v], P) / pair_scale[u, v] for u, v in pairs),
+        "lqck3": _nrm(q3 - np.eye(s.k) / d2, P),
+    }
+
+
+ORACLE_STATES = {
+    "m2": ([2], [[0.5, 0.5]]),
+    "m2_skew": ([2], [[1.0 / 3.0, 2.0 / 3.0]]),
+    "m1m2_nontracial": ([1, 2], [[1.0 / 6.0], [(5 + ROOT5) / 12, (5 - ROOT5) / 12]]),
+    "m2m2": ([2, 2], [[0.25, 0.25], [0.25, 0.25]]),
+    "c3": ([1, 1, 1], [[1.0 / 3.0]] * 3),
+}
+
+
+class TestComultTensor:
+    def test_closed_form_matches_stacked_comultiply(self, tracial_m2, skew_m2, uniform_c2):
+        nontracial = qg.validate_delta_form(*ORACLE_STATES["m1m2_nontracial"])
+        for psi in (tracial_m2, skew_m2, uniform_c2, nontracial):
+            W = _comult_tensor(qg.trivial_graph(psi))
+            np.testing.assert_allclose(W, stacked_comultiply(psi), rtol=1e-15, atol=0)
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("compress", [False, True])
+    @pytest.mark.parametrize("kind", ["complete", "trivial"])
+    @pytest.mark.parametrize("state", sorted(ORACLE_STATES))
+    @given(k=st_.integers(min_value=1, max_value=4), seed=st_.integers(0, 2**32 - 1))
+    @settings(max_examples=4, deadline=None)
+    def test_residuals_match_dense_einsums(self, state, kind, compress, k, seed):
+        # random families are far from CK, so every residual is O(1)
+        psi = qg.validate_delta_form(*ORACLE_STATES[state])
+        G = qg.complete_graph(psi) if kind == "complete" else qg.trivial_graph(psi)
+        d = G.structure.dim
+        rng = np.random.default_rng(seed)
+        fam = qg.CKFamily(k, rng.normal(size=(d, k, k)) + 1j * rng.normal(size=(d, k, k)))
+        P = None
+        if compress:
+            Q, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+            r = int(rng.integers(1, max(1, k - 1) + 1))
+            P = Q[:, :r] @ Q[:, :r].conj().T
+        for fast, dense in (
+            (qg.qck_residuals, dense_qck_oracle),
+            (qg.lqck_residuals, dense_lqck_oracle),
+        ):
+            got = fast(fam, G, compression=P)
+            for key, want in dense(fam, G, P).items():
+                assert got[key] == pytest.approx(want, rel=1e-12), key
