@@ -232,6 +232,15 @@ class DeltaState:
         return g
 
     @cached_property
+    def comult_tensor(self) -> np.ndarray:
+        """W[u, p, q]: coefficient of b_p (x) b_q in m*(b_u).
+
+        m*(e_ij) = sum_k psi(e_kk)^-1 e_ik (x) e_kj, and psi(e_kk) is the Gram
+        weight of b_p = e_ik.
+        """
+        return self.structure.mul_tensor / self.gram_diag[None, :, None]
+
+    @cached_property
     def weight_of_row(self) -> np.ndarray:
         """w_i indexed by the coordinate p = (a,i,j)."""
         g = np.empty(self.structure.dim)
@@ -375,7 +384,7 @@ class TensorElement:
 
 
 def comultiply(x: AlgebraElement, psi: DeltaState) -> TensorElement:
-    """m*(x) via the closed adapted-unit formula.
+    """m*(x) = sum_u x_u W[u] with W = psi.comult_tensor in closed form.
 
     On standard units m*(e_ij) = sum_k psi(e_kk)^-1 e_ik (x) e_kj; this is the
     adjoint of multiplication for the GNS inner product and m(m*(x)) is
@@ -384,17 +393,7 @@ def comultiply(x: AlgebraElement, psi: DeltaState) -> TensorElement:
     st = x.structure
     if st != psi.structure:
         raise ShapeMismatch("element and state over different structures")
-    coeff = np.zeros((st.dim, st.dim), dtype=complex)
-    for a, n in enumerate(st.sizes):
-        w = psi.weights[a]
-        for i in range(n):
-            for j in range(n):
-                c = x.blocks[a][i, j]
-                if c == 0:
-                    continue
-                for k in range(n):
-                    coeff[st.flat_index(a, i, k), st.flat_index(a, k, j)] += c / w[k]
-    return TensorElement(st, coeff)
+    return TensorElement(st, np.einsum("u,upq->pq", x.vec, psi.comult_tensor))
 
 
 def comultiply_adjoint_oracle(x: AlgebraElement, psi: DeltaState) -> TensorElement:

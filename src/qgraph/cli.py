@@ -40,7 +40,7 @@ from .graphs import (
     quantum_sources_sinks,
 )
 from .relations import classical_reduction, lqck_residuals, qck_residuals
-from .serialize import load_family, load_graph, save_family, save_graph
+from .serialize import load_family, load_graph, parse_tolerance, save_family, save_graph
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -49,12 +49,7 @@ EXIT_RESIDUAL = 2
 
 def _default_tol() -> float:
     env = os.environ.get("QGRAPH_TOL")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError:
-            raise QGraphError(f"QGRAPH_TOL={env!r} is not a number")
-    return DEFAULT_TOL
+    return DEFAULT_TOL if env is None else parse_tolerance(env, "QGRAPH_TOL")
 
 
 def _emit(report: dict, human_lines: list[str]) -> None:
@@ -98,11 +93,11 @@ def cmd_inspect(args, tol: float) -> int:
     else:
         report["cp"]["tests_agree"] = True
     if cp_flag:
-        ff = faithful_full_report(G, tol)
         E = build_edge_correspondence(G)
-        _, iso_res = cp_correspondence(G)
-        hom = homomorphism_check(G, tol)
-        compact = compact_decomposition_residual(G)
+        ff = faithful_full_report(E, tol)
+        _, iso_res = cp_correspondence(E)
+        hom = homomorphism_check(G)
+        compact = compact_decomposition_residual(E)
         report.update(
             {
                 "faithful": ff["faithful"],

@@ -9,7 +9,7 @@ kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -21,21 +21,15 @@ from .blocks import (
     DeltaState,
     TensorElement,
 )
-from .errors import (
-    MismatchedBase,
-    NotCompletelyPositive,
-    NotGenerating,
-    NotQuantumAdjacency,
-    ShapeMismatch,
-)
+from .errors import NotCompletelyPositive, NotGenerating, ShapeMismatch
 from .graphs import (
     LinearMapOnB,
     QuantumGraph,
+    _indicator_adjacency,
     adjoint_map,
     edge_indicator,
-    is_completely_positive,
     quantum_sources_sinks,
-    schur_residual,
+    require_completely_positive,
 )
 
 GRAM_CUTOFF_RTOL = 1e-10
@@ -82,12 +76,13 @@ class Correspondence(ModuleSpace):
     ambient/basis_ambient record how basis vectors sit inside the space the
     correspondence was built from; generator, when set, holds the quotient
     coordinates of the distinguished generating vector (the edge indicator
-    for edge correspondences).
+    for edge correspondences), and graph the quantum graph it came from.
     """
 
     ambient: ModuleSpace | None = None
     basis_ambient: np.ndarray | None = None  # (n, M)
     generator: np.ndarray | None = None
+    graph: QuantumGraph | None = None
     closure_residual: float = 0.0
 
     @property
@@ -122,31 +117,29 @@ class CorrVector:
         return float(np.sqrt(abs(self.coords.conj() @ g @ self.coords)))
 
 
-def from_spanning(
-    ambient: ModuleSpace,
-    spanning: np.ndarray,
-    gram_rtol: float = GRAM_CUTOFF_RTOL,
-    psd_error: type[Exception] | None = None,
-) -> Correspondence:
+def _gram_quotient(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a Gram matrix above the relative cutoff GRAM_CUTOFF_RTOL.
+
+    Raises NotCompletelyPositive when the Gram has a significantly negative
+    eigenvalue (the semi-inner product is not positive).
+    """
+    evals, evecs = np.linalg.eigh((gram + gram.conj().T) / 2)
+    top = float(evals.max(initial=0.0))
+    if evals.size and float(evals.min()) < -1e-8 * max(1.0, top):
+        raise NotCompletelyPositive(f"scalar Gram min eigenvalue {evals.min():.3e}")
+    keep = evals > GRAM_CUTOFF_RTOL * max(top, 1e-300)
+    return evals[keep], evecs[:, keep]
+
+
+def from_spanning(ambient: ModuleSpace, spanning: np.ndarray) -> Correspondence:
     """Quotient the span of `spanning` by the scalar Gram kernel.
 
     Basis vectors are the Gram eigenvectors above the relative cutoff,
-    rescaled to unit scalar norm.  When the Gram has a significantly
-    negative eigenvalue, raises `psd_error` (the semi-inner product is not
-    positive).
+    rescaled to unit scalar norm.
     """
     spanning = np.asarray(spanning, dtype=complex)
     S = ambient.scalar_gram
-    G = spanning.conj() @ S @ spanning.T
-    G = (G + G.conj().T) / 2
-    evals, evecs = np.linalg.eigh(G)
-    top = float(evals.max(initial=0.0))
-    if evals.size and float(evals.min()) < -1e-8 * max(1.0, top):
-        err = psd_error or NotCompletelyPositive
-        raise err(f"scalar Gram min eigenvalue {evals.min():.3e}")
-    keep = evals > gram_rtol * max(top, 1e-300)
-    lam = evals[keep]
-    U = evecs[:, keep]
+    lam, U = _gram_quotient(spanning.conj() @ S @ spanning.T)
     basis = (U / np.sqrt(lam)).T @ spanning  # (n, M), scalar-orthonormal
     n = basis.shape[0]
     dim = ambient.structure.dim
@@ -220,36 +213,19 @@ def psi_tensor_module(psi: DeltaState) -> ModuleSpace:
     return tensor_square_module(psi, phi)
 
 
-def build_edge_correspondence(
-    G: QuantumGraph, tol: float = DEFAULT_TOL
-) -> Correspondence:
-    """E_G = B . eps . B inside B (x)_psi B, with the indicator as generator."""
-    ok, min_eig = is_completely_positive(G.psi, G.adjacency)
-    if not ok:
-        raise NotCompletelyPositive(f"Choi min eigenvalue {min_eig:.3e}")
-    st = G.structure
-    amb = psi_tensor_module(G.psi)
-    eps = edge_indicator(G)
-    mt = st.mul_tensor
-    spanning = np.empty((st.dim * st.dim, st.dim * st.dim), dtype=complex)
-    for p in range(st.dim):
-        L = mt[:, p, :]
-        for q in range(st.dim):
-            R = mt[:, :, q]
-            spanning[p * st.dim + q] = (L @ eps.coeff @ R.T).ravel()
-    E = from_spanning(amb, spanning)
-    gen = E.project(eps.coeff.ravel())
-    return Correspondence(
-        structure=E.structure,
-        psi=E.psi,
-        binner=E.binner,
-        lmul=E.lmul,
-        rmul=E.rmul,
-        ambient=E.ambient,
-        basis_ambient=E.basis_ambient,
-        generator=gen,
-        closure_residual=E.closure_residual,
-    )
+def build_edge_correspondence(G: QuantumGraph) -> Correspondence:
+    """E_G = B . eps . B inside B (x)_psi B, with the indicator as generator.
+
+    The result records G, so every E_G report below takes E_G alone.
+    """
+    require_completely_positive(G)
+    d = G.structure.dim
+    mt = G.structure.mul_tensor
+    eps = edge_indicator(G).coeff
+    # row (p, q) is b_p . eps . b_q = L_p eps R_q^T
+    spanning = np.einsum("upa,ab,sbq->pqus", mt, eps, mt, optimize=True).reshape(d * d, d * d)
+    E = from_spanning(psi_tensor_module(G.psi), spanning)
+    return replace(E, generator=E.project(eps.ravel()), graph=G)
 
 
 def b_inner(xi: CorrVector, eta: CorrVector, E: Correspondence) -> AlgebraElement:
@@ -260,34 +236,28 @@ def b_inner(xi: CorrVector, eta: CorrVector, E: Correspondence) -> AlgebraElemen
     return AlgebraElement.from_vector(E.structure, E.b_inner_coords(xi.coords, eta.coords))
 
 
-def _gns_orthonormal(vectors: np.ndarray, gram: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Orthonormalize rows of `vectors` for the weighted inner product `gram`."""
-    if vectors.size == 0:
-        return vectors.reshape(0, gram.shape[0])
-    G = vectors.conj() @ np.diag(gram) @ vectors.T
-    G = (G + G.conj().T) / 2
-    evals, evecs = np.linalg.eigh(G)
-    keep = evals > rtol * max(float(evals.max(initial=0.0)), 1e-300)
-    return (evecs[:, keep] / np.sqrt(evals[keep])).T @ vectors
-
-
 def _gns_projector(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    V = _gns_orthonormal(vectors, gram)
-    return V.T @ V.conj() @ np.diag(gram)
+    """GNS-orthogonal projector onto the span of the rows of `vectors`."""
+    weighted = np.diag(gram)
+    lam, U = _gram_quotient(vectors.conj() @ weighted @ vectors.T)
+    V = (U / np.sqrt(lam)).T @ vectors
+    return V.T @ V.conj() @ weighted
 
 
-def left_kernel(G: QuantumGraph, tol: float = DEFAULT_TOL) -> dict:
+def left_kernel(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
     """Left-action kernel of E_G, computed directly and via (B A*(B) B)^perp.
 
     Returns the numerical null space, the block-ideal complement predicted
     by the adjoint of A, and the distance between the two subspaces.
     """
+    G = E.graph
     st = G.structure
-    E = build_edge_correspondence(G)
     # direct: x with x . v_beta = 0 for every basis vector
     K = E.lmul.reshape(st.dim, -1).T  # ((c,beta), p)
     if K.shape[0]:
-        _, svals, vh = np.linalg.svd(K)
+        # R of K = QR has K's singular values and right singular vectors
+        # but at most dim B rows
+        _, svals, vh = np.linalg.svd(np.linalg.qr(K, mode="r"))
         cutoff = tol * max(float(svals.max(initial=0.0)), 1.0)
         null_dim = int(np.sum(svals <= cutoff)) + (st.dim - len(svals))
         kernel = vh.conj()[st.dim - null_dim :] if null_dim else np.zeros((0, st.dim))
@@ -335,12 +305,12 @@ def rank_one_operator(E: ModuleSpace, u: np.ndarray, w: np.ndarray) -> np.ndarra
     return np.einsum("db,da->ab", c, ru)
 
 
-def compact_decomposition_residual(G: QuantumGraph) -> float:
+def compact_decomposition_residual(E: Correspondence) -> float:
     """Residual of f_ij . xi = sum_k theta_{f_ik.eps, f_jk.eps}(xi) on E_G."""
     from .blocks import adapted_unit
 
+    G = E.graph
     st = G.structure
-    E = build_edge_correspondence(G)
     gen = E.generator
     worst = 0.0
     for a, n in enumerate(st.sizes):
@@ -359,38 +329,25 @@ def compact_decomposition_residual(G: QuantumGraph) -> float:
     return worst
 
 
-def cp_correspondence(
-    G: QuantumGraph, tol: float = DEFAULT_TOL
-) -> tuple[Correspondence, float]:
+def _unit_orbit(M: ModuleSpace, xi: np.ndarray) -> np.ndarray:
+    """Rows b_p . xi . b_q of the module M, row index p * dim B + q."""
+    right = np.einsum("qab,b->qa", M.rmul, xi)
+    return np.einsum("pca,qa->pqc", M.lmul, right).reshape(-1, M.lmul.shape[1])
+
+
+def cp_correspondence(E: Correspondence) -> tuple[Correspondence, float]:
     """B (x)_A B with the inner product b* A(a* c) d, plus the isomorphism residual.
 
     The canonical map x . eps . y -> (1/delta)(x (x) y) must preserve
     B-valued inner products; the returned residual is its worst defect over
-    generator pairs.
+    generator pairs.  E is the edge correspondence of the graph.
     """
-    ok, min_eig = is_completely_positive(G.psi, G.adjacency)
-    if not ok:
-        raise NotCompletelyPositive(f"Choi min eigenvalue {min_eig:.3e}")
-    st = G.structure
+    G = E.graph
     amb = tensor_square_module(G.psi, G.adjacency.matrix)
-    F = from_spanning(amb, np.eye(st.dim * st.dim, dtype=complex))
-    E = build_edge_correspondence(G)
-
-    mt = st.mul_tensor
-    delta = np.sqrt(G.delta_sq)
-    d2 = st.dim * st.dim
-    gE = np.empty((d2, E.size), dtype=complex)
-    hF = np.empty((d2, F.size), dtype=complex)
-    eye2 = np.eye(d2, dtype=complex)
-    for p in range(st.dim):
-        for q in range(st.dim):
-            idx = p * st.dim + q
-            xi = E.left_act(
-                AlgebraElement.from_vector(st, np.eye(st.dim, dtype=complex)[p]),
-                E.right_act(E.generator, AlgebraElement.from_vector(st, np.eye(st.dim, dtype=complex)[q])),
-            )
-            gE[idx] = xi
-            hF[idx] = F.project(eye2[idx]) / delta
+    F = from_spanning(amb, np.eye(G.structure.dim ** 2, dtype=complex))
+    gE = _unit_orbit(E, E.generator)
+    # row p * dim B + q is the projection of b_p (x) b_q, over delta
+    hF = (F.basis_ambient.conj() @ amb.scalar_gram).T / np.sqrt(G.delta_sq)
     innerE = np.einsum("xi,yj,ijd->xyd", gE.conj(), gE, E.binner, optimize=True)
     innerF = np.einsum("xi,yj,ijd->xyd", hF.conj(), hF, F.binner, optimize=True)
     residual = float(np.abs(innerE - innerF).max(initial=0.0))
@@ -423,71 +380,38 @@ def recognize(
     if module is None:
         if not isinstance(xi, TensorElement):
             raise ShapeMismatch("expected a TensorElement without a module")
-        amb = psi_tensor_module(psi)
+        mod_space: ModuleSpace = psi_tensor_module(psi)
         coords = xi.coeff.ravel()
-        mod_space: ModuleSpace = amb
+        A = _indicator_adjacency(xi.coeff, psi)
     else:
         coords = xi.coords if isinstance(xi, CorrVector) else np.asarray(xi, dtype=complex)
         mod_space = module
+        # column p is delta^2 <xi, b_p . xi>_B
+        moved = np.einsum("pab,b->pa", module.lmul, coords)
+        A = psi.delta_sq * np.einsum("a,pb,abd->dp", coords.conj(), moved, module.binner)
 
-    eye = np.eye(st.dim, dtype=complex)
-    units = [AlgebraElement.from_vector(st, eye[p]) for p in range(st.dim)]
-    spanning = np.stack(
-        [
-            mod_space.left_act(units[p], mod_space.right_act(coords, units[q]))
-            for p in range(st.dim)
-            for q in range(st.dim)
-        ]
-    )
-    S = mod_space.scalar_gram
-    gram = spanning.conj() @ S @ spanning.T
-    evals = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-    span_rank = int(np.sum(evals > GRAM_CUTOFF_RTOL * max(float(evals.max(initial=0.0)), 1e-300)))
+    gX = _unit_orbit(mod_space, coords)
+    lam, _ = _gram_quotient(gX.conj() @ mod_space.scalar_gram @ gX.T)
+    span_rank = len(lam)
     if module is not None and span_rank < module.size:
         raise NotGenerating(
             f"xi generates a {span_rank}-dimensional submodule of dimension-{module.size} module"
         )
 
-    if module is None:
-        cols = [
-            psi.delta_sq
-            * TensorElement(st, (mod_space.left_act(units[p], coords)).reshape(st.dim, st.dim))
-            .partial_psi_left(psi)
-            .vec
-            for p in range(st.dim)
-        ]
-    else:
-        cols = [
-            psi.delta_sq
-            * mod_space.b_inner_coords(coords, mod_space.left_act(units[p], coords))
-            for p in range(st.dim)
-        ]
-    A = LinearMapOnB(st, np.column_stack(cols))
-    res = schur_residual(psi, A)
-    if res > tol:
-        raise NotQuantumAdjacency(f"induced map has Schur residual {res:.3e}")
-    G = QuantumGraph.build(psi, A, tol=tol)
+    G = QuantumGraph.build(psi, LinearMapOnB(st, A), tol=tol)
     E = build_edge_correspondence(G)
-
-    gX = spanning
-    gE = np.stack(
-        [
-            E.left_act(units[p], E.right_act(E.generator, units[q]))
-            for p in range(st.dim)
-            for q in range(st.dim)
-        ]
-    )
+    gE = _unit_orbit(E, E.generator)
     innerX = np.einsum("xa,yb,abd->xyd", gX.conj(), gX, mod_space.binner, optimize=True)
     innerE = np.einsum("xi,yj,ijd->xyd", gE.conj(), gE, E.binner, optimize=True)
     iso = float(np.abs(innerX - innerE).max(initial=0.0))
     return RecognitionResult(graph=G, module_dim=span_rank, iso_residual=iso)
 
 
-def faithful_full_report(G: QuantumGraph, tol: float = DEFAULT_TOL) -> dict:
+def faithful_full_report(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
     """Faithfulness/fullness of E_G with the source/sink cross-check."""
-    kern = left_kernel(G, tol)
-    ideal_blocks, full = fullness_ideal(G, tol)
-    sources, sinks = quantum_sources_sinks(G, tol)
+    kern = left_kernel(E, tol)
+    ideal_blocks, full = fullness_ideal(E.graph, tol)
+    sources, sinks = quantum_sources_sinks(E.graph, tol)
     return {
         "faithful": kern["kernel_dim"] == 0,
         "full": full,

@@ -16,7 +16,6 @@ from .blocks import (
     AlgebraElement,
     BlockStructure,
     DeltaState,
-    adapted_unit,
     validate_delta_form,
 )
 from .errors import (
@@ -53,34 +52,13 @@ def trivial_structure_report(psi: DeltaState) -> str:
     )
 
 
-def _rank_one_lemma_check(psi: DeltaState, rng: np.random.Generator) -> float:
-    """Residual of sum_k f_ik S f_kj = Tr(rho^-1 S) f_ij on random S."""
-    st = psi.structure
-    worst = 0.0
-    for a, n in enumerate(st.sizes):
-        S = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        trace = np.sum(np.diag(S) / psi.weights[a])
-        blocks = [np.zeros((m, m), dtype=complex) for m in st.sizes]
-        blocks[a] = S
-        Sel = AlgebraElement(st, blocks)
-        for i in range(n):
-            for j in range(n):
-                acc = AlgebraElement.zero(st)
-                for k in range(n):
-                    acc = acc + adapted_unit(a, i, k, psi) * Sel * adapted_unit(a, k, j, psi)
-                diff = acc - trace * adapted_unit(a, i, j, psi)
-                worst = max(worst, diff.norm())
-    return worst
-
-
 def rank_one_graph(
     psi: DeltaState, T: AlgebraElement, tol: float = DEFAULT_TOL
 ) -> QuantumGraph:
     """The rank-one quantum graph A(x) = T x T*.
 
     Requires the per-block normalization Tr(rho_a^-1 T_a* T_a) = delta^2,
-    which makes A Schur-idempotent.  A kernel identity used in that proof is
-    re-verified on random data as a construction self-check.
+    which makes A Schur-idempotent.
     """
     st = psi.structure
     if T.structure != st:
@@ -91,9 +69,6 @@ def rank_one_graph(
             raise BadNormalization(
                 f"block {a}: Tr(rho^-1 T*T) = {tr:.6g}, expected {psi.delta_sq:.6g}"
             )
-    lemma = _rank_one_lemma_check(psi, np.random.default_rng(7))
-    if lemma > 1e-8:
-        raise QGraphError(f"rank-one kernel identity failed with residual {lemma:.3e}")
     matrix = st.left_mult_matrix(T.vec) @ st.right_mult_matrix(T.star().vec)
     return QuantumGraph.build(psi, LinearMapOnB(st, matrix), tol=tol)
 
@@ -205,14 +180,17 @@ def classical_graph(adj: np.ndarray) -> QuantumGraph:
     return QuantumGraph.build(psi, LinearMapOnB(psi.structure, adj.astype(complex)))
 
 
-def _defining_rep_matrix(x: AlgebraElement) -> np.ndarray:
-    """Block-diagonal matrix of x on C^(N_1 + ... + N_d)."""
-    sizes = x.structure.sizes
-    n = sum(sizes)
-    out = np.zeros((n, n), dtype=complex)
+def _defining_rep(st: BlockStructure, vec: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrices on C^(N_1 + ... + N_d) of coordinate vectors.
+
+    vec has shape (..., dim B); the result has shape (..., n, n).
+    """
+    n = sum(st.sizes)
+    out = np.zeros(vec.shape[:-1] + (n, n), dtype=complex)
     pos = 0
-    for size, blk in zip(sizes, x.blocks):
-        out[pos : pos + size, pos : pos + size] = blk
+    for a, size in enumerate(st.sizes):
+        blk = vec[..., st.offsets[a] : st.offsets[a + 1]]
+        out[..., pos : pos + size, pos : pos + size] = blk.reshape(vec.shape[:-1] + (size, size))
         pos += size
     return out
 
@@ -252,18 +230,11 @@ def canonical_lqck_family(
     if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) > 1e-12 * max(1.0, u.shape[0]):
         raise NotUnitary("auxiliary matrix is not unitary")
 
-    Tstar = T.star()
-    eye = np.eye(st.dim, dtype=complex)
-    images = np.stack(
-        [
-            np.kron(
-                _defining_rep_matrix(AlgebraElement.from_vector(st, eye[p]) * Tstar), u
-            )
-            / psi.delta_sq
-            for p in range(st.dim)
-        ]
-    )
-    fam = CKFamily(sum(st.sizes) * u.shape[0], images)
+    # b_p T* on the defining representation, then tensored with u
+    x = _defining_rep(st, np.eye(st.dim)) @ _defining_rep(st, T.star().vec)
+    k = x.shape[1] * u.shape[0]
+    images = np.einsum("pij,kl->pikjl", x, u).reshape(st.dim, k, k) / psi.delta_sq
+    fam = CKFamily(k, images)
     report = lqck_residuals(fam, graph)
     worst = max(report["lqck1"], report["lqck2"], report["lqck3"])
     if worst > tol:

@@ -23,19 +23,9 @@ from .correspondence import (
     trivial_correspondence,
     ModuleSpace,
 )
-from .errors import (
-    BudgetExceeded,
-    HasQuantumSource,
-    MismatchedBase,
-    NotCompletelyPositive,
-    ShapeMismatch,
-)
-from .graphs import (
-    QuantumGraph,
-    is_completely_positive,
-    quantum_sources_sinks,
-)
-from .relations import CKFamily, _comult_tensor, _pair_sum, lqck_residuals
+from .errors import BudgetExceeded, HasQuantumSource, MismatchedBase, ShapeMismatch
+from .graphs import QuantumGraph, quantum_sources_sinks
+from .relations import CKFamily, _pair_sum, lqck_residuals
 
 FOCK_COORD_BUDGET = 5000
 
@@ -116,19 +106,26 @@ class FockTruncation:
         return np.einsum("aeb,e->ab", self.creation[l], xi)
 
     def big_creation(self, xi: np.ndarray) -> np.ndarray:
-        """T(xi) on the full truncation; the top level is annihilated."""
+        """T(xi) on the full truncation; the top level is annihilated.
+
+        Leading axes of xi are batch axes: xi of shape (..., dim E) gives
+        (..., D, D).
+        """
+        xi = np.asarray(xi)
         D = self.total_dim
-        out = np.zeros((D, D), dtype=complex)
+        out = np.zeros(xi.shape[:-1] + (D, D), dtype=complex)
         for l in range(self.depth):
-            out[self.level_slice(l + 1), self.level_slice(l)] = self.creation_matrix(l, xi)
+            out[..., self.level_slice(l + 1), self.level_slice(l)] = np.einsum(
+                "aeb,...e->...ab", self.creation[l], xi
+            )
         return out
 
-    def big_pi(self, x: AlgebraElement) -> np.ndarray:
-        """Diagonal left action on the full truncation."""
+    def unit_pi(self) -> np.ndarray:
+        """Diagonal left actions of the standard units b_p on the full truncation."""
         D = self.total_dim
-        out = np.zeros((D, D), dtype=complex)
+        out = np.zeros((self.levels[0].lmul.shape[0], D, D), dtype=complex)
         for l in range(self.depth + 1):
-            out[self.level_slice(l), self.level_slice(l)] = self.pi_level(l, x)
+            out[:, self.level_slice(l), self.level_slice(l)] = self.levels[l].lmul
         return out
 
     def interior_projector(self) -> np.ndarray:
@@ -140,31 +137,30 @@ class FockTruncation:
         return np.diag(diag)
 
 
-def build_fock(
-    G: QuantumGraph, N: int, budget: int = FOCK_COORD_BUDGET
-) -> FockTruncation:
-    """Construct the depth-N Fock truncation of the edge correspondence of G."""
+def build_fock(G: QuantumGraph, N: int) -> FockTruncation:
+    """Construct the depth-N Fock truncation of the edge correspondence of G.
+
+    Raises BudgetExceeded before any level would take the total past
+    FOCK_COORD_BUDGET coordinates.
+    """
     if N < 1:
         raise ShapeMismatch(f"level count {N} must be at least 1")
-    ok, min_eig = is_completely_positive(G.psi, G.adjacency)
-    if not ok:
-        raise NotCompletelyPositive(f"Choi min eigenvalue {min_eig:.3e}")
+    E = build_edge_correspondence(G)
     sources, _ = quantum_sources_sinks(G)
     if sources:
         raise HasQuantumSource(f"blocks {sources} lie in ker A")
 
-    E = build_edge_correspondence(G)
     levels = [trivial_correspondence(G.psi), E]
     total = levels[0].size + levels[1].size
-    if total > budget:
-        raise BudgetExceeded(f"{total} Fock coordinates exceed budget {budget}")
+    if total > FOCK_COORD_BUDGET:
+        raise BudgetExceeded(f"{total} Fock coordinates exceed budget {FOCK_COORD_BUDGET}")
     for _ in range(2, N + 1):
         # bound the next level by its ambient size before materializing it
         bound = E.size * levels[-1].size
-        if total + bound > budget:
+        if total + bound > FOCK_COORD_BUDGET:
             raise BudgetExceeded(
                 f"next level needs up to {bound} coordinates on top of {total}; "
-                f"budget is {budget}"
+                f"budget is {FOCK_COORD_BUDGET}"
             )
         nxt = interior_tensor(E, levels[-1])
         levels.append(nxt)
@@ -214,13 +210,7 @@ def representation_residuals(F: FockTruncation) -> dict:
                     rhs = sum(C[i][k] @ C[j][k].conj().T for k in range(n))
                     cov = max(cov, float(np.linalg.norm(lhs - rhs)))
 
-    vacuum = 0.0
-    eye = np.eye(st.dim, dtype=complex)
-    for p in range(st.dim):
-        vacuum = max(
-            vacuum,
-            float(np.linalg.norm(F.pi_level(0, AlgebraElement.from_vector(st, eye[p])))),
-        )
+    vacuum = float(np.linalg.norm(F.levels[0].lmul, axis=(1, 2)).max())
     return {"inner": inner, "covariance": cov, "vacuum_defect": vacuum}
 
 
@@ -230,17 +220,9 @@ def canonical_fock_family(F: FockTruncation):
     Returns a CKFamily whose images act on the full truncation; relation
     residuals for it are meaningful only compressed to interior levels.
     """
-    G = F.graph
     E = F.edge
-    st = G.structure
-    delta = np.sqrt(G.delta_sq)
-    eye = np.eye(st.dim, dtype=complex)
-    images = np.stack(
-        [
-            F.big_creation(E.left_act(AlgebraElement.from_vector(st, eye[p]), E.generator)) / delta
-            for p in range(st.dim)
-        ]
-    )
+    # row p is b_p . eps
+    images = F.big_creation(E.lmul @ E.generator) / np.sqrt(F.graph.delta_sq)
     return CKFamily(F.total_dim, images)
 
 
@@ -257,29 +239,20 @@ def lqck_fock_residuals(F: FockTruncation) -> dict:
     report = lqck_residuals(fam, G, compression=P)
 
     st = G.structure
-    eye = np.eye(st.dim, dtype=complex)
     delta = np.sqrt(G.delta_sq)
     bigT = delta * fam.images
     # T*(x) := T(x*)* on basis units
     bigTstar = delta * fam.star_images(st)
-    mt = st.mul_tensor
+    pi = F.unit_pi()
 
     # mu(T* (x) T) = delta^-2 pi A m on basis pairs
-    toeplitz1 = 0.0
-    for p in range(st.dim):
-        for q in range(st.dim):
-            prod_vec = mt[:, p, q].astype(complex)
-            lhs = bigTstar[p] @ bigT[q]
-            Axy = G.adjacency(AlgebraElement.from_vector(st, prod_vec))
-            rhs = F.big_pi(Axy) / G.delta_sq
-            toeplitz1 = max(toeplitz1, float(np.linalg.norm(P @ (lhs - rhs) @ P)))
+    Am = np.einsum("vu,upq->vpq", G.adjacency.matrix, st.mul_tensor)
+    diff1 = bigTstar[:, None] @ bigT[None] - np.einsum("vpq,vab->pqab", Am, pi) / G.delta_sq
+    toeplitz1 = float(np.linalg.norm(P @ diff1 @ P, axis=(2, 3)).max())
 
     # mu(T (x) T*) m* = psi_t, i.e. equals pi on levels >= 1
-    lhs2 = _pair_sum(_comult_tensor(G), bigT, bigTstar)
-    toeplitz2 = max(
-        float(np.linalg.norm(P @ (lhs2[u] - F.big_pi(AlgebraElement.from_vector(st, eye[u]))) @ P))
-        for u in range(st.dim)
-    )
+    diff2 = _pair_sum(G.psi.comult_tensor, bigT, bigTstar) - pi
+    toeplitz2 = float(np.linalg.norm(P @ diff2 @ P, axis=(1, 2)).max())
 
     report["toeplitz1"] = toeplitz1
     report["toeplitz2"] = toeplitz2

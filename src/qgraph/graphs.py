@@ -10,7 +10,6 @@ isomorphism covariance residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -67,15 +66,12 @@ class LinearMapOnB:
 
 
 def _schur_square_matrix(psi: DeltaState, A: LinearMapOnB) -> np.ndarray:
-    """Matrix of x -> m (A x A) m*(x) on canonical coordinates."""
-    st = psi.structure
-    cols = []
-    for p in range(st.dim):
-        unit = AlgebraElement.from_vector(st, np.eye(st.dim, dtype=complex)[p])
-        t = comultiply(unit, psi)
-        t = TensorElement(st, A.matrix @ t.coeff @ A.matrix.T)
-        cols.append(t.multiply_down().vec)
-    return np.column_stack(cols)
+    """Matrix of x -> m (A x A) m*(x) on canonical coordinates.
+
+    Column u is m applied to (A x A) m*(b_u) = A W[u] A^T.
+    """
+    AWA = A.matrix @ psi.comult_tensor @ A.matrix.T
+    return np.einsum("vpq,upq->vu", psi.structure.mul_tensor, AWA)
 
 
 def schur_residual(psi: DeltaState, A: LinearMapOnB) -> float:
@@ -129,14 +125,10 @@ def indicator_properties(G: QuantumGraph) -> dict[str, float]:
     r2: eps # eps = eps.
     r3: self-adjointness of (sigma_{i/2} x 1)(eps).
     """
-    st, psi = G.structure, G.psi
+    psi = G.psi
     eps = edge_indicator(G)
-    r1 = 0.0
-    for p in range(st.dim):
-        x = AlgebraElement.from_vector(st, np.eye(st.dim, dtype=complex)[p])
-        lhs = G.adjacency(x)
-        rhs = G.delta_sq * eps.left_mul(x).partial_psi_left(psi)
-        r1 = max(r1, (lhs - rhs).norm())
+    diff = G.adjacency.matrix - _indicator_adjacency(eps.coeff, psi)
+    r1 = float(np.linalg.norm(diff, axis=0).max())
     r2 = (sharp(eps, eps) - eps).norm()
     twisted = eps.apply_first(modular_half_matrix(psi))
     r3 = (twisted - twisted.dagger()).norm()
@@ -165,9 +157,7 @@ def choi_blocks(psi_or_structure, A: LinearMapOnB) -> list[np.ndarray]:
     return blocks
 
 
-def is_completely_positive(
-    psi: DeltaState, A: LinearMapOnB, rtol: float = CHOI_EIG_RTOL
-) -> tuple[bool, float]:
+def is_completely_positive(psi: DeltaState, A: LinearMapOnB) -> tuple[bool, float]:
     """Choi positivity test; returns (flag, min eigenvalue over all slabs)."""
     if A.structure != psi.structure:
         raise ShapeMismatch("map and state over different structures")
@@ -180,8 +170,24 @@ def is_completely_positive(
         evals = np.linalg.eigvalsh((H + H.conj().T) / 2)
         min_eig = min(min_eig, float(evals.min()))
         max_eig = max(max_eig, float(evals.max()) if evals.size else 0.0)
-    ok = min_eig >= -rtol * max(1.0, max_eig)
+    ok = min_eig >= -CHOI_EIG_RTOL * max(1.0, max_eig)
     return bool(ok), float(min_eig)
+
+
+def require_completely_positive(G: QuantumGraph) -> None:
+    """Raise NotCompletelyPositive unless the Choi test passes for G."""
+    ok, min_eig = is_completely_positive(G.psi, G.adjacency)
+    if not ok:
+        raise NotCompletelyPositive(f"Choi min eigenvalue {min_eig:.3e}")
+
+
+def _indicator_adjacency(xi: np.ndarray, psi: DeltaState) -> np.ndarray:
+    """Matrix of A_xi(x) = delta^2 (psi x 1)(x . xi) for coefficients xi.
+
+    Column p is delta^2 sum_q psi(b_p b_q) xi[q, :].
+    """
+    R = np.einsum("v,vpq->pq", psi.psi_vec, psi.structure.mul_tensor)
+    return psi.delta_sq * (R @ xi).T
 
 
 def adjacency_from_indicator(
@@ -203,11 +209,7 @@ def adjacency_from_indicator(
     sa = (twisted - twisted.dagger()).norm()
     if sa > tol * max(1.0, xi.norm()):
         raise NotModularSelfAdjoint(f"modular self-adjointness defect {sa:.3e}")
-    cols = []
-    for p in range(st.dim):
-        x = AlgebraElement.from_vector(st, np.eye(st.dim, dtype=complex)[p])
-        cols.append(psi.delta_sq * xi.left_mul(x).partial_psi_left(psi).vec)
-    return LinearMapOnB(st, np.column_stack(cols))
+    return LinearMapOnB(st, _indicator_adjacency(xi.coeff, psi))
 
 
 def quantum_sources_sinks(
@@ -235,30 +237,26 @@ def adjoint_map(A: LinearMapOnB, psi: DeltaState) -> LinearMapOnB:
     return LinearMapOnB(A.structure, mat)
 
 
-def homomorphism_check(G: QuantumGraph, tol: float = DEFAULT_TOL) -> dict[str, float]:
+def homomorphism_check(G: QuantumGraph) -> dict[str, float]:
     """Multiplicativity of A versus the indicator-shift identity.
 
     Returns max basis-pair residuals of A(xy) - A(x)A(y) and of
     (xy) . eps - x . eps . A(y); the two vanish together.
     """
-    ok, min_eig = is_completely_positive(G.psi, G.adjacency)
-    if not ok:
-        raise NotCompletelyPositive(f"Choi min eigenvalue {min_eig:.3e}")
-    st = G.structure
-    eps = edge_indicator(G)
-    mult = 0.0
-    shift = 0.0
-    eye = np.eye(st.dim, dtype=complex)
-    for p in range(st.dim):
-        x = AlgebraElement.from_vector(st, eye[p])
-        for q in range(st.dim):
-            y = AlgebraElement.from_vector(st, eye[q])
-            xy = x * y
-            mult = max(mult, (G.adjacency(xy) - G.adjacency(x) * G.adjacency(y)).norm())
-            lhs = eps.left_mul(xy)
-            rhs = eps.left_mul(x).right_mul(G.adjacency(y))
-            shift = max(shift, (lhs - rhs).norm())
-    return {"multiplicativity": mult, "indicator_shift": shift}
+    require_completely_positive(G)
+    mt = G.structure.mul_tensor
+    A = G.adjacency.matrix
+    eps = edge_indicator(G).coeff
+    # [v, p, q]: coordinates of A(b_p b_q) and of A(b_p) A(b_q)
+    mult = np.einsum("vu,upq->vpq", A, mt) - np.einsum("vrs,rp,sq->vpq", mt, A, A, optimize=True)
+    # [p, u, s]: coefficients of b_p . eps; [q, s, t]: right action of A(b_q)
+    left = np.einsum("upa,as->pus", mt, eps)
+    right = np.einsum("spr,rq->qsp", mt, A)
+    shift = np.einsum("wpq,wus->pqus", mt, left) - np.einsum("put,qst->pqus", left, right)
+    return {
+        "multiplicativity": float(np.linalg.norm(mult, axis=0).max()),
+        "indicator_shift": float(np.linalg.norm(shift, axis=(2, 3)).max()),
+    }
 
 
 class OperatorValuedMap:

@@ -1,5 +1,5 @@
-"""Quantum Cuntz-Krieger relation systems: global (QCK), local (LQCK/QCP),
-and the classical-graph reduction.
+"""Quantum Cuntz-Krieger relation systems: global (QCK), local (LQCK), and
+the classical-graph reduction.
 
 A family is a linear map s: B -> M_k given by its images on the standard
 matrix units.  Residuals are raw Frobenius norms; the optional compression
@@ -57,14 +57,6 @@ def _check_family(s: CKFamily, G: QuantumGraph) -> None:
         )
 
 
-def _comult_tensor(G: QuantumGraph) -> np.ndarray:
-    """W[u, p, q]: coefficient of b_p (x) b_q in m*(b_u).
-
-    m*(e_ij) = sum_k psi(e_kk)^-1 e_ik (x) e_kj; psi(e_kk) is the Gram weight of b_p = e_ik.
-    """
-    return G.structure.mul_tensor / G.psi.gram_diag[None, :, None]
-
-
 def _pair_sum(W: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """out[u] = sum_{p,q} W[u,p,q] X[p] @ Y[q], over the nonzero W[u,p,q] only.
 
@@ -96,7 +88,7 @@ def qck_residuals(
     """
     _check_family(s, G)
     st = G.structure
-    W = _comult_tensor(G)
+    W = G.psi.comult_tensor
     S = s.images
     Ss = s.star_images(st)
     A = G.adjacency.matrix
@@ -115,68 +107,6 @@ def qck_residuals(
     return {"qck1": r1, "qck2": r2, "qck3": r3}
 
 
-def _qcp_residuals(
-    s: CKFamily, G: QuantumGraph, P: np.ndarray | None
-) -> dict[str, float]:
-    """The explicit adapted-unit relations QCP1-3, by direct index sweeps."""
-    st = G.structure
-    psi = G.psi
-    scale = np.sqrt(psi.weight_of_row * psi.gram_diag)
-    F = s.images / scale[:, None, None]  # images on adapted units
-
-    def f(a, i, j):
-        return F[st.flat_index(a, i, j)]
-
-    d2 = G.delta_sq
-    Aad = G.adjacency.adapted_coefficients(psi)
-
-    # sum_n s_ln (s_mn)* per (c, l, m), reused by QCP2 and QCP3
-    SS = {}
-    for c, nc in enumerate(st.sizes):
-        for l in range(nc):
-            for m in range(nc):
-                SS[c, l, m] = sum(f(c, l, n) @ f(c, m, n).conj().T for n in range(nc))
-
-    r1 = 0.0
-    r2 = 0.0
-    for a, na in enumerate(st.sizes):
-        wa = psi.weights[a]
-        for b, nb in enumerate(st.sizes):
-            for i in range(na):
-                for j in range(na):
-                    for r in range(nb):
-                        for t in range(nb):
-                            lhs1 = sum(
-                                f(a, i, k) @ f(a, j, k).conj().T for k in range(na)
-                            ) @ f(b, r, t)
-                            rhs1 = np.zeros((s.k, s.k), dtype=complex)
-                            if a == b and j == r:
-                                rhs1 = f(a, i, t) / (d2 * wa[j])
-                            r1 = max(r1, _nrm(lhs1 - rhs1, P))
-
-                            lhs2 = f(a, i, j).conj().T @ f(b, r, t)
-                            rhs2 = np.zeros((s.k, s.k), dtype=complex)
-                            if a == b and i == r:
-                                col = Aad[:, st.flat_index(a, j, t)]
-                                acc = np.zeros((s.k, s.k), dtype=complex)
-                                for c, nc in enumerate(st.sizes):
-                                    for l in range(nc):
-                                        for m in range(nc):
-                                            coeff = col[st.flat_index(c, l, m)]
-                                            if coeff != 0:
-                                                acc += coeff * SS[c, l, m]
-                                rhs2 = acc / (d2 * wa[i])
-                            r2 = max(r2, _nrm(lhs2 - rhs2, P))
-
-    acc3 = np.zeros((s.k, s.k), dtype=complex)
-    for c, nc in enumerate(st.sizes):
-        for l in range(nc):
-            for m in range(nc):
-                acc3 += psi.weights[c][l] * f(c, l, m) @ f(c, l, m).conj().T
-    r3 = _nrm(acc3 - np.eye(s.k) / d2, P)
-    return {"qcp1": r1, "qcp2": r2, "qcp3": r3}
-
-
 def lqck_residuals(
     s: CKFamily, G: QuantumGraph, compression: np.ndarray | None = None
 ) -> dict[str, float]:
@@ -185,14 +115,10 @@ def lqck_residuals(
     LQCK1: mu(mu x 1)(s x s* x s)(m* x 1) = delta^-2 s m
     LQCK2: mu(s* x s) = delta^-2 mu(s x s*)m*Am
     LQCK3: mu(s x s*)m*(1) = delta^-2 1
-
-    The same relations are re-evaluated through the explicit adapted-unit
-    presentation (QCP1-3) and the two readings are reported together with
-    their maximum disagreement.
     """
     _check_family(s, G)
     st = G.structure
-    W = _comult_tensor(G)
+    W = G.psi.comult_tensor
     S = s.images
     Ss = s.star_images(st)
     mt = st.mul_tensor
@@ -221,20 +147,7 @@ def lqck_residuals(
 
     q3 = np.einsum("u,uac->ac", st.unit_vector, psi_t)
     r3 = _nrm(q3 - np.eye(s.k) / d2, P)
-
-    qcp = _qcp_residuals(s, G, P)
-    agreement = max(
-        abs(r1 - qcp["qcp1"]), abs(r2 - qcp["qcp2"]), abs(r3 - qcp["qcp3"])
-    )
-    return {
-        "lqck1": r1,
-        "lqck2": r2,
-        "lqck3": r3,
-        "qcp1": qcp["qcp1"],
-        "qcp2": qcp["qcp2"],
-        "qcp3": qcp["qcp3"],
-        "agreement": agreement,
-    }
+    return {"lqck1": r1, "lqck2": r2, "lqck3": r3}
 
 
 def _require_classical(G: QuantumGraph) -> int:

@@ -8,11 +8,12 @@ canonical coordinates.  Finite decimal inputs round-trip bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
-from .blocks import DeltaState, validate_delta_form
-from .errors import ParseError, QGraphError
+from .blocks import validate_delta_form
+from .errors import ParseError
 from .graphs import LinearMapOnB, QuantumGraph
 from .relations import CKFamily
 
@@ -43,6 +44,17 @@ def _pairs_to_matrix(rows, shape=None) -> np.ndarray:
     return mat
 
 
+def parse_tolerance(value, source: str) -> float:
+    """A tolerance read from outside the program: a finite positive number."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{source} = {value!r} is not a number") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParseError(f"{source} = {value!r} is not a finite positive number")
+    return tol
+
+
 def graph_to_document(G: QuantumGraph, tol: float | None = None) -> dict:
     doc = {
         "blocks": list(G.structure.sizes),
@@ -61,7 +73,7 @@ def parse_graph_document(doc: dict, tol: float = 1e-9) -> tuple[QuantumGraph, fl
     for key in ("blocks", "psi", "adjacency"):
         if key not in doc:
             raise ParseError(f"graph document missing key {key!r}")
-    eff_tol = float(doc.get("tol", tol))
+    eff_tol = parse_tolerance(doc.get("tol", tol), "tol")
     try:
         psi = validate_delta_form(list(doc["blocks"]), doc["psi"], tol=eff_tol)
     except (TypeError, ValueError) as exc:
@@ -100,7 +112,12 @@ def parse_family_document(doc: dict) -> CKFamily:
     for key in ("k", "images"):
         if key not in doc:
             raise ParseError(f"family document missing key {key!r}")
-    k = int(doc["k"])
+    try:
+        k = int(doc["k"])
+    except (TypeError, ValueError):
+        raise ParseError(f"family size k = {doc['k']!r} is not an integer") from None
+    if not isinstance(doc["images"], list):
+        raise ParseError("family images must be a list of matrices")
     images = [_pairs_to_matrix(rows, shape=(k, k)) for rows in doc["images"]]
     if not images:
         raise ParseError("family has no unit images")

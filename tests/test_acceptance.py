@@ -7,6 +7,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from test_relations import qcp_disagreement
 
 import qgraph as qg
 from qgraph.graphs import adjacency_from_indicator, choi_blocks
@@ -170,12 +171,12 @@ def test_criterion_05_faithful_full(instances):
                 flag, _ = qg.is_completely_positive(G.psi, G.adjacency)
                 if not flag:
                     continue
-                rep = qg.faithful_full_report(G)
+                rep = qg.faithful_full_report(qg.build_edge_correspondence(G))
                 assert rep["subspace_distance"] <= TOL, family
                 assert rep["faithful"] == (rep["sources"] == []), family
                 assert rep["full"] == (rep["sinks"] == []), family
         line = qg.classical_graph([[0, 1], [0, 0]])
-        rep = qg.faithful_full_report(line)
+        rep = qg.faithful_full_report(qg.build_edge_correspondence(line))
         assert not rep["faithful"] and not rep["full"] and rep["kernel_dim"] == 1
 
 
@@ -190,7 +191,7 @@ def test_criterion_06_compact_decomposition(
             graph_3cycle,
             graph_swap,
         ):
-            assert qg.compact_decomposition_residual(G) <= TOL
+            assert qg.compact_decomposition_residual(qg.build_edge_correspondence(G)) <= TOL
 
 
 def test_criterion_07_correspondence_model(cp_family_graphs):
@@ -207,7 +208,7 @@ def test_criterion_07_correspondence_model(cp_family_graphs):
     with criterion(7, "edge correspondence dimensions and the tensor model"):
         for name, G in cp_family_graphs.items():
             E = qg.build_edge_correspondence(G)
-            F, residual = qg.cp_correspondence(G)
+            F, residual = qg.cp_correspondence(E)
             assert E.size == expected[name], name
             assert F.size == E.size, name
             assert residual <= TOL, name
@@ -255,10 +256,10 @@ def test_criterion_09_relation_systems(cp_family_graphs, tracial_m2, skew_m2, ra
             ),
         ]
         for fam, G in cases:
-            lq = qg.lqck_residuals(fam, G)
+            gap, lq = qcp_disagreement(fam, G)
             local = max(lq["lqck1"], lq["lqck2"], lq["lqck3"])
             assert local <= TOL
-            assert lq["agreement"] <= EXACT
+            assert gap <= EXACT
             qck = qg.qck_residuals(fam, G)
             assert max(qck.values()) <= G.delta_sq * max(local, TOL)
 

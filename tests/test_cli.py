@@ -52,13 +52,22 @@ class TestSerialization:
         assert fam2.k == fam.k
         assert np.array_equal(fam2.images, fam.images)
 
-    def test_parse_errors(self):
+    def test_parse_errors(self, graph_trivial_m2, tracial_m2):
         with pytest.raises(qg.ParseError):
             parse_graph_document({"blocks": [2]})
         with pytest.raises(qg.ParseError):
             parse_graph_document([1, 2, 3])
         with pytest.raises(qg.ParseError):
             parse_family_document({"k": 2, "images": [[[1.0]]]})
+        # malformed numbers, and tolerances that would switch the gates off
+        good = graph_to_document(graph_trivial_m2)
+        for tol in ("abc", None, [1e-9], float("nan"), float("inf"), 0.0, -1e-9):
+            with pytest.raises(qg.ParseError):
+                parse_graph_document({**good, "tol": tol})
+        fam = family_to_document(qg.canonical_lqck_family("trivial", tracial_m2))
+        for bad in ({"k": "two"}, {"k": None}, {"images": 3}):
+            with pytest.raises(qg.ParseError):
+                parse_family_document({**fam, **bad})
 
     def test_embedded_tolerance(self, graph_trivial_m2):
         doc = graph_to_document(graph_trivial_m2, tol=1e-6)
@@ -204,9 +213,11 @@ class TestCheck:
             capsys, "check", str(graph_path), "--family", str(fam_path), "--mode", "lqck"
         )
         assert code == 0
-        monkeypatch.setenv("QGRAPH_TOL", "not-a-number")
-        code, payload, _ = run(capsys, "check", str(graph_path), "--family", str(fam_path))
-        assert code == 1
+        for bad in ("not-a-number", "nan", "inf", "0", "-1e-9"):
+            monkeypatch.setenv("QGRAPH_TOL", bad)
+            code, payload, _ = run(capsys, "check", str(graph_path), "--family", str(fam_path))
+            assert code == 1, bad
+            assert payload["error"] == "ParseError", bad
 
 
 class TestExample:

@@ -109,7 +109,7 @@ class TestEdgeCorrespondence:
 
     def test_cp_model_isomorphism(self, cp_family_graphs):
         for name, G in cp_family_graphs.items():
-            F, residual = qg.cp_correspondence(G)
+            F, residual = qg.cp_correspondence(qg.build_edge_correspondence(G))
             assert residual < 1e-9, name
             assert F.size == EXPECTED_DIM_E[name], name
 
@@ -117,7 +117,7 @@ class TestEdgeCorrespondence:
 class TestFaithfulFull:
     def test_regular_families(self, cp_family_graphs):
         for name, G in cp_family_graphs.items():
-            rep = qg.faithful_full_report(G)
+            rep = qg.faithful_full_report(qg.build_edge_correspondence(G))
             assert rep["subspace_distance"] < 1e-9, name
             if name == "classical_line":
                 continue
@@ -125,16 +125,26 @@ class TestFaithfulFull:
             assert rep["kernel_dim"] == 0, name
 
     def test_line_graph_kernel(self, graph_line):
-        rep = qg.faithful_full_report(graph_line)
+        E = qg.build_edge_correspondence(graph_line)
+        rep = qg.faithful_full_report(E)
         assert not rep["faithful"]
         assert not rep["full"]
         assert rep["kernel_dim"] == 1
         assert rep["sources"] == [0] and rep["sinks"] == [1]
-        kern = qg.left_kernel(graph_line)
+        kern = qg.left_kernel(E)
         # kernel is spanned by the source vertex projection e_0
         basis = kern["kernel_basis"]
         assert basis.shape == (1, 2)
         assert abs(abs(basis[0, 0]) - 1.0) < 1e-9 and abs(basis[0, 1]) < 1e-9
+
+    def test_complete_m2_plus_m3_is_faithful(self):
+        # dim E = 13^2, so the kernel matrix has 13^4 rows and 13 columns
+        psi = qg.validate_delta_form([2, 3], [[2 / 13] * 2, [3 / 13] * 3])
+        E = qg.build_edge_correspondence(qg.complete_graph(psi))
+        assert E.size == 169
+        rep = qg.faithful_full_report(E)
+        assert rep["faithful"] and rep["kernel_dim"] == 0
+        assert rep["subspace_distance"] <= 1e-9
 
     def test_fullness_ideal(self, graph_line, graph_3cycle):
         blocks, full = qg.fullness_ideal(graph_3cycle)
@@ -150,7 +160,7 @@ class TestCompacts:
     )
     def test_decomposition(self, fixture, request):
         G = request.getfixturevalue(fixture)
-        assert qg.compact_decomposition_residual(G) < 1e-9
+        assert qg.compact_decomposition_residual(qg.build_edge_correspondence(G)) < 1e-9
 
     def test_rank_one_operator_shape(self, graph_trivial_m2):
         E = qg.build_edge_correspondence(graph_trivial_m2)

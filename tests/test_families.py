@@ -1,7 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
+from strategies import delta_states
 
 import qgraph as qg
+
+
+def rank_one_lemma_residual(psi, rng):
+    """Residual of sum_k f_ik S f_kj = Tr(rho^-1 S) f_ij on random S,
+    relative to max(1, |Tr(rho^-1 S)|).
+
+    This kernel identity is the step of the proof that T x T* is
+    Schur-idempotent under the rank-one normalization.
+    """
+    st = psi.structure
+    worst = 0.0
+    for a, n in enumerate(st.sizes):
+        S = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        trace = np.sum(np.diag(S) / psi.weights[a])
+        blocks = [np.zeros((m, m), dtype=complex) for m in st.sizes]
+        blocks[a] = S
+        Sel = qg.AlgebraElement(st, blocks)
+        for i in range(n):
+            for j in range(n):
+                acc = qg.AlgebraElement.zero(st)
+                for k in range(n):
+                    acc = acc + qg.adapted_unit(a, i, k, psi) * Sel * qg.adapted_unit(a, k, j, psi)
+                diff = acc - trace * qg.adapted_unit(a, i, j, psi)
+                worst = max(worst, diff.norm() / max(1.0, abs(trace)))
+    return worst
 
 
 class TestCompleteGraph:
@@ -37,6 +65,11 @@ class TestTrivialGraph:
 
 
 class TestRankOneGraph:
+    @given(psi=delta_states(), seed=st_.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_kernel_identity_on_random_states(self, psi, seed):
+        assert rank_one_lemma_residual(psi, np.random.default_rng(seed)) <= 1e-12
+
     def test_identity_generator_gives_trivial(self, tracial_m2):
         G = qg.rank_one_graph(tracial_m2, qg.AlgebraElement.unit(tracial_m2.structure))
         assert np.allclose(G.adjacency.matrix, np.eye(4))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qgraph as qg
+import qgraph.fock
 
 RNG = np.random.default_rng(17)
 
@@ -67,9 +68,10 @@ class TestBuildFock:
         with pytest.raises(qg.HasQuantumSource):
             qg.build_fock(graph_line, 2)
 
-    def test_budget_guard(self, graph_complete_m2):
+    def test_budget_guard(self, graph_complete_m2, monkeypatch):
+        monkeypatch.setattr(qgraph.fock, "FOCK_COORD_BUDGET", 50)
         with pytest.raises(qg.BudgetExceeded):
-            qg.build_fock(graph_complete_m2, 3, budget=50)
+            qg.build_fock(graph_complete_m2, 3)
 
     def test_invalid_depth(self, graph_trivial_m2):
         with pytest.raises(qg.ShapeMismatch):

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
+from strategies import delta_states
 
 import qgraph as qg
-from qgraph.graphs import adjacency_from_indicator, choi_blocks
+from qgraph.blocks import comultiply_adjoint_oracle
+from qgraph.correspondence import from_spanning, tensor_square_module
+from qgraph.graphs import (
+    _indicator_adjacency,
+    _schur_square_matrix,
+    adjacency_from_indicator,
+    choi_blocks,
+)
 
 RNG = np.random.default_rng(11)
 
@@ -167,3 +177,104 @@ class TestQuantumIsomorphism:
         rep = qg.quantum_isomorphism_residual(graph_complete_m2, graph_trivial_m2, theta)
         assert rep["homomorphism"] < 1e-12
         assert rep["adjacency_covariance"] > 0.1
+
+
+# Loop oracles for the library's batched contractions: each evaluates one
+# standard unit (or unit pair) at a time through the element-level API.
+
+
+def units(st):
+    eye = np.eye(st.dim, dtype=complex)
+    return [qg.AlgebraElement.from_vector(st, eye[p]) for p in range(st.dim)]
+
+
+def schur_square_oracle(psi, A):
+    """Columns m (A x A) m*(b_p), with m* from the adjoint oracle."""
+    st = psi.structure
+    cols = []
+    for x in units(st):
+        t = comultiply_adjoint_oracle(x, psi)
+        t = qg.TensorElement(st, A.matrix @ t.coeff @ A.matrix.T)
+        cols.append(t.multiply_down().vec)
+    return np.column_stack(cols)
+
+
+def indicator_adjacency_oracle(xi, psi):
+    """Columns delta^2 (psi x 1)(b_p . xi)."""
+    st = psi.structure
+    t = qg.TensorElement(st, xi)
+    return np.column_stack(
+        [psi.delta_sq * t.left_mul(x).partial_psi_left(psi).vec for x in units(st)]
+    )
+
+
+def homomorphism_oracle(G):
+    eps = qg.edge_indicator(G)
+    A = G.adjacency
+    mult = shift = 0.0
+    for x in units(G.structure):
+        for y in units(G.structure):
+            xy = x * y
+            mult = max(mult, (A(xy) - A(x) * A(y)).norm())
+            shift = max(shift, (eps.left_mul(xy) - eps.left_mul(x).right_mul(A(y))).norm())
+    return {"multiplicativity": mult, "indicator_shift": shift}
+
+
+def cp_residual_oracle(E):
+    """The B (x)_A B model residual with generator stacks built pair by pair."""
+    G = E.graph
+    st = G.structure
+    d2 = st.dim * st.dim
+    F = from_spanning(tensor_square_module(G.psi, G.adjacency.matrix), np.eye(d2, dtype=complex))
+    eye2 = np.eye(d2, dtype=complex)
+    gE, hF = [], []
+    for p, x in enumerate(units(st)):
+        for q, y in enumerate(units(st)):
+            gE.append(E.left_act(x, E.right_act(E.generator, y)))
+            hF.append(F.project(eye2[p * st.dim + q]) / np.sqrt(G.delta_sq))
+    gE, hF = np.array(gE), np.array(hF)
+    innerE = np.einsum("xi,yj,ijd->xyd", gE.conj(), gE, E.binner)
+    innerF = np.einsum("xi,yj,ijd->xyd", hF.conj(), hF, F.binner)
+    return float(np.abs(innerE - innerF).max())
+
+
+def random_cp_map(psi, rng, kraus=2):
+    """x -> block-diagonal part of sum_K K x K*: completely positive, and
+    for random K not Schur-idempotent."""
+    st = psi.structure
+    n = sum(st.sizes)
+    pos = np.cumsum((0,) + st.sizes)
+    Ks = rng.normal(size=(kraus, n, n)) + 1j * rng.normal(size=(kraus, n, n))
+    cols = []
+    for p in range(st.dim):
+        a, i, j = st.unflatten(p)
+        X = np.zeros((n, n), dtype=complex)
+        X[pos[a] + i, pos[a] + j] = 1.0
+        Y = sum(K @ X @ K.conj().T for K in Ks)
+        cols.append(np.concatenate([Y[lo:hi, lo:hi].ravel() for lo, hi in zip(pos, pos[1:])]))
+    return qg.LinearMapOnB(st, np.column_stack(cols))
+
+
+def close(got, want, rel=1e-12):
+    return np.linalg.norm(np.asarray(got) - want) <= rel * np.linalg.norm(want)
+
+
+class TestBatchedFormsMatchLoops:
+    @given(psi=delta_states(), seed=st_.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_library_matches_loop_oracles(self, psi, seed):
+        # random xi and a random CP but non-Schur A keep every residual O(1)
+        rng = np.random.default_rng(seed)
+        st = psi.structure
+        A = random_cp_map(psi, rng)
+        xi = rng.normal(size=(st.dim, st.dim)) + 1j * rng.normal(size=(st.dim, st.dim))
+        assert close(_schur_square_matrix(psi, A), schur_square_oracle(psi, A))
+        assert close(_indicator_adjacency(xi, psi), indicator_adjacency_oracle(xi, psi))
+
+        G = qg.QuantumGraph(st, psi, A)  # skips the Schur gate on purpose
+        got = qg.homomorphism_check(G)
+        for key, want in homomorphism_oracle(G).items():
+            assert want > 1e-6 and close(got[key], want), key
+        E = qg.build_edge_correspondence(G)
+        want = cp_residual_oracle(E)
+        assert want > 1e-6 and close(qg.cp_correspondence(E)[1], want)
