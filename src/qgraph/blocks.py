@@ -396,20 +396,6 @@ def comultiply(x: AlgebraElement, psi: DeltaState) -> TensorElement:
     return TensorElement(st, np.einsum("u,upq->pq", x.vec, psi.comult_tensor))
 
 
-def comultiply_adjoint_oracle(x: AlgebraElement, psi: DeltaState) -> TensorElement:
-    """m*(x) computed numerically as the adjoint of m (test oracle only).
-
-    Solves <m*(x), u (x) v> = <x, uv> for all basis pairs using the diagonal
-    psi (x) psi Gram on B (x) B.
-    """
-    st = x.structure
-    g = psi.gram_diag
-    # rhs[p,q] = <x, b_p b_q>_psi; <x, y> = sum conj(x_u) g_u y_u
-    rhs = np.einsum("u,upq->pq", x.vec.conj() * g, st.mul_tensor)
-    coeff = (rhs / np.outer(g, g)).conj()
-    return TensorElement(st, coeff)
-
-
 def sharp(u: TensorElement, v: TensorElement) -> TensorElement:
     """The # product: (a (x) b) # (c (x) d) = (ac) (x) (db), bilinearly."""
     if u.structure != v.structure:

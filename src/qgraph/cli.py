@@ -36,7 +36,6 @@ from .fock import build_fock, lqck_fock_residuals, representation_residuals
 from .graphs import (
     homomorphism_check,
     indicator_properties,
-    is_completely_positive,
     quantum_sources_sinks,
 )
 from .relations import classical_reduction, lqck_residuals, qck_residuals
@@ -71,7 +70,7 @@ def _jsonable(obj):
 
 def cmd_inspect(args, tol: float) -> int:
     G, tol = load_graph(args.graph, tol=tol)
-    cp_flag, min_eig = is_completely_positive(G.psi, G.adjacency)
+    cp_flag, min_eig = G.choi
     props = indicator_properties(G)
     sources, sinks = quantum_sources_sinks(G, tol)
     report = {

@@ -85,10 +85,6 @@ class Correspondence(ModuleSpace):
     graph: QuantumGraph | None = None
     closure_residual: float = 0.0
 
-    @property
-    def dim_module(self) -> int:
-        return self.size
-
     def project(self, ambient_vec: np.ndarray) -> np.ndarray:
         """Quotient coordinates of an ambient vector (scalar-orthogonal projection)."""
         if self.ambient is None or self.basis_ambient is None:
@@ -141,24 +137,20 @@ def from_spanning(ambient: ModuleSpace, spanning: np.ndarray) -> Correspondence:
     S = ambient.scalar_gram
     lam, U = _gram_quotient(spanning.conj() @ S @ spanning.T)
     basis = (U / np.sqrt(lam)).T @ spanning  # (n, M), scalar-orthonormal
-    n = basis.shape[0]
-    dim = ambient.structure.dim
 
     half = np.tensordot(basis.conj(), ambient.binner, axes=(1, 0))  # (n, M, dim)
     binner = np.tensordot(half, basis, axes=([1], [1])).transpose(0, 2, 1)
     proj = basis.conj() @ S  # (n, M): scalar projection onto the basis
-    lmul = np.stack([proj @ ambient.lmul[p] @ basis.T for p in range(dim)])
-    rmul = np.stack([proj @ ambient.rmul[p] @ basis.T for p in range(dim)])
+    lmul = proj @ ambient.lmul @ basis.T
+    rmul = proj @ ambient.rmul @ basis.T
 
-    # how far the span fails to be invariant under the actions
+    # how far the span fails to be invariant under the actions: the scalar
+    # norm of b_p . v_i minus its projection, worst over units p and basis i
     closure = 0.0
     for mats, amb in ((lmul, ambient.lmul), (rmul, ambient.rmul)):
-        for p in range(dim):
-            moved = amb[p] @ basis.T  # columns are b_p . v_i in ambient coordinates
-            back = basis.T @ mats[p]
-            diff = moved - back
-            sq = np.real(np.sum(diff.conj() * (S @ diff), axis=0))
-            closure = max(closure, float(np.sqrt(max(0.0, float(sq.max(initial=0.0))))))
+        diff = amb @ basis.T - basis.T @ mats  # (dim, M, n)
+        sq = np.real(np.sum(diff.conj() * (S @ diff), axis=1))
+        closure = max(closure, float(np.sqrt(max(0.0, float(sq.max(initial=0.0))))))
 
     return Correspondence(
         structure=ambient.structure,
@@ -188,9 +180,11 @@ def trivial_correspondence(psi: DeltaState) -> Correspondence:
     return from_spanning(amb, np.eye(psi.structure.dim, dtype=complex))
 
 
-def tensor_square_module(psi: DeltaState, phi_matrix: np.ndarray) -> ModuleSpace:
-    """B (x) B with <a (x) b, c (x) d>_B = b* Phi(a* c) d for a linear Phi."""
-    st = psi.structure
+def _tensor_square_binner(st: BlockStructure, phi_matrix: np.ndarray) -> np.ndarray:
+    """Coordinates of <b_p (x) b_q, b_r (x) b_s>_B = b_q* Phi(b_p* b_r) b_s.
+
+    Shape (dim^2, dim^2, dim), row index p * dim + q.
+    """
     d = st.dim
     mt = st.mul_tensor
     star = st.star_perm
@@ -199,11 +193,18 @@ def tensor_square_module(psi: DeltaState, phi_matrix: np.ndarray) -> ModuleSpace
     T1 = A1 @ np.asarray(phi_matrix, dtype=complex).T  # (p, r, v)
     # LR[q, s, w, v]: coordinates of b_q* z b_s picked from z-coordinate v
     LR = np.einsum("wqm,mvs->qswv", mt[:, star, :], mt, optimize=True)
-    binner = np.einsum("prv,qswv->pqrsw", T1, LR, optimize=True).reshape(d * d, d * d, d)
+    return np.einsum("prv,qswv->pqrsw", T1, LR, optimize=True).reshape(d * d, d * d, d)
+
+
+def tensor_square_module(psi: DeltaState, phi_matrix: np.ndarray) -> ModuleSpace:
+    """B (x) B with <a (x) b, c (x) d>_B = b* Phi(a* c) d for a linear Phi."""
+    st = psi.structure
+    d = st.dim
+    mt = st.mul_tensor
     eye = np.eye(d)
     lmul = np.stack([np.kron(mt[:, p, :], eye) for p in range(d)]).astype(complex)
     rmul = np.stack([np.kron(eye, mt[:, :, p]) for p in range(d)]).astype(complex)
-    return ModuleSpace(st, psi, binner, lmul, rmul)
+    return ModuleSpace(st, psi, _tensor_square_binner(st, phi_matrix), lmul, rmul)
 
 
 def psi_tensor_module(psi: DeltaState) -> ModuleSpace:
@@ -298,35 +299,39 @@ def fullness_ideal(G: QuantumGraph, tol: float = DEFAULT_TOL) -> tuple[list[int]
     return blocks, len(blocks) == st.num_blocks
 
 
-def rank_one_operator(E: ModuleSpace, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Matrix of theta_{u,w}: v -> u . <w, v>_B on module coordinates."""
-    c = np.einsum("i,ibd->db", w.conj(), E.binner)  # <w, v_beta>_B coords
-    ru = np.einsum("dab,b->da", E.rmul, u)  # u . b_d
-    return np.einsum("db,da->ab", c, ru)
+def covariance_defect(E: Correspondence, C: np.ndarray, lmul: np.ndarray) -> np.ndarray:
+    """pi(f_ij) - sum_k T(f_ik . eps) T(f_jk . eps)* for every adapted unit f_ij.
+
+    C is a creation tensor of shape (level l, dim E, level l-1): contracting
+    a vector of E into its middle slot gives the matrix of T(xi) from level
+    l-1 to level l in orthonormal coordinates.  lmul is the left action of
+    the standard units on level l.  Entry p = (a, i, j) of the result is
+    the defect for f_ij, the covariance identity of the Fock representation.
+    """
+    st = E.structure
+    scale = 1.0 / np.sqrt(E.psi.weight_of_row * E.psi.gram_diag)  # f_p = scale[p] b_p
+    V = scale[:, None] * (E.lmul @ E.generator)  # row p is f_p . eps
+    T = np.einsum("aeb,pe->pab", C, V, optimize=True)  # T(f_p . eps)
+    defect = scale[:, None, None] * lmul
+    for a, n in enumerate(st.sizes):
+        blk = slice(st.offsets[a], st.offsets[a + 1])
+        Tb = T[blk].reshape(n, n, *T.shape[1:])  # [i, k]
+        TT = np.einsum("ikab,jkcb->ijac", Tb, Tb.conj(), optimize=True)
+        defect[blk] -= TT.reshape(n * n, *lmul.shape[1:])
+    return defect
 
 
 def compact_decomposition_residual(E: Correspondence) -> float:
-    """Residual of f_ij . xi = sum_k theta_{f_ik.eps, f_jk.eps}(xi) on E_G."""
-    from .blocks import adapted_unit
+    """Residual of f_ij . xi = sum_k theta_{f_ik.eps, f_jk.eps}(xi) on E_G.
 
-    G = E.graph
-    st = G.structure
-    gen = E.generator
-    worst = 0.0
-    for a, n in enumerate(st.sizes):
-        creations = [E.left_act(adapted_unit(a, i, k, G.psi), gen) for i in range(n) for k in range(n)]
-
-        def vec(i, k):
-            return creations[i * n + k]
-
-        for i in range(n):
-            for j in range(n):
-                f = adapted_unit(a, i, j, G.psi)
-                lhs = np.einsum("p,pab->ab", f.vec, E.lmul)
-                rhs = sum(rank_one_operator(E, vec(i, k), vec(j, k)) for k in range(n))
-                diff = lhs - rhs
-                worst = max(worst, float(np.abs(np.linalg.norm(diff, axis=0)).max(initial=0.0)))
-    return worst
+    On level 1 of the Fock module theta_{xi,eta} = T(xi)T(eta)*, so this is
+    the covariance identity with level 0 = B in the psi-orthonormal units
+    b_p / sqrt(g_p), on which T(xi) acts as xi . b_p / sqrt(g_p).  Reported
+    as the largest column norm of the defect over all units.
+    """
+    C0 = E.rmul.transpose(1, 2, 0) / np.sqrt(E.psi.gram_diag)
+    defect = covariance_defect(E, C0, E.lmul)
+    return float(np.linalg.norm(defect, axis=1).max(initial=0.0))
 
 
 def _unit_orbit(M: ModuleSpace, xi: np.ndarray) -> np.ndarray:
@@ -335,23 +340,27 @@ def _unit_orbit(M: ModuleSpace, xi: np.ndarray) -> np.ndarray:
     return np.einsum("pca,qa->pqc", M.lmul, right).reshape(-1, M.lmul.shape[1])
 
 
-def cp_correspondence(E: Correspondence) -> tuple[Correspondence, float]:
-    """B (x)_A B with the inner product b* A(a* c) d, plus the isomorphism residual.
+def _orbit_gram(M: ModuleSpace, xi: np.ndarray) -> np.ndarray:
+    """B-valued Gram of the unit orbit: <b_p.xi.b_q, b_r.xi.b_s>_B at [pq, rs]."""
+    g = _unit_orbit(M, xi)
+    return np.einsum("xi,yj,ijd->xyd", g.conj(), g, M.binner, optimize=True)
 
-    The canonical map x . eps . y -> (1/delta)(x (x) y) must preserve
-    B-valued inner products; the returned residual is its worst defect over
-    generator pairs.  E is the edge correspondence of the graph.
+
+def cp_correspondence(E: Correspondence) -> tuple[int, float]:
+    """Dimension of B (x)_A B and the defect of its isomorphism with E_G.
+
+    B (x)_A B carries <a (x) b, c (x) d>_B = b* A(a* c) d.  The canonical map
+    x . eps . y -> (1/delta)(x (x) y) preserves B-valued inner products, so
+    the Gram of the orbit b_p . eps . b_q in E must equal the closed form
+    delta^-2 b_q* A(b_p* b_r) b_s; the residual is the worst entry of the
+    difference.  The dimension is the rank of the closed-form scalar Gram.
     """
     G = E.graph
-    amb = tensor_square_module(G.psi, G.adjacency.matrix)
-    F = from_spanning(amb, np.eye(G.structure.dim ** 2, dtype=complex))
-    gE = _unit_orbit(E, E.generator)
-    # row p * dim B + q is the projection of b_p (x) b_q, over delta
-    hF = (F.basis_ambient.conj() @ amb.scalar_gram).T / np.sqrt(G.delta_sq)
-    innerE = np.einsum("xi,yj,ijd->xyd", gE.conj(), gE, E.binner, optimize=True)
-    innerF = np.einsum("xi,yj,ijd->xyd", hF.conj(), hF, F.binner, optimize=True)
-    residual = float(np.abs(innerE - innerF).max(initial=0.0))
-    return F, residual
+    model = _tensor_square_binner(G.structure, G.adjacency.matrix) / G.delta_sq
+    model_dim = len(_gram_quotient(model @ G.psi.psi_vec)[0])
+    diff = _orbit_gram(E, E.generator)
+    diff -= model
+    return model_dim, float(np.abs(diff).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -390,9 +399,8 @@ def recognize(
         moved = np.einsum("pab,b->pa", module.lmul, coords)
         A = psi.delta_sq * np.einsum("a,pb,abd->dp", coords.conj(), moved, module.binner)
 
-    gX = _unit_orbit(mod_space, coords)
-    lam, _ = _gram_quotient(gX.conj() @ mod_space.scalar_gram @ gX.T)
-    span_rank = len(lam)
+    innerX = _orbit_gram(mod_space, coords)
+    span_rank = len(_gram_quotient(innerX @ psi.psi_vec)[0])
     if module is not None and span_rank < module.size:
         raise NotGenerating(
             f"xi generates a {span_rank}-dimensional submodule of dimension-{module.size} module"
@@ -400,10 +408,7 @@ def recognize(
 
     G = QuantumGraph.build(psi, LinearMapOnB(st, A), tol=tol)
     E = build_edge_correspondence(G)
-    gE = _unit_orbit(E, E.generator)
-    innerX = np.einsum("xa,yb,abd->xyd", gX.conj(), gX, mod_space.binner, optimize=True)
-    innerE = np.einsum("xi,yj,ijd->xyd", gE.conj(), gE, E.binner, optimize=True)
-    iso = float(np.abs(innerX - innerE).max(initial=0.0))
+    iso = float(np.abs(innerX - _orbit_gram(E, E.generator)).max(initial=0.0))
     return RecognitionResult(graph=G, module_dim=span_rank, iso_residual=iso)
 
 

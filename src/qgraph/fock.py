@@ -12,16 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (
-    AlgebraElement,
-    adapted_unit,
-)
+from .blocks import AlgebraElement
 from .correspondence import (
     Correspondence,
-    from_spanning,
-    build_edge_correspondence,
-    trivial_correspondence,
     ModuleSpace,
+    build_edge_correspondence,
+    covariance_defect,
+    from_spanning,
+    trivial_correspondence,
 )
 from .errors import BudgetExceeded, HasQuantumSource, MismatchedBase, ShapeMismatch
 from .graphs import QuantumGraph, quantum_sources_sinks
@@ -184,10 +182,7 @@ def representation_residuals(F: FockTruncation) -> dict:
     covariance: pi(x) = sum_k T(f_ik.eps)T(f_jk.eps)* on levels 1..N-1.
     vacuum_defect: the norm of pi on level 0, where covariance must fail.
     """
-    G = F.graph
     E = F.edge
-    st = G.structure
-
     inner = 0.0
     for l in range(F.depth):
         Cr = F.creation[l]
@@ -199,16 +194,8 @@ def representation_residuals(F: FockTruncation) -> dict:
 
     cov = 0.0
     for l in range(1, F.depth):
-        for a, n in enumerate(st.sizes):
-            C = [
-                [F.creation_matrix(l - 1, E.left_act(adapted_unit(a, i, k, G.psi), E.generator)) for k in range(n)]
-                for i in range(n)
-            ]
-            for i in range(n):
-                for j in range(n):
-                    lhs = F.pi_level(l, adapted_unit(a, i, j, G.psi))
-                    rhs = sum(C[i][k] @ C[j][k].conj().T for k in range(n))
-                    cov = max(cov, float(np.linalg.norm(lhs - rhs)))
+        defect = covariance_defect(E, F.creation[l - 1], F.levels[l].lmul)
+        cov = max(cov, float(np.linalg.norm(defect, axis=(1, 2)).max()))
 
     vacuum = float(np.linalg.norm(F.levels[0].lmul, axis=(1, 2)).max())
     return {"inner": inner, "covariance": cov, "vacuum_defect": vacuum}

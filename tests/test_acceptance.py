@@ -159,7 +159,7 @@ def test_criterion_04_complete_positivity(instances):
                 mat[st.flat_index(0, j, i), st.flat_index(0, i, j)] = 1.0
         A = qg.LinearMapOnB(st, mat)
         flag, min_eig = qg.is_completely_positive(psi, A)
-        max_eig = max(float(np.linalg.eigvalsh(H).max()) for H in choi_blocks(psi, A))
+        max_eig = max(float(np.linalg.eigvalsh(H).max()) for H in choi_blocks(A))
         assert not flag
         assert min_eig <= -0.5 * max_eig
 
@@ -208,9 +208,9 @@ def test_criterion_07_correspondence_model(cp_family_graphs):
     with criterion(7, "edge correspondence dimensions and the tensor model"):
         for name, G in cp_family_graphs.items():
             E = qg.build_edge_correspondence(G)
-            F, residual = qg.cp_correspondence(E)
+            model_dim, residual = qg.cp_correspondence(E)
             assert E.size == expected[name], name
-            assert F.size == E.size, name
+            assert model_dim == E.size, name
             assert residual <= TOL, name
 
 

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
+from oracles import comultiply_adjoint_oracle
 
 import qgraph as qg
-from qgraph.blocks import (
-    comultiply_adjoint_oracle,
-    modular_half_matrix,
-)
+from qgraph.blocks import modular_half_matrix
 
 RNG = np.random.default_rng(2024)
 

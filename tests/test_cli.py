@@ -6,6 +6,7 @@ import pytest
 import qgraph as qg
 import qgraph.cli
 import qgraph.fock
+import qgraph.graphs
 from qgraph.cli import main
 from qgraph.serialize import (
     family_to_document,
@@ -93,6 +94,18 @@ class TestInspect:
         assert payload["faithful"] is False and payload["full"] is False
         assert payload["kernel_dim"] == 1
         assert payload["dim_E"] == 1
+
+    def test_runs_the_choi_test_once(self, capsys, monkeypatch, trivial_path):
+        calls = []
+
+        def counting_choi(*args, **kwargs):
+            calls.append(args)
+            return qg.is_completely_positive(*args, **kwargs)
+
+        monkeypatch.setattr(qgraph.graphs, "is_completely_positive", counting_choi)
+        code, _, _ = run(capsys, "inspect", trivial_path)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_malformed_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from oracles import rank_one_operator
 
 import qgraph as qg
 from qgraph.correspondence import (
     algebra_module,
     from_spanning,
-    rank_one_operator,
     tensor_square_module,
 )
 
@@ -109,9 +109,9 @@ class TestEdgeCorrespondence:
 
     def test_cp_model_isomorphism(self, cp_family_graphs):
         for name, G in cp_family_graphs.items():
-            F, residual = qg.cp_correspondence(qg.build_edge_correspondence(G))
+            model_dim, residual = qg.cp_correspondence(qg.build_edge_correspondence(G))
             assert residual < 1e-9, name
-            assert F.size == EXPECTED_DIM_E[name], name
+            assert model_dim == EXPECTED_DIM_E[name], name
 
 
 class TestFaithfulFull:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
+from oracles import comultiply_adjoint_oracle, rank_one_operator
 from strategies import delta_states
 
 import qgraph as qg
-from qgraph.blocks import comultiply_adjoint_oracle
 from qgraph.correspondence import from_spanning, tensor_square_module
 from qgraph.graphs import (
     _indicator_adjacency,
@@ -110,13 +110,13 @@ class TestCompletePositivity:
         assert not flag
         assert min_eig == pytest.approx(-1.0, abs=1e-12)
         evs = np.concatenate(
-            [np.linalg.eigvalsh(H) for H in choi_blocks(tracial_m2, qg.LinearMapOnB(st, mat))]
+            [np.linalg.eigvalsh(H) for H in choi_blocks(qg.LinearMapOnB(st, mat))]
         )
         assert min_eig <= -0.5 * evs.max()
 
     def test_choi_blocks_of_identity_are_psd(self, tracial_m2):
         A = qg.LinearMapOnB.identity(tracial_m2.structure)
-        for H in choi_blocks(tracial_m2, A):
+        for H in choi_blocks(A):
             assert np.linalg.eigvalsh(H).min() > -1e-12
 
 
@@ -221,7 +221,8 @@ def homomorphism_oracle(G):
 
 
 def cp_residual_oracle(E):
-    """The B (x)_A B model residual with generator stacks built pair by pair."""
+    """The B (x)_A B model as a second quotient module, with generator stacks
+    built pair by pair; returns its dimension and the isomorphism residual."""
     G = E.graph
     st = G.structure
     d2 = st.dim * st.dim
@@ -235,7 +236,108 @@ def cp_residual_oracle(E):
     gE, hF = np.array(gE), np.array(hF)
     innerE = np.einsum("xi,yj,ijd->xyd", gE.conj(), gE, E.binner)
     innerF = np.einsum("xi,yj,ijd->xyd", hF.conj(), hF, F.binner)
-    return float(np.abs(innerE - innerF).max())
+    return F.size, float(np.abs(innerE - innerF).max())
+
+
+def compact_decomposition_oracle(E):
+    """Worst column norm of f_ij - sum_k theta_{f_ik.eps, f_jk.eps}, unit by unit."""
+    psi = E.graph.psi
+    worst = 0.0
+    for a, n in enumerate(psi.structure.sizes):
+        vec = {
+            (i, k): E.left_act(qg.adapted_unit(a, i, k, psi), E.generator)
+            for i in range(n)
+            for k in range(n)
+        }
+        for i in range(n):
+            for j in range(n):
+                lhs = np.einsum("p,pab->ab", qg.adapted_unit(a, i, j, psi).vec, E.lmul)
+                rhs = sum(rank_one_operator(E, vec[i, k], vec[j, k]) for k in range(n))
+                worst = max(worst, float(np.linalg.norm(lhs - rhs, axis=0).max()))
+    return worst
+
+
+def fock_covariance_oracle(F):
+    """Worst Frobenius norm of pi(f_ij) - sum_k T(f_ik.eps)T(f_jk.eps)* on
+    levels 1..N-1, unit by unit."""
+    E = F.edge
+    psi = F.graph.psi
+    worst = 0.0
+    for l in range(1, F.depth):
+        for a, n in enumerate(psi.structure.sizes):
+            T = {
+                (i, k): F.creation_matrix(
+                    l - 1, E.left_act(qg.adapted_unit(a, i, k, psi), E.generator)
+                )
+                for i in range(n)
+                for k in range(n)
+            }
+            for i in range(n):
+                for j in range(n):
+                    lhs = F.pi_level(l, qg.adapted_unit(a, i, j, psi))
+                    rhs = sum(T[i, k] @ T[j, k].conj().T for k in range(n))
+                    worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
+
+
+def quotient_actions_oracle(F):
+    """Actions of the units on a quotient module and its closure residual,
+    one unit at a time."""
+    S = F.ambient.scalar_gram
+    basis = F.basis_ambient
+    proj = basis.conj() @ S
+    closure = 0.0
+    actions = []
+    for amb in (F.ambient.lmul, F.ambient.rmul):
+        mats = []
+        for p in range(F.structure.dim):
+            mats.append(proj @ amb[p] @ basis.T)
+            diff = amb[p] @ basis.T - basis.T @ mats[-1]
+            sq = np.real(np.sum(diff.conj() * (S @ diff), axis=0))
+            closure = max(closure, float(np.sqrt(max(0.0, sq.max(initial=0.0)))))
+        actions.append(np.array(mats))
+    return actions[0], actions[1], closure
+
+
+def choi_blocks_oracle(A):
+    """Choi slabs H[(i,r),(j,s)] = A(e_ij^(a))^(b)_rs entry by entry."""
+    st = A.structure
+    out = []
+    for a, na in enumerate(st.sizes):
+        for b, nb in enumerate(st.sizes):
+            H = np.zeros((na * nb, na * nb), dtype=complex)
+            for i in range(na):
+                for j in range(na):
+                    img = A.matrix[:, st.flat_index(a, i, j)]
+                    for r in range(nb):
+                        for s in range(nb):
+                            H[i * nb + r, j * nb + s] = img[st.flat_index(b, r, s)]
+            out.append(H)
+    return out
+
+
+def quantum_isomorphism_oracle(G1, G2, theta):
+    """The quantum-isomorphism residuals with one unit (or unit pair) at a time."""
+    st1, st2 = G1.structure, G2.structure
+    h = theta.h
+    eye = np.eye(st1.dim, dtype=complex)
+    hom = np.linalg.norm(
+        theta.apply_vec(st1.unit_vector)
+        - qg.OperatorValuedMap.identity(st2, h).apply_vec(st2.unit_vector)
+    )
+    state = adj = 0.0
+    for p in range(st1.dim):
+        ip = theta.images[p]
+        hom = max(hom, np.linalg.norm(theta.apply_vec(eye[st1.star_perm[p]]) - theta.star(ip)))
+        for q in range(st1.dim):
+            lhs = theta.apply_vec(st1.mul_tensor[:, p, q].astype(complex))
+            prod = np.einsum("uvw,vkl,wlm->ukm", st2.mul_tensor, ip, theta.images[q])
+            hom = max(hom, np.linalg.norm(lhs - prod))
+        sliced = np.einsum("q,qkl->kl", G2.psi.psi_vec, ip)
+        state = max(state, np.linalg.norm(sliced - G1.psi.psi_vec[p] * np.eye(h)))
+        lhs = np.einsum("rq,qkl->rkl", G2.adjacency.matrix, ip)
+        adj = max(adj, np.linalg.norm(lhs - theta.apply_vec(G1.adjacency.matrix[:, p])))
+    return {"homomorphism": hom, "state_covariance": state, "adjacency_covariance": adj}
 
 
 def random_cp_map(psi, rng, kraus=2):
@@ -276,5 +378,38 @@ class TestBatchedFormsMatchLoops:
         for key, want in homomorphism_oracle(G).items():
             assert want > 1e-6 and close(got[key], want), key
         E = qg.build_edge_correspondence(G)
-        want = cp_residual_oracle(E)
-        assert want > 1e-6 and close(qg.cp_correspondence(E)[1], want)
+        want_dim, want = cp_residual_oracle(E)
+        got_dim, got = qg.cp_correspondence(E)
+        assert got_dim == want_dim
+        assert want > 1e-6 and close(got, want)
+        want = compact_decomposition_oracle(E)
+        assert want > 1e-6 and close(qg.compact_decomposition_residual(E), want)
+
+        # one random vector of E_G spans a subspace that is not invariant
+        d = st.dim
+        v = (rng.normal(size=(1, E.size)) + 1j * rng.normal(size=(1, E.size))) @ E.basis_ambient
+        sub = from_spanning(E.ambient, v)
+        lmul, rmul, want = quotient_actions_oracle(sub)
+        assert close(sub.lmul, lmul) and close(sub.rmul, rmul)
+        assert (want > 1e-6 or E.size == 1) and close(sub.closure_residual, want)
+
+        for H, want in zip(choi_blocks(A), choi_blocks_oracle(A), strict=True):
+            assert close(H, want)
+
+        h = 2
+        images = rng.normal(size=(d, d, h, h)) + 1j * rng.normal(size=(d, d, h, h))
+        theta = qg.OperatorValuedMap(st, st, images)
+        G2 = qg.QuantumGraph(st, psi, random_cp_map(psi, rng))
+        got = qg.quantum_isomorphism_residual(G, G2, theta)
+        for key, want in quantum_isomorphism_oracle(G, G2, theta).items():
+            assert want > 1e-6 and close(got[key], want), key
+
+    @given(psi=delta_states(), seed=st_.integers(0, 2**32 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_fock_covariance_matches_loop_oracle(self, psi, seed):
+        # one Kraus operator keeps dim E <= (sum N_a)^2, so level 2 stays small
+        rng = np.random.default_rng(seed)
+        G = qg.QuantumGraph(psi.structure, psi, random_cp_map(psi, rng, kraus=1))
+        F = qg.build_fock(G, 2)
+        want = fock_covariance_oracle(F)
+        assert want > 1e-6 and close(qg.representation_residuals(F)["covariance"], want)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
+from oracles import comultiply_adjoint_oracle
 
 import qgraph as qg
-from qgraph.blocks import comultiply_adjoint_oracle
 
 RNG = np.random.default_rng(23)
 ROOT5 = 5.0 ** 0.5
