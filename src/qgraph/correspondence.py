@@ -21,12 +21,11 @@ from .blocks import (
     DeltaState,
     TensorElement,
 )
-from .errors import NotCompletelyPositive, NotGenerating, ShapeMismatch
+from .errors import MismatchedBase, NotCompletelyPositive, NotGenerating, ShapeMismatch
 from .graphs import (
     LinearMapOnB,
     QuantumGraph,
     _indicator_adjacency,
-    adjoint_map,
     edge_indicator,
     quantum_sources_sinks,
     require_completely_positive,
@@ -36,18 +35,17 @@ GRAM_CUTOFF_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
-class ModuleSpace:
-    """Coordinate model of a B-bimodule with a B-valued inner product.
+class InnerModule:
+    """Coordinate model of a B-bimodule with a B-valued semi-inner product.
 
-    binner[a, b] are the canonical coordinates of <u_a, u_b>_B; lmul[p] and
-    rmul[p] are the matrices of the unit b_p acting on the left and right.
+    binner[a, b] are the canonical coordinates of <u_a, u_b>_B.  Subclasses
+    say how the units act: left_units(V) and right_units(V) give b_p . v and
+    v . b_p for every unit p and every column v of V, shape (dim, M, n).
     """
 
     structure: BlockStructure
     psi: DeltaState
     binner: np.ndarray  # (M, M, dim)
-    lmul: np.ndarray  # (dim, M, M)
-    rmul: np.ndarray  # (dim, M, M)
 
     @property
     def size(self) -> int:
@@ -62,11 +60,48 @@ class ModuleSpace:
         """Canonical coordinates of <xi, eta>_B."""
         return np.einsum("a,b,abd->d", xi.conj(), eta, self.binner)
 
+
+@dataclass(frozen=True)
+class ModuleSpace(InnerModule):
+    """Module whose unit actions are stored whole: lmul[p] and rmul[p] are the
+    matrices of the unit b_p acting on the left and right."""
+
+    lmul: np.ndarray  # (dim, M, M)
+    rmul: np.ndarray  # (dim, M, M)
+
     def left_act(self, x: AlgebraElement, xi: np.ndarray) -> np.ndarray:
         return np.einsum("p,pab,b->a", x.vec, self.lmul, xi)
 
     def right_act(self, xi: np.ndarray, x: AlgebraElement) -> np.ndarray:
         return np.einsum("p,pab,b->a", x.vec, self.rmul, xi)
+
+    def left_units(self, V: np.ndarray) -> np.ndarray:
+        return self.lmul @ V
+
+    def right_units(self, V: np.ndarray) -> np.ndarray:
+        return self.rmul @ V
+
+
+@dataclass(frozen=True)
+class TensorModule(InnerModule):
+    """X (x) Y before the balanced quotient; coordinate (i, k) is i * dim Y + k.
+
+    B acts on the left through X and on the right through Y.  The factor
+    stacks x_lmul (X's left action) and y_rmul (Y's right action) act on one
+    tensor factor at a time; no whole-space action matrix is formed.
+    """
+
+    x_lmul: np.ndarray  # (dim, dim X, dim X)
+    y_rmul: np.ndarray  # (dim, dim Y, dim Y)
+
+    def left_units(self, V: np.ndarray) -> np.ndarray:
+        d, nX = self.x_lmul.shape[:2]
+        return (self.x_lmul @ V.reshape(nX, -1)).reshape(d, self.size, -1)
+
+    def right_units(self, V: np.ndarray) -> np.ndarray:
+        d, nY = self.y_rmul.shape[:2]
+        out = self.y_rmul[:, None] @ V.reshape(-1, nY, V.shape[1])  # (dim, dim X, nY, n)
+        return out.reshape(d, self.size, -1)
 
 
 @dataclass(frozen=True)
@@ -79,16 +114,13 @@ class Correspondence(ModuleSpace):
     for edge correspondences), and graph the quantum graph it came from.
     """
 
-    ambient: ModuleSpace | None = None
-    basis_ambient: np.ndarray | None = None  # (n, M)
+    ambient: InnerModule
+    basis_ambient: np.ndarray  # (n, M)
     generator: np.ndarray | None = None
     graph: QuantumGraph | None = None
-    closure_residual: float = 0.0
 
     def project(self, ambient_vec: np.ndarray) -> np.ndarray:
         """Quotient coordinates of an ambient vector (scalar-orthogonal projection)."""
-        if self.ambient is None or self.basis_ambient is None:
-            raise ShapeMismatch("correspondence carries no ambient embedding")
         return self.basis_ambient.conj() @ (self.ambient.scalar_gram @ ambient_vec)
 
     def vector(self, coords: np.ndarray) -> "CorrVector":
@@ -127,11 +159,12 @@ def _gram_quotient(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals[keep], evecs[:, keep]
 
 
-def from_spanning(ambient: ModuleSpace, spanning: np.ndarray) -> Correspondence:
+def from_spanning(ambient: InnerModule, spanning: np.ndarray) -> Correspondence:
     """Quotient the span of `spanning` by the scalar Gram kernel.
 
     Basis vectors are the Gram eigenvectors above the relative cutoff,
-    rescaled to unit scalar norm.
+    rescaled to unit scalar norm.  The unit actions are the ambient's,
+    applied to the basis and projected back onto it.
     """
     spanning = np.asarray(spanning, dtype=complex)
     S = ambient.scalar_gram
@@ -141,26 +174,14 @@ def from_spanning(ambient: ModuleSpace, spanning: np.ndarray) -> Correspondence:
     half = np.tensordot(basis.conj(), ambient.binner, axes=(1, 0))  # (n, M, dim)
     binner = np.tensordot(half, basis, axes=([1], [1])).transpose(0, 2, 1)
     proj = basis.conj() @ S  # (n, M): scalar projection onto the basis
-    lmul = proj @ ambient.lmul @ basis.T
-    rmul = proj @ ambient.rmul @ basis.T
-
-    # how far the span fails to be invariant under the actions: the scalar
-    # norm of b_p . v_i minus its projection, worst over units p and basis i
-    closure = 0.0
-    for mats, amb in ((lmul, ambient.lmul), (rmul, ambient.rmul)):
-        diff = amb @ basis.T - basis.T @ mats  # (dim, M, n)
-        sq = np.real(np.sum(diff.conj() * (S @ diff), axis=1))
-        closure = max(closure, float(np.sqrt(max(0.0, float(sq.max(initial=0.0))))))
-
     return Correspondence(
         structure=ambient.structure,
         psi=ambient.psi,
         binner=binner,
-        lmul=lmul,
-        rmul=rmul,
+        lmul=proj @ ambient.left_units(basis.T),
+        rmul=proj @ ambient.right_units(basis.T),
         ambient=ambient,
         basis_ambient=basis,
-        closure_residual=closure,
     )
 
 
@@ -180,38 +201,44 @@ def trivial_correspondence(psi: DeltaState) -> Correspondence:
     return from_spanning(amb, np.eye(psi.structure.dim, dtype=complex))
 
 
-def _tensor_square_binner(st: BlockStructure, phi_matrix: np.ndarray) -> np.ndarray:
-    """Coordinates of <b_p (x) b_q, b_r (x) b_s>_B = b_q* Phi(b_p* b_r) b_s.
+def _same_base(X: InnerModule, Y: InnerModule) -> None:
+    if X.structure != Y.structure:
+        raise MismatchedBase("correspondences over different block structures")
+    if not all(np.allclose(a, b) for a, b in zip(X.psi.weights, Y.psi.weights)):
+        raise MismatchedBase("correspondences over different states")
 
-    Shape (dim^2, dim^2, dim), row index p * dim + q.
+
+def tensor_module(X: ModuleSpace, Y: ModuleSpace) -> TensorModule:
+    """X (x) Y with <x1 (x) y1, x2 (x) y2>_B = <y1, <x1, x2>_B . y2>_B.
+
+    Every module quotiented here is such an ambient: its quotient by the
+    Gram kernel is the interior tensor product X (x)_B Y, which realizes the
+    balanced relation x.b (x) y = x (x) b.y.  Only X's inner product and
+    left action and Y's inner product and actions are read.
     """
-    d = st.dim
-    mt = st.mul_tensor
-    star = st.star_perm
-    # T1[p, r] = Phi(b_p* b_r) coordinates
-    A1 = mt[:, star, :].transpose(1, 2, 0)  # (p, r, u)
-    T1 = A1 @ np.asarray(phi_matrix, dtype=complex).T  # (p, r, v)
-    # LR[q, s, w, v]: coordinates of b_q* z b_s picked from z-coordinate v
-    LR = np.einsum("wqm,mvs->qswv", mt[:, star, :], mt, optimize=True)
-    return np.einsum("prv,qswv->pqrsw", T1, LR, optimize=True).reshape(d * d, d * d, d)
+    _same_base(X, Y)
+    n = X.size * Y.size
+    binner = np.einsum("ijp,pml,kmd->ikjld", X.binner, Y.lmul, Y.binner, optimize=True)
+    return TensorModule(X.structure, X.psi, binner.reshape(n, n, -1), X.lmul, Y.rmul)
 
 
-def tensor_square_module(psi: DeltaState, phi_matrix: np.ndarray) -> ModuleSpace:
-    """B (x) B with <a (x) b, c (x) d>_B = b* Phi(a* c) d for a linear Phi."""
-    st = psi.structure
-    d = st.dim
-    mt = st.mul_tensor
-    eye = np.eye(d)
-    lmul = np.stack([np.kron(mt[:, p, :], eye) for p in range(d)]).astype(complex)
-    rmul = np.stack([np.kron(eye, mt[:, :, p]) for p in range(d)]).astype(complex)
-    return ModuleSpace(st, psi, _tensor_square_binner(st, phi_matrix), lmul, rmul)
+def tensor_square_module(psi: DeltaState, phi_matrix: np.ndarray) -> TensorModule:
+    """B (x) B with <a (x) b, c (x) d>_B = b* Phi(a* c) d for a linear Phi:
+    the tensor module of B with <a, c> = Phi(a* c) and B."""
+    B = algebra_module(psi)
+    X = replace(B, binner=B.binner @ np.asarray(phi_matrix, dtype=complex).T)
+    return tensor_module(X, B)
 
 
-def psi_tensor_module(psi: DeltaState) -> ModuleSpace:
+def psi_tensor_module(psi: DeltaState) -> TensorModule:
     """The ambient B (x)_psi B: Phi = psi(.) 1."""
-    st = psi.structure
-    phi = np.outer(st.unit_vector, psi.psi_vec)
-    return tensor_square_module(psi, phi)
+    return tensor_square_module(psi, np.outer(psi.structure.unit_vector, psi.psi_vec))
+
+
+def _unit_orbit(M: InnerModule, xi: np.ndarray) -> np.ndarray:
+    """Rows b_p . xi . b_q of the module M, row index p * dim B + q."""
+    right = M.right_units(xi[:, None])[:, :, 0]  # row q is xi . b_q
+    return M.left_units(right.T).transpose(0, 2, 1).reshape(-1, M.size)
 
 
 def build_edge_correspondence(G: QuantumGraph) -> Correspondence:
@@ -220,13 +247,10 @@ def build_edge_correspondence(G: QuantumGraph) -> Correspondence:
     The result records G, so every E_G report below takes E_G alone.
     """
     require_completely_positive(G)
-    d = G.structure.dim
-    mt = G.structure.mul_tensor
-    eps = edge_indicator(G).coeff
-    # row (p, q) is b_p . eps . b_q = L_p eps R_q^T
-    spanning = np.einsum("upa,ab,sbq->pqus", mt, eps, mt, optimize=True).reshape(d * d, d * d)
-    E = from_spanning(psi_tensor_module(G.psi), spanning)
-    return replace(E, generator=E.project(eps.ravel()), graph=G)
+    eps = edge_indicator(G).coeff.ravel()
+    ambient = psi_tensor_module(G.psi)
+    E = from_spanning(ambient, _unit_orbit(ambient, eps))
+    return replace(E, generator=E.project(eps), graph=G)
 
 
 def b_inner(xi: CorrVector, eta: CorrVector, E: Correspondence) -> AlgebraElement:
@@ -246,10 +270,11 @@ def _gns_projector(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 
 def left_kernel(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
-    """Left-action kernel of E_G, computed directly and via (B A*(B) B)^perp.
+    """Left-action kernel of E_G, computed directly and as predicted.
 
-    Returns the numerical null space, the block-ideal complement predicted
-    by the adjoint of A, and the distance between the two subspaces.
+    The prediction is the sum of the central summands inside ker A, the
+    source blocks of `quantum_sources_sinks`.  Returns the numerical null
+    space, the predicted blocks and the distance between the two subspaces.
     """
     G = E.graph
     st = G.structure
@@ -265,16 +290,10 @@ def left_kernel(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
     else:
         kernel = np.eye(st.dim, dtype=complex)
 
-    # ideal generated by range(A*): blocks where A* has a nonzero row slab
-    Astar = adjoint_map(G.adjacency, G.psi)
-    complement_rows = []
-    complement_blocks = []
-    for a in range(st.num_blocks):
-        lo, hi = st.offsets[a], st.offsets[a + 1]
-        if np.linalg.norm(Astar.matrix[lo:hi, :]) <= tol:
-            complement_blocks.append(a)
-            complement_rows.extend(np.eye(st.dim, dtype=complex)[lo:hi])
-    perp = np.array(complement_rows).reshape(-1, st.dim)
+    # predicted kernel: the central summands inside ker A, the source blocks
+    sources, _ = quantum_sources_sinks(G, tol)
+    rows = [p for a in sources for p in range(st.offsets[a], st.offsets[a + 1])]
+    perp = np.eye(st.dim, dtype=complex)[rows]
 
     g = G.psi.gram_diag
     dist = float(np.linalg.norm(_gns_projector(kernel, g) - _gns_projector(perp, g)))
@@ -282,7 +301,7 @@ def left_kernel(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
         "kernel_basis": kernel,
         "kernel_dim": kernel.shape[0],
         "perp_basis": perp,
-        "perp_blocks": complement_blocks,
+        "perp_blocks": sources,
         "subspace_distance": dist,
     }
 
@@ -334,13 +353,7 @@ def compact_decomposition_residual(E: Correspondence) -> float:
     return float(np.linalg.norm(defect, axis=1).max(initial=0.0))
 
 
-def _unit_orbit(M: ModuleSpace, xi: np.ndarray) -> np.ndarray:
-    """Rows b_p . xi . b_q of the module M, row index p * dim B + q."""
-    right = np.einsum("qab,b->qa", M.rmul, xi)
-    return np.einsum("pca,qa->pqc", M.lmul, right).reshape(-1, M.lmul.shape[1])
-
-
-def _orbit_gram(M: ModuleSpace, xi: np.ndarray) -> np.ndarray:
+def _orbit_gram(M: InnerModule, xi: np.ndarray) -> np.ndarray:
     """B-valued Gram of the unit orbit: <b_p.xi.b_q, b_r.xi.b_s>_B at [pq, rs]."""
     g = _unit_orbit(M, xi)
     return np.einsum("xi,yj,ijd->xyd", g.conj(), g, M.binner, optimize=True)
@@ -356,7 +369,7 @@ def cp_correspondence(E: Correspondence) -> tuple[int, float]:
     difference.  The dimension is the rank of the closed-form scalar Gram.
     """
     G = E.graph
-    model = _tensor_square_binner(G.structure, G.adjacency.matrix) / G.delta_sq
+    model = tensor_square_module(G.psi, G.adjacency.matrix).binner / G.delta_sq
     model_dim = len(_gram_quotient(model @ G.psi.psi_vec)[0])
     diff = _orbit_gram(E, E.generator)
     diff -= model
@@ -389,7 +402,7 @@ def recognize(
     if module is None:
         if not isinstance(xi, TensorElement):
             raise ShapeMismatch("expected a TensorElement without a module")
-        mod_space: ModuleSpace = psi_tensor_module(psi)
+        mod_space: InnerModule = psi_tensor_module(psi)
         coords = xi.coeff.ravel()
         A = _indicator_adjacency(xi.coeff, psi)
     else:

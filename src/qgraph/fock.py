@@ -15,47 +15,24 @@ import numpy as np
 from .blocks import AlgebraElement
 from .correspondence import (
     Correspondence,
-    ModuleSpace,
     build_edge_correspondence,
     covariance_defect,
     from_spanning,
+    tensor_module,
     trivial_correspondence,
 )
-from .errors import BudgetExceeded, HasQuantumSource, MismatchedBase, ShapeMismatch
+from .errors import BudgetExceeded, HasQuantumSource, ShapeMismatch
 from .graphs import QuantumGraph, quantum_sources_sinks
 from .relations import CKFamily, _pair_sum, lqck_residuals
 
 FOCK_COORD_BUDGET = 5000
 
 
-def _same_base(X: Correspondence, Y: Correspondence) -> None:
-    if X.structure != Y.structure:
-        raise MismatchedBase("correspondences over different block structures")
-    if len(X.psi.weights) != len(Y.psi.weights) or any(
-        not np.allclose(a, b) for a, b in zip(X.psi.weights, Y.psi.weights)
-    ):
-        raise MismatchedBase("correspondences over different states")
-
-
 def interior_tensor(X: Correspondence, Y: Correspondence) -> Correspondence:
-    """Interior tensor product X (x)_B Y as a correspondence over (B, psi).
-
-    The semi-inner product <x1 (x) y1, x2 (x) y2>_B = <y1, <x1,x2>_B . y2>_B
-    is evaluated on the product basis and the Gram kernel is quotiented out,
-    which realizes the balanced relation x.b (x) y = x (x) b.y.
-    """
-    _same_base(X, Y)
-    st = X.structure
-    nX, nY = X.size, Y.size
-    binner = np.einsum(
-        "ijp,pml,kmd->ikjld", X.binner, Y.lmul, Y.binner, optimize=True
-    ).reshape(nX * nY, nX * nY, st.dim)
-    eyeX = np.eye(nX)
-    eyeY = np.eye(nY)
-    lmul = np.stack([np.kron(X.lmul[p], eyeY) for p in range(st.dim)])
-    rmul = np.stack([np.kron(eyeX, Y.rmul[p]) for p in range(st.dim)])
-    ambient = ModuleSpace(st, X.psi, binner, lmul, rmul)
-    return from_spanning(ambient, np.eye(nX * nY, dtype=complex))
+    """Interior tensor product X (x)_B Y as a correspondence over (B, psi):
+    the tensor module of X and Y quotiented by its Gram kernel."""
+    ambient = tensor_module(X, Y)
+    return from_spanning(ambient, np.eye(ambient.size, dtype=complex))
 
 
 @dataclass(frozen=True)

@@ -71,10 +71,11 @@ def _pair_sum(W: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nrm(X: np.ndarray, P: np.ndarray | None) -> float:
-    if P is None:
-        return float(np.linalg.norm(X))
-    return float(np.linalg.norm(P @ X @ P))
+def _nrm(X: np.ndarray, P: np.ndarray | None) -> np.ndarray:
+    """Frobenius norms of X (or P X P) over its last two axes, without a copy of X."""
+    if P is not None:
+        X = P @ X @ P
+    return np.sqrt(sum(np.einsum("...ab,...ab->...", Y, Y) for Y in (X.real, X.imag)))
 
 
 def qck_residuals(
@@ -96,14 +97,14 @@ def qck_residuals(
 
     psi_t = _pair_sum(W, S, Ss)
     q1 = _pair_sum(W, psi_t, S)
-    r1 = max(_nrm(q1[u] - S[u], P) for u in range(st.dim))
+    r1 = float(_nrm(q1 - S, P).max())
 
     lhs2 = _pair_sum(W, Ss, S)
     rhs2 = np.einsum("vu,vac->uac", A, psi_t, optimize=True)
-    r2 = max(_nrm(lhs2[u] - rhs2[u], P) for u in range(st.dim))
+    r2 = float(_nrm(lhs2 - rhs2, P).max())
 
     q3 = np.einsum("u,uac->ac", st.unit_vector, psi_t)
-    r3 = _nrm(q3 - np.eye(s.k) / G.delta_sq, P)
+    r3 = float(_nrm(q3 - np.eye(s.k) / G.delta_sq, P))
     return {"qck1": r1, "qck2": r2, "qck3": r3}
 
 
@@ -129,24 +130,17 @@ def lqck_residuals(
     pair_scale = np.outer(scale, scale)
 
     psi_t = _pair_sum(W, S, Ss)
-    lhs1 = psi_t[:, None] @ S[None]
-    rhs1 = np.einsum("wuv,wab->uvab", mt, S, optimize=True) / d2
-    r1 = max(
-        _nrm(lhs1[u, v] - rhs1[u, v], P) / pair_scale[u, v]
-        for u in range(st.dim)
-        for v in range(st.dim)
-    )
+    # each (dim, dim, k, k) defect is built in place, one at a time, to bound peak memory
+    diff = psi_t[:, None] @ S[None]
+    diff -= np.einsum("wuv,wab->uvab", mt / d2, S, optimize=True)
+    r1 = float((_nrm(diff, P) / pair_scale).max())
 
-    lhs2 = np.einsum("uab,vbc->uvac", Ss, S, optimize=True)
-    rhs2 = np.einsum("wuv,xw,xac->uvac", mt, A, psi_t, optimize=True) / d2
-    r2 = max(
-        _nrm(lhs2[u, v] - rhs2[u, v], P) / pair_scale[u, v]
-        for u in range(st.dim)
-        for v in range(st.dim)
-    )
+    diff = np.einsum("uab,vbc->uvac", Ss, S, optimize=True)
+    diff -= np.einsum("wuv,xw,xac->uvac", mt / d2, A, psi_t, optimize=True)
+    r2 = float((_nrm(diff, P) / pair_scale).max())
 
     q3 = np.einsum("u,uac->ac", st.unit_vector, psi_t)
-    r3 = _nrm(q3 - np.eye(s.k) / d2, P)
+    r3 = float(_nrm(q3 - np.eye(s.k) / d2, P))
     return {"lqck1": r1, "lqck2": r2, "lqck3": r3}
 
 
@@ -175,18 +169,13 @@ def classical_reduction(
     N = _require_classical(G)
     P = compression
     A = G.adjacency.matrix.real
-    S = [N * s.images[i] for i in range(N)]
+    S = N * s.images  # S_i for vertex i
+    Sh = S.conj().swapaxes(-1, -2)
+    SSh = S @ Sh  # S_i S_i*
 
-    r_pi = max(_nrm(S[i] @ S[i].conj().T @ S[i] - S[i], P) for i in range(N))
-    r_ck = max(
-        _nrm(
-            S[i].conj().T @ S[i]
-            - sum(A[j, i] * S[j] @ S[j].conj().T for j in range(N)),
-            P,
-        )
-        for i in range(N)
-    )
-    r_unit = _nrm(sum(Si @ Si.conj().T for Si in S) - np.eye(s.k), P)
+    r_pi = float(_nrm(SSh @ S - S, P).max())
+    r_ck = float(_nrm(Sh @ S - np.einsum("ji,jab->iab", A, SSh), P).max())
+    r_unit = float(_nrm(SSh.sum(axis=0) - np.eye(s.k), P))
 
     qck = qck_residuals(s, G, compression=P)
     return {

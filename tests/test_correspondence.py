@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import rank_one_operator
+from oracles import quotient_actions_oracle, rank_one_operator
 
 import qgraph as qg
 from qgraph.correspondence import (
@@ -43,7 +43,8 @@ class TestModuleBasics:
     def test_trivial_correspondence_dims(self, skew_m2):
         T = qg.trivial_correspondence(skew_m2)
         assert T.size == skew_m2.structure.dim
-        assert T.closure_residual < 1e-12
+        _, _, closure = quotient_actions_oracle(T)
+        assert closure < 1e-12
 
     def test_scalar_gram_orthonormal_after_quotient(self, cp_family_graphs):
         for name, G in cp_family_graphs.items():
@@ -136,6 +137,17 @@ class TestFaithfulFull:
         basis = kern["kernel_basis"]
         assert basis.shape == (1, 2)
         assert abs(abs(basis[0, 0]) - 1.0) < 1e-9 and abs(basis[0, 1]) < 1e-9
+
+    def test_predicted_kernel_is_the_source_blocks(self, cp_family_graphs):
+        # one rule, quantum_sources_sinks, decides the predicted kernel;
+        # the line graph is the one fixture whose sources and sinks differ
+        assert "classical_line" in cp_family_graphs
+        for name, G in cp_family_graphs.items():
+            kern = qg.left_kernel(qg.build_edge_correspondence(G))
+            sources, _ = qg.quantum_sources_sinks(G)
+            assert kern["perp_blocks"] == sources, name
+            assert kern["kernel_dim"] == sum(G.structure.sizes[a] ** 2 for a in sources), name
+            assert kern["subspace_distance"] <= 1e-9, name
 
     def test_complete_m2_plus_m3_is_faithful(self):
         # dim E = 13^2, so the kernel matrix has 13^4 rows and 13 columns

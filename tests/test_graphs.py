@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
-from oracles import comultiply_adjoint_oracle, rank_one_operator
+from oracles import comultiply_adjoint_oracle, quotient_actions_oracle, rank_one_operator
 from strategies import delta_states
 
 import qgraph as qg
@@ -280,25 +280,6 @@ def fock_covariance_oracle(F):
     return worst
 
 
-def quotient_actions_oracle(F):
-    """Actions of the units on a quotient module and its closure residual,
-    one unit at a time."""
-    S = F.ambient.scalar_gram
-    basis = F.basis_ambient
-    proj = basis.conj() @ S
-    closure = 0.0
-    actions = []
-    for amb in (F.ambient.lmul, F.ambient.rmul):
-        mats = []
-        for p in range(F.structure.dim):
-            mats.append(proj @ amb[p] @ basis.T)
-            diff = amb[p] @ basis.T - basis.T @ mats[-1]
-            sq = np.real(np.sum(diff.conj() * (S @ diff), axis=0))
-            closure = max(closure, float(np.sqrt(max(0.0, sq.max(initial=0.0)))))
-        actions.append(np.array(mats))
-    return actions[0], actions[1], closure
-
-
 def choi_blocks_oracle(A):
     """Choi slabs H[(i,r),(j,s)] = A(e_ij^(a))^(b)_rs entry by entry."""
     st = A.structure
@@ -389,9 +370,9 @@ class TestBatchedFormsMatchLoops:
         d = st.dim
         v = (rng.normal(size=(1, E.size)) + 1j * rng.normal(size=(1, E.size))) @ E.basis_ambient
         sub = from_spanning(E.ambient, v)
-        lmul, rmul, want = quotient_actions_oracle(sub)
+        lmul, rmul, closure = quotient_actions_oracle(sub)
         assert close(sub.lmul, lmul) and close(sub.rmul, rmul)
-        assert (want > 1e-6 or E.size == 1) and close(sub.closure_residual, want)
+        assert closure > 1e-6 or E.size == 1
 
         for H, want in zip(choi_blocks(A), choi_blocks_oracle(A), strict=True):
             assert close(H, want)
@@ -413,3 +394,9 @@ class TestBatchedFormsMatchLoops:
         F = qg.build_fock(G, 2)
         want = fock_covariance_oracle(F)
         assert want > 1e-6 and close(qg.representation_residuals(F)["covariance"], want)
+        # B, E_G and E (x) E are sub-bimodules of their ambients, and their
+        # actions are the projected dense ambient actions
+        for level in F.levels:
+            lmul, rmul, closure = quotient_actions_oracle(level)
+            assert closure <= 1e-10
+            assert close(level.lmul, lmul) and close(level.rmul, rmul)

@@ -237,6 +237,43 @@ class TestClassicalReduction:
         with pytest.raises(qg.NotClassical):
             qg.classical_reduction(graph_trivial_m2, fam)
 
+    @pytest.mark.parametrize("compress", [False, True])
+    @pytest.mark.parametrize("n", [3, 4])
+    @given(k=st_.integers(min_value=1, max_value=4), seed=st_.integers(0, 2**32 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_matches_vertex_loop_oracle(self, n, compress, k, seed):
+        # a random directed graph on C^n and a random family far from CK
+        rng = np.random.default_rng(seed)
+        G = qg.classical_graph(rng.integers(0, 2, size=(n, n)))
+        fam = qg.CKFamily(k, rng.normal(size=(n, k, k)) + 1j * rng.normal(size=(n, k, k)))
+        P = random_compression(rng, k) if compress else None
+        got = qg.classical_reduction(G, fam, compression=P)
+        for key, want in classical_reduction_oracle(G, fam, P).items():
+            assert want > 1e-6, key
+            assert got[key] == pytest.approx(want, rel=1e-12), key
+
+
+def classical_reduction_oracle(G, s, P=None):
+    """Partial-isometry, Cuntz-Krieger and unit-sum residuals of S_i = N s(e_i),
+    vertex by vertex."""
+    N = G.structure.num_blocks
+    A = G.adjacency.matrix.real
+    S = [N * s.images[i] for i in range(N)]
+    r_pi = max(_nrm(S[i] @ S[i].conj().T @ S[i] - S[i], P) for i in range(N))
+    r_ck = max(
+        _nrm(S[i].conj().T @ S[i] - sum(A[j, i] * S[j] @ S[j].conj().T for j in range(N)), P)
+        for i in range(N)
+    )
+    r_unit = _nrm(sum(Si @ Si.conj().T for Si in S) - np.eye(s.k), P)
+    return {"partial_isometry": r_pi, "cuntz_krieger": r_ck, "unit_sum": r_unit}
+
+
+def random_compression(rng, k):
+    """Orthogonal projector onto a random subspace of C^k of dimension 1..max(1, k-1)."""
+    Q, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    r = int(rng.integers(1, max(1, k - 1) + 1))
+    return Q[:, :r] @ Q[:, :r].conj().T
+
 
 def stacked_comultiply(psi):
     """W[u] = m*(b_u), the adjoint of m solved numerically per standard unit."""
@@ -324,11 +361,7 @@ class TestDenseOracle:
         d = G.structure.dim
         rng = np.random.default_rng(seed)
         fam = qg.CKFamily(k, rng.normal(size=(d, k, k)) + 1j * rng.normal(size=(d, k, k)))
-        P = None
-        if compress:
-            Q, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
-            r = int(rng.integers(1, max(1, k - 1) + 1))
-            P = Q[:, :r] @ Q[:, :r].conj().T
+        P = random_compression(rng, k) if compress else None
         for fast, dense in (
             (qg.qck_residuals, dense_qck_oracle),
             (qg.lqck_residuals, dense_lqck_oracle),
