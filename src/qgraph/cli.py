@@ -94,7 +94,7 @@ def cmd_inspect(args, tol: float) -> int:
     if cp_flag:
         E = build_edge_correspondence(G)
         ff = faithful_full_report(E, tol)
-        _, iso_res = cp_correspondence(E)
+        iso_res = cp_correspondence(E)
         hom = homomorphism_check(G)
         compact = compact_decomposition_residual(E)
         report.update(

@@ -2,9 +2,11 @@
 
 A module space carries B-valued inner products and commuting left/right
 actions in coordinates.  Correspondences are module spaces whose basis is
-orthonormal for the scalar form psi(<.,.>_B); they are produced from a
-spanning family by diagonalizing the scalar Gram matrix and discarding its
-kernel.
+orthonormal for the scalar form psi(<.,.>_B).  The library builds them in
+block-multiplicity normal form sum_{a,c} C^{N_a} (x) K_ac (x) C^{N_c}, with
+M[a, c] = dim K_ac; for E_G, M[a, b] is the Kraus rank of A from block a to
+block b.  The Gram quotient `from_spanning` serves the dense test oracle
+(`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .graphs import (
     LinearMapOnB,
     QuantumGraph,
     _indicator_adjacency,
-    edge_indicator,
+    choi_blocks,
     quantum_sources_sinks,
     require_completely_positive,
 )
@@ -106,25 +108,33 @@ class TensorModule(InnerModule):
 
 @dataclass(frozen=True)
 class Correspondence(ModuleSpace):
-    """Module space whose basis is scalar-orthonormal (Gram kernel removed).
+    """Module space whose basis is scalar-orthonormal.
 
-    ambient/basis_ambient record how basis vectors sit inside the space the
-    correspondence was built from; generator, when set, holds the quotient
-    coordinates of the distinguished generating vector (the edge indicator
-    for edge correspondences), and graph the quantum graph it came from.
+    mult is the multiplicity matrix of a `normal_form`; generator, when set,
+    holds the coordinates of the distinguished generating vector (the edge
+    indicator for edge correspondences), graph the quantum graph it came
+    from, and creation, on X (x)_B Y, the canonical map x (x) y -> z.
     """
+
+    mult: np.ndarray | None = None
+    generator: np.ndarray | None = None
+    graph: QuantumGraph | None = None
+    creation: np.ndarray | None = None
+
+    def vector(self, coords: np.ndarray) -> "CorrVector":
+        return CorrVector(self, np.asarray(coords, dtype=complex))
+
+
+@dataclass(frozen=True, kw_only=True)
+class QuotientModule(Correspondence):
+    """A `from_spanning` quotient, with its basis vectors in ambient coordinates."""
 
     ambient: InnerModule
     basis_ambient: np.ndarray  # (n, M)
-    generator: np.ndarray | None = None
-    graph: QuantumGraph | None = None
 
     def project(self, ambient_vec: np.ndarray) -> np.ndarray:
         """Quotient coordinates of an ambient vector (scalar-orthogonal projection)."""
         return self.basis_ambient.conj() @ (self.ambient.scalar_gram @ ambient_vec)
-
-    def vector(self, coords: np.ndarray) -> "CorrVector":
-        return CorrVector(self, np.asarray(coords, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -139,10 +149,6 @@ class CorrVector:
         if coords.shape != (self.module.size,):
             raise ShapeMismatch(f"coordinate vector has shape {coords.shape}")
         object.__setattr__(self, "coords", coords)
-
-    def norm(self) -> float:
-        g = self.module.scalar_gram
-        return float(np.sqrt(abs(self.coords.conj() @ g @ self.coords)))
 
 
 def _gram_quotient(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +165,7 @@ def _gram_quotient(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals[keep], evecs[:, keep]
 
 
-def from_spanning(ambient: InnerModule, spanning: np.ndarray) -> Correspondence:
+def from_spanning(ambient: InnerModule, spanning: np.ndarray) -> QuotientModule:
     """Quotient the span of `spanning` by the scalar Gram kernel.
 
     Basis vectors are the Gram eigenvectors above the relative cutoff,
@@ -174,14 +180,9 @@ def from_spanning(ambient: InnerModule, spanning: np.ndarray) -> Correspondence:
     half = np.tensordot(basis.conj(), ambient.binner, axes=(1, 0))  # (n, M, dim)
     binner = np.tensordot(half, basis, axes=([1], [1])).transpose(0, 2, 1)
     proj = basis.conj() @ S  # (n, M): scalar projection onto the basis
-    return Correspondence(
-        structure=ambient.structure,
-        psi=ambient.psi,
-        binner=binner,
-        lmul=proj @ ambient.left_units(basis.T),
-        rmul=proj @ ambient.right_units(basis.T),
-        ambient=ambient,
-        basis_ambient=basis,
+    lmul, rmul = proj @ ambient.left_units(basis.T), proj @ ambient.right_units(basis.T)
+    return QuotientModule(
+        ambient.structure, ambient.psi, binner, lmul, rmul, ambient=ambient, basis_ambient=basis
     )
 
 
@@ -195,10 +196,41 @@ def algebra_module(psi: DeltaState) -> ModuleSpace:
     return ModuleSpace(st, psi, binner, lmul, rmul)
 
 
+def _layout(st: BlockStructure, M: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Block pair (a, c), indices (i, k, l) and pair starts of `normal_form`'s coordinates."""
+    n, d = np.array(st.sizes), st.num_blocks
+    start = np.concatenate(([0], np.cumsum(n[:, None] * M * n)))
+    pair = np.repeat(np.arange(d * d), np.diff(start))
+    a, c = np.divmod(pair, d)
+    i, r = np.divmod(np.arange(len(pair)) - start[pair], M[a, c] * n[c])
+    return a, c, i, *np.divmod(r, n[c]), start
+
+
+def normal_form(psi: DeltaState, M: np.ndarray, **fields) -> Correspondence:
+    """sum_{a,c} C^{N_a} (x) K_ac (x) C^{N_c} with dim K_ac = M[a, c], pair-major.
+
+    Coordinate (a, c, i, k, l) is e_i (x) u_k (x) e_l / sqrt(w_c[l]), u an
+    orthonormal basis of K_ac: e_ti moves i to t, e_lt moves l to t times
+    sqrt(w_c[t] / w_c[l]), and <v, v'>_B = delta_ii' delta_kk' e_ll' /
+    sqrt(w_c[l] w_c[l']).  M = 1 gives B in the basis b_p / sqrt(g_p).
+    """
+    st, M = psi.structure, np.asarray(M, dtype=int)
+    a, c, i, k, l, _ = _layout(st, M)
+    n, off, size = np.array(st.sizes), np.array(st.offsets), len(a)
+    lmul, rmul = np.zeros((2, st.dim, size, size), dtype=complex)
+    binner = np.zeros((size, size, st.dim), dtype=complex)
+    x, t = np.nonzero(np.arange(n.max()) < n[a][:, None])
+    lmul[off[a[x]] + t * n[a[x]] + i[x], x + (t - i[x]) * M[a, c][x] * n[c[x]], x] = 1.0
+    x, t = np.nonzero(np.arange(n.max()) < n[c][:, None])
+    p, y = off[c[x]] + l[x] * n[c[x]] + t, x + t - l[x]  # p is e_lt in block c
+    rmul[p, y, x] = np.sqrt(psi.gram_diag[p] / psi.weight_of_row[p])
+    binner[x, y, p] = 1.0 / np.sqrt(psi.gram_diag[p] * psi.weight_of_row[p])
+    return Correspondence(st, psi, binner, lmul, rmul, mult=M, **fields)
+
+
 def trivial_correspondence(psi: DeltaState) -> Correspondence:
-    """B as a correspondence, quotient-normalized (Gram is automatically PD)."""
-    amb = algebra_module(psi)
-    return from_spanning(amb, np.eye(psi.structure.dim, dtype=complex))
+    """B as a correspondence over itself: the normal form with M = 1."""
+    return normal_form(psi, np.eye(psi.structure.num_blocks, dtype=int))
 
 
 def _same_base(X: InnerModule, Y: InnerModule) -> None:
@@ -211,9 +243,8 @@ def _same_base(X: InnerModule, Y: InnerModule) -> None:
 def tensor_module(X: ModuleSpace, Y: ModuleSpace) -> TensorModule:
     """X (x) Y with <x1 (x) y1, x2 (x) y2>_B = <y1, <x1, x2>_B . y2>_B.
 
-    Every module quotiented here is such an ambient: its quotient by the
-    Gram kernel is the interior tensor product X (x)_B Y, which realizes the
-    balanced relation x.b (x) y = x (x) b.y.  Only X's inner product and
+    Its quotient by the Gram kernel (`from_spanning`) is the interior tensor
+    product X (x)_B Y, which realizes the balanced relation x.b (x) y = x (x) b.y.  Only X's inner product and
     left action and Y's inner product and actions are read.
     """
     _same_base(X, Y)
@@ -238,26 +269,55 @@ def psi_tensor_module(psi: DeltaState) -> TensorModule:
 def _unit_orbit(M: InnerModule, xi: np.ndarray) -> np.ndarray:
     """Rows b_p . xi . b_q of the module M, row index p * dim B + q."""
     right = M.right_units(xi[:, None])[:, :, 0]  # row q is xi . b_q
-    return M.left_units(right.T).transpose(0, 2, 1).reshape(-1, M.size)
+    return M.left_units(right.T).transpose(0, 2, 1).reshape(M.structure.dim**2, M.size)
+
+
+def multiplicity_spaces(G: QuantumGraph) -> tuple[dict, np.ndarray]:
+    """Bases u of the multiplicity spaces K_ab of E_G, and eps in `normal_form`
+    coordinates: eps_ab[i,j,k,l] = sum_u gen_ab[i,u,l] u[jk] / sqrt(w_b[l]).
+
+    K_ab is the column space of Y[(j,k), (i,l)] = sqrt(w_a[j]) eps_ab[i,j,k,l]
+    = delta^-2 w_a[j]^-1/2 (Choi slab ab), from one batched eigh of Y Y* per
+    slab shape, cut at GRAM_CUTOFF_RTOL times the largest eigenvalue of all.
+    bases[a, b] has columns u orthonormal for the weights w_a[j].
+    """
+    st, w = G.structure, G.psi.weights
+    pairs = [(a, b) for a in range(st.num_blocks) for b in range(st.num_blocks)]
+    Ys = {
+        (a, b): H / G.delta_sq / np.sqrt(np.repeat(w[a], st.sizes[b]))[:, None]
+        for (a, b), H in zip(pairs, choi_blocks(G.adjacency))
+    }
+    eig = {}
+    for shape in {Y.shape for Y in Ys.values()}:
+        group = [ab for ab in pairs if Ys[ab].shape == shape]
+        Y = np.stack([Ys[ab] for ab in group])
+        lam, U = np.linalg.eigh(Y @ Y.conj().transpose(0, 2, 1))
+        eig.update(zip(group, zip(lam[:, ::-1], U[:, :, ::-1])))
+    cutoff = GRAM_CUTOFF_RTOL * max(max(lam[0] for lam, _ in eig.values()), 1e-300)
+    bases, gen = {}, []
+    for a, b in pairs:
+        lam, U = eig[a, b]
+        U = U[:, : np.count_nonzero(lam > cutoff)]
+        bases[a, b] = U / np.sqrt(np.repeat(w[a], st.sizes[b]))[:, None]
+        coords = (U.conj().T @ Ys[a, b]).reshape(-1, st.sizes[a], st.sizes[b]) * np.sqrt(w[b])
+        gen.append(coords.transpose(1, 0, 2).ravel())  # (i, u, l)
+    return bases, np.concatenate(gen)
 
 
 def build_edge_correspondence(G: QuantumGraph) -> Correspondence:
-    """E_G = B . eps . B inside B (x)_psi B, with the indicator as generator.
-
-    The result records G, so every E_G report below takes E_G alone.
+    """E_G = B . eps . B in normal form, M[a, b] = dim K_ab, with the indicator
+    as generator.  The result records G, so every E_G report takes E_G alone.
     """
     require_completely_positive(G)
-    eps = edge_indicator(G).coeff.ravel()
-    ambient = psi_tensor_module(G.psi)
-    E = from_spanning(ambient, _unit_orbit(ambient, eps))
-    return replace(E, generator=E.project(eps), graph=G)
+    bases, gen = multiplicity_spaces(G)  # keyed by (a, b) in row-major order
+    M = np.reshape([u.shape[1] for u in bases.values()], (G.structure.num_blocks, -1))
+    return normal_form(G.psi, M, generator=gen, graph=G)
 
 
 def b_inner(xi: CorrVector, eta: CorrVector, E: Correspondence) -> AlgebraElement:
     """B-valued inner product <xi, eta>_B of two module vectors."""
-    if xi.module is not E or eta.module is not E:
-        if xi.module.size != E.size or eta.module.size != E.size:
-            raise ShapeMismatch("vectors over a different correspondence")
+    if xi.module.size != E.size or eta.module.size != E.size:
+        raise ShapeMismatch("vectors over a different correspondence")
     return AlgebraElement.from_vector(E.structure, E.b_inner_coords(xi.coords, eta.coords))
 
 
@@ -307,15 +367,10 @@ def left_kernel(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
 
 
 def fullness_ideal(G: QuantumGraph, tol: float = DEFAULT_TOL) -> tuple[list[int], bool]:
-    """Blocks spanning B . A(B) . B and whether the correspondence is full."""
-    st = G.structure
-    A = G.adjacency.matrix
-    blocks = [
-        a
-        for a in range(st.num_blocks)
-        if np.linalg.norm(A[st.offsets[a] : st.offsets[a + 1], :]) > tol
-    ]
-    return blocks, len(blocks) == st.num_blocks
+    """Blocks spanning B . A(B) . B, the blocks that are not sinks, and
+    whether the correspondence is full."""
+    _, sinks = quantum_sources_sinks(G, tol)
+    return [a for a in range(G.structure.num_blocks) if a not in sinks], not sinks
 
 
 def covariance_defect(E: Correspondence, C: np.ndarray, lmul: np.ndarray) -> np.ndarray:
@@ -359,21 +414,20 @@ def _orbit_gram(M: InnerModule, xi: np.ndarray) -> np.ndarray:
     return np.einsum("xi,yj,ijd->xyd", g.conj(), g, M.binner, optimize=True)
 
 
-def cp_correspondence(E: Correspondence) -> tuple[int, float]:
-    """Dimension of B (x)_A B and the defect of its isomorphism with E_G.
+def cp_correspondence(E: Correspondence) -> float:
+    """Defect of the isomorphism of B (x)_A B with E_G.
 
     B (x)_A B carries <a (x) b, c (x) d>_B = b* A(a* c) d.  The canonical map
     x . eps . y -> (1/delta)(x (x) y) preserves B-valued inner products, so
     the Gram of the orbit b_p . eps . b_q in E must equal the closed form
     delta^-2 b_q* A(b_p* b_r) b_s; the residual is the worst entry of the
-    difference.  The dimension is the rank of the closed-form scalar Gram.
+    difference.
     """
     G = E.graph
-    model = tensor_square_module(G.psi, G.adjacency.matrix).binner / G.delta_sq
-    model_dim = len(_gram_quotient(model @ G.psi.psi_vec)[0])
     diff = _orbit_gram(E, E.generator)
-    diff -= model
-    return model_dim, float(np.abs(diff).max(initial=0.0))
+    diff *= G.delta_sq  # in place: the (d^2, d^2, d) tensors are the peak of `inspect`
+    diff -= tensor_square_module(G.psi, G.adjacency.matrix).binner
+    return float(np.abs(diff).max(initial=0.0)) / G.delta_sq
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 F_N = B + E + E^{(x)2} + ... + E^{(x)N} with creation operators T(xi) that
 annihilate the top level and the diagonal left action pi.  All operator
 identities are exact only away from the truncation boundary, so residual
-reports compress to interior levels.
+reports compress to interior levels.  Level l is in normal form with
+multiplicity matrix M^l for E's M, of dimension sum_{a,c} N_a N_c (M^l)_ac;
+creation maps are the canonical identifications K_ab (x) K^{(l)}_bc ->
+K^{(l+1)}_ac.  The Gram-quotient levels are the oracle in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ import numpy as np
 from .blocks import AlgebraElement
 from .correspondence import (
     Correspondence,
+    _layout,
+    _same_base,
     build_edge_correspondence,
     covariance_defect,
-    from_spanning,
-    tensor_module,
+    normal_form,
     trivial_correspondence,
 )
 from .errors import BudgetExceeded, HasQuantumSource, ShapeMismatch
@@ -29,10 +33,25 @@ FOCK_COORD_BUDGET = 5000
 
 
 def interior_tensor(X: Correspondence, Y: Correspondence) -> Correspondence:
-    """Interior tensor product X (x)_B Y as a correspondence over (B, psi):
-    the tensor module of X and Y quotiented by its Gram kernel."""
-    ambient = tensor_module(X, Y)
-    return from_spanning(ambient, np.eye(ambient.size, dtype=complex))
+    """X (x)_B Y for normal-form X and Y: K_ac = sum_b K^X_ab (x) K^Y_bc.
+
+    Its `creation` tensor C[z, x, y] is the canonical map, 1 / sqrt(w_b[m]) at
+    x = (a, b, i, k, m), y = (b, c, m, k', l), z = (a, c, i, (b, k, k'), l).
+    """
+    _same_base(X, Y)
+    st, MX, MY = X.structure, X.mult, Y.mult
+    xa, xb, xi, xk, xm, _ = _layout(st, MX)
+    ya, yc, yi, yk, yl, _ = _layout(st, MY)
+    MZ = MX @ MY
+    zstart = _layout(st, MZ)[-1]
+    sx, sy = np.nonzero((xb[:, None] == ya) & (xm[:, None] == yi))
+    a, b, c = xa[sx], xb[sx], yc[sy]
+    prod = MX[:, :, None] * MY  # [a, b, c]: dim K_ab (x) K_bc, stacked over b
+    kz = (np.cumsum(prod, axis=1) - prod)[a, b, c] + xk[sx] * MY[b, c] + yk[sy]
+    z = zstart[a * st.num_blocks + c] + (xi[sx] * MZ[a, c] + kz) * np.array(st.sizes)[c] + yl[sy]
+    C = np.zeros((zstart[-1], X.size, Y.size), dtype=complex)
+    C[z, sx, sy] = 1.0 / np.sqrt(X.psi.gram_diag[np.array(st.offsets)[b] + xm[sx]])
+    return normal_form(X.psi, MZ, creation=C)
 
 
 @dataclass(frozen=True)
@@ -63,14 +82,10 @@ class FockTruncation:
 
     @property
     def offsets(self) -> tuple[int, ...]:
-        offs = [0]
-        for d in self.level_dims:
-            offs.append(offs[-1] + d)
-        return tuple(offs)
+        return tuple(np.cumsum((0,) + self.level_dims).tolist())
 
     def level_slice(self, l: int) -> slice:
-        offs = self.offsets
-        return slice(offs[l], offs[l + 1])
+        return slice(*self.offsets[l : l + 2])
 
     def pi_level(self, l: int, x: AlgebraElement) -> np.ndarray:
         """Matrix of the left action of x on level l."""
@@ -105,18 +120,17 @@ class FockTruncation:
 
     def interior_projector(self) -> np.ndarray:
         """Orthogonal projection onto levels 1..N-1."""
-        D = self.total_dim
-        diag = np.zeros(D)
-        for l in range(1, self.depth):
-            diag[self.level_slice(l)] = 1.0
+        diag = np.zeros(self.total_dim)
+        diag[self.offsets[1] : self.offsets[-2]] = 1.0
         return np.diag(diag)
 
 
 def build_fock(G: QuantumGraph, N: int) -> FockTruncation:
     """Construct the depth-N Fock truncation of the edge correspondence of G.
 
-    Raises BudgetExceeded before any level would take the total past
-    FOCK_COORD_BUDGET coordinates.
+    Level l + 1 is interior_tensor(E, level l).  BudgetExceeded names the
+    level dims sum_{a,c} N_a N_c (M^l)_ac before any level is built when
+    they total more than FOCK_COORD_BUDGET.
     """
     if N < 1:
         raise ShapeMismatch(f"level count {N} must be at least 1")
@@ -125,31 +139,23 @@ def build_fock(G: QuantumGraph, N: int) -> FockTruncation:
     if sources:
         raise HasQuantumSource(f"blocks {sources} lie in ker A")
 
-    levels = [trivial_correspondence(G.psi), E]
-    total = levels[0].size + levels[1].size
+    n, Ml = np.array(G.structure.sizes), np.eye(len(G.structure.sizes), dtype=int)
+    dims, total = [], 0
+    while len(dims) <= N and total <= FOCK_COORD_BUDGET:
+        dims.append(int(n @ Ml @ n))
+        total, Ml = total + dims[-1], E.mult @ Ml
     if total > FOCK_COORD_BUDGET:
-        raise BudgetExceeded(f"{total} Fock coordinates exceed budget {FOCK_COORD_BUDGET}")
-    for _ in range(2, N + 1):
-        # bound the next level by its ambient size before materializing it
-        bound = E.size * levels[-1].size
-        if total + bound > FOCK_COORD_BUDGET:
-            raise BudgetExceeded(
-                f"next level needs up to {bound} coordinates on top of {total}; "
-                f"budget is {FOCK_COORD_BUDGET}"
-            )
-        nxt = interior_tensor(E, levels[-1])
-        levels.append(nxt)
-        total += nxt.size
+        shown = dims if len(dims) <= 6 else dims[:3] + ["..."] + dims[-2:]
+        raise BudgetExceeded(
+            f"depth {N} needs more than {FOCK_COORD_BUDGET} Fock coordinates: levels "
+            f"0..{len(dims) - 1} have dims [{', '.join(map(str, shown))}], {total} in all"
+        )
 
-    creation = []
-    # level 0 is B itself: T(xi) x = xi . x through the right action of E
-    V0 = levels[0].basis_ambient
-    creation.append(np.einsum("bp,pae->aeb", V0, E.rmul))
-    for l in range(1, N):
-        nxt = levels[l + 1]
-        proj = nxt.basis_ambient.conj() @ nxt.ambient.scalar_gram
-        creation.append(proj.reshape(nxt.size, E.size, levels[l].size))
-    return FockTruncation(G, E, tuple(levels), tuple(creation))
+    levels = [trivial_correspondence(G.psi)]
+    for _ in range(N):
+        levels.append(interior_tensor(E, levels[-1]))
+    creation = tuple(level.creation for level in levels[1:])
+    return FockTruncation(G, E, tuple(levels), creation)
 
 
 def representation_residuals(F: FockTruncation) -> dict:

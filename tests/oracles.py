@@ -1,9 +1,20 @@
 """Reference implementations shared by several test modules."""
 
+from dataclasses import replace
+
 import numpy as np
 
 import qgraph as qg
-from qgraph.correspondence import TensorModule
+from qgraph.correspondence import (
+    TensorModule,
+    _gram_quotient,
+    _unit_orbit,
+    algebra_module,
+    from_spanning,
+    psi_tensor_module,
+    tensor_module,
+    tensor_square_module,
+)
 
 
 def comultiply_adjoint_oracle(x, psi):
@@ -64,3 +75,111 @@ def quotient_actions_oracle(F):
             closure = max(closure, float(np.sqrt(max(0.0, sq.max(initial=0.0)))))
         actions.append(np.array(mats))
     return actions[0], actions[1], closure
+
+
+def dense_edge_correspondence(G):
+    """E_G as the Gram quotient of the orbit b_p . eps . b_q in B (x)_psi B."""
+    eps = qg.edge_indicator(G).coeff.ravel()
+    ambient = psi_tensor_module(G.psi)
+    E = from_spanning(ambient, _unit_orbit(ambient, eps))
+    return replace(E, generator=E.project(eps), graph=G)
+
+
+def dense_fock(G, N):
+    """The depth-N Fock truncation with every level a Gram quotient:
+    B = A(B) / ker, E_G as above, and level l+1 the quotient of the dense
+    tensor_module(E, level l), whose projection is the creation tensor."""
+    E = dense_edge_correspondence(G)
+    dim = G.structure.dim
+    levels = [from_spanning(algebra_module(G.psi), np.eye(dim, dtype=complex)), E]
+    for _ in range(2, N + 1):
+        ambient = tensor_module(E, levels[-1])
+        levels.append(from_spanning(ambient, np.eye(ambient.size, dtype=complex)))
+    creation = [np.einsum("bp,pae->aeb", levels[0].basis_ambient, E.rmul)]
+    for lower, upper in zip(levels[1:], levels[2:]):
+        proj = upper.basis_ambient.conj() @ upper.ambient.scalar_gram
+        creation.append(proj.reshape(upper.size, E.size, lower.size))
+    return qg.FockTruncation(G, E, tuple(levels), tuple(creation))
+
+
+def oracle_defect(D):
+    """How far the bases of the truncation D are from scalar-orthonormal.
+
+    The Gram quotient divides by the square roots of the kept Gram
+    eigenvalues, so on skewed states the coordinates of `dense_fock` carry
+    errors of about this size (up to 1e-10 on hypothesis states), while the
+    normal form is exact to rounding; comparisons with it allow this much.
+    """
+    return max(np.linalg.norm(lvl.scalar_gram - np.eye(lvl.size)) for lvl in D.levels)
+
+
+def cp_model_dim(G):
+    """Dimension of B (x)_A B: the rank of its closed-form scalar Gram."""
+    model = tensor_square_module(G.psi, G.adjacency.matrix).binner / G.delta_sq
+    return len(_gram_quotient(model @ G.psi.psi_vec)[0])
+
+
+def random_cp_map(psi, rng, kraus=2):
+    """x -> block-diagonal part of sum_K K x K*: completely positive, and
+    for random K not Schur-idempotent."""
+    st = psi.structure
+    n = sum(st.sizes)
+    pos = np.cumsum((0,) + st.sizes)
+    Ks = rng.normal(size=(kraus, n, n)) + 1j * rng.normal(size=(kraus, n, n))
+    cols = []
+    for p in range(st.dim):
+        a, i, j = st.unflatten(p)
+        X = np.zeros((n, n), dtype=complex)
+        X[pos[a] + i, pos[a] + j] = 1.0
+        Y = sum(K @ X @ K.conj().T for K in Ks)
+        cols.append(np.concatenate([Y[lo:hi, lo:hi].ravel() for lo, hi in zip(pos, pos[1:])]))
+    return qg.LinearMapOnB(st, np.column_stack(cols))
+
+
+def close(got, want, rel=1e-12):
+    return np.linalg.norm(np.asarray(got) - want) <= rel * np.linalg.norm(want)
+
+
+def _procrustes(A, B):
+    """The unitary U closest to U A = B (the polar factor of B A*), and the
+    relative residual of that fit."""
+    W, _, Vh = np.linalg.svd(B @ A.conj().T)
+    U = W @ Vh
+    return U, np.linalg.norm(U @ A - B) / max(np.linalg.norm(B), 1e-300)
+
+
+def edge_unitary(E, ED):
+    """The unitary carrying the eps orbit b_p . eps . b_q of the edge
+    correspondence E onto that of ED, and the relative residual of the fit."""
+    return _procrustes(_unit_orbit(E, E.generator).T, _unit_orbit(ED, ED.generator).T)
+
+
+def orbit_unitaries(F, D):
+    """The unitary change of coordinates U_l from the truncation F to the
+    truncation D on every level, and the worst relative residual of the fits.
+
+    U_1 carries the eps orbit b_p . eps . b_q of F.edge onto that of D.edge.
+    U_0 and U_{l+1} then carry each creation tensor onto the other:
+    D.creation[l] (U_1 (x) U_l) = U_{l+1} F.creation[l].  The creation maps
+    fix them, since T(E) level 0 spans level 1 and every creation map is onto.
+    """
+    U1, worst = edge_unitary(F.edge, D.edge)
+    # U_0: sum_f CD0[:, f, :] U1[f, e] U0 = U1 CF0[:, e, :] for every e
+    lhs = np.einsum("afb,fe->eab", D.creation[0], U1).reshape(-1, D.level_dims[0])
+    rhs = np.einsum("xa,aeb->exb", U1, F.creation[0]).reshape(-1, F.level_dims[0])
+    U0h, res = _procrustes(lhs.conj().T, rhs.conj().T)
+    unitaries, worst = [U0h.conj().T, U1], max(worst, res)
+    for l in range(1, F.depth):
+        CF = F.creation[l].reshape(F.level_dims[l + 1], -1)
+        CD = D.creation[l].reshape(D.level_dims[l + 1], -1) @ np.kron(U1, unitaries[l])
+        U, res = _procrustes(CF, CD)
+        unitaries.append(U)
+        worst = max(worst, res)
+    return unitaries, worst
+
+
+def carried(U, X):
+    """lmul, rmul and binner of the correspondence X in the coordinates U x."""
+    Uh = U.conj().T
+    binner = np.einsum("ai,ijd,bj->abd", U, X.binner, U.conj(), optimize=True)
+    return U @ X.lmul @ Uh, U @ X.rmul @ Uh, binner

@@ -25,6 +25,19 @@ def trivial_path(tmp_path, graph_trivial_m2):
     return str(path)
 
 
+@pytest.fixture(params=["c2", "m2"])
+def empty_graph(tmp_path, tracial_m2, request):
+    """The edgeless graph A = 0 over C^2 or M_2, valid with dim E_G = 0, and
+    the file it is saved in."""
+    if request.param == "c2":
+        G = qg.classical_graph(np.zeros((2, 2), dtype=int))
+    else:
+        G = qg.QuantumGraph.build(tracial_m2, qg.LinearMapOnB(tracial_m2.structure, np.zeros((4, 4))))
+    path = tmp_path / "empty.json"
+    save_graph(str(path), G)
+    return G, str(path)
+
+
 @pytest.fixture()
 def line_path(tmp_path, graph_line):
     path = tmp_path / "line.json"
@@ -95,6 +108,16 @@ class TestInspect:
         assert payload["kernel_dim"] == 1
         assert payload["dim_E"] == 1
 
+    def test_empty_graph(self, capsys, empty_graph):
+        G, path = empty_graph
+        code, payload, _ = run(capsys, "inspect", path)
+        assert code == 0
+        assert payload["dim_E"] == 0
+        assert payload["faithful"] is False and payload["full"] is False
+        assert payload["kernel_dim"] == G.structure.dim  # all of B acts as 0
+        blocks = list(range(G.structure.num_blocks))
+        assert payload["sources"] == payload["sinks"] == blocks
+
     def test_runs_the_choi_test_once(self, capsys, monkeypatch, trivial_path):
         calls = []
 
@@ -153,10 +176,26 @@ class TestFock:
         assert code == 1
         assert payload["error"] == "HasQuantumSource"
 
-    def test_budget_exceeded(self, capsys, trivial_path):
+    def test_empty_graph_has_sources(self, capsys, empty_graph):
+        code, payload, _ = run(capsys, "fock", empty_graph[1], "--levels", "2")
+        assert code == 1
+        assert payload["error"] == "HasQuantumSource"
+
+    def test_budget_exceeded(self, capsys, monkeypatch, trivial_path):
+        # the level dims come from the multiplicity matrix, so the refusal
+        # comes before any level is built
+        calls = []
+
+        def counting_interior_tensor(*args):
+            calls.append(args)
+            return qg.interior_tensor(*args)
+
+        monkeypatch.setattr(qgraph.fock, "interior_tensor", counting_interior_tensor)
         code, payload, _ = run(capsys, "fock", trivial_path, "--levels", "2000")
         assert code == 1
         assert payload["error"] == "BudgetExceeded"
+        assert "[4, 4, 4, ..., 4, 4]" in payload["message"]
+        assert calls == []
 
 
 class TestCheck:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import quotient_actions_oracle, rank_one_operator
+from oracles import carried, close, cp_model_dim, quotient_actions_oracle, rank_one_operator
 
 import qgraph as qg
 from qgraph.correspondence import (
@@ -43,8 +43,16 @@ class TestModuleBasics:
     def test_trivial_correspondence_dims(self, skew_m2):
         T = qg.trivial_correspondence(skew_m2)
         assert T.size == skew_m2.structure.dim
-        _, _, closure = quotient_actions_oracle(T)
+        # the dense oracle: B quotiented inside itself is a sub-bimodule ...
+        dim = skew_m2.structure.dim
+        D = from_spanning(algebra_module(skew_m2), np.eye(dim, dtype=complex))
+        _, _, closure = quotient_actions_oracle(D)
         assert closure < 1e-12
+        # ... and T is D in the basis b_p / sqrt(g_p)
+        U = D.project(np.diag(1.0 / np.sqrt(skew_m2.gram_diag)))
+        assert close(U.conj().T @ U, np.eye(dim))
+        for got, want in zip(carried(U, T), (D.lmul, D.rmul, D.binner)):
+            assert close(got, want)
 
     def test_scalar_gram_orthonormal_after_quotient(self, cp_family_graphs):
         for name, G in cp_family_graphs.items():
@@ -110,9 +118,9 @@ class TestEdgeCorrespondence:
 
     def test_cp_model_isomorphism(self, cp_family_graphs):
         for name, G in cp_family_graphs.items():
-            model_dim, residual = qg.cp_correspondence(qg.build_edge_correspondence(G))
+            residual = qg.cp_correspondence(qg.build_edge_correspondence(G))
             assert residual < 1e-9, name
-            assert model_dim == EXPECTED_DIM_E[name], name
+            assert cp_model_dim(G) == EXPECTED_DIM_E[name], name
 
 
 class TestFaithfulFull:

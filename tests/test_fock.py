@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
+from oracles import (
+    carried,
+    close,
+    dense_edge_correspondence,
+    dense_fock,
+    edge_unitary,
+    oracle_defect,
+    orbit_unitaries,
+    random_cp_map,
+)
+from strategies import delta_states
 
 import qgraph as qg
 import qgraph.fock
+from qgraph.correspondence import algebra_module, multiplicity_spaces
 
 RNG = np.random.default_rng(17)
 
@@ -33,19 +47,21 @@ class TestInteriorTensor:
         right = qg.interior_tensor(E, qg.interior_tensor(E, E))
         assert left.size == right.size
 
-    def test_balanced_relation(self, graph_trivial_m2):
-        E = qg.build_edge_correspondence(graph_trivial_m2)
-        T = qg.trivial_correspondence(graph_trivial_m2.psi)
-        Z = qg.interior_tensor(E, T)
-        st = graph_trivial_m2.structure
-        x = RNG.normal(size=E.size) + 1j * RNG.normal(size=E.size)
-        y = RNG.normal(size=T.size) + 1j * RNG.normal(size=T.size)
-        for p in range(st.dim):
-            b = unit(st, p)
-            v1 = np.kron(E.right_act(x, b), y)
-            v2 = np.kron(x, T.left_act(b, y))
-            # x.b (x) y and x (x) b.y agree in the quotient
-            assert np.linalg.norm(Z.project(v1 - v2)) < 1e-10
+    def test_balanced_relation(self, graph_trivial_m2, graph_complete_m2, graph_swap):
+        for G in (graph_trivial_m2, graph_complete_m2, graph_swap):
+            E = qg.build_edge_correspondence(G)
+            for Y in (qg.trivial_correspondence(G.psi), E):
+                Z = qg.interior_tensor(E, Y)
+                x = RNG.normal(size=E.size) + 1j * RNG.normal(size=E.size)
+                y = RNG.normal(size=Y.size) + 1j * RNG.normal(size=Y.size)
+                for p in range(G.structure.dim):
+                    b = unit(G.structure, p)
+                    v1 = np.einsum("zef,e,f->z", Z.creation, E.right_act(x, b), y)
+                    v2 = np.einsum("zef,e,f->z", Z.creation, x, Y.left_act(b, y))
+                    # x.b (x) y and x (x) b.y have the same image in X (x)_B Y
+                    assert np.linalg.norm(v1 - v2) < 1e-10
+                # and the canonical map is onto
+                assert np.linalg.matrix_rank(Z.creation.reshape(Z.size, -1)) == Z.size
 
     def test_mismatched_base(self, graph_trivial_m2, graph_trivial_skew, graph_3cycle):
         E1 = qg.build_edge_correspondence(graph_trivial_m2)
@@ -72,6 +88,34 @@ class TestBuildFock:
         monkeypatch.setattr(qgraph.fock, "FOCK_COORD_BUDGET", 50)
         with pytest.raises(qg.BudgetExceeded):
             qg.build_fock(graph_complete_m2, 3)
+
+    def test_budget_is_exact_and_checked_first(self, graph_complete_m2, monkeypatch):
+        # levels 4, 16, 64: a budget of 84 builds them, 83 refuses before
+        # any interior tensor product is formed, naming the level dims
+        calls = []
+
+        def counting_interior_tensor(*args):
+            calls.append(args)
+            return qg.interior_tensor(*args)
+
+        monkeypatch.setattr(qgraph.fock, "interior_tensor", counting_interior_tensor)
+        monkeypatch.setattr(qgraph.fock, "FOCK_COORD_BUDGET", 84)
+        assert qg.build_fock(graph_complete_m2, 2).level_dims == (4, 16, 64)
+        assert len(calls) == 2
+        monkeypatch.setattr(qgraph.fock, "FOCK_COORD_BUDGET", 83)
+        with pytest.raises(qg.BudgetExceeded, match=r"\[4, 16, 64\]"):
+            qg.build_fock(graph_complete_m2, 2)
+        assert len(calls) == 2
+
+    def test_level_dims_follow_the_multiplicity_matrix(self, cp_family_graphs):
+        for name, dims in EXPECTED_LEVEL_DIMS.items():
+            G = cp_family_graphs[name]
+            F = qg.build_fock(G, 3)
+            n = np.array(G.structure.sizes)
+            for l, level in enumerate(F.levels):
+                Ml = np.linalg.matrix_power(F.edge.mult, l)
+                assert np.array_equal(level.mult, Ml), (name, l)
+                assert level.size == n @ Ml @ n == dims[l], (name, l)
 
     def test_invalid_depth(self, graph_trivial_m2):
         with pytest.raises(qg.ShapeMismatch):
@@ -125,18 +169,20 @@ class TestRepresentationIdentities:
         # the vacuum obstruction: pi does not vanish on level 0
         assert rep["vacuum_defect"] > 0.5
 
-    def test_creation_implements_module_product(self, graph_trivial_m2):
+    def test_creation_implements_module_product(self, graph_trivial_m2, graph_trivial_skew, graph_swap):
         # T(xi) applied to the vacuum level reproduces the right action of E
-        F = qg.build_fock(graph_trivial_m2, 2)
-        E = F.edge
-        st = graph_trivial_m2.structure
-        xi = RNG.normal(size=E.size) + 1j * RNG.normal(size=E.size)
-        for p in range(st.dim):
-            x = unit(st, p)
-            lifted = F.creation_matrix(0, xi) @ F.levels[0].project(
-                np.eye(st.dim, dtype=complex)[p]
-            )
-            assert np.allclose(lifted, E.right_act(xi, x), atol=1e-10)
+        for G in (graph_trivial_m2, graph_trivial_skew, graph_swap):
+            F = qg.build_fock(G, 2)
+            E = F.edge
+            # level 0 is B in the basis b_p / sqrt(g_p): column p holds b_p,
+            # and these coordinates give <b_p, b_q>_B = b_p* b_q
+            coords = np.diag(np.sqrt(G.psi.gram_diag)).astype(complex)
+            inner = np.einsum("ap,abd,bq->pqd", coords.conj(), F.levels[0].binner, coords)
+            assert np.allclose(inner, algebra_module(G.psi).binner, atol=1e-12)
+            xi = RNG.normal(size=E.size) + 1j * RNG.normal(size=E.size)
+            for p in range(G.structure.dim):
+                lifted = F.creation_matrix(0, xi) @ coords[:, p]
+                assert np.allclose(lifted, E.right_act(xi, unit(G.structure, p)), atol=1e-10)
 
 
 class TestFockFamily:
@@ -157,3 +203,76 @@ class TestFockFamily:
         fam = qg.canonical_fock_family(F)
         raw = qg.lqck_residuals(fam, graph_trivial_m2)
         assert raw["lqck3"] > 0.01
+
+
+def reconstructed_eps(G, E):
+    """eps_ab[i,j,k,l] = sum_x gen[a,b,i,x,l] u_x[jk] / sqrt(w_b[l]) from the
+    generator and the multiplicity bases, whose columns must be orthonormal
+    for the weights w_a[j]."""
+    st = G.structure
+    bases, _ = multiplicity_spaces(G)
+    eps = np.zeros((st.dim, st.dim), dtype=complex)
+    pos = 0
+    for a, na in enumerate(st.sizes):
+        for b, nb in enumerate(st.sizes):
+            u = bases[a, b]
+            weighted = np.repeat(G.psi.weights[a], nb)[:, None] * u
+            assert close(u.conj().T @ weighted, np.eye(u.shape[1]))
+            m = u.shape[1]
+            gen = E.generator[pos : pos + na * m * nb].reshape(na, m, nb)
+            pos += na * m * nb
+            slab = np.einsum("ixl,jkx->ijkl", gen / np.sqrt(G.psi.weights[b]), u.reshape(na, nb, m))
+            lo, hi = st.offsets[a], st.offsets[b]
+            eps[lo : lo + na * na, hi : hi + nb * nb] = slab.reshape(na * na, nb * nb)
+    assert pos == E.size
+    return eps
+
+
+def assert_matches_dense_oracle(F, D):
+    """Equal level dims, and one unitary per level, fixed by the eps orbit
+    and the creation maps, carries the normal form's lmul, rmul, binner,
+    generator and creation tensors onto the oracle's."""
+    assert F.level_dims == D.level_dims
+    rel = 1e-12 + oracle_defect(D)
+    Us, fit = orbit_unitaries(F, D)
+    assert fit <= rel
+    for U, X, Y in zip(Us, F.levels, D.levels, strict=True):
+        assert np.allclose(X.scalar_gram, np.eye(X.size), atol=1e-13)
+        for got, want in zip(carried(U, X), (Y.lmul, Y.rmul, Y.binner)):
+            assert close(got, want, rel)
+    assert close(Us[1] @ F.edge.generator, D.edge.generator, rel)
+    for l, C in enumerate(F.creation):
+        got = np.einsum("za,aeb,fe,cb->zfc", Us[l + 1], C, Us[1].conj(), Us[l].conj(), optimize=True)
+        assert close(got, D.creation[l], rel)
+
+
+class TestNormalFormMatchesDenseOracle:
+    @given(psi=delta_states(), seed=st_.integers(0, 2**32 - 1), kraus=st_.integers(1, 3))
+    @settings(max_examples=10, deadline=None)
+    def test_random_completely_positive_maps(self, psi, seed, kraus):
+        # A is completely positive but not Schur-idempotent.  Level 2 of the
+        # oracle eigendecomposes a (dim E)^2-wide Gram, so the Kraus count is
+        # capped to keep dim E <= 27
+        rng = np.random.default_rng(seed)
+        kraus = min(kraus, max(1, 27 // sum(psi.structure.sizes) ** 2))
+        G = qg.QuantumGraph(psi.structure, psi, random_cp_map(psi, rng, kraus))
+        F, D = qg.build_fock(G, 2), dense_fock(G, 2)
+        assert_matches_dense_oracle(F, D)
+        assert close(reconstructed_eps(G, F.edge), qg.edge_indicator(G).coeff)
+
+    def test_built_in_graphs(self, cp_family_graphs):
+        for name, G in cp_family_graphs.items():
+            eps = qg.edge_indicator(G).coeff
+            if qg.quantum_sources_sinks(G)[0]:
+                # no Fock module over a graph with a source: compare E_G alone
+                E, D = qg.build_edge_correspondence(G), dense_edge_correspondence(G)
+                U, fit = edge_unitary(E, D)
+                assert fit <= 1e-12, name
+                for got, want in zip(carried(U, E), (D.lmul, D.rmul, D.binner)):
+                    assert close(got, want), name
+                assert close(U @ E.generator, D.generator), name
+                assert close(reconstructed_eps(G, E), eps), name
+                continue
+            F = qg.build_fock(G, 3)
+            assert_matches_dense_oracle(F, dense_fock(G, 3))
+            assert close(reconstructed_eps(G, F.edge), eps), name

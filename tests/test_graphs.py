@@ -2,7 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
-from oracles import comultiply_adjoint_oracle, quotient_actions_oracle, rank_one_operator
+from oracles import (
+    carried,
+    close,
+    comultiply_adjoint_oracle,
+    cp_model_dim,
+    dense_edge_correspondence,
+    dense_fock,
+    oracle_defect,
+    orbit_unitaries,
+    quotient_actions_oracle,
+    random_cp_map,
+    rank_one_operator,
+)
 from strategies import delta_states
 
 import qgraph as qg
@@ -321,27 +333,6 @@ def quantum_isomorphism_oracle(G1, G2, theta):
     return {"homomorphism": hom, "state_covariance": state, "adjacency_covariance": adj}
 
 
-def random_cp_map(psi, rng, kraus=2):
-    """x -> block-diagonal part of sum_K K x K*: completely positive, and
-    for random K not Schur-idempotent."""
-    st = psi.structure
-    n = sum(st.sizes)
-    pos = np.cumsum((0,) + st.sizes)
-    Ks = rng.normal(size=(kraus, n, n)) + 1j * rng.normal(size=(kraus, n, n))
-    cols = []
-    for p in range(st.dim):
-        a, i, j = st.unflatten(p)
-        X = np.zeros((n, n), dtype=complex)
-        X[pos[a] + i, pos[a] + j] = 1.0
-        Y = sum(K @ X @ K.conj().T for K in Ks)
-        cols.append(np.concatenate([Y[lo:hi, lo:hi].ravel() for lo, hi in zip(pos, pos[1:])]))
-    return qg.LinearMapOnB(st, np.column_stack(cols))
-
-
-def close(got, want, rel=1e-12):
-    return np.linalg.norm(np.asarray(got) - want) <= rel * np.linalg.norm(want)
-
-
 class TestBatchedFormsMatchLoops:
     @given(psi=delta_states(), seed=st_.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
@@ -360,16 +351,18 @@ class TestBatchedFormsMatchLoops:
             assert want > 1e-6 and close(got[key], want), key
         E = qg.build_edge_correspondence(G)
         want_dim, want = cp_residual_oracle(E)
-        got_dim, got = qg.cp_correspondence(E)
-        assert got_dim == want_dim
+        got = qg.cp_correspondence(E)
+        assert cp_model_dim(G) == want_dim == E.size
         assert want > 1e-6 and close(got, want)
         want = compact_decomposition_oracle(E)
         assert want > 1e-6 and close(qg.compact_decomposition_residual(E), want)
 
-        # one random vector of E_G spans a subspace that is not invariant
+        # one random vector of the dense oracle's E_G spans a subspace that
+        # is not invariant
         d = st.dim
-        v = (rng.normal(size=(1, E.size)) + 1j * rng.normal(size=(1, E.size))) @ E.basis_ambient
-        sub = from_spanning(E.ambient, v)
+        D = dense_edge_correspondence(G)
+        v = (rng.normal(size=(1, D.size)) + 1j * rng.normal(size=(1, D.size))) @ D.basis_ambient
+        sub = from_spanning(D.ambient, v)
         lmul, rmul, closure = quotient_actions_oracle(sub)
         assert close(sub.lmul, lmul) and close(sub.rmul, rmul)
         assert closure > 1e-6 or E.size == 1
@@ -394,9 +387,15 @@ class TestBatchedFormsMatchLoops:
         F = qg.build_fock(G, 2)
         want = fock_covariance_oracle(F)
         assert want > 1e-6 and close(qg.representation_residuals(F)["covariance"], want)
-        # B, E_G and E (x) E are sub-bimodules of their ambients, and their
-        # actions are the projected dense ambient actions
-        for level in F.levels:
+        # in the dense oracle, B, E_G and E (x) E are sub-bimodules of their
+        # ambients, and their actions are the projected dense ambient actions
+        D = dense_fock(G, 2)
+        for level in D.levels:
             lmul, rmul, closure = quotient_actions_oracle(level)
             assert closure <= 1e-10
             assert close(level.lmul, lmul) and close(level.rmul, rmul)
+        # and the normal-form levels carry the same actions
+        rel = 1e-12 + oracle_defect(D)
+        for U, X, Y in zip(orbit_unitaries(F, D)[0], F.levels, D.levels, strict=True):
+            got_l, got_r, _ = carried(U, X)
+            assert close(got_l, Y.lmul, rel) and close(got_r, Y.rmul, rel)
