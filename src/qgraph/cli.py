@@ -124,6 +124,10 @@ def cmd_inspect(args, tol: float) -> int:
     return EXIT_OK if all(r <= tol for r in gated) else EXIT_RESIDUAL
 
 
+def _num(value) -> str:
+    return "n/a" if value is None else f"{value:.3e}"
+
+
 def cmd_fock(args, tol: float) -> int:
     G, tol = load_graph(args.graph, tol=tol)
     F = build_fock(G, args.levels)
@@ -136,24 +140,19 @@ def cmd_fock(args, tol: float) -> int:
         "toeplitz_interior": {"toeplitz1": lq["toeplitz1"], "toeplitz2": lq["toeplitz2"]},
         "vacuum_defect": rep["vacuum_defect"],
     }
-    gated = [
-        rep["inner"],
-        rep["covariance"],
-        lq["lqck1"],
-        lq["lqck2"],
-        lq["lqck3"],
-        lq["toeplitz1"],
-        lq["toeplitz2"],
+    # identities with no level to check at this depth are None (null), not gated
+    gated = [rep["inner"], rep["covariance"]] + [
+        lq[k] for k in ("lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2")
     ]
     human = [
         f"level dims {report['level_dims']}",
-        f"representation: inner {rep['inner']:.3e}, covariance {rep['covariance']:.3e}, "
-        f"vacuum defect {rep['vacuum_defect']:.3e}",
-        f"LQCK interior residuals {lq['lqck1']:.3e} {lq['lqck2']:.3e} {lq['lqck3']:.3e}",
-        f"abstract Toeplitz {lq['toeplitz1']:.3e} {lq['toeplitz2']:.3e}",
+        f"representation: inner {_num(rep['inner'])}, covariance {_num(rep['covariance'])}, "
+        f"vacuum defect {_num(rep['vacuum_defect'])}",
+        f"LQCK interior residuals {_num(lq['lqck1'])} {_num(lq['lqck2'])} {_num(lq['lqck3'])}",
+        f"abstract Toeplitz {_num(lq['toeplitz1'])} {_num(lq['toeplitz2'])}",
     ]
     _emit(report, human)
-    return EXIT_OK if all(r <= tol for r in gated) else EXIT_RESIDUAL
+    return EXIT_OK if all(r <= tol for r in gated if r is not None) else EXIT_RESIDUAL
 
 
 def cmd_check(args, tol: float) -> int:

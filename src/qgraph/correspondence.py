@@ -408,25 +408,25 @@ def compact_decomposition_residual(E: Correspondence) -> float:
     return float(np.linalg.norm(defect, axis=1).max(initial=0.0))
 
 
-def _orbit_gram(M: InnerModule, xi: np.ndarray) -> np.ndarray:
-    """B-valued Gram of the unit orbit: <b_p.xi.b_q, b_r.xi.b_s>_B at [pq, rs]."""
-    g = _unit_orbit(M, xi)
-    return np.einsum("xi,yj,ijd->xyd", g.conj(), g, M.binner, optimize=True)
+def _vector_map(M: InnerModule, xi: np.ndarray) -> np.ndarray:
+    """Matrix of x -> <xi, x . xi>_B on M, column p <xi, b_p . xi>_B.  It decides
+    the orbit Gram: <b_p.xi.b_q, b_r.xi.b_s>_B = b_q* <xi, b_p* b_r . xi>_B b_s."""
+    moved = M.left_units(xi[:, None])[:, :, 0]  # row p is b_p . xi
+    return np.einsum("a,pb,abd->dp", xi.conj(), moved, M.binner, optimize=True)
 
 
 def cp_correspondence(E: Correspondence) -> float:
     """Defect of the isomorphism of B (x)_A B with E_G.
 
     B (x)_A B carries <a (x) b, c (x) d>_B = b* A(a* c) d.  The canonical map
-    x . eps . y -> (1/delta)(x (x) y) preserves B-valued inner products, so
-    the Gram of the orbit b_p . eps . b_q in E must equal the closed form
-    delta^-2 b_q* A(b_p* b_r) b_s; the residual is the worst entry of the
-    difference.
+    x . eps . y -> (1/delta)(x (x) y) preserves B-valued inner products
+    exactly when delta^2 <eps, x . eps>_B = A(x), since both Grams of the
+    orbit b_p . eps . b_q are b_q* (.)(b_p* b_r) b_s of that map; the
+    residual is the worst entry of delta^2 <eps, b_p . eps>_B - A(b_p),
+    divided by delta^2.
     """
     G = E.graph
-    diff = _orbit_gram(E, E.generator)
-    diff *= G.delta_sq  # in place: the (d^2, d^2, d) tensors are the peak of `inspect`
-    diff -= tensor_square_module(G.psi, G.adjacency.matrix).binner
+    diff = G.delta_sq * _vector_map(E, E.generator) - G.adjacency.matrix
     return float(np.abs(diff).max(initial=0.0)) / G.delta_sq
 
 
@@ -458,16 +458,14 @@ def recognize(
             raise ShapeMismatch("expected a TensorElement without a module")
         mod_space: InnerModule = psi_tensor_module(psi)
         coords = xi.coeff.ravel()
-        A = _indicator_adjacency(xi.coeff, psi)
     else:
         coords = xi.coords if isinstance(xi, CorrVector) else np.asarray(xi, dtype=complex)
         mod_space = module
-        # column p is delta^2 <xi, b_p . xi>_B
-        moved = np.einsum("pab,b->pa", module.lmul, coords)
-        A = psi.delta_sq * np.einsum("a,pb,abd->dp", coords.conj(), moved, module.binner)
+    inner = _vector_map(mod_space, coords)
+    A = _indicator_adjacency(xi.coeff, psi) if module is None else psi.delta_sq * inner
 
-    innerX = _orbit_gram(mod_space, coords)
-    span_rank = len(_gram_quotient(innerX @ psi.psi_vec)[0])
+    orbit = _unit_orbit(mod_space, coords)
+    span_rank = len(_gram_quotient(orbit.conj() @ mod_space.scalar_gram @ orbit.T)[0])
     if module is not None and span_rank < module.size:
         raise NotGenerating(
             f"xi generates a {span_rank}-dimensional submodule of dimension-{module.size} module"
@@ -475,7 +473,7 @@ def recognize(
 
     G = QuantumGraph.build(psi, LinearMapOnB(st, A), tol=tol)
     E = build_edge_correspondence(G)
-    iso = float(np.abs(innerX - _orbit_gram(E, E.generator)).max(initial=0.0))
+    iso = float(np.abs(inner - _vector_map(E, E.generator)).max(initial=0.0))
     return RecognitionResult(graph=G, module_dim=span_rank, iso_residual=iso)
 
 

@@ -3,10 +3,13 @@
 F_N = B + E + E^{(x)2} + ... + E^{(x)N} with creation operators T(xi) that
 annihilate the top level and the diagonal left action pi.  All operator
 identities are exact only away from the truncation boundary, so residual
-reports compress to interior levels.  Level l is in normal form with
+reports keep to interior levels.  T maps level l to level l+1 and pi keeps
+every level, so each identity is checked one level at a time and no operator
+on the whole truncation is formed.  Level l is in normal form with
 multiplicity matrix M^l for E's M, of dimension sum_{a,c} N_a N_c (M^l)_ac;
 creation maps are the canonical identifications K_ab (x) K^{(l)}_bc ->
-K^{(l+1)}_ac.  The Gram-quotient levels are the oracle in `tests/oracles.py`.
+K^{(l+1)}_ac.  The Gram-quotient levels and the full-truncation relation
+checks are the oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .correspondence import (
 )
 from .errors import BudgetExceeded, HasQuantumSource, ShapeMismatch
 from .graphs import QuantumGraph, quantum_sources_sinks
-from .relations import CKFamily, _pair_sum, lqck_residuals
+from .relations import _pair_sum, _products, _sq_nrm, lqck_sq_norms, star_images
 
 FOCK_COORD_BUDGET = 5000
 
@@ -80,13 +83,6 @@ class FockTruncation:
     def total_dim(self) -> int:
         return sum(self.level_dims)
 
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        return tuple(np.cumsum((0,) + self.level_dims).tolist())
-
-    def level_slice(self, l: int) -> slice:
-        return slice(*self.offsets[l : l + 2])
-
     def pi_level(self, l: int, x: AlgebraElement) -> np.ndarray:
         """Matrix of the left action of x on level l."""
         return np.einsum("p,pab->ab", x.vec, self.levels[l].lmul)
@@ -94,35 +90,6 @@ class FockTruncation:
     def creation_matrix(self, l: int, xi: np.ndarray) -> np.ndarray:
         """Matrix of T(xi) from level l to level l+1."""
         return np.einsum("aeb,e->ab", self.creation[l], xi)
-
-    def big_creation(self, xi: np.ndarray) -> np.ndarray:
-        """T(xi) on the full truncation; the top level is annihilated.
-
-        Leading axes of xi are batch axes: xi of shape (..., dim E) gives
-        (..., D, D).
-        """
-        xi = np.asarray(xi)
-        D = self.total_dim
-        out = np.zeros(xi.shape[:-1] + (D, D), dtype=complex)
-        for l in range(self.depth):
-            out[..., self.level_slice(l + 1), self.level_slice(l)] = np.einsum(
-                "aeb,...e->...ab", self.creation[l], xi
-            )
-        return out
-
-    def unit_pi(self) -> np.ndarray:
-        """Diagonal left actions of the standard units b_p on the full truncation."""
-        D = self.total_dim
-        out = np.zeros((self.levels[0].lmul.shape[0], D, D), dtype=complex)
-        for l in range(self.depth + 1):
-            out[:, self.level_slice(l), self.level_slice(l)] = self.levels[l].lmul
-        return out
-
-    def interior_projector(self) -> np.ndarray:
-        """Orthogonal projection onto levels 1..N-1."""
-        diag = np.zeros(self.total_dim)
-        diag[self.offsets[1] : self.offsets[-2]] = 1.0
-        return np.diag(diag)
 
 
 def build_fock(G: QuantumGraph, N: int) -> FockTruncation:
@@ -162,69 +129,71 @@ def representation_residuals(F: FockTruncation) -> dict:
     """Defects of the covariant-representation identities on the truncation.
 
     inner: T(xi)*T(eta) = pi(<xi,eta>_B) on levels 0..N-1.
-    covariance: pi(x) = sum_k T(f_ik.eps)T(f_jk.eps)* on levels 1..N-1.
+    covariance: pi(x) = sum_k T(f_ik.eps)T(f_jk.eps)* on levels 1..N-1, None
+    when N = 1.
     vacuum_defect: the norm of pi on level 0, where covariance must fail.
     """
     E = F.edge
     inner = 0.0
     for l in range(F.depth):
         Cr = F.creation[l]
-        TT = np.einsum("aeb,afc->efbc", Cr.conj(), Cr, optimize=True)
-        RR = np.einsum("efd,dbc->efbc", E.binner, F.levels[l].lmul, optimize=True)
-        diff = TT - RR
-        per_pair = np.sqrt((np.abs(diff) ** 2).sum(axis=(2, 3)))
-        inner = max(inner, float(per_pair.max(initial=0.0)))
+        diff = np.einsum("aeb,afc->efbc", Cr.conj(), Cr, optimize=True)
+        diff -= np.einsum("efd,dbc->efbc", E.binner, F.levels[l].lmul, optimize=True)
+        inner = max(inner, float(np.sqrt(_sq_nrm(diff).max(initial=0.0))))
 
-    cov = 0.0
-    for l in range(1, F.depth):
-        defect = covariance_defect(E, F.creation[l - 1], F.levels[l].lmul)
-        cov = max(cov, float(np.linalg.norm(defect, axis=(1, 2)).max()))
+    cov = [
+        float(np.linalg.norm(covariance_defect(E, F.creation[l - 1], lvl.lmul), axis=(1, 2)).max())
+        for l, lvl in enumerate(F.levels[1:-1], start=1)
+    ]
 
     vacuum = float(np.linalg.norm(F.levels[0].lmul, axis=(1, 2)).max())
-    return {"inner": inner, "covariance": cov, "vacuum_defect": vacuum}
+    return {"inner": inner, "covariance": max(cov, default=None), "vacuum_defect": vacuum}
 
 
-def canonical_fock_family(F: FockTruncation):
-    """The family S(x) = (1/delta) T(x . eps) as truncation matrices per unit.
+def canonical_fock_family(F: FockTruncation) -> tuple[np.ndarray, ...]:
+    """The family S(x) = (1/delta) T(x . eps), one level at a time.
 
-    Returns a CKFamily whose images act on the full truncation; relation
-    residuals for it are meaningful only compressed to interior levels.
+    Entry l, of shape (dim B, dim level l+1, dim level l), holds the images
+    S(b_p) from level l to level l+1 for every unit b_p.
     """
     E = F.edge
-    # row p is b_p . eps
-    images = F.big_creation(E.lmul @ E.generator) / np.sqrt(F.graph.delta_sq)
-    return CKFamily(F.total_dim, images)
+    V = E.lmul @ E.generator / np.sqrt(F.graph.delta_sq)  # row p is b_p . eps / delta
+    return tuple(np.einsum("aeb,pe->pab", C, V, optimize=True) for C in F.creation)
 
 
 def lqck_fock_residuals(F: FockTruncation) -> dict:
     """Interior residuals of LQCK1-3 and the abstract-Toeplitz identities.
 
-    The family is S(x) = (1/delta) T(x.eps) on the truncation F; all norms
-    are compressed to levels 1..N-1 where the truncated operators agree
-    with the untruncated Toeplitz representation.
+    The family is S(x) = (1/delta) T(x.eps) on the truncation F, judged on
+    levels 1..N-1, where the truncated operators agree with the untruncated
+    Toeplitz representation.  Every product is block-diagonal by level:
+    psi_t on level l is sum W S_{l-1} S_{l-1}^*, so LQCK1 (which ends one
+    level up) is checked on source levels 1..N-2 and the others on 1..N-1.
+    Each per-unit norm is the root of the sum of squares over those levels;
+    an identity with no level to check is None.
+
+    Toeplitz-1: T*(x) T(y) = delta^-2 pi(A(xy)); Toeplitz-2: mu(T (x) T*) m*
+    = pi on levels >= 1, with T = delta S and T*(x) = T(x*)^*.
     """
     G = F.graph
-    fam = canonical_fock_family(F)
-    P = F.interior_projector()
-    report = lqck_residuals(fam, G, compression=P)
+    st, W, d2 = G.structure, G.psi.comult_tensor, G.delta_sq
+    S = canonical_fock_family(F)
+    Ss = [star_images(Sl, st) for Sl in S]
+    # psi_t on level l, for the levels 1..N-1 where it is read
+    psi = [None] + [_pair_sum(W, S[l], Ss[l]) for l in range(F.depth - 1)]
+    Am = np.tensordot(G.adjacency.matrix, st.mul_tensor / d2, axes=(1, 0))  # delta^-2 A m
 
-    st = G.structure
-    delta = np.sqrt(G.delta_sq)
-    bigT = delta * fam.images
-    # T*(x) := T(x*)* on basis units
-    bigTstar = delta * fam.star_images(st)
-    pi = F.unit_pi()
+    keys = ("lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2")
+    sq = {key: [] for key in keys}
+    for l in range(1, F.depth):
+        pi = F.levels[l].lmul
+        diff = d2 * _products(Ss[l], S[l])
+        diff -= np.tensordot(Am, pi, axes=(0, 0))
+        lqck = lqck_sq_norms(G, S[l], Ss[l], psi[l], psi[l + 1] if l + 1 < F.depth else None)
+        for key, n in zip(keys, lqck + (_sq_nrm(diff), _sq_nrm(d2 * psi[l] - pi))):
+            if n is not None:  # LQCK1 ends one level up, so not from level N-1
+                sq[key].append(n)
 
-    # mu(T* (x) T) = delta^-2 pi A m on basis pairs
-    Am = np.einsum("vu,upq->vpq", G.adjacency.matrix, st.mul_tensor)
-    diff1 = bigTstar[:, None] @ bigT[None] - np.einsum("vpq,vab->pqab", Am, pi) / G.delta_sq
-    toeplitz1 = float(np.linalg.norm(P @ diff1 @ P, axis=(2, 3)).max())
-
-    # mu(T (x) T*) m* = psi_t, i.e. equals pi on levels >= 1
-    diff2 = _pair_sum(G.psi.comult_tensor, bigT, bigTstar) - pi
-    toeplitz2 = float(np.linalg.norm(P @ diff2 @ P, axis=(1, 2)).max())
-
-    report["toeplitz1"] = toeplitz1
-    report["toeplitz2"] = toeplitz2
+    report = {key: float(np.max(np.sqrt(sum(v)))) if v else None for key, v in sq.items()}
     report["level_dims"] = F.level_dims
     return report

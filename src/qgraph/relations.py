@@ -3,8 +3,8 @@ the classical-graph reduction.
 
 A family is a linear map s: B -> M_k given by its images on the standard
 matrix units.  Residuals are raw Frobenius norms; the optional compression
-argument evaluates ||P X P|| instead, which is how families extracted from
-a Fock truncation are judged on interior levels.
+argument evaluates ||P X P|| instead.  `lqck_sq_norms` takes images between
+two spaces, so the Fock module is judged one level at a time.
 
 Contractions against the coefficient tensor W of m* run over its sum_a N_a^3
 nonzero entries only (`_pair_sum`), never over all d^3 index triples.
@@ -47,7 +47,12 @@ class CKFamily:
 
     def star_images(self, structure: BlockStructure) -> np.ndarray:
         """Images of the conjugate family s*(b_p) = s(b_p*)*."""
-        return np.conj(np.swapaxes(self.images[structure.star_perm], -1, -2))
+        return star_images(self.images, structure)
+
+
+def star_images(images: np.ndarray, structure: BlockStructure) -> np.ndarray:
+    """s(b_p*)^* for every unit b_p, from the unit images s(b_p) of shape (dim, k', k)."""
+    return np.conj(np.swapaxes(images[structure.star_perm], -1, -2))
 
 
 def _check_family(s: CKFamily, G: QuantumGraph) -> None:
@@ -71,11 +76,20 @@ def _pair_sum(W: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nrm(X: np.ndarray, P: np.ndarray | None) -> np.ndarray:
-    """Frobenius norms of X (or P X P) over its last two axes, without a copy of X."""
+def _products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """out[u, v] = X[u] @ Y[v], as one matmul."""
+    return np.tensordot(X, Y, axes=(2, 1)).transpose(0, 2, 1, 3)
+
+
+def _sq_nrm(X: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
+    """Squared Frobenius norms of X (or P X P) over its last two axes, without a copy of X."""
     if P is not None:
         X = P @ X @ P
-    return np.sqrt(sum(np.einsum("...ab,...ab->...", Y, Y) for Y in (X.real, X.imag)))
+    return sum(np.einsum("...ab,...ab->...", Y, Y) for Y in (X.real, X.imag))
+
+
+def _nrm(X: np.ndarray, P: np.ndarray | None) -> np.ndarray:
+    return np.sqrt(_sq_nrm(X, P))
 
 
 def qck_residuals(
@@ -108,40 +122,51 @@ def qck_residuals(
     return {"qck1": r1, "qck2": r2, "qck3": r3}
 
 
-def lqck_residuals(
-    s: CKFamily, G: QuantumGraph, compression: np.ndarray | None = None
-) -> dict[str, float]:
-    """Residuals of the local relations, maximized over adapted-unit pairs.
+def lqck_sq_norms(
+    G: QuantumGraph, S: np.ndarray, Ss: np.ndarray, psi_in: np.ndarray,
+    psi_out: np.ndarray | None, compression: np.ndarray | None = None,
+) -> tuple[np.ndarray | None, np.ndarray, float]:
+    """Squared norms of the LQCK1-3 defects of images S[p]: V -> V', the
+    (dim, dim) ones of LQCK1-2 divided by the squared scale of the adapted
+    pair (f_u, f_v).  Ss[p] = S[p*]^* maps V' -> V; psi_in and psi_out are
+    psi_t = sum W S Ss on V and on V'.  LQCK1 is None without psi_out.
 
     LQCK1: mu(mu x 1)(s x s* x s)(m* x 1) = delta^-2 s m
     LQCK2: mu(s* x s) = delta^-2 mu(s x s*)m*Am
     LQCK3: mu(s x s*)m*(1) = delta^-2 1
     """
-    _check_family(s, G)
     st = G.structure
-    W = G.psi.comult_tensor
-    S = s.images
-    Ss = s.star_images(st)
-    mt = st.mul_tensor
-    A = G.adjacency.matrix
+    mt = st.mul_tensor / G.delta_sq
     P = compression
-    d2 = G.delta_sq
-    scale = np.sqrt(G.psi.weight_of_row * G.psi.gram_diag)
-    pair_scale = np.outer(scale, scale)
+    scale_sq = G.psi.weight_of_row * G.psi.gram_diag  # f_u = b_u / sqrt(scale_sq[u])
+    pair_scale = np.outer(scale_sq, scale_sq)
 
-    psi_t = _pair_sum(W, S, Ss)
-    # each (dim, dim, k, k) defect is built in place, one at a time, to bound peak memory
-    diff = psi_t[:, None] @ S[None]
-    diff -= np.einsum("wuv,wab->uvab", mt / d2, S, optimize=True)
-    r1 = float((_nrm(diff, P) / pair_scale).max())
+    n1 = None
+    if psi_out is not None:
+        # each (dim, dim, k', k) defect is built in place, one at a time, to bound peak memory
+        diff = _products(psi_out, S)
+        diff -= np.tensordot(mt, S, axes=(0, 0))
+        n1 = _sq_nrm(diff, P) / pair_scale
 
-    diff = np.einsum("uab,vbc->uvac", Ss, S, optimize=True)
-    diff -= np.einsum("wuv,xw,xac->uvac", mt / d2, A, psi_t, optimize=True)
-    r2 = float((_nrm(diff, P) / pair_scale).max())
+    diff = _products(Ss, S)
+    diff -= np.tensordot(np.tensordot(G.adjacency.matrix, mt, axes=(1, 0)), psi_in, axes=(0, 0))
+    n2 = _sq_nrm(diff, P) / pair_scale
 
-    q3 = np.einsum("u,uac->ac", st.unit_vector, psi_t)
-    r3 = float(_nrm(q3 - np.eye(s.k) / d2, P))
-    return {"lqck1": r1, "lqck2": r2, "lqck3": r3}
+    q3 = np.einsum("u,uac->ac", st.unit_vector, psi_in)
+    n3 = float(_sq_nrm(q3 - np.eye(len(q3)) / G.delta_sq, P))
+    return n1, n2, n3
+
+
+def lqck_residuals(
+    s: CKFamily, G: QuantumGraph, compression: np.ndarray | None = None
+) -> dict[str, float]:
+    """Residuals of the local relations LQCK1-3 (see `lqck_sq_norms`),
+    maximized over adapted-unit pairs."""
+    _check_family(s, G)
+    S, Ss = s.images, s.star_images(G.structure)
+    psi_t = _pair_sum(G.psi.comult_tensor, S, Ss)
+    norms = lqck_sq_norms(G, S, Ss, psi_t, psi_t, compression)
+    return {f"lqck{i}": float(np.sqrt(np.max(n))) for i, n in enumerate(norms, start=1)}
 
 
 def _require_classical(G: QuantumGraph) -> int:

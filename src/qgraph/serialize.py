@@ -44,6 +44,13 @@ def _pairs_to_matrix(rows, shape=None) -> np.ndarray:
     return mat
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer: not a float, which int() truncates, nor a bool, an int in Python."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} = {value!r} is not an integer")
+    return value
+
+
 def parse_tolerance(value, source: str) -> float:
     """A tolerance read from outside the program: a finite positive number."""
     try:
@@ -74,8 +81,11 @@ def parse_graph_document(doc: dict, tol: float = 1e-9) -> tuple[QuantumGraph, fl
         if key not in doc:
             raise ParseError(f"graph document missing key {key!r}")
     eff_tol = parse_tolerance(doc.get("tol", tol), "tol")
+    if not isinstance(doc["blocks"], list):
+        raise ParseError(f"blocks = {doc['blocks']!r} is not a list of block sizes")
+    sizes = [_json_int(n, "block size") for n in doc["blocks"]]
     try:
-        psi = validate_delta_form(list(doc["blocks"]), doc["psi"], tol=eff_tol)
+        psi = validate_delta_form(sizes, doc["psi"], tol=eff_tol)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad blocks/psi: {exc}") from exc
     dim = psi.structure.dim
@@ -112,10 +122,7 @@ def parse_family_document(doc: dict) -> CKFamily:
     for key in ("k", "images"):
         if key not in doc:
             raise ParseError(f"family document missing key {key!r}")
-    try:
-        k = int(doc["k"])
-    except (TypeError, ValueError):
-        raise ParseError(f"family size k = {doc['k']!r} is not an integer") from None
+    k = _json_int(doc["k"], "family size k")
     if not isinstance(doc["images"], list):
         raise ParseError("family images must be a list of matrices")
     images = [_pairs_to_matrix(rows, shape=(k, k)) for rows in doc["images"]]

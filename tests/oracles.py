@@ -15,6 +15,7 @@ from qgraph.correspondence import (
     tensor_module,
     tensor_square_module,
 )
+from qgraph.relations import _pair_sum
 
 
 def comultiply_adjoint_oracle(x, psi):
@@ -183,3 +184,97 @@ def carried(U, X):
     Uh = U.conj().T
     binner = np.einsum("ai,ijd,bj->abd", U, X.binner, U.conj(), optimize=True)
     return U @ X.lmul @ Uh, U @ X.rmul @ Uh, binner
+
+
+def level_slice(F, l):
+    """Coordinates of level l in the full truncation, levels stacked in order."""
+    offsets = np.cumsum((0,) + F.level_dims)
+    return slice(offsets[l], offsets[l + 1])
+
+
+def big_creation(F, xi):
+    """T(xi) on the full truncation; the top level is annihilated.
+
+    Leading axes of xi are batch axes: xi of shape (..., dim E) gives
+    (..., D, D).
+    """
+    xi = np.asarray(xi)
+    D = F.total_dim
+    out = np.zeros(xi.shape[:-1] + (D, D), dtype=complex)
+    for l in range(F.depth):
+        out[..., level_slice(F, l + 1), level_slice(F, l)] = np.einsum(
+            "aeb,...e->...ab", F.creation[l], xi
+        )
+    return out
+
+
+def unit_pi(F):
+    """Diagonal left actions of the standard units b_p on the full truncation."""
+    D = F.total_dim
+    out = np.zeros((F.levels[0].lmul.shape[0], D, D), dtype=complex)
+    for l in range(F.depth + 1):
+        out[:, level_slice(F, l), level_slice(F, l)] = F.levels[l].lmul
+    return out
+
+
+def interior_projector(F):
+    """Orthogonal projection of the full truncation onto levels 1..N-1."""
+    diag = np.zeros(F.total_dim)
+    diag[level_slice(F, 1).start : level_slice(F, F.depth).start] = 1.0
+    return np.diag(diag)
+
+
+def full_fock_family(F):
+    """S(x) = (1/delta) T(x . eps) as one CKFamily on the full truncation."""
+    E = F.edge
+    images = big_creation(F, E.lmul @ E.generator) / np.sqrt(F.graph.delta_sq)
+    return qg.CKFamily(F.total_dim, images)
+
+
+def full_fock_residuals(F):
+    """LQCK1-3 and Toeplitz-1/2 of the Fock family on the full truncation,
+    compressed to levels 1..N-1 by the dense interior projector: every
+    operator is a D x D matrix, D the total dimension."""
+    G = F.graph
+    fam = full_fock_family(F)
+    P = interior_projector(F)
+    report = qg.lqck_residuals(fam, G, compression=P)
+
+    st = G.structure
+    delta = np.sqrt(G.delta_sq)
+    bigT = delta * fam.images
+    bigTstar = delta * fam.star_images(st)
+    pi = unit_pi(F)
+
+    # mu(T* (x) T) = delta^-2 pi A m on basis pairs
+    Am = np.einsum("vu,upq->vpq", G.adjacency.matrix, st.mul_tensor)
+    diff1 = bigTstar[:, None] @ bigT[None] - np.einsum("vpq,vab->pqab", Am, pi) / G.delta_sq
+    report["toeplitz1"] = float(np.linalg.norm(P @ diff1 @ P, axis=(2, 3)).max())
+
+    # mu(T (x) T*) m* = psi_t, i.e. equals pi on levels >= 1
+    diff2 = _pair_sum(G.psi.comult_tensor, bigT, bigTstar) - pi
+    report["toeplitz2"] = float(np.linalg.norm(P @ diff2 @ P, axis=(1, 2)).max())
+    return report
+
+
+def orbit_gram(M, xi):
+    """B-valued Gram of the unit orbit: <b_p.xi.b_q, b_r.xi.b_s>_B at [pq, rs]."""
+    g = _unit_orbit(M, xi)
+    return np.einsum("xi,yj,ijd->xyd", g.conj(), g, M.binner, optimize=True)
+
+
+def cp_correspondence_oracle(E):
+    """The isomorphism defect of B (x)_A B with E_G from the two (d^2, d^2, d)
+    orbit Grams: delta^2 times the one of eps in E against the closed form
+    b_q* A(b_p* b_r) b_s, worst entry, divided by delta^2."""
+    G = E.graph
+    diff = G.delta_sq * orbit_gram(E, E.generator)
+    diff -= tensor_square_module(G.psi, G.adjacency.matrix).binner
+    return float(np.abs(diff).max(initial=0.0)) / G.delta_sq
+
+
+def recognize_iso_oracle(module, coords, E):
+    """The recognition defect: worst entry of the difference of the orbit
+    Grams of coords in `module` and of the generator of E."""
+    diff = orbit_gram(module, coords) - orbit_gram(E, E.generator)
+    return float(np.abs(diff).max(initial=0.0))

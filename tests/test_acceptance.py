@@ -7,7 +7,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from oracles import cp_model_dim
+from oracles import cp_model_dim, full_fock_family, interior_projector
 from test_relations import qcp_disagreement
 
 import qgraph as qg
@@ -283,7 +283,7 @@ def test_criterion_09_relation_systems(cp_family_graphs, tracial_m2, skew_m2, ra
         cyc = cp_family_graphs["classical_3cycle"]
         F = qg.build_fock(cyc, 3)
         rep = qg.classical_reduction(
-            cyc, qg.canonical_fock_family(F), compression=F.interior_projector()
+            cyc, full_fock_family(F), compression=interior_projector(F)
         )
         assert max(rep["partial_isometry"], rep["cuntz_krieger"], rep["unit_sum"]) <= TOL
 

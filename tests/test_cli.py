@@ -78,8 +78,12 @@ class TestSerialization:
         for tol in ("abc", None, [1e-9], float("nan"), float("inf"), 0.0, -1e-9):
             with pytest.raises(qg.ParseError):
                 parse_graph_document({**good, "tol": tol})
+        # integer fields take JSON integers only: no truncated floats, no booleans
+        for blocks in ([2.7], [2.0], [True, True], "2", 2):
+            with pytest.raises(qg.ParseError):
+                parse_graph_document({**good, "blocks": blocks})
         fam = family_to_document(qg.canonical_lqck_family("trivial", tracial_m2))
-        for bad in ({"k": "two"}, {"k": None}, {"images": 3}):
+        for bad in ({"k": "two"}, {"k": None}, {"images": 3}, {"k": 2.7}, {"k": 2.0}, {"k": True}):
             with pytest.raises(qg.ParseError):
                 parse_family_document({**fam, **bad})
 
@@ -157,6 +161,38 @@ class TestFock:
         assert payload["level_dims"] == [4, 4, 4, 4]
         assert payload["vacuum_defect"] > 0.5
         assert all(v < 1e-9 for v in payload["lqck_interior"].values())
+
+    @pytest.mark.parametrize(
+        "levels, unchecked",
+        [
+            (1, {"covariance", "lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2"}),
+            (2, {"lqck1"}),  # LQCK1 ends one level up, so it needs two interior levels
+            (3, set()),
+        ],
+    )
+    def test_unchecked_identities_report_null(self, capsys, tmp_path, graph_complete_m2, levels, unchecked):
+        path = tmp_path / "complete.json"
+        save_graph(str(path), graph_complete_m2)
+        code, payload, err = run(capsys, "fock", str(path), "--levels", str(levels))
+        assert code == 0
+        values = {
+            **payload["representation"],
+            **payload["lqck_interior"],
+            **payload["toeplitz_interior"],
+        }
+        assert {k for k, v in values.items() if v is None} == unchecked
+        assert all(v < 1e-9 for k, v in values.items() if v is not None and k != "vacuum_defect")
+        assert err.count("n/a") == len(unchecked)
+
+    def test_null_identities_leave_the_gate_alone(self, capsys, monkeypatch, trivial_path):
+        # at depth 2 LQCK1 is unchecked, but a failing LQCK2 still fails the run
+        def failing(F):
+            return {**qg.lqck_fock_residuals(F), "lqck2": 1.0}
+
+        monkeypatch.setattr(qgraph.cli, "lqck_fock_residuals", failing)
+        code, payload, _ = run(capsys, "fock", trivial_path, "--levels", "2")
+        assert payload["lqck_interior"]["lqck1"] is None
+        assert code == 2
 
     def test_builds_the_truncation_once(self, capsys, monkeypatch, trivial_path):
         calls = []

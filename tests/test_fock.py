@@ -1,20 +1,30 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 from oracles import (
+    big_creation,
     carried,
     close,
+    cp_correspondence_oracle,
     dense_edge_correspondence,
     dense_fock,
     edge_unitary,
+    full_fock_family,
+    full_fock_residuals,
+    level_slice,
     oracle_defect,
     orbit_unitaries,
     random_cp_map,
+    recognize_iso_oracle,
 )
 from strategies import delta_states
 
 import qgraph as qg
+import qgraph.correspondence
 import qgraph.fock
 from qgraph.correspondence import algebra_module, multiplicity_spaces
 
@@ -124,11 +134,11 @@ class TestBuildFock:
     def test_creation_is_strictly_lower_triangular(self, graph_trivial_m2):
         F = qg.build_fock(graph_trivial_m2, 3)
         xi = RNG.normal(size=F.edge.size) + 0j
-        T = F.big_creation(xi)
+        T = big_creation(F, xi)
         # only blocks (l+1, l) may be populated; the top level is annihilated
         for l in range(F.depth + 1):
             for m in range(F.depth + 1):
-                blk = T[F.level_slice(l), F.level_slice(m)]
+                blk = T[level_slice(F, l), level_slice(F, m)]
                 if l != m + 1:
                     assert np.linalg.norm(blk) == 0.0
 
@@ -197,10 +207,20 @@ class TestFockFamily:
         for key in ("lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2"):
             assert rep[key] < 1e-9, key
 
+    def test_family_maps_each_level_one_up(self, graph_complete_m2):
+        F = qg.build_fock(graph_complete_m2, 3)
+        S = qg.canonical_fock_family(F)
+        dims = F.level_dims
+        assert [Sl.shape for Sl in S] == [(4, dims[l + 1], dims[l]) for l in range(3)]
+        # the blocks (l+1, l) of the full-truncation family
+        full = full_fock_family(F).images
+        for l, Sl in enumerate(S):
+            assert np.array_equal(full[:, level_slice(F, l + 1), level_slice(F, l)], Sl)
+
     def test_vacuum_breaks_third_relation(self, graph_trivial_m2):
         # without interior compression the truncation boundary shows up
         F = qg.build_fock(graph_trivial_m2, 3)
-        fam = qg.canonical_fock_family(F)
+        fam = full_fock_family(F)
         raw = qg.lqck_residuals(fam, graph_trivial_m2)
         assert raw["lqck3"] > 0.01
 
@@ -276,3 +296,65 @@ class TestNormalFormMatchesDenseOracle:
             F = qg.build_fock(G, 3)
             assert_matches_dense_oracle(F, dense_fock(G, 3))
             assert close(reconstructed_eps(G, F.edge), eps), name
+
+
+FOCK_KEYS = ("lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2")
+
+
+def perturbed(E, rng):
+    """E with an O(1) random change to its generator, so every identity fails."""
+    noise = rng.normal(size=E.size) + 1j * rng.normal(size=E.size)
+    return replace(E, generator=E.generator + 0.5 * noise)
+
+
+def assert_relative(got, want):
+    assert want > 1e-6
+    assert abs(got - want) <= 1e-12 * want
+
+
+def assert_levelwise_matches_full_truncation(G, rng, N=3):
+    """The level-by-level Fock residuals and the eps-only B (x)_A B defect
+    equal the full-truncation and orbit-Gram references where they are O(1)."""
+    Ep = perturbed(qg.build_edge_correspondence(G), rng)
+    assert_relative(qg.cp_correspondence(Ep), cp_correspondence_oracle(Ep))
+    if qg.quantum_sources_sinks(G)[0]:
+        return  # no Fock module over a graph with a source
+    F = replace(qg.build_fock(G, N), edge=Ep)
+    got, want = qg.lqck_fock_residuals(F), full_fock_residuals(F)
+    for key in FOCK_KEYS:
+        assert_relative(got[key], want[key])
+
+
+def assert_recognition_matches_orbit_grams(G, rng):
+    """recognize's defect against the orbit-Gram reference, for an edge
+    indicator in B (x)_psi B and for E_G's generator in E_G, with E_G's own
+    generator perturbed so that the defect is O(1)."""
+    E = qg.build_edge_correspondence(G)
+    Ep = perturbed(E, rng)
+    eps = qg.edge_indicator(G)
+    cases = [
+        (eps, None, qg.psi_tensor_module(G.psi), eps.coeff.ravel()),
+        (E.vector(E.generator), E, E, E.generator),
+    ]
+    with mock.patch.object(qgraph.correspondence, "build_edge_correspondence", return_value=Ep):
+        for xi, module, space, coords in cases:
+            got = qg.recognize(xi, G.psi, module=module).iso_residual
+            assert_relative(got, recognize_iso_oracle(space, coords, Ep))
+
+
+class TestLevelwiseMatchesFullTruncation:
+    @given(psi=delta_states(), seed=st_.integers(0, 2**32 - 1), kraus=st_.integers(1, 2))
+    @settings(max_examples=10, deadline=None)
+    def test_random_completely_positive_maps(self, psi, seed, kraus):
+        # the full truncation is a D x D ambient; the Kraus cap keeps D <= 300
+        rng = np.random.default_rng(seed)
+        kraus = min(kraus, max(1, 27 // sum(psi.structure.sizes) ** 2))
+        G = qg.QuantumGraph(psi.structure, psi, random_cp_map(psi, rng, kraus))
+        assert_levelwise_matches_full_truncation(G, rng)
+        assert_recognition_matches_orbit_grams(qg.complete_graph(psi), rng)
+
+    def test_built_in_graphs(self, cp_family_graphs):
+        rng = np.random.default_rng(3)
+        for G in cp_family_graphs.values():
+            assert_levelwise_matches_full_truncation(G, rng)
+            assert_recognition_matches_orbit_grams(G, rng)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
-from oracles import comultiply_adjoint_oracle
+from oracles import comultiply_adjoint_oracle, full_fock_family, interior_projector
 
 import qgraph as qg
 
@@ -225,8 +225,8 @@ class TestClassicalReduction:
 
     def test_fock_family_reduces_on_interior(self, graph_3cycle):
         F = qg.build_fock(graph_3cycle, 3)
-        fam = qg.canonical_fock_family(F)
-        P = F.interior_projector()
+        fam = full_fock_family(F)
+        P = interior_projector(F)
         rep = qg.classical_reduction(graph_3cycle, fam, compression=P)
         assert rep["partial_isometry"] < 1e-9
         assert rep["cuntz_krieger"] < 1e-9
