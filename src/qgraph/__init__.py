@@ -81,7 +81,6 @@ from .graphs import (
     QuantumGraph,
     adjacency_from_indicator,
     adjoint_map,
-    choi_blocks,
     edge_indicator,
     homomorphism_check,
     indicator_properties,

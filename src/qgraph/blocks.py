@@ -104,6 +104,16 @@ class BlockStructure:
                 vec[self.flat_index(a, i, i)] = 1.0
         return vec
 
+    def products(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Coordinates of x y for stacks X, Y of coordinate vectors (..., dim):
+        one batched matmul per block, leading axes broadcast."""
+        out = []
+        for n, lo in zip(self.sizes, self.offsets):
+            x, y = (Z[..., lo : lo + n * n].reshape(*Z.shape[:-1], n, n) for Z in (X, Y))
+            xy = x @ y
+            out.append(xy.reshape(*xy.shape[:-2], n * n))
+        return np.concatenate(out, axis=-1)
+
     def left_mult_matrix(self, vec: np.ndarray) -> np.ndarray:
         """Matrix of x -> (element with coords vec) * x on coordinates."""
         return np.einsum("upq,p->uq", self.mul_tensor, vec)
@@ -273,7 +283,7 @@ def validate_delta_form(
         if arr.shape != (n,):
             raise ShapeMismatch(f"weight list shape {arr.shape} != ({n},)")
         ws.append(arr)
-    if any((w <= 0).any() for w in ws):
+    if not all((w > 0).all() for w in ws):  # a NaN weight fails too
         raise NonPositiveWeight("state weights must be strictly positive")
     total = sum(float(w.sum()) for w in ws)
     if abs(total - 1.0) > tol:
@@ -400,9 +410,11 @@ def sharp(u: TensorElement, v: TensorElement) -> TensorElement:
     """The # product: (a (x) b) # (c (x) d) = (ac) (x) (db), bilinearly."""
     if u.structure != v.structure:
         raise ShapeMismatch("tensors over different block structures")
-    M = u.structure.mul_tensor
-    out = np.einsum("pq,rs,upr,wsq->uw", u.coeff, v.coeff, M, M, optimize=True)
-    return TensorElement(u.structure, out)
+    st = u.structure
+    # row w of u # v sums v_r u_p over b_p b_r = b_w, u_p being row p of u as an element
+    w, p, r = np.nonzero(st.mul_tensor)
+    terms = st.products(v.coeff[r], u.coeff[p])
+    return TensorElement(st, np.add.reduceat(terms, np.unique(w, return_index=True)[1]))
 
 
 def modular_power(x: AlgebraElement, psi: DeltaState, power: float) -> AlgebraElement:

@@ -28,7 +28,6 @@ from .graphs import (
     LinearMapOnB,
     QuantumGraph,
     _indicator_adjacency,
-    choi_blocks,
     quantum_sources_sinks,
     require_completely_positive,
 )
@@ -278,30 +277,28 @@ def multiplicity_spaces(G: QuantumGraph) -> tuple[dict, np.ndarray]:
 
     K_ab is the column space of Y[(j,k), (i,l)] = sqrt(w_a[j]) eps_ab[i,j,k,l]
     = delta^-2 w_a[j]^-1/2 (Choi slab ab), from one batched eigh of Y Y* per
-    slab shape, cut at GRAM_CUTOFF_RTOL times the largest eigenvalue of all.
-    bases[a, b] has columns u orthonormal for the weights w_a[j].
+    group of `choi_slabs`, cut at GRAM_CUTOFF_RTOL times the largest eigenvalue
+    of all.  bases[a, b] has columns u orthonormal for the weights w_a[j].
     """
-    st, w = G.structure, G.psi.weights
-    pairs = [(a, b) for a in range(st.num_blocks) for b in range(st.num_blocks)]
-    Ys = {
-        (a, b): H / G.delta_sq / np.sqrt(np.repeat(w[a], st.sizes[b]))[:, None]
-        for (a, b), H in zip(pairs, choi_blocks(G.adjacency))
-    }
-    eig = {}
-    for shape in {Y.shape for Y in Ys.values()}:
-        group = [ab for ab in pairs if Ys[ab].shape == shape]
-        Y = np.stack([Ys[ab] for ab in group])
+    psi, offs = G.psi, np.array(G.structure.offsets)
+    groups = []
+    for pairs, H in G.adjacency.choi_slabs:
+        a, b = pairs.T  # w_c[i] = psi(e_ii) of block c
+        na, nb = G.structure.sizes[a[0]], G.structure.sizes[b[0]]
+        root_a = np.sqrt(np.repeat(psi.psi_vec[offs[a][:, None] + (na + 1) * np.arange(na)], nb, axis=1))
+        root_b = np.sqrt(psi.psi_vec[offs[b][:, None] + (nb + 1) * np.arange(nb)])
+        Y = H / G.delta_sq / root_a[:, :, None]
         lam, U = np.linalg.eigh(Y @ Y.conj().transpose(0, 2, 1))
-        eig.update(zip(group, zip(lam[:, ::-1], U[:, :, ::-1])))
-    cutoff = GRAM_CUTOFF_RTOL * max(max(lam[0] for lam, _ in eig.values()), 1e-300)
-    bases, gen = {}, []
-    for a, b in pairs:
-        lam, U = eig[a, b]
-        U = U[:, : np.count_nonzero(lam > cutoff)]
-        bases[a, b] = U / np.sqrt(np.repeat(w[a], st.sizes[b]))[:, None]
-        coords = (U.conj().T @ Ys[a, b]).reshape(-1, st.sizes[a], st.sizes[b]) * np.sqrt(w[b])
-        gen.append(coords.transpose(1, 0, 2).ravel())  # (i, u, l)
-    return bases, np.concatenate(gen)
+        lam, U = lam[:, ::-1], U[:, :, ::-1]
+        coords = (U.conj().transpose(0, 2, 1) @ Y).reshape(len(a), -1, na, nb) * root_b[:, None, None]
+        groups.append((pairs, lam, U / root_a[:, :, None], coords.transpose(0, 2, 1, 3)))  # (i, u, l)
+    cutoff = GRAM_CUTOFF_RTOL * max(max(lam[:, 0].max() for _, lam, _, _ in groups), 1e-300)
+    bases, gen = {}, {}
+    for pairs, lam, U, coords in groups:
+        for (a, b), n, u, c in zip(pairs.tolist(), np.count_nonzero(lam > cutoff, axis=1), U, coords):
+            bases[a, b], gen[a, b] = u[:, :n], c[:, :n].ravel()
+    order = sorted(bases)
+    return {ab: bases[ab] for ab in order}, np.concatenate([gen[ab] for ab in order])
 
 
 def build_edge_correspondence(G: QuantumGraph) -> Correspondence:

@@ -4,7 +4,8 @@ A quantum graph is (B, psi, A) with A Schur-idempotent: m (A x A) m* =
 delta^2 A.  This module validates that condition, builds the quantum edge
 indicator, cross-checks complete positivity two independent ways, finds
 quantum sources/sinks, and evaluates the homomorphism and quantum
-isomorphism covariance residuals.
+isomorphism covariance residuals.  The checks work block by block: the Choi
+slabs are built once per graph, and unit images multiply per block.
 """
 
 from __future__ import annotations
@@ -65,6 +66,23 @@ class LinearMapOnB:
         scale = np.sqrt(psi.weight_of_row * psi.gram_diag)
         return self.matrix * (scale[:, None] / scale[None, :])
 
+    @cached_property
+    def choi_slabs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Choi slabs H[(i,r),(j,s)] = A(e_ij^{(a)})^{(b)}_{rs} of each block pair
+        (a, b), built once per map and grouped by (N_a, N_b): a group is its
+        (k, 2) pairs, row-major, and their k slabs.  A is completely positive
+        iff every slab is positive semidefinite."""
+        sizes, offs = np.array(self.structure.sizes), np.array(self.structure.offsets)
+        groups = []
+        for na, nb in sorted({(x, y) for x in sizes for y in sizes}):
+            a, b = np.nonzero((sizes == na)[:, None] & (sizes == nb)[None, :])
+            # rows (r, s) of block b, columns (i, j) of block a
+            rows = offs[b][:, None, None] + np.arange(nb * nb)[:, None]
+            H = self.matrix[rows, offs[a][:, None, None] + np.arange(na * na)]
+            H = H.reshape(-1, nb, nb, na, na).transpose(0, 3, 1, 4, 2)
+            groups.append((np.stack([a, b], axis=1), H.reshape(-1, na * nb, na * nb)))
+        return groups
+
 
 def _schur_square_matrix(psi: DeltaState, A: LinearMapOnB) -> np.ndarray:
     """Matrix of x -> m (A x A) m*(x) on canonical coordinates.
@@ -101,7 +119,7 @@ class QuantumGraph:
         tol: float = DEFAULT_TOL,
     ) -> "QuantumGraph":
         res = schur_residual(psi, adjacency)
-        if res > tol:
+        if not res <= tol:  # a NaN residual fails too
             raise NotQuantumAdjacency(
                 f"Schur idempotency residual {res:.3e} exceeds {tol:.1e}"
             )
@@ -141,39 +159,25 @@ def indicator_properties(G: QuantumGraph) -> dict[str, float]:
     return {"r1": r1, "r2": r2, "r3": r3}
 
 
-def choi_blocks(A: LinearMapOnB) -> list[np.ndarray]:
-    """Per-block-pair Choi matrices of A.
-
-    For source block a and target block b the Choi slab is the
-    (N_a N_b) x (N_a N_b) matrix H[(i,r),(j,s)] = A(e_ij^{(a)})^{(b)}_{rs};
-    A is completely positive iff every slab is positive semidefinite.
-    """
-    st = A.structure
-    blocks = []
-    for a, na in enumerate(st.sizes):
-        for b, nb in enumerate(st.sizes):
-            # rows (r, s) of block b, columns (i, j) of block a
-            slab = A.matrix[st.offsets[b] : st.offsets[b + 1], st.offsets[a] : st.offsets[a + 1]]
-            H = slab.reshape(nb, nb, na, na).transpose(2, 0, 3, 1)
-            blocks.append(H.reshape(na * nb, na * nb))
-    return blocks
-
-
 def is_completely_positive(psi: DeltaState, A: LinearMapOnB) -> tuple[bool, float]:
-    """Choi positivity test; returns (flag, min eigenvalue over all slabs)."""
+    """Choi positivity test; returns (flag, min eigenvalue over all slabs).
+
+    One Hermitian check and one eigvalsh per group of `A.choi_slabs`; the first
+    slab in (a, b) order that is not finite or not Hermitian fails with -||H||.
+    """
     if A.structure != psi.structure:
         raise ShapeMismatch("map and state over different structures")
-    min_eig = np.inf
-    max_eig = 0.0
-    for H in choi_blocks(A):
-        herm_defect = np.linalg.norm(H - H.conj().T)
-        if herm_defect > 1e-8 * max(1.0, np.linalg.norm(H)):
-            return False, -float(np.linalg.norm(H))
-        evals = np.linalg.eigvalsh((H + H.conj().T) / 2)
-        min_eig = min(min_eig, float(evals.min()))
-        max_eig = max(max_eig, float(evals.max()) if evals.size else 0.0)
-    ok = min_eig >= -CHOI_EIG_RTOL * max(1.0, max_eig)
-    return bool(ok), float(min_eig)
+    bad = []
+    for pairs, H in A.choi_slabs:
+        defect = np.linalg.norm(H - H.conj().transpose(0, 2, 1), axis=(1, 2))
+        ok = defect <= 1e-8 * np.maximum(1.0, np.linalg.norm(H, axis=(1, 2)))
+        ok &= np.isfinite(H).all(axis=(1, 2))
+        bad += [(tuple(pairs[k]), H[k]) for k in np.flatnonzero(~ok)[:1]]
+    if bad:
+        return False, -float(np.linalg.norm(min(bad, key=lambda kH: kH[0])[1]))
+    evals = [np.linalg.eigvalsh((H + H.conj().transpose(0, 2, 1)) / 2) for _, H in A.choi_slabs]
+    min_eig, max_eig = min(e.min() for e in evals), max(0.0, *(e.max() for e in evals))
+    return bool(min_eig >= -CHOI_EIG_RTOL * max(1.0, max_eig)), float(min_eig)
 
 
 def require_completely_positive(G: QuantumGraph) -> None:
@@ -239,25 +243,40 @@ def adjoint_map(A: LinearMapOnB, psi: DeltaState) -> LinearMapOnB:
     return LinearMapOnB(A.structure, mat)
 
 
+def _multiplicativity_defect(st1: BlockStructure, st2: BlockStructure, images: np.ndarray) -> np.ndarray:
+    """[p, q, k, m, :]: B2 coordinates of entry (k, m) of f(b_p b_q) - f(b_p) f(b_q) for
+    f: B1 -> B2 (x) M_h with unit images (dim1, dim2, h, h); f(b_p b_q) is read off the
+    nonzeros of m."""
+    X = images.transpose(0, 2, 3, 1)  # X[p, k, l]: entry (k, l) of f(b_p)
+    out = -st2.products(X[:, None, :, :, None], X[None, :, None]).sum(axis=3)
+    u, p, q = np.nonzero(st1.mul_tensor)  # b_p b_q = b_u, each (p, q) once
+    out[p, q] += X[u]
+    return out
+
+
 def homomorphism_check(G: QuantumGraph) -> dict[str, float]:
     """Multiplicativity of A versus the indicator-shift identity.
 
-    Returns max basis-pair residuals of A(xy) - A(x)A(y) and of
-    (xy) . eps - x . eps . A(y); the two vanish together.
+    Returns max unit-pair residuals of A(b_p b_q) - A(b_p)A(b_q) and of
+    (b_p b_q) . eps - b_p . eps . A(b_q); the two vanish together.  The second
+    is b_p . X_q, X_q = b_q . eps - eps . A(b_q), and e_ij . moves row group
+    (a, j, .) of the first leg to (a, i, .): its worst value is the worst
+    row-group norm of the (d, d, d) stack X.
     """
     require_completely_positive(G)
-    mt = G.structure.mul_tensor
-    A = G.adjacency.matrix
+    st, images = G.structure, G.adjacency.matrix.T  # images[q] = A(b_q)
     eps = edge_indicator(G).coeff
-    # [v, p, q]: coordinates of A(b_p b_q) and of A(b_p) A(b_q)
-    mult = np.einsum("vu,upq->vpq", A, mt) - np.einsum("vrs,rp,sq->vpq", mt, A, A, optimize=True)
-    # [p, u, s]: coefficients of b_p . eps; [q, s, t]: right action of A(b_q)
-    left = np.einsum("upa,as->pus", mt, eps)
-    right = np.einsum("spr,rq->qsp", mt, A)
-    shift = np.einsum("wpq,wus->pqus", mt, left) - np.einsum("put,qst->pqus", left, right)
+    # X[q, s]: row s (second-leg coordinates) of b_q . eps - eps . A(b_q);
+    # b_q . eps adds row r of eps to row u wherever b_q b_r = b_u
+    X = -st.products(eps, images[:, None])
+    u, q, r = np.nonzero(st.mul_tensor)
+    X[q, u] += eps[r]
+    groups = [lo + j * n for n, lo in zip(st.sizes, st.offsets) for j in range(n)]
+    shift_sq = np.add.reduceat((np.abs(X) ** 2).sum(axis=2), groups, axis=1)
+    mult = _multiplicativity_defect(st, st, images[:, :, None, None])
     return {
-        "multiplicativity": float(np.linalg.norm(mult, axis=0).max()),
-        "indicator_shift": float(np.linalg.norm(shift, axis=(2, 3)).max()),
+        "multiplicativity": float(np.linalg.norm(mult, axis=-1).max()),
+        "indicator_shift": float(np.sqrt(shift_sq.max())),
     }
 
 
@@ -315,10 +334,7 @@ def quantum_isomorphism_residual(
 
     unital = theta.apply_vec(st1.unit_vector) - st2.unit_vector[:, None, None] * eye_h
     star = imgs[st1.star_perm] - theta.star(imgs)
-    # theta(b_p b_q) - theta(b_p) theta(b_q) for every pair (p, q)
-    mult = np.einsum("upq,uvkl->pqvkl", st1.mul_tensor, imgs) - np.einsum(
-        "uvw,pvkl,qwlm->pqukm", st2.mul_tensor, imgs, imgs, optimize=True
-    )
+    mult = _multiplicativity_defect(st1, st2, imgs)
     hom = max(float(np.linalg.norm(unital)), worst(star, 1), worst(mult, 2))
 
     state = np.einsum("q,pqkl->pkl", G2.psi.psi_vec, imgs) - G1.psi.psi_vec[:, None, None] * eye_h

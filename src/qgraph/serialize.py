@@ -25,7 +25,7 @@ def _complex_to_pair(z: complex) -> list[float]:
 def _pair_to_complex(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ParseError(f"expected [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(pair[0], pair[1])  # TypeError for a string or any other non-number
 
 
 def _matrix_to_pairs(mat: np.ndarray) -> list[list[list[float]]]:
@@ -33,12 +33,15 @@ def _matrix_to_pairs(mat: np.ndarray) -> list[list[list[float]]]:
 
 
 def _pairs_to_matrix(rows, shape=None) -> np.ndarray:
+    """A complex matrix from rows of [re, im] pairs: rectangular, numeric and finite."""
     try:
         mat = np.array([[_pair_to_complex(z) for z in row] for row in rows])
-    except (TypeError, ParseError) as exc:
+    except (TypeError, ValueError, OverflowError, ParseError) as exc:  # ValueError: ragged rows
         raise ParseError(f"bad complex matrix: {exc}") from exc
     if mat.ndim != 2:
         raise ParseError(f"matrix has {mat.ndim} dimensions")
+    if not np.isfinite(mat).all():
+        raise ParseError("matrix has a NaN or infinite entry")
     if shape is not None and mat.shape != shape:
         raise ParseError(f"matrix has shape {mat.shape}, expected {shape}")
     return mat

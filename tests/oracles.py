@@ -137,6 +137,47 @@ def random_cp_map(psi, rng, kraus=2):
     return qg.LinearMapOnB(st, np.column_stack(cols))
 
 
+def choi_blocks(A):
+    """The library's Choi slabs (`choi_slabs`) as one list in row-major (a, b) order."""
+    d = A.structure.num_blocks
+    out = [None] * (d * d)
+    for pairs, H in A.choi_slabs:
+        for (a, b), slab in zip(pairs, H, strict=True):
+            out[a * d + b] = slab
+    return out
+
+
+def choi_blocks_oracle(A):
+    """Choi slabs H[(i,r),(j,s)] = A(e_ij^(a))^(b)_rs entry by entry."""
+    st = A.structure
+    out = []
+    for a, na in enumerate(st.sizes):
+        for b, nb in enumerate(st.sizes):
+            H = np.zeros((na * nb, na * nb), dtype=complex)
+            for i in range(na):
+                for j in range(na):
+                    img = A.matrix[:, st.flat_index(a, i, j)]
+                    for r in range(nb):
+                        for s in range(nb):
+                            H[i * nb + r, j * nb + s] = img[st.flat_index(b, r, s)]
+            out.append(H)
+    return out
+
+
+def choi_test_oracle(A):
+    """The Choi test one slab at a time: (flag, min eigenvalue), failing with
+    -||H|| at the first slab in (a, b) order that is not finite or not Hermitian."""
+    min_eig, max_eig = np.inf, 0.0
+    for H in choi_blocks_oracle(A):
+        herm_defect = np.linalg.norm(H - H.conj().T)
+        if not np.isfinite(H).all() or herm_defect > 1e-8 * max(1.0, np.linalg.norm(H)):
+            return False, -float(np.linalg.norm(H))
+        evals = np.linalg.eigvalsh((H + H.conj().T) / 2)
+        min_eig = min(min_eig, float(evals.min()))
+        max_eig = max(max_eig, float(evals.max()))
+    return bool(min_eig >= -qg.graphs.CHOI_EIG_RTOL * max(1.0, max_eig)), float(min_eig)
+
+
 def close(got, want, rel=1e-12):
     return np.linalg.norm(np.asarray(got) - want) <= rel * np.linalg.norm(want)
 

@@ -7,11 +7,11 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from oracles import cp_model_dim, full_fock_family, interior_projector
+from oracles import choi_blocks, cp_model_dim, full_fock_family, interior_projector
 from test_relations import qcp_disagreement
 
 import qgraph as qg
-from qgraph.graphs import adjacency_from_indicator, choi_blocks
+from qgraph.graphs import adjacency_from_indicator
 
 TOL = 1e-9
 EXACT = 1e-12

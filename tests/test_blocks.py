@@ -86,10 +86,14 @@ class TestDeltaForm:
             qg.validate_delta_form([2], [[1.0, 0.0]])
         with pytest.raises(qg.NonPositiveWeight):
             qg.validate_delta_form([1], [[-1.0]])
+        with pytest.raises(qg.NonPositiveWeight):
+            qg.validate_delta_form([2], [[np.nan, 0.5]])
 
     def test_rejects_non_state(self):
         with pytest.raises(qg.NotState):
             qg.validate_delta_form([2], [[0.25, 0.25]])
+        with pytest.raises(qg.NotState):
+            qg.validate_delta_form([2], [[np.inf, 0.5]])
 
     def test_rejects_non_delta_form(self):
         # blocks C and C with unequal weights: Tr(rho^-1) differs per block

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -87,6 +88,32 @@ class TestSerialization:
             with pytest.raises(qg.ParseError):
                 parse_family_document({**fam, **bad})
 
+    @pytest.mark.parametrize("fault", ["ragged", "text", "string_number", "nan", "inf"])
+    def test_bad_matrix_entries_are_parse_errors(self, capsys, tmp_path, trivial_path, tracial_m2, fault):
+        """Ragged rows, non-numeric parts and NaN/Infinity end in exit 1 with a
+        JSON ParseError, for graph adjacencies and for family images alike."""
+
+        def corrupt(rows):
+            rows = json.loads(json.dumps(rows))
+            if fault == "ragged":
+                rows[-1].pop()
+            else:
+                bad = {"text": "a", "string_number": "1.5", "nan": np.nan, "inf": np.inf}
+                rows[0][-1][1] = bad[fault]
+            return rows
+
+        doc = json.loads(open(trivial_path).read())
+        graph_path = tmp_path / "bad_graph.json"
+        graph_path.write_text(json.dumps({**doc, "adjacency": corrupt(doc["adjacency"])}))
+        fam = family_to_document(qg.canonical_lqck_family("trivial", tracial_m2))
+        fam["images"][1] = corrupt(fam["images"][1])
+        fam_path = tmp_path / "bad_family.json"
+        fam_path.write_text(json.dumps(fam))
+        for argv in (["inspect", str(graph_path)], ["check", trivial_path, "--family", str(fam_path)]):
+            code, payload, _ = run(capsys, *argv)
+            assert code == 1, argv
+            assert payload["error"] == "ParseError", argv
+
     def test_embedded_tolerance(self, graph_trivial_m2):
         doc = graph_to_document(graph_trivial_m2, tol=1e-6)
         _, eff = parse_graph_document(doc)
@@ -132,6 +159,22 @@ class TestInspect:
         monkeypatch.setattr(qgraph.graphs, "is_completely_positive", counting_choi)
         code, _, _ = run(capsys, "inspect", trivial_path)
         assert code == 0
+        assert len(calls) == 1
+
+    def test_builds_the_choi_slabs_once(self, capsys, monkeypatch, trivial_path):
+        # the Choi test and E_G's multiplicity spaces read the same slabs
+        calls = []
+        build = qgraph.graphs.LinearMapOnB.choi_slabs.func
+
+        def counting_build(A):
+            calls.append(A)
+            return build(A)
+
+        slabs = functools.cached_property(counting_build)
+        slabs.__set_name__(qgraph.graphs.LinearMapOnB, "choi_slabs")
+        monkeypatch.setattr(qgraph.graphs.LinearMapOnB, "choi_slabs", slabs)
+        code, payload, _ = run(capsys, "inspect", trivial_path)
+        assert code == 0 and payload["dim_E"] == 4
         assert len(calls) == 1
 
     def test_malformed_file(self, capsys, tmp_path):

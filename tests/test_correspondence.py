@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from oracles import carried, close, cp_model_dim, quotient_actions_oracle, rank_one_operator
+from oracles import (
+    carried,
+    close,
+    cp_model_dim,
+    quotient_actions_oracle,
+    random_cp_map,
+    rank_one_operator,
+)
 
 import qgraph as qg
 from qgraph.correspondence import (
@@ -98,6 +105,16 @@ class TestEdgeCorrespondence:
                     rhs = G.adjacency(prod).vec / G.delta_sq
                     worst = max(worst, float(np.abs(lhs - rhs).max()))
             assert worst < 1e-10, name
+
+    def test_rank_cutoff_is_relative_to_all_slabs(self):
+        # the Kraus ranks are cut at GRAM_CUTOFF_RTOL times the largest
+        # eigenvalue of every block pair, not of each stack of equal sizes
+        psi = qg.validate_delta_form([1, 2], [[1 / 6], [(5 + np.sqrt(5)) / 12, (5 - np.sqrt(5)) / 12]])
+        st = psi.structure
+        A = random_cp_map(psi, np.random.default_rng(4)).matrix
+        A[1:, 1:] *= 1e-14  # block 1 to block 1: the stack (N_a, N_b) = (2, 2)
+        E = qg.build_edge_correspondence(qg.QuantumGraph(st, psi, qg.LinearMapOnB(st, A)))
+        assert E.mult.tolist() == [[1, 2], [2, 0]]
 
     def test_inner_product_positivity(self, graph_complete_m2):
         E = qg.build_edge_correspondence(graph_complete_m2)

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 from oracles import (
     carried,
+    choi_blocks,
+    choi_blocks_oracle,
+    choi_test_oracle,
     close,
     comultiply_adjoint_oracle,
     cp_model_dim,
@@ -23,7 +28,6 @@ from qgraph.graphs import (
     _indicator_adjacency,
     _schur_square_matrix,
     adjacency_from_indicator,
-    choi_blocks,
 )
 
 RNG = np.random.default_rng(11)
@@ -36,6 +40,12 @@ def random_element(st, rng=RNG):
 
 
 class TestSchur:
+    def test_nan_adjacency_fails_the_gate(self, tracial_m2):
+        mat = np.eye(4, dtype=complex)
+        mat[1, 2] = np.nan
+        with pytest.raises(qg.NotQuantumAdjacency):
+            qg.QuantumGraph.build(tracial_m2, qg.LinearMapOnB(tracial_m2.structure, mat))
+
     def test_identity_is_adjacency(self, tracial_m2):
         A = qg.LinearMapOnB.identity(tracial_m2.structure)
         assert qg.schur_residual(tracial_m2, A) < 1e-12
@@ -126,6 +136,17 @@ class TestCompletePositivity:
         )
         assert min_eig <= -0.5 * evs.max()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the Hermitian defect
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_map_fails(self, tracial_m2, entry, value):
+        # an infinite off-diagonal entry makes the Hermitian defect inf, which
+        # its inf threshold would pass: the finiteness check catches it
+        mat = np.eye(4, dtype=complex)
+        mat[entry] = value
+        flag, _ = qg.is_completely_positive(tracial_m2, qg.LinearMapOnB(tracial_m2.structure, mat))
+        assert flag is False
+
     def test_choi_blocks_of_identity_are_psd(self, tracial_m2):
         A = qg.LinearMapOnB.identity(tracial_m2.structure)
         for H in choi_blocks(A):
@@ -165,7 +186,70 @@ class TestAdjointMap:
         assert np.allclose(back.matrix, A.matrix)
 
 
+MIXED_SIZES = [(1, 2, 2), (2, 1, 2), (2, 2, 1), (1, 1, 2), (1, 2), (2, 1), (2, 2), (1, 1, 1), (3,)]
+
+
+class TestGroupedChoiTest:
+    @given(
+        psi=delta_states(MIXED_SIZES),
+        seed=st_.integers(0, 2**32 - 1),
+        kind=st_.sampled_from(["cp", "transpose", "non_hermitian", "non_finite"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf on non-finite maps
+    def test_matches_the_slab_loop(self, psi, seed, kind):
+        rng = np.random.default_rng(seed)
+        st = psi.structure
+        mat = random_cp_map(psi, rng).matrix
+        if kind == "transpose":  # x -> A(x)^T: Hermitian slabs, indefinite where N_b > 1
+            mat = mat[st.star_perm]
+        elif kind != "cp":
+            # spoil a random set of block pairs, so the first spoiled pair in
+            # (a, b) order need not be the first of its size group
+            off = st.offsets
+            for a in range(st.num_blocks):
+                for b in range(st.num_blocks):
+                    if rng.random() < 0.4:
+                        slab = mat[off[b] : off[b + 1], off[a] : off[a + 1]]
+                        if kind == "non_hermitian":
+                            slab += 1j * rng.normal(size=slab.shape)
+                        else:
+                            slab[tuple(rng.integers(0, slab.shape))] = rng.choice([np.nan, np.inf, -np.inf])
+        A = qg.LinearMapOnB(st, mat)
+        (flag, value), (want_flag, want) = qg.is_completely_positive(psi, A), choi_test_oracle(A)
+        assert flag is want_flag
+        if np.isfinite(want):
+            assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+        else:
+            assert np.array_equal(value, want, equal_nan=True)
+
+
 class TestHomomorphism:
+    def test_matches_loop_oracle(self, cp_family_graphs):
+        nontracial = qg.validate_delta_form(
+            [1, 2], [[1.0 / 6.0], [(5 + np.sqrt(5)) / 12, (5 - np.sqrt(5)) / 12]]
+        )
+        complete = qg.complete_graph(nontracial)
+        for name, G in {**cp_family_graphs, "complete_m1m2_nontracial": complete}.items():
+            got, want = qg.homomorphism_check(G), homomorphism_oracle(G)
+            for key, value in want.items():
+                assert abs(got[key] - value) <= 1e-12 * max(1.0, value), (name, key)
+        assert min(qg.homomorphism_check(complete).values()) > 0.1  # not multiplicative
+
+    def test_allocates_no_d4_array(self):
+        # the unit-pair products are (d, d, d) stacks; one complex (d, d, d, d)
+        # array on M_5 would be 6.25 MB
+        G = qg.complete_graph(qg.validate_delta_form([5], [[0.2] * 5]))
+        d = G.structure.dim
+        qg.homomorphism_check(G)  # caches the Choi verdict and the structure tensors
+        tracemalloc.start()
+        try:
+            qg.homomorphism_check(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * d**4
+
     def test_automorphism_is_multiplicative(self, graph_swap, graph_trivial_m2):
         for G in (graph_swap, graph_trivial_m2):
             rep = qg.homomorphism_check(G)
@@ -290,23 +374,6 @@ def fock_covariance_oracle(F):
                     rhs = sum(T[i, k] @ T[j, k].conj().T for k in range(n))
                     worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst
-
-
-def choi_blocks_oracle(A):
-    """Choi slabs H[(i,r),(j,s)] = A(e_ij^(a))^(b)_rs entry by entry."""
-    st = A.structure
-    out = []
-    for a, na in enumerate(st.sizes):
-        for b, nb in enumerate(st.sizes):
-            H = np.zeros((na * nb, na * nb), dtype=complex)
-            for i in range(na):
-                for j in range(na):
-                    img = A.matrix[:, st.flat_index(a, i, j)]
-                    for r in range(nb):
-                        for s in range(nb):
-                            H[i * nb + r, j * nb + s] = img[st.flat_index(b, r, s)]
-            out.append(H)
-    return out
 
 
 def quantum_isomorphism_oracle(G1, G2, theta):
