@@ -1,16 +1,24 @@
 """Finite-dimensional C*-correspondences over B and the edge correspondence.
 
-A module space carries B-valued inner products and commuting left/right
-actions in coordinates.  Correspondences are module spaces whose basis is
-orthonormal for the scalar form psi(<.,.>_B).  The library builds them in
-block-multiplicity normal form sum_{a,c} C^{N_a} (x) K_ac (x) C^{N_c}, with
-M[a, c] = dim K_ac; for E_G, M[a, b] is the Kraus rank of A from block a to
-block b.  The Gram quotient `from_spanning` serves the dense test oracle
-(`tests/oracles.py`).
+Every correspondence the library builds (E_G and every Fock level) is a
+`Correspondence` in block-multiplicity normal form
+sum_{a,c} C^{N_a} (x) K_ac (x) C^{N_c}, with M[a, c] = dim K_ac; for E_G,
+M[a, b] is the Kraus rank of A from block a to block b.  Its basis is
+orthonormal for the scalar form psi(<.,.>_B), and it stores only the
+nonzeros that `normal_form` computes: the left action of the units (each a
+partial permutation), the right action and the B-valued inner product.
+Unit actions and inner products are gathers and scatter-adds over them, so
+no (dim B, dim E, dim E) array is formed.  Dense arrays remain in three
+places: the budget-bounded Fock relation checks build pi on a level from
+its nonzeros; `interior_tensor` stores each Fock creation map as a dense
+tensor; and the dense ambients (`algebra_module`, `tensor_module`) and
+their Gram quotients (`from_spanning`) serve `recognize` and the dense test
+oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -37,7 +45,7 @@ GRAM_CUTOFF_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class InnerModule:
-    """Coordinate model of a B-bimodule with a B-valued semi-inner product.
+    """Coordinate model of a B-bimodule with a dense B-valued semi-inner product.
 
     binner[a, b] are the canonical coordinates of <u_a, u_b>_B.  Subclasses
     say how the units act: left_units(V) and right_units(V) give b_p . v and
@@ -58,8 +66,8 @@ class InnerModule:
         return self.binner @ self.psi.psi_vec
 
     def b_inner_coords(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """Canonical coordinates of <xi, eta>_B."""
-        return np.einsum("a,b,abd->d", xi.conj(), eta, self.binner)
+        """Canonical coordinates of <xi, eta>_B; leading axes of eta are batch axes."""
+        return np.einsum("a,...b,abd->...d", xi.conj(), eta, self.binner, optimize=True)
 
 
 @dataclass(frozen=True)
@@ -69,12 +77,6 @@ class ModuleSpace(InnerModule):
 
     lmul: np.ndarray  # (dim, M, M)
     rmul: np.ndarray  # (dim, M, M)
-
-    def left_act(self, x: AlgebraElement, xi: np.ndarray) -> np.ndarray:
-        return np.einsum("p,pab,b->a", x.vec, self.lmul, xi)
-
-    def right_act(self, xi: np.ndarray, x: AlgebraElement) -> np.ndarray:
-        return np.einsum("p,pab,b->a", x.vec, self.rmul, xi)
 
     def left_units(self, V: np.ndarray) -> np.ndarray:
         return self.lmul @ V
@@ -106,26 +108,7 @@ class TensorModule(InnerModule):
 
 
 @dataclass(frozen=True)
-class Correspondence(ModuleSpace):
-    """Module space whose basis is scalar-orthonormal.
-
-    mult is the multiplicity matrix of a `normal_form`; generator, when set,
-    holds the coordinates of the distinguished generating vector (the edge
-    indicator for edge correspondences), graph the quantum graph it came
-    from, and creation, on X (x)_B Y, the canonical map x (x) y -> z.
-    """
-
-    mult: np.ndarray | None = None
-    generator: np.ndarray | None = None
-    graph: QuantumGraph | None = None
-    creation: np.ndarray | None = None
-
-    def vector(self, coords: np.ndarray) -> "CorrVector":
-        return CorrVector(self, np.asarray(coords, dtype=complex))
-
-
-@dataclass(frozen=True, kw_only=True)
-class QuotientModule(Correspondence):
+class QuotientModule(ModuleSpace):
     """A `from_spanning` quotient, with its basis vectors in ambient coordinates."""
 
     ambient: InnerModule
@@ -134,6 +117,66 @@ class QuotientModule(Correspondence):
     def project(self, ambient_vec: np.ndarray) -> np.ndarray:
         """Quotient coordinates of an ambient vector (scalar-orthogonal projection)."""
         return self.basis_ambient.conj() @ (self.ambient.scalar_gram @ ambient_vec)
+
+
+@dataclass(frozen=True)
+class Correspondence:
+    """A `normal_form` correspondence, stored as its nonzeros on an orthonormal basis.
+
+    left = (p, row, col): b_p . u_col = u_row, each unit a partial permutation;
+    right = (p, row, col, value): u_col . b_p = value u_row;
+    inner = (x, y, p, value): <u_x, u_y>_B has coordinate value at b_p.
+    In each, the pairs (p, row) and (x, y) are distinct.  mult is the
+    multiplicity matrix; generator, when set, holds the coordinates of the
+    distinguished generating vector (the edge indicator for edge
+    correspondences), graph the quantum graph it came from, and creation, on
+    X (x)_B Y, the canonical map x (x) y -> z.
+    """
+
+    structure: BlockStructure
+    psi: DeltaState
+    mult: np.ndarray
+    left: tuple[np.ndarray, ...]
+    right: tuple[np.ndarray, ...]
+    inner: tuple[np.ndarray, ...]
+    generator: np.ndarray | None = None
+    graph: QuantumGraph | None = None
+    creation: np.ndarray | None = None
+
+    @cached_property
+    def size(self) -> int:
+        n = np.array(self.structure.sizes)
+        return int(n @ self.mult @ n)
+
+    def left_units(self, V: np.ndarray) -> np.ndarray:
+        p, row, col = self.left
+        out = np.zeros((self.structure.dim, self.size, V.shape[1]), dtype=complex)
+        out[p, row] = V[col]
+        return out
+
+    def right_units(self, V: np.ndarray) -> np.ndarray:
+        p, row, col, value = self.right
+        out = np.zeros((self.structure.dim, self.size, V.shape[1]), dtype=complex)
+        out[p, row] = value[:, None] * V[col]
+        return out
+
+    def b_inner_coords(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        """Canonical coordinates of <xi, eta>_B; leading axes of eta are batch axes."""
+        x, y, p, value = self.inner
+        out = np.zeros((self.structure.dim,) + np.shape(eta)[:-1], dtype=complex)
+        np.add.at(out, p, np.moveaxis((xi.conj()[x] * value) * eta[..., y], -1, 0))
+        return np.moveaxis(out, 0, -1)
+
+    @property
+    def scalar_gram(self) -> np.ndarray:
+        """Scalar form psi(<u_x, u_y>_B); the identity up to rounding."""
+        x, y, p, value = self.inner
+        out = np.zeros((self.size, self.size), dtype=complex)
+        out[x, y] = value * self.psi.psi_vec[p]
+        return out
+
+    def vector(self, coords: np.ndarray) -> "CorrVector":
+        return CorrVector(self, np.asarray(coords, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -215,16 +258,29 @@ def normal_form(psi: DeltaState, M: np.ndarray, **fields) -> Correspondence:
     """
     st, M = psi.structure, np.asarray(M, dtype=int)
     a, c, i, k, l, _ = _layout(st, M)
-    n, off, size = np.array(st.sizes), np.array(st.offsets), len(a)
-    lmul, rmul = np.zeros((2, st.dim, size, size), dtype=complex)
-    binner = np.zeros((size, size, st.dim), dtype=complex)
+    n, off = np.array(st.sizes), np.array(st.offsets)
     x, t = np.nonzero(np.arange(n.max()) < n[a][:, None])
-    lmul[off[a[x]] + t * n[a[x]] + i[x], x + (t - i[x]) * M[a, c][x] * n[c[x]], x] = 1.0
+    left = (off[a[x]] + t * n[a[x]] + i[x], x + (t - i[x]) * M[a, c][x] * n[c[x]], x)
     x, t = np.nonzero(np.arange(n.max()) < n[c][:, None])
     p, y = off[c[x]] + l[x] * n[c[x]] + t, x + t - l[x]  # p is e_lt in block c
-    rmul[p, y, x] = np.sqrt(psi.gram_diag[p] / psi.weight_of_row[p])
-    binner[x, y, p] = 1.0 / np.sqrt(psi.gram_diag[p] * psi.weight_of_row[p])
-    return Correspondence(st, psi, binner, lmul, rmul, mult=M, **fields)
+    right = (p, y, x, np.sqrt(psi.gram_diag[p] / psi.weight_of_row[p]))
+    inner = (x, y, p, 1.0 / np.sqrt(psi.gram_diag[p] * psi.weight_of_row[p]))
+    return Correspondence(st, psi, M, left, right, inner, **fields)
+
+
+def _row_groups(X: Correspondence) -> tuple[np.ndarray, ...]:
+    """Left block a, first index i and position in the row group (a, i) of
+    every coordinate of X, and the row-group size of every block.
+
+    Row group (a, i) holds the coordinates (a, c, i, k, l) in (c, k, l)
+    order, so the unit e_ij of block a maps row group (a, j) onto row group
+    (a, i) position by position.
+    """
+    n = np.array(X.structure.sizes)
+    a, c, i, k, l, _ = _layout(X.structure, X.mult)
+    width = X.mult * n  # [a, c]: coordinates of the pair (a, c) in one row group
+    before = np.cumsum(width, axis=1) - width
+    return a, i, before[a, c] + k * n[c] + l, width.sum(axis=1)
 
 
 def trivial_correspondence(psi: DeltaState) -> Correspondence:
@@ -335,8 +391,12 @@ def left_kernel(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
     """
     G = E.graph
     st = G.structure
-    # direct: x with x . v_beta = 0 for every basis vector
-    K = E.lmul.reshape(st.dim, -1).T  # ((c,beta), p)
+    # direct: x with x . v_beta = 0 for every basis vector, from the nonzero
+    # rows ((c, beta), p) of the left action, in row-major (c, beta) order
+    p, row, col = E.left
+    rows, r = np.unique(row * E.size + col, return_inverse=True)
+    K = np.zeros((len(rows), st.dim), dtype=complex)
+    K[r, p] = 1.0
     if K.shape[0]:
         # R of K = QR has K's singular values and right singular vectors
         # but at most dim B rows
@@ -370,26 +430,41 @@ def fullness_ideal(G: QuantumGraph, tol: float = DEFAULT_TOL) -> tuple[list[int]
     return [a for a in range(G.structure.num_blocks) if a not in sinks], not sinks
 
 
-def covariance_defect(E: Correspondence, C: np.ndarray, lmul: np.ndarray) -> np.ndarray:
-    """pi(f_ij) - sum_k T(f_ik . eps) T(f_jk . eps)* for every adapted unit f_ij.
+def covariance_defect(
+    E: Correspondence, creation: tuple, dim_below: int, level: Correspondence
+) -> Iterator[np.ndarray]:
+    """pi(f_ij) - sum_k T(f_ik . eps) T(f_jk . eps)* for every adapted unit f_ij,
+    block by block on the row groups of `level`.
 
-    C is a creation tensor of shape (level l, dim E, level l-1): contracting
-    a vector of E into its middle slot gives the matrix of T(xi) from level
-    l-1 to level l in orthonormal coordinates.  lmul is the left action of
-    the standard units on level l.  Entry p = (a, i, j) of the result is
-    the defect for f_ij, the covariance identity of the Fock representation.
+    creation = (z, e, y, value) are the nonzeros of the canonical map from
+    E (x)_B level l-1, of dimension dim_below, onto `level`, level l: T(xi)
+    from level l-1 to level l has the entry value * xi[e] at (z, y).
+    T(f_ik . eps) maps into the row group (a, i) of `level` (its coordinates
+    of left block a and first index i), and pi(f_ij) maps row group (a, j)
+    onto (a, i), so the defect of f_ij vanishes outside rows (a, i) and
+    columns (a, j).  Yields, for each block a, the stack D[i, :, j, :] of
+    those defects, shape (N_a, s_a, N_a, s_a) with s_a the row-group size:
+    the covariance identity of the Fock representation, with one matrix
+    product per block for all its units.
     """
-    st = E.structure
-    scale = 1.0 / np.sqrt(E.psi.weight_of_row * E.psi.gram_diag)  # f_p = scale[p] b_p
-    V = scale[:, None] * (E.lmul @ E.generator)  # row p is f_p . eps
-    T = np.einsum("aeb,pe->pab", C, V, optimize=True)  # T(f_p . eps)
-    defect = scale[:, None, None] * lmul
-    for a, n in enumerate(st.sizes):
-        blk = slice(st.offsets[a], st.offsets[a + 1])
-        Tb = T[blk].reshape(n, n, *T.shape[1:])  # [i, k]
-        TT = np.einsum("ikab,jkcb->ijac", Tb, Tb.conj(), optimize=True)
-        defect[blk] -= TT.reshape(n * n, *lmul.shape[1:])
-    return defect
+    psi = E.psi
+    scale = 1.0 / np.sqrt(psi.weight_of_row * psi.gram_diag)  # f_p = scale[p] b_p
+    V = scale[:, None] * E.left_units(E.generator[:, None])[:, :, 0]  # row p is f_p . eps
+    block, first, pos, group_size = _row_groups(level)
+    z, e, y, value = creation
+    p, row, col = level.left
+    for a, (n, s, o) in enumerate(zip(E.structure.sizes, group_size, E.structure.offsets)):
+        # T(f_ik . eps) on row group (a, i): T[i, :, k, :]
+        m = block[z] == a
+        i = first[z[m]]
+        T = np.zeros((n, s, n, dim_below), dtype=complex)
+        T[i, pos[z[m]], :, y[m]] = value[m, None] * V[o : o + n * n].reshape(n, n, -1)[i, :, e[m]]
+        T = T.reshape(n * s, n * dim_below)
+        D = -(T @ T.conj().T).reshape(n, s, n, s)
+        u = (p >= o) & (p < o + n * n)  # the units e_ij of block a, from the left nonzeros
+        ui, uj = np.divmod(p[u] - o, n)
+        D[ui, pos[row[u]], uj, pos[col[u]]] += scale[p[u]]
+        yield D
 
 
 def compact_decomposition_residual(E: Correspondence) -> float:
@@ -397,19 +472,21 @@ def compact_decomposition_residual(E: Correspondence) -> float:
 
     On level 1 of the Fock module theta_{xi,eta} = T(xi)T(eta)*, so this is
     the covariance identity with level 0 = B in the psi-orthonormal units
-    b_p / sqrt(g_p), on which T(xi) acts as xi . b_p / sqrt(g_p).  Reported
-    as the largest column norm of the defect over all units.
+    b_p / sqrt(g_p), on which T(xi) acts as xi . b_p / sqrt(g_p), read off
+    the right action's nonzeros.  Reported as the largest column norm of the
+    defect over all units.
     """
-    C0 = E.rmul.transpose(1, 2, 0) / np.sqrt(E.psi.gram_diag)
-    defect = covariance_defect(E, C0, E.lmul)
-    return float(np.linalg.norm(defect, axis=1).max(initial=0.0))
+    p, row, col, value = E.right
+    creation = (row, col, p, value / np.sqrt(E.psi.gram_diag[p]))
+    defects = covariance_defect(E, creation, E.structure.dim, E)
+    return max((float(np.linalg.norm(D, axis=1).max(initial=0.0)) for D in defects), default=0.0)
 
 
 def _vector_map(M: InnerModule, xi: np.ndarray) -> np.ndarray:
     """Matrix of x -> <xi, x . xi>_B on M, column p <xi, b_p . xi>_B.  It decides
     the orbit Gram: <b_p.xi.b_q, b_r.xi.b_s>_B = b_q* <xi, b_p* b_r . xi>_B b_s."""
     moved = M.left_units(xi[:, None])[:, :, 0]  # row p is b_p . xi
-    return np.einsum("a,pb,abd->dp", xi.conj(), moved, M.binner, optimize=True)
+    return M.b_inner_coords(xi, moved).T
 
 
 def cp_correspondence(E: Correspondence) -> float:

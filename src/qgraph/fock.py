@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import AlgebraElement
 from .correspondence import (
     Correspondence,
     _layout,
@@ -83,13 +82,10 @@ class FockTruncation:
     def total_dim(self) -> int:
         return sum(self.level_dims)
 
-    def pi_level(self, l: int, x: AlgebraElement) -> np.ndarray:
-        """Matrix of the left action of x on level l."""
-        return np.einsum("p,pab->ab", x.vec, self.levels[l].lmul)
-
-    def creation_matrix(self, l: int, xi: np.ndarray) -> np.ndarray:
-        """Matrix of T(xi) from level l to level l+1."""
-        return np.einsum("aeb,e->ab", self.creation[l], xi)
+    def pi(self, l: int) -> np.ndarray:
+        """Dense left action of the units on level l, (dim B, dim level l,
+        dim level l), built from its nonzeros for the relation checks."""
+        return self.levels[l].left_units(np.eye(self.level_dims[l]))
 
 
 def build_fock(G: QuantumGraph, N: int) -> FockTruncation:
@@ -134,19 +130,22 @@ def representation_residuals(F: FockTruncation) -> dict:
     vacuum_defect: the norm of pi on level 0, where covariance must fail.
     """
     E = F.edge
+    x, y, p, value = E.inner
     inner = 0.0
     for l in range(F.depth):
         Cr = F.creation[l]
         diff = np.einsum("aeb,afc->efbc", Cr.conj(), Cr, optimize=True)
-        diff -= np.einsum("efd,dbc->efbc", E.binner, F.levels[l].lmul, optimize=True)
+        diff[x, y] -= value[:, None, None] * F.pi(l)[p]  # pi(<u_x, u_y>_B)
         inner = max(inner, float(np.sqrt(_sq_nrm(diff).max(initial=0.0))))
 
-    cov = [
-        float(np.linalg.norm(covariance_defect(E, F.creation[l - 1], lvl.lmul), axis=(1, 2)).max())
-        for l, lvl in enumerate(F.levels[1:-1], start=1)
-    ]
+    cov = []
+    for l in range(1, F.depth):
+        C = F.creation[l - 1]
+        nonzero = np.nonzero(C)
+        defects = covariance_defect(E, (*nonzero, C[nonzero]), F.level_dims[l - 1], F.levels[l])
+        cov.append(max(float(np.linalg.norm(D, axis=(1, 3)).max(initial=0.0)) for D in defects))
 
-    vacuum = float(np.linalg.norm(F.levels[0].lmul, axis=(1, 2)).max())
+    vacuum = float(np.linalg.norm(F.pi(0), axis=(1, 2)).max())
     return {"inner": inner, "covariance": max(cov, default=None), "vacuum_defect": vacuum}
 
 
@@ -157,7 +156,8 @@ def canonical_fock_family(F: FockTruncation) -> tuple[np.ndarray, ...]:
     S(b_p) from level l to level l+1 for every unit b_p.
     """
     E = F.edge
-    V = E.lmul @ E.generator / np.sqrt(F.graph.delta_sq)  # row p is b_p . eps / delta
+    # row p is b_p . eps / delta
+    V = E.left_units(E.generator[:, None])[:, :, 0] / np.sqrt(F.graph.delta_sq)
     return tuple(np.einsum("aeb,pe->pab", C, V, optimize=True) for C in F.creation)
 
 
@@ -186,7 +186,7 @@ def lqck_fock_residuals(F: FockTruncation) -> dict:
     keys = ("lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2")
     sq = {key: [] for key in keys}
     for l in range(1, F.depth):
-        pi = F.levels[l].lmul
+        pi = F.pi(l)
         diff = d2 * _products(Ss[l], S[l])
         diff -= np.tensordot(Am, pi, axes=(0, 0))
         lqck = lqck_sq_norms(G, S[l], Ss[l], psi[l], psi[l + 1] if l + 1 < F.depth else None)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -33,11 +34,17 @@ def _matrix_to_pairs(mat: np.ndarray) -> list[list[list[float]]]:
 
 
 def _pairs_to_matrix(rows, shape=None) -> np.ndarray:
-    """A complex matrix from rows of [re, im] pairs: rectangular, numeric and finite."""
+    """A complex matrix from rows of [re, im] pairs: rectangular, numeric and finite.
+
+    complex() takes a JSON true or false as 1 or 0, so the parts are checked
+    for booleans after it, by one pass over their types.
+    """
     try:
         mat = np.array([[_pair_to_complex(z) for z in row] for row in rows])
     except (TypeError, ValueError, OverflowError, ParseError) as exc:  # ValueError: ragged rows
         raise ParseError(f"bad complex matrix: {exc}") from exc
+    if bool in set(map(type, chain.from_iterable(chain.from_iterable(rows)))):
+        raise ParseError("matrix has a true or false part, not a number")
     if mat.ndim != 2:
         raise ParseError(f"matrix has {mat.ndim} dimensions")
     if not np.isfinite(mat).all():
@@ -45,6 +52,13 @@ def _pairs_to_matrix(rows, shape=None) -> np.ndarray:
     if shape is not None and mat.shape != shape:
         raise ParseError(f"matrix has shape {mat.shape}, expected {shape}")
     return mat
+
+
+def _json_number(value, what: str) -> int | float:
+    """A JSON number: neither a string nor a bool, which float() reads as 1.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{what} = {value!r} is not a number")
+    return value
 
 
 def _json_int(value, what: str) -> int:
@@ -83,12 +97,15 @@ def parse_graph_document(doc: dict, tol: float = 1e-9) -> tuple[QuantumGraph, fl
     for key in ("blocks", "psi", "adjacency"):
         if key not in doc:
             raise ParseError(f"graph document missing key {key!r}")
-    eff_tol = parse_tolerance(doc.get("tol", tol), "tol")
+    eff_tol = parse_tolerance(_json_number(doc.get("tol", tol), "tol"), "tol")
     if not isinstance(doc["blocks"], list):
         raise ParseError(f"blocks = {doc['blocks']!r} is not a list of block sizes")
     sizes = [_json_int(n, "block size") for n in doc["blocks"]]
+    if not isinstance(doc["psi"], list) or not all(isinstance(w, list) for w in doc["psi"]):
+        raise ParseError(f"psi = {doc['psi']!r} is not a list of weight lists")
+    weights = [[_json_number(x, "psi weight") for x in w] for w in doc["psi"]]
     try:
-        psi = validate_delta_form(sizes, doc["psi"], tol=eff_tol)
+        psi = validate_delta_form(sizes, weights, tol=eff_tol)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad blocks/psi: {exc}") from exc
     dim = psi.structure.dim

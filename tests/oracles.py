@@ -1,12 +1,14 @@
 """Reference implementations shared by several test modules."""
 
-from dataclasses import replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 import qgraph as qg
 from qgraph.correspondence import (
+    QuotientModule,
     TensorModule,
+    _gns_projector,
     _gram_quotient,
     _unit_orbit,
     algebra_module,
@@ -32,11 +34,73 @@ def comultiply_adjoint_oracle(x, psi):
     return qg.TensorElement(st, coeff)
 
 
+def dense_actions(M):
+    """lmul, rmul and binner of the module M as dense stacks.
+
+    A normal-form correspondence stores only the nonzeros of its unit
+    actions and inner product; here they are summed into dense arrays entry
+    by entry.  A dense module gives its own arrays, a tensor module its
+    Kronecker-expanded actions.
+    """
+    if not isinstance(M, qg.Correspondence):
+        return (*ambient_action_stacks(M), M.binner)
+    dim, n = M.structure.dim, M.size
+    lmul, rmul = np.zeros((2, dim, n, n), dtype=complex)
+    binner = np.zeros((n, n, dim), dtype=complex)
+    p, row, col = M.left
+    np.add.at(lmul, (p, row, col), 1.0)
+    p, row, col, value = M.right
+    np.add.at(rmul, (p, row, col), value)
+    x, y, p, value = M.inner
+    np.add.at(binner, (x, y, p), value)
+    return lmul, rmul, binner
+
+
+def left_act(M, x, xi):
+    """x . xi for an algebra element x and module coordinates xi."""
+    return np.einsum("p,pab,b->a", x.vec, dense_actions(M)[0], xi)
+
+
+def right_act(M, xi, x):
+    """xi . x for module coordinates xi and an algebra element x."""
+    return np.einsum("p,pab,b->a", x.vec, dense_actions(M)[1], xi)
+
+
+def pi_level(F, l, x):
+    """Matrix of the left action of x on level l of the truncation F."""
+    return np.einsum("p,pab->ab", x.vec, dense_actions(F.levels[l])[0])
+
+
+def creation_matrix(F, l, xi):
+    """Matrix of T(xi) from level l to level l+1 of the truncation F."""
+    return np.einsum("aeb,e->ab", F.creation[l], xi)
+
+
 def rank_one_operator(E, u, w):
     """Matrix of theta_{u,w}: v -> u . <w, v>_B on module coordinates."""
-    c = np.einsum("i,ibd->db", w.conj(), E.binner)  # <w, v_beta>_B coords
-    ru = np.einsum("dab,b->da", E.rmul, u)  # u . b_d
+    _, rmul, binner = dense_actions(E)
+    c = np.einsum("i,ibd->db", w.conj(), binner)  # <w, v_beta>_B coords
+    ru = np.einsum("dab,b->da", rmul, u)  # u . b_d
     return np.einsum("db,da->ab", c, ru)
+
+
+def compact_decomposition_oracle(E):
+    """Worst column norm of f_ij - sum_k theta_{f_ik.eps, f_jk.eps}, unit by unit."""
+    psi = E.graph.psi
+    lmul = dense_actions(E)[0]
+    worst = 0.0
+    for a, n in enumerate(psi.structure.sizes):
+        vec = {
+            (i, k): left_act(E, qg.adapted_unit(a, i, k, psi), E.generator)
+            for i in range(n)
+            for k in range(n)
+        }
+        for i in range(n):
+            for j in range(n):
+                lhs = np.einsum("p,pab->ab", qg.adapted_unit(a, i, j, psi).vec, lmul)
+                rhs = sum(rank_one_operator(E, vec[i, k], vec[j, k]) for k in range(n))
+                worst = max(worst, float(np.linalg.norm(lhs - rhs, axis=0).max()))
+    return worst
 
 
 def ambient_action_stacks(M):
@@ -78,12 +142,21 @@ def quotient_actions_oracle(F):
     return actions[0], actions[1], closure
 
 
+@dataclass(frozen=True)
+class DenseEdge(QuotientModule):
+    """A Gram-quotient E_G with its generator and graph."""
+
+    generator: np.ndarray
+    graph: qg.QuantumGraph
+
+
 def dense_edge_correspondence(G):
     """E_G as the Gram quotient of the orbit b_p . eps . b_q in B (x)_psi B."""
     eps = qg.edge_indicator(G).coeff.ravel()
     ambient = psi_tensor_module(G.psi)
     E = from_spanning(ambient, _unit_orbit(ambient, eps))
-    return replace(E, generator=E.project(eps), graph=G)
+    parts = {f.name: getattr(E, f.name) for f in fields(E)}
+    return DenseEdge(**parts, generator=E.project(eps), graph=G)
 
 
 def dense_fock(G, N):
@@ -112,6 +185,23 @@ def oracle_defect(D):
     normal form is exact to rounding; comparisons with it allow this much.
     """
     return max(np.linalg.norm(lvl.scalar_gram - np.eye(lvl.size)) for lvl in D.levels)
+
+
+def left_kernel_oracle(M, G, tol=qg.DEFAULT_TOL):
+    """kernel_dim and subspace distance of the left-action kernel of the
+    module M over the graph G, from the SVD of the whole dense
+    K = lmul.reshape(dim, -1).T, zero rows included."""
+    dim = G.structure.dim
+    K = dense_actions(M)[0].reshape(dim, -1).T
+    if not K.shape[0]:
+        return dim, 0.0
+    _, svals, vh = np.linalg.svd(np.linalg.qr(K, mode="r"))
+    null_dim = int(np.sum(svals <= tol * max(float(svals.max()), 1.0))) + dim - len(svals)
+    kernel = vh.conj()[dim - null_dim :]
+    sources, _ = qg.quantum_sources_sinks(G, tol)
+    perp = np.eye(dim)[[p for p in range(dim) if G.structure.unflatten(p)[0] in sources]]
+    g = G.psi.gram_diag
+    return null_dim, float(np.linalg.norm(_gns_projector(kernel, g) - _gns_projector(perp, g)))
 
 
 def cp_model_dim(G):
@@ -223,8 +313,9 @@ def orbit_unitaries(F, D):
 def carried(U, X):
     """lmul, rmul and binner of the correspondence X in the coordinates U x."""
     Uh = U.conj().T
-    binner = np.einsum("ai,ijd,bj->abd", U, X.binner, U.conj(), optimize=True)
-    return U @ X.lmul @ Uh, U @ X.rmul @ Uh, binner
+    lmul, rmul, binner = dense_actions(X)
+    binner = np.einsum("ai,ijd,bj->abd", U, binner, U.conj(), optimize=True)
+    return U @ lmul @ Uh, U @ rmul @ Uh, binner
 
 
 def level_slice(F, l):
@@ -252,9 +343,9 @@ def big_creation(F, xi):
 def unit_pi(F):
     """Diagonal left actions of the standard units b_p on the full truncation."""
     D = F.total_dim
-    out = np.zeros((F.levels[0].lmul.shape[0], D, D), dtype=complex)
+    out = np.zeros((F.graph.structure.dim, D, D), dtype=complex)
     for l in range(F.depth + 1):
-        out[:, level_slice(F, l), level_slice(F, l)] = F.levels[l].lmul
+        out[:, level_slice(F, l), level_slice(F, l)] = dense_actions(F.levels[l])[0]
     return out
 
 
@@ -268,7 +359,7 @@ def interior_projector(F):
 def full_fock_family(F):
     """S(x) = (1/delta) T(x . eps) as one CKFamily on the full truncation."""
     E = F.edge
-    images = big_creation(F, E.lmul @ E.generator) / np.sqrt(F.graph.delta_sq)
+    images = big_creation(F, dense_actions(E)[0] @ E.generator) / np.sqrt(F.graph.delta_sq)
     return qg.CKFamily(F.total_dim, images)
 
 
@@ -301,7 +392,7 @@ def full_fock_residuals(F):
 def orbit_gram(M, xi):
     """B-valued Gram of the unit orbit: <b_p.xi.b_q, b_r.xi.b_s>_B at [pq, rs]."""
     g = _unit_orbit(M, xi)
-    return np.einsum("xi,yj,ijd->xyd", g.conj(), g, M.binner, optimize=True)
+    return np.einsum("xi,yj,ijd->xyd", g.conj(), g, dense_actions(M)[2], optimize=True)
 
 
 def cp_correspondence_oracle(E):

@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,41 @@ class TestSerialization:
             assert code == 1, argv
             assert payload["error"] == "ParseError", argv
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tol", True),  # float(True) would loosen every gate to 1.0
+            ("tol", "0.5"),
+            ("psi", [["0.5", "0.5"]]),
+            ("psi", [[True, 0.5]]),
+            ("adjacency", True),  # a [true, 0] part in the adjacency
+            ("images", True),  # a [true, 0] part in a family image
+        ],
+        ids=["tol_true", "tol_string", "psi_string", "psi_bool", "adjacency_true", "family_true"],
+    )
+    def test_non_number_json_values_are_parse_errors(
+        self, capsys, tmp_path, trivial_path, tracial_m2, field, value
+    ):
+        """Strings and JSON booleans are refused where a number is read: exit 1
+        with a JSON ParseError, where they used to be read as numbers."""
+        doc = json.loads(open(trivial_path).read())
+        argv = ["inspect"]
+        if field == "adjacency":
+            doc["adjacency"][0][0] = [value, 0]
+        elif field == "images":
+            fam = family_to_document(qg.canonical_lqck_family("trivial", tracial_m2))
+            fam["images"][0][0][0] = [value, 0]
+            fam_path = tmp_path / "family.json"
+            fam_path.write_text(json.dumps(fam))
+            argv = ["check", "--family", str(fam_path)]
+        else:
+            doc[field] = value
+        graph_path = tmp_path / "graph.json"
+        graph_path.write_text(json.dumps(doc))
+        code, payload, _ = run(capsys, *argv[:1], str(graph_path), *argv[1:])
+        assert code == 1
+        assert payload["error"] == "ParseError"
+
     def test_embedded_tolerance(self, graph_trivial_m2):
         doc = graph_to_document(graph_trivial_m2, tol=1e-6)
         _, eff = parse_graph_document(doc)
@@ -176,6 +212,23 @@ class TestInspect:
         code, payload, _ = run(capsys, "inspect", trivial_path)
         assert code == 0 and payload["dim_E"] == 4
         assert len(calls) == 1
+
+    def test_complete_m6_inspects_in_bounded_memory(self, capsys, tmp_path):
+        # dim E = 36^2 = 1296: one dense (36, 1296, 1296) complex stack of
+        # unit actions or inner products alone is 967 MB
+        psi = qg.validate_delta_form([6], [[1 / 6] * 6])
+        path = tmp_path / "complete_m6.json"
+        save_graph(str(path), qg.complete_graph(psi))
+        tracemalloc.start()
+        try:
+            code, payload, _ = run(capsys, "inspect", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert payload["cp"]["choi"] is True and payload["dim_E"] == 1296
+        assert payload["faithful"] is True and payload["kernel_dim"] == 0
+        assert peak < 256 * 2**20
 
     def test_malformed_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,16 +1,29 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st_
 from oracles import (
     carried,
     close,
+    compact_decomposition_oracle,
+    cp_correspondence_oracle,
     cp_model_dim,
+    dense_actions,
+    dense_edge_correspondence,
+    left_act,
+    left_kernel_oracle,
+    orbit_gram,
     quotient_actions_oracle,
     random_cp_map,
     rank_one_operator,
 )
+from strategies import delta_states
 
 import qgraph as qg
 from qgraph.correspondence import (
+    _unit_orbit,
     algebra_module,
     from_spanning,
     tensor_square_module,
@@ -69,10 +82,11 @@ class TestModuleBasics:
     def test_actions_commute(self, graph_rank_one):
         E = qg.build_edge_correspondence(graph_rank_one)
         st = graph_rank_one.structure
+        lmul, rmul, _ = dense_actions(E)
         for p in range(st.dim):
             for q in range(st.dim):
                 assert np.allclose(
-                    E.lmul[p] @ E.rmul[q], E.rmul[q] @ E.lmul[p], atol=1e-10
+                    lmul[p] @ rmul[q], rmul[q] @ lmul[p], atol=1e-10
                 )
 
     def test_from_spanning_rejects_indefinite_gram(self, tracial_m2):
@@ -97,9 +111,9 @@ class TestEdgeCorrespondence:
             E = qg.build_edge_correspondence(G)
             worst = 0.0
             for p in range(st.dim):
-                xi = E.left_act(unit(st, p), E.generator)
+                xi = left_act(E, unit(st, p), E.generator)
                 for q in range(st.dim):
-                    eta = E.left_act(unit(st, q), E.generator)
+                    eta = left_act(E, unit(st, q), E.generator)
                     lhs = E.b_inner_coords(xi, eta)
                     prod = unit(st, p).star() * unit(st, q)
                     rhs = G.adjacency(prod).vec / G.delta_sq
@@ -138,6 +152,63 @@ class TestEdgeCorrespondence:
             residual = qg.cp_correspondence(qg.build_edge_correspondence(G))
             assert residual < 1e-9, name
             assert cp_model_dim(G) == EXPECTED_DIM_E[name], name
+
+
+class TestNonzeroFormMatchesDenseOracle:
+    """E_G stored as nonzeros against the Gram quotient of B (x)_psi B."""
+
+    @given(psi=delta_states(), seed=st_.integers(0, 2**32 - 1), source=st_.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_random_completely_positive_maps(self, psi, seed, source):
+        # a random CP map is not Schur-idempotent, so the cp and compact
+        # residuals are O(1); with `source` on a multi-block B, block 0 is
+        # put in ker A, and the left kernel is M_{N_0}
+        rng = np.random.default_rng(seed)
+        st = psi.structure
+        A = random_cp_map(psi, rng).matrix
+        source = source and st.num_blocks > 1
+        if source:
+            A[:, : st.offsets[1]] = 0.0
+        G = qg.QuantumGraph(st, psi, qg.LinearMapOnB(st, A))
+        E, D = qg.build_edge_correspondence(G), dense_edge_correspondence(G)
+        # the Gram quotient squares the conditioning: on strongly skewed
+        # states it can drop a Kraus direction that the Choi slabs resolve,
+        # and then the two cannot be compared; it never finds one more
+        assert D.size <= E.size
+        assume(D.size == E.size)
+        # unit actions and B-valued inner products, basis-free: the B-valued
+        # Gram of the orbit b_p . eps . b_q, with E's inner product summed
+        # from its nonzeros by the oracle and by the library
+        want = orbit_gram(D, D.generator)
+        assert close(orbit_gram(E, E.generator), want)
+        orbit = _unit_orbit(E, E.generator)
+        assert close([E.b_inner_coords(v, orbit) for v in orbit], want)
+
+        kern = qg.left_kernel(E)
+        want_dim, want_dist = left_kernel_oracle(D, G)
+        assert kern["kernel_dim"] == want_dim == (st.sizes[0] ** 2 if source else 0)
+        assert abs(kern["subspace_distance"] - want_dist) <= 1e-12
+        for got, want in (
+            (qg.cp_correspondence(E), cp_correspondence_oracle(D)),
+            (qg.compact_decomposition_residual(E), compact_decomposition_oracle(D)),
+        ):
+            assert want > 1e-6 and close(got, want)
+
+    @given(psi=delta_states(), seed=st_.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_perturbed_generator_fails_both_gates(self, psi, seed):
+        # 1e-6 noise on eps breaks the compact decomposition and the
+        # B (x)_A B model of the complete graph: checking on the row groups
+        # alone leaves no defect unseen
+        tol = qg.DEFAULT_TOL
+        E = qg.build_edge_correspondence(qg.complete_graph(psi))
+        assert qg.compact_decomposition_residual(E) <= tol
+        assert qg.cp_correspondence(E) <= tol
+        rng = np.random.default_rng(seed)
+        noise = [1, 1j] @ rng.normal(size=(2, E.size))
+        Ep = replace(E, generator=E.generator + 1e-6 * noise)
+        assert qg.compact_decomposition_residual(Ep) > tol
+        assert qg.cp_correspondence(Ep) > tol
 
 
 class TestFaithfulFull:
@@ -248,6 +319,6 @@ class TestRecognition:
         E = qg.build_edge_correspondence(graph_complete_m2)
         # f_11 . eps generates only B f_11 . eps . B, a proper submodule
         f11 = qg.adapted_unit(0, 0, 0, graph_complete_m2.psi)
-        v = E.left_act(f11, E.generator)
+        v = left_act(E, f11, E.generator)
         with pytest.raises(qg.NotGenerating):
             qg.recognize(E.vector(v), graph_complete_m2.psi, module=E)

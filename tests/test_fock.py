@@ -10,6 +10,8 @@ from oracles import (
     carried,
     close,
     cp_correspondence_oracle,
+    creation_matrix,
+    dense_actions,
     dense_edge_correspondence,
     dense_fock,
     edge_unitary,
@@ -18,8 +20,11 @@ from oracles import (
     level_slice,
     oracle_defect,
     orbit_unitaries,
+    pi_level,
     random_cp_map,
     recognize_iso_oracle,
+    right_act,
+    left_act,
 )
 from strategies import delta_states
 
@@ -66,8 +71,8 @@ class TestInteriorTensor:
                 y = RNG.normal(size=Y.size) + 1j * RNG.normal(size=Y.size)
                 for p in range(G.structure.dim):
                     b = unit(G.structure, p)
-                    v1 = np.einsum("zef,e,f->z", Z.creation, E.right_act(x, b), y)
-                    v2 = np.einsum("zef,e,f->z", Z.creation, x, Y.left_act(b, y))
+                    v1 = np.einsum("zef,e,f->z", Z.creation, right_act(E, x, b), y)
+                    v2 = np.einsum("zef,e,f->z", Z.creation, x, left_act(Y, b, y))
                     # x.b (x) y and x (x) b.y have the same image in X (x)_B Y
                     assert np.linalg.norm(v1 - v2) < 1e-10
                 # and the canonical map is onto
@@ -149,18 +154,18 @@ class TestLeftAction:
         st = graph_rank_one.structure
         one = qg.AlgebraElement.unit(st)
         for l in range(F.depth + 1):
-            assert np.allclose(F.pi_level(l, one), np.eye(F.level_dims[l]), atol=1e-10)
+            assert np.allclose(pi_level(F, l, one), np.eye(F.level_dims[l]), atol=1e-10)
             for p in range(st.dim):
                 x = unit(st, p)
                 # star: basis is scalar-orthonormal, so pi(x*) = pi(x)^dagger
                 assert np.allclose(
-                    F.pi_level(l, x.star()), F.pi_level(l, x).conj().T, atol=1e-10
+                    pi_level(F, l, x.star()), pi_level(F, l, x).conj().T, atol=1e-10
                 )
                 for q in range(st.dim):
                     y = unit(st, q)
                     assert np.allclose(
-                        F.pi_level(l, x * y),
-                        F.pi_level(l, x) @ F.pi_level(l, y),
+                        pi_level(F, l, x * y),
+                        pi_level(F, l, x) @ pi_level(F, l, y),
                         atol=1e-10,
                     )
 
@@ -187,12 +192,12 @@ class TestRepresentationIdentities:
             # level 0 is B in the basis b_p / sqrt(g_p): column p holds b_p,
             # and these coordinates give <b_p, b_q>_B = b_p* b_q
             coords = np.diag(np.sqrt(G.psi.gram_diag)).astype(complex)
-            inner = np.einsum("ap,abd,bq->pqd", coords.conj(), F.levels[0].binner, coords)
+            inner = np.einsum("ap,abd,bq->pqd", coords.conj(), dense_actions(F.levels[0])[2], coords)
             assert np.allclose(inner, algebra_module(G.psi).binner, atol=1e-12)
             xi = RNG.normal(size=E.size) + 1j * RNG.normal(size=E.size)
             for p in range(G.structure.dim):
-                lifted = F.creation_matrix(0, xi) @ coords[:, p]
-                assert np.allclose(lifted, E.right_act(xi, unit(G.structure, p)), atol=1e-10)
+                lifted = creation_matrix(F, 0, xi) @ coords[:, p]
+                assert np.allclose(lifted, right_act(E, xi, unit(G.structure, p)), atol=1e-10)
 
 
 class TestFockFamily:

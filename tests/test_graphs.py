@@ -10,15 +10,20 @@ from oracles import (
     choi_blocks_oracle,
     choi_test_oracle,
     close,
+    compact_decomposition_oracle,
     comultiply_adjoint_oracle,
     cp_model_dim,
+    creation_matrix,
+    dense_actions,
     dense_edge_correspondence,
     dense_fock,
+    left_act,
     oracle_defect,
     orbit_unitaries,
+    pi_level,
     quotient_actions_oracle,
     random_cp_map,
-    rank_one_operator,
+    right_act,
 )
 from strategies import delta_states
 
@@ -327,30 +332,12 @@ def cp_residual_oracle(E):
     gE, hF = [], []
     for p, x in enumerate(units(st)):
         for q, y in enumerate(units(st)):
-            gE.append(E.left_act(x, E.right_act(E.generator, y)))
+            gE.append(left_act(E, x, right_act(E, E.generator, y)))
             hF.append(F.project(eye2[p * st.dim + q]) / np.sqrt(G.delta_sq))
     gE, hF = np.array(gE), np.array(hF)
-    innerE = np.einsum("xi,yj,ijd->xyd", gE.conj(), gE, E.binner)
+    innerE = np.einsum("xi,yj,ijd->xyd", gE.conj(), gE, dense_actions(E)[2])
     innerF = np.einsum("xi,yj,ijd->xyd", hF.conj(), hF, F.binner)
     return F.size, float(np.abs(innerE - innerF).max())
-
-
-def compact_decomposition_oracle(E):
-    """Worst column norm of f_ij - sum_k theta_{f_ik.eps, f_jk.eps}, unit by unit."""
-    psi = E.graph.psi
-    worst = 0.0
-    for a, n in enumerate(psi.structure.sizes):
-        vec = {
-            (i, k): E.left_act(qg.adapted_unit(a, i, k, psi), E.generator)
-            for i in range(n)
-            for k in range(n)
-        }
-        for i in range(n):
-            for j in range(n):
-                lhs = np.einsum("p,pab->ab", qg.adapted_unit(a, i, j, psi).vec, E.lmul)
-                rhs = sum(rank_one_operator(E, vec[i, k], vec[j, k]) for k in range(n))
-                worst = max(worst, float(np.linalg.norm(lhs - rhs, axis=0).max()))
-    return worst
 
 
 def fock_covariance_oracle(F):
@@ -362,15 +349,15 @@ def fock_covariance_oracle(F):
     for l in range(1, F.depth):
         for a, n in enumerate(psi.structure.sizes):
             T = {
-                (i, k): F.creation_matrix(
-                    l - 1, E.left_act(qg.adapted_unit(a, i, k, psi), E.generator)
+                (i, k): creation_matrix(
+                    F, l - 1, left_act(E, qg.adapted_unit(a, i, k, psi), E.generator)
                 )
                 for i in range(n)
                 for k in range(n)
             }
             for i in range(n):
                 for j in range(n):
-                    lhs = F.pi_level(l, qg.adapted_unit(a, i, j, psi))
+                    lhs = pi_level(F, l, qg.adapted_unit(a, i, j, psi))
                     rhs = sum(T[i, k] @ T[j, k].conj().T for k in range(n))
                     worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst
