@@ -19,7 +19,6 @@ from .blocks import (
 from .correspondence import (
     Correspondence,
     CorrVector,
-    ModuleSpace,
     RecognitionResult,
     b_inner,
     build_edge_correspondence,
@@ -31,7 +30,6 @@ from .correspondence import (
     left_kernel,
     psi_tensor_module,
     recognize,
-    tensor_module,
     trivial_correspondence,
 )
 from .errors import (

@@ -1,25 +1,23 @@
 """Finite-dimensional C*-correspondences over B and the edge correspondence.
 
-Every correspondence the library builds (E_G and every Fock level) is a
-`Correspondence` in block-multiplicity normal form
+Every correspondence the library builds (B (x)_psi B, E_G and every Fock
+level) is a `Correspondence` in block-multiplicity normal form
 sum_{a,c} C^{N_a} (x) K_ac (x) C^{N_c}, with M[a, c] = dim K_ac; for E_G,
 M[a, b] is the Kraus rank of A from block a to block b.  Its basis is
 orthonormal for the scalar form psi(<.,.>_B), and it stores only the
 nonzeros that `normal_form` computes: the left action of the units (each a
 partial permutation), the right action and the B-valued inner product.
 Unit actions and inner products are gathers and scatter-adds over them, so
-no (dim B, dim E, dim E) array is formed.  Dense arrays remain in three
-places: the budget-bounded Fock relation checks build pi on a level from
-its nonzeros; `interior_tensor` stores each Fock creation map as a dense
-tensor; and the dense ambients (`algebra_module`, `tensor_module`) and
-their Gram quotients (`from_spanning`) serve `recognize` and the dense test
-oracle (`tests/oracles.py`).
+no (dim B, dim E, dim E) array is formed.  Dense arrays remain in one
+place: the budget-bounded Fock relation checks build pi and the creation
+map of a level from their nonzeros.  The dense ambients and their Gram
+quotients are the test oracle in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,82 +42,6 @@ GRAM_CUTOFF_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
-class InnerModule:
-    """Coordinate model of a B-bimodule with a dense B-valued semi-inner product.
-
-    binner[a, b] are the canonical coordinates of <u_a, u_b>_B.  Subclasses
-    say how the units act: left_units(V) and right_units(V) give b_p . v and
-    v . b_p for every unit p and every column v of V, shape (dim, M, n).
-    """
-
-    structure: BlockStructure
-    psi: DeltaState
-    binner: np.ndarray  # (M, M, dim)
-
-    @property
-    def size(self) -> int:
-        return self.binner.shape[0]
-
-    @cached_property
-    def scalar_gram(self) -> np.ndarray:
-        """Scalar form psi(<u_a, u_b>_B) on the coordinate spanning set."""
-        return self.binner @ self.psi.psi_vec
-
-    def b_inner_coords(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """Canonical coordinates of <xi, eta>_B; leading axes of eta are batch axes."""
-        return np.einsum("a,...b,abd->...d", xi.conj(), eta, self.binner, optimize=True)
-
-
-@dataclass(frozen=True)
-class ModuleSpace(InnerModule):
-    """Module whose unit actions are stored whole: lmul[p] and rmul[p] are the
-    matrices of the unit b_p acting on the left and right."""
-
-    lmul: np.ndarray  # (dim, M, M)
-    rmul: np.ndarray  # (dim, M, M)
-
-    def left_units(self, V: np.ndarray) -> np.ndarray:
-        return self.lmul @ V
-
-    def right_units(self, V: np.ndarray) -> np.ndarray:
-        return self.rmul @ V
-
-
-@dataclass(frozen=True)
-class TensorModule(InnerModule):
-    """X (x) Y before the balanced quotient; coordinate (i, k) is i * dim Y + k.
-
-    B acts on the left through X and on the right through Y.  The factor
-    stacks x_lmul (X's left action) and y_rmul (Y's right action) act on one
-    tensor factor at a time; no whole-space action matrix is formed.
-    """
-
-    x_lmul: np.ndarray  # (dim, dim X, dim X)
-    y_rmul: np.ndarray  # (dim, dim Y, dim Y)
-
-    def left_units(self, V: np.ndarray) -> np.ndarray:
-        d, nX = self.x_lmul.shape[:2]
-        return (self.x_lmul @ V.reshape(nX, -1)).reshape(d, self.size, -1)
-
-    def right_units(self, V: np.ndarray) -> np.ndarray:
-        d, nY = self.y_rmul.shape[:2]
-        out = self.y_rmul[:, None] @ V.reshape(-1, nY, V.shape[1])  # (dim, dim X, nY, n)
-        return out.reshape(d, self.size, -1)
-
-
-@dataclass(frozen=True)
-class QuotientModule(ModuleSpace):
-    """A `from_spanning` quotient, with its basis vectors in ambient coordinates."""
-
-    ambient: InnerModule
-    basis_ambient: np.ndarray  # (n, M)
-
-    def project(self, ambient_vec: np.ndarray) -> np.ndarray:
-        """Quotient coordinates of an ambient vector (scalar-orthogonal projection)."""
-        return self.basis_ambient.conj() @ (self.ambient.scalar_gram @ ambient_vec)
-
-
-@dataclass(frozen=True)
 class Correspondence:
     """A `normal_form` correspondence, stored as its nonzeros on an orthonormal basis.
 
@@ -130,7 +52,8 @@ class Correspondence:
     multiplicity matrix; generator, when set, holds the coordinates of the
     distinguished generating vector (the edge indicator for edge
     correspondences), graph the quantum graph it came from, and creation, on
-    X (x)_B Y, the canonical map x (x) y -> z.
+    X (x)_B Y, the nonzeros (z, x, y, value) of the canonical map
+    u_x (x) u_y -> value u_z.
     """
 
     structure: BlockStructure
@@ -141,7 +64,7 @@ class Correspondence:
     inner: tuple[np.ndarray, ...]
     generator: np.ndarray | None = None
     graph: QuantumGraph | None = None
-    creation: np.ndarray | None = None
+    creation: tuple[np.ndarray, ...] | None = None
 
     @cached_property
     def size(self) -> int:
@@ -166,14 +89,6 @@ class Correspondence:
         out = np.zeros((self.structure.dim,) + np.shape(eta)[:-1], dtype=complex)
         np.add.at(out, p, np.moveaxis((xi.conj()[x] * value) * eta[..., y], -1, 0))
         return np.moveaxis(out, 0, -1)
-
-    @property
-    def scalar_gram(self) -> np.ndarray:
-        """Scalar form psi(<u_x, u_y>_B); the identity up to rounding."""
-        x, y, p, value = self.inner
-        out = np.zeros((self.size, self.size), dtype=complex)
-        out[x, y] = value * self.psi.psi_vec[p]
-        return out
 
     def vector(self, coords: np.ndarray) -> "CorrVector":
         return CorrVector(self, np.asarray(coords, dtype=complex))
@@ -207,35 +122,14 @@ def _gram_quotient(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals[keep], evecs[:, keep]
 
 
-def from_spanning(ambient: InnerModule, spanning: np.ndarray) -> QuotientModule:
-    """Quotient the span of `spanning` by the scalar Gram kernel.
-
-    Basis vectors are the Gram eigenvectors above the relative cutoff,
-    rescaled to unit scalar norm.  The unit actions are the ambient's,
-    applied to the basis and projected back onto it.
+def from_spanning(gram: np.ndarray, spanning: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the span of the rows of `spanning`, for the scalar
+    form with Gram matrix `gram` on the coordinates: the Gram eigenvectors of
+    the rows above the relative cutoff, rescaled to unit norm, as rows.
     """
     spanning = np.asarray(spanning, dtype=complex)
-    S = ambient.scalar_gram
-    lam, U = _gram_quotient(spanning.conj() @ S @ spanning.T)
-    basis = (U / np.sqrt(lam)).T @ spanning  # (n, M), scalar-orthonormal
-
-    half = np.tensordot(basis.conj(), ambient.binner, axes=(1, 0))  # (n, M, dim)
-    binner = np.tensordot(half, basis, axes=([1], [1])).transpose(0, 2, 1)
-    proj = basis.conj() @ S  # (n, M): scalar projection onto the basis
-    lmul, rmul = proj @ ambient.left_units(basis.T), proj @ ambient.right_units(basis.T)
-    return QuotientModule(
-        ambient.structure, ambient.psi, binner, lmul, rmul, ambient=ambient, basis_ambient=basis
-    )
-
-
-def algebra_module(psi: DeltaState) -> ModuleSpace:
-    """B as a correspondence over itself: <x, y>_B = x* y, regular actions."""
-    st = psi.structure
-    mt = st.mul_tensor
-    binner = mt[:, st.star_perm, :].transpose(1, 2, 0).astype(complex)
-    lmul = mt.transpose(1, 0, 2).astype(complex)  # lmul[p] = mt[:, p, :]
-    rmul = mt.transpose(2, 0, 1).astype(complex)  # rmul[p] = mt[:, :, p]
-    return ModuleSpace(st, psi, binner, lmul, rmul)
+    lam, U = _gram_quotient(spanning.conj() @ gram @ spanning.T)
+    return (U / np.sqrt(lam)).T @ spanning
 
 
 def _layout(st: BlockStructure, M: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -288,40 +182,32 @@ def trivial_correspondence(psi: DeltaState) -> Correspondence:
     return normal_form(psi, np.eye(psi.structure.num_blocks, dtype=int))
 
 
-def _same_base(X: InnerModule, Y: InnerModule) -> None:
-    if X.structure != Y.structure:
+def _same_base(psi: DeltaState, phi: DeltaState) -> None:
+    if psi.structure != phi.structure:
         raise MismatchedBase("correspondences over different block structures")
-    if not all(np.allclose(a, b) for a, b in zip(X.psi.weights, Y.psi.weights)):
+    if not all(np.allclose(a, b, atol=0.0) for a, b in zip(psi.weights, phi.weights)):
         raise MismatchedBase("correspondences over different states")
 
 
-def tensor_module(X: ModuleSpace, Y: ModuleSpace) -> TensorModule:
-    """X (x) Y with <x1 (x) y1, x2 (x) y2>_B = <y1, <x1, x2>_B . y2>_B.
-
-    Its quotient by the Gram kernel (`from_spanning`) is the interior tensor
-    product X (x)_B Y, which realizes the balanced relation x.b (x) y = x (x) b.y.  Only X's inner product and
-    left action and Y's inner product and actions are read.
-    """
-    _same_base(X, Y)
-    n = X.size * Y.size
-    binner = np.einsum("ijp,pml,kmd->ikjld", X.binner, Y.lmul, Y.binner, optimize=True)
-    return TensorModule(X.structure, X.psi, binner.reshape(n, n, -1), X.lmul, Y.rmul)
+def psi_tensor_module(psi: DeltaState) -> Correspondence:
+    """B (x)_psi B, <a (x) b, c (x) d>_B = b* psi(a* c) d, in normal form: M[a, c]
+    = N_a N_c, and b_p (x) b_q for p = e_ij in block a and q = e_kl in block
+    c is sqrt(g_p g_q) times the coordinate (a, c, i, j N_c + k, l)."""
+    n = np.array(psi.structure.sizes)
+    return normal_form(psi, np.outer(n, n))
 
 
-def tensor_square_module(psi: DeltaState, phi_matrix: np.ndarray) -> TensorModule:
-    """B (x) B with <a (x) b, c (x) d>_B = b* Phi(a* c) d for a linear Phi:
-    the tensor module of B with <a, c> = Phi(a* c) and B."""
-    B = algebra_module(psi)
-    X = replace(B, binner=B.binner @ np.asarray(phi_matrix, dtype=complex).T)
-    return tensor_module(X, B)
+def _psi_tensor_coords(psi: DeltaState, coeff: np.ndarray) -> np.ndarray:
+    """`psi_tensor_module` coordinates of sum_pq coeff[p, q] b_p (x) b_q."""
+    st = psi.structure
+    n, off = np.array(st.sizes), np.array(st.offsets)
+    a, c, i, jk, l, _ = _layout(st, np.outer(n, n))
+    j, k = np.divmod(jk, n[c])
+    p, q = off[a] + i * n[a] + j, off[c] + k * n[c] + l
+    return coeff[p, q] * np.sqrt(psi.gram_diag[p] * psi.gram_diag[q])
 
 
-def psi_tensor_module(psi: DeltaState) -> TensorModule:
-    """The ambient B (x)_psi B: Phi = psi(.) 1."""
-    return tensor_square_module(psi, np.outer(psi.structure.unit_vector, psi.psi_vec))
-
-
-def _unit_orbit(M: InnerModule, xi: np.ndarray) -> np.ndarray:
+def _unit_orbit(M: Correspondence, xi: np.ndarray) -> np.ndarray:
     """Rows b_p . xi . b_q of the module M, row index p * dim B + q."""
     right = M.right_units(xi[:, None])[:, :, 0]  # row q is xi . b_q
     return M.left_units(right.T).transpose(0, 2, 1).reshape(M.structure.dim**2, M.size)
@@ -482,7 +368,7 @@ def compact_decomposition_residual(E: Correspondence) -> float:
     return max((float(np.linalg.norm(D, axis=1).max(initial=0.0)) for D in defects), default=0.0)
 
 
-def _vector_map(M: InnerModule, xi: np.ndarray) -> np.ndarray:
+def _vector_map(M: Correspondence, xi: np.ndarray) -> np.ndarray:
     """Matrix of x -> <xi, x . xi>_B on M, column p <xi, b_p . xi>_B.  It decides
     the orbit Gram: <b_p.xi.b_q, b_r.xi.b_s>_B = b_q* <xi, b_p* b_r . xi>_B b_s."""
     moved = M.left_units(xi[:, None])[:, :, 0]  # row p is b_p . xi
@@ -519,27 +405,33 @@ def recognize(
 ) -> RecognitionResult:
     """Decide whether a cyclic vector generates a quantum edge correspondence.
 
-    xi is a TensorElement in B (x)_psi B, or a CorrVector when `module` is
-    given.  The candidate adjacency is A(x) = delta^2 (psi (x) 1)(x . xi) in
-    the ambient tensor model and A(x) = delta^2 <xi, x . xi>_B in a cyclic
-    module; it must be Schur-idempotent.  On success returns the recovered
-    graph together with the inner-product defect of the identification
+    xi is a TensorElement in B (x)_psi B (`psi_tensor_module`), or a
+    CorrVector of `module` or its coordinates when `module` is given; inputs
+    over another base or module raise MismatchedBase before any work.  The
+    candidate adjacency is A(x) = delta^2 (psi (x) 1)(x . xi) in the ambient
+    tensor model and A(x) = delta^2 <xi, x . xi>_B in a cyclic module; it
+    must be Schur-idempotent.  On success returns the recovered graph
+    together with the inner-product defect of the identification
     x . xi . y -> x . eps . y.
     """
     st = psi.structure
     if module is None:
         if not isinstance(xi, TensorElement):
             raise ShapeMismatch("expected a TensorElement without a module")
-        mod_space: InnerModule = psi_tensor_module(psi)
-        coords = xi.coeff.ravel()
+        if xi.structure != st:
+            raise MismatchedBase("tensor over a different block structure")
+        space, coords = psi_tensor_module(psi), _psi_tensor_coords(psi, xi.coeff)
     else:
-        coords = xi.coords if isinstance(xi, CorrVector) else np.asarray(xi, dtype=complex)
-        mod_space = module
-    inner = _vector_map(mod_space, coords)
+        _same_base(module.psi, psi)
+        vec = xi if isinstance(xi, CorrVector) else module.vector(xi)  # checks the size
+        if vec.module is not module:
+            raise MismatchedBase("vector of a different correspondence")
+        space, coords = module, vec.coords
+    inner = _vector_map(space, coords)
     A = _indicator_adjacency(xi.coeff, psi) if module is None else psi.delta_sq * inner
 
-    orbit = _unit_orbit(mod_space, coords)
-    span_rank = len(_gram_quotient(orbit.conj() @ mod_space.scalar_gram @ orbit.T)[0])
+    # the normal-form basis is orthonormal for the scalar form
+    span_rank = len(from_spanning(np.eye(space.size), _unit_orbit(space, coords)))
     if module is not None and span_rank < module.size:
         raise NotGenerating(
             f"xi generates a {span_rank}-dimensional submodule of dimension-{module.size} module"

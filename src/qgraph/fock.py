@@ -8,8 +8,10 @@ every level, so each identity is checked one level at a time and no operator
 on the whole truncation is formed.  Level l is in normal form with
 multiplicity matrix M^l for E's M, of dimension sum_{a,c} N_a N_c (M^l)_ac;
 creation maps are the canonical identifications K_ab (x) K^{(l)}_bc ->
-K^{(l+1)}_ac.  The Gram-quotient levels and the full-truncation relation
-checks are the oracles in `tests/oracles.py`.
+K^{(l+1)}_ac, stored as their nonzeros.  Dense arrays remain in one place:
+the budget-bounded relation checks build pi and the creation map of a level
+from their nonzeros.  The Gram-quotient levels and the full-truncation
+relation checks are the oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ FOCK_COORD_BUDGET = 5000
 def interior_tensor(X: Correspondence, Y: Correspondence) -> Correspondence:
     """X (x)_B Y for normal-form X and Y: K_ac = sum_b K^X_ab (x) K^Y_bc.
 
-    Its `creation` tensor C[z, x, y] is the canonical map, 1 / sqrt(w_b[m]) at
-    x = (a, b, i, k, m), y = (b, c, m, k', l), z = (a, c, i, (b, k, k'), l).
+    Its `creation` nonzeros (z, x, y, value) are the canonical map,
+    u_x (x) u_y -> value u_z with value 1 / sqrt(w_b[m]) at x = (a, b, i, k, m),
+    y = (b, c, m, k', l), z = (a, c, i, (b, k, k'), l); the pair (z, y) fixes x.
     """
-    _same_base(X, Y)
+    _same_base(X.psi, Y.psi)
     st, MX, MY = X.structure, X.mult, Y.mult
     xa, xb, xi, xk, xm, _ = _layout(st, MX)
     ya, yc, yi, yk, yl, _ = _layout(st, MY)
@@ -51,18 +54,17 @@ def interior_tensor(X: Correspondence, Y: Correspondence) -> Correspondence:
     prod = MX[:, :, None] * MY  # [a, b, c]: dim K_ab (x) K_bc, stacked over b
     kz = (np.cumsum(prod, axis=1) - prod)[a, b, c] + xk[sx] * MY[b, c] + yk[sy]
     z = zstart[a * st.num_blocks + c] + (xi[sx] * MZ[a, c] + kz) * np.array(st.sizes)[c] + yl[sy]
-    C = np.zeros((zstart[-1], X.size, Y.size), dtype=complex)
-    C[z, sx, sy] = 1.0 / np.sqrt(X.psi.gram_diag[np.array(st.offsets)[b] + xm[sx]])
-    return normal_form(X.psi, MZ, creation=C)
+    value = 1.0 / np.sqrt(X.psi.gram_diag[np.array(st.offsets)[b] + xm[sx]])
+    return normal_form(X.psi, MZ, creation=(z, sx, sy, value))
 
 
 @dataclass(frozen=True)
 class FockTruncation:
-    """Levels E^{(x)0..N} with creation tensors and the per-level left action.
+    """Levels E^{(x)0..N} with creation maps and the per-level left action.
 
-    creation[l] has shape (dim level l+1, dim E, dim level l); contracting a
-    module vector xi of E into the middle slot gives the matrix of T(xi)
-    from level l to level l+1.
+    creation[l] = (z, e, y, value) are the nonzeros of the canonical map from
+    E (x)_B level l onto level l+1: T(xi) from level l to level l+1 has the
+    entry value * xi[e] at (z, y).
     """
 
     graph: QuantumGraph
@@ -132,17 +134,18 @@ def representation_residuals(F: FockTruncation) -> dict:
     E = F.edge
     x, y, p, value = E.inner
     inner = 0.0
-    for l in range(F.depth):
-        Cr = F.creation[l]
-        diff = np.einsum("aeb,afc->efbc", Cr.conj(), Cr, optimize=True)
+    for l, (row, e, col, entry) in enumerate(F.creation):
+        # T(u_e) for every e as one (dim level l+1, dim E * dim level l) matrix
+        n = F.level_dims[l]
+        C = np.zeros((F.level_dims[l + 1], E.size * n), dtype=complex)
+        C[row, e * n + col] = entry
+        diff = (C.conj().T @ C).reshape(E.size, n, E.size, n).transpose(0, 2, 1, 3)
         diff[x, y] -= value[:, None, None] * F.pi(l)[p]  # pi(<u_x, u_y>_B)
         inner = max(inner, float(np.sqrt(_sq_nrm(diff).max(initial=0.0))))
 
     cov = []
     for l in range(1, F.depth):
-        C = F.creation[l - 1]
-        nonzero = np.nonzero(C)
-        defects = covariance_defect(E, (*nonzero, C[nonzero]), F.level_dims[l - 1], F.levels[l])
+        defects = covariance_defect(E, F.creation[l - 1], F.level_dims[l - 1], F.levels[l])
         cov.append(max(float(np.linalg.norm(D, axis=(1, 3)).max(initial=0.0)) for D in defects))
 
     vacuum = float(np.linalg.norm(F.pi(0), axis=(1, 2)).max())
@@ -158,7 +161,10 @@ def canonical_fock_family(F: FockTruncation) -> tuple[np.ndarray, ...]:
     E = F.edge
     # row p is b_p . eps / delta
     V = E.left_units(E.generator[:, None])[:, :, 0] / np.sqrt(F.graph.delta_sq)
-    return tuple(np.einsum("aeb,pe->pab", C, V, optimize=True) for C in F.creation)
+    S = tuple(np.zeros((E.structure.dim, m, n), dtype=complex) for m, n in zip(F.level_dims[1:], F.level_dims))
+    for Sl, (z, e, y, value) in zip(S, F.creation):
+        Sl[:, z, y] = value * V[:, e]  # (z, y) fixes e
+    return S
 
 
 def lqck_fock_residuals(F: FockTruncation) -> dict:

@@ -1,23 +1,137 @@
 """Reference implementations shared by several test modules."""
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 import qgraph as qg
 from qgraph.correspondence import (
-    QuotientModule,
-    TensorModule,
     _gns_projector,
     _gram_quotient,
+    _same_base,
     _unit_orbit,
-    algebra_module,
     from_spanning,
-    psi_tensor_module,
-    tensor_module,
-    tensor_square_module,
 )
 from qgraph.relations import _pair_sum
+
+
+@dataclass(frozen=True)
+class InnerModule:
+    """Coordinate model of a B-bimodule with a dense B-valued semi-inner product.
+
+    binner[a, b] are the canonical coordinates of <u_a, u_b>_B.  Subclasses
+    say how the units act: left_units(V) and right_units(V) give b_p . v and
+    v . b_p for every unit p and every column v of V, shape (dim, M, n).
+    """
+
+    structure: qg.BlockStructure
+    psi: qg.DeltaState
+    binner: np.ndarray  # (M, M, dim)
+
+    @property
+    def size(self):
+        return self.binner.shape[0]
+
+    @cached_property
+    def scalar_gram(self):
+        """Scalar form psi(<u_a, u_b>_B) on the coordinate spanning set."""
+        return self.binner @ self.psi.psi_vec
+
+    def b_inner_coords(self, xi, eta):
+        """Canonical coordinates of <xi, eta>_B; leading axes of eta are batch axes."""
+        return np.einsum("a,...b,abd->...d", xi.conj(), eta, self.binner, optimize=True)
+
+
+@dataclass(frozen=True)
+class ModuleSpace(InnerModule):
+    """Module whose unit actions are stored whole: lmul[p] and rmul[p] are the
+    matrices of the unit b_p acting on the left and right."""
+
+    lmul: np.ndarray  # (dim, M, M)
+    rmul: np.ndarray  # (dim, M, M)
+
+    def left_units(self, V):
+        return self.lmul @ V
+
+    def right_units(self, V):
+        return self.rmul @ V
+
+
+@dataclass(frozen=True)
+class TensorModule(InnerModule):
+    """X (x) Y before the balanced quotient; coordinate (i, k) is i * dim Y + k.
+
+    B acts on the left through X's left action x_lmul and on the right
+    through Y's right action y_rmul, one tensor factor at a time.
+    """
+
+    x_lmul: np.ndarray  # (dim, dim X, dim X)
+    y_rmul: np.ndarray  # (dim, dim Y, dim Y)
+
+    def left_units(self, V):
+        d, nX = self.x_lmul.shape[:2]
+        return (self.x_lmul @ V.reshape(nX, -1)).reshape(d, self.size, -1)
+
+    def right_units(self, V):
+        d, nY = self.y_rmul.shape[:2]
+        out = self.y_rmul[:, None] @ V.reshape(-1, nY, V.shape[1])  # (dim, dim X, nY, n)
+        return out.reshape(d, self.size, -1)
+
+
+@dataclass(frozen=True)
+class QuotientModule(ModuleSpace):
+    """A Gram quotient, with its basis vectors in ambient coordinates; E_G
+    also records its generator and graph, as `qg.Correspondence` does."""
+
+    ambient: InnerModule
+    basis_ambient: np.ndarray  # (n, M)
+    generator: np.ndarray | None = None
+    graph: qg.QuantumGraph | None = None
+
+    def project(self, ambient_vec):
+        """Quotient coordinates of an ambient vector (scalar-orthogonal projection)."""
+        return self.basis_ambient.conj() @ (self.ambient.scalar_gram @ ambient_vec)
+
+
+def quotient(ambient, spanning):
+    """The span of `spanning` modulo the scalar Gram kernel, on the library's
+    scalar-orthonormal basis (`from_spanning`).  The unit actions are the
+    ambient's, applied to the basis and projected back onto it."""
+    S = ambient.scalar_gram
+    basis = from_spanning(S, spanning)  # (n, M)
+    half = np.tensordot(basis.conj(), ambient.binner, axes=(1, 0))  # (n, M, dim)
+    binner = np.tensordot(half, basis, axes=([1], [1])).transpose(0, 2, 1)
+    proj = basis.conj() @ S  # (n, M): scalar projection onto the basis
+    lmul, rmul = proj @ ambient.left_units(basis.T), proj @ ambient.right_units(basis.T)
+    return QuotientModule(ambient.structure, ambient.psi, binner, lmul, rmul, ambient, basis)
+
+
+def algebra_module(psi):
+    """B as a correspondence over itself: <x, y>_B = x* y, regular actions."""
+    st = psi.structure
+    mt = st.mul_tensor
+    binner = mt[:, st.star_perm, :].transpose(1, 2, 0).astype(complex)
+    lmul = mt.transpose(1, 0, 2).astype(complex)  # lmul[p] = mt[:, p, :]
+    rmul = mt.transpose(2, 0, 1).astype(complex)  # rmul[p] = mt[:, :, p]
+    return ModuleSpace(st, psi, binner, lmul, rmul)
+
+
+def tensor_module(X, Y):
+    """X (x) Y with <x1 (x) y1, x2 (x) y2>_B = <y1, <x1, x2>_B . y2>_B; its
+    Gram quotient is the interior tensor product X (x)_B Y."""
+    _same_base(X.psi, Y.psi)
+    n = X.size * Y.size
+    binner = np.einsum("ijp,pml,kmd->ikjld", X.binner, Y.lmul, Y.binner, optimize=True)
+    return TensorModule(X.structure, X.psi, binner.reshape(n, n, -1), X.lmul, Y.rmul)
+
+
+def tensor_square_module(psi, phi_matrix):
+    """B (x) B with <a (x) b, c (x) d>_B = b* Phi(a* c) d for a linear Phi:
+    the tensor module of B with <a, c> = Phi(a* c) and B."""
+    B = algebra_module(psi)
+    X = replace(B, binner=B.binner @ np.asarray(phi_matrix, dtype=complex).T)
+    return tensor_module(X, B)
 
 
 def comultiply_adjoint_oracle(x, psi):
@@ -39,11 +153,11 @@ def dense_actions(M):
 
     A normal-form correspondence stores only the nonzeros of its unit
     actions and inner product; here they are summed into dense arrays entry
-    by entry.  A dense module gives its own arrays, a tensor module its
-    Kronecker-expanded actions.
+    by entry.  A dense module gives its actions applied to the identity.
     """
     if not isinstance(M, qg.Correspondence):
-        return (*ambient_action_stacks(M), M.binner)
+        eye = np.eye(M.size, dtype=complex)
+        return M.left_units(eye), M.right_units(eye), M.binner
     dim, n = M.structure.dim, M.size
     lmul, rmul = np.zeros((2, dim, n, n), dtype=complex)
     binner = np.zeros((n, n, dim), dtype=complex)
@@ -71,9 +185,21 @@ def pi_level(F, l, x):
     return np.einsum("p,pab->ab", x.vec, dense_actions(F.levels[l])[0])
 
 
+def dense_creation(F, l):
+    """Creation map l of the truncation F as a dense (dim level l+1, dim E,
+    dim level l) tensor: the oracle's own, or the normal form's nonzeros
+    (z, e, y, value) summed entry by entry."""
+    if not isinstance(F.creation[l], tuple):
+        return F.creation[l]
+    out = np.zeros((F.level_dims[l + 1], F.edge.size, F.level_dims[l]), dtype=complex)
+    z, e, y, value = F.creation[l]
+    np.add.at(out, (z, e, y), value)
+    return out
+
+
 def creation_matrix(F, l, xi):
     """Matrix of T(xi) from level l to level l+1 of the truncation F."""
-    return np.einsum("aeb,e->ab", F.creation[l], xi)
+    return np.einsum("aeb,e->ab", dense_creation(F, l), xi)
 
 
 def rank_one_operator(E, u, w):
@@ -103,21 +229,6 @@ def compact_decomposition_oracle(E):
     return worst
 
 
-def ambient_action_stacks(M):
-    """Whole-space matrices of the unit actions on an ambient module.
-
-    A tensor module keeps its factor actions only; here they are expanded
-    to the Kronecker products L_p (x) 1 and 1 (x) R_p.
-    """
-    if isinstance(M, TensorModule):
-        eyeX = np.eye(M.x_lmul.shape[1])
-        eyeY = np.eye(M.y_rmul.shape[1])
-        lmul = np.array([np.kron(L, eyeY) for L in M.x_lmul])
-        rmul = np.array([np.kron(eyeX, R) for R in M.y_rmul])
-        return lmul, rmul
-    return M.lmul, M.rmul
-
-
 def quotient_actions_oracle(F):
     """Actions of the units on a quotient module and its closure residual,
     one unit at a time on the dense ambient actions.
@@ -131,7 +242,7 @@ def quotient_actions_oracle(F):
     proj = basis.conj() @ S
     closure = 0.0
     actions = []
-    for amb in ambient_action_stacks(F.ambient):
+    for amb in dense_actions(F.ambient)[:2]:
         mats = []
         for p in range(F.structure.dim):
             mats.append(proj @ amb[p] @ basis.T)
@@ -142,21 +253,13 @@ def quotient_actions_oracle(F):
     return actions[0], actions[1], closure
 
 
-@dataclass(frozen=True)
-class DenseEdge(QuotientModule):
-    """A Gram-quotient E_G with its generator and graph."""
-
-    generator: np.ndarray
-    graph: qg.QuantumGraph
-
-
 def dense_edge_correspondence(G):
-    """E_G as the Gram quotient of the orbit b_p . eps . b_q in B (x)_psi B."""
+    """E_G as the Gram quotient of the orbit b_p . eps . b_q in B (x)_psi B,
+    Phi = psi(.) 1, whose coordinate (p, q) is b_p (x) b_q."""
     eps = qg.edge_indicator(G).coeff.ravel()
-    ambient = psi_tensor_module(G.psi)
-    E = from_spanning(ambient, _unit_orbit(ambient, eps))
-    parts = {f.name: getattr(E, f.name) for f in fields(E)}
-    return DenseEdge(**parts, generator=E.project(eps), graph=G)
+    ambient = tensor_square_module(G.psi, np.outer(G.structure.unit_vector, G.psi.psi_vec))
+    E = quotient(ambient, _unit_orbit(ambient, eps))
+    return replace(E, generator=E.project(eps), graph=G)
 
 
 def dense_fock(G, N):
@@ -165,10 +268,10 @@ def dense_fock(G, N):
     tensor_module(E, level l), whose projection is the creation tensor."""
     E = dense_edge_correspondence(G)
     dim = G.structure.dim
-    levels = [from_spanning(algebra_module(G.psi), np.eye(dim, dtype=complex)), E]
+    levels = [quotient(algebra_module(G.psi), np.eye(dim, dtype=complex)), E]
     for _ in range(2, N + 1):
         ambient = tensor_module(E, levels[-1])
-        levels.append(from_spanning(ambient, np.eye(ambient.size, dtype=complex)))
+        levels.append(quotient(ambient, np.eye(ambient.size, dtype=complex)))
     creation = [np.einsum("bp,pae->aeb", levels[0].basis_ambient, E.rmul)]
     for lower, upper in zip(levels[1:], levels[2:]):
         proj = upper.basis_ambient.conj() @ upper.ambient.scalar_gram
@@ -298,11 +401,11 @@ def orbit_unitaries(F, D):
     U1, worst = edge_unitary(F.edge, D.edge)
     # U_0: sum_f CD0[:, f, :] U1[f, e] U0 = U1 CF0[:, e, :] for every e
     lhs = np.einsum("afb,fe->eab", D.creation[0], U1).reshape(-1, D.level_dims[0])
-    rhs = np.einsum("xa,aeb->exb", U1, F.creation[0]).reshape(-1, F.level_dims[0])
+    rhs = np.einsum("xa,aeb->exb", U1, dense_creation(F, 0)).reshape(-1, F.level_dims[0])
     U0h, res = _procrustes(lhs.conj().T, rhs.conj().T)
     unitaries, worst = [U0h.conj().T, U1], max(worst, res)
     for l in range(1, F.depth):
-        CF = F.creation[l].reshape(F.level_dims[l + 1], -1)
+        CF = dense_creation(F, l).reshape(F.level_dims[l + 1], -1)
         CD = D.creation[l].reshape(D.level_dims[l + 1], -1) @ np.kron(U1, unitaries[l])
         U, res = _procrustes(CF, CD)
         unitaries.append(U)
@@ -335,7 +438,7 @@ def big_creation(F, xi):
     out = np.zeros(xi.shape[:-1] + (D, D), dtype=complex)
     for l in range(F.depth):
         out[..., level_slice(F, l + 1), level_slice(F, l)] = np.einsum(
-            "aeb,...e->...ab", F.creation[l], xi
+            "aeb,...e->...ab", dense_creation(F, l), xi
         )
     return out
 

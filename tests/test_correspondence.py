@@ -1,10 +1,13 @@
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st_
 from oracles import (
+    algebra_module,
     carried,
     close,
     compact_decomposition_oracle,
@@ -15,19 +18,17 @@ from oracles import (
     left_act,
     left_kernel_oracle,
     orbit_gram,
+    quotient,
     quotient_actions_oracle,
     random_cp_map,
     rank_one_operator,
+    tensor_square_module,
 )
 from strategies import delta_states
 
 import qgraph as qg
-from qgraph.correspondence import (
-    _unit_orbit,
-    algebra_module,
-    from_spanning,
-    tensor_square_module,
-)
+import qgraph.correspondence
+from qgraph.correspondence import _unit_orbit, from_spanning
 
 RNG = np.random.default_rng(5)
 
@@ -65,7 +66,7 @@ class TestModuleBasics:
         assert T.size == skew_m2.structure.dim
         # the dense oracle: B quotiented inside itself is a sub-bimodule ...
         dim = skew_m2.structure.dim
-        D = from_spanning(algebra_module(skew_m2), np.eye(dim, dtype=complex))
+        D = quotient(algebra_module(skew_m2), np.eye(dim, dtype=complex))
         _, _, closure = quotient_actions_oracle(D)
         assert closure < 1e-12
         # ... and T is D in the basis b_p / sqrt(g_p)
@@ -77,7 +78,8 @@ class TestModuleBasics:
     def test_scalar_gram_orthonormal_after_quotient(self, cp_family_graphs):
         for name, G in cp_family_graphs.items():
             E = qg.build_edge_correspondence(G)
-            assert np.allclose(E.scalar_gram, np.eye(E.size), atol=1e-10), name
+            scalar_gram = dense_actions(E)[2] @ G.psi.psi_vec
+            assert np.allclose(scalar_gram, np.eye(E.size), atol=1e-10), name
 
     def test_actions_commute(self, graph_rank_one):
         E = qg.build_edge_correspondence(graph_rank_one)
@@ -93,9 +95,9 @@ class TestModuleBasics:
         amb = algebra_module(tracial_m2)
         bad = tensor_square_module(tracial_m2, -np.eye(4))
         with pytest.raises(qg.NotCompletelyPositive):
-            from_spanning(bad, np.eye(16, dtype=complex))
+            from_spanning(bad.scalar_gram, np.eye(16, dtype=complex))
         # sanity: the honest ambient passes
-        from_spanning(amb, np.eye(4, dtype=complex))
+        from_spanning(amb.scalar_gram, np.eye(4, dtype=complex))
 
 
 class TestEdgeCorrespondence:
@@ -322,3 +324,65 @@ class TestRecognition:
         v = left_act(E, f11, E.generator)
         with pytest.raises(qg.NotGenerating):
             qg.recognize(E.vector(v), graph_complete_m2.psi, module=E)
+
+    def test_module_dim_is_dim_e_on_built_in_graphs(self, cp_family_graphs):
+        for name, G in cp_family_graphs.items():
+            out = qg.recognize(qg.edge_indicator(G), G.psi)
+            assert out.module_dim == qg.build_edge_correspondence(G).size, name
+            assert out.iso_residual <= 1e-9, name
+
+    @given(psi=delta_states())
+    @settings(max_examples=15, deadline=None)
+    def test_module_dim_is_dim_e_on_complete_graphs(self, psi):
+        G = qg.complete_graph(psi)
+        out = qg.recognize(qg.edge_indicator(G), psi)
+        assert out.module_dim == qg.build_edge_correspondence(G).size == psi.structure.dim**2
+        assert out.iso_residual <= 1e-9
+
+    def test_complete_m5_recognizes_in_bounded_memory(self):
+        # one dense (d^2, d^2, d) inner-product array of B (x)_psi B is 156 MB
+        psi = qg.validate_delta_form([5], [[1 / 5] * 5])
+        eps = qg.edge_indicator(qg.complete_graph(psi))
+        tracemalloc.start()
+        try:
+            out = qg.recognize(eps, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.module_dim == 625
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("tensor_over_other_structure", qg.MismatchedBase),
+            ("vector_of_other_module", qg.MismatchedBase),
+            ("coordinates_of_wrong_size", qg.ShapeMismatch),
+            ("module_over_other_structure", qg.MismatchedBase),
+            ("module_over_other_state", qg.MismatchedBase),
+            ("module_over_other_tiny_weight", qg.MismatchedBase),
+        ],
+    )
+    def test_rejects_mismatched_inputs(
+        self, case, error, tracial_m2, graph_complete_m2, graph_trivial_m2, graph_complete_c2, graph_trivial_skew
+    ):
+        E = qg.build_edge_correspondence(graph_complete_m2)
+        other = {
+            key: qg.build_edge_correspondence(G)
+            for key, G in (("m2", graph_trivial_m2), ("c2", graph_complete_c2), ("skew", graph_trivial_skew))
+        }
+        # weights 1e-9 and 4e-9 differ by less than np.allclose's default atol
+        tiny = [qg.validate_delta_form([2], [[w, 1 - w]]) for w in (1e-9, 4e-9)]
+        other["tiny"] = qg.build_edge_correspondence(qg.trivial_graph(tiny[1]))
+        args = {
+            "tensor_over_other_structure": (qg.edge_indicator(graph_complete_c2), tracial_m2),
+            "vector_of_other_module": (other["m2"].vector(other["m2"].generator), tracial_m2, E),
+            "coordinates_of_wrong_size": (E.generator[:-1], tracial_m2, E),
+            "module_over_other_structure": (other["c2"].generator, tracial_m2, other["c2"]),
+            "module_over_other_state": (other["skew"].generator, tracial_m2, other["skew"]),
+            "module_over_other_tiny_weight": (other["tiny"].generator, tiny[0], other["tiny"]),
+        }[case]
+        # refused before any module vector is read
+        with mock.patch.object(qgraph.correspondence, "_vector_map", side_effect=AssertionError):
+            with pytest.raises(error):
+                qg.recognize(*args)

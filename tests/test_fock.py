@@ -3,15 +3,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st_
 from oracles import (
+    algebra_module,
     big_creation,
     carried,
     close,
     cp_correspondence_oracle,
     creation_matrix,
     dense_actions,
+    dense_creation,
     dense_edge_correspondence,
     dense_fock,
     edge_unitary,
@@ -31,7 +33,7 @@ from strategies import delta_states
 import qgraph as qg
 import qgraph.correspondence
 import qgraph.fock
-from qgraph.correspondence import algebra_module, multiplicity_spaces
+from qgraph.correspondence import multiplicity_spaces
 
 RNG = np.random.default_rng(17)
 
@@ -67,16 +69,18 @@ class TestInteriorTensor:
             E = qg.build_edge_correspondence(G)
             for Y in (qg.trivial_correspondence(G.psi), E):
                 Z = qg.interior_tensor(E, Y)
+                # Z's canonical map, read as the creation map of the levels Y, Z
+                C = dense_creation(qg.FockTruncation(G, E, (Y, Z), (Z.creation,)), 0)
                 x = RNG.normal(size=E.size) + 1j * RNG.normal(size=E.size)
                 y = RNG.normal(size=Y.size) + 1j * RNG.normal(size=Y.size)
                 for p in range(G.structure.dim):
                     b = unit(G.structure, p)
-                    v1 = np.einsum("zef,e,f->z", Z.creation, right_act(E, x, b), y)
-                    v2 = np.einsum("zef,e,f->z", Z.creation, x, left_act(Y, b, y))
+                    v1 = np.einsum("zef,e,f->z", C, right_act(E, x, b), y)
+                    v2 = np.einsum("zef,e,f->z", C, x, left_act(Y, b, y))
                     # x.b (x) y and x (x) b.y have the same image in X (x)_B Y
                     assert np.linalg.norm(v1 - v2) < 1e-10
                 # and the canonical map is onto
-                assert np.linalg.matrix_rank(Z.creation.reshape(Z.size, -1)) == Z.size
+                assert np.linalg.matrix_rank(C.reshape(Z.size, -1)) == Z.size
 
     def test_mismatched_base(self, graph_trivial_m2, graph_trivial_skew, graph_3cycle):
         E1 = qg.build_edge_correspondence(graph_trivial_m2)
@@ -262,17 +266,26 @@ def assert_matches_dense_oracle(F, D):
     Us, fit = orbit_unitaries(F, D)
     assert fit <= rel
     for U, X, Y in zip(Us, F.levels, D.levels, strict=True):
-        assert np.allclose(X.scalar_gram, np.eye(X.size), atol=1e-13)
+        assert np.allclose(dense_actions(X)[2] @ X.psi.psi_vec, np.eye(X.size), atol=1e-13)
         for got, want in zip(carried(U, X), (Y.lmul, Y.rmul, Y.binner)):
             assert close(got, want, rel)
     assert close(Us[1] @ F.edge.generator, D.edge.generator, rel)
-    for l, C in enumerate(F.creation):
+    for l in range(F.depth):
+        C = dense_creation(F, l)
         got = np.einsum("za,aeb,fe,cb->zfc", Us[l + 1], C, Us[1].conj(), Us[l].conj(), optimize=True)
         assert close(got, D.creation[l], rel)
 
 
+# a delta_states() draw on which the oracle's orbit Gram puts a genuine
+# Kraus direction (Choi eigenvalue 1.4e-4 against 11.4) at 5e-11 of its
+# largest eigenvalue, under the cutoff: level dims (6, 16, 48) against the
+# oracle's (6, 15, 40)
+ORACLE_LOSES_A_DIRECTION = qg.validate_delta_form([1, 1, 2], [[7 / 78], [7 / 78], [56 / 78, 8 / 78]])
+
+
 class TestNormalFormMatchesDenseOracle:
     @given(psi=delta_states(), seed=st_.integers(0, 2**32 - 1), kraus=st_.integers(1, 3))
+    @example(psi=ORACLE_LOSES_A_DIRECTION, seed=635756416, kraus=1)
     @settings(max_examples=10, deadline=None)
     def test_random_completely_positive_maps(self, psi, seed, kraus):
         # A is completely positive but not Schur-idempotent.  Level 2 of the
@@ -282,6 +295,11 @@ class TestNormalFormMatchesDenseOracle:
         kraus = min(kraus, max(1, 27 // sum(psi.structure.sizes) ** 2))
         G = qg.QuantumGraph(psi.structure, psi, random_cp_map(psi, rng, kraus))
         F, D = qg.build_fock(G, 2), dense_fock(G, 2)
+        # the Gram quotient squares the conditioning: on skewed states it can
+        # drop a Kraus direction that the Choi slabs resolve, and then the two
+        # cannot be compared; it never finds one more
+        assert all(d <= f for d, f in zip(D.level_dims, F.level_dims, strict=True))
+        assume(D.level_dims == F.level_dims)
         assert_matches_dense_oracle(F, D)
         assert close(reconstructed_eps(G, F.edge), qg.edge_indicator(G).coeff)
 
@@ -332,13 +350,14 @@ def assert_levelwise_matches_full_truncation(G, rng, N=3):
 
 def assert_recognition_matches_orbit_grams(G, rng):
     """recognize's defect against the orbit-Gram reference, for an edge
-    indicator in B (x)_psi B and for E_G's generator in E_G, with E_G's own
+    indicator in B (x)_psi B (whose orbit Gram the oracle reads in its dense
+    coordinates b_p (x) b_q) and for E_G's generator in E_G, with E_G's own
     generator perturbed so that the defect is O(1)."""
     E = qg.build_edge_correspondence(G)
     Ep = perturbed(E, rng)
     eps = qg.edge_indicator(G)
     cases = [
-        (eps, None, qg.psi_tensor_module(G.psi), eps.coeff.ravel()),
+        (eps, None, dense_edge_correspondence(G).ambient, eps.coeff.ravel()),
         (E.vector(E.generator), E, E, E.generator),
     ]
     with mock.patch.object(qgraph.correspondence, "build_edge_correspondence", return_value=Ep):

@@ -21,14 +21,15 @@ from oracles import (
     oracle_defect,
     orbit_unitaries,
     pi_level,
+    quotient,
     quotient_actions_oracle,
     random_cp_map,
     right_act,
+    tensor_square_module,
 )
 from strategies import delta_states
 
 import qgraph as qg
-from qgraph.correspondence import from_spanning, tensor_square_module
 from qgraph.graphs import (
     _indicator_adjacency,
     _schur_square_matrix,
@@ -327,7 +328,7 @@ def cp_residual_oracle(E):
     G = E.graph
     st = G.structure
     d2 = st.dim * st.dim
-    F = from_spanning(tensor_square_module(G.psi, G.adjacency.matrix), np.eye(d2, dtype=complex))
+    F = quotient(tensor_square_module(G.psi, G.adjacency.matrix), np.eye(d2, dtype=complex))
     eye2 = np.eye(d2, dtype=complex)
     gE, hF = [], []
     for p, x in enumerate(units(st)):
@@ -416,7 +417,7 @@ class TestBatchedFormsMatchLoops:
         d = st.dim
         D = dense_edge_correspondence(G)
         v = (rng.normal(size=(1, D.size)) + 1j * rng.normal(size=(1, D.size))) @ D.basis_ambient
-        sub = from_spanning(D.ambient, v)
+        sub = quotient(D.ambient, v)
         lmul, rmul, closure = quotient_actions_oracle(sub)
         assert close(sub.lmul, lmul) and close(sub.rmul, rmul)
         assert closure > 1e-6 or E.size == 1
