@@ -26,7 +26,6 @@ from .correspondence import (
     cp_correspondence,
     faithful_full_report,
     from_spanning,
-    fullness_ideal,
     left_kernel,
     psi_tensor_module,
     recognize,

@@ -3,8 +3,9 @@
 Every correspondence the library builds (B (x)_psi B, E_G and every Fock
 level) is a `Correspondence` in block-multiplicity normal form
 sum_{a,c} C^{N_a} (x) K_ac (x) C^{N_c}, with M[a, c] = dim K_ac; for E_G,
-M[a, b] is the Kraus rank of A from block a to block b.  Its basis is
-orthonormal for the scalar form psi(<.,.>_B), and it stores only the
+M[a, b] is the Kraus rank of A from block a to block b, and its zero rows
+and columns decide the left kernel, faithfulness and fullness of E_G.  Its
+basis is orthonormal for the scalar form psi(<.,.>_B), and it stores only the
 nonzeros that `normal_form` computes: the left action of the units (each a
 partial permutation), the right action and the B-valued inner product.
 Unit actions and inner products are gathers and scatter-adds over them, so
@@ -207,12 +208,6 @@ def _psi_tensor_coords(psi: DeltaState, coeff: np.ndarray) -> np.ndarray:
     return coeff[p, q] * np.sqrt(psi.gram_diag[p] * psi.gram_diag[q])
 
 
-def _unit_orbit(M: Correspondence, xi: np.ndarray) -> np.ndarray:
-    """Rows b_p . xi . b_q of the module M, row index p * dim B + q."""
-    right = M.right_units(xi[:, None])[:, :, 0]  # row q is xi . b_q
-    return M.left_units(right.T).transpose(0, 2, 1).reshape(M.structure.dim**2, M.size)
-
-
 def multiplicity_spaces(G: QuantumGraph) -> tuple[dict, np.ndarray]:
     """Bases u of the multiplicity spaces K_ab of E_G, and eps in `normal_form`
     coordinates: eps_ab[i,j,k,l] = sum_u gen_ab[i,u,l] u[jk] / sqrt(w_b[l]).
@@ -254,66 +249,39 @@ def build_edge_correspondence(G: QuantumGraph) -> Correspondence:
 
 
 def b_inner(xi: CorrVector, eta: CorrVector, E: Correspondence) -> AlgebraElement:
-    """B-valued inner product <xi, eta>_B of two module vectors."""
-    if xi.module.size != E.size or eta.module.size != E.size:
-        raise ShapeMismatch("vectors over a different correspondence")
+    """B-valued inner product <xi, eta>_B of two vectors of E."""
+    if xi.module is not E or eta.module is not E:
+        raise MismatchedBase("vectors of a different correspondence")
     return AlgebraElement.from_vector(E.structure, E.b_inner_coords(xi.coords, eta.coords))
 
 
-def _gns_projector(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """GNS-orthogonal projector onto the span of the rows of `vectors`."""
-    weighted = np.diag(gram)
-    lam, U = _gram_quotient(vectors.conj() @ weighted @ vectors.T)
-    V = (U / np.sqrt(lam)).T @ vectors
-    return V.T @ V.conj() @ weighted
+def _empty_blocks(E: Correspondence) -> tuple[list[int], list[int]]:
+    """Blocks with a zero row of E.mult (sources) and a zero column (sinks)."""
+    return np.flatnonzero(~E.mult.any(axis=1)).tolist(), np.flatnonzero(~E.mult.any(axis=0)).tolist()
 
 
 def left_kernel(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
-    """Left-action kernel of E_G, computed directly and as predicted.
+    """Left-action kernel of E_G on both sides of the faithfulness theorem.
 
-    The prediction is the sum of the central summands inside ker A, the
-    source blocks of `quantum_sources_sinks`.  Returns the numerical null
-    space, the predicted blocks and the distance between the two subspaces.
+    The units of block a move the coordinates (a, c, i, k, l), so the kernel
+    is spanned by the units of the blocks with a zero row of M, the Kraus
+    ranks.  The prediction is the sum of the central summands inside ker A,
+    the source blocks of `quantum_sources_sinks`.  Both are coordinate
+    subspaces, so the Frobenius distance of their projectors is the root of
+    the number of units in one of them only.
     """
-    G = E.graph
-    st = G.structure
-    # direct: x with x . v_beta = 0 for every basis vector, from the nonzero
-    # rows ((c, beta), p) of the left action, in row-major (c, beta) order
-    p, row, col = E.left
-    rows, r = np.unique(row * E.size + col, return_inverse=True)
-    K = np.zeros((len(rows), st.dim), dtype=complex)
-    K[r, p] = 1.0
-    if K.shape[0]:
-        # R of K = QR has K's singular values and right singular vectors
-        # but at most dim B rows
-        _, svals, vh = np.linalg.svd(np.linalg.qr(K, mode="r"))
-        cutoff = tol * max(float(svals.max(initial=0.0)), 1.0)
-        null_dim = int(np.sum(svals <= cutoff)) + (st.dim - len(svals))
-        kernel = vh.conj()[st.dim - null_dim :] if null_dim else np.zeros((0, st.dim))
-    else:
-        kernel = np.eye(st.dim, dtype=complex)
-
-    # predicted kernel: the central summands inside ker A, the source blocks
-    sources, _ = quantum_sources_sinks(G, tol)
-    rows = [p for a in sources for p in range(st.offsets[a], st.offsets[a + 1])]
-    perp = np.eye(st.dim, dtype=complex)[rows]
-
-    g = G.psi.gram_diag
-    dist = float(np.linalg.norm(_gns_projector(kernel, g) - _gns_projector(perp, g)))
+    st = E.structure
+    sources, _ = quantum_sources_sinks(E.graph, tol)
+    unit_block = np.repeat(np.arange(st.num_blocks), np.square(st.sizes))
+    in_kernel, in_perp = np.isin(unit_block, _empty_blocks(E)[0]), np.isin(unit_block, sources)
+    eye = np.eye(st.dim, dtype=complex)
     return {
-        "kernel_basis": kernel,
-        "kernel_dim": kernel.shape[0],
-        "perp_basis": perp,
+        "kernel_basis": eye[in_kernel],
+        "kernel_dim": int(in_kernel.sum()),
+        "perp_basis": eye[in_perp],
         "perp_blocks": sources,
-        "subspace_distance": dist,
+        "subspace_distance": float(np.sqrt(np.count_nonzero(in_kernel != in_perp))),
     }
-
-
-def fullness_ideal(G: QuantumGraph, tol: float = DEFAULT_TOL) -> tuple[list[int], bool]:
-    """Blocks spanning B . A(B) . B, the blocks that are not sinks, and
-    whether the correspondence is full."""
-    _, sinks = quantum_sources_sinks(G, tol)
-    return [a for a in range(G.structure.num_blocks) if a not in sinks], not sinks
 
 
 def covariance_defect(
@@ -390,6 +358,25 @@ def cp_correspondence(E: Correspondence) -> float:
     return float(np.abs(diff).max(initial=0.0)) / G.delta_sq
 
 
+def _cyclic_dim(X: Correspondence, xi: np.ndarray) -> int:
+    """Dimension of the cyclic submodule B . xi . B of the normal form X.
+
+    The units move i and l of the coordinates (a, c, i, k, l), so B . xi . B
+    is sum_{a,c} C^{N_a} (x) K'_ac (x) C^{N_c} with K'_ac the span of the
+    rows xi[a, c, i, :, l]: sum N_a N_c rank(Xi_ac), the ranks cut at
+    GRAM_CUTOFF_RTOL times the largest Gram eigenvalue of all pairs.
+    """
+    n = np.array(X.structure.sizes)
+    segments = np.split(xi, _layout(X.structure, X.mult)[-1][1:-1])  # one per pair (a, c)
+    grams = {}
+    for (a, c), m in np.ndenumerate(X.mult):
+        if m:
+            Xi = segments[a * n.size + c].reshape(n[a], m, n[c]).transpose(0, 2, 1).reshape(-1, m)
+            grams[a, c] = np.linalg.eigvalsh(Xi.conj().T @ Xi)
+    cutoff = GRAM_CUTOFF_RTOL * max(max((lam[-1] for lam in grams.values()), default=0.0), 1e-300)
+    return int(sum(n[a] * n[c] * np.count_nonzero(lam > cutoff) for (a, c), lam in grams.items()))
+
+
 @dataclass(frozen=True)
 class RecognitionResult:
     graph: QuantumGraph
@@ -410,9 +397,11 @@ def recognize(
     over another base or module raise MismatchedBase before any work.  The
     candidate adjacency is A(x) = delta^2 (psi (x) 1)(x . xi) in the ambient
     tensor model and A(x) = delta^2 <xi, x . xi>_B in a cyclic module; it
-    must be Schur-idempotent.  On success returns the recovered graph
-    together with the inner-product defect of the identification
-    x . xi . y -> x . eps . y.
+    must be Schur-idempotent.  The module dimension is that of B . xi . B,
+    read off the coordinates block pair by block pair (`_cyclic_dim`); a
+    vector that generates less than `module` raises NotGenerating.  On
+    success returns the recovered graph together with the inner-product
+    defect of the identification x . xi . y -> x . eps . y.
     """
     st = psi.structure
     if module is None:
@@ -430,8 +419,7 @@ def recognize(
     inner = _vector_map(space, coords)
     A = _indicator_adjacency(xi.coeff, psi) if module is None else psi.delta_sq * inner
 
-    # the normal-form basis is orthonormal for the scalar form
-    span_rank = len(from_spanning(np.eye(space.size), _unit_orbit(space, coords)))
+    span_rank = _cyclic_dim(space, coords)
     if module is not None and span_rank < module.size:
         raise NotGenerating(
             f"xi generates a {span_rank}-dimensional submodule of dimension-{module.size} module"
@@ -444,15 +432,21 @@ def recognize(
 
 
 def faithful_full_report(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
-    """Faithfulness/fullness of E_G with the source/sink cross-check."""
+    """Faithfulness and fullness of E_G, read off its multiplicity matrix M.
+
+    E_G is faithful when M has no zero row (no source block) and full when
+    M has no zero column (no sink block); B . <E, E>_B . B is the sum of
+    the blocks of M's nonzero columns.  The subspace distance compares the
+    kernel with the source blocks of `quantum_sources_sinks` at `tol`
+    (`left_kernel`).
+    """
+    sources, sinks = _empty_blocks(E)
     kern = left_kernel(E, tol)
-    ideal_blocks, full = fullness_ideal(E.graph, tol)
-    sources, sinks = quantum_sources_sinks(E.graph, tol)
     return {
-        "faithful": kern["kernel_dim"] == 0,
-        "full": full,
+        "faithful": not sources,
+        "full": not sinks,
         "kernel_dim": kern["kernel_dim"],
-        "ideal_blocks": ideal_blocks,
+        "ideal_blocks": [a for a in range(E.structure.num_blocks) if a not in sinks],
         "subspace_distance": kern["subspace_distance"],
         "sources": sources,
         "sinks": sinks,

@@ -22,6 +22,7 @@ import numpy as np
 
 from .correspondence import (
     Correspondence,
+    _empty_blocks,
     _layout,
     _same_base,
     build_edge_correspondence,
@@ -30,7 +31,7 @@ from .correspondence import (
     trivial_correspondence,
 )
 from .errors import BudgetExceeded, HasQuantumSource, ShapeMismatch
-from .graphs import QuantumGraph, quantum_sources_sinks
+from .graphs import QuantumGraph
 from .relations import _pair_sum, _products, _sq_nrm, lqck_sq_norms, star_images
 
 FOCK_COORD_BUDGET = 5000
@@ -93,14 +94,15 @@ class FockTruncation:
 def build_fock(G: QuantumGraph, N: int) -> FockTruncation:
     """Construct the depth-N Fock truncation of the edge correspondence of G.
 
-    Level l + 1 is interior_tensor(E, level l).  BudgetExceeded names the
+    Level l + 1 is interior_tensor(E, level l).  HasQuantumSource names the
+    blocks with a zero row of E's multiplicity matrix.  BudgetExceeded names the
     level dims sum_{a,c} N_a N_c (M^l)_ac before any level is built when
     they total more than FOCK_COORD_BUDGET.
     """
     if N < 1:
         raise ShapeMismatch(f"level count {N} must be at least 1")
     E = build_edge_correspondence(G)
-    sources, _ = quantum_sources_sinks(G)
+    sources, _ = _empty_blocks(E)
     if sources:
         raise HasQuantumSource(f"blocks {sources} lie in ker A")
 

@@ -6,13 +6,7 @@ from functools import cached_property
 import numpy as np
 
 import qgraph as qg
-from qgraph.correspondence import (
-    _gns_projector,
-    _gram_quotient,
-    _same_base,
-    _unit_orbit,
-    from_spanning,
-)
+from qgraph.correspondence import _gram_quotient, _same_base, from_spanning
 from qgraph.relations import _pair_sum
 
 
@@ -92,6 +86,18 @@ class QuotientModule(ModuleSpace):
     def project(self, ambient_vec):
         """Quotient coordinates of an ambient vector (scalar-orthogonal projection)."""
         return self.basis_ambient.conj() @ (self.ambient.scalar_gram @ ambient_vec)
+
+
+def unit_orbit(M, xi):
+    """Rows b_p . xi . b_q of the module M, row index p * dim B + q."""
+    right = M.right_units(xi[:, None])[:, :, 0]  # row q is xi . b_q
+    return M.left_units(right.T).transpose(0, 2, 1).reshape(M.structure.dim**2, M.size)
+
+
+def orbit_span_rank(M, xi):
+    """Dimension of B . xi . B in the normal form M: the number of
+    scalar-orthonormal rows `from_spanning` finds for the whole unit orbit."""
+    return len(from_spanning(np.eye(M.size), unit_orbit(M, xi)))
 
 
 def quotient(ambient, spanning):
@@ -258,7 +264,7 @@ def dense_edge_correspondence(G):
     Phi = psi(.) 1, whose coordinate (p, q) is b_p (x) b_q."""
     eps = qg.edge_indicator(G).coeff.ravel()
     ambient = tensor_square_module(G.psi, np.outer(G.structure.unit_vector, G.psi.psi_vec))
-    E = quotient(ambient, _unit_orbit(ambient, eps))
+    E = quotient(ambient, unit_orbit(ambient, eps))
     return replace(E, generator=E.project(eps), graph=G)
 
 
@@ -290,6 +296,14 @@ def oracle_defect(D):
     return max(np.linalg.norm(lvl.scalar_gram - np.eye(lvl.size)) for lvl in D.levels)
 
 
+def gns_projector(vectors, gram):
+    """GNS-orthogonal projector onto the span of the rows of `vectors`."""
+    weighted = np.diag(gram)
+    lam, U = _gram_quotient(vectors.conj() @ weighted @ vectors.T)
+    V = (U / np.sqrt(lam)).T @ vectors
+    return V.T @ V.conj() @ weighted
+
+
 def left_kernel_oracle(M, G, tol=qg.DEFAULT_TOL):
     """kernel_dim and subspace distance of the left-action kernel of the
     module M over the graph G, from the SVD of the whole dense
@@ -304,7 +318,7 @@ def left_kernel_oracle(M, G, tol=qg.DEFAULT_TOL):
     sources, _ = qg.quantum_sources_sinks(G, tol)
     perp = np.eye(dim)[[p for p in range(dim) if G.structure.unflatten(p)[0] in sources]]
     g = G.psi.gram_diag
-    return null_dim, float(np.linalg.norm(_gns_projector(kernel, g) - _gns_projector(perp, g)))
+    return null_dim, float(np.linalg.norm(gns_projector(kernel, g) - gns_projector(perp, g)))
 
 
 def cp_model_dim(G):
@@ -313,13 +327,19 @@ def cp_model_dim(G):
     return len(_gram_quotient(model @ G.psi.psi_vec)[0])
 
 
-def random_cp_map(psi, rng, kraus=2):
+def random_cp_map(psi, rng, kraus=2, sources=(), sinks=()):
     """x -> block-diagonal part of sum_K K x K*: completely positive, and
-    for random K not Schur-idempotent."""
+    for random K not Schur-idempotent.  The Kraus operators are zeroed on
+    the columns of the blocks in `sources` and the rows of those in `sinks`,
+    so A vanishes on the first and never reaches the second."""
     st = psi.structure
     n = sum(st.sizes)
     pos = np.cumsum((0,) + st.sizes)
     Ks = rng.normal(size=(kraus, n, n)) + 1j * rng.normal(size=(kraus, n, n))
+    for a in sources:
+        Ks[:, :, pos[a] : pos[a + 1]] = 0.0
+    for b in sinks:
+        Ks[:, pos[b] : pos[b + 1], :] = 0.0
     cols = []
     for p in range(st.dim):
         a, i, j = st.unflatten(p)
@@ -386,7 +406,7 @@ def _procrustes(A, B):
 def edge_unitary(E, ED):
     """The unitary carrying the eps orbit b_p . eps . b_q of the edge
     correspondence E onto that of ED, and the relative residual of the fit."""
-    return _procrustes(_unit_orbit(E, E.generator).T, _unit_orbit(ED, ED.generator).T)
+    return _procrustes(unit_orbit(E, E.generator).T, unit_orbit(ED, ED.generator).T)
 
 
 def orbit_unitaries(F, D):
@@ -494,7 +514,7 @@ def full_fock_residuals(F):
 
 def orbit_gram(M, xi):
     """B-valued Gram of the unit orbit: <b_p.xi.b_q, b_r.xi.b_s>_B at [pq, rs]."""
-    g = _unit_orbit(M, xi)
+    g = unit_orbit(M, xi)
     return np.einsum("xi,yj,ijd->xyd", g.conj(), g, dense_actions(M)[2], optimize=True)
 
 

@@ -18,17 +18,19 @@ from oracles import (
     left_act,
     left_kernel_oracle,
     orbit_gram,
+    orbit_span_rank,
     quotient,
     quotient_actions_oracle,
     random_cp_map,
     rank_one_operator,
     tensor_square_module,
+    unit_orbit,
 )
 from strategies import delta_states
 
 import qgraph as qg
 import qgraph.correspondence
-from qgraph.correspondence import _unit_orbit, from_spanning
+from qgraph.correspondence import _layout, _psi_tensor_coords, from_spanning
 
 RNG = np.random.default_rng(5)
 
@@ -149,6 +151,17 @@ class TestEdgeCorrespondence:
         assert isinstance(out, qg.AlgebraElement)
         assert abs(E.psi.value(out) - 1.0) < 1e-10  # scalar-normalized basis
 
+    def test_b_inner_refuses_vectors_of_another_correspondence(self, graph_trivial_m2, graph_trivial_skew):
+        # both have dim E = 4; read with the tracial inner product, the skewed
+        # generator would give (0.148, 0, 0, 0.296) instead of its own
+        # (0.222, 0, 0, 0.222)
+        tracial, skew = (qg.build_edge_correspondence(G) for G in (graph_trivial_m2, graph_trivial_skew))
+        v = skew.vector(skew.generator)
+        assert np.allclose(qg.b_inner(v, v, skew).vec, [2 / 9, 0, 0, 2 / 9])
+        for args in ((v, v), (v, tracial.vector(tracial.generator)), (tracial.vector(tracial.generator), v)):
+            with pytest.raises(qg.MismatchedBase):
+                qg.b_inner(*args, tracial)
+
     def test_cp_model_isomorphism(self, cp_family_graphs):
         for name, G in cp_family_graphs.items():
             residual = qg.cp_correspondence(qg.build_edge_correspondence(G))
@@ -183,7 +196,7 @@ class TestNonzeroFormMatchesDenseOracle:
         # from its nonzeros by the oracle and by the library
         want = orbit_gram(D, D.generator)
         assert close(orbit_gram(E, E.generator), want)
-        orbit = _unit_orbit(E, E.generator)
+        orbit = unit_orbit(E, E.generator)
         assert close([E.b_inner_coords(v, orbit) for v in orbit], want)
 
         kern = qg.left_kernel(E)
@@ -257,10 +270,59 @@ class TestFaithfulFull:
         assert rep["subspace_distance"] <= 1e-9
 
     def test_fullness_ideal(self, graph_line, graph_3cycle):
-        blocks, full = qg.fullness_ideal(graph_3cycle)
-        assert full and blocks == [0, 1, 2]
-        blocks, full = qg.fullness_ideal(graph_line)
-        assert not full and blocks == [0]
+        rep = qg.faithful_full_report(qg.build_edge_correspondence(graph_3cycle))
+        assert rep["full"] and rep["ideal_blocks"] == [0, 1, 2]
+        rep = qg.faithful_full_report(qg.build_edge_correspondence(graph_line))
+        assert not rep["full"] and rep["ideal_blocks"] == [0]
+
+    @given(
+        psi=delta_states(),
+        seed=st_.integers(0, 2**32 - 1),
+        sources=st_.sets(st_.integers(0, 2)),
+        sinks=st_.sets(st_.integers(0, 2)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_both_sides_of_the_faithfulness_theorem(self, psi, seed, sources, sinks):
+        # a CP map with its Kraus operators zeroed on chosen blocks: the zero
+        # rows and columns of M (the Kraus ranks) are the blocks in ker A and
+        # those A never reaches, and the kernel is the dense SVD's
+        d = psi.structure.num_blocks
+        sources, sinks = sorted(a for a in sources if a < d), sorted(b for b in sinks if b < d)
+        A = random_cp_map(psi, np.random.default_rng(seed), sources=sources, sinks=sinks)
+        G = qg.QuantumGraph(psi.structure, psi, A)
+        # M[a, b] > 0 off the zeroed blocks, so A is 0 once either set is all
+        if len(sources) == d or len(sinks) == d:
+            sources = sinks = list(range(d))
+        E = qg.build_edge_correspondence(G)
+        zero_rows = np.flatnonzero(~E.mult.any(axis=1)).tolist()
+        zero_cols = np.flatnonzero(~E.mult.any(axis=0)).tolist()
+        assert (zero_rows, zero_cols) == qg.quantum_sources_sinks(G) == (sources, sinks)
+
+        kern, rep = qg.left_kernel(E), qg.faithful_full_report(E)
+        want_dim, want_dist = left_kernel_oracle(E, G)
+        assert kern["kernel_dim"] == want_dim and abs(kern["subspace_distance"] - want_dist) <= 1e-12
+        assert kern["kernel_dim"] == sum(psi.structure.sizes[a] ** 2 for a in sources)
+        lmul = dense_actions(E)[0]
+        assert not np.einsum("kp,pxy->kxy", kern["kernel_basis"], lmul).any()
+        assert (rep["sources"], rep["sinks"]) == (sources, sinks)
+        assert rep["faithful"] == (kern["kernel_dim"] == 0)
+        assert rep["full"] == (not sinks)
+        assert rep["ideal_blocks"] == [b for b in range(d) if b not in sinks]
+
+    def test_subspace_distance_counts_the_blocks_the_sides_disagree_on(self):
+        # at tol = 1e-2 block 1 of A, of norm 1e-3, counts as a source
+        # for quantum_sources_sinks, while its Kraus rank survives the
+        # relative cut: the two projectors differ by the 4 units of block 1
+        psi = qg.validate_delta_form([1, 2], [[1 / 6], [(5 + np.sqrt(5)) / 12, (5 - np.sqrt(5)) / 12]])
+        A = random_cp_map(psi, np.random.default_rng(4)).matrix
+        A[:, 1:] *= 1e-3 / np.linalg.norm(A[:, 1:])
+        G = qg.QuantumGraph(psi.structure, psi, qg.LinearMapOnB(psi.structure, A))
+        E = qg.build_edge_correspondence(G)
+        kern = qg.left_kernel(E, tol=1e-2)
+        assert kern["kernel_dim"] == 0 and kern["perp_blocks"] == [1]
+        assert kern["kernel_basis"].shape == (0, 5) and kern["perp_basis"].shape == (4, 5)
+        assert kern["subspace_distance"] == 2.0
+        assert left_kernel_oracle(E, G, tol=1e-2) == (0, pytest.approx(2.0, rel=1e-12))
 
 
 class TestCompacts:
@@ -338,6 +400,48 @@ class TestRecognition:
         out = qg.recognize(qg.edge_indicator(G), psi)
         assert out.module_dim == qg.build_edge_correspondence(G).size == psi.structure.dim**2
         assert out.iso_residual <= 1e-9
+
+    @given(
+        psi=delta_states(),
+        kind=st_.sampled_from(["complete", "trivial"]),
+        vector=st_.sampled_from(["eps", "fii_eps", "eps_cut", "eps_faint"]),
+        pick=st_.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_module_dim_matches_the_orbit_oracle(self, psi, kind, vector, pick):
+        # the span of the d^2 orbit rows b_p . xi . b_q against the per-pair
+        # ranks, on eps and on three rank-deficient vectors: f_ii . eps for a
+        # drawn unit, and eps zeroed on a drawn block pair or scaled by 1e-7
+        # there, below the one relative cut that both take over all pairs
+        G = qg.complete_graph(psi) if kind == "complete" else qg.trivial_graph(psi)
+        T = qg.psi_tensor_module(psi)
+        out = qg.recognize(qg.edge_indicator(G), psi)
+        assert out.module_dim == orbit_span_rank(T, _psi_tensor_coords(psi, qg.edge_indicator(G).coeff))
+
+        E = qg.build_edge_correspondence(G)
+        a = pick % psi.structure.num_blocks
+        i = pick % psi.structure.sizes[a]
+        v = E.generator
+        if vector == "fii_eps":
+            v = left_act(E, qg.adapted_unit(a, i, i, psi), E.generator)
+        elif vector != "eps":
+            start = _layout(E.structure, E.mult)[-1]
+            pair = np.flatnonzero(np.diff(start))[pick % np.count_nonzero(E.mult)]
+            on_pair = (np.arange(E.size) >= start[pair]) & (np.arange(E.size) < start[pair + 1])
+            v = np.where(on_pair, 0.0 if vector == "eps_cut" else 1e-7 * v, v)
+        want = orbit_span_rank(E, v)
+        if want < E.size:
+            with pytest.raises(qg.NotGenerating, match=f"a {want}-dimensional submodule"):
+                qg.recognize(v, psi, module=E)
+        else:
+            # v generates all of E, and recognize goes on to the Schur test,
+            # which f_ii . eps and a cut eps may fail
+            try:
+                out = qg.recognize(v, psi, module=E)
+            except qg.NotQuantumAdjacency:
+                assert vector != "eps"
+            else:
+                assert out.module_dim == want == E.size
 
     def test_complete_m5_recognizes_in_bounded_memory(self):
         # one dense (d^2, d^2, d) inner-product array of B (x)_psi B is 156 MB

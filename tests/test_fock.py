@@ -103,6 +103,13 @@ class TestBuildFock:
         with pytest.raises(qg.HasQuantumSource):
             qg.build_fock(graph_line, 2)
 
+    def test_refuses_exactly_the_zero_rows_of_m(self):
+        # M = [[1, 0], [1, 0]] has a sink and no source, and builds; its
+        # transpose has block 1 in ker A, and the refusal names it
+        assert qg.build_fock(qg.classical_graph([[1, 1], [0, 0]]), 2).level_dims == (2, 2, 2)
+        with pytest.raises(qg.HasQuantumSource, match=r"blocks \[1\] lie in ker A"):
+            qg.build_fock(qg.classical_graph([[1, 0], [1, 0]]), 2)
+
     def test_budget_guard(self, graph_complete_m2, monkeypatch):
         monkeypatch.setattr(qgraph.fock, "FOCK_COORD_BUDGET", 50)
         with pytest.raises(qg.BudgetExceeded):
