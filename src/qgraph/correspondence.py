@@ -6,13 +6,11 @@ sum_{a,c} C^{N_a} (x) K_ac (x) C^{N_c}, with M[a, c] = dim K_ac; for E_G,
 M[a, b] is the Kraus rank of A from block a to block b, and its zero rows
 and columns decide the left kernel, faithfulness and fullness of E_G.  Its
 basis is orthonormal for the scalar form psi(<.,.>_B), and it stores only the
-nonzeros that `normal_form` computes: the left action of the units (each a
-partial permutation), the right action and the B-valued inner product.
-Unit actions and inner products are gathers and scatter-adds over them, so
-no (dim B, dim E, dim E) array is formed.  Dense arrays remain in one
-place: the budget-bounded Fock relation checks build pi and the creation
-map of a level from their nonzeros.  The dense ambients and their Gram
-quotients are the test oracle in `tests/oracles.py`.
+nonzeros of the left action of the units (each a partial permutation), the
+right action and the B-valued inner product.  Unit actions and inner
+products are gathers and scatter-adds over them, so no (dim B, dim E, dim E)
+array is formed, here or in the Fock checks.  The dense ambients and their
+Gram quotients are the test oracle in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -44,7 +42,8 @@ GRAM_CUTOFF_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class Correspondence:
-    """A `normal_form` correspondence, stored as its nonzeros on an orthonormal basis.
+    """A `normal_form` correspondence, read through the nonzeros of its actions
+    on an orthonormal basis, which are computed from (psi, mult) on first use.
 
     left = (p, row, col): b_p . u_col = u_row, each unit a partial permutation;
     right = (p, row, col, value): u_col . b_p = value u_row;
@@ -60,9 +59,6 @@ class Correspondence:
     structure: BlockStructure
     psi: DeltaState
     mult: np.ndarray
-    left: tuple[np.ndarray, ...]
-    right: tuple[np.ndarray, ...]
-    inner: tuple[np.ndarray, ...]
     generator: np.ndarray | None = None
     graph: QuantumGraph | None = None
     creation: tuple[np.ndarray, ...] | None = None
@@ -71,6 +67,46 @@ class Correspondence:
     def size(self) -> int:
         n = np.array(self.structure.sizes)
         return int(n @ self.mult @ n)
+
+    @cached_property
+    def layout(self) -> tuple[np.ndarray, ...]:
+        """`_layout` of the coordinates, computed once per correspondence."""
+        return _layout(self.structure, self.mult)
+
+    @cached_property
+    def left(self) -> tuple[np.ndarray, ...]:
+        a, c, i, _, _, _ = self.layout
+        n, off = np.array(self.structure.sizes), np.array(self.structure.offsets)
+        x, t = np.nonzero(np.arange(n.max()) < n[a][:, None])
+        return off[a[x]] + t * n[a[x]] + i[x], x + (t - i[x]) * self.mult[a, c][x] * n[c[x]], x
+
+    @cached_property
+    def right(self) -> tuple[np.ndarray, ...]:
+        _, c, _, _, l, _ = self.layout
+        n, off = np.array(self.structure.sizes), np.array(self.structure.offsets)
+        x, t = np.nonzero(np.arange(n.max()) < n[c][:, None])
+        p = off[c[x]] + l[x] * n[c[x]] + t  # e_lt in block c
+        return p, x + t - l[x], x, np.sqrt(self.psi.gram_diag[p] / self.psi.weight_of_row[p])
+
+    @cached_property
+    def inner(self) -> tuple[np.ndarray, ...]:
+        p, y, x, _ = self.right  # <u_x, u_y>_B sits at b_p where u_x . b_p involves u_y
+        return x, y, p, 1.0 / np.sqrt(self.psi.gram_diag[p] * self.psi.weight_of_row[p])
+
+    @cached_property
+    def row_groups(self) -> tuple[np.ndarray, ...]:
+        """Left block a, first index i and position in the row group (a, i) of
+        every coordinate, and the row-group size of every block.
+
+        Row group (a, i) holds the coordinates (a, c, i, k, l) in (c, k, l)
+        order, so the unit e_ij of block a maps row group (a, j) onto row
+        group (a, i) position by position.
+        """
+        n = np.array(self.structure.sizes)
+        a, c, i, k, l, _ = self.layout
+        width = self.mult * n  # [a, c]: coordinates of the pair (a, c) in one row group
+        before = np.cumsum(width, axis=1) - width
+        return a, i, before[a, c] + k * n[c] + l, width.sum(axis=1)
 
     def left_units(self, V: np.ndarray) -> np.ndarray:
         p, row, col = self.left
@@ -151,31 +187,7 @@ def normal_form(psi: DeltaState, M: np.ndarray, **fields) -> Correspondence:
     sqrt(w_c[t] / w_c[l]), and <v, v'>_B = delta_ii' delta_kk' e_ll' /
     sqrt(w_c[l] w_c[l']).  M = 1 gives B in the basis b_p / sqrt(g_p).
     """
-    st, M = psi.structure, np.asarray(M, dtype=int)
-    a, c, i, k, l, _ = _layout(st, M)
-    n, off = np.array(st.sizes), np.array(st.offsets)
-    x, t = np.nonzero(np.arange(n.max()) < n[a][:, None])
-    left = (off[a[x]] + t * n[a[x]] + i[x], x + (t - i[x]) * M[a, c][x] * n[c[x]], x)
-    x, t = np.nonzero(np.arange(n.max()) < n[c][:, None])
-    p, y = off[c[x]] + l[x] * n[c[x]] + t, x + t - l[x]  # p is e_lt in block c
-    right = (p, y, x, np.sqrt(psi.gram_diag[p] / psi.weight_of_row[p]))
-    inner = (x, y, p, 1.0 / np.sqrt(psi.gram_diag[p] * psi.weight_of_row[p]))
-    return Correspondence(st, psi, M, left, right, inner, **fields)
-
-
-def _row_groups(X: Correspondence) -> tuple[np.ndarray, ...]:
-    """Left block a, first index i and position in the row group (a, i) of
-    every coordinate of X, and the row-group size of every block.
-
-    Row group (a, i) holds the coordinates (a, c, i, k, l) in (c, k, l)
-    order, so the unit e_ij of block a maps row group (a, j) onto row group
-    (a, i) position by position.
-    """
-    n = np.array(X.structure.sizes)
-    a, c, i, k, l, _ = _layout(X.structure, X.mult)
-    width = X.mult * n  # [a, c]: coordinates of the pair (a, c) in one row group
-    before = np.cumsum(width, axis=1) - width
-    return a, i, before[a, c] + k * n[c] + l, width.sum(axis=1)
+    return Correspondence(psi.structure, psi, np.asarray(M, dtype=int), **fields)
 
 
 def trivial_correspondence(psi: DeltaState) -> Correspondence:
@@ -184,6 +196,8 @@ def trivial_correspondence(psi: DeltaState) -> Correspondence:
 
 
 def _same_base(psi: DeltaState, phi: DeltaState) -> None:
+    if psi is phi:
+        return
     if psi.structure != phi.structure:
         raise MismatchedBase("correspondences over different block structures")
     if not all(np.allclose(a, b, atol=0.0) for a, b in zip(psi.weights, phi.weights)):
@@ -284,6 +298,26 @@ def left_kernel(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
     }
 
 
+def creation_slabs(
+    V: np.ndarray, creation: tuple, dim_below: int, level: Correspondence
+) -> np.ndarray:
+    """Rows of T(V[p]) on the row group (a, i) of `level` that it maps into,
+    b_p = e_ij of block a, zero-padded to (dim B, largest group, dim_below).
+
+    creation = (z, e, y, value) as in `covariance_defect`.  Row p of V must
+    lie in b_p . E, the coordinates of first index i, which T maps into row
+    group (a, i); so each nonzero is written for the units of z's group."""
+    block, first, pos, group_size = level.row_groups
+    n, off = np.array(level.structure.sizes), np.array(level.structure.offsets)
+    z, e, y, value = creation
+    k, j = np.nonzero(np.arange(n.max()) < n[block[z]][:, None])  # nonzero k, unit e_ij
+    a = block[z[k]]
+    p = off[a] + first[z[k]] * n[a] + j
+    out = np.zeros((len(V), group_size.max(), dim_below), dtype=complex)
+    out[p, pos[z[k]], y[k]] = value[k] * V[p, e[k]]
+    return out
+
+
 def covariance_defect(
     E: Correspondence, creation: tuple, dim_below: int, level: Correspondence
 ) -> Iterator[np.ndarray]:
@@ -294,25 +328,22 @@ def covariance_defect(
     E (x)_B level l-1, of dimension dim_below, onto `level`, level l: T(xi)
     from level l-1 to level l has the entry value * xi[e] at (z, y).
     T(f_ik . eps) maps into the row group (a, i) of `level` (its coordinates
-    of left block a and first index i), and pi(f_ij) maps row group (a, j)
-    onto (a, i), so the defect of f_ij vanishes outside rows (a, i) and
-    columns (a, j).  Yields, for each block a, the stack D[i, :, j, :] of
-    those defects, shape (N_a, s_a, N_a, s_a) with s_a the row-group size:
-    the covariance identity of the Fock representation, with one matrix
-    product per block for all its units.
+    of left block a and first index i, `creation_slabs`), and pi(f_ij) maps
+    row group (a, j) onto (a, i), so the defect of f_ij vanishes outside
+    rows (a, i) and columns (a, j).  Yields, for each block a, the stack
+    D[i, :, j, :] of those defects, shape (N_a, s_a, N_a, s_a) with s_a the
+    row-group size: the covariance identity of the Fock representation, with
+    one matrix product per block for all its units.
     """
     psi = E.psi
     scale = 1.0 / np.sqrt(psi.weight_of_row * psi.gram_diag)  # f_p = scale[p] b_p
     V = scale[:, None] * E.left_units(E.generator[:, None])[:, :, 0]  # row p is f_p . eps
-    block, first, pos, group_size = _row_groups(level)
-    z, e, y, value = creation
+    S = creation_slabs(V, creation, dim_below, level)
+    pos, group_size = level.row_groups[2:]
     p, row, col = level.left
-    for a, (n, s, o) in enumerate(zip(E.structure.sizes, group_size, E.structure.offsets)):
+    for n, s, o in zip(E.structure.sizes, group_size, E.structure.offsets):
         # T(f_ik . eps) on row group (a, i): T[i, :, k, :]
-        m = block[z] == a
-        i = first[z[m]]
-        T = np.zeros((n, s, n, dim_below), dtype=complex)
-        T[i, pos[z[m]], :, y[m]] = value[m, None] * V[o : o + n * n].reshape(n, n, -1)[i, :, e[m]]
+        T = S[o : o + n * n, :s].reshape(n, n, s, dim_below).transpose(0, 2, 1, 3)
         T = T.reshape(n * s, n * dim_below)
         D = -(T @ T.conj().T).reshape(n, s, n, s)
         u = (p >= o) & (p < o + n * n)  # the units e_ij of block a, from the left nonzeros
@@ -367,7 +398,7 @@ def _cyclic_dim(X: Correspondence, xi: np.ndarray) -> int:
     GRAM_CUTOFF_RTOL times the largest Gram eigenvalue of all pairs.
     """
     n = np.array(X.structure.sizes)
-    segments = np.split(xi, _layout(X.structure, X.mult)[-1][1:-1])  # one per pair (a, c)
+    segments = np.split(xi, X.layout[-1][1:-1])  # one per pair (a, c)
     grams = {}
     for (a, c), m in np.ndenumerate(X.mult):
         if m:

@@ -8,10 +8,14 @@ every level, so each identity is checked one level at a time and no operator
 on the whole truncation is formed.  Level l is in normal form with
 multiplicity matrix M^l for E's M, of dimension sum_{a,c} N_a N_c (M^l)_ac;
 creation maps are the canonical identifications K_ab (x) K^{(l)}_bc ->
-K^{(l+1)}_ac, stored as their nonzeros.  Dense arrays remain in one place:
-the budget-bounded relation checks build pi and the creation map of a level
-from their nonzeros.  The Gram-quotient levels and the full-truncation
-relation checks are the oracles in `tests/oracles.py`.
+K^{(l+1)}_ac, stored as their nonzeros.
+
+No check forms pi or a creation map densely: the inner-product check joins
+nonzeros, and S(b_p) = T(b_p . eps) / delta is kept as its rows on the row
+group of b_p (`creation_slabs`), so that the LQCK and Toeplitz products of
+units u, v vanish when b_u b_v = 0 and are checked on the other sum_a N_a^3
+pairs only.  The Gram-quotient levels and the full-truncation relation
+checks are the oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -23,16 +27,16 @@ import numpy as np
 from .correspondence import (
     Correspondence,
     _empty_blocks,
-    _layout,
     _same_base,
     build_edge_correspondence,
     covariance_defect,
+    creation_slabs,
     normal_form,
     trivial_correspondence,
 )
 from .errors import BudgetExceeded, HasQuantumSource, ShapeMismatch
 from .graphs import QuantumGraph
-from .relations import _pair_sum, _products, _sq_nrm, lqck_sq_norms, star_images
+from .relations import _pair_sum, _sq_nrm, lqck_sq_norms, star_images
 
 FOCK_COORD_BUDGET = 5000
 
@@ -45,16 +49,16 @@ def interior_tensor(X: Correspondence, Y: Correspondence) -> Correspondence:
     y = (b, c, m, k', l), z = (a, c, i, (b, k, k'), l); the pair (z, y) fixes x.
     """
     _same_base(X.psi, Y.psi)
-    st, MX, MY = X.structure, X.mult, Y.mult
-    xa, xb, xi, xk, xm, _ = _layout(st, MX)
-    ya, yc, yi, yk, yl, _ = _layout(st, MY)
+    st, MX, MY, n = X.structure, X.mult, Y.mult, np.array(X.structure.sizes)
+    xa, xb, xi, xk, xm, _ = X.layout
+    ya, yc, yi, yk, yl, _ = Y.layout
     MZ = MX @ MY
-    zstart = _layout(st, MZ)[-1]
+    zstart = np.concatenate(([0], np.cumsum(n[:, None] * MZ * n)))  # pair starts, as in `_layout`
     sx, sy = np.nonzero((xb[:, None] == ya) & (xm[:, None] == yi))
     a, b, c = xa[sx], xb[sx], yc[sy]
     prod = MX[:, :, None] * MY  # [a, b, c]: dim K_ab (x) K_bc, stacked over b
     kz = (np.cumsum(prod, axis=1) - prod)[a, b, c] + xk[sx] * MY[b, c] + yk[sy]
-    z = zstart[a * st.num_blocks + c] + (xi[sx] * MZ[a, c] + kz) * np.array(st.sizes)[c] + yl[sy]
+    z = zstart[a * st.num_blocks + c] + (xi[sx] * MZ[a, c] + kz) * n[c] + yl[sy]
     value = 1.0 / np.sqrt(X.psi.gram_diag[np.array(st.offsets)[b] + xm[sx]])
     return normal_form(X.psi, MZ, creation=(z, sx, sy, value))
 
@@ -84,11 +88,6 @@ class FockTruncation:
     @property
     def total_dim(self) -> int:
         return sum(self.level_dims)
-
-    def pi(self, l: int) -> np.ndarray:
-        """Dense left action of the units on level l, (dim B, dim level l,
-        dim level l), built from its nonzeros for the relation checks."""
-        return self.levels[l].left_units(np.eye(self.level_dims[l]))
 
 
 def build_fock(G: QuantumGraph, N: int) -> FockTruncation:
@@ -125,32 +124,55 @@ def build_fock(G: QuantumGraph, N: int) -> FockTruncation:
     return FockTruncation(G, E, tuple(levels), creation)
 
 
+def _join(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (i, j) with a[i] == b[j]."""
+    order = np.argsort(b, kind="stable")
+    lo, hi = np.searchsorted(b[order], a), np.searchsorted(b[order], a, side="right")
+    count = hi - lo
+    j = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+    return np.repeat(np.arange(len(a)), count), order[j]
+
+
 def representation_residuals(F: FockTruncation) -> dict:
     """Defects of the covariant-representation identities on the truncation.
 
-    inner: T(xi)*T(eta) = pi(<xi,eta>_B) on levels 0..N-1.
+    inner: T(xi)*T(eta) = pi(<xi,eta>_B) on levels 0..N-1, the largest norm
+    of T(u_x)*T(u_y) - pi(<u_x,u_y>_B).  T(u_x)*T(u_y) has conj(v) v' at
+    (w, w') for the creation nonzeros (z, x, w, v), (z, y, w', v') of a row
+    z, and pi(<u_x,u_y>_B) the value of E's inner nonzero (x, y, p) at the
+    left nonzeros (p, row, col); all levels are summed by key at once.
     covariance: pi(x) = sum_k T(f_ik.eps)T(f_jk.eps)* on levels 1..N-1, None
     when N = 1.
-    vacuum_defect: the norm of pi on level 0, where covariance must fail.
+    vacuum_defect: the norm of pi on level 0, where covariance must fail:
+    the root of the most left nonzeros of a unit, a partial permutation.
     """
-    E = F.edge
-    x, y, p, value = E.inner
-    inner = 0.0
-    for l, (row, e, col, entry) in enumerate(F.creation):
-        # T(u_e) for every e as one (dim level l+1, dim E * dim level l) matrix
-        n = F.level_dims[l]
-        C = np.zeros((F.level_dims[l + 1], E.size * n), dtype=complex)
-        C[row, e * n + col] = entry
-        diff = (C.conj().T @ C).reshape(E.size, n, E.size, n).transpose(0, 2, 1, 3)
-        diff[x, y] -= value[:, None, None] * F.pi(l)[p]  # pi(<u_x, u_y>_B)
-        inner = max(inner, float(np.sqrt(_sq_nrm(diff).max(initial=0.0))))
+    E, N, dims = F.edge, F.depth, F.level_dims
+    lev = np.repeat(np.arange(N), [len(c[0]) for c in F.creation])
+    z, e, y, value = (np.concatenate(parts) for parts in zip(*F.creation))
+    rows = z + np.cumsum(dims)[lev]  # the rows z of level l+1, offset by the levels below it
+    i, j = _join(rows, rows)
+    x, x2, p, val = E.inner
+    left = [level.left for level in F.levels[:-1]]
+    llev = np.repeat(np.arange(N), [len(lt[0]) for lt in left])
+    lp, row, col = (np.concatenate(parts) for parts in zip(*left))
+    k, m = _join(p, lp)
+    shape = (N, E.size, E.size, max(dims[:-1]), max(dims[:-1]))
+    keys = np.concatenate((
+        np.ravel_multi_index((lev[i], e[i], e[j], y[i], y[j]), shape),
+        np.ravel_multi_index((llev[m], x[k], x2[k], row[m], col[m]), shape),
+    ))
+    terms = np.concatenate((value[i].conj() * value[j], -val[k]))
+    keys, at = np.unique(keys, return_inverse=True)
+    re, im = np.bincount(at, terms.real), np.bincount(at, terms.imag)
+    _, start = np.unique(keys // (shape[3] * shape[4]), return_index=True)  # one run per (l, x, y)
+    inner = float(np.sqrt(np.add.reduceat(re * re + im * im, start).max()))
 
     cov = []
     for l in range(1, F.depth):
         defects = covariance_defect(E, F.creation[l - 1], F.level_dims[l - 1], F.levels[l])
         cov.append(max(float(np.linalg.norm(D, axis=(1, 3)).max(initial=0.0)) for D in defects))
 
-    vacuum = float(np.linalg.norm(F.pi(0), axis=(1, 2)).max())
+    vacuum = float(np.sqrt(np.bincount(F.levels[0].left[0]).max()))
     return {"inner": inner, "covariance": max(cov, default=None), "vacuum_defect": vacuum}
 
 
@@ -169,6 +191,17 @@ def canonical_fock_family(F: FockTruncation) -> tuple[np.ndarray, ...]:
     return S
 
 
+def _embed(slabs: np.ndarray, level: Correspondence) -> np.ndarray:
+    """Operators on `level` from their slabs: b_p = e_ij of block a maps row
+    group (a, j) onto (a, i) as slabs[p] maps positions, and the left
+    nonzeros of b_p list both groups position by position."""
+    p, row, col = level.left
+    pos, (k, m) = level.row_groups[2], _join(p, p)
+    out = np.zeros((level.structure.dim, level.size, level.size), dtype=complex)
+    out[p[k], row[k], col[m]] = slabs[p[k], pos[row[k]], pos[col[m]]]
+    return out
+
+
 def lqck_fock_residuals(F: FockTruncation) -> dict:
     """Interior residuals of LQCK1-3 and the abstract-Toeplitz identities.
 
@@ -178,28 +211,34 @@ def lqck_fock_residuals(F: FockTruncation) -> dict:
     psi_t on level l is sum W S_{l-1} S_{l-1}^*, so LQCK1 (which ends one
     level up) is checked on source levels 1..N-2 and the others on 1..N-1.
     Each per-unit norm is the root of the sum of squares over those levels;
-    an identity with no level to check is None.
+    an identity with no level to check is None.  S and psi_t are slabs, and
+    LQCK1-2 and Toeplitz-1 are checked on the pairs with b_u b_v != 0.
 
     Toeplitz-1: T*(x) T(y) = delta^-2 pi(A(xy)); Toeplitz-2: mu(T (x) T*) m*
     = pi on levels >= 1, with T = delta S and T*(x) = T(x*)^*.
     """
-    G = F.graph
-    st, W, d2 = G.structure, G.psi.comult_tensor, G.delta_sq
-    S = canonical_fock_family(F)
+    G, E = F.graph, F.edge
+    st, W, d2, A = G.structure, G.psi.comult_tensor, G.delta_sq, G.adjacency.matrix
+    V = E.left_units(E.generator[:, None])[:, :, 0] / np.sqrt(d2)  # row p is b_p . eps / delta
+    S = [creation_slabs(V, c, F.level_dims[l], F.levels[l + 1]) for l, c in enumerate(F.creation)]
     Ss = [star_images(Sl, st) for Sl in S]
     # psi_t on level l, for the levels 1..N-1 where it is read
-    psi = [None] + [_pair_sum(W, S[l], Ss[l]) for l in range(F.depth - 1)]
-    Am = np.tensordot(G.adjacency.matrix, st.mul_tensor / d2, axes=(1, 0))  # delta^-2 A m
+    psi = [None] + [_pair_sum(W, Sl, Ssl) for Sl, Ssl in zip(S[:-1], Ss)]
+    w, u, v = np.nonzero(st.mul_tensor)  # b_u b_v = b_w
 
     keys = ("lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2")
     sq = {key: [] for key in keys}
     for l in range(1, F.depth):
-        pi = F.pi(l)
-        diff = d2 * _products(Ss[l], S[l])
-        diff -= np.tensordot(Am, pi, axes=(0, 0))
-        lqck = lqck_sq_norms(G, S[l], Ss[l], psi[l], psi[l + 1] if l + 1 < F.depth else None)
-        for key, n in zip(keys, lqck + (_sq_nrm(diff), _sq_nrm(d2 * psi[l] - pi))):
-            if n is not None:  # LQCK1 ends one level up, so not from level N-1
+        p, row, col = F.levels[l].left  # pi(b_p) is 1 at (row, col)
+        psi_in, SsS = _embed(psi[l], F.levels[l]), Ss[l][u] @ S[l][v]
+        psiS = psi[l + 1][u] @ S[l][v] if l + 1 < F.depth else None  # LQCK1 ends one level up
+        lqck = lqck_sq_norms(G, S[l], SsS, psiS, psi_in, (u, v, w))
+        toeplitz1 = d2 * SsS
+        toeplitz1[:, row, col] -= A[p][:, w].T / d2  # pi(A(b_w)) = sum_p A[p, w] pi(b_p)
+        toeplitz2 = d2 * psi_in
+        toeplitz2[p, row, col] -= 1.0
+        for key, n in zip(keys, lqck + (_sq_nrm(toeplitz1), _sq_nrm(toeplitz2))):
+            if n is not None:  # no LQCK1 from level N-1
                 sq[key].append(n)
 
     report = {key: float(np.max(np.sqrt(sum(v)))) if v else None for key, v in sq.items()}

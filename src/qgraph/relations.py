@@ -4,7 +4,8 @@ the classical-graph reduction.
 A family is a linear map s: B -> M_k given by its images on the standard
 matrix units.  Residuals are raw Frobenius norms; the optional compression
 argument evaluates ||P X P|| instead.  `lqck_sq_norms` takes images between
-two spaces, so the Fock module is judged one level at a time.
+two spaces and the unit pairs to check, so the Fock module is judged one
+level at a time on the pairs with b_u b_v != 0 only.
 
 Contractions against the coefficient tensor W of m* run over its sum_a N_a^3
 nonzero entries only (`_pair_sum`), never over all d^3 index triples.
@@ -123,36 +124,36 @@ def qck_residuals(
 
 
 def lqck_sq_norms(
-    G: QuantumGraph, S: np.ndarray, Ss: np.ndarray, psi_in: np.ndarray,
-    psi_out: np.ndarray | None, compression: np.ndarray | None = None,
+    G: QuantumGraph, S: np.ndarray, SsS: np.ndarray, psiS: np.ndarray | None,
+    psi_in: np.ndarray, pairs: tuple[np.ndarray, ...], compression: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, float]:
-    """Squared norms of the LQCK1-3 defects of images S[p]: V -> V', the
-    (dim, dim) ones of LQCK1-2 divided by the squared scale of the adapted
-    pair (f_u, f_v).  Ss[p] = S[p*]^* maps V' -> V; psi_in and psi_out are
-    psi_t = sum W S Ss on V and on V'.  LQCK1 is None without psi_out.
+    """Squared norms of the LQCK1-3 defects of images S[p]: V -> V', those of
+    LQCK1-2 on the unit pairs (u, v, w) = pairs (index arrays of one shape,
+    b_u b_v = b_w, or w = -1 where b_u b_v = 0) divided by the squared scale
+    of the adapted pair (f_u, f_v).  The pair products are SsS = Ss[u] @ S[v],
+    with Ss[p] = S[p*]^* mapping V' -> V, and psiS = psi_out[u] @ S[v], with
+    psi_in and psi_out psi_t = sum W S Ss on V and on V'; LQCK1 is None
+    without psiS.  Their m-terms are delta^-2 X[w], and 0 where w = -1.
 
     LQCK1: mu(mu x 1)(s x s* x s)(m* x 1) = delta^-2 s m
     LQCK2: mu(s* x s) = delta^-2 mu(s x s*)m*Am
     LQCK3: mu(s x s*)m*(1) = delta^-2 1
     """
-    st = G.structure
-    mt = st.mul_tensor / G.delta_sq
-    P = compression
+    u, v, w = pairs
+    P, m_scale = compression, (w >= 0)[..., None, None] / G.delta_sq  # delta^-2, or 0 where w = -1
     scale_sq = G.psi.weight_of_row * G.psi.gram_diag  # f_u = b_u / sqrt(scale_sq[u])
-    pair_scale = np.outer(scale_sq, scale_sq)
+    pair_scale = scale_sq[u] * scale_sq[v]
 
-    n1 = None
-    if psi_out is not None:
-        # each (dim, dim, k', k) defect is built in place, one at a time, to bound peak memory
-        diff = _products(psi_out, S)
-        diff -= np.tensordot(mt, S, axes=(0, 0))
-        n1 = _sq_nrm(diff, P) / pair_scale
+    def defect(product, X):  # product - delta^-2 X[w], in the one new array X[w]
+        diff = X[w]
+        diff *= m_scale
+        return np.subtract(product, diff, out=diff)
 
-    diff = _products(Ss, S)
-    diff -= np.tensordot(np.tensordot(G.adjacency.matrix, mt, axes=(1, 0)), psi_in, axes=(0, 0))
-    n2 = _sq_nrm(diff, P) / pair_scale
+    n1 = None if psiS is None else _sq_nrm(defect(psiS, S), P) / pair_scale
+    Y = np.tensordot(G.adjacency.matrix, psi_in, axes=(0, 0))  # Y[w] = sum_v' A[v', w] psi_in[v']
+    n2 = _sq_nrm(defect(SsS, Y), P) / pair_scale
 
-    q3 = np.einsum("u,uac->ac", st.unit_vector, psi_in)
+    q3 = np.einsum("u,uac->ac", G.structure.unit_vector, psi_in)
     n3 = float(_sq_nrm(q3 - np.eye(len(q3)) / G.delta_sq, P))
     return n1, n2, n3
 
@@ -161,11 +162,15 @@ def lqck_residuals(
     s: CKFamily, G: QuantumGraph, compression: np.ndarray | None = None
 ) -> dict[str, float]:
     """Residuals of the local relations LQCK1-3 (see `lqck_sq_norms`),
-    maximized over adapted-unit pairs."""
+    maximized over all d^2 adapted-unit pairs: a general family need not
+    vanish on the pairs with b_u b_v = 0."""
     _check_family(s, G)
     S, Ss = s.images, s.star_images(G.structure)
     psi_t = _pair_sum(G.psi.comult_tensor, S, Ss)
-    norms = lqck_sq_norms(G, S, Ss, psi_t, psi_t, compression)
+    mt = G.structure.mul_tensor
+    u, v = np.indices(mt.shape[1:])  # every pair, as _products lays them out
+    pairs = (u, v, np.where(mt.any(axis=0), mt.argmax(axis=0), -1))  # b_u b_v = b_w, or 0
+    norms = lqck_sq_norms(G, S, _products(Ss, S), _products(psi_t, S), psi_t, pairs, compression)
     return {f"lqck{i}": float(np.sqrt(np.max(n))) for i, n in enumerate(norms, start=1)}
 
 

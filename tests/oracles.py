@@ -96,8 +96,16 @@ def unit_orbit(M, xi):
 
 def orbit_span_rank(M, xi):
     """Dimension of B . xi . B in the normal form M: the number of
-    scalar-orthonormal rows `from_spanning` finds for the whole unit orbit."""
-    return len(from_spanning(np.eye(M.size), unit_orbit(M, xi)))
+    scalar-orthonormal rows `from_spanning` finds for the whole unit orbit.
+
+    Row b_p . xi . b_q is divided by the factor sqrt(w_c[t] / w_c[l]) with
+    which b_q = e_lt of block c acts on the right.  That leaves the span as
+    it is, and the rows of each block pair become copies of xi's own rows
+    there, so the one relative cut judges xi and not the state's skew: on
+    skewed states the weights alone pushed genuine rows under it."""
+    undo = np.sqrt(M.psi.weight_of_row / M.psi.gram_diag)  # indexed by q, rows are p * dim + q
+    rows = unit_orbit(M, xi) * np.tile(undo, M.structure.dim)[:, None]
+    return len(from_spanning(np.eye(M.size), rows))
 
 
 def quotient(ambient, spanning):
@@ -201,6 +209,23 @@ def dense_creation(F, l):
     z, e, y, value = F.creation[l]
     np.add.at(out, (z, e, y), value)
     return out
+
+
+def dense_inner_defect(F):
+    """T(xi)*T(eta) = pi(<xi,eta>_B) on levels 0..N-1 with dense operators:
+    each level's (dim l+1, dim E * dim l) creation matrix, its Gram, and the
+    dense left action of the level; the largest Frobenius norm of
+    T(u_x)*T(u_y) - pi(<u_x,u_y>_B) over basis pairs and levels."""
+    E = F.edge
+    binner = dense_actions(E)[2]
+    worst = 0.0
+    for l in range(F.depth):
+        n = F.level_dims[l]
+        C = dense_creation(F, l).reshape(F.level_dims[l + 1], E.size * n)
+        gram = (C.conj().T @ C).reshape(E.size, n, E.size, n).transpose(0, 2, 1, 3)
+        diff = gram - np.einsum("xyp,pab->xyab", binner, dense_actions(F.levels[l])[0])
+        worst = max(worst, float(np.linalg.norm(diff, axis=(2, 3)).max()))
+    return worst
 
 
 def creation_matrix(F, l, xi):

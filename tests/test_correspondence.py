@@ -443,6 +443,18 @@ class TestRecognition:
             else:
                 assert out.module_dim == want == E.size
 
+    def test_orbit_oracle_on_a_skewed_state(self):
+        # weights 6.7e-4 : 0.9985 : 8.2e-4 on M_3: the right action scales the
+        # orbit rows by up to sqrt(1500), and before the oracle undid that
+        # factor its one relative cut kept 75 of this sparse vector's 81
+        # directions
+        w = np.array([6.7e-4, 0.9985, 8.2e-4])
+        psi = qg.validate_delta_form([3], [list(w / w.sum())])
+        T = qg.psi_tensor_module(psi)
+        rng = np.random.default_rng(36)
+        xi = (rng.normal(size=T.size) + 1j * rng.normal(size=T.size)) * (rng.random(T.size) < 0.3)
+        assert orbit_span_rank(T, xi) == qgraph.correspondence._cyclic_dim(T, xi) == 81
+
     def test_complete_m5_recognizes_in_bounded_memory(self):
         # one dense (d^2, d^2, d) inner-product array of B (x)_psi B is 156 MB
         psi = qg.validate_delta_form([5], [[1 / 5] * 5])

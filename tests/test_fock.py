@@ -16,6 +16,7 @@ from oracles import (
     dense_creation,
     dense_edge_correspondence,
     dense_fock,
+    dense_inner_defect,
     edge_unitary,
     full_fock_family,
     full_fock_residuals,
@@ -353,6 +354,45 @@ def assert_levelwise_matches_full_truncation(G, rng, N=3):
     got, want = qg.lqck_fock_residuals(F), full_fock_residuals(F)
     for key in FOCK_KEYS:
         assert_relative(got[key], want[key])
+
+
+def perturbed_creation(F, rng):
+    """F with an O(1) random change to every creation value, so that
+    T(xi)*T(eta) = pi(<xi,eta>_B) fails."""
+    creation = []
+    for z, e, y, value in F.creation:
+        noise = rng.normal(size=value.shape) + 1j * rng.normal(size=value.shape)
+        creation.append((z, e, y, value + 0.5 * noise))
+    return replace(F, creation=tuple(creation))
+
+
+def assert_inner_matches_dense_oracle(F, rng):
+    """The inner-product defect read off the nonzeros equals the dense
+    creation-matrix Gram check, exactly and where the defect is O(1); the
+    vacuum defect equals the largest Frobenius norm of the dense pi_0(b_p)."""
+    rep = qg.representation_residuals(F)
+    assert abs(rep["inner"] - dense_inner_defect(F)) <= 1e-12
+    Fp = perturbed_creation(F, rng)
+    assert_relative(qg.representation_residuals(Fp)["inner"], dense_inner_defect(Fp))
+    pi0 = dense_actions(F.levels[0])[0]
+    assert abs(rep["vacuum_defect"] - np.linalg.norm(pi0, axis=(1, 2)).max()) <= 1e-14
+
+
+class TestInnerMatchesDenseOracle:
+    @given(psi=delta_states(), seed=st_.integers(0, 2**32 - 1), kraus=st_.integers(1, 2))
+    @settings(max_examples=10, deadline=None)
+    def test_random_completely_positive_maps(self, psi, seed, kraus):
+        # the Kraus cap keeps dim E <= 27, so the level-1 Gram is at most 729 wide
+        rng = np.random.default_rng(seed)
+        kraus = min(kraus, max(1, 27 // sum(psi.structure.sizes) ** 2))
+        G = qg.QuantumGraph(psi.structure, psi, random_cp_map(psi, rng, kraus))
+        assert_inner_matches_dense_oracle(qg.build_fock(G, 2), rng)
+
+    def test_built_in_graphs(self, cp_family_graphs):
+        rng = np.random.default_rng(11)
+        for G in cp_family_graphs.values():
+            if not qg.quantum_sources_sinks(G)[0]:  # no Fock module over a graph with a source
+                assert_inner_matches_dense_oracle(qg.build_fock(G, 3), rng)
 
 
 def assert_recognition_matches_orbit_grams(G, rng):
