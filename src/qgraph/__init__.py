@@ -53,6 +53,7 @@ from .errors import (
     QGraphError,
     ShapeMismatch,
     StateNotInvariant,
+    WriteError,
 )
 from .families import (
     AutomorphismSpec,

@@ -87,3 +87,7 @@ class BudgetExceeded(QGraphError):
 
 class ParseError(QGraphError):
     """Input file could not be parsed into a valid object."""
+
+
+class WriteError(QGraphError):
+    """Output file could not be written."""

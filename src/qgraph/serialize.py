@@ -1,8 +1,12 @@
 """JSON file formats for graphs and relation families.
 
-Complex numbers are stored as two-element [re, im] arrays; graph files
-carry block sizes, per-block state weights, and the adjacency matrix on
-canonical coordinates.  Finite decimal inputs round-trip bit-exactly.
+Complex numbers are stored as [re, im] pairs; graph files carry block
+sizes, per-block state weights, and the adjacency matrix on canonical
+coordinates.  Files are written as compact JSON and read in any layout;
+every finite float round-trips bit-exactly.  A ParseError refuses a file
+that is not UTF-8, not JSON or nested too deep to decode, and a matrix
+whose parts are not finite JSON numbers within float range, whose pairs
+do not hold two parts, or whose rows or images are ragged.
 """
 
 from __future__ import annotations
@@ -14,44 +18,31 @@ from itertools import chain
 import numpy as np
 
 from .blocks import validate_delta_form
-from .errors import ParseError
+from .errors import ParseError, WriteError
 from .graphs import LinearMapOnB, QuantumGraph
 from .relations import CKFamily
 
 
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _matrix_to_pairs(mat: np.ndarray) -> list:
+    return np.stack([mat.real, mat.imag], -1).tolist()
 
 
-def _pair_to_complex(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ParseError(f"expected [re, im] pair, got {pair!r}")
-    return complex(pair[0], pair[1])  # TypeError for a string or any other non-number
-
-
-def _matrix_to_pairs(mat: np.ndarray) -> list[list[list[float]]]:
-    return [[_complex_to_pair(z) for z in row] for row in np.asarray(mat, dtype=complex)]
-
-
-def _pairs_to_matrix(rows, shape=None) -> np.ndarray:
-    """A complex matrix from rows of [re, im] pairs: rectangular, numeric and finite.
-
-    complex() takes a JSON true or false as 1 or 0, so the parts are checked
-    for booleans after it, by one pass over their types.
-    """
-    try:
-        mat = np.array([[_pair_to_complex(z) for z in row] for row in rows])
-    except (TypeError, ValueError, OverflowError, ParseError) as exc:  # ValueError: ragged rows
+def _pairs_to_matrix(value, shape: tuple[int, ...]) -> np.ndarray:
+    """A complex array of `shape` from nested [re, im] pairs of finite JSON numbers."""
+    parts = value
+    try:  # np.array(..., dtype=float) reads "1.5", true and null: check the types first
+        for _ in shape:
+            parts = chain.from_iterable(parts)
+        if kinds := set(map(type, parts)) - {int, float}:
+            raise ParseError(f"matrix has parts that are not numbers: {sorted(t.__name__ for t in kinds)}")
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # ValueError: ragged rows
         raise ParseError(f"bad complex matrix: {exc}") from exc
-    if bool in set(map(type, chain.from_iterable(chain.from_iterable(rows)))):
-        raise ParseError("matrix has a true or false part, not a number")
-    if mat.ndim != 2:
-        raise ParseError(f"matrix has {mat.ndim} dimensions")
-    if not np.isfinite(mat).all():
+    if arr.shape != (*shape, 2):
+        raise ParseError(f"matrix of [re, im] pairs has shape {arr.shape}, expected {(*shape, 2)}")
+    if not np.isfinite(arr).all():
         raise ParseError("matrix has a NaN or infinite entry")
-    if shape is not None and mat.shape != shape:
-        raise ParseError(f"matrix has shape {mat.shape}, expected {shape}")
-    return mat
+    return arr.view(complex)[..., 0]
 
 
 def _json_number(value, what: str) -> int | float:
@@ -77,6 +68,24 @@ def parse_tolerance(value, source: str) -> float:
     if not (math.isfinite(tol) and tol > 0):
         raise ParseError(f"{source} = {value!r} is not a finite positive number")
     return tol
+
+
+def _read(path: str, what: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _write(path: str, doc: dict) -> None:
+    """Encode first, so that a failed encode never leaves a truncated file."""
+    text = json.dumps(doc) + "\n"
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise WriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def graph_to_document(G: QuantumGraph, tol: float | None = None) -> dict:
@@ -109,31 +118,21 @@ def parse_graph_document(doc: dict, tol: float = 1e-9) -> tuple[QuantumGraph, fl
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad blocks/psi: {exc}") from exc
     dim = psi.structure.dim
-    matrix = _pairs_to_matrix(doc["adjacency"], shape=(dim, dim))
+    matrix = _pairs_to_matrix(doc["adjacency"], (dim, dim))
     graph = QuantumGraph.build(psi, LinearMapOnB(psi.structure, matrix), tol=eff_tol)
     return graph, eff_tol
 
 
 def load_graph(path: str, tol: float = 1e-9) -> tuple[QuantumGraph, float]:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read graph file {path}: {exc}") from exc
-    return parse_graph_document(doc, tol=tol)
+    return parse_graph_document(_read(path, "graph"), tol=tol)
 
 
 def save_graph(path: str, G: QuantumGraph, tol: float | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(graph_to_document(G, tol), fh, indent=2)
-        fh.write("\n")
+    _write(path, graph_to_document(G, tol))
 
 
 def family_to_document(fam: CKFamily) -> dict:
-    return {
-        "k": fam.k,
-        "images": [_matrix_to_pairs(img) for img in fam.images],
-    }
+    return {"k": fam.k, "images": _matrix_to_pairs(fam.images)}
 
 
 def parse_family_document(doc: dict) -> CKFamily:
@@ -143,24 +142,17 @@ def parse_family_document(doc: dict) -> CKFamily:
         if key not in doc:
             raise ParseError(f"family document missing key {key!r}")
     k = _json_int(doc["k"], "family size k")
-    if not isinstance(doc["images"], list):
+    images = doc["images"]
+    if not isinstance(images, list):
         raise ParseError("family images must be a list of matrices")
-    images = [_pairs_to_matrix(rows, shape=(k, k)) for rows in doc["images"]]
     if not images:
         raise ParseError("family has no unit images")
-    return CKFamily(k, np.stack(images))
+    return CKFamily(k, _pairs_to_matrix(images, (len(images), k, k)))
 
 
 def load_family(path: str) -> CKFamily:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read family file {path}: {exc}") from exc
-    return parse_family_document(doc)
+    return parse_family_document(_read(path, "family"))
 
 
 def save_family(path: str, fam: CKFamily) -> None:
-    with open(path, "w") as fh:
-        json.dump(family_to_document(fam), fh, indent=2)
-        fh.write("\n")
+    _write(path, family_to_document(fam))

@@ -4,15 +4,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+
+from strategies import families, graphs_with_tiny_parts
 
 import qgraph as qg
 import qgraph.cli
 import qgraph.fock
 import qgraph.graphs
+import qgraph.serialize
 from qgraph.cli import main
 from qgraph.serialize import (
     family_to_document,
     graph_to_document,
+    load_family,
+    load_graph,
     parse_family_document,
     parse_graph_document,
     save_family,
@@ -54,6 +60,52 @@ def run(capsys, *argv):
     return code, payload, out.err
 
 
+def bit_equal(a, b) -> bool:
+    """Equal arrays whose real and imaginary parts also agree in sign bit: -0.0 is not 0.0."""
+    return (
+        np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+def write_indented(path, doc) -> None:
+    """The layout that earlier versions of qgraph wrote: json.dump with indent=2."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def put_pair(value):
+    def fault(rows):
+        rows[0][1] = value
+
+    return fault
+
+
+def every_pair_of_three(rows):
+    for row in rows:
+        for pair in row:
+            pair.append(0.0)
+
+
+MATRIX_FAULTS = {
+    "ragged": lambda rows: rows[-1].pop(),
+    "text": put_pair([0.0, "a"]),
+    "string_number": put_pair([0.0, "1.5"]),
+    "nan": put_pair([0.0, np.nan]),
+    "inf": put_pair([0.0, np.inf]),
+    "pair_of_one": put_pair([1.0]),
+    "pair_of_three": put_pair([1.0, 0.0, 0.0]),
+    "every_pair_of_three": every_pair_of_three,
+    "bare_number": put_pair(1.0),
+    "object": put_pair({"re": 1.0, "im": 0.0}),
+    "nested_pair": put_pair([[1.0, 0.0], [0.0, 0.0]]),
+    "null_part": put_pair([None, 0.0]),
+    "int_overflow": put_pair([10**400, 0]),  # json writes it out in 401 digits
+}
+
+
 class TestSerialization:
     def test_graph_document_round_trip(self, cp_family_graphs):
         for name, G in cp_family_graphs.items():
@@ -89,31 +141,69 @@ class TestSerialization:
             with pytest.raises(qg.ParseError):
                 parse_family_document({**fam, **bad})
 
-    @pytest.mark.parametrize("fault", ["ragged", "text", "string_number", "nan", "inf"])
-    def test_bad_matrix_entries_are_parse_errors(self, capsys, tmp_path, trivial_path, tracial_m2, fault):
-        """Ragged rows, non-numeric parts and NaN/Infinity end in exit 1 with a
-        JSON ParseError, for graph adjacencies and for family images alike."""
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fault", MATRIX_FAULTS)
+    def test_bad_matrix_entries_are_parse_errors(self, capsys, tmp_path, graph_trivial_m2, tracial_m2, fault):
+        """Ragged rows, pairs that are not two numbers, and NaN, Infinity or
+        overflowing parts end in exit 1 with a JSON ParseError, and raise no
+        RuntimeWarning, for graph adjacencies and for family images alike."""
+        for where in ("adjacency", "image"):
+            graph = graph_to_document(graph_trivial_m2)
+            fam = family_to_document(qg.canonical_lqck_family("trivial", tracial_m2))
+            MATRIX_FAULTS[fault](graph["adjacency"] if where == "adjacency" else fam["images"][1])
+            self.assert_check_refused(capsys, tmp_path, graph, fam)
 
-        def corrupt(rows):
-            rows = json.loads(json.dumps(rows))
-            if fault == "ragged":
-                rows[-1].pop()
-            else:
-                bad = {"text": "a", "string_number": "1.5", "nan": np.nan, "inf": np.inf}
-                rows[0][-1][1] = bad[fault]
-            return rows
-
-        doc = json.loads(open(trivial_path).read())
-        graph_path = tmp_path / "bad_graph.json"
-        graph_path.write_text(json.dumps({**doc, "adjacency": corrupt(doc["adjacency"])}))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("images", ["unequal_shapes", "empty"])
+    def test_bad_image_lists_are_parse_errors(self, capsys, tmp_path, graph_trivial_m2, tracial_m2, images):
         fam = family_to_document(qg.canonical_lqck_family("trivial", tracial_m2))
-        fam["images"][1] = corrupt(fam["images"][1])
-        fam_path = tmp_path / "bad_family.json"
+        fam["images"] = [] if images == "empty" else fam["images"][:1] + [[[[0.0, 0.0]] * 3] * 3]
+        self.assert_check_refused(capsys, tmp_path, graph_to_document(graph_trivial_m2), fam)
+
+    @staticmethod
+    def assert_check_refused(capsys, tmp_path, graph, fam):
+        """`check` reads the graph, then the family: the bad one must end it typed."""
+        graph_path, fam_path = tmp_path / "graph.json", tmp_path / "family.json"
+        graph_path.write_text(json.dumps(graph))
         fam_path.write_text(json.dumps(fam))
-        for argv in (["inspect", str(graph_path)], ["check", trivial_path, "--family", str(fam_path)]):
-            code, payload, _ = run(capsys, *argv)
-            assert code == 1, argv
-            assert payload["error"] == "ParseError", argv
+        code, payload, _ = run(capsys, "check", str(graph_path), "--family", str(fam_path))
+        assert code == 1 and payload["error"] == "ParseError", payload
+
+    def test_integer_parts_are_read(self, capsys, tmp_path, graph_trivial_m2, tracial_m2):
+        """[1, 0] reads as [1.0, 0.0]: files with integer parts load to the same arrays."""
+        graph = graph_to_document(graph_trivial_m2)
+        fam = family_to_document(qg.canonical_lqck_family("trivial", tracial_m2))
+        paths = tmp_path / "graph.json", tmp_path / "family.json"
+        for path, doc in zip(paths, (graph, fam)):
+            text = json.dumps(doc).replace(".0,", ",").replace(".0]", "]")
+            assert "[0, 0]" in text
+            path.write_text(text)
+        G, _ = load_graph(str(paths[0]))
+        assert np.array_equal(G.adjacency.matrix, parse_graph_document(graph)[0].adjacency.matrix)
+        assert np.array_equal(load_family(str(paths[1])).images, parse_family_document(fam).images)
+        code, _, _ = run(capsys, "check", str(paths[0]), "--family", str(paths[1]))
+        assert code == 0
+
+    @given(fam=families())
+    @settings(max_examples=60, deadline=None)
+    def test_family_files_round_trip_bit_exactly(self, tmp_path_factory, fam):
+        """Compact files, and files laid out as earlier versions wrote them, load bit-exactly."""
+        path = tmp_path_factory.mktemp("family") / "f.json"
+        save_family(str(path), fam)
+        assert path.read_text().count("\n") == 1
+        assert bit_equal(load_family(str(path)).images, fam.images)
+        write_indented(path, family_to_document(fam))
+        assert bit_equal(load_family(str(path)).images, fam.images)
+
+    @given(G=graphs_with_tiny_parts())
+    @settings(max_examples=40, deadline=None)
+    def test_graph_files_round_trip_bit_exactly(self, tmp_path_factory, G):
+        path = tmp_path_factory.mktemp("graph") / "g.json"
+        for write in (lambda: save_graph(str(path), G), lambda: write_indented(path, graph_to_document(G))):
+            write()
+            G2, _ = load_graph(str(path))
+            assert bit_equal(G2.adjacency.matrix, G.adjacency.matrix)
+            assert all(map(np.array_equal, G2.psi.weights, G.psi.weights))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -236,6 +326,19 @@ class TestInspect:
         code, payload, err = run(capsys, "inspect", str(bad))
         assert code == 1
         assert payload["error"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "content", [b'{"blocks": "\xe9"}', b"[" * 200000 + b"]" * 200000], ids=["not_utf8", "nested_200000_deep"]
+    )
+    def test_unreadable_file(self, capsys, tmp_path, trivial_path, content):
+        """Graph and family files that are not UTF-8 or nest too deep end in
+        exit 1 with a JSON ParseError, not a UnicodeDecodeError or RecursionError."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        for argv in (["inspect", str(bad)], ["check", trivial_path, "--family", str(bad)]):
+            code, payload, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert payload["error"] == "ParseError", argv
 
     def test_invalid_weights(self, capsys, tmp_path):
         doc = {
@@ -440,3 +543,20 @@ class TestExample:
         )
         assert code == 1
         assert "known" in payload["message"]
+
+    @pytest.mark.parametrize("name", ["trivial_m2", "family_trivial_m2"])
+    def test_unwritable_out(self, capsys, tmp_path, name):
+        out = str(tmp_path / "missing_dir" / "x.json")
+        code, payload, _ = run(capsys, "example", name, "--out", out)
+        assert code == 1 and payload["error"] == "WriteError"
+        assert out in payload["message"]
+
+    def test_failed_encode_leaves_the_file_alone(self, tmp_path, monkeypatch, graph_trivial_m2):
+        """The document is encoded before the file is opened."""
+        path = tmp_path / "graph.json"
+        save_graph(str(path), graph_trivial_m2)
+        before = path.read_bytes()
+        monkeypatch.setattr(qgraph.serialize, "graph_to_document", lambda G, tol=None: {"adjacency": object()})
+        with pytest.raises(TypeError):
+            save_graph(str(path), graph_trivial_m2)
+        assert path.read_bytes() == before
