@@ -3,7 +3,6 @@ Cuntz-Krieger relation systems over finite-dimensional C*-algebras."""
 
 from .blocks import (
     DEFAULT_TOL,
-    TIGHT_TOL,
     AlgebraElement,
     BlockStructure,
     DeltaState,

@@ -23,7 +23,6 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
-TIGHT_TOL = 1e-12
 
 
 @dataclass(frozen=True)

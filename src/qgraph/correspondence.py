@@ -5,17 +5,16 @@ level) is a `Correspondence` in block-multiplicity normal form
 sum_{a,c} C^{N_a} (x) K_ac (x) C^{N_c}, with M[a, c] = dim K_ac; for E_G,
 M[a, b] is the Kraus rank of A from block a to block b, and its zero rows
 and columns decide the left kernel, faithfulness and fullness of E_G.  Its
-basis is orthonormal for the scalar form psi(<.,.>_B), and it stores only the
-nonzeros of the left action of the units (each a partial permutation), the
-right action and the B-valued inner product.  Unit actions and inner
-products are gathers and scatter-adds over them, so no (dim B, dim E, dim E)
-array is formed, here or in the Fock checks.  The dense ambients and their
-Gram quotients are the test oracle in `tests/oracles.py`.
+basis is orthonormal for psi(<.,.>_B), and it stores only the nonzeros of
+the left action of the units (partial permutations), the right action and
+the B-valued inner product, so no (dim B, dim E, dim E) array is formed.
+`row_group_gram` forms sum_k T(f_ik . eps) T(f_jk . eps)* one row group at a
+time: the covariance defect, psi_t of a Fock level and, on E_G, the compact
+decomposition.  The dense ambients and Gram quotients are `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -304,9 +303,10 @@ def creation_slabs(
     """Rows of T(V[p]) on the row group (a, i) of `level` that it maps into,
     b_p = e_ij of block a, zero-padded to (dim B, largest group, dim_below).
 
-    creation = (z, e, y, value) as in `covariance_defect`.  Row p of V must
-    lie in b_p . E, the coordinates of first index i, which T maps into row
-    group (a, i); so each nonzero is written for the units of z's group."""
+    creation = (z, e, y, value): T(xi) from the level below, of dimension
+    dim_below, has the entry value * xi[e] at (z, y).  Row p of V must lie in
+    b_p . E, which T maps into row group (a, i); so each nonzero is written
+    for the units of z's group."""
     block, first, pos, group_size = level.row_groups
     n, off = np.array(level.structure.sizes), np.array(level.structure.offsets)
     z, e, y, value = creation
@@ -318,53 +318,46 @@ def creation_slabs(
     return out
 
 
-def covariance_defect(
-    E: Correspondence, creation: tuple, dim_below: int, level: Correspondence
-) -> Iterator[np.ndarray]:
-    """pi(f_ij) - sum_k T(f_ik . eps) T(f_jk . eps)* for every adapted unit f_ij,
-    block by block on the row groups of `level`.
+def row_group_gram(S: np.ndarray, level: Correspondence) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance defect D_p = pi(f_p) - G_p and psi_t(b_p) = G_p / (delta^2 s_p)
+    on `level`, from the Gram G_p = sum_k T(f_ik . eps) T(f_jk . eps)* of the
+    adapted unit f_p = f_ij = s_p b_p, s_p = (w_i w_j)^-1/2.
 
-    creation = (z, e, y, value) are the nonzeros of the canonical map from
-    E (x)_B level l-1, of dimension dim_below, onto `level`, level l: T(xi)
-    from level l-1 to level l has the entry value * xi[e] at (z, y).
-    T(f_ik . eps) maps into the row group (a, i) of `level` (its coordinates
-    of left block a and first index i, `creation_slabs`), and pi(f_ij) maps
-    row group (a, j) onto (a, i), so the defect of f_ij vanishes outside
-    rows (a, i) and columns (a, j).  Yields, for each block a, the stack
-    D[i, :, j, :] of those defects, shape (N_a, s_a, N_a, s_a) with s_a the
-    row-group size: the covariance identity of the Fock representation, with
-    one matrix product per block for all its units.
+    S holds the `creation_slabs` of S(b_p) = T(b_p . eps) / delta into `level`,
+    scaled to T(f_ik . eps) before one product per block forms all its G_p.
+    D_p and psi_t(b_p) map row group (a, j) into (a, i), so both are slabs
+    (dim B, s, s), s the largest row group.  Toeplitz-2's defect at b_p is -D_p / s_p.
     """
-    psi = E.psi
-    scale = 1.0 / np.sqrt(psi.weight_of_row * psi.gram_diag)  # f_p = scale[p] b_p
-    V = scale[:, None] * E.left_units(E.generator[:, None])[:, :, 0]  # row p is f_p . eps
-    S = creation_slabs(V, creation, dim_below, level)
+    psi, st = level.psi, level.structure
+    scale = 1.0 / np.sqrt(psi.weight_of_row * psi.gram_diag)  # s_p
     pos, group_size = level.row_groups[2:]
-    p, row, col = level.left
-    for n, s, o in zip(E.structure.sizes, group_size, E.structure.offsets):
+    D, psi_t = np.zeros((2, st.dim, S.shape[1], S.shape[1]), dtype=complex)
+    for n, s, o in zip(st.sizes, group_size, st.offsets):
+        units = slice(o, o + n * n)
         # T(f_ik . eps) on row group (a, i): T[i, :, k, :]
-        T = S[o : o + n * n, :s].reshape(n, n, s, dim_below).transpose(0, 2, 1, 3)
-        T = T.reshape(n * s, n * dim_below)
-        D = -(T @ T.conj().T).reshape(n, s, n, s)
-        u = (p >= o) & (p < o + n * n)  # the units e_ij of block a, from the left nonzeros
-        ui, uj = np.divmod(p[u] - o, n)
-        D[ui, pos[row[u]], uj, pos[col[u]]] += scale[p[u]]
-        yield D
+        T = np.sqrt(psi.delta_sq) * scale[units, None, None] * S[units, :s]
+        T = T.reshape(n, n, s, S.shape[2]).transpose(0, 2, 1, 3).reshape(n * s, n * S.shape[2])
+        G = (T @ T.conj().T).reshape(n, s, n, s).transpose(0, 2, 1, 3).reshape(n * n, s, s)
+        D[units, :s, :s] = -G
+        psi_t[units, :s, :s] = G / (psi.delta_sq * scale[units, None, None])
+    p, row, col = level.left
+    D[p, pos[row], pos[col]] += scale[p]
+    return D, psi_t
 
 
 def compact_decomposition_residual(E: Correspondence) -> float:
     """Residual of f_ij . xi = sum_k theta_{f_ik.eps, f_jk.eps}(xi) on E_G.
 
     On level 1 of the Fock module theta_{xi,eta} = T(xi)T(eta)*, so this is
-    the covariance identity with level 0 = B in the psi-orthonormal units
+    `row_group_gram`'s covariance defect from level 0 = B in the units
     b_p / sqrt(g_p), on which T(xi) acts as xi . b_p / sqrt(g_p), read off
-    the right action's nonzeros.  Reported as the largest column norm of the
-    defect over all units.
+    the right action's nonzeros: the largest column norm over all units.
     """
     p, row, col, value = E.right
     creation = (row, col, p, value / np.sqrt(E.psi.gram_diag[p]))
-    defects = covariance_defect(E, creation, E.structure.dim, E)
-    return max((float(np.linalg.norm(D, axis=1).max(initial=0.0)) for D in defects), default=0.0)
+    V = E.left_units(E.generator[:, None])[:, :, 0] / np.sqrt(E.psi.delta_sq)  # row p is b_p . eps / delta
+    D, _ = row_group_gram(creation_slabs(V, creation, E.structure.dim, E), E)
+    return float(np.linalg.norm(D, axis=1).max(initial=0.0))
 
 
 def _vector_map(M: Correspondence, xi: np.ndarray) -> np.ndarray:

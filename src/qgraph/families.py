@@ -145,15 +145,10 @@ def automorphism_graph(
 
     matrix = np.zeros((st.dim, st.dim), dtype=complex)
     for a, n in enumerate(st.sizes):
-        b = perm[a]
-        U = spec.unitaries[b]
-        for i in range(n):
-            for j in range(n):
-                img = np.zeros((n, n), dtype=complex)
-                img[i, j] = 1.0
-                img = U @ img @ U.conj().T
-                lo = st.offsets[b]
-                matrix[lo : lo + n * n, st.flat_index(a, i, j)] = img.ravel()
+        b, U = perm[a], spec.unitaries[perm[a]]
+        # e_ij of block a goes to U e_ij U* in block b; row-major vec(U X U*) = (U (x) conj U) vec X
+        rows, cols = slice(st.offsets[b], st.offsets[b] + n * n), slice(st.offsets[a], st.offsets[a] + n * n)
+        matrix[rows, cols] = np.kron(U, U.conj())
     graph = QuantumGraph.build(psi, LinearMapOnB(st, matrix))
 
     cycles = _permutation_cycles(perm)

@@ -1,26 +1,25 @@
 """Interior tensor powers and the truncated Fock module of an edge correspondence.
 
 F_N = B + E + E^{(x)2} + ... + E^{(x)N} with creation operators T(xi) that
-annihilate the top level and the diagonal left action pi.  All operator
-identities are exact only away from the truncation boundary, so residual
-reports keep to interior levels.  T maps level l to level l+1 and pi keeps
-every level, so each identity is checked one level at a time and no operator
-on the whole truncation is formed.  Level l is in normal form with
-multiplicity matrix M^l for E's M, of dimension sum_{a,c} N_a N_c (M^l)_ac;
-creation maps are the canonical identifications K_ab (x) K^{(l)}_bc ->
-K^{(l+1)}_ac, stored as their nonzeros.
+annihilate the top level and the diagonal left action pi.  Identities hold
+only away from the truncation boundary, so reports keep to interior levels,
+one level at a time: T maps level l to level l+1 and pi keeps every level.
+Level l is the normal form of M^l; creation maps are the canonical
+identifications K_ab (x) K^{(l)}_bc -> K^{(l+1)}_ac, stored as nonzeros.
 
-No check forms pi or a creation map densely: the inner-product check joins
-nonzeros, and S(b_p) = T(b_p . eps) / delta is kept as its rows on the row
-group of b_p (`creation_slabs`), so that the LQCK and Toeplitz products of
-units u, v vanish when b_u b_v = 0 and are checked on the other sum_a N_a^3
-pairs only.  The Gram-quotient levels and the full-truncation relation
-checks are the oracles in `tests/oracles.py`.
+No check forms pi or a creation map densely.  The inner-product check joins
+nonzeros.  A `FockTruncation` forms, once and on first use, the slabs of
+S(b_p) = T(b_p . eps) / delta on the row group of b_p (`creation_slabs`)
+and on each interior level `row_group_gram`'s covariance defect D and psi_t.
+Covariance and Toeplitz-2 read the one defect D and LQCK1-3 read psi_t; the
+products of units u, v are checked on the sum_a N_a^3 pairs with b_u b_v != 0.
+The Gram-quotient levels and full-truncation checks are in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,14 +28,14 @@ from .correspondence import (
     _empty_blocks,
     _same_base,
     build_edge_correspondence,
-    covariance_defect,
     creation_slabs,
     normal_form,
+    row_group_gram,
     trivial_correspondence,
 )
 from .errors import BudgetExceeded, HasQuantumSource, ShapeMismatch
 from .graphs import QuantumGraph
-from .relations import _pair_sum, _sq_nrm, lqck_sq_norms, star_images
+from .relations import _sq_nrm, lqck_sq_norms, star_images
 
 FOCK_COORD_BUDGET = 5000
 
@@ -69,7 +68,7 @@ class FockTruncation:
 
     creation[l] = (z, e, y, value) are the nonzeros of the canonical map from
     E (x)_B level l onto level l+1: T(xi) from level l to level l+1 has the
-    entry value * xi[e] at (z, y).
+    entry value * xi[e] at (z, y).  V, slabs and grams are formed on first use.
     """
 
     graph: QuantumGraph
@@ -88,6 +87,23 @@ class FockTruncation:
     @property
     def total_dim(self) -> int:
         return sum(self.level_dims)
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        """Row p is b_p . eps / delta, so that S(b_p) = T(V[p])."""
+        E = self.edge
+        return E.left_units(E.generator[:, None])[:, :, 0] / np.sqrt(self.graph.delta_sq)
+
+    @cached_property
+    def slabs(self) -> tuple[np.ndarray, ...]:
+        """`creation_slabs` of S(b_p) from level l to level l+1, l = 0..N-1."""
+        levels = zip(self.creation, self.level_dims, self.levels[1:])
+        return tuple(creation_slabs(self.V, c, dim, level) for c, dim, level in levels)
+
+    @cached_property
+    def grams(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """`row_group_gram` (covariance defect, psi_t) on levels 1..N-1, entry l-1."""
+        return tuple(row_group_gram(S, level) for S, level in zip(self.slabs, self.levels[1:-1]))
 
 
 def build_fock(G: QuantumGraph, N: int) -> FockTruncation:
@@ -120,8 +136,7 @@ def build_fock(G: QuantumGraph, N: int) -> FockTruncation:
     levels = [trivial_correspondence(G.psi)]
     for _ in range(N):
         levels.append(interior_tensor(E, levels[-1]))
-    creation = tuple(level.creation for level in levels[1:])
-    return FockTruncation(G, E, tuple(levels), creation)
+    return FockTruncation(G, E, tuple(levels), tuple(level.creation for level in levels[1:]))
 
 
 def _join(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,11 +182,7 @@ def representation_residuals(F: FockTruncation) -> dict:
     _, start = np.unique(keys // (shape[3] * shape[4]), return_index=True)  # one run per (l, x, y)
     inner = float(np.sqrt(np.add.reduceat(re * re + im * im, start).max()))
 
-    cov = []
-    for l in range(1, F.depth):
-        defects = covariance_defect(E, F.creation[l - 1], F.level_dims[l - 1], F.levels[l])
-        cov.append(max(float(np.linalg.norm(D, axis=(1, 3)).max(initial=0.0)) for D in defects))
-
+    cov = [float(np.linalg.norm(D, axis=(1, 2)).max(initial=0.0)) for D, _ in F.grams]
     vacuum = float(np.sqrt(np.bincount(F.levels[0].left[0]).max()))
     return {"inner": inner, "covariance": max(cov, default=None), "vacuum_defect": vacuum}
 
@@ -182,12 +193,9 @@ def canonical_fock_family(F: FockTruncation) -> tuple[np.ndarray, ...]:
     Entry l, of shape (dim B, dim level l+1, dim level l), holds the images
     S(b_p) from level l to level l+1 for every unit b_p.
     """
-    E = F.edge
-    # row p is b_p . eps / delta
-    V = E.left_units(E.generator[:, None])[:, :, 0] / np.sqrt(F.graph.delta_sq)
-    S = tuple(np.zeros((E.structure.dim, m, n), dtype=complex) for m, n in zip(F.level_dims[1:], F.level_dims))
+    S = tuple(np.zeros((len(F.V), m, n), dtype=complex) for m, n in zip(F.level_dims[1:], F.level_dims))
     for Sl, (z, e, y, value) in zip(S, F.creation):
-        Sl[:, z, y] = value * V[:, e]  # (z, y) fixes e
+        Sl[:, z, y] = value * F.V[:, e]  # (z, y) fixes e
     return S
 
 
@@ -211,33 +219,30 @@ def lqck_fock_residuals(F: FockTruncation) -> dict:
     psi_t on level l is sum W S_{l-1} S_{l-1}^*, so LQCK1 (which ends one
     level up) is checked on source levels 1..N-2 and the others on 1..N-1.
     Each per-unit norm is the root of the sum of squares over those levels;
-    an identity with no level to check is None.  S and psi_t are slabs, and
-    LQCK1-2 and Toeplitz-1 are checked on the pairs with b_u b_v != 0.
+    an identity with no level to check is None.  S and psi_t are the slabs
+    `F.slabs` and `F.grams`; LQCK1-2 and Toeplitz-1 are checked on the pairs
+    with b_u b_v != 0.
 
     Toeplitz-1: T*(x) T(y) = delta^-2 pi(A(xy)); Toeplitz-2: mu(T (x) T*) m*
-    = pi on levels >= 1, with T = delta S and T*(x) = T(x*)^*.
+    = pi on levels >= 1, with T = delta S and T*(x) = T(x*)^*.  Toeplitz-2 is
+    the covariance identity: its defect at b_p is ||D_p|| / s_p (`row_group_gram`).
     """
-    G, E = F.graph, F.edge
-    st, W, d2, A = G.structure, G.psi.comult_tensor, G.delta_sq, G.adjacency.matrix
-    V = E.left_units(E.generator[:, None])[:, :, 0] / np.sqrt(d2)  # row p is b_p . eps / delta
-    S = [creation_slabs(V, c, F.level_dims[l], F.levels[l + 1]) for l, c in enumerate(F.creation)]
-    Ss = [star_images(Sl, st) for Sl in S]
-    # psi_t on level l, for the levels 1..N-1 where it is read
-    psi = [None] + [_pair_sum(W, Sl, Ssl) for Sl, Ssl in zip(S[:-1], Ss)]
+    G, S, grams = F.graph, F.slabs, F.grams
+    st, d2, A = G.structure, G.delta_sq, G.adjacency.matrix
+    inv_scale_sq = G.psi.weight_of_row * G.psi.gram_diag  # s_p^-2
     w, u, v = np.nonzero(st.mul_tensor)  # b_u b_v = b_w
 
     keys = ("lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2")
     sq = {key: [] for key in keys}
     for l in range(1, F.depth):
-        p, row, col = F.levels[l].left  # pi(b_p) is 1 at (row, col)
-        psi_in, SsS = _embed(psi[l], F.levels[l]), Ss[l][u] @ S[l][v]
-        psiS = psi[l + 1][u] @ S[l][v] if l + 1 < F.depth else None  # LQCK1 ends one level up
-        lqck = lqck_sq_norms(G, S[l], SsS, psiS, psi_in, (u, v, w))
+        (D, psi_t), level = grams[l - 1], F.levels[l]
+        p, row, col = level.left  # pi(b_p) is 1 at (row, col)
+        SsS = star_images(S[l], st)[u] @ S[l][v]
+        psiS = grams[l][1][u] @ S[l][v] if l + 1 < F.depth else None  # LQCK1 ends one level up
+        lqck = lqck_sq_norms(G, S[l], SsS, psiS, _embed(psi_t, level), (u, v, w))
         toeplitz1 = d2 * SsS
         toeplitz1[:, row, col] -= A[p][:, w].T / d2  # pi(A(b_w)) = sum_p A[p, w] pi(b_p)
-        toeplitz2 = d2 * psi_in
-        toeplitz2[p, row, col] -= 1.0
-        for key, n in zip(keys, lqck + (_sq_nrm(toeplitz1), _sq_nrm(toeplitz2))):
+        for key, n in zip(keys, lqck + (_sq_nrm(toeplitz1), _sq_nrm(D) * inv_scale_sq)):
             if n is not None:  # no LQCK1 from level N-1
                 sq[key].append(n)
 

@@ -43,9 +43,6 @@ class CKFamily:
     def zero(cls, structure: BlockStructure, k: int = 1) -> "CKFamily":
         return cls(k, np.zeros((structure.dim, k, k)))
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return np.einsum("p,pkl->kl", np.asarray(vec, dtype=complex), self.images)
-
     def star_images(self, structure: BlockStructure) -> np.ndarray:
         """Images of the conjugate family s*(b_p) = s(b_p*)*."""
         return star_images(self.images, structure)

@@ -3,7 +3,8 @@
 Complex numbers are stored as [re, im] pairs; graph files carry block
 sizes, per-block state weights, and the adjacency matrix on canonical
 coordinates.  Files are written as compact JSON and read in any layout;
-every finite float round-trips bit-exactly.  A ParseError refuses a file
+every finite float round-trips bit-exactly.  A save with a NaN or infinite
+part raises WriteError and writes nothing.  A ParseError refuses a file
 that is not UTF-8, not JSON or nested too deep to decode, and a matrix
 whose parts are not finite JSON numbers within float range, whose pairs
 do not hold two parts, or whose rows or images are ragged.
@@ -79,8 +80,12 @@ def _read(path: str, what: str):
 
 
 def _write(path: str, doc: dict) -> None:
-    """Encode first, so that a failed encode never leaves a truncated file."""
-    text = json.dumps(doc) + "\n"
+    """Encode first, so that a failed encode never leaves a truncated file.
+    A NaN or infinite part, which the loaders refuse, is a failed encode."""
+    try:
+        text = json.dumps(doc, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise WriteError(f"cannot write {path}: {exc}") from exc
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -1,6 +1,8 @@
 import functools
 import json
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from strategies import families, graphs_with_tiny_parts
 
 import qgraph as qg
 import qgraph.cli
+import qgraph.correspondence
 import qgraph.fock
 import qgraph.graphs
 import qgraph.serialize
@@ -204,6 +207,26 @@ class TestSerialization:
             G2, _ = load_graph(str(path))
             assert bit_equal(G2.adjacency.matrix, G.adjacency.matrix)
             assert all(map(np.array_equal, G2.psi.weights, G.psi.weights))
+
+    @pytest.mark.parametrize("kind", ["graph", "family"])
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)],
+        ids=["nan", "inf", "minus_inf", "imag_nan", "imag_minus_inf"],
+    )
+    def test_non_finite_part_is_a_write_error(self, tmp_path, graph_trivial_m2, kind, value):
+        """A part that the loaders would refuse fails the save with a WriteError
+        that names the path, and no file is written."""
+        path = tmp_path / f"{kind}.json"
+        if kind == "graph":
+            A = graph_trivial_m2.adjacency.matrix.copy()
+            A[0, 1] = value
+            G = replace(graph_trivial_m2, adjacency=qg.LinearMapOnB(graph_trivial_m2.structure, A))
+            save = functools.partial(save_graph, str(path), G)
+        else:
+            save = functools.partial(save_family, str(path), qg.CKFamily(1, [[[value]]]))
+        with pytest.raises(qg.WriteError, match=re.escape(str(path))):
+            save()
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -406,6 +429,21 @@ class TestFock:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_forms_each_level_slab_once(self, capsys, monkeypatch, trivial_path, levels):
+        """Covariance, Toeplitz-2 and LQCK read one set of creation slabs, one per level."""
+        calls, original = [], qgraph.correspondence.creation_slabs
+
+        def counting_creation_slabs(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (qgraph.correspondence, qgraph.fock):
+            monkeypatch.setattr(module, "creation_slabs", counting_creation_slabs)
+        code, _, _ = run(capsys, "fock", trivial_path, "--levels", str(levels))
+        assert code == 0
+        assert len(calls) == levels
+
     def test_source_graph_rejected(self, capsys, line_path):
         code, payload, _ = run(capsys, "fock", line_path)
         assert code == 1
@@ -431,6 +469,28 @@ class TestFock:
         assert payload["error"] == "BudgetExceeded"
         assert "[4, 4, 4, ..., 4, 4]" in payload["message"]
         assert calls == []
+
+
+# (kind, w, command): every command that passes on the M_2 state (w, 1 - w).
+# complete M_2 at 1e-6 passes inspect only: its level-2 covariance defect,
+# about 2e-9, is above the default gate
+SKEWED_PASSES = [
+    (kind, w, command)
+    for kind, weights in (("trivial", (1e-4, 1e-5, 1e-6)), ("complete", (1e-4, 1e-5)))
+    for w in weights
+    for command in (["inspect"], ["fock", "--levels", "3"])
+] + [("complete", 1e-6, ["inspect"])]
+
+
+@pytest.mark.parametrize(
+    "kind, w, command", SKEWED_PASSES, ids=[f"{k}_{w:g}_{c[0]}" for k, w, c in SKEWED_PASSES]
+)
+def test_gates_pass_on_skewed_states(capsys, tmp_path, kind, w, command):
+    psi = qg.validate_delta_form([2], [[w, 1.0 - w]])
+    path = tmp_path / "graph.json"
+    save_graph(str(path), {"trivial": qg.trivial_graph, "complete": qg.complete_graph}[kind](psi))
+    code, payload, _ = run(capsys, command[0], str(path), *command[1:])
+    assert code == 0, payload
 
 
 class TestCheck:

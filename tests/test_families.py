@@ -128,6 +128,23 @@ class TestAutomorphismGraph:
         x = qg.AlgebraElement(psi.structure, [np.diag([1.0, 2.0])])
         assert np.allclose(G.adjacency(x).blocks[0], np.diag([2.0, 1.0]))
 
+    def test_images_are_the_conjugations(self):
+        # column e_ij of block a is U e_ij U* in block perm[a], on mixed blocks
+        # with Haar unitaries, unit by unit
+        sizes, perm = [2, 3, 2, 3], (2, 3, 0, 1)
+        psi = qg.validate_delta_form(sizes, [[n / 26] * n for n in sizes])
+        rng = np.random.default_rng(4)
+        us = tuple(np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0] for n in sizes)
+        G, _ = qg.automorphism_graph(psi, qg.AutomorphismSpec(perm, us))
+        st = psi.structure
+        for a, i, j in st.basis_indices():
+            b, U, unit = perm[a], us[perm[a]], np.zeros((sizes[a], sizes[a]))
+            unit[i, j] = 1.0
+            image = qg.AlgebraElement.from_vector(st, G.adjacency.matrix[:, st.flat_index(a, i, j)])
+            for c, block in enumerate(image.blocks):
+                want = U @ unit @ U.conj().T if c == b else 0.0
+                assert np.abs(block - want).max() <= 1e-15
+
     def test_invalid_permutation(self, tracial_m2):
         with pytest.raises(qg.InvalidPermutation):
             qg.automorphism_graph(tracial_m2, qg.AutomorphismSpec((1,), (np.eye(2),)))

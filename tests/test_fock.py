@@ -212,6 +212,30 @@ class TestRepresentationIdentities:
                 assert np.allclose(lifted, right_act(E, xi, unit(G.structure, p)), atol=1e-10)
 
 
+class TestToeplitz2IsCovariance:
+    @pytest.mark.parametrize(
+        "make, s",
+        [
+            (lambda: qg.complete_graph(qg.validate_delta_form([2], [[0.5, 0.5]])), 2.0),
+            (lambda: qg.trivial_graph(qg.validate_delta_form([4], [[0.25] * 4])), 4.0),
+            (lambda: qg.classical_graph(np.roll(np.eye(3, dtype=int), 1, axis=0)), 3.0),
+        ],
+        ids=["complete_m2", "trivial_m4", "classical_3cycle"],
+    )
+    def test_one_defect(self, make, s):
+        """On a state with every s_p = (w_i w_j)^-1/2 equal to s, the Toeplitz-2
+        defect at b_p is the covariance defect at f_p = s b_p divided by s; at
+        depth 2 both are read on level 1 alone.  A generator moved by 1e-6
+        makes them nonzero."""
+        F = qg.build_fock(make(), 2)
+        noise = np.random.default_rng(23).normal(size=(F.edge.size, 2)) @ [1.0, 1.0j]
+        F = replace(F, edge=replace(F.edge, generator=F.edge.generator + 1e-6 * noise))
+        covariance = qg.representation_residuals(F)["covariance"]
+        toeplitz2 = qg.lqck_fock_residuals(F)["toeplitz2"]
+        assert covariance > 1e-7
+        assert abs(covariance - s * toeplitz2) <= 1e-13 * covariance
+
+
 class TestFockFamily:
     def test_interior_residuals(self, graph_trivial_m2):
         rep = qg.lqck_fock_residuals(qg.build_fock(graph_trivial_m2, 3))
