@@ -8,8 +8,10 @@ and columns decide the left kernel, faithfulness and fullness of E_G.  Its
 basis is orthonormal for psi(<.,.>_B), and it stores only the nonzeros of
 the left action of the units (partial permutations), the right action and
 the B-valued inner product, so no (dim B, dim E, dim E) array is formed.
-`row_group_gram` forms sum_k T(f_ik . eps) T(f_jk . eps)* one row group at a
-time: the covariance defect, psi_t of a Fock level and, on E_G, the compact
+`generator_slabs` writes T(eps) / delta into a level as one slab per row
+group, and `block_grams` forms from them one Gram H_a per block of B, which
+holds sum_k T(f_ik . eps) T(f_jk . eps)* for every unit of the block: the
+covariance defect and psi_t of a Fock level and, on E_G, the compact
 decomposition.  The dense ambients and Gram quotients are `tests/oracles.py`.
 """
 
@@ -94,18 +96,18 @@ class Correspondence:
 
     @cached_property
     def row_groups(self) -> tuple[np.ndarray, ...]:
-        """Left block a, first index i and position in the row group (a, i) of
-        every coordinate, and the row-group size of every block.
+        """Row group and position in it of every coordinate, and the row-group
+        size of every block.
 
-        Row group (a, i) holds the coordinates (a, c, i, k, l) in (c, k, l)
-        order, so the unit e_ij of block a maps row group (a, j) onto row
-        group (a, i) position by position.
+        Row group (a, i), numbered sum_{b<a} N_b + i, holds the coordinates
+        (a, c, i, k, l) in (c, k, l) order, so the unit e_ij of block a maps
+        row group (a, j) onto row group (a, i) position by position.
         """
         n = np.array(self.structure.sizes)
         a, c, i, k, l, _ = self.layout
         width = self.mult * n  # [a, c]: coordinates of the pair (a, c) in one row group
-        before = np.cumsum(width, axis=1) - width
-        return a, i, before[a, c] + k * n[c] + l, width.sum(axis=1)
+        pos = (np.cumsum(width, axis=1) - width)[a, c] + k * n[c] + l
+        return np.cumsum(n)[a] - n[a] + i, pos, width.sum(axis=1)
 
     def left_units(self, V: np.ndarray) -> np.ndarray:
         p, row, col = self.left
@@ -297,67 +299,63 @@ def left_kernel(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
     }
 
 
-def creation_slabs(
-    V: np.ndarray, creation: tuple, dim_below: int, level: Correspondence
+def generator_slabs(
+    creation: tuple, generator: np.ndarray, level: Correspondence, below: Correspondence
 ) -> np.ndarray:
-    """Rows of T(V[p]) on the row group (a, i) of `level` that it maps into,
-    b_p = e_ij of block a, zero-padded to (dim B, largest group, dim_below).
+    """The row-group slabs R[(a, j)] of T(eps) / delta from `below` into `level`,
+    of shape (row groups, s, row groups * s'), s and s' the largest row group
+    of `level` and of `below`, zero-padded.
 
-    creation = (z, e, y, value): T(xi) from the level below, of dimension
-    dim_below, has the entry value * xi[e] at (z, y).  Row p of V must lie in
-    b_p . E, which T maps into row group (a, i); so each nonzero is written
-    for the units of z's group."""
-    block, first, pos, group_size = level.row_groups
-    n, off = np.array(level.structure.sizes), np.array(level.structure.offsets)
+    creation = (z, e, y, value): T(xi) has the entry value * xi[e] at (z, y).
+    Row z of T(eps) is position pos(z) of slab group(z), and column y is
+    (group(y), pos(y)), so every row group of `below` has s' columns.
+    T(e_ij . eps) is slab (a, j) placed on row group (a, i), since e_ij .
+    moves the first index of E only."""
+    (group, pos, size), (col_group, col_pos, col_size) = level.row_groups, below.row_groups
+    groups, width = sum(level.structure.sizes), col_size.max()
     z, e, y, value = creation
-    k, j = np.nonzero(np.arange(n.max()) < n[block[z]][:, None])  # nonzero k, unit e_ij
-    a = block[z[k]]
-    p = off[a] + first[z[k]] * n[a] + j
-    out = np.zeros((len(V), group_size.max(), dim_below), dtype=complex)
-    out[p, pos[z[k]], y[k]] = value[k] * V[p, e[k]]
+    out = np.zeros((groups, size.max(), groups * width), dtype=complex)
+    out[group[z], pos[z], col_group[y] * width + col_pos[y]] = value * generator[e] / level.psi.delta
     return out
 
 
-def row_group_gram(S: np.ndarray, level: Correspondence) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance defect D_p = pi(f_p) - G_p and psi_t(b_p) = G_p / (delta^2 s_p)
-    on `level`, from the Gram G_p = sum_k T(f_ik . eps) T(f_jk . eps)* of the
-    adapted unit f_p = f_ij = s_p b_p, s_p = (w_i w_j)^-1/2.
+def block_grams(R: np.ndarray, level: Correspondence) -> tuple[np.ndarray, np.ndarray]:
+    """H_a = delta^2 sum_j R_aj R_aj* / w_a[j] of the `generator_slabs` R into
+    `level`, one product per block a of B, and the identity 1_a on the s_a
+    positions of a row group of block a; both (blocks, s, s), zero-padded.
 
-    S holds the `creation_slabs` of S(b_p) = T(b_p . eps) / delta into `level`,
-    scaled to T(f_ik . eps) before one product per block forms all its G_p.
-    D_p and psi_t(b_p) map row group (a, j) into (a, i), so both are slabs
-    (dim B, s, s), s the largest row group.  Toeplitz-2's defect at b_p is -D_p / s_p.
-    """
-    psi, st = level.psi, level.structure
-    scale = 1.0 / np.sqrt(psi.weight_of_row * psi.gram_diag)  # s_p
-    pos, group_size = level.row_groups[2:]
-    D, psi_t = np.zeros((2, st.dim, S.shape[1], S.shape[1]), dtype=complex)
-    for n, s, o in zip(st.sizes, group_size, st.offsets):
-        units = slice(o, o + n * n)
-        # T(f_ik . eps) on row group (a, i): T[i, :, k, :]
-        T = np.sqrt(psi.delta_sq) * scale[units, None, None] * S[units, :s]
-        T = T.reshape(n, n, s, S.shape[2]).transpose(0, 2, 1, 3).reshape(n * s, n * S.shape[2])
-        G = (T @ T.conj().T).reshape(n, s, n, s).transpose(0, 2, 1, 3).reshape(n * n, s, s)
-        D[units, :s, :s] = -G
-        psi_t[units, :s, :s] = G / (psi.delta_sq * scale[units, None, None])
-    p, row, col = level.left
-    D[p, pos[row], pos[col]] += scale[p]
-    return D, psi_t
+    With f_ij = e_ij / sqrt(w_i w_j), T(f_ik . eps) T(f_jk . eps)* summed over k
+    maps row group (a, j) onto (a, i) as H_a / sqrt(w_i w_j), so the covariance
+    defect at f_ij is (1_a - H_a) / sqrt(w_i w_j), and psi_t(e_ij) is H_a / delta^2.
+    Blocks of one size N form their products in one batch."""
+    psi, (_, _, size) = level.psi, level.row_groups
+    n = np.array(psi.structure.sizes)
+    s, start = R.shape[1], np.cumsum(n) - n
+    H = np.zeros((len(n), s, s), dtype=complex)
+    for N in sorted(set(psi.structure.sizes)):
+        blocks = np.flatnonzero(n == N)
+        scale = np.sqrt(psi.delta_sq / np.array([psi.weights[b] for b in blocks]))
+        T = R[start[blocks, None] + np.arange(N)] * scale[:, :, None, None]  # [block, j, pos, col]
+        T = T.transpose(0, 2, 1, 3).reshape(len(blocks), s, N * R.shape[2])
+        H[blocks] = T @ T.conj().transpose(0, 2, 1)
+    return H, np.eye(s) * (np.arange(s) < size[:, None, None])
 
 
 def compact_decomposition_residual(E: Correspondence) -> float:
     """Residual of f_ij . xi = sum_k theta_{f_ik.eps, f_jk.eps}(xi) on E_G.
 
     On level 1 of the Fock module theta_{xi,eta} = T(xi)T(eta)*, so this is
-    `row_group_gram`'s covariance defect from level 0 = B in the units
-    b_p / sqrt(g_p), on which T(xi) acts as xi . b_p / sqrt(g_p), read off
-    the right action's nonzeros: the largest column norm over all units.
+    the covariance defect (1 - H_a) / sqrt(w_i w_j) of `block_grams` from
+    level 0 = B in the units b_p / sqrt(g_p), on which T(xi) acts as
+    xi . b_p / sqrt(g_p): the right action's nonzeros, with value
+    sqrt(g_p / w_i) / sqrt(g_p) = 1 / sqrt(w_i) for b_p = e_ij.  The result is
+    the largest column norm over all units, max_a (column norm of 1 - H_a) / min w_a.
     """
-    p, row, col, value = E.right
-    creation = (row, col, p, value / np.sqrt(E.psi.gram_diag[p]))
-    V = E.left_units(E.generator[:, None])[:, :, 0] / np.sqrt(E.psi.delta_sq)  # row p is b_p . eps / delta
-    D, _ = row_group_gram(creation_slabs(V, creation, E.structure.dim, E), E)
-    return float(np.linalg.norm(D, axis=1).max(initial=0.0))
+    p, row, col, _ = E.right
+    creation = (row, col, p, 1.0 / np.sqrt(E.psi.weight_of_row[p]))
+    H, one = block_grams(generator_slabs(creation, E.generator, E, trivial_correspondence(E.psi)), E)
+    w_min = np.array([w.min() for w in E.psi.weights])
+    return float((np.linalg.norm(one - H, axis=1).max(axis=1, initial=0.0) / w_min).max())
 
 
 def _vector_map(M: Correspondence, xi: np.ndarray) -> np.ndarray:

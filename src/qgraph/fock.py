@@ -8,11 +8,11 @@ Level l is the normal form of M^l; creation maps are the canonical
 identifications K_ab (x) K^{(l)}_bc -> K^{(l+1)}_ac, stored as nonzeros.
 
 No check forms pi or a creation map densely.  The inner-product check joins
-nonzeros.  A `FockTruncation` forms, once and on first use, the slabs of
-S(b_p) = T(b_p . eps) / delta on the row group of b_p (`creation_slabs`)
-and on each interior level `row_group_gram`'s covariance defect D and psi_t.
-Covariance and Toeplitz-2 read the one defect D and LQCK1-3 read psi_t; the
-products of units u, v are checked on the sum_a N_a^3 pairs with b_u b_v != 0.
+nonzeros.  The family S(x) = T(x . eps) / delta is pi(x) T(eps) / delta, so a
+`FockTruncation` forms, once and on first use, the row-group slabs R of
+T(eps) / delta on every level (`generator_slabs`) and one Gram H_a per block
+of B on each interior level (`block_grams`); every covariance, Toeplitz and
+LQCK defect is read off R and H in closed form.
 The Gram-quotient levels and full-truncation checks are in `tests/oracles.py`.
 """
 
@@ -27,15 +27,15 @@ from .correspondence import (
     Correspondence,
     _empty_blocks,
     _same_base,
+    block_grams,
     build_edge_correspondence,
-    creation_slabs,
+    generator_slabs,
     normal_form,
-    row_group_gram,
     trivial_correspondence,
 )
 from .errors import BudgetExceeded, HasQuantumSource, ShapeMismatch
 from .graphs import QuantumGraph
-from .relations import _sq_nrm, lqck_sq_norms, star_images
+from .relations import _sq_nrm
 
 FOCK_COORD_BUDGET = 5000
 
@@ -68,7 +68,7 @@ class FockTruncation:
 
     creation[l] = (z, e, y, value) are the nonzeros of the canonical map from
     E (x)_B level l onto level l+1: T(xi) from level l to level l+1 has the
-    entry value * xi[e] at (z, y).  V, slabs and grams are formed on first use.
+    entry value * xi[e] at (z, y).  slabs and grams are formed on first use.
     """
 
     graph: QuantumGraph
@@ -89,21 +89,15 @@ class FockTruncation:
         return sum(self.level_dims)
 
     @cached_property
-    def V(self) -> np.ndarray:
-        """Row p is b_p . eps / delta, so that S(b_p) = T(V[p])."""
-        E = self.edge
-        return E.left_units(E.generator[:, None])[:, :, 0] / np.sqrt(self.graph.delta_sq)
-
-    @cached_property
     def slabs(self) -> tuple[np.ndarray, ...]:
-        """`creation_slabs` of S(b_p) from level l to level l+1, l = 0..N-1."""
-        levels = zip(self.creation, self.level_dims, self.levels[1:])
-        return tuple(creation_slabs(self.V, c, dim, level) for c, dim, level in levels)
+        """`generator_slabs` of T(eps) / delta from level l to level l+1, l = 0..N-1."""
+        levels = zip(self.creation, self.levels[1:], self.levels)
+        return tuple(generator_slabs(c, self.edge.generator, up, down) for c, up, down in levels)
 
     @cached_property
     def grams(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """`row_group_gram` (covariance defect, psi_t) on levels 1..N-1, entry l-1."""
-        return tuple(row_group_gram(S, level) for S, level in zip(self.slabs, self.levels[1:-1]))
+        """`block_grams` (H, 1) on levels 1..N-1, entry l-1."""
+        return tuple(block_grams(R, level) for R, level in zip(self.slabs, self.levels[1:-1]))
 
 
 def build_fock(G: QuantumGraph, N: int) -> FockTruncation:
@@ -157,7 +151,7 @@ def representation_residuals(F: FockTruncation) -> dict:
     z, and pi(<u_x,u_y>_B) the value of E's inner nonzero (x, y, p) at the
     left nonzeros (p, row, col); all levels are summed by key at once.
     covariance: pi(x) = sum_k T(f_ik.eps)T(f_jk.eps)* on levels 1..N-1, None
-    when N = 1.
+    when N = 1: the largest ||1 - H_a|| / min w_a (`block_grams`).
     vacuum_defect: the norm of pi on level 0, where covariance must fail:
     the root of the most left nonzeros of a unit, a partial permutation.
     """
@@ -182,7 +176,8 @@ def representation_residuals(F: FockTruncation) -> dict:
     _, start = np.unique(keys // (shape[3] * shape[4]), return_index=True)  # one run per (l, x, y)
     inner = float(np.sqrt(np.add.reduceat(re * re + im * im, start).max()))
 
-    cov = [float(np.linalg.norm(D, axis=(1, 2)).max(initial=0.0)) for D, _ in F.grams]
+    w_min = np.array([w.min() for w in F.graph.psi.weights])
+    cov = [float((np.linalg.norm(one - H, axis=(1, 2)) / w_min).max()) for H, one in F.grams]
     vacuum = float(np.sqrt(np.bincount(F.levels[0].left[0]).max()))
     return {"inner": inner, "covariance": max(cov, default=None), "vacuum_defect": vacuum}
 
@@ -193,21 +188,12 @@ def canonical_fock_family(F: FockTruncation) -> tuple[np.ndarray, ...]:
     Entry l, of shape (dim B, dim level l+1, dim level l), holds the images
     S(b_p) from level l to level l+1 for every unit b_p.
     """
-    S = tuple(np.zeros((len(F.V), m, n), dtype=complex) for m, n in zip(F.level_dims[1:], F.level_dims))
+    E = F.edge
+    V = E.left_units(E.generator[:, None])[:, :, 0] / np.sqrt(F.graph.delta_sq)  # row p is b_p . eps / delta
+    S = tuple(np.zeros((len(V), m, n), dtype=complex) for m, n in zip(F.level_dims[1:], F.level_dims))
     for Sl, (z, e, y, value) in zip(S, F.creation):
-        Sl[:, z, y] = value * F.V[:, e]  # (z, y) fixes e
+        Sl[:, z, y] = value * V[:, e]  # (z, y) fixes e
     return S
-
-
-def _embed(slabs: np.ndarray, level: Correspondence) -> np.ndarray:
-    """Operators on `level` from their slabs: b_p = e_ij of block a maps row
-    group (a, j) onto (a, i) as slabs[p] maps positions, and the left
-    nonzeros of b_p list both groups position by position."""
-    p, row, col = level.left
-    pos, (k, m) = level.row_groups[2], _join(p, p)
-    out = np.zeros((level.structure.dim, level.size, level.size), dtype=complex)
-    out[p[k], row[k], col[m]] = slabs[p[k], pos[row[k]], pos[col[m]]]
-    return out
 
 
 def lqck_fock_residuals(F: FockTruncation) -> dict:
@@ -218,33 +204,60 @@ def lqck_fock_residuals(F: FockTruncation) -> dict:
     Toeplitz representation.  Every product is block-diagonal by level:
     psi_t on level l is sum W S_{l-1} S_{l-1}^*, so LQCK1 (which ends one
     level up) is checked on source levels 1..N-2 and the others on 1..N-1.
-    Each per-unit norm is the root of the sum of squares over those levels;
-    an identity with no level to check is None.  S and psi_t are the slabs
-    `F.slabs` and `F.grams`; LQCK1-2 and Toeplitz-1 are checked on the pairs
-    with b_u b_v != 0.
+    Each norm at an adapted-unit pair (f_u, f_v) is the root of the sum of
+    squares over those levels; an identity with no level to check is None.
 
-    Toeplitz-1: T*(x) T(y) = delta^-2 pi(A(xy)); Toeplitz-2: mu(T (x) T*) m*
-    = pi on levels >= 1, with T = delta S and T*(x) = T(x*)^*.  Toeplitz-2 is
-    the covariance identity: its defect at b_p is ||D_p|| / s_p (`row_group_gram`).
+    S(e_ij) is slab R_aj of `F.slabs` placed on row group (a, i), and
+    psi_t(e_ij) is H_a / delta^2 from row group (a, j) to (a, i) (`F.grams`).
+    So a pair with b_u b_v = 0 has zero products and m-terms, and the defect
+    at u = e_ij, v = e_jr, w = e_ir does not depend on j: the worst j has the
+    smallest weight w_min of block a.  On level l, in row-group order:
+    LQCK1: (H_a^(l+1) - 1) R_ar / delta^2, scaled by (w_min^3 w_r)^-1/2;
+    LQCK2: R_ai* R_ar - delta^-4 sum_c A(b_w)_c (x) H_c, scaled by (w_min^2 w_i w_r)^-1/2;
+    LQCK3: mu(s x s*)m*(1) - delta^-2 1, of norm (sum_a N_a ||H_a - 1||^2)^1/2 / delta^2;
+    Toeplitz-1: T*(x) T(y) = delta^-2 pi(A(xy)), delta^2 R_ai* R_ar - delta^-2 sum_c A(b_w)_c (x) 1;
+    Toeplitz-2: mu(T (x) T*) m* = pi on levels >= 1, with T = delta S and
+    T*(x) = T(x*)^*, of defect H_a - 1 at every unit of block a, the
+    covariance defect at f_ij times sqrt(w_i w_j).
+    A(b_w)_c is block c of A(b_w) and H_c acts on level l.  The products
+    R_ai* R_ar are formed one row i at a time, N_a arrays (dim l, dim l).
     """
-    G, S, grams = F.graph, F.slabs, F.grams
-    st, d2, A = G.structure, G.delta_sq, G.adjacency.matrix
-    inv_scale_sq = G.psi.weight_of_row * G.psi.gram_diag  # s_p^-2
-    w, u, v = np.nonzero(st.mul_tensor)  # b_u b_v = b_w
+    G = F.graph
+    st, d2, A, psi = G.structure, G.delta_sq, G.adjacency.matrix, G.psi
+    n, off = np.array(st.sizes), np.array(st.offsets)
+    groups, start, block = n.sum(), np.cumsum(n) - n, np.repeat(np.arange(len(n)), n * n)
+    k, t = np.divmod(np.arange(st.dim) - off[block], n[block])
+    rows, cols = start[block] + k, start[block] + t  # e_kt maps row group cols[p] onto rows[p]
+    w_min = np.array([w.min() for w in psi.weights])
 
-    keys = ("lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2")
-    sq = {key: [] for key in keys}
+    sq = {key: [] for key in ("lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2")}
     for l in range(1, F.depth):
-        (D, psi_t), level = grams[l - 1], F.levels[l]
-        p, row, col = level.left  # pi(b_p) is 1 at (row, col)
-        SsS = star_images(S[l], st)[u] @ S[l][v]
-        psiS = grams[l][1][u] @ S[l][v] if l + 1 < F.depth else None  # LQCK1 ends one level up
-        lqck = lqck_sq_norms(G, S[l], SsS, psiS, _embed(psi_t, level), (u, v, w))
-        toeplitz1 = d2 * SsS
-        toeplitz1[:, row, col] -= A[p][:, w].T / d2  # pi(A(b_w)) = sum_p A[p, w] pi(b_p)
-        for key, n in zip(keys, lqck + (_sq_nrm(toeplitz1), _sq_nrm(D) * inv_scale_sq)):
-            if n is not None:  # no LQCK1 from level N-1
-                sq[key].append(n)
+        R, (H, one) = F.slabs[l], F.grams[l - 1]
+        s, t2 = H.shape[1], _sq_nrm(H - one)
+        up = np.subtract(*F.grams[l]) if l + 1 < F.depth else None  # H - 1 one level up, where LQCK1 ends
+        l1, l2, t1 = [], [], []
+        for a, w in enumerate(psi.weights):
+            Ra = R[start[a] : start[a] + n[a]]
+            if up is not None:
+                l1.append(_sq_nrm(up[a] @ Ra) / (d2 * d2 * w_min[a] ** 3 * w))
+            for i in range(n[a]):
+                P = Ra[i].conj().T @ Ra  # [r] = R_ai* R_ar = Ss(e_ij) S(e_jr), on level l
+                coef = A[:, off[a] + i * n[a] : off[a] + (i + 1) * n[a]]  # [p, r]: b_p in A(e_ir)
+                p = np.flatnonzero(coef.any(axis=1))
+                grouped = P.reshape(n[a], groups, s, groups, s)  # [r, row group, x, row group, y]
+                Pp, Ap = grouped[:, rows[p], :, cols[p]], coef[p, :, None, None]  # [p, r, x, y]
+                lq2 = _sq_nrm(Pp - Ap * H[block[p], None] / (d2 * d2)).sum(axis=0)
+                tp1 = _sq_nrm(d2 * Pp - Ap * one[block[p], None] / d2).sum(axis=0)
+                grouped[:, rows[p], :, cols[p]] = 0.0
+                rest = _sq_nrm(P)  # off the slabs of the b_p in A(e_ir), where both m-terms are 0
+                l2.append((rest + lq2) / (w_min[a] ** 2 * w[i] * w))
+                t1.append(d2 * d2 * rest + tp1)
+        found = {"lqck1": l1, "lqck2": l2, "toeplitz1": t1}
+        for key, parts in found.items():
+            if parts:  # no LQCK1 from level N-1
+                sq[key].append(np.concatenate(parts))
+        sq["lqck3"].append(np.dot(n, t2) / (d2 * d2))
+        sq["toeplitz2"].append(t2)
 
     report = {key: float(np.max(np.sqrt(sum(v)))) if v else None for key, v in sq.items()}
     report["level_dims"] = F.level_dims

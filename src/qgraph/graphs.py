@@ -87,10 +87,12 @@ class LinearMapOnB:
 def _schur_square_matrix(psi: DeltaState, A: LinearMapOnB) -> np.ndarray:
     """Matrix of x -> m (A x A) m*(x) on canonical coordinates.
 
-    Column u is m applied to (A x A) m*(b_u) = A W[u] A^T.
+    Column u is m applied to (A x A) m*(b_u) = A W[u] A^T: row v sums its
+    entries (p, q) with b_p b_q = b_v, over the nonzeros of m only.
     """
     AWA = A.matrix @ psi.comult_tensor @ A.matrix.T
-    return np.einsum("vpq,upq->vu", psi.structure.mul_tensor, AWA)
+    v, p, q = np.nonzero(psi.structure.mul_tensor)  # v ascending: one run per v
+    return np.add.reduceat(AWA[:, p, q], np.unique(v, return_index=True)[1], axis=1).T
 
 
 def schur_residual(psi: DeltaState, A: LinearMapOnB) -> float:

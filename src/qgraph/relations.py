@@ -3,9 +3,8 @@ the classical-graph reduction.
 
 A family is a linear map s: B -> M_k given by its images on the standard
 matrix units.  Residuals are raw Frobenius norms; the optional compression
-argument evaluates ||P X P|| instead.  `lqck_sq_norms` takes images between
-two spaces and the unit pairs to check, so the Fock module is judged one
-level at a time on the pairs with b_u b_v != 0 only.
+argument evaluates ||P X P|| instead.  The Fock module's family is judged
+in closed form from its slabs, in `qgraph.fock`.
 
 Contractions against the coefficient tensor W of m* run over its sum_a N_a^3
 nonzero entries only (`_pair_sum`), never over all d^3 index triples.
@@ -45,12 +44,7 @@ class CKFamily:
 
     def star_images(self, structure: BlockStructure) -> np.ndarray:
         """Images of the conjugate family s*(b_p) = s(b_p*)*."""
-        return star_images(self.images, structure)
-
-
-def star_images(images: np.ndarray, structure: BlockStructure) -> np.ndarray:
-    """s(b_p*)^* for every unit b_p, from the unit images s(b_p) of shape (dim, k', k)."""
-    return np.conj(np.swapaxes(images[structure.star_perm], -1, -2))
+        return np.conj(np.swapaxes(self.images[structure.star_perm], -1, -2))
 
 
 def _check_family(s: CKFamily, G: QuantumGraph) -> None:
@@ -120,55 +114,38 @@ def qck_residuals(
     return {"qck1": r1, "qck2": r2, "qck3": r3}
 
 
-def lqck_sq_norms(
-    G: QuantumGraph, S: np.ndarray, SsS: np.ndarray, psiS: np.ndarray | None,
-    psi_in: np.ndarray, pairs: tuple[np.ndarray, ...], compression: np.ndarray | None = None,
-) -> tuple[np.ndarray | None, np.ndarray, float]:
-    """Squared norms of the LQCK1-3 defects of images S[p]: V -> V', those of
-    LQCK1-2 on the unit pairs (u, v, w) = pairs (index arrays of one shape,
-    b_u b_v = b_w, or w = -1 where b_u b_v = 0) divided by the squared scale
-    of the adapted pair (f_u, f_v).  The pair products are SsS = Ss[u] @ S[v],
-    with Ss[p] = S[p*]^* mapping V' -> V, and psiS = psi_out[u] @ S[v], with
-    psi_in and psi_out psi_t = sum W S Ss on V and on V'; LQCK1 is None
-    without psiS.  Their m-terms are delta^-2 X[w], and 0 where w = -1.
+def lqck_residuals(
+    s: CKFamily, G: QuantumGraph, compression: np.ndarray | None = None
+) -> dict[str, float]:
+    """Residuals of the local relations LQCK1-3, maximized over all d^2
+    adapted-unit pairs (f_u, f_v): a general family need not vanish on the
+    pairs with b_u b_v = 0, where the m-terms are 0.
 
     LQCK1: mu(mu x 1)(s x s* x s)(m* x 1) = delta^-2 s m
     LQCK2: mu(s* x s) = delta^-2 mu(s x s*)m*Am
     LQCK3: mu(s x s*)m*(1) = delta^-2 1
     """
-    u, v, w = pairs
-    P, m_scale = compression, (w >= 0)[..., None, None] / G.delta_sq  # delta^-2, or 0 where w = -1
+    _check_family(s, G)
+    st, P = G.structure, compression
+    S, Ss = s.images, s.star_images(st)
+    psi_t = _pair_sum(G.psi.comult_tensor, S, Ss)
+    mt = st.mul_tensor
+    w = np.where(mt.any(axis=0), mt.argmax(axis=0), -1)  # [u, v]: b_u b_v = b_w, or 0
+    m_scale = (w >= 0)[..., None, None] / G.delta_sq  # delta^-2, or 0 where w = -1
     scale_sq = G.psi.weight_of_row * G.psi.gram_diag  # f_u = b_u / sqrt(scale_sq[u])
-    pair_scale = scale_sq[u] * scale_sq[v]
+    pair_scale = scale_sq[:, None] * scale_sq
 
-    def defect(product, X):  # product - delta^-2 X[w], in the one new array X[w]
+    def sq_defect(product, X):  # ||product[u, v] - delta^-2 X[w]||^2 at (f_u, f_v), in the one new array X[w]
         diff = X[w]
         diff *= m_scale
-        return np.subtract(product, diff, out=diff)
+        return _sq_nrm(np.subtract(product, diff, out=diff), P) / pair_scale
 
-    n1 = None if psiS is None else _sq_nrm(defect(psiS, S), P) / pair_scale
-    Y = np.tensordot(G.adjacency.matrix, psi_in, axes=(0, 0))  # Y[w] = sum_v' A[v', w] psi_in[v']
-    n2 = _sq_nrm(defect(SsS, Y), P) / pair_scale
-
-    q3 = np.einsum("u,uac->ac", G.structure.unit_vector, psi_in)
-    n3 = float(_sq_nrm(q3 - np.eye(len(q3)) / G.delta_sq, P))
-    return n1, n2, n3
-
-
-def lqck_residuals(
-    s: CKFamily, G: QuantumGraph, compression: np.ndarray | None = None
-) -> dict[str, float]:
-    """Residuals of the local relations LQCK1-3 (see `lqck_sq_norms`),
-    maximized over all d^2 adapted-unit pairs: a general family need not
-    vanish on the pairs with b_u b_v = 0."""
-    _check_family(s, G)
-    S, Ss = s.images, s.star_images(G.structure)
-    psi_t = _pair_sum(G.psi.comult_tensor, S, Ss)
-    mt = G.structure.mul_tensor
-    u, v = np.indices(mt.shape[1:])  # every pair, as _products lays them out
-    pairs = (u, v, np.where(mt.any(axis=0), mt.argmax(axis=0), -1))  # b_u b_v = b_w, or 0
-    norms = lqck_sq_norms(G, S, _products(Ss, S), _products(psi_t, S), psi_t, pairs, compression)
-    return {f"lqck{i}": float(np.sqrt(np.max(n))) for i, n in enumerate(norms, start=1)}
+    n1 = sq_defect(_products(psi_t, S), S)
+    Y = np.tensordot(G.adjacency.matrix, psi_t, axes=(0, 0))  # Y[w] = sum_v A[v, w] psi_t[v]
+    n2 = sq_defect(_products(Ss, S), Y)
+    q3 = np.einsum("u,uac->ac", st.unit_vector, psi_t)
+    n3 = _sq_nrm(q3 - np.eye(s.k) / G.delta_sq, P)
+    return {f"lqck{i}": float(np.sqrt(np.max(n))) for i, n in enumerate((n1, n2, n3), start=1)}
 
 
 def _require_classical(G: QuantumGraph) -> int:

@@ -16,6 +16,13 @@ def skew_m2():
 
 
 @pytest.fixture(scope="session")
+def nontracial_m1_m2():
+    # non-tracial on M_2: w = ((5 + sqrt 5) / 12, (5 - sqrt 5) / 12), Tr(rho_a^-1) = 6 on both blocks
+    root5 = 5.0**0.5
+    return qg.validate_delta_form([1, 2], [[1 / 6], [(5 + root5) / 12, (5 - root5) / 12]])
+
+
+@pytest.fixture(scope="session")
 def uniform_c2():
     return qg.validate_delta_form([1, 1], [[0.5], [0.5]])
 

@@ -431,15 +431,15 @@ class TestFock:
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 4])
     def test_forms_each_level_slab_once(self, capsys, monkeypatch, trivial_path, levels):
-        """Covariance, Toeplitz-2 and LQCK read one set of creation slabs, one per level."""
-        calls, original = [], qgraph.correspondence.creation_slabs
+        """Covariance, Toeplitz and LQCK read one set of slabs of T(eps), one per level."""
+        calls, original = [], qgraph.correspondence.generator_slabs
 
-        def counting_creation_slabs(*args):
+        def counting_generator_slabs(*args):
             calls.append(args)
             return original(*args)
 
         for module in (qgraph.correspondence, qgraph.fock):
-            monkeypatch.setattr(module, "creation_slabs", counting_creation_slabs)
+            monkeypatch.setattr(module, "generator_slabs", counting_generator_slabs)
         code, _, _ = run(capsys, "fock", trivial_path, "--levels", str(levels))
         assert code == 0
         assert len(calls) == levels

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -448,8 +449,25 @@ class TestLevelwiseMatchesFullTruncation:
         assert_levelwise_matches_full_truncation(G, rng)
         assert_recognition_matches_orbit_grams(qg.complete_graph(psi), rng)
 
-    def test_built_in_graphs(self, cp_family_graphs):
+    def test_built_in_graphs(self, cp_family_graphs, nontracial_m1_m2):
         rng = np.random.default_rng(3)
-        for G in cp_family_graphs.values():
+        # on M_1 + M_2 with unequal weights on M_2, each check's scale by the
+        # smallest weight of a block is seen; the complete graph there is 780
+        # wide at depth 3, too wide for the full truncation (1.2 GB)
+        for G in (*cp_family_graphs.values(), qg.trivial_graph(nontracial_m1_m2)):
             assert_levelwise_matches_full_truncation(G, rng)
             assert_recognition_matches_orbit_grams(G, rng)
+
+    def test_trivial_m8_checks_in_bounded_memory(self):
+        """The LQCK2 and Toeplitz-1 products are formed one row i of a block
+        at a time, N_a (dim l)^2 entries: here 8 * 64^2 complex, 0.5 MiB.  All
+        sum_a N_a^3 = 512 unit-pair products at once would be over 30 MiB."""
+        F = qg.build_fock(qg.trivial_graph(qg.validate_delta_form([8], [[1 / 8] * 8])), 3)
+        tracemalloc.start()
+        try:
+            report = qg.lqck_fock_residuals(F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(report[key] < 1e-9 for key in FOCK_KEYS)
+        assert peak < 16 * 2**20

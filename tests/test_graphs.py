@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -454,3 +455,13 @@ class TestBatchedFormsMatchLoops:
         for U, X, Y in zip(orbit_unitaries(F, D)[0], F.levels, D.levels, strict=True):
             got_l, got_r, _ = carried(U, X)
             assert close(got_l, Y.lmul, rel) and close(got_r, Y.rmul, rel)
+
+    @pytest.mark.parametrize("make", [qg.complete_graph, qg.trivial_graph], ids=["complete", "trivial"])
+    def test_fock_covariance_on_a_non_tracial_state(self, make, nontracial_m1_m2):
+        # the M_2 block's weights differ, so the scale 1 / min w_a of the
+        # covariance defect is seen; an O(1) change of eps makes it O(1)
+        F = qg.build_fock(make(nontracial_m1_m2), 3)
+        noise = [1, 1j] @ np.random.default_rng(31).normal(size=(2, F.edge.size))
+        F = replace(F, edge=replace(F.edge, generator=F.edge.generator + 0.5 * noise))
+        want = fock_covariance_oracle(F)
+        assert want > 1e-6 and close(qg.representation_residuals(F)["covariance"], want)
