@@ -8,11 +8,11 @@ and columns decide the left kernel, faithfulness and fullness of E_G.  Its
 basis is orthonormal for psi(<.,.>_B), and it stores only the nonzeros of
 the left action of the units (partial permutations), the right action and
 the B-valued inner product, so no (dim B, dim E, dim E) array is formed.
-`generator_slabs` writes T(eps) / delta into a level as one slab per row
-group, and `block_grams` forms from them one Gram H_a per block of B, which
-holds sum_k T(f_ik . eps) T(f_jk . eps)* for every unit of the block: the
-covariance defect and psi_t of a Fock level and, on E_G, the compact
-decomposition.  The dense ambients and Gram quotients are `tests/oracles.py`.
+`generator_slabs` writes T(eps) / delta into a level in row-group order, one
+row slab per row group, and `gram_defects` forms from them one Gram H_a per
+block of B, which holds sum_k T(f_ik . eps) T(f_jk . eps)* for every unit of
+the block: the covariance defect and psi_t of a Fock level and, on E_G, the
+compact decomposition.  The dense ambients and Gram quotients are `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -95,19 +95,21 @@ class Correspondence:
         return x, y, p, 1.0 / np.sqrt(self.psi.gram_diag[p] * self.psi.weight_of_row[p])
 
     @cached_property
-    def row_groups(self) -> tuple[np.ndarray, ...]:
-        """Row group and position in it of every coordinate, and the row-group
-        size of every block.
+    def row_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """Place of every coordinate in row-group order, and the row-group size
+        s_a of every block.
 
-        Row group (a, i), numbered sum_{b<a} N_b + i, holds the coordinates
-        (a, c, i, k, l) in (c, k, l) order, so the unit e_ij of block a maps
-        row group (a, j) onto row group (a, i) position by position.
+        Row group (a, i) holds the coordinates (a, c, i, k, l) in (c, k, l)
+        order; the row groups follow one another in (a, i) order, so block a
+        starts at sum_{b<a} N_b s_b and the unit e_ij of block a maps row group
+        (a, j) onto row group (a, i) position by position.
         """
         n = np.array(self.structure.sizes)
         a, c, i, k, l, _ = self.layout
         width = self.mult * n  # [a, c]: coordinates of the pair (a, c) in one row group
-        pos = (np.cumsum(width, axis=1) - width)[a, c] + k * n[c] + l
-        return np.cumsum(n)[a] - n[a] + i, pos, width.sum(axis=1)
+        size = width.sum(axis=1)
+        start = (np.cumsum(n * size) - n * size)[a] + i * size[a]
+        return start + (np.cumsum(width, axis=1) - width)[a, c] + k * n[c] + l, size
 
     def left_units(self, V: np.ndarray) -> np.ndarray:
         p, row, col = self.left
@@ -302,60 +304,66 @@ def left_kernel(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
 def generator_slabs(
     creation: tuple, generator: np.ndarray, level: Correspondence, below: Correspondence
 ) -> np.ndarray:
-    """The row-group slabs R[(a, j)] of T(eps) / delta from `below` into `level`,
-    of shape (row groups, s, row groups * s'), s and s' the largest row group
-    of `level` and of `below`, zero-padded.
+    """T(eps) / delta from `below` into `level`, (dim level, dim below), with
+    the rows and columns of both in row-group order (`row_groups`).
 
     creation = (z, e, y, value): T(xi) has the entry value * xi[e] at (z, y).
-    Row z of T(eps) is position pos(z) of slab group(z), and column y is
-    (group(y), pos(y)), so every row group of `below` has s' columns.
-    T(e_ij . eps) is slab (a, j) placed on row group (a, i), since e_ij .
-    moves the first index of E only."""
-    (group, pos, size), (col_group, col_pos, col_size) = level.row_groups, below.row_groups
-    groups, width = sum(level.structure.sizes), col_size.max()
+    Its row slab R_aj is the s_a rows of row group (a, j), and T(e_ij . eps)
+    is R_aj placed on row group (a, i), since e_ij . moves the first index of E only."""
     z, e, y, value = creation
-    out = np.zeros((groups, size.max(), groups * width), dtype=complex)
-    out[group[z], pos[z], col_group[y] * width + col_pos[y]] = value * generator[e] / level.psi.delta
+    out = np.zeros((level.size, below.size), dtype=complex)
+    out[level.row_groups[0][z], below.row_groups[0][y]] = value * generator[e] / level.psi.delta
     return out
 
 
-def block_grams(R: np.ndarray, level: Correspondence) -> tuple[np.ndarray, np.ndarray]:
-    """H_a = delta^2 sum_j R_aj R_aj* / w_a[j] of the `generator_slabs` R into
-    `level`, one product per block a of B, and the identity 1_a on the s_a
-    positions of a row group of block a; both (blocks, s, s), zero-padded.
+def block_slabs(R: np.ndarray, level: Correspondence) -> list[np.ndarray]:
+    """The row slabs of `generator_slabs` R into `level`, one (N_a, s_a, dim below)
+    view per block a of B: entry [j] is R_aj."""
+    n, size = np.array(level.structure.sizes), level.row_groups[1]
+    return [part.reshape(N, s, R.shape[1]) for part, N, s in zip(np.split(R, np.cumsum(n * size)[:-1]), n, size)]
+
+
+def _block_entries(level: Correspondence) -> tuple[np.ndarray, ...]:
+    """The entries (q, q') of `level` in row-group order that lie in one block c,
+    q at position x of row group (c, k) and q' at position y of (c, t): with
+    the unit e_kt as u, the place of H_c[x, y] in the H_c laid end to end, and x == y."""
+    n, off, size = np.array(level.structure.sizes), np.array(level.structure.offsets), level.row_groups[1]
+    start, hstart = np.cumsum(n * size) - n * size, np.cumsum(size * size) - size * size
+    count = n * n * size * size
+    c = np.repeat(np.arange(len(n)), count)
+    N, s, r = n[c], size[c], np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    k, t, x, y = r // (N * s * s), r // (s * s) % N, r // s % s, r % s
+    return start[c] + k * s + x, start[c] + t * s + y, off[c] + k * N + t, hstart[c] + x * s + y, x == y
+
+
+def gram_defects(R: np.ndarray, level: Correspondence) -> list[np.ndarray]:
+    """H_a - 1 for H_a = delta^2 sum_j R_aj R_aj* / w_a[j] of the `generator_slabs`
+    R into `level`, one (s_a, s_a) product per block a of B.
 
     With f_ij = e_ij / sqrt(w_i w_j), T(f_ik . eps) T(f_jk . eps)* summed over k
     maps row group (a, j) onto (a, i) as H_a / sqrt(w_i w_j), so the covariance
-    defect at f_ij is (1_a - H_a) / sqrt(w_i w_j), and psi_t(e_ij) is H_a / delta^2.
-    Blocks of one size N form their products in one batch."""
-    psi, (_, _, size) = level.psi, level.row_groups
-    n = np.array(psi.structure.sizes)
-    s, start = R.shape[1], np.cumsum(n) - n
-    H = np.zeros((len(n), s, s), dtype=complex)
-    for N in sorted(set(psi.structure.sizes)):
-        blocks = np.flatnonzero(n == N)
-        scale = np.sqrt(psi.delta_sq / np.array([psi.weights[b] for b in blocks]))
-        T = R[start[blocks, None] + np.arange(N)] * scale[:, :, None, None]  # [block, j, pos, col]
-        T = T.transpose(0, 2, 1, 3).reshape(len(blocks), s, N * R.shape[2])
-        H[blocks] = T @ T.conj().transpose(0, 2, 1)
-    return H, np.eye(s) * (np.arange(s) < size[:, None, None])
+    defect at f_ij is (1 - H_a) / sqrt(w_i w_j), and psi_t(e_ij) is H_a / delta^2."""
+    psi = level.psi
+    return [
+        ((Ra * (psi.delta_sq / w)[:, None, None]) @ Ra.conj().transpose(0, 2, 1)).sum(axis=0) - np.eye(Ra.shape[1])
+        for Ra, w in zip(block_slabs(R, level), psi.weights)
+    ]
 
 
 def compact_decomposition_residual(E: Correspondence) -> float:
     """Residual of f_ij . xi = sum_k theta_{f_ik.eps, f_jk.eps}(xi) on E_G.
 
     On level 1 of the Fock module theta_{xi,eta} = T(xi)T(eta)*, so this is
-    the covariance defect (1 - H_a) / sqrt(w_i w_j) of `block_grams` from
+    the covariance defect (1 - H_a) / sqrt(w_i w_j) of `gram_defects` from
     level 0 = B in the units b_p / sqrt(g_p), on which T(xi) acts as
     xi . b_p / sqrt(g_p): the right action's nonzeros, with value
     sqrt(g_p / w_i) / sqrt(g_p) = 1 / sqrt(w_i) for b_p = e_ij.  The result is
-    the largest column norm over all units, max_a (column norm of 1 - H_a) / min w_a.
+    the largest column norm over all units, max_a (column norm of H_a - 1) / min w_a.
     """
     p, row, col, _ = E.right
     creation = (row, col, p, 1.0 / np.sqrt(E.psi.weight_of_row[p]))
-    H, one = block_grams(generator_slabs(creation, E.generator, E, trivial_correspondence(E.psi)), E)
-    w_min = np.array([w.min() for w in E.psi.weights])
-    return float((np.linalg.norm(one - H, axis=1).max(axis=1, initial=0.0) / w_min).max())
+    defects = gram_defects(generator_slabs(creation, E.generator, E, trivial_correspondence(E.psi)), E)
+    return max(float(np.linalg.norm(D, axis=0).max(initial=0.0)) / w.min() for D, w in zip(defects, E.psi.weights))
 
 
 def _vector_map(M: Correspondence, xi: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ No check forms pi or a creation map densely.  The inner-product check joins
 nonzeros.  The family S(x) = T(x . eps) / delta is pi(x) T(eps) / delta, so a
 `FockTruncation` forms, once and on first use, the row-group slabs R of
 T(eps) / delta on every level (`generator_slabs`) and one Gram H_a per block
-of B on each interior level (`block_grams`); every covariance, Toeplitz and
+of B on each interior level (`gram_defects`); every covariance, Toeplitz and
 LQCK defect is read off R and H in closed form.
 The Gram-quotient levels and full-truncation checks are in `tests/oracles.py`.
 """
@@ -25,11 +25,13 @@ import numpy as np
 
 from .correspondence import (
     Correspondence,
+    _block_entries,
     _empty_blocks,
     _same_base,
-    block_grams,
+    block_slabs,
     build_edge_correspondence,
     generator_slabs,
+    gram_defects,
     normal_form,
     trivial_correspondence,
 )
@@ -68,7 +70,7 @@ class FockTruncation:
 
     creation[l] = (z, e, y, value) are the nonzeros of the canonical map from
     E (x)_B level l onto level l+1: T(xi) from level l to level l+1 has the
-    entry value * xi[e] at (z, y).  slabs and grams are formed on first use.
+    entry value * xi[e] at (z, y).  slabs and defects are formed on first use.
     """
 
     graph: QuantumGraph
@@ -95,9 +97,9 @@ class FockTruncation:
         return tuple(generator_slabs(c, self.edge.generator, up, down) for c, up, down in levels)
 
     @cached_property
-    def grams(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """`block_grams` (H, 1) on levels 1..N-1, entry l-1."""
-        return tuple(block_grams(R, level) for R, level in zip(self.slabs, self.levels[1:-1]))
+    def defects(self) -> tuple[list[np.ndarray], ...]:
+        """`gram_defects` H_a - 1 on levels 1..N-1, entry l-1."""
+        return tuple(gram_defects(R, level) for R, level in zip(self.slabs, self.levels[1:-1]))
 
 
 def build_fock(G: QuantumGraph, N: int) -> FockTruncation:
@@ -151,7 +153,7 @@ def representation_residuals(F: FockTruncation) -> dict:
     z, and pi(<u_x,u_y>_B) the value of E's inner nonzero (x, y, p) at the
     left nonzeros (p, row, col); all levels are summed by key at once.
     covariance: pi(x) = sum_k T(f_ik.eps)T(f_jk.eps)* on levels 1..N-1, None
-    when N = 1: the largest ||1 - H_a|| / min w_a (`block_grams`).
+    when N = 1: the largest ||H_a - 1|| / min w_a (`gram_defects`).
     vacuum_defect: the norm of pi on level 0, where covariance must fail:
     the root of the most left nonzeros of a unit, a partial permutation.
     """
@@ -176,8 +178,8 @@ def representation_residuals(F: FockTruncation) -> dict:
     _, start = np.unique(keys // (shape[3] * shape[4]), return_index=True)  # one run per (l, x, y)
     inner = float(np.sqrt(np.add.reduceat(re * re + im * im, start).max()))
 
-    w_min = np.array([w.min() for w in F.graph.psi.weights])
-    cov = [float((np.linalg.norm(one - H, axis=(1, 2)) / w_min).max()) for H, one in F.grams]
+    weights = F.graph.psi.weights
+    cov = [max(float(np.linalg.norm(D)) / w.min() for D, w in zip(defects, weights)) for defects in F.defects]
     vacuum = float(np.sqrt(np.bincount(F.levels[0].left[0]).max()))
     return {"inner": inner, "covariance": max(cov, default=None), "vacuum_defect": vacuum}
 
@@ -207,8 +209,8 @@ def lqck_fock_residuals(F: FockTruncation) -> dict:
     Each norm at an adapted-unit pair (f_u, f_v) is the root of the sum of
     squares over those levels; an identity with no level to check is None.
 
-    S(e_ij) is slab R_aj of `F.slabs` placed on row group (a, i), and
-    psi_t(e_ij) is H_a / delta^2 from row group (a, j) to (a, i) (`F.grams`).
+    S(e_ij) is the row slab R_aj of `F.slabs` placed on row group (a, i), and
+    psi_t(e_ij) is H_a / delta^2 from row group (a, j) to (a, i) (`F.defects`).
     So a pair with b_u b_v = 0 has zero products and m-terms, and the defect
     at u = e_ij, v = e_jr, w = e_ir does not depend on j: the worst j has the
     smallest weight w_min of block a.  On level l, in row-group order:
@@ -225,33 +227,28 @@ def lqck_fock_residuals(F: FockTruncation) -> dict:
     G = F.graph
     st, d2, A, psi = G.structure, G.delta_sq, G.adjacency.matrix, G.psi
     n, off = np.array(st.sizes), np.array(st.offsets)
-    groups, start, block = n.sum(), np.cumsum(n) - n, np.repeat(np.arange(len(n)), n * n)
-    k, t = np.divmod(np.arange(st.dim) - off[block], n[block])
-    rows, cols = start[block] + k, start[block] + t  # e_kt maps row group cols[p] onto rows[p]
     w_min = np.array([w.min() for w in psi.weights])
 
     sq = {key: [] for key in ("lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2")}
     for l in range(1, F.depth):
-        R, (H, one) = F.slabs[l], F.grams[l - 1]
-        s, t2 = H.shape[1], _sq_nrm(H - one)
-        up = np.subtract(*F.grams[l]) if l + 1 < F.depth else None  # H - 1 one level up, where LQCK1 ends
+        t2 = np.array([_sq_nrm(D) for D in F.defects[l - 1]])
+        q, q2, u, h, diag = _block_entries(F.levels[l])
+        mH = (np.concatenate([D.ravel() for D in F.defects[l - 1]])[h] + diag) / (d2 * d2)
+        up = F.defects[l] if l + 1 < F.depth else None  # H - 1 one level up, where LQCK1 ends
         l1, l2, t1 = [], [], []
-        for a, w in enumerate(psi.weights):
-            Ra = R[start[a] : start[a] + n[a]]
+        for a, (Ra, w) in enumerate(zip(block_slabs(F.slabs[l], F.levels[l + 1]), psi.weights)):
             if up is not None:
                 l1.append(_sq_nrm(up[a] @ Ra) / (d2 * d2 * w_min[a] ** 3 * w))
             for i in range(n[a]):
                 P = Ra[i].conj().T @ Ra  # [r] = R_ai* R_ar = Ss(e_ij) S(e_jr), on level l
                 coef = A[:, off[a] + i * n[a] : off[a] + (i + 1) * n[a]]  # [p, r]: b_p in A(e_ir)
-                p = np.flatnonzero(coef.any(axis=1))
-                grouped = P.reshape(n[a], groups, s, groups, s)  # [r, row group, x, row group, y]
-                Pp, Ap = grouped[:, rows[p], :, cols[p]], coef[p, :, None, None]  # [p, r, x, y]
-                lq2 = _sq_nrm(Pp - Ap * H[block[p], None] / (d2 * d2)).sum(axis=0)
-                tp1 = _sq_nrm(d2 * Pp - Ap * one[block[p], None] / d2).sum(axis=0)
-                grouped[:, rows[p], :, cols[p]] = 0.0
-                rest = _sq_nrm(P)  # off the slabs of the b_p in A(e_ir), where both m-terms are 0
-                l2.append((rest + lq2) / (w_min[a] ** 2 * w[i] * w))
-                t1.append(d2 * d2 * rest + tp1)
+                on = coef.any(axis=1)[u]  # the entries of the slabs of the b_p in A(e_ir)
+                at = (slice(None), q[on], q2[on])
+                Pm, m = P[at], coef[u[on]].T  # [r, entry]
+                P[at] = Pm - m * mH[on]
+                l2.append(_sq_nrm(P) / (w_min[a] ** 2 * w[i] * w))
+                P[at] = Pm - m * diag[on] / (d2 * d2)
+                t1.append(d2 * d2 * _sq_nrm(P))
         found = {"lqck1": l1, "lqck2": l2, "toeplitz1": t1}
         for key, parts in found.items():
             if parts:  # no LQCK1 from level N-1

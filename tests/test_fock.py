@@ -438,6 +438,15 @@ def assert_recognition_matches_orbit_grams(G, rng):
             assert_relative(got, recognize_iso_oracle(space, coords, Ep))
 
 
+def classical_hub(V, reverse):
+    """Classical graph on V vertices, each with a self-loop, and vertex 0 joined
+    to every vertex: row groups of sizes 1 and l + 1 on level l, or with the
+    edges reversed 1 + (V - 1) l and 1."""
+    adj = np.eye(V, dtype=int)
+    adj[(slice(None), 0) if reverse else (0, slice(None))] = 1
+    return qg.classical_graph(adj)
+
+
 class TestLevelwiseMatchesFullTruncation:
     @given(psi=delta_states(), seed=st_.integers(0, 2**32 - 1), kraus=st_.integers(1, 2))
     @settings(max_examples=10, deadline=None)
@@ -454,9 +463,27 @@ class TestLevelwiseMatchesFullTruncation:
         # on M_1 + M_2 with unequal weights on M_2, each check's scale by the
         # smallest weight of a block is seen; the complete graph there is 780
         # wide at depth 3, too wide for the full truncation (1.2 GB)
-        for G in (*cp_family_graphs.values(), qg.trivial_graph(nontracial_m1_m2)):
+        # the classical hubs have row groups of unequal sizes on every level
+        hubs = (classical_hub(5, reverse) for reverse in (False, True))
+        for G in (*cp_family_graphs.values(), qg.trivial_graph(nontracial_m1_m2), *hubs):
             assert_levelwise_matches_full_truncation(G, rng)
             assert_recognition_matches_orbit_grams(G, rng)
+
+    def test_classical_hub_checks_in_bounded_memory(self):
+        """The slabs of T(eps) are (dim l+1, dim l) and the LQCK2 and Toeplitz-1
+        products N_a (dim l)^2 with N_a = 1, whatever the row-group sizes: here
+        levels 17, 33, 49, 65 wide, 66 KiB per (dim 3)^2 complex.  Slabs padded
+        to the largest row group would hold 17 * 65 * (17 * 33) complex into
+        level 3 alone, 9.5 MiB."""
+        F = qg.build_fock(classical_hub(17, reverse=True), 3)
+        tracemalloc.start()
+        try:
+            report = qg.lqck_fock_residuals(F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(report[key] < 1e-9 for key in FOCK_KEYS)
+        assert peak < 16 * 16 * max(F.level_dims) ** 2
 
     def test_trivial_m8_checks_in_bounded_memory(self):
         """The LQCK2 and Toeplitz-1 products are formed one row i of a block
