@@ -60,13 +60,6 @@ class BlockStructure:
             raise IndexOutOfRange(f"unit ({i},{j}) out of range for size {n}")
         return self.offsets[a] + i * n + j
 
-    def unflatten(self, p: int) -> tuple[int, int, int]:
-        for a, n in enumerate(self.sizes):
-            if p < self.offsets[a + 1]:
-                q = p - self.offsets[a]
-                return a, q // n, q % n
-        raise IndexOutOfRange(f"coordinate {p} out of range")
-
     def basis_indices(self) -> Iterable[tuple[int, int, int]]:
         for a, n in enumerate(self.sizes):
             for i in range(n):
@@ -74,34 +67,38 @@ class BlockStructure:
                     yield a, i, j
 
     @cached_property
-    def mul_tensor(self) -> np.ndarray:
-        """Structure constants M[u,p,q] with b_p b_q = sum_u M[u,p,q] b_u."""
-        d = self.dim
-        M = np.zeros((d, d, d))
-        for a, n in enumerate(self.sizes):
-            for i in range(n):
-                for j in range(n):
-                    p = self.flat_index(a, i, j)
-                    for s in range(n):
-                        q = self.flat_index(a, j, s)
-                        M[self.flat_index(a, i, s), p, q] = 1.0
-        return M
+    def unit_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays (a, i, j) over the coordinates p: b_p is e_ij of block a."""
+        sizes = np.array(self.sizes)
+        a = np.repeat(np.arange(self.num_blocks), sizes * sizes)
+        r = np.arange(self.dim) - np.array(self.offsets)[a]
+        return a, r // sizes[a], r % sizes[a]
+
+    @cached_property
+    def mul_nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sum_a N_a^3 triples (u, p, q) with b_p b_q = b_u: e_ik e_kj = e_ij.
+
+        They come in the np.nonzero order of the dense structure constants
+        M[u, p, q] (u ascending, then p, then q), so each u is one contiguous
+        run of N_a triples, k = 0..N_a-1.
+        """
+        a, i, j = self.unit_indices
+        n = np.array(self.sizes)[a]
+        u = np.repeat(np.arange(self.dim), n)
+        k = np.arange(len(u)) - np.repeat(np.cumsum(n) - n, n)
+        lo, n, i, j = np.array(self.offsets)[a][u], n[u], i[u], j[u]
+        return u, lo + i * n + k, lo + k * n + j
 
     @cached_property
     def star_perm(self) -> np.ndarray:
         """Permutation with star(b_p) = b_{star_perm[p]} (e_ij -> e_ji)."""
-        perm = np.empty(self.dim, dtype=np.intp)
-        for a, i, j in self.basis_indices():
-            perm[self.flat_index(a, i, j)] = self.flat_index(a, j, i)
-        return perm
+        a, i, j = self.unit_indices
+        return np.array(self.offsets)[a] + j * np.array(self.sizes)[a] + i
 
     @cached_property
     def unit_vector(self) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=complex)
-        for a, n in enumerate(self.sizes):
-            for i in range(n):
-                vec[self.flat_index(a, i, i)] = 1.0
-        return vec
+        _, i, j = self.unit_indices
+        return (i == j).astype(complex)
 
     def products(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Coordinates of x y for stacks X, Y of coordinate vectors (..., dim):
@@ -112,14 +109,6 @@ class BlockStructure:
             xy = x @ y
             out.append(xy.reshape(*xy.shape[:-2], n * n))
         return np.concatenate(out, axis=-1)
-
-    def left_mult_matrix(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix of x -> (element with coords vec) * x on coordinates."""
-        return np.einsum("upq,p->uq", self.mul_tensor, vec)
-
-    def right_mult_matrix(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix of x -> x * (element with coords vec) on coordinates."""
-        return np.einsum("upq,q->up", self.mul_tensor, vec)
 
 
 class AlgebraElement:
@@ -224,38 +213,20 @@ class DeltaState:
         return float(np.sqrt(self.delta_sq))
 
     @cached_property
-    def psi_vec(self) -> np.ndarray:
-        """psi(b_p) as a coordinate functional: psi(e_ij) = delta_ij w_i."""
-        vec = np.zeros(self.structure.dim)
-        for a, n in enumerate(self.structure.sizes):
-            for i in range(n):
-                vec[self.structure.flat_index(a, i, i)] = self.weights[a][i]
-        return vec
+    def weight_of_row(self) -> np.ndarray:
+        """w_i indexed by the coordinate p = (a,i,j)."""
+        return np.concatenate([np.repeat(w, len(w)) for w in self.weights])
 
     @cached_property
     def gram_diag(self) -> np.ndarray:
         """Diagonal GNS Gram: <e_ij, e_ij>_psi = psi(e_jj) = w_j."""
-        g = np.empty(self.structure.dim)
-        for a, i, j in self.structure.basis_indices():
-            g[self.structure.flat_index(a, i, j)] = self.weights[a][j]
-        return g
+        return np.concatenate([np.tile(w, len(w)) for w in self.weights])
 
     @cached_property
-    def comult_tensor(self) -> np.ndarray:
-        """W[u, p, q]: coefficient of b_p (x) b_q in m*(b_u).
-
-        m*(e_ij) = sum_k psi(e_kk)^-1 e_ik (x) e_kj, and psi(e_kk) is the Gram
-        weight of b_p = e_ik.
-        """
-        return self.structure.mul_tensor / self.gram_diag[None, :, None]
-
-    @cached_property
-    def weight_of_row(self) -> np.ndarray:
-        """w_i indexed by the coordinate p = (a,i,j)."""
-        g = np.empty(self.structure.dim)
-        for a, i, j in self.structure.basis_indices():
-            g[self.structure.flat_index(a, i, j)] = self.weights[a][i]
-        return g
+    def psi_vec(self) -> np.ndarray:
+        """psi(b_p) as a coordinate functional: psi(e_ij) = delta_ij w_i."""
+        _, i, j = self.structure.unit_indices
+        return np.where(i == j, self.weight_of_row, 0.0)
 
     def value(self, x: AlgebraElement) -> complex:
         """psi(x) = sum_a Tr(rho_a x_a) with diagonal rho_a."""
@@ -350,16 +321,6 @@ class TensorElement:
     def __rmul__(self, scalar) -> "TensorElement":
         return TensorElement(self.structure, scalar * self.coeff)
 
-    def left_mul(self, x: AlgebraElement) -> "TensorElement":
-        """x . (a (x) b) = (xa) (x) b extended linearly."""
-        L = self.structure.left_mult_matrix(x.vec)
-        return TensorElement(self.structure, L @ self.coeff)
-
-    def right_mul(self, y: AlgebraElement) -> "TensorElement":
-        """(a (x) b) . y = a (x) (by) extended linearly."""
-        R = self.structure.right_mult_matrix(y.vec)
-        return TensorElement(self.structure, self.coeff @ R.T)
-
     def apply_second(self, matrix: np.ndarray) -> "TensorElement":
         """(1 (x) F) for a linear map F given as a coordinate matrix."""
         return TensorElement(self.structure, self.coeff @ matrix.T)
@@ -375,16 +336,6 @@ class TensorElement:
         out[np.ix_(perm, perm)] = self.coeff.conj()
         return TensorElement(self.structure, out)
 
-    def multiply_down(self) -> AlgebraElement:
-        """Apply the multiplication map m: sum c_pq b_p b_q."""
-        vec = np.einsum("upq,pq->u", self.structure.mul_tensor, self.coeff)
-        return AlgebraElement.from_vector(self.structure, vec)
-
-    def partial_psi_left(self, psi: DeltaState) -> AlgebraElement:
-        """(psi (x) 1): slice off the first leg against the state."""
-        vec = psi.psi_vec @ self.coeff
-        return AlgebraElement.from_vector(self.structure, vec)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeff))
 
@@ -393,16 +344,21 @@ class TensorElement:
 
 
 def comultiply(x: AlgebraElement, psi: DeltaState) -> TensorElement:
-    """m*(x) = sum_u x_u W[u] with W = psi.comult_tensor in closed form.
+    """m*(x) = sum_u x_u m*(b_u), scattered onto the nonzeros of m.
 
-    On standard units m*(e_ij) = sum_k psi(e_kk)^-1 e_ik (x) e_kj; this is the
-    adjoint of multiplication for the GNS inner product and m(m*(x)) is
-    delta^2 x.
+    On standard units m*(e_ij) = sum_k psi(e_kk)^-1 e_ik (x) e_kj, and
+    psi(e_kk) is the Gram weight of b_p = e_ik: the coefficient of
+    b_p (x) b_q on the triple (u, p, q) of `mul_nonzeros` is
+    x_u / gram_diag[p].  This is the adjoint of multiplication for the GNS
+    inner product, and m(m*(x)) is delta^2 x.
     """
     st = x.structure
     if st != psi.structure:
         raise ShapeMismatch("element and state over different structures")
-    return TensorElement(st, np.einsum("u,upq->pq", x.vec, psi.comult_tensor))
+    u, p, q = st.mul_nonzeros
+    coeff = np.zeros((st.dim, st.dim), dtype=complex)
+    coeff[p, q] = x.vec[u] * (1.0 / psi.gram_diag[p])
+    return TensorElement(st, coeff)
 
 
 def sharp(u: TensorElement, v: TensorElement) -> TensorElement:
@@ -411,7 +367,7 @@ def sharp(u: TensorElement, v: TensorElement) -> TensorElement:
         raise ShapeMismatch("tensors over different block structures")
     st = u.structure
     # row w of u # v sums v_r u_p over b_p b_r = b_w, u_p being row p of u as an element
-    w, p, r = np.nonzero(st.mul_tensor)
+    w, p, r = st.mul_nonzeros
     terms = st.products(v.coeff[r], u.coeff[p])
     return TensorElement(st, np.add.reduceat(terms, np.unique(w, return_index=True)[1]))
 

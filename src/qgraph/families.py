@@ -69,8 +69,18 @@ def rank_one_graph(
             raise BadNormalization(
                 f"block {a}: Tr(rho^-1 T*T) = {tr:.6g}, expected {psi.delta_sq:.6g}"
             )
-    matrix = st.left_mult_matrix(T.vec) @ st.right_mult_matrix(T.star().vec)
+    matrix = _conjugation_matrix(st, range(st.num_blocks), T.blocks)
     return QuantumGraph.build(psi, LinearMapOnB(st, matrix), tol=tol)
+
+
+def _conjugation_matrix(st: BlockStructure, targets, mats) -> np.ndarray:
+    """Coordinate matrix of x -> sum_a V_a x_a V_a*, block a sent to block
+    targets[a]: row-major vec(V X V*) = (V (x) conj V) vec X."""
+    matrix = np.zeros((st.dim, st.dim), dtype=complex)
+    for a, (b, V) in enumerate(zip(targets, mats)):
+        rows, cols = slice(st.offsets[b], st.offsets[b + 1]), slice(st.offsets[a], st.offsets[a + 1])
+        matrix[rows, cols] = np.kron(V, V.conj())
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -143,12 +153,8 @@ def automorphism_graph(
                 f"weights of blocks {a} and {perm[a]} differ under the permutation"
             )
 
-    matrix = np.zeros((st.dim, st.dim), dtype=complex)
-    for a, n in enumerate(st.sizes):
-        b, U = perm[a], spec.unitaries[perm[a]]
-        # e_ij of block a goes to U e_ij U* in block b; row-major vec(U X U*) = (U (x) conj U) vec X
-        rows, cols = slice(st.offsets[b], st.offsets[b] + n * n), slice(st.offsets[a], st.offsets[a] + n * n)
-        matrix[rows, cols] = np.kron(U, U.conj())
+    # e_ij of block a goes to U e_ij U* in block b = perm[a], U = unitaries[b]
+    matrix = _conjugation_matrix(st, perm, [spec.unitaries[b] for b in perm])
     graph = QuantumGraph.build(psi, LinearMapOnB(st, matrix))
 
     cycles = _permutation_cycles(perm)

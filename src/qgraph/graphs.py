@@ -34,6 +34,7 @@ from .errors import (
 )
 
 CHOI_EIG_RTOL = 1e-10
+_CHUNK_ENTRIES = 1 << 20  # largest stack, in entries, that a chunked unit-pair check forms
 
 
 @dataclass(frozen=True)
@@ -69,30 +70,48 @@ class LinearMapOnB:
     @cached_property
     def choi_slabs(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Choi slabs H[(i,r),(j,s)] = A(e_ij^{(a)})^{(b)}_{rs} of each block pair
-        (a, b), built once per map and grouped by (N_a, N_b): a group is its
-        (k, 2) pairs, row-major, and their k slabs.  A is completely positive
-        iff every slab is positive semidefinite."""
-        sizes, offs = np.array(self.structure.sizes), np.array(self.structure.offsets)
+        (a, b), built once per map and grouped by (N_a, N_b) as `_pair_slabs`
+        groups them.  A is completely positive iff every slab is positive
+        semidefinite."""
         groups = []
-        for na, nb in sorted({(x, y) for x in sizes for y in sizes}):
-            a, b = np.nonzero((sizes == na)[:, None] & (sizes == nb)[None, :])
-            # rows (r, s) of block b, columns (i, j) of block a
-            rows = offs[b][:, None, None] + np.arange(nb * nb)[:, None]
-            H = self.matrix[rows, offs[a][:, None, None] + np.arange(na * na)]
-            H = H.reshape(-1, nb, nb, na, na).transpose(0, 3, 1, 4, 2)
-            groups.append((np.stack([a, b], axis=1), H.reshape(-1, na * nb, na * nb)))
+        for pairs, _, X in _pair_slabs(self):
+            g, nb, _, na, _ = X.shape
+            groups.append((pairs, X.transpose(0, 3, 1, 4, 2).reshape(g, na * nb, na * nb)))
         return groups
+
+
+def _pair_slabs(A: LinearMapOnB):
+    """A's slab X[r, s, i, j] = A(e_ij^{(a)})^{(b)}_{rs} of every block pair
+    (a, b), grouped by (N_a, N_b): yields each group's (g, 2) pairs, row-major,
+    the index of their entries in A.matrix and their (g, N_b, N_b, N_a, N_a)
+    slabs."""
+    sizes, offs = np.array(A.structure.sizes), np.array(A.structure.offsets)
+    for na, nb in sorted({(x, y) for x in sizes for y in sizes}):
+        a, b = np.nonzero((sizes == na)[:, None] & (sizes == nb)[None, :])
+        # rows (r, s) of block b, columns (i, j) of block a
+        index = (
+            offs[b][:, None, None] + np.arange(nb * nb)[:, None],
+            offs[a][:, None, None] + np.arange(na * na),
+        )
+        yield np.stack([a, b], axis=1), index, A.matrix[index].reshape(-1, nb, nb, na, na)
 
 
 def _schur_square_matrix(psi: DeltaState, A: LinearMapOnB) -> np.ndarray:
     """Matrix of x -> m (A x A) m*(x) on canonical coordinates.
 
-    Column u is m applied to (A x A) m*(b_u) = A W[u] A^T: row v sums its
-    entries (p, q) with b_p b_q = b_v, over the nonzeros of m only.
+    Column e_ij of block a is sum_k A(e_ik) A(e_kj) / w_k.  On block b that is
+    one (N_b N_a)-square product per block pair, R D R with
+    R[(r,i),(s,k)] = A(e_ik)_rs and D = 1 (x) diag(1/w), batched over the
+    pairs of equal sizes: no array exceeds A's own d^2 entries.
     """
-    AWA = A.matrix @ psi.comult_tensor @ A.matrix.T
-    v, p, q = np.nonzero(psi.structure.mul_tensor)  # v ascending: one run per v
-    return np.add.reduceat(AWA[:, p, q], np.unique(v, return_index=True)[1], axis=1).T
+    out = np.empty_like(A.matrix)
+    for pairs, index, X in _pair_slabs(A):
+        g, nb, _, na, _ = X.shape
+        R = X.transpose(0, 1, 3, 2, 4).reshape(g, nb * na, nb * na)
+        inv_w = np.tile(1.0 / np.array([psi.weights[a] for a in pairs[:, 0]]), nb)
+        Z = ((R * inv_w[:, None, :]) @ R).reshape(g, nb, na, nb, na)
+        out[index] = Z.transpose(0, 1, 3, 2, 4).reshape(g, nb * nb, na * na)
+    return out
 
 
 def schur_residual(psi: DeltaState, A: LinearMapOnB) -> float:
@@ -194,7 +213,9 @@ def _indicator_adjacency(xi: np.ndarray, psi: DeltaState) -> np.ndarray:
 
     Column p is delta^2 sum_q psi(b_p b_q) xi[q, :].
     """
-    R = np.einsum("v,vpq->pq", psi.psi_vec, psi.structure.mul_tensor)
+    u, p, q = psi.structure.mul_nonzeros
+    R = np.zeros(xi.shape)  # R[p, q] = psi(b_p b_q)
+    R[p, q] = psi.psi_vec[u]
     return psi.delta_sq * (R @ xi).T
 
 
@@ -245,15 +266,27 @@ def adjoint_map(A: LinearMapOnB, psi: DeltaState) -> LinearMapOnB:
     return LinearMapOnB(A.structure, mat)
 
 
-def _multiplicativity_defect(st1: BlockStructure, st2: BlockStructure, images: np.ndarray) -> np.ndarray:
-    """[p, q, k, m, :]: B2 coordinates of entry (k, m) of f(b_p b_q) - f(b_p) f(b_q) for
-    f: B1 -> B2 (x) M_h with unit images (dim1, dim2, h, h); f(b_p b_q) is read off the
-    nonzeros of m."""
+def _unit_chunks(count: int, entries_per_unit: int, source: np.ndarray):
+    """Slices of `count` source units, each forming at most _CHUNK_ENTRIES entries,
+    each with the positions of the triples of m whose `source` index it holds."""
+    step = max(1, _CHUNK_ENTRIES // max(1, entries_per_unit))
+    for lo in range(0, count, step):
+        yield slice(lo, lo + step), np.flatnonzero((lo <= source) & (source < lo + step))
+
+
+def _multiplicativity_defect(st1: BlockStructure, st2: BlockStructure, images: np.ndarray) -> float:
+    """Worst Frobenius norm over unit pairs (p, q) of f(b_p b_q) - f(b_p) f(b_q), for
+    f: B1 -> B2 (x) M_h with unit images (dim1, dim2, h, h).  f(b_p b_q) is read off
+    the nonzeros of m; the (dim1, dim1, h, h, dim2) defect stack is formed in chunks of p."""
     X = images.transpose(0, 2, 3, 1)  # X[p, k, l]: entry (k, l) of f(b_p)
-    out = -st2.products(X[:, None, :, :, None], X[None, :, None]).sum(axis=3)
-    u, p, q = np.nonzero(st1.mul_tensor)  # b_p b_q = b_u, each (p, q) once
-    out[p, q] += X[u]
-    return out
+    u, p, q = st1.mul_nonzeros  # b_p b_q = b_u, each (p, q) once
+    d1, h = X.shape[:2]
+    worst = []
+    for chunk, t in _unit_chunks(d1, d1 * h**3 * st2.dim, p):
+        out = -st2.products(X[chunk, None, :, :, None], X[None, :, None]).sum(axis=3)
+        out[p[t] - chunk.start, q[t]] += X[u[t]]
+        worst.append(np.linalg.norm(out.reshape(out.shape[:2] + (-1,)), axis=-1).max())
+    return float(np.max(worst))
 
 
 def homomorphism_check(G: QuantumGraph) -> dict[str, float]:
@@ -263,22 +296,23 @@ def homomorphism_check(G: QuantumGraph) -> dict[str, float]:
     (b_p b_q) . eps - b_p . eps . A(b_q); the two vanish together.  The second
     is b_p . X_q, X_q = b_q . eps - eps . A(b_q), and e_ij . moves row group
     (a, j, .) of the first leg to (a, i, .): its worst value is the worst
-    row-group norm of the (d, d, d) stack X.
+    row-group norm of the (d, d, d) stack X, formed in chunks of q.
     """
     require_completely_positive(G)
     st, images = G.structure, G.adjacency.matrix.T  # images[q] = A(b_q)
     eps = edge_indicator(G).coeff
-    # X[q, s]: row s (second-leg coordinates) of b_q . eps - eps . A(b_q);
-    # b_q . eps adds row r of eps to row u wherever b_q b_r = b_u
-    X = -st.products(eps, images[:, None])
-    u, q, r = np.nonzero(st.mul_tensor)
-    X[q, u] += eps[r]
+    u, q, r = st.mul_nonzeros
     groups = [lo + j * n for n, lo in zip(st.sizes, st.offsets) for j in range(n)]
-    shift_sq = np.add.reduceat((np.abs(X) ** 2).sum(axis=2), groups, axis=1)
-    mult = _multiplicativity_defect(st, st, images[:, :, None, None])
+    shift_sq = []
+    for chunk, t in _unit_chunks(st.dim, st.dim**2, q):
+        # X[q, s]: row s (second-leg coordinates) of b_q . eps - eps . A(b_q);
+        # b_q . eps adds row r of eps to row u wherever b_q b_r = b_u
+        X = -st.products(eps, images[chunk, None])
+        X[q[t] - chunk.start, u[t]] += eps[r[t]]
+        shift_sq.append(np.add.reduceat((np.abs(X) ** 2).sum(axis=2), groups, axis=1).max())
     return {
-        "multiplicativity": float(np.linalg.norm(mult, axis=-1).max()),
-        "indicator_shift": float(np.sqrt(shift_sq.max())),
+        "multiplicativity": _multiplicativity_defect(st, st, images[:, :, None, None]),
+        "indicator_shift": float(np.sqrt(np.max(shift_sq))),
     }
 
 
@@ -337,7 +371,7 @@ def quantum_isomorphism_residual(
     unital = theta.apply_vec(st1.unit_vector) - st2.unit_vector[:, None, None] * eye_h
     star = imgs[st1.star_perm] - theta.star(imgs)
     mult = _multiplicativity_defect(st1, st2, imgs)
-    hom = max(float(np.linalg.norm(unital)), worst(star, 1), worst(mult, 2))
+    hom = max(float(np.linalg.norm(unital)), worst(star, 1), mult)
 
     state = np.einsum("q,pqkl->pkl", G2.psi.psi_vec, imgs) - G1.psi.psi_vec[:, None, None] * eye_h
     adj = np.einsum("rq,pqkl->prkl", G2.adjacency.matrix, imgs) - np.einsum(

@@ -6,8 +6,9 @@ matrix units.  Residuals are raw Frobenius norms; the optional compression
 argument evaluates ||P X P|| instead.  The Fock module's family is judged
 in closed form from its slabs, in `qgraph.fock`.
 
-Contractions against the coefficient tensor W of m* run over its sum_a N_a^3
-nonzero entries only (`_pair_sum`), never over all d^3 index triples.
+Contractions against m* run over the sum_a N_a^3 triples of
+`BlockStructure.mul_nonzeros` only (`_pair_sum`): m*(e_ij) has the weight
+1/w_k on e_ik (x) e_kj, and no d^3 array of coefficients is formed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockStructure
+from .blocks import BlockStructure, DeltaState
 from .errors import NotClassical, ShapeMismatch
 from .graphs import QuantumGraph
 
@@ -54,18 +55,16 @@ def _check_family(s: CKFamily, G: QuantumGraph) -> None:
         )
 
 
-def _pair_sum(W: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """out[u] = sum_{p,q} W[u,p,q] X[p] @ Y[q], over the nonzero W[u,p,q] only.
+def _pair_sum(psi: DeltaState, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """out[u] = sum_{p,q} W[u,p,q] X[p] @ Y[q] for the coefficients W of m*,
+    over its nonzeros W[u,p,q] = 1/gram_diag[p] on the triples of m only.
 
-    One batched matmul of the pair products, then a segmented sum by u:
-    np.nonzero lists u ascending, so each u is one contiguous run.
+    One batched matmul of the pair products, then a segmented sum by u: the
+    triples list u ascending, so each u is one contiguous run.
     """
-    u, p, q = np.nonzero(W)
-    terms = W[u, p, q][:, None, None] * (X[p] @ Y[q])
-    out = np.zeros((W.shape[0],) + terms.shape[1:], dtype=complex)
-    rows, starts = np.unique(u, return_index=True)
-    out[rows] = np.add.reduceat(terms, starts)
-    return out
+    u, p, q = psi.structure.mul_nonzeros
+    terms = (1.0 / psi.gram_diag[p])[:, None, None] * (X[p] @ Y[q])
+    return np.add.reduceat(terms, np.unique(u, return_index=True)[1])
 
 
 def _products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -94,18 +93,17 @@ def qck_residuals(
     QCK3: mu(s x s*)m*(1) = delta^-2 1
     """
     _check_family(s, G)
-    st = G.structure
-    W = G.psi.comult_tensor
+    st, psi = G.structure, G.psi
     S = s.images
     Ss = s.star_images(st)
     A = G.adjacency.matrix
     P = compression
 
-    psi_t = _pair_sum(W, S, Ss)
-    q1 = _pair_sum(W, psi_t, S)
+    psi_t = _pair_sum(psi, S, Ss)
+    q1 = _pair_sum(psi, psi_t, S)
     r1 = float(_nrm(q1 - S, P).max())
 
-    lhs2 = _pair_sum(W, Ss, S)
+    lhs2 = _pair_sum(psi, Ss, S)
     rhs2 = np.einsum("vu,vac->uac", A, psi_t, optimize=True)
     r2 = float(_nrm(lhs2 - rhs2, P).max())
 
@@ -128,9 +126,10 @@ def lqck_residuals(
     _check_family(s, G)
     st, P = G.structure, compression
     S, Ss = s.images, s.star_images(st)
-    psi_t = _pair_sum(G.psi.comult_tensor, S, Ss)
-    mt = st.mul_tensor
-    w = np.where(mt.any(axis=0), mt.argmax(axis=0), -1)  # [u, v]: b_u b_v = b_w, or 0
+    psi_t = _pair_sum(G.psi, S, Ss)
+    target, left, right = st.mul_nonzeros
+    w = np.full((st.dim, st.dim), -1)  # [u, v]: b_u b_v = b_w, or -1 where b_u b_v = 0
+    w[left, right] = target
     m_scale = (w >= 0)[..., None, None] / G.delta_sq  # delta^-2, or 0 where w = -1
     scale_sq = G.psi.weight_of_row * G.psi.gram_diag  # f_u = b_u / sqrt(scale_sq[u])
     pair_scale = scale_sq[:, None] * scale_sq

@@ -10,6 +10,70 @@ from qgraph.correspondence import _gram_quotient, _same_base, from_spanning
 from qgraph.relations import _pair_sum
 
 
+def unflatten(st, p):
+    """(a, i, j) of the coordinate p: b_p is e_ij of block a."""
+    for a, n in enumerate(st.sizes):
+        if p < st.offsets[a + 1]:
+            q = p - st.offsets[a]
+            return a, q // n, q % n
+    raise qg.IndexOutOfRange(f"coordinate {p} out of range")
+
+
+def mul_tensor(st):
+    """Dense structure constants M[u,p,q] with b_p b_q = sum_u M[u,p,q] b_u,
+    filled unit by unit."""
+    d = st.dim
+    M = np.zeros((d, d, d))
+    for a, n in enumerate(st.sizes):
+        for i in range(n):
+            for j in range(n):
+                p = st.flat_index(a, i, j)
+                for s in range(n):
+                    q = st.flat_index(a, j, s)
+                    M[st.flat_index(a, i, s), p, q] = 1.0
+    return M
+
+
+def comult_tensor(psi):
+    """W[u, p, q]: coefficient of b_p (x) b_q in m*(b_u).
+
+    m*(e_ij) = sum_k psi(e_kk)^-1 e_ik (x) e_kj, and psi(e_kk) is the Gram
+    weight of b_p = e_ik.
+    """
+    return mul_tensor(psi.structure) / psi.gram_diag[None, :, None]
+
+
+def left_mult_matrix(st, vec):
+    """Matrix of x -> (element with coords vec) * x on coordinates."""
+    return np.einsum("upq,p->uq", mul_tensor(st), vec)
+
+
+def right_mult_matrix(st, vec):
+    """Matrix of x -> x * (element with coords vec) on coordinates."""
+    return np.einsum("upq,q->up", mul_tensor(st), vec)
+
+
+def left_mul(t, x):
+    """x . (a (x) b) = (xa) (x) b extended linearly."""
+    return qg.TensorElement(t.structure, left_mult_matrix(t.structure, x.vec) @ t.coeff)
+
+
+def right_mul(t, y):
+    """(a (x) b) . y = a (x) (by) extended linearly."""
+    return qg.TensorElement(t.structure, t.coeff @ right_mult_matrix(t.structure, y.vec).T)
+
+
+def multiply_down(t):
+    """The multiplication map m: sum c_pq b_p b_q."""
+    vec = np.einsum("upq,pq->u", mul_tensor(t.structure), t.coeff)
+    return qg.AlgebraElement.from_vector(t.structure, vec)
+
+
+def partial_psi_left(t, psi):
+    """(psi (x) 1): slice off the first leg against the state."""
+    return qg.AlgebraElement.from_vector(t.structure, psi.psi_vec @ t.coeff)
+
+
 @dataclass(frozen=True)
 class InnerModule:
     """Coordinate model of a B-bimodule with a dense B-valued semi-inner product.
@@ -124,7 +188,7 @@ def quotient(ambient, spanning):
 def algebra_module(psi):
     """B as a correspondence over itself: <x, y>_B = x* y, regular actions."""
     st = psi.structure
-    mt = st.mul_tensor
+    mt = mul_tensor(st)
     binner = mt[:, st.star_perm, :].transpose(1, 2, 0).astype(complex)
     lmul = mt.transpose(1, 0, 2).astype(complex)  # lmul[p] = mt[:, p, :]
     rmul = mt.transpose(2, 0, 1).astype(complex)  # rmul[p] = mt[:, :, p]
@@ -157,7 +221,7 @@ def comultiply_adjoint_oracle(x, psi):
     st = x.structure
     g = psi.gram_diag
     # rhs[p,q] = <x, b_p b_q>_psi; <x, y> = sum conj(x_u) g_u y_u
-    rhs = np.einsum("u,upq->pq", x.vec.conj() * g, st.mul_tensor)
+    rhs = np.einsum("u,upq->pq", x.vec.conj() * g, mul_tensor(st))
     coeff = (rhs / np.outer(g, g)).conj()
     return qg.TensorElement(st, coeff)
 
@@ -341,7 +405,7 @@ def left_kernel_oracle(M, G, tol=qg.DEFAULT_TOL):
     null_dim = int(np.sum(svals <= tol * max(float(svals.max()), 1.0))) + dim - len(svals)
     kernel = vh.conj()[dim - null_dim :]
     sources, _ = qg.quantum_sources_sinks(G, tol)
-    perp = np.eye(dim)[[p for p in range(dim) if G.structure.unflatten(p)[0] in sources]]
+    perp = np.eye(dim)[[p for p in range(dim) if unflatten(G.structure, p)[0] in sources]]
     g = G.psi.gram_diag
     return null_dim, float(np.linalg.norm(gns_projector(kernel, g) - gns_projector(perp, g)))
 
@@ -367,7 +431,7 @@ def random_cp_map(psi, rng, kraus=2, sources=(), sinks=()):
         Ks[:, pos[b] : pos[b + 1], :] = 0.0
     cols = []
     for p in range(st.dim):
-        a, i, j = st.unflatten(p)
+        a, i, j = unflatten(st, p)
         X = np.zeros((n, n), dtype=complex)
         X[pos[a] + i, pos[a] + j] = 1.0
         Y = sum(K @ X @ K.conj().T for K in Ks)
@@ -527,12 +591,12 @@ def full_fock_residuals(F):
     pi = unit_pi(F)
 
     # mu(T* (x) T) = delta^-2 pi A m on basis pairs
-    Am = np.einsum("vu,upq->vpq", G.adjacency.matrix, st.mul_tensor)
+    Am = np.einsum("vu,upq->vpq", G.adjacency.matrix, mul_tensor(st))
     diff1 = bigTstar[:, None] @ bigT[None] - np.einsum("vpq,vab->pqab", Am, pi) / G.delta_sq
     report["toeplitz1"] = float(np.linalg.norm(P @ diff1 @ P, axis=(2, 3)).max())
 
     # mu(T (x) T*) m* = psi_t, i.e. equals pi on levels >= 1
-    diff2 = _pair_sum(G.psi.comult_tensor, bigT, bigTstar) - pi
+    diff2 = _pair_sum(G.psi, bigT, bigTstar) - pi
     report["toeplitz2"] = float(np.linalg.norm(P @ diff2 @ P, axis=(1, 2)).max())
     return report
 

@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
-from oracles import comultiply_adjoint_oracle
+from oracles import (
+    comultiply_adjoint_oracle,
+    left_mul,
+    left_mult_matrix,
+    mul_tensor,
+    multiply_down,
+    partial_psi_left,
+    right_mul,
+    right_mult_matrix,
+    unflatten,
+)
 
 import qgraph as qg
 from qgraph.blocks import modular_half_matrix
@@ -29,7 +39,7 @@ class TestBlockStructure:
     def test_flat_index_roundtrip(self, sizes):
         st = qg.BlockStructure(tuple(sizes))
         for p in range(st.dim):
-            a, i, j = st.unflatten(p)
+            a, i, j = unflatten(st, p)
             assert st.flat_index(a, i, j) == p
 
     def test_flat_index_range_errors(self):
@@ -39,7 +49,7 @@ class TestBlockStructure:
         with pytest.raises(qg.IndexOutOfRange):
             st.flat_index(0, 2, 0)
         with pytest.raises(qg.IndexOutOfRange):
-            st.unflatten(4)
+            unflatten(st, 4)
 
     def test_invalid_sizes(self):
         with pytest.raises(qg.ShapeMismatch):
@@ -50,8 +60,33 @@ class TestBlockStructure:
     def test_mul_tensor_matches_matrix_product(self):
         st = qg.BlockStructure((2, 3))
         x, y = random_element(st), random_element(st)
-        via_tensor = np.einsum("upq,p,q->u", st.mul_tensor, x.vec, y.vec)
+        via_tensor = np.einsum("upq,p,q->u", mul_tensor(st), x.vec, y.vec)
         assert np.allclose(via_tensor, (x * y).vec)
+
+    @pytest.mark.parametrize("sizes", [(1,), (2,), (1, 2, 3), (3, 1, 2), (4, 4)])
+    def test_mul_nonzeros_are_the_dense_nonzeros_in_order(self, sizes):
+        st = qg.BlockStructure(sizes)
+        for got, want in zip(st.mul_nonzeros, np.nonzero(mul_tensor(st)), strict=True):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sizes", [(1,), (2,), (1, 2, 3), (3, 1, 2), (4, 4)])
+    def test_unit_tables_match_flat_index_loops(self, sizes):
+        # star_perm, unit_vector and the state's tables, bit for bit, against loops over flat_index
+        st = qg.BlockStructure(sizes)
+        weights = [RNG.uniform(0.5, 2.0, size=n) for n in sizes]
+        psi = qg.DeltaState(st, tuple(weights), 1.0)
+        star, unit = np.empty(st.dim, dtype=np.intp), np.zeros(st.dim, dtype=complex)
+        psi_vec, gram, row = np.zeros(st.dim), np.empty(st.dim), np.empty(st.dim)
+        for a, i, j in st.basis_indices():
+            p = st.flat_index(a, i, j)
+            star[p], gram[p], row[p] = st.flat_index(a, j, i), weights[a][j], weights[a][i]
+            if i == j:
+                unit[p], psi_vec[p] = 1.0, weights[a][i]
+        for got, want in ((st.star_perm, star), (st.unit_vector, unit), (psi.psi_vec, psi_vec),
+                          (psi.gram_diag, gram), (psi.weight_of_row, row)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_star_perm_is_involution(self):
         st = qg.BlockStructure((3, 2))
@@ -63,8 +98,8 @@ class TestBlockStructure:
     def test_left_right_mult_matrices(self):
         st = qg.BlockStructure((2, 2))
         x, y = random_element(st), random_element(st)
-        assert np.allclose(st.left_mult_matrix(x.vec) @ y.vec, (x * y).vec)
-        assert np.allclose(st.right_mult_matrix(y.vec) @ x.vec, (x * y).vec)
+        assert np.allclose(left_mult_matrix(st, x.vec) @ y.vec, (x * y).vec)
+        assert np.allclose(right_mult_matrix(st, y.vec) @ x.vec, (x * y).vec)
 
 
 class TestDeltaForm:
@@ -155,7 +190,7 @@ class TestComultiplication:
     def test_m_mstar_is_delta_sq(self, skew_m2):
         st = skew_m2.structure
         x = random_element(st)
-        back = qg.comultiply(x, skew_m2).multiply_down()
+        back = multiply_down(qg.comultiply(x, skew_m2))
         assert np.allclose(back.vec, skew_m2.delta_sq * x.vec, atol=1e-12)
 
     def test_adapted_unit_formula(self, skew_m2):
@@ -191,7 +226,7 @@ class TestTensorElement:
         a, b, x, y = (random_element(st) for _ in range(4))
         t = qg.TensorElement.simple(a, b)
         assert np.allclose(
-            t.left_mul(x).right_mul(y).coeff,
+            right_mul(left_mul(t, x), y).coeff,
             qg.TensorElement.simple(x * a, b * y).coeff,
         )
 
@@ -208,7 +243,7 @@ class TestTensorElement:
         st = skew_m2.structure
         a, b = random_element(st), random_element(st)
         t = qg.TensorElement.simple(a, b)
-        out = t.partial_psi_left(skew_m2)
+        out = partial_psi_left(t, skew_m2)
         assert np.allclose(out.vec, skew_m2.value(a) * b.vec)
 
     def test_sharp_on_simples(self):

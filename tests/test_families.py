@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
+from oracles import left_mult_matrix, right_mult_matrix
 from strategies import delta_states
 
 import qgraph as qg
@@ -80,6 +81,22 @@ class TestRankOneGraph:
         x = qg.AlgebraElement(tracial_m2.structure, [rng.normal(size=(2, 2))])
         T = rank_one_generator
         assert np.allclose(G.adjacency(x).vec, (T * x * T.star()).vec)
+
+    @pytest.mark.parametrize("sizes", [(1, 2), (2, 1, 3), (3, 3)])
+    def test_matrix_is_the_product_of_multiplication_matrices(self, sizes):
+        # A = L_T R_{T*}, with L and R read off the dense structure constants
+        dim = sum(n * n for n in sizes)
+        psi = qg.validate_delta_form(list(sizes), [[n / dim] * n for n in sizes])
+        st, rng = psi.structure, np.random.default_rng(sum(sizes))
+        blocks = []
+        for a, n in enumerate(sizes):
+            T = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            norm_sq = np.real(np.sum(np.diag(T.conj().T @ T) / psi.weights[a]))
+            blocks.append(T * np.sqrt(psi.delta_sq / norm_sq))
+        T = qg.AlgebraElement(st, blocks)
+        got = qg.rank_one_graph(psi, T).adjacency.matrix
+        want = left_mult_matrix(st, T.vec) @ right_mult_matrix(st, T.star().vec)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_bad_normalization(self, tracial_m2):
         with pytest.raises(qg.BadNormalization):

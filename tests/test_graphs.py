@@ -19,13 +19,18 @@ from oracles import (
     dense_edge_correspondence,
     dense_fock,
     left_act,
+    left_mul,
+    mul_tensor,
+    multiply_down,
     oracle_defect,
     orbit_unitaries,
+    partial_psi_left,
     pi_level,
     quotient,
     quotient_actions_oracle,
     random_cp_map,
     right_act,
+    right_mul,
     tensor_square_module,
 )
 from strategies import delta_states
@@ -38,6 +43,21 @@ from qgraph.graphs import (
 )
 
 RNG = np.random.default_rng(11)
+
+
+@pytest.fixture(scope="module")
+def trivial_m16():
+    """The trivial graph on M_16: d = 256, so one complex (d, d, d) array is 256 MiB."""
+    return qg.trivial_graph(qg.validate_delta_form([16], [[1 / 16] * 16]))
+
+
+def traced_peak(f):
+    tracemalloc.start()
+    try:
+        value = f()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_element(st, rng=RNG):
@@ -81,6 +101,13 @@ class TestSchur:
             adj = rng.integers(0, 2, size=(4, 4))
             G = qg.classical_graph(adj)
             assert G.schur_residual_cache < 1e-12
+
+    def test_forms_no_d3_array(self, trivial_m16):
+        # m (A x A) m* is one product per block pair; A itself is 1 MiB
+        G = trivial_m16
+        res, peak = traced_peak(lambda: qg.schur_residual(G.psi, G.adjacency))
+        assert res < 1e-12
+        assert peak < 16 * 2**20
 
 
 class TestEdgeIndicator:
@@ -257,6 +284,39 @@ class TestHomomorphism:
             tracemalloc.stop()
         assert peak < 16 * d**4
 
+    def test_forms_its_d3_stacks_in_chunks(self, trivial_m16):
+        # whole, the stacks X and mult would be 256 MiB each
+        qg.homomorphism_check(trivial_m16)  # caches the Choi verdict and m's triples
+        rep, peak = traced_peak(lambda: qg.homomorphism_check(trivial_m16))
+        assert rep == {"multiplicativity": 0.0, "indicator_shift": 0.0}
+        assert peak < 128 * 2**20
+
+    def test_chunks_of_one_unit_give_the_same_values(self, monkeypatch, nontracial_m1_m2):
+        rng = np.random.default_rng(5)
+        psi, st = nontracial_m1_m2, nontracial_m1_m2.structure
+        G = qg.QuantumGraph(st, psi, random_cp_map(psi, rng))  # skips the Schur gate on purpose
+        G2 = qg.QuantumGraph(st, psi, random_cp_map(psi, rng))
+        images = rng.normal(size=(st.dim, st.dim, 2, 2)) + 1j * rng.normal(size=(st.dim, st.dim, 2, 2))
+        random = (G, G2, qg.OperatorValuedMap(st, st, images))
+        # the trivial graph and the identity map are multiplicative: every unit pair reads 0
+        trivial = (qg.trivial_graph(psi), qg.trivial_graph(psi), qg.OperatorValuedMap.identity(st, 2))
+
+        def reports():
+            return [
+                {**qg.homomorphism_check(G1), **qg.quantum_isomorphism_residual(G1, G2, theta)}
+                for G1, G2, theta in (random, trivial)
+            ]
+
+        whole = reports()
+        monkeypatch.setattr(qg.graphs, "_CHUNK_ENTRIES", 1)
+        chunked = reports()
+        assert all(value > 1e-6 for value in whole[0].values())
+        assert whole[1]["multiplicativity"] == whole[1]["homomorphism"] == 0.0
+        for got, want in zip(chunked, whole, strict=True):
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-300), key
+
     def test_automorphism_is_multiplicative(self, graph_swap, graph_trivial_m2):
         for G in (graph_swap, graph_trivial_m2):
             rep = qg.homomorphism_check(G)
@@ -298,7 +358,7 @@ def schur_square_oracle(psi, A):
     for x in units(st):
         t = comultiply_adjoint_oracle(x, psi)
         t = qg.TensorElement(st, A.matrix @ t.coeff @ A.matrix.T)
-        cols.append(t.multiply_down().vec)
+        cols.append(multiply_down(t).vec)
     return np.column_stack(cols)
 
 
@@ -307,7 +367,7 @@ def indicator_adjacency_oracle(xi, psi):
     st = psi.structure
     t = qg.TensorElement(st, xi)
     return np.column_stack(
-        [psi.delta_sq * t.left_mul(x).partial_psi_left(psi).vec for x in units(st)]
+        [psi.delta_sq * partial_psi_left(left_mul(t, x), psi).vec for x in units(st)]
     )
 
 
@@ -319,7 +379,7 @@ def homomorphism_oracle(G):
         for y in units(G.structure):
             xy = x * y
             mult = max(mult, (A(xy) - A(x) * A(y)).norm())
-            shift = max(shift, (eps.left_mul(xy) - eps.left_mul(x).right_mul(A(y))).norm())
+            shift = max(shift, (left_mul(eps, xy) - right_mul(left_mul(eps, x), A(y))).norm())
     return {"multiplicativity": mult, "indicator_shift": shift}
 
 
@@ -370,6 +430,7 @@ def quantum_isomorphism_oracle(G1, G2, theta):
     st1, st2 = G1.structure, G2.structure
     h = theta.h
     eye = np.eye(st1.dim, dtype=complex)
+    mt1, mt2 = mul_tensor(st1), mul_tensor(st2)
     hom = np.linalg.norm(
         theta.apply_vec(st1.unit_vector)
         - qg.OperatorValuedMap.identity(st2, h).apply_vec(st2.unit_vector)
@@ -379,8 +440,8 @@ def quantum_isomorphism_oracle(G1, G2, theta):
         ip = theta.images[p]
         hom = max(hom, np.linalg.norm(theta.apply_vec(eye[st1.star_perm[p]]) - theta.star(ip)))
         for q in range(st1.dim):
-            lhs = theta.apply_vec(st1.mul_tensor[:, p, q].astype(complex))
-            prod = np.einsum("uvw,vkl,wlm->ukm", st2.mul_tensor, ip, theta.images[q])
+            lhs = theta.apply_vec(mt1[:, p, q].astype(complex))
+            prod = np.einsum("uvw,vkl,wlm->ukm", mt2, ip, theta.images[q])
             hom = max(hom, np.linalg.norm(lhs - prod))
         sliced = np.einsum("q,qkl->kl", G2.psi.psi_vec, ip)
         state = max(state, np.linalg.norm(sliced - G1.psi.psi_vec[p] * np.eye(h)))

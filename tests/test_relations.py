@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
-from oracles import comultiply_adjoint_oracle, full_fock_family, interior_projector
+from oracles import (
+    comult_tensor,
+    comultiply_adjoint_oracle,
+    full_fock_family,
+    interior_projector,
+    mul_tensor,
+)
 
 import qgraph as qg
 
@@ -312,7 +318,7 @@ def dense_lqck_oracle(s, G, P=None):
     W = stacked_comultiply(G.psi)
     S = s.images
     Ss = s.star_images(st)
-    mt = st.mul_tensor
+    mt = mul_tensor(st)
     d2 = G.delta_sq
     scale = np.sqrt(G.psi.weight_of_row * G.psi.gram_diag)
     pair_scale = np.outer(scale, scale)
@@ -344,7 +350,7 @@ class TestComultTensor:
         nontracial = qg.validate_delta_form(*ORACLE_STATES["m1m2_nontracial"])
         for psi in (tracial_m2, skew_m2, uniform_c2, nontracial):
             np.testing.assert_allclose(
-                psi.comult_tensor, stacked_comultiply(psi), rtol=1e-15, atol=0
+                comult_tensor(psi), stacked_comultiply(psi), rtol=1e-15, atol=0
             )
 
 
