@@ -1,23 +1,19 @@
 """Finite-dimensional C*-correspondences over B and the edge correspondence.
 
-Every correspondence the library builds (B (x)_psi B, E_G and every Fock
-level) is a `Correspondence` in block-multiplicity normal form
-sum_{a,c} C^{N_a} (x) K_ac (x) C^{N_c}, with M[a, c] = dim K_ac; for E_G,
-M[a, b] is the Kraus rank of A from block a to block b, and its zero rows
-and columns decide the left kernel, faithfulness and fullness of E_G.  Its
-basis is orthonormal for psi(<.,.>_B), and it stores only the nonzeros of
-the left action of the units (partial permutations), the right action and
-the B-valued inner product, so no (dim B, dim E, dim E) array is formed.
-`generator_slabs` writes T(eps) / delta into a level in row-group order, one
-row slab per row group, and `gram_defects` forms from them one Gram H_a per
-block of B, which holds sum_k T(f_ik . eps) T(f_jk . eps)* for every unit of
-the block: the covariance defect and psi_t of a Fock level and, on E_G, the
-compact decomposition.  The dense ambients and Gram quotients are `tests/oracles.py`.
+Every correspondence the library builds (B (x)_psi B, E_G and, for the tests,
+every Fock level) is a `Correspondence` in block-multiplicity normal form
+sum_{a,c} C^{N_a} (x) K_ac (x) C^{N_c}, M[a, c] = dim K_ac; for E_G, M[a, b] is
+the Kraus rank of A from block a to b, and its zero rows and columns decide
+the left kernel, faithfulness and fullness.  It stores only the nonzeros of
+its actions and B-valued inner product on a psi-orthonormal basis.  E_G's
+generator, cut into block pairs, gives the `pair_slabs` X_ab and D_ab off
+which the B (x)_A B isomorphism, the compact decomposition and every Fock
+identity are read.  The dense ambients and Gram quotients are `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -95,21 +91,19 @@ class Correspondence:
         return x, y, p, 1.0 / np.sqrt(self.psi.gram_diag[p] * self.psi.weight_of_row[p])
 
     @cached_property
-    def row_groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """Place of every coordinate in row-group order, and the row-group size
-        s_a of every block.
-
-        Row group (a, i) holds the coordinates (a, c, i, k, l) in (c, k, l)
-        order; the row groups follow one another in (a, i) order, so block a
-        starts at sum_{b<a} N_b s_b and the unit e_ij of block a maps row group
-        (a, j) onto row group (a, i) position by position.
-        """
-        n = np.array(self.structure.sizes)
-        a, c, i, k, l, _ = self.layout
-        width = self.mult * n  # [a, c]: coordinates of the pair (a, c) in one row group
-        size = width.sum(axis=1)
-        start = (np.cumsum(n * size) - n * size)[a] + i * size[a]
-        return start + (np.cumsum(width, axis=1) - width)[a, c] + k * n[c] + l, size
+    def pair_slabs(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+        """(X_ab, D_ab) of every block pair with M[a, b] > 0, keyed (a, b) in row-major order:
+        X_ab[j] = eps_ab[j] / sqrt(w_b), an M_ab x N_b matrix, is the generator's segment
+        for the pair reshaped to (N_a, M_ab, N_b), column m divided by sqrt(w_b[m]), and
+        D_ab = sum_j X_ab[j] X_ab[j]* / w_a[j] - 1."""
+        n, w, start = self.structure.sizes, self.psi.weights, self.layout[-1]
+        slabs = {}
+        for a, b in zip(*np.nonzero(self.mult)):
+            m, k = self.mult[a, b], a * len(n) + b
+            X = self.generator[start[k] : start[k + 1]].reshape(n[a], m, n[b]) / np.sqrt(w[b])
+            D = np.einsum("jkm,jlm->kl", X / w[a][:, None, None], X.conj()) - np.eye(m)
+            slabs[int(a), int(b)] = X, D
+        return slabs
 
     def left_units(self, V: np.ndarray) -> np.ndarray:
         p, row, col = self.left
@@ -301,76 +295,29 @@ def left_kernel(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
     }
 
 
-def generator_slabs(
-    creation: tuple, generator: np.ndarray, level: Correspondence, below: Correspondence
-) -> np.ndarray:
-    """T(eps) / delta from `below` into `level`, (dim level, dim below), with
-    the rows and columns of both in row-group order (`row_groups`).
-
-    creation = (z, e, y, value): T(xi) has the entry value * xi[e] at (z, y).
-    Its row slab R_aj is the s_a rows of row group (a, j), and T(e_ij . eps)
-    is R_aj placed on row group (a, i), since e_ij . moves the first index of E only."""
-    z, e, y, value = creation
-    out = np.zeros((level.size, below.size), dtype=complex)
-    out[level.row_groups[0][z], below.row_groups[0][y]] = value * generator[e] / level.psi.delta
-    return out
-
-
-def block_slabs(R: np.ndarray, level: Correspondence) -> list[np.ndarray]:
-    """The row slabs of `generator_slabs` R into `level`, one (N_a, s_a, dim below)
-    view per block a of B: entry [j] is R_aj."""
-    n, size = np.array(level.structure.sizes), level.row_groups[1]
-    return [part.reshape(N, s, R.shape[1]) for part, N, s in zip(np.split(R, np.cumsum(n * size)[:-1]), n, size)]
-
-
-def _block_entries(level: Correspondence) -> tuple[np.ndarray, ...]:
-    """The entries (q, q') of `level` in row-group order that lie in one block c,
-    q at position x of row group (c, k) and q' at position y of (c, t): with
-    the unit e_kt as u, the place of H_c[x, y] in the H_c laid end to end, and x == y."""
-    n, off, size = np.array(level.structure.sizes), np.array(level.structure.offsets), level.row_groups[1]
-    start, hstart = np.cumsum(n * size) - n * size, np.cumsum(size * size) - size * size
-    count = n * n * size * size
-    c = np.repeat(np.arange(len(n)), count)
-    N, s, r = n[c], size[c], np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    k, t, x, y = r // (N * s * s), r // (s * s) % N, r // s % s, r % s
-    return start[c] + k * s + x, start[c] + t * s + y, off[c] + k * N + t, hstart[c] + x * s + y, x == y
-
-
-def gram_defects(R: np.ndarray, level: Correspondence) -> list[np.ndarray]:
-    """H_a - 1 for H_a = delta^2 sum_j R_aj R_aj* / w_a[j] of the `generator_slabs`
-    R into `level`, one (s_a, s_a) product per block a of B.
-
-    With f_ij = e_ij / sqrt(w_i w_j), T(f_ik . eps) T(f_jk . eps)* summed over k
-    maps row group (a, j) onto (a, i) as H_a / sqrt(w_i w_j), so the covariance
-    defect at f_ij is (1 - H_a) / sqrt(w_i w_j), and psi_t(e_ij) is H_a / delta^2."""
-    psi = level.psi
-    return [
-        ((Ra * (psi.delta_sq / w)[:, None, None]) @ Ra.conj().transpose(0, 2, 1)).sum(axis=0) - np.eye(Ra.shape[1])
-        for Ra, w in zip(block_slabs(R, level), psi.weights)
-    ]
-
-
 def compact_decomposition_residual(E: Correspondence) -> float:
     """Residual of f_ij . xi = sum_k theta_{f_ik.eps, f_jk.eps}(xi) on E_G.
 
-    On level 1 of the Fock module theta_{xi,eta} = T(xi)T(eta)*, so this is
-    the covariance defect (1 - H_a) / sqrt(w_i w_j) of `gram_defects` from
-    level 0 = B in the units b_p / sqrt(g_p), on which T(xi) acts as
-    xi . b_p / sqrt(g_p): the right action's nonzeros, with value
-    sqrt(g_p / w_i) / sqrt(g_p) = 1 / sqrt(w_i) for b_p = e_ij.  The result is
-    the largest column norm over all units, max_a (column norm of H_a - 1) / min w_a.
+    On level 1 of the Fock module theta_{xi,eta} = T(xi)T(eta)*, so this is the
+    covariance defect (1 - H_a) / sqrt(w_i w_j) with H_a - 1 = sum_b D_ab (x) 1
+    (`pair_slabs`): its largest column norm over all units is
+    max_{a,b} (largest column norm of D_ab) / min w_a.
     """
-    p, row, col, _ = E.right
-    creation = (row, col, p, 1.0 / np.sqrt(E.psi.weight_of_row[p]))
-    defects = gram_defects(generator_slabs(creation, E.generator, E, trivial_correspondence(E.psi)), E)
-    return max(float(np.linalg.norm(D, axis=0).max(initial=0.0)) / w.min() for D, w in zip(defects, E.psi.weights))
+    w, slabs = E.psi.weights, E.pair_slabs
+    return max((np.linalg.norm(D, axis=0).max() / w[a].min() for (a, _), (_, D) in slabs.items()), default=0.0)
 
 
-def _vector_map(M: Correspondence, xi: np.ndarray) -> np.ndarray:
-    """Matrix of x -> <xi, x . xi>_B on M, column p <xi, b_p . xi>_B.  It decides
-    the orbit Gram: <b_p.xi.b_q, b_r.xi.b_s>_B = b_q* <xi, b_p* b_r . xi>_B b_s."""
-    moved = M.left_units(xi[:, None])[:, :, 0]  # row p is b_p . xi
-    return M.b_inner_coords(xi, moved).T
+def _vector_map(M: Correspondence) -> np.ndarray:
+    """Matrix of x -> <xi, x . xi>_B for the generator xi of M, column p <xi, b_p . xi>_B.
+    It decides the orbit Gram: <b_p.xi.b_q, b_r.xi.b_s>_B = b_q* <xi, b_p* b_r . xi>_B b_s.
+    Block b of <xi, e_ij . xi>_B is X_ab[i]* X_ab[j] (`pair_slabs`), 0 when M[a, b] = 0."""
+    st = M.structure
+    n, off = st.sizes, st.offsets
+    out = np.zeros((st.dim, st.dim), dtype=complex)
+    for (a, b), (X, _) in M.pair_slabs.items():
+        P = np.einsum("ikm,jkl->mlij", X.conj(), X)  # [m, l, i, j]: (X_ab[i]* X_ab[j])[m, l]
+        out[off[b] : off[b + 1], off[a] : off[a + 1]] = P.reshape(n[b] ** 2, -1)
+    return out
 
 
 def cp_correspondence(E: Correspondence) -> float:
@@ -384,7 +331,7 @@ def cp_correspondence(E: Correspondence) -> float:
     divided by delta^2.
     """
     G = E.graph
-    diff = G.delta_sq * _vector_map(E, E.generator) - G.adjacency.matrix
+    diff = G.delta_sq * _vector_map(E) - G.adjacency.matrix
     return float(np.abs(diff).max(initial=0.0)) / G.delta_sq
 
 
@@ -446,7 +393,7 @@ def recognize(
         if vec.module is not module:
             raise MismatchedBase("vector of a different correspondence")
         space, coords = module, vec.coords
-    inner = _vector_map(space, coords)
+    inner = _vector_map(replace(space, generator=coords))
     A = _indicator_adjacency(xi.coeff, psi) if module is None else psi.delta_sq * inner
 
     span_rank = _cyclic_dim(space, coords)
@@ -457,7 +404,7 @@ def recognize(
 
     G = QuantumGraph.build(psi, LinearMapOnB(st, A), tol=tol)
     E = build_edge_correspondence(G)
-    iso = float(np.abs(inner - _vector_map(E, E.generator)).max(initial=0.0))
+    iso = float(np.abs(inner - _vector_map(E)).max(initial=0.0))
     return RecognitionResult(graph=G, module_dim=span_rank, iso_residual=iso)
 
 

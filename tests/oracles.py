@@ -258,15 +258,53 @@ def right_act(M, xi, x):
     return np.einsum("p,pab,b->a", x.vec, dense_actions(M)[1], xi)
 
 
+@dataclass(frozen=True)
+class BuiltFock:
+    """A Fock truncation with every level built: levels[l] is a module and
+    creation[l] the map from E (x)_B level l onto level l+1, as the nonzeros
+    (z, e, y, value) of a normal form or as a dense (dim l+1, dim E, dim l)
+    tensor."""
+
+    graph: qg.QuantumGraph
+    edge: object
+    levels: tuple
+    creation: tuple
+
+    @property
+    def level_dims(self):
+        return tuple(level.size for level in self.levels)
+
+    @property
+    def depth(self):
+        return len(self.levels) - 1
+
+    @property
+    def total_dim(self):
+        return sum(self.level_dims)
+
+
+def built_fock(F):
+    """The levels of the truncation F built as normal forms, level l+1 =
+    `interior_tensor(E, level l)`.  The map from level 0 is F's own, the
+    one the library reads; the others are the built canonical maps."""
+    if isinstance(F, BuiltFock):
+        return F
+    levels = [qg.trivial_correspondence(F.graph.psi)]
+    for _ in range(F.depth):
+        levels.append(qg.interior_tensor(F.edge, levels[-1]))
+    creation = (F.creation,) + tuple(level.creation for level in levels[2:])
+    return BuiltFock(F.graph, F.edge, tuple(levels), creation)
+
+
 def pi_level(F, l, x):
-    """Matrix of the left action of x on level l of the truncation F."""
+    """Matrix of the left action of x on level l of the built truncation F."""
     return np.einsum("p,pab->ab", x.vec, dense_actions(F.levels[l])[0])
 
 
 def dense_creation(F, l):
-    """Creation map l of the truncation F as a dense (dim level l+1, dim E,
-    dim level l) tensor: the oracle's own, or the normal form's nonzeros
-    (z, e, y, value) summed entry by entry."""
+    """Creation map l of the built truncation F as a dense (dim level l+1,
+    dim E, dim level l) tensor: the oracle's own, or the normal form's
+    nonzeros (z, e, y, value) summed entry by entry."""
     if not isinstance(F.creation[l], tuple):
         return F.creation[l]
     out = np.zeros((F.level_dims[l + 1], F.edge.size, F.level_dims[l]), dtype=complex)
@@ -280,6 +318,7 @@ def dense_inner_defect(F):
     each level's (dim l+1, dim E * dim l) creation matrix, its Gram, and the
     dense left action of the level; the largest Frobenius norm of
     T(u_x)*T(u_y) - pi(<u_x,u_y>_B) over basis pairs and levels."""
+    F = built_fock(F)
     E = F.edge
     binner = dense_actions(E)[2]
     worst = 0.0
@@ -371,7 +410,7 @@ def dense_fock(G, N):
     for lower, upper in zip(levels[1:], levels[2:]):
         proj = upper.basis_ambient.conj() @ upper.ambient.scalar_gram
         creation.append(proj.reshape(upper.size, E.size, lower.size))
-    return qg.FockTruncation(G, E, tuple(levels), tuple(creation))
+    return BuiltFock(G, E, tuple(levels), tuple(creation))
 
 
 def oracle_defect(D):
@@ -507,6 +546,7 @@ def orbit_unitaries(F, D):
     D.creation[l] (U_1 (x) U_l) = U_{l+1} F.creation[l].  The creation maps
     fix them, since T(E) level 0 spans level 1 and every creation map is onto.
     """
+    F = built_fock(F)
     U1, worst = edge_unitary(F.edge, D.edge)
     # U_0: sum_f CD0[:, f, :] U1[f, e] U0 = U1 CF0[:, e, :] for every e
     lhs = np.einsum("afb,fe->eab", D.creation[0], U1).reshape(-1, D.level_dims[0])
@@ -542,7 +582,7 @@ def big_creation(F, xi):
     Leading axes of xi are batch axes: xi of shape (..., dim E) gives
     (..., D, D).
     """
-    xi = np.asarray(xi)
+    F, xi = built_fock(F), np.asarray(xi)
     D = F.total_dim
     out = np.zeros(xi.shape[:-1] + (D, D), dtype=complex)
     for l in range(F.depth):
@@ -554,6 +594,7 @@ def big_creation(F, xi):
 
 def unit_pi(F):
     """Diagonal left actions of the standard units b_p on the full truncation."""
+    F = built_fock(F)
     D = F.total_dim
     out = np.zeros((F.graph.structure.dim, D, D), dtype=complex)
     for l in range(F.depth + 1):
@@ -579,6 +620,7 @@ def full_fock_residuals(F):
     """LQCK1-3 and Toeplitz-1/2 of the Fock family on the full truncation,
     compressed to levels 1..N-1 by the dense interior projector: every
     operator is a D x D matrix, D the total dimension."""
+    F = built_fock(F)
     G = F.graph
     fam = full_fock_family(F)
     P = interior_projector(F)

@@ -57,3 +57,34 @@ def graphs_with_tiny_parts(draw):
         zero = side == 0
         side[zero] = np.reshape(draw(tiny), A.shape)[zero]
     return qg.QuantumGraph.build(G.psi, qg.LinearMapOnB(G.structure, A))
+
+
+@st_.composite
+def quantum_graphs(draw, sizes=SMALL_SIZES, sources=True):
+    """A quantum graph and its Kraus ranks, drawn through the edge indicator.
+
+    For each block pair (a, b) an orthogonal projection P_ab of random rank
+    on C^{N_a} (x) C^{N_b} is the range of the Q of a QR of a complex
+    Gaussian.  P is read in B (x) B^op, e_ij (x) e_kl^op <-> e_ij (x) e_lk, so it
+    is #-idempotent and self-adjoint; eps = (sigma_{-i/2} (x) 1)(P) is then an
+    edge indicator, and A = `adjacency_from_indicator(eps, psi)`.  The state
+    is a `delta_states()` draw.  With sources=False every block reaches some
+    block.  Returns (G, rank) with rank[a, b] = rank P_ab.
+    """
+    psi = draw(delta_states(sizes))
+    st = psi.structure
+    n, off = st.sizes, st.offsets
+    rank = np.array([[draw(st_.integers(0, na * nb)) for nb in n] for na in n])
+    for a in range(len(n)):
+        if not sources and not rank[a].any():
+            rank[a, draw(st_.integers(0, len(n) - 1))] = 1
+    rng = np.random.default_rng(draw(st_.integers(0, 2**32 - 1)))
+    coeff = np.zeros((st.dim, st.dim), dtype=complex)
+    for (a, b), r in np.ndenumerate(rank):
+        na, nb = n[a], n[b]
+        Q, _ = np.linalg.qr(rng.normal(size=(na * nb, r)) + 1j * rng.normal(size=(na * nb, r)))
+        P = (Q @ Q.conj().T).reshape(na, nb, na, nb)  # [i, k, j, l]: e_ij (x) e_kl^op
+        coeff[off[a] : off[a + 1], off[b] : off[b + 1]] = P.transpose(0, 2, 3, 1).reshape(na * na, nb * nb)
+    sigma = np.sqrt(psi.weight_of_row / psi.gram_diag)  # sigma_{-i/2}, the inverse of modular_half_matrix
+    eps = qg.TensorElement(st, sigma[:, None] * coeff)
+    return qg.QuantumGraph.build(psi, qg.adjacency_from_indicator(eps, psi)), rank

@@ -56,6 +56,22 @@ def line_path(tmp_path, graph_line):
     return str(path)
 
 
+@pytest.fixture
+def pair_slab_calls(monkeypatch):
+    """Every correspondence whose `pair_slabs` are formed."""
+    calls = []
+    build = qgraph.correspondence.Correspondence.pair_slabs.func
+
+    def counting_build(E):
+        calls.append(E)
+        return build(E)
+
+    slabs = functools.cached_property(counting_build)
+    slabs.__set_name__(qgraph.correspondence.Correspondence, "pair_slabs")
+    monkeypatch.setattr(qgraph.correspondence.Correspondence, "pair_slabs", slabs)
+    return calls
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -326,6 +342,14 @@ class TestInspect:
         assert code == 0 and payload["dim_E"] == 4
         assert len(calls) == 1
 
+    def test_forms_the_pair_slabs_once(self, capsys, tmp_path, graph_complete_m2, pair_slab_calls):
+        # the B (x)_A B isomorphism and the compact decomposition read one set of slabs
+        path = tmp_path / "complete.json"
+        save_graph(str(path), graph_complete_m2)
+        code, payload, _ = run(capsys, "inspect", str(path))
+        assert code == 0 and payload["dim_E"] == 16
+        assert len(pair_slab_calls) == 1
+
     def test_complete_m6_inspects_in_bounded_memory(self, capsys, tmp_path):
         # dim E = 36^2 = 1296: one dense (36, 1296, 1296) complex stack of
         # unit actions or inner products alone is 967 MB
@@ -430,19 +454,17 @@ class TestFock:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 4])
-    def test_forms_each_level_slab_once(self, capsys, monkeypatch, trivial_path, levels):
-        """Covariance, Toeplitz and LQCK read one set of slabs of T(eps), one per level."""
-        calls, original = [], qgraph.correspondence.generator_slabs
-
-        def counting_generator_slabs(*args):
-            calls.append(args)
-            return original(*args)
-
-        for module in (qgraph.correspondence, qgraph.fock):
-            monkeypatch.setattr(module, "generator_slabs", counting_generator_slabs)
+    def test_forms_the_pair_slabs_once(self, capsys, trivial_path, pair_slab_calls, levels):
+        """Covariance, Toeplitz and LQCK read E's pair slabs, formed once whatever the
+        depth; at depth 1 no identity reads them."""
         code, _, _ = run(capsys, "fock", trivial_path, "--levels", str(levels))
         assert code == 0
-        assert len(calls) == levels
+        assert len(pair_slab_calls) == (levels > 1)
+
+    def test_deep_truncation(self, capsys, trivial_path):
+        code, payload, _ = run(capsys, "fock", trivial_path, "--levels", "2000")
+        assert code == 0
+        assert payload["level_dims"] == [4] * 2001
 
     def test_source_graph_rejected(self, capsys, line_path):
         code, payload, _ = run(capsys, "fock", line_path)
@@ -454,20 +476,20 @@ class TestFock:
         assert code == 1
         assert payload["error"] == "HasQuantumSource"
 
-    def test_budget_exceeded(self, capsys, monkeypatch, trivial_path):
-        # the level dims come from the multiplicity matrix, so the refusal
-        # comes before any level is built
-        calls = []
-
-        def counting_interior_tensor(*args):
-            calls.append(args)
-            return qg.interior_tensor(*args)
-
-        monkeypatch.setattr(qgraph.fock, "interior_tensor", counting_interior_tensor)
-        code, payload, _ = run(capsys, "fock", trivial_path, "--levels", "2000")
+    def test_budget_exceeded(self, capsys, monkeypatch, tmp_path, trivial_path, graph_complete_m2):
+        # complete M_2's levels leave the float range at depth 511, which the
+        # refusal names; a depth past FOCK_MAX_DEPTH is refused before E_G is built
+        path = tmp_path / "complete.json"
+        save_graph(str(path), graph_complete_m2)
+        code, payload, _ = run(capsys, "fock", str(path), "--levels", "1000")
         assert code == 1
         assert payload["error"] == "BudgetExceeded"
-        assert "[4, 4, 4, ..., 4, 4]" in payload["message"]
+        assert "at depth 511," in payload["message"]
+        calls = []
+        monkeypatch.setattr(qgraph.fock, "build_edge_correspondence", calls.append)
+        code, payload, _ = run(capsys, "fock", trivial_path, "--levels", "1000000")
+        assert code == 1
+        assert payload["error"] == "BudgetExceeded"
         assert calls == []
 
 

@@ -26,7 +26,7 @@ from oracles import (
     tensor_square_module,
     unit_orbit,
 )
-from strategies import delta_states
+from strategies import delta_states, quantum_graphs
 
 import qgraph as qg
 import qgraph.correspondence
@@ -227,6 +227,17 @@ class TestNonzeroFormMatchesDenseOracle:
 
 
 class TestFaithfulFull:
+    @given(drawn=quantum_graphs())
+    @settings(max_examples=20, deadline=None)
+    def test_multiplicity_matrix_is_the_drawn_ranks(self, drawn):
+        # M[a, b] = rank P_ab, and the pairs of rank 0 decide sources and sinks
+        G, rank = drawn
+        E = qg.build_edge_correspondence(G)
+        assert np.array_equal(E.mult, rank)
+        report = qg.faithful_full_report(E)
+        assert report["sources"] == np.flatnonzero(~rank.any(axis=1)).tolist()
+        assert report["sinks"] == np.flatnonzero(~rank.any(axis=0)).tolist()
+
     def test_regular_families(self, cp_family_graphs):
         for name, G in cp_family_graphs.items():
             rep = qg.faithful_full_report(qg.build_edge_correspondence(G))

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st_
 from oracles import (
+    BuiltFock,
     algebra_module,
     big_creation,
+    built_fock,
     carried,
     close,
     cp_correspondence_oracle,
@@ -30,7 +32,7 @@ from oracles import (
     right_act,
     left_act,
 )
-from strategies import delta_states
+from strategies import delta_states, quantum_graphs
 
 import qgraph as qg
 import qgraph.correspondence
@@ -72,7 +74,7 @@ class TestInteriorTensor:
             for Y in (qg.trivial_correspondence(G.psi), E):
                 Z = qg.interior_tensor(E, Y)
                 # Z's canonical map, read as the creation map of the levels Y, Z
-                C = dense_creation(qg.FockTruncation(G, E, (Y, Z), (Z.creation,)), 0)
+                C = dense_creation(BuiltFock(G, E, (Y, Z), (Z.creation,)), 0)
                 x = RNG.normal(size=E.size) + 1j * RNG.normal(size=E.size)
                 y = RNG.normal(size=Y.size) + 1j * RNG.normal(size=Y.size)
                 for p in range(G.structure.dim):
@@ -112,37 +114,57 @@ class TestBuildFock:
         with pytest.raises(qg.HasQuantumSource, match=r"blocks \[1\] lie in ker A"):
             qg.build_fock(qg.classical_graph([[1, 0], [1, 0]]), 2)
 
-    def test_budget_guard(self, graph_complete_m2, monkeypatch):
-        monkeypatch.setattr(qgraph.fock, "FOCK_COORD_BUDGET", 50)
-        with pytest.raises(qg.BudgetExceeded):
-            qg.build_fock(graph_complete_m2, 3)
+    def test_budget_guard(self, graph_complete_m2):
+        # level l of complete M_2 has 4^(l+1) coordinates: depth 510 fits the
+        # float range and reports finite values, depth 511 (4^512 = 2^1024) is
+        # refused before any check, naming the depth
+        F = qg.build_fock(graph_complete_m2, 510)
+        assert F.level_dims[-1] == 4**511
+        reports = {**qg.representation_residuals(F), **qg.lqck_fock_residuals(F)}
+        assert all(np.isfinite(v) for k, v in reports.items() if k != "level_dims")
+        with pytest.raises(qg.BudgetExceeded, match=r"depth 511\b"):
+            qg.build_fock(graph_complete_m2, 511)
 
     def test_budget_is_exact_and_checked_first(self, graph_complete_m2, monkeypatch):
-        # levels 4, 16, 64: a budget of 84 builds them, 83 refuses before
-        # any interior tensor product is formed, naming the level dims
+        # the depth cap refuses before E_G is built; the float range names the
+        # first depth that leaves it, whatever the depth asked for
         calls = []
 
-        def counting_interior_tensor(*args):
-            calls.append(args)
-            return qg.interior_tensor(*args)
+        def counting_build(G):
+            calls.append(G)
+            return qg.build_edge_correspondence(G)
 
-        monkeypatch.setattr(qgraph.fock, "interior_tensor", counting_interior_tensor)
-        monkeypatch.setattr(qgraph.fock, "FOCK_COORD_BUDGET", 84)
+        monkeypatch.setattr(qgraph.fock, "build_edge_correspondence", counting_build)
         assert qg.build_fock(graph_complete_m2, 2).level_dims == (4, 16, 64)
-        assert len(calls) == 2
-        monkeypatch.setattr(qgraph.fock, "FOCK_COORD_BUDGET", 83)
-        with pytest.raises(qg.BudgetExceeded, match=r"\[4, 16, 64\]"):
-            qg.build_fock(graph_complete_m2, 2)
-        assert len(calls) == 2
+        assert len(calls) == 1
+        with pytest.raises(qg.BudgetExceeded, match=str(qgraph.fock.FOCK_MAX_DEPTH)):
+            qg.build_fock(graph_complete_m2, qgraph.fock.FOCK_MAX_DEPTH + 1)
+        assert len(calls) == 1
+        with pytest.raises(qg.BudgetExceeded, match=r"at depth 511,"):
+            qg.build_fock(graph_complete_m2, 1000)
+
+    def test_no_level_is_built(self, graph_complete_m2, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qgraph.fock, "interior_tensor", lambda *args: calls.append(args))
+        F = qg.build_fock(graph_complete_m2, 3)
+        qg.representation_residuals(F), qg.lqck_fock_residuals(F)
+        assert calls == []
+
+    def test_deep_trivial_truncation(self, graph_trivial_m2):
+        F = qg.build_fock(graph_trivial_m2, 2000)
+        assert F.level_dims == (4,) * 2001
+        reports = {**qg.representation_residuals(F), **qg.lqck_fock_residuals(F)}
+        assert all(v < 1e-9 for k, v in reports.items() if k not in ("level_dims", "vacuum_defect"))
 
     def test_level_dims_follow_the_multiplicity_matrix(self, cp_family_graphs):
         for name, dims in EXPECTED_LEVEL_DIMS.items():
             G = cp_family_graphs[name]
             F = qg.build_fock(G, 3)
             n = np.array(G.structure.sizes)
-            for l, level in enumerate(F.levels):
+            for l, level in enumerate(built_fock(F).levels):
                 Ml = np.linalg.matrix_power(F.edge.mult, l)
                 assert np.array_equal(level.mult, Ml), (name, l)
+                assert np.array_equal(F.multiplicities[l], Ml @ n), (name, l)
                 assert level.size == n @ Ml @ n == dims[l], (name, l)
 
     def test_invalid_depth(self, graph_trivial_m2):
@@ -163,7 +185,7 @@ class TestBuildFock:
 
 class TestLeftAction:
     def test_pi_is_unital_star_homomorphism(self, graph_rank_one):
-        F = qg.build_fock(graph_rank_one, 3)
+        F = built_fock(qg.build_fock(graph_rank_one, 3))
         st = graph_rank_one.structure
         one = qg.AlgebraElement.unit(st)
         for l in range(F.depth + 1):
@@ -200,8 +222,11 @@ class TestRepresentationIdentities:
     def test_creation_implements_module_product(self, graph_trivial_m2, graph_trivial_skew, graph_swap):
         # T(xi) applied to the vacuum level reproduces the right action of E
         for G in (graph_trivial_m2, graph_trivial_skew, graph_swap):
-            F = qg.build_fock(G, 2)
+            F = built_fock(qg.build_fock(G, 2))
             E = F.edge
+            # the library's map from level 0 is the built canonical map
+            canonical = BuiltFock(G, E, F.levels[:2], (F.levels[1].creation,))
+            assert np.array_equal(dense_creation(F, 0), dense_creation(canonical, 0))
             # level 0 is B in the basis b_p / sqrt(g_p): column p holds b_p,
             # and these coordinates give <b_p, b_q>_B = b_p* b_q
             coords = np.diag(np.sqrt(G.psi.gram_diag)).astype(complex)
@@ -294,6 +319,7 @@ def assert_matches_dense_oracle(F, D):
     """Equal level dims, and one unitary per level, fixed by the eps orbit
     and the creation maps, carries the normal form's lmul, rmul, binner,
     generator and creation tensors onto the oracle's."""
+    F = built_fock(F)
     assert F.level_dims == D.level_dims
     rel = 1e-12 + oracle_defect(D)
     Us, fit = orbit_unitaries(F, D)
@@ -368,38 +394,43 @@ def assert_relative(got, want):
     assert abs(got - want) <= 1e-12 * want
 
 
-def assert_levelwise_matches_full_truncation(G, rng, N=3):
+def assert_within_rounding(got, want):
+    """Equal within 1e-12, relative where want is above 1e-8."""
+    assert abs(got - want) <= 1e-12 * (want if want > 1e-8 else 1.0)
+
+
+def assert_levelwise_matches_full_truncation(G, rng, N=3, check=assert_relative):
     """The level-by-level Fock residuals and the eps-only B (x)_A B defect
     equal the full-truncation and orbit-Gram references where they are O(1)."""
     Ep = perturbed(qg.build_edge_correspondence(G), rng)
-    assert_relative(qg.cp_correspondence(Ep), cp_correspondence_oracle(Ep))
+    check(qg.cp_correspondence(Ep), cp_correspondence_oracle(Ep))
     if qg.quantum_sources_sinks(G)[0]:
         return  # no Fock module over a graph with a source
     F = replace(qg.build_fock(G, N), edge=Ep)
     got, want = qg.lqck_fock_residuals(F), full_fock_residuals(F)
     for key in FOCK_KEYS:
-        assert_relative(got[key], want[key])
+        check(got[key], want[key])
 
 
 def perturbed_creation(F, rng):
-    """F with an O(1) random change to every creation value, so that
-    T(xi)*T(eta) = pi(<xi,eta>_B) fails."""
-    creation = []
-    for z, e, y, value in F.creation:
-        noise = rng.normal(size=value.shape) + 1j * rng.normal(size=value.shape)
-        creation.append((z, e, y, value + 0.5 * noise))
-    return replace(F, creation=tuple(creation))
+    """F with an O(1) random change to every value of the map from level 0
+    that the inner-product check reads, so that T(xi)*T(eta) = pi(<xi,eta>_B)
+    fails."""
+    z, e, y, value = F.creation
+    noise = rng.normal(size=value.shape) + 1j * rng.normal(size=value.shape)
+    return replace(F, creation=(z, e, y, value + 0.5 * noise))
 
 
 def assert_inner_matches_dense_oracle(F, rng):
-    """The inner-product defect read off the nonzeros equals the dense
-    creation-matrix Gram check, exactly and where the defect is O(1); the
-    vacuum defect equals the largest Frobenius norm of the dense pi_0(b_p)."""
+    """The inner-product defect equals the dense creation-matrix Gram check
+    on the built levels, exactly and, at depth 1 where the map from level 0
+    is all it reads, where the defect is O(1); the vacuum defect equals the
+    largest Frobenius norm of the dense pi_0(b_p)."""
     rep = qg.representation_residuals(F)
     assert abs(rep["inner"] - dense_inner_defect(F)) <= 1e-12
-    Fp = perturbed_creation(F, rng)
+    Fp = perturbed_creation(replace(F, depth=1), rng)
     assert_relative(qg.representation_residuals(Fp)["inner"], dense_inner_defect(Fp))
-    pi0 = dense_actions(F.levels[0])[0]
+    pi0 = dense_actions(qg.trivial_correspondence(F.graph.psi))[0]
     assert abs(rep["vacuum_defect"] - np.linalg.norm(pi0, axis=(1, 2)).max()) <= 1e-14
 
 
@@ -469,12 +500,26 @@ class TestLevelwiseMatchesFullTruncation:
             assert_levelwise_matches_full_truncation(G, rng)
             assert_recognition_matches_orbit_grams(G, rng)
 
+    @given(drawn=quantum_graphs(sources=False), seed=st_.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_quantum_graphs(self, drawn, seed):
+        """On a general quantum graph M is the ranks of the drawn projections,
+        level l is n M^l n wide, and with an O(1) change of eps the block-pair
+        reports equal the full truncation's at depth 3, where it is at most 300
+        wide.  On B = C every change of eps is a scaling, under which LQCK2
+        holds exactly, so values below 1e-8 are compared absolutely."""
+        G, rank = drawn
+        F = qg.build_fock(G, 3)
+        n = np.array(G.structure.sizes)
+        assert np.array_equal(F.edge.mult, rank)
+        assert F.level_dims == tuple(n @ np.linalg.matrix_power(rank, l) @ n for l in range(4))
+        if F.total_dim <= 300:
+            assert_levelwise_matches_full_truncation(G, np.random.default_rng(seed), check=assert_within_rounding)
+
     def test_classical_hub_checks_in_bounded_memory(self):
-        """The slabs of T(eps) are (dim l+1, dim l) and the LQCK2 and Toeplitz-1
-        products N_a (dim l)^2 with N_a = 1, whatever the row-group sizes: here
-        levels 17, 33, 49, 65 wide, 66 KiB per (dim 3)^2 complex.  Slabs padded
-        to the largest row group would hold 17 * 65 * (17 * 33) complex into
-        level 3 alone, 9.5 MiB."""
+        """The checks form E's pair slabs, 1 x 1 here, and sums over the levels'
+        multiplicities, whatever the row-group sizes: here levels 17, 33, 49, 65
+        wide, with a bound of 16 (dim 3)^2 complex, 66 KiB."""
         F = qg.build_fock(classical_hub(17, reverse=True), 3)
         tracemalloc.start()
         try:
@@ -486,9 +531,9 @@ class TestLevelwiseMatchesFullTruncation:
         assert peak < 16 * 16 * max(F.level_dims) ** 2
 
     def test_trivial_m8_checks_in_bounded_memory(self):
-        """The LQCK2 and Toeplitz-1 products are formed one row i of a block
-        at a time, N_a (dim l)^2 entries: here 8 * 64^2 complex, 0.5 MiB.  All
-        sum_a N_a^3 = 512 unit-pair products at once would be over 30 MiB."""
+        """LQCK2 and Toeplitz-1 form X_ac[i]* X_ac[r] for every unit pair of a
+        block pair at once, N_a^2 N_c^2 entries: here 8^4 complex, 64 KiB,
+        under a bound of 16 MiB."""
         F = qg.build_fock(qg.trivial_graph(qg.validate_delta_form([8], [[1 / 8] * 8])), 3)
         tracemalloc.start()
         try:
@@ -498,3 +543,18 @@ class TestLevelwiseMatchesFullTruncation:
             tracemalloc.stop()
         assert all(report[key] < 1e-9 for key in FOCK_KEYS)
         assert peak < 16 * 2**20
+
+    def test_deep_checks_in_bounded_memory(self):
+        """Complete M_2 + M_2 at depth 4 has 37 448 coordinates; every check
+        reads the four 4 x 2 slabs X_ab[j] and the level multiplicities, and
+        peaks below 1 MiB, pair slabs included."""
+        F = qg.build_fock(qg.complete_graph(qg.validate_delta_form([2, 2], [[0.25] * 2] * 2)), 4)
+        assert F.total_dim == 37448
+        tracemalloc.start()
+        try:
+            report = {**qg.representation_residuals(F), **qg.lqck_fock_residuals(F)}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(report[key] < 1e-9 for key in (*FOCK_KEYS, "inner", "covariance"))
+        assert peak < 2**20

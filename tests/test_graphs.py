@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 from oracles import (
+    built_fock,
     carried,
     choi_blocks,
     choi_blocks_oracle,
@@ -404,7 +405,7 @@ def cp_residual_oracle(E):
 
 def fock_covariance_oracle(F):
     """Worst Frobenius norm of pi(f_ij) - sum_k T(f_ik.eps)T(f_jk.eps)* on
-    levels 1..N-1, unit by unit."""
+    levels 1..N-1 of the built truncation F, unit by unit."""
     E = F.edge
     psi = F.graph.psi
     worst = 0.0
@@ -502,7 +503,7 @@ class TestBatchedFormsMatchLoops:
         rng = np.random.default_rng(seed)
         G = qg.QuantumGraph(psi.structure, psi, random_cp_map(psi, rng, kraus=1))
         F = qg.build_fock(G, 2)
-        want = fock_covariance_oracle(F)
+        want = fock_covariance_oracle(built_fock(F))
         assert want > 1e-6 and close(qg.representation_residuals(F)["covariance"], want)
         # in the dense oracle, B, E_G and E (x) E are sub-bimodules of their
         # ambients, and their actions are the projected dense ambient actions
@@ -513,7 +514,7 @@ class TestBatchedFormsMatchLoops:
             assert close(level.lmul, lmul) and close(level.rmul, rmul)
         # and the normal-form levels carry the same actions
         rel = 1e-12 + oracle_defect(D)
-        for U, X, Y in zip(orbit_unitaries(F, D)[0], F.levels, D.levels, strict=True):
+        for U, X, Y in zip(orbit_unitaries(F, D)[0], built_fock(F).levels, D.levels, strict=True):
             got_l, got_r, _ = carried(U, X)
             assert close(got_l, Y.lmul, rel) and close(got_r, Y.rmul, rel)
 
@@ -524,5 +525,5 @@ class TestBatchedFormsMatchLoops:
         F = qg.build_fock(make(nontracial_m1_m2), 3)
         noise = [1, 1j] @ np.random.default_rng(31).normal(size=(2, F.edge.size))
         F = replace(F, edge=replace(F.edge, generator=F.edge.generator + 0.5 * noise))
-        want = fock_covariance_oracle(F)
+        want = fock_covariance_oracle(built_fock(F))
         assert want > 1e-6 and close(qg.representation_residuals(F)["covariance"], want)
