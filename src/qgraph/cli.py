@@ -9,6 +9,7 @@ residual exceeded tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -235,7 +236,13 @@ def cmd_example(args, tol: float) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `qgraph` parser, built on the first call and shared by every later one.
+
+    It maps argv to the subcommand's name and options only: `main` picks the
+    handler at call time, so the parser holds no state from one call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="qgraph",
         description="Quantum graph validation, edge correspondences, Fock truncations, "
@@ -245,32 +252,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="validate a graph file and report its invariants")
     p.add_argument("graph")
-    p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("fock", help="build the Fock truncation and report residuals")
     p.add_argument("graph")
     p.add_argument("--levels", type=int, default=3)
-    p.set_defaults(func=cmd_fock)
 
     p = sub.add_parser("check", help="evaluate a relation family against a graph")
     p.add_argument("graph")
     p.add_argument("--family", required=True)
     p.add_argument("--mode", choices=("qck", "lqck", "classical"), default="lqck")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("example", help="materialize a built-in fixture file")
     p.add_argument("name")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_example)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; may be called again and again in one process."""
+    args = build_parser().parse_args(argv)
+    handler = {"inspect": cmd_inspect, "fock": cmd_fock, "check": cmd_check, "example": cmd_example}
     try:
         tol = _default_tol()
-        return args.func(args, tol)
+        return handler[args.command](args, tol)
     except QGraphError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stdout)

@@ -224,9 +224,12 @@ def multiplicity_spaces(G: QuantumGraph) -> tuple[dict, np.ndarray]:
     coordinates: eps_ab[i,j,k,l] = sum_u gen_ab[i,u,l] u[jk] / sqrt(w_b[l]).
 
     K_ab is the column space of Y[(j,k), (i,l)] = sqrt(w_a[j]) eps_ab[i,j,k,l]
-    = delta^-2 w_a[j]^-1/2 (Choi slab ab), from one batched eigh of Y Y* per
-    group of `choi_slabs`, cut at GRAM_CUTOFF_RTOL times the largest eigenvalue
-    of all.  bases[a, b] has columns u orthonormal for the weights w_a[j].
+    = delta^-2 w_a[j]^-1/2 (Choi slab ab), from one batched SVD Y = U s Vh per
+    group of `choi_slabs`: u = U / sqrt(w_a[j]) has columns orthonormal for the
+    weights w_a[j], and gen = s Vh.  The singular values are linear in the
+    slab, so the rank is cut at GRAM_CUTOFF_RTOL times the largest of all; a
+    cut on the eigenvalues of Y Y*, their squares, would lose Kraus directions
+    below about 1e-5 of the largest.
     """
     psi, offs = G.psi, np.array(G.structure.offsets)
     groups = []
@@ -235,15 +238,13 @@ def multiplicity_spaces(G: QuantumGraph) -> tuple[dict, np.ndarray]:
         na, nb = G.structure.sizes[a[0]], G.structure.sizes[b[0]]
         root_a = np.sqrt(np.repeat(psi.psi_vec[offs[a][:, None] + (na + 1) * np.arange(na)], nb, axis=1))
         root_b = np.sqrt(psi.psi_vec[offs[b][:, None] + (nb + 1) * np.arange(nb)])
-        Y = H / G.delta_sq / root_a[:, :, None]
-        lam, U = np.linalg.eigh(Y @ Y.conj().transpose(0, 2, 1))
-        lam, U = lam[:, ::-1], U[:, :, ::-1]
-        coords = (U.conj().transpose(0, 2, 1) @ Y).reshape(len(a), -1, na, nb) * root_b[:, None, None]
-        groups.append((pairs, lam, U / root_a[:, :, None], coords.transpose(0, 2, 1, 3)))  # (i, u, l)
-    cutoff = GRAM_CUTOFF_RTOL * max(max(lam[:, 0].max() for _, lam, _, _ in groups), 1e-300)
+        U, s, Vh = np.linalg.svd(H / G.delta_sq / root_a[:, :, None], full_matrices=False)
+        coords = (s[:, :, None] * Vh).reshape(len(a), -1, na, nb) * root_b[:, None, None]
+        groups.append((pairs, s, U / root_a[:, :, None], coords.transpose(0, 2, 1, 3)))  # (i, u, l)
+    cutoff = GRAM_CUTOFF_RTOL * max(max(s[:, 0].max() for _, s, _, _ in groups), 1e-300)
     bases, gen = {}, {}
-    for pairs, lam, U, coords in groups:
-        for (a, b), n, u, c in zip(pairs.tolist(), np.count_nonzero(lam > cutoff, axis=1), U, coords):
+    for pairs, s, U, coords in groups:
+        for (a, b), n, u, c in zip(pairs.tolist(), np.count_nonzero(s > cutoff, axis=1), U, coords):
             bases[a, b], gen[a, b] = u[:, :n], c[:, :n].ravel()
     order = sorted(bases)
     return {ab: bases[ab] for ab in order}, np.concatenate([gen[ab] for ab in order])

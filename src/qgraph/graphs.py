@@ -155,12 +155,19 @@ class QuantumGraph:
         """Choi verdict of the adjacency: (completely positive, min eigenvalue)."""
         return is_completely_positive(self.psi, self.adjacency)
 
+    @cached_property
+    def indicator(self) -> TensorElement:
+        """Quantum edge indicator eps = delta^-2 (1 x A) m*(1), formed once per
+        graph; its coefficients are read-only, as every reader shares them."""
+        t = comultiply(AlgebraElement.unit(self.structure), self.psi)
+        eps = (1.0 / self.delta_sq) * t.apply_second(self.adjacency.matrix)
+        eps.coeff.setflags(write=False)
+        return eps
+
 
 def edge_indicator(G: QuantumGraph) -> TensorElement:
-    """Quantum edge indicator eps = delta^-2 (1 x A) m*(1)."""
-    one = AlgebraElement.unit(G.structure)
-    t = comultiply(one, G.psi)
-    return (1.0 / G.delta_sq) * t.apply_second(G.adjacency.matrix)
+    """Quantum edge indicator eps = delta^-2 (1 x A) m*(1) of G (`QuantumGraph.indicator`)."""
+    return G.indicator
 
 
 def indicator_properties(G: QuantumGraph) -> dict[str, float]:

@@ -29,21 +29,29 @@ def _matrix_to_pairs(mat: np.ndarray) -> list:
 
 
 def _pairs_to_matrix(value, shape: tuple[int, ...]) -> np.ndarray:
-    """A complex array of `shape` from nested [re, im] pairs of finite JSON numbers."""
-    parts = value
-    try:  # np.array(..., dtype=float) reads "1.5", true and null: check the types first
-        for _ in shape:
-            parts = chain.from_iterable(parts)
-        if kinds := set(map(type, parts)) - {int, float}:
-            raise ParseError(f"matrix has parts that are not numbers: {sorted(t.__name__ for t in kinds)}")
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:  # ValueError: ragged rows
+    """A complex array of `shape` from nested [re, im] pairs of finite JSON numbers.
+
+    Each nesting level is checked to hold lists of the shape's length and is
+    flattened in one pass; np.array then reads the flat parts, whose types are
+    checked first, as np.array(..., dtype=float) reads "1.5", true and null.
+    """
+    items = [value]
+    for depth, n in enumerate((*shape, 2)):
+        if kinds := set(map(type, items)) - {list}:
+            names = sorted(t.__name__ for t in kinds)
+            raise ParseError(f"bad complex matrix: level {depth} holds {names}, not lists of {n}")
+        if lengths := set(map(len, items)) - {n}:
+            raise ParseError(f"bad complex matrix: level {depth} holds lists of {sorted(lengths)}, not {n}")
+        items = list(chain.from_iterable(items))
+    if kinds := set(map(type, items)) - {int, float}:
+        raise ParseError(f"matrix has parts that are not numbers: {sorted(t.__name__ for t in kinds)}")
+    try:
+        arr = np.array(items, dtype=float)
+    except OverflowError as exc:  # an int too large for a float
         raise ParseError(f"bad complex matrix: {exc}") from exc
-    if arr.shape != (*shape, 2):
-        raise ParseError(f"matrix of [re, im] pairs has shape {arr.shape}, expected {(*shape, 2)}")
     if not np.isfinite(arr).all():
         raise ParseError("matrix has a NaN or infinite entry")
-    return arr.view(complex)[..., 0]
+    return arr.view(complex).reshape(shape)
 
 
 def _json_number(value, what: str) -> int | float:

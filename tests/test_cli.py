@@ -1,6 +1,9 @@
+import argparse
 import functools
 import json
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -326,6 +329,19 @@ class TestInspect:
         assert code == 0
         assert len(calls) == 1
 
+    def test_forms_the_edge_indicator_once(self, capsys, monkeypatch, trivial_path):
+        # the indicator properties and the homomorphism check read one cached eps
+        calls = []
+
+        def counting_comultiply(*args, **kwargs):
+            calls.append(args)
+            return qg.comultiply(*args, **kwargs)
+
+        monkeypatch.setattr(qgraph.graphs, "comultiply", counting_comultiply)
+        code, payload, _ = run(capsys, "inspect", trivial_path)
+        assert code == 0 and "homomorphism" in payload
+        assert len(calls) == 1
+
     def test_builds_the_choi_slabs_once(self, capsys, monkeypatch, trivial_path):
         # the Choi test and E_G's multiplicity spaces read the same slabs
         calls = []
@@ -587,6 +603,67 @@ class TestCheck:
             code, payload, _ = run(capsys, "check", str(graph_path), "--family", str(fam_path))
             assert code == 1, bad
             assert payload["error"] == "ParseError", bad
+
+
+class TestRepeatedCalls:
+    """`main` may be called again and again in one process: its parser is built
+    on the first call, and nothing of one call reaches the next."""
+
+    @pytest.fixture()
+    def family_path(self, tmp_path, tracial_m2):
+        path = tmp_path / "fam.json"
+        save_family(str(path), qg.canonical_lqck_family("trivial", tracial_m2))
+        return str(path)
+
+    def test_builds_the_parser_once(self, capsys, monkeypatch, tmp_path, trivial_path, family_path):
+        run(capsys, "inspect", trivial_path)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        commands = [
+            ["inspect", trivial_path],
+            ["fock", trivial_path, "--levels", "2"],
+            ["check", trivial_path, "--family", family_path, "--mode", "qck"],
+            ["example", "complete_c2", "--out", str(tmp_path / "c2.json")],
+        ]
+        for argv in commands * 3:
+            assert run(capsys, *argv)[0] == 0, argv
+        assert built == []
+
+    def test_options_do_not_carry_over(self, capsys, trivial_path):
+        code, payload, _ = run(capsys, "fock", trivial_path, "--levels", "5")
+        assert code == 0 and len(payload["level_dims"]) == 6
+        code, payload, _ = run(capsys, "fock", trivial_path)
+        assert code == 0 and payload["level_dims"] == [4, 4, 4, 4]
+
+    def test_usage_error_leaves_the_next_call_alone(self, capsys, trivial_path, family_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", trivial_path, "--family", family_path, "--mode", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        code, payload, _ = run(capsys, "check", trivial_path, "--family", family_path)
+        assert code == 0 and payload["lqck1"] < 1e-12
+
+    def test_tolerance_is_read_on_each_call(self, capsys, monkeypatch, tmp_path, graph_complete_m2, family_path):
+        # the trivial family fails LQCK on the complete graph unless the gate is loose
+        graph_path = tmp_path / "complete.json"
+        save_graph(str(graph_path), graph_complete_m2)
+        argv = ["check", str(graph_path), "--family", family_path]
+        monkeypatch.delenv("QGRAPH_TOL", raising=False)
+        assert run(capsys, *argv)[0] == 2
+        monkeypatch.setenv("QGRAPH_TOL", "1e3")
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.delenv("QGRAPH_TOL")
+        assert run(capsys, *argv)[0] == 2
+
+    def test_import_builds_no_parser(self):
+        code = "import qgraph.cli as cli; raise SystemExit(cli.build_parser.cache_info().currsize)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 class TestExample:

@@ -134,6 +134,28 @@ class TestEdgeCorrespondence:
         E = qg.build_edge_correspondence(qg.QuantumGraph(st, psi, qg.LinearMapOnB(st, A)))
         assert E.mult.tolist() == [[1, 2], [2, 0]]
 
+    @pytest.mark.parametrize("t, rank", [(1e-4, 2), (1e-7, 1)])
+    def test_rank_is_cut_on_the_choi_scale(self, t, rank):
+        # A = K1 . K1* + t^2 K2 . K2* on M_2: the cut reads quantities linear in
+        # the Choi slab, so a Kraus direction of relative weight t^2 = 1e-8 stays
+        # and one of 1e-14 goes; a cut on their squares loses both
+        psi = qg.validate_delta_form([2], [[0.5, 0.5]])
+        rng = np.random.default_rng(6)
+        K1, K2 = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+        A = np.kron(K1, K1.conj()) + t**2 * np.kron(K2, K2.conj())
+        E = qg.build_edge_correspondence(qg.QuantumGraph(psi.structure, psi, qg.LinearMapOnB(psi.structure, A)))
+        assert E.mult.tolist() == [[rank]]
+
+    def test_skewed_draw_keeps_its_small_kraus_direction(self):
+        # random_cp_map(psi, default_rng(55670030)) on C + C + M_2: pair (2, 0)
+        # has Choi eigenvalues 6.7e-5 and 3.87, the largest of all is 18.1; a
+        # cut on the squares read M[2, 0] = 1 and dim E = 26
+        psi = qg.validate_delta_form([1, 1, 2], [[1 / 6], [1 / 6], [1 / 3, 1 / 3]])
+        G = qg.QuantumGraph(psi.structure, psi, random_cp_map(psi, np.random.default_rng(55670030)))
+        E = qg.build_edge_correspondence(G)
+        assert E.mult[2, 0] == 2
+        assert E.size == cp_model_dim(G) == 28
+
     def test_inner_product_positivity(self, graph_complete_m2):
         E = qg.build_edge_correspondence(graph_complete_m2)
         st = graph_complete_m2.structure

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 from oracles import (
     built_fock,
@@ -453,6 +453,8 @@ def quantum_isomorphism_oracle(G1, G2, theta):
 
 class TestBatchedFormsMatchLoops:
     @given(psi=delta_states(), seed=st_.integers(0, 2**32 - 1))
+    # a Kraus direction of pair (2, 0) at 3.7e-6 of the largest Choi eigenvalue
+    @example(psi=qg.validate_delta_form([1, 1, 2], [[1 / 6], [1 / 6], [1 / 3, 1 / 3]]), seed=55670030)
     @settings(max_examples=10, deadline=None)
     def test_library_matches_loop_oracles(self, psi, seed):
         # random xi and a random CP but non-Schur A keep every residual O(1)
