@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +23,18 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
+
+
+class SizeGroup(NamedTuple):
+    """The blocks of one size N of a `BlockStructure`: their indices (ascending),
+    the (g, N^2) canonical coordinates of their units, and `index`, which reads
+    those coordinates off a last axis: a slice when they are contiguous, so
+    that the read is a view, else the flattened coordinates."""
+
+    size: int
+    blocks: np.ndarray
+    coords: np.ndarray
+    index: slice | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -100,15 +112,39 @@ class BlockStructure:
         _, i, j = self.unit_indices
         return (i == j).astype(complex)
 
+    @cached_property
+    def size_groups(self) -> tuple[SizeGroup, ...]:
+        """The blocks grouped by size, ascending, computed once per structure."""
+        sizes, offs = np.array(self.sizes), np.array(self.offsets[:-1])
+        groups = []
+        for n in sorted(set(self.sizes)):
+            blocks = np.flatnonzero(sizes == n)
+            coords = offs[blocks][:, None] + np.arange(n * n)
+            lo, hi = int(coords[0, 0]), int(coords[-1, -1]) + 1
+            index = slice(lo, hi) if hi - lo == coords.size else coords.ravel()
+            groups.append(SizeGroup(n, blocks, coords, index))
+        return tuple(groups)
+
     def products(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Coordinates of x y for stacks X, Y of coordinate vectors (..., dim):
-        one batched matmul per block, leading axes broadcast."""
-        out = []
-        for n, lo in zip(self.sizes, self.offsets):
-            x, y = (Z[..., lo : lo + n * n].reshape(*Z.shape[:-1], n, n) for Z in (X, Y))
+        """Coordinates of x y for stacks X, Y of coordinate vectors (..., dim),
+        leading axes broadcast: one batched matmul per size group, an
+        elementwise product for size 1.  A single group, as on every structure
+        of one block and on C^n, is read through views and its product is the
+        result: no gather and no copy."""
+        parts = []
+        for n, blocks, _, index in self.size_groups:
+            if n == 1:
+                parts.append(X[..., index] * Y[..., index])
+                continue
+            x, y = (Z[..., index].reshape(*Z.shape[:-1], len(blocks), n, n) for Z in (X, Y))
             xy = x @ y
-            out.append(xy.reshape(*xy.shape[:-2], n * n))
-        return np.concatenate(out, axis=-1)
+            parts.append(xy.reshape(*xy.shape[:-3], -1))
+        if len(parts) == 1:
+            return parts[0]
+        out = np.empty(np.broadcast_shapes(X.shape, Y.shape), np.result_type(X, Y))
+        for group, part in zip(self.size_groups, parts):
+            out[..., group.index] = part
+        return out
 
 
 class AlgebraElement:
@@ -221,6 +257,15 @@ class DeltaState:
     def gram_diag(self) -> np.ndarray:
         """Diagonal GNS Gram: <e_ij, e_ij>_psi = psi(e_jj) = w_j."""
         return np.concatenate([np.tile(w, len(w)) for w in self.weights])
+
+    @cached_property
+    def weight_table(self) -> np.ndarray:
+        """[a, i] = w_a[i], padded with 1 past N_a: the weights of a stack of
+        blocks of one size N are weight_table[blocks, :N]."""
+        table = np.ones((self.structure.num_blocks, max(self.structure.sizes)))
+        for a, w in enumerate(self.weights):
+            table[a, : len(w)] = w
+        return table
 
     @cached_property
     def psi_vec(self) -> np.ndarray:

@@ -91,19 +91,27 @@ class Correspondence:
         return x, y, p, 1.0 / np.sqrt(self.psi.gram_diag[p] * self.psi.weight_of_row[p])
 
     @cached_property
-    def pair_slabs(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-        """(X_ab, D_ab) of every block pair with M[a, b] > 0, keyed (a, b) in row-major order:
-        X_ab[j] = eps_ab[j] / sqrt(w_b), an M_ab x N_b matrix, is the generator's segment
-        for the pair reshaped to (N_a, M_ab, N_b), column m divided by sqrt(w_b[m]), and
-        D_ab = sum_j X_ab[j] X_ab[j]* / w_a[j] - 1."""
-        n, w, start = self.structure.sizes, self.psi.weights, self.layout[-1]
-        slabs = {}
-        for a, b in zip(*np.nonzero(self.mult)):
-            m, k = self.mult[a, b], a * len(n) + b
-            X = self.generator[start[k] : start[k + 1]].reshape(n[a], m, n[b]) / np.sqrt(w[b])
-            D = np.einsum("jkm,jlm->kl", X / w[a][:, None, None], X.conj()) - np.eye(m)
-            slabs[int(a), int(b)] = X, D
-        return slabs
+    def pair_slabs(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """(pairs, X, D) for each shape (N_a, M_ab, N_b) of the block pairs with
+        M[a, b] > 0: their (g, 2) pairs (a, b), row-major, the (g, N_a, M_ab, N_b)
+        stack of X_ab, the generator's segment for the pair with column m divided
+        by sqrt(w_b[m]), so that X_ab[j] = eps_ab[j] / sqrt(w_b) is an M_ab x N_b
+        matrix, and the (g, M_ab, M_ab) stack of D_ab = sum_j X_ab[j] X_ab[j]* / w_a[j] - 1."""
+        n, W, M = self.structure.sizes, self.psi.weight_table, self.mult.tolist()
+        pairs = np.argwhere(self.mult)  # row-major
+        start, root_w = self.layout[-1][pairs[:, 0] * len(n) + pairs[:, 1]], np.sqrt(W)
+        shapes = {}  # the pairs of each shape, in order of first appearance
+        for k, (a, b) in enumerate(pairs.tolist()):
+            shapes.setdefault((n[a], M[a][b], n[b]), []).append(k)
+        slabs = []
+        for (na, m, nb), group in shapes.items():
+            group = np.array(group)
+            ab = pairs[group]
+            X = self.generator[start[group, None] + np.arange(na * m * nb)].reshape(-1, na, m, nb)
+            X = X / root_w[ab[:, 1], None, None, :nb]
+            D = np.einsum("gjkm,gjlm->gkl", X / W[ab[:, 0], :na, None, None], X.conj()) - np.eye(m)
+            slabs.append((ab, X, D))
+        return tuple(slabs)
 
     def left_units(self, V: np.ndarray) -> np.ndarray:
         p, row, col = self.left
@@ -219,35 +227,47 @@ def _psi_tensor_coords(psi: DeltaState, coeff: np.ndarray) -> np.ndarray:
     return coeff[p, q] * np.sqrt(psi.gram_diag[p] * psi.gram_diag[q])
 
 
-def multiplicity_spaces(G: QuantumGraph) -> tuple[dict, np.ndarray]:
-    """Bases u of the multiplicity spaces K_ab of E_G, and eps in `normal_form`
-    coordinates: eps_ab[i,j,k,l] = sum_u gen_ab[i,u,l] u[jk] / sqrt(w_b[l]).
+def multiplicity_spaces(G: QuantumGraph) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray]:
+    """Bases of the multiplicity spaces K_ab of E_G, per group of `choi_slabs`,
+    and eps in `normal_form` coordinates: eps_ab[i,j,k,l] = sum_u gen_ab[i,u,l]
+    u[jk] / sqrt(w_b[l]).
 
     K_ab is the column space of Y[(j,k), (i,l)] = sqrt(w_a[j]) eps_ab[i,j,k,l]
     = delta^-2 w_a[j]^-1/2 (Choi slab ab), from one batched SVD Y = U s Vh per
-    group of `choi_slabs`: u = U / sqrt(w_a[j]) has columns orthonormal for the
-    weights w_a[j], and gen = s Vh.  The singular values are linear in the
-    slab, so the rank is cut at GRAM_CUTOFF_RTOL times the largest of all; a
-    cut on the eigenvalues of Y Y*, their squares, would lose Kraus directions
-    below about 1e-5 of the largest.
+    group: u = U / sqrt(w_a[j]) has columns orthonormal for the weights w_a[j],
+    and gen = s Vh.  A 1 x 1 slab y needs no SVD: s = |y|, U = 1 and gen = y.
+    The singular values are linear in the slab, so the rank is cut at
+    GRAM_CUTOFF_RTOL times the largest of all; a cut on the eigenvalues of
+    Y Y*, their squares, would lose Kraus directions below about 1e-5 of the
+    largest.  Each group's bases are (pairs, ranks, U): its (g, 2) block
+    pairs, row-major, their Kraus ranks M_ab and the (g, N_a N_b, N_a N_b)
+    stack whose first M_ab columns are the basis u of K_ab.
     """
-    psi, offs = G.psi, np.array(G.structure.offsets)
     groups = []
     for pairs, H in G.adjacency.choi_slabs:
-        a, b = pairs.T  # w_c[i] = psi(e_ii) of block c
+        a, b = pairs.T
         na, nb = G.structure.sizes[a[0]], G.structure.sizes[b[0]]
-        root_a = np.sqrt(np.repeat(psi.psi_vec[offs[a][:, None] + (na + 1) * np.arange(na)], nb, axis=1))
-        root_b = np.sqrt(psi.psi_vec[offs[b][:, None] + (nb + 1) * np.arange(nb)])
-        U, s, Vh = np.linalg.svd(H / G.delta_sq / root_a[:, :, None], full_matrices=False)
-        coords = (s[:, :, None] * Vh).reshape(len(a), -1, na, nb) * root_b[:, None, None]
+        root_a = np.sqrt(np.repeat(G.psi.weight_table[a, :na], nb, axis=1))
+        root_b = np.sqrt(G.psi.weight_table[b, :nb])
+        Y = H / G.delta_sq / root_a[:, :, None]
+        if na * nb == 1:
+            U, s, coords = np.ones_like(Y), np.abs(Y[:, 0]), Y
+        else:
+            U, s, Vh = np.linalg.svd(Y, full_matrices=False)
+            coords = s[:, :, None] * Vh
+        coords = coords.reshape(len(a), -1, na, nb) * root_b[:, None, None]
         groups.append((pairs, s, U / root_a[:, :, None], coords.transpose(0, 2, 1, 3)))  # (i, u, l)
-    cutoff = GRAM_CUTOFF_RTOL * max(max(s[:, 0].max() for _, s, _, _ in groups), 1e-300)
-    bases, gen = {}, {}
+    cutoff = GRAM_CUTOFF_RTOL * max(max(s.max(initial=0.0) for _, s, _, _ in groups), 1e-300)
+    bases, segments, keys = [], [], []
     for pairs, s, U, coords in groups:
-        for (a, b), n, u, c in zip(pairs.tolist(), np.count_nonzero(s > cutoff, axis=1), U, coords):
-            bases[a, b], gen[a, b] = u[:, :n], c[:, :n].ravel()
-    order = sorted(bases)
-    return {ab: bases[ab] for ab in order}, np.concatenate([gen[ab] for ab in order])
+        g, na, _, nb = coords.shape
+        keep = s > cutoff  # [pair, u], s descending
+        ranks = keep.sum(axis=1)
+        bases.append((pairs, ranks, U))
+        segments.append(coords.reshape(g, na, -1)[keep.repeat(nb, axis=1)[:, None].repeat(na, axis=1)])
+        keys.append((pairs[:, 0] * G.structure.num_blocks + pairs[:, 1]).repeat(na * nb * ranks))
+    order = np.argsort(np.concatenate(keys), kind="stable")  # the pairs in row-major order
+    return bases, np.concatenate(segments)[order]
 
 
 def build_edge_correspondence(G: QuantumGraph) -> Correspondence:
@@ -255,8 +275,10 @@ def build_edge_correspondence(G: QuantumGraph) -> Correspondence:
     as generator.  The result records G, so every E_G report takes E_G alone.
     """
     require_completely_positive(G)
-    bases, gen = multiplicity_spaces(G)  # keyed by (a, b) in row-major order
-    M = np.reshape([u.shape[1] for u in bases.values()], (G.structure.num_blocks, -1))
+    bases, gen = multiplicity_spaces(G)
+    M = np.zeros((G.structure.num_blocks,) * 2, dtype=int)
+    for pairs, ranks, _ in bases:
+        M[pairs[:, 0], pairs[:, 1]] = ranks
     return normal_form(G.psi, M, generator=gen, graph=G)
 
 
@@ -304,8 +326,9 @@ def compact_decomposition_residual(E: Correspondence) -> float:
     (`pair_slabs`): its largest column norm over all units is
     max_{a,b} (largest column norm of D_ab) / min w_a.
     """
-    w, slabs = E.psi.weights, E.pair_slabs
-    return max((np.linalg.norm(D, axis=0).max() / w[a].min() for (a, _), (_, D) in slabs.items()), default=0.0)
+    w_min = np.array([w.min() for w in E.psi.weights])
+    worst = [np.linalg.norm(D, axis=1).max(axis=1) / w_min[pairs[:, 0]] for pairs, _, D in E.pair_slabs]
+    return float(max((x.max() for x in worst), default=0.0))
 
 
 def _vector_map(M: Correspondence) -> np.ndarray:
@@ -313,11 +336,13 @@ def _vector_map(M: Correspondence) -> np.ndarray:
     It decides the orbit Gram: <b_p.xi.b_q, b_r.xi.b_s>_B = b_q* <xi, b_p* b_r . xi>_B b_s.
     Block b of <xi, e_ij . xi>_B is X_ab[i]* X_ab[j] (`pair_slabs`), 0 when M[a, b] = 0."""
     st = M.structure
-    n, off = st.sizes, st.offsets
+    off = np.array(st.offsets)
     out = np.zeros((st.dim, st.dim), dtype=complex)
-    for (a, b), (X, _) in M.pair_slabs.items():
-        P = np.einsum("ikm,jkl->mlij", X.conj(), X)  # [m, l, i, j]: (X_ab[i]* X_ab[j])[m, l]
-        out[off[b] : off[b + 1], off[a] : off[a + 1]] = P.reshape(n[b] ** 2, -1)
+    for pairs, X, _ in M.pair_slabs:
+        na, nb = X.shape[1], X.shape[3]
+        P = np.einsum("gikm,gjkl->gmlij", X.conj(), X)  # [m, l, i, j]: (X_ab[i]* X_ab[j])[m, l]
+        rows, cols = (off[c][:, None] + np.arange(k * k) for c, k in ((pairs[:, 1], nb), (pairs[:, 0], na)))
+        out[rows[:, :, None], cols[:, None, :]] = P.reshape(len(pairs), nb * nb, na * na)
     return out
 
 
@@ -342,17 +367,19 @@ def _cyclic_dim(X: Correspondence, xi: np.ndarray) -> int:
     The units move i and l of the coordinates (a, c, i, k, l), so B . xi . B
     is sum_{a,c} C^{N_a} (x) K'_ac (x) C^{N_c} with K'_ac the span of the
     rows xi[a, c, i, :, l]: sum N_a N_c rank(Xi_ac), the ranks cut at
-    GRAM_CUTOFF_RTOL times the largest Gram eigenvalue of all pairs.
+    GRAM_CUTOFF_RTOL times the largest singular value of all pairs.  Singular
+    values are linear in xi; a cut on the eigenvalues of Xi* Xi, their
+    squares, would lose directions below about 1e-5 of the largest.
     """
     n = np.array(X.structure.sizes)
     segments = np.split(xi, X.layout[-1][1:-1])  # one per pair (a, c)
-    grams = {}
+    svals = {}
     for (a, c), m in np.ndenumerate(X.mult):
         if m:
             Xi = segments[a * n.size + c].reshape(n[a], m, n[c]).transpose(0, 2, 1).reshape(-1, m)
-            grams[a, c] = np.linalg.eigvalsh(Xi.conj().T @ Xi)
-    cutoff = GRAM_CUTOFF_RTOL * max(max((lam[-1] for lam in grams.values()), default=0.0), 1e-300)
-    return int(sum(n[a] * n[c] * np.count_nonzero(lam > cutoff) for (a, c), lam in grams.items()))
+            svals[a, c] = np.linalg.svd(Xi, compute_uv=False)
+    cutoff = GRAM_CUTOFF_RTOL * max(max((s[0] for s in svals.values()), default=0.0), 1e-300)
+    return int(sum(n[a] * n[c] * np.count_nonzero(s > cutoff) for (a, c), s in svals.items()))
 
 
 @dataclass(frozen=True)

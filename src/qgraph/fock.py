@@ -85,6 +85,16 @@ class FockTruncation:
     def total_dim(self) -> int:
         return sum(self.level_dims)
 
+    @cached_property
+    def defect_squares(self) -> np.ndarray:
+        """[l - 1, a] = ||H_a - 1||^2 on level l = 1..N-1, formed once per truncation:
+        H_a - 1 is the sum over b of D_ab (x) 1 with c_{l-1}[b] copies, of squared
+        norm sum_b c_{l-1}[b] ||D_ab||^2."""
+        sq = np.zeros(self.edge.mult.shape)
+        for pairs, _, D in self.edge.pair_slabs:
+            sq[pairs[:, 0], pairs[:, 1]] = _sq_nrm(D)
+        return np.array(self.multiplicities[: self.depth - 1], dtype=float) @ sq.T
+
 
 def build_fock(G: QuantumGraph, N: int) -> FockTruncation:
     """The depth-N Fock truncation of the edge correspondence of G.  N < 1 and
@@ -106,15 +116,6 @@ def build_fock(G: QuantumGraph, N: int) -> FockTruncation:
     return F
 
 
-def _defect_squares(F: FockTruncation, c: np.ndarray) -> np.ndarray:
-    """[l - 1, a] = ||H_a - 1||^2 on level l = 1..N-1: H_a - 1 is the sum over b
-    of D_ab (x) 1 with c_{l-1}[b] copies, of squared norm sum_b c_{l-1}[b] ||D_ab||^2."""
-    sq = np.zeros(F.edge.mult.shape)
-    for (a, b), (_, D) in F.edge.pair_slabs.items():
-        sq[a, b] = _sq_nrm(D)
-    return c[: F.depth - 1] @ sq.T
-
-
 def representation_residuals(F: FockTruncation) -> dict:
     """Defects of the covariant-representation identities on the truncation.
 
@@ -134,7 +135,7 @@ def representation_residuals(F: FockTruncation) -> dict:
     sq = sum(np.abs(values[x, t].conj() * values[y, t] - value) ** 2 * (t < n[block[x]]) for t in range(n.max()))
     inner = float(np.sqrt(sq * (c[:N].max(axis=0) / n)[block[x]]).max(initial=0.0))
     w_min = [w.min() for w in F.graph.psi.weights]
-    covariance = float((np.sqrt(_defect_squares(F, c)) / w_min).max()) if N > 1 else None
+    covariance = float((np.sqrt(F.defect_squares) / w_min).max()) if N > 1 else None
     return {"inner": inner, "covariance": covariance, "vacuum_defect": float(np.sqrt(n.max()))}
 
 
@@ -179,19 +180,19 @@ def lqck_fock_residuals(F: FockTruncation) -> dict:
     G, E, N = F.graph, F.edge, F.depth
     if N == 1:
         return {**dict.fromkeys(("lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2")), "level_dims": F.level_dims}
-    d2, A, w, slabs = G.delta_sq, G.adjacency.matrix, G.psi.weights, E.pair_slabs
+    d2, A, w = G.delta_sq, G.adjacency.matrix, G.psi.weights
     n, off = np.array(G.structure.sizes), np.array(G.structure.offsets)
     c = np.array(F.multiplicities, dtype=float)
     below, at, up = c[: N - 1].sum(axis=0), c[1:N].sum(axis=0), c[1 : N - 1].sum(axis=0)
     w_min = [wa.min() for wa in w]
     l1, l2, t1 = ([np.zeros((na,) * k) for na in n] for k in (1, 2, 2))
     off_sq = np.zeros(len(n))  # per block c: the off-diagonal squares of D_cb', weighted over b'
+    slabs = {(a, b): (X[k], D[k]) for pairs, X, D in E.pair_slabs for k, (a, b) in enumerate(pairs.tolist())}
     for (a, b), (X, D) in slabs.items():
         off_sq[a] += below[b] * _sq_nrm(D - np.diag(np.diagonal(D)))
         l1[a] += up[b] * _sq_nrm(D @ X) / (d2**3 * w_min[a] ** 3 * w[a])
     # the block pairs (a, c) with M_ac > 0 or A(block a)_c != 0
-    block_sq = np.add.reduceat(np.add.reduceat(np.abs(A) ** 2, off[:-1], axis=0), off[:-1], axis=1)
-    for cc, a in zip(*np.nonzero((E.mult.T > 0) | (block_sq > 0))):
+    for cc, a in zip(*np.nonzero((E.mult.T > 0) | (G.block_sq > 0))):
         Ac = A[off[cc] : off[cc + 1], off[a] : off[a + 1]].T.reshape(n[a], n[a], n[cc], n[cc]) / (d2 * d2)
         Q = -Ac  # [i, r]: P_c - A_c / delta^4
         if (a, cc) in slabs:
@@ -203,7 +204,7 @@ def lqck_fock_residuals(F: FockTruncation) -> dict:
         terms = _sq_nrm(Ac) * off_sq[cc] + (np.abs(Q[..., None] - Ac[..., None] * dg) ** 2 @ wt).sum(axis=(2, 3))
         l2[a] += terms / (w_min[a] ** 2 * np.outer(w[a], w[a]))
     lq1, lq2, tp1 = (float(np.sqrt(max(part.max() for part in parts))) for parts in (l1, l2, t1))
-    H2 = _defect_squares(F, c)
+    H2 = F.defect_squares
     return {
         "lqck1": lq1 if N > 2 else None,
         "lqck2": lq2,

@@ -4,8 +4,9 @@ A quantum graph is (B, psi, A) with A Schur-idempotent: m (A x A) m* =
 delta^2 A.  This module validates that condition, builds the quantum edge
 indicator, cross-checks complete positivity two independent ways, finds
 quantum sources/sinks, and evaluates the homomorphism and quantum
-isomorphism covariance residuals.  The checks work block by block: the Choi
-slabs are built once per graph, and unit images multiply per block.
+isomorphism covariance residuals.  The checks work per group of blocks of one
+size: the Choi slabs are built once per graph, and the unit-pair checks are
+pairwise norms, one matmul per size group, plus the triples of m.
 """
 
 from __future__ import annotations
@@ -85,15 +86,14 @@ def _pair_slabs(A: LinearMapOnB):
     (a, b), grouped by (N_a, N_b): yields each group's (g, 2) pairs, row-major,
     the index of their entries in A.matrix and their (g, N_b, N_b, N_a, N_a)
     slabs."""
-    sizes, offs = np.array(A.structure.sizes), np.array(A.structure.offsets)
-    for na, nb in sorted({(x, y) for x in sizes for y in sizes}):
-        a, b = np.nonzero((sizes == na)[:, None] & (sizes == nb)[None, :])
-        # rows (r, s) of block b, columns (i, j) of block a
-        index = (
-            offs[b][:, None, None] + np.arange(nb * nb)[:, None],
-            offs[a][:, None, None] + np.arange(na * na),
-        )
-        yield np.stack([a, b], axis=1), index, A.matrix[index].reshape(-1, nb, nb, na, na)
+    groups = A.structure.size_groups
+    for ga in groups:
+        for gb in groups:
+            ka, kb = np.divmod(np.arange(len(ga.blocks) * len(gb.blocks)), len(gb.blocks))
+            # rows (r, s) of block b, columns (i, j) of block a
+            index = gb.coords[kb][:, :, None], ga.coords[ka][:, None, :]
+            slabs = A.matrix[index].reshape(-1, gb.size, gb.size, ga.size, ga.size)
+            yield np.stack([ga.blocks[ka], gb.blocks[kb]], axis=1), index, slabs
 
 
 def _schur_square_matrix(psi: DeltaState, A: LinearMapOnB) -> np.ndarray:
@@ -108,7 +108,7 @@ def _schur_square_matrix(psi: DeltaState, A: LinearMapOnB) -> np.ndarray:
     for pairs, index, X in _pair_slabs(A):
         g, nb, _, na, _ = X.shape
         R = X.transpose(0, 1, 3, 2, 4).reshape(g, nb * na, nb * na)
-        inv_w = np.tile(1.0 / np.array([psi.weights[a] for a in pairs[:, 0]]), nb)
+        inv_w = np.tile(1.0 / psi.weight_table[pairs[:, 0], :na], nb)
         Z = ((R * inv_w[:, None, :]) @ R).reshape(g, nb, na, nb, na)
         out[index] = Z.transpose(0, 1, 3, 2, 4).reshape(g, nb * nb, na * na)
     return out
@@ -163,6 +163,13 @@ class QuantumGraph:
         eps = (1.0 / self.delta_sq) * t.apply_second(self.adjacency.matrix)
         eps.coeff.setflags(write=False)
         return eps
+
+    @cached_property
+    def block_sq(self) -> np.ndarray:
+        """[b, a] = ||A(block a)_b||^2, the squared Frobenius norm of A from block a
+        into block b: two np.add.reduceat over the block offsets, once per graph."""
+        A, starts = self.adjacency.matrix, self.structure.offsets[:-1]
+        return np.add.reduceat(np.add.reduceat(A.real**2 + A.imag**2, starts, axis=0), starts, axis=1)
 
 
 def edge_indicator(G: QuantumGraph) -> TensorElement:
@@ -251,17 +258,10 @@ def adjacency_from_indicator(
 def quantum_sources_sinks(
     G: QuantumGraph, tol: float = DEFAULT_TOL
 ) -> tuple[list[int], list[int]]:
-    """Indices of source blocks (in ker A) and sink blocks (orthogonal to ran A)."""
-    st = G.structure
-    A = G.adjacency.matrix
-    sources, sinks = [], []
-    for a in range(st.num_blocks):
-        lo, hi = st.offsets[a], st.offsets[a + 1]
-        if np.linalg.norm(A[:, lo:hi]) <= tol:
-            sources.append(a)
-        if np.linalg.norm(A[lo:hi, :]) <= tol:
-            sinks.append(a)
-    return sources, sinks
+    """Indices of source blocks (in ker A) and sink blocks (orthogonal to ran A),
+    read off `QuantumGraph.block_sq`."""
+    on, into = (np.sqrt(G.block_sq.sum(axis=k)) for k in (0, 1))
+    return np.flatnonzero(on <= tol).tolist(), np.flatnonzero(into <= tol).tolist()
 
 
 def adjoint_map(A: LinearMapOnB, psi: DeltaState) -> LinearMapOnB:
@@ -273,27 +273,49 @@ def adjoint_map(A: LinearMapOnB, psi: DeltaState) -> LinearMapOnB:
     return LinearMapOnB(A.structure, mat)
 
 
-def _unit_chunks(count: int, entries_per_unit: int, source: np.ndarray):
-    """Slices of `count` source units, each forming at most _CHUNK_ENTRIES entries,
-    each with the positions of the triples of m whose `source` index it holds."""
-    step = max(1, _CHUNK_ENTRIES // max(1, entries_per_unit))
-    for lo in range(0, count, step):
-        yield slice(lo, lo + step), np.flatnonzero((lo <= source) & (source < lo + step))
+def _product_norms(st: BlockStructure, L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """[s, q] = ||L[s] R[q]||^2 for stacks L, R of complex coordinate vectors of B.
+
+    Per size group of blocks one batched matmul [s][i, k] @ [k, (q, j)] over
+    the group's blocks, then a squared-norm reduction over the blocks and
+    (i, j), in chunks of s that each form at most _CHUNK_ENTRIES entries.  On
+    blocks of size 1 it is |L|^2 |R|^2^T, a sum of nonnegative terms.  Each
+    product is one N x N by N x (N len(R)) matmul: a single (len(L) N) x N one
+    would cross BLAS's threading threshold on small structures, where waking
+    its threads costs more than the product.
+    """
+    out = np.zeros((len(L), len(R)))
+    for n, blocks, _, index in st.size_groups:
+        x, y = L[:, index], R[:, index]
+        if n == 1:
+            out += (x.real**2 + x.imag**2) @ (y.real**2 + y.imag**2).T
+            continue
+        g = len(blocks)
+        x = x.reshape(len(L), g, n, n).transpose(1, 0, 2, 3)  # [c, s, i, k]
+        y = y.reshape(len(R), g, n, n).transpose(1, 2, 0, 3).reshape(g, 1, n, len(R) * n)  # [c, k, (q, j)]
+        step = max(1, _CHUNK_ENTRIES // (g * n * n * len(R)))
+        for lo in range(0, len(L), step):
+            P = (x[:, lo : lo + step] @ y).view(np.float64)  # [c, s, i, (q, j, re/im)]
+            np.multiply(P, P, out=P)
+            out[lo : lo + step] += np.einsum("csiqj->sq", P.reshape(g, -1, n, len(R), 2 * n))
+    return out
 
 
-def _multiplicativity_defect(st1: BlockStructure, st2: BlockStructure, images: np.ndarray) -> float:
-    """Worst Frobenius norm over unit pairs (p, q) of f(b_p b_q) - f(b_p) f(b_q), for
-    f: B1 -> B2 (x) M_h with unit images (dim1, dim2, h, h).  f(b_p b_q) is read off
-    the nonzeros of m; the (dim1, dim1, h, h, dim2) defect stack is formed in chunks of p."""
-    X = images.transpose(0, 2, 3, 1)  # X[p, k, l]: entry (k, l) of f(b_p)
-    u, p, q = st1.mul_nonzeros  # b_p b_q = b_u, each (p, q) once
-    d1, h = X.shape[:2]
-    worst = []
-    for chunk, t in _unit_chunks(d1, d1 * h**3 * st2.dim, p):
-        out = -st2.products(X[chunk, None, :, :, None], X[None, :, None]).sum(axis=3)
-        out[p[t] - chunk.start, q[t]] += X[u[t]]
-        worst.append(np.linalg.norm(out.reshape(out.shape[:2] + (-1,)), axis=-1).max())
-    return float(np.max(worst))
+def _pair_defects(st: BlockStructure, L, R, T, rows, cols, src) -> np.ndarray:
+    """[s, q] = ||T_sq - L[s] R[q]||^2 with T_sq = T[src[t]] on the pairs
+    (rows[t], cols[t]), each at most once, and 0 off them.
+
+    Off the pairs it is `_product_norms`; on them the difference is formed
+    directly, in chunks of at most _CHUNK_ENTRIES entries, and overwrites the
+    entry: expanded into Gram terms it would cancel O(1) terms to rounding.
+    """
+    out = _product_norms(st, L, R)
+    step = max(1, _CHUNK_ENTRIES // st.dim)
+    for lo in range(0, len(rows), step):
+        s, q = rows[lo : lo + step], cols[lo : lo + step]
+        diff = T[src[lo : lo + step]] - st.products(L[s], R[q])
+        out[s, q] = (diff.real**2 + diff.imag**2).sum(axis=1)
+    return out
 
 
 def homomorphism_check(G: QuantumGraph) -> dict[str, float]:
@@ -303,23 +325,20 @@ def homomorphism_check(G: QuantumGraph) -> dict[str, float]:
     (b_p b_q) . eps - b_p . eps . A(b_q); the two vanish together.  The second
     is b_p . X_q, X_q = b_q . eps - eps . A(b_q), and e_ij . moves row group
     (a, j, .) of the first leg to (a, i, .): its worst value is the worst
-    row-group norm of the (d, d, d) stack X, formed in chunks of q.
+    row-group norm of X.  Row s of X_q is -eps[s] A(b_q), except row u, which is
+    eps[r] - eps[u] A(b_q) where b_q b_r = b_u; both defects are read off
+    `_pair_defects`.
     """
     require_completely_positive(G)
     st, images = G.structure, G.adjacency.matrix.T  # images[q] = A(b_q)
     eps = edge_indicator(G).coeff
-    u, q, r = st.mul_nonzeros
-    groups = [lo + j * n for n, lo in zip(st.sizes, st.offsets) for j in range(n)]
-    shift_sq = []
-    for chunk, t in _unit_chunks(st.dim, st.dim**2, q):
-        # X[q, s]: row s (second-leg coordinates) of b_q . eps - eps . A(b_q);
-        # b_q . eps adds row r of eps to row u wherever b_q b_r = b_u
-        X = -st.products(eps, images[chunk, None])
-        X[q[t] - chunk.start, u[t]] += eps[r[t]]
-        shift_sq.append(np.add.reduceat((np.abs(X) ** 2).sum(axis=2), groups, axis=1).max())
+    u, q, r = st.mul_nonzeros  # b_q b_r = b_u
+    mult = _pair_defects(st, images, images, images, q, r, u)
+    shift = _pair_defects(st, eps, images, eps, u, q, r)  # [s, q]: ||row s of X_q||^2
+    row_groups = np.flatnonzero(st.unit_indices[2] == 0)  # (a, i, .) starts at e_i0
     return {
-        "multiplicativity": _multiplicativity_defect(st, st, images[:, :, None, None]),
-        "indicator_shift": float(np.sqrt(np.max(shift_sq))),
+        "multiplicativity": float(np.sqrt(mult.max())),
+        "indicator_shift": float(np.sqrt(np.add.reduceat(shift, row_groups, axis=0).max())),
     }
 
 
@@ -356,6 +375,20 @@ class OperatorValuedMap:
         return out
 
 
+def _block_images(theta: OperatorValuedMap) -> tuple[BlockStructure, np.ndarray]:
+    """The target B2 (x) M_h of theta as the sum over blocks b of M_{N_b h}, with
+    e_ij (x) e_kl at entry (i h + k, j h + l) of block b, and the unit images
+    of theta as coordinate vectors of that structure."""
+    h, st = theta.h, theta.target
+    sth = BlockStructure(tuple(n * h for n in st.sizes))
+    a, i, j = (x[:, None, None] for x in st.unit_indices)
+    k, l = np.arange(h)[:, None], np.arange(h)
+    pos = np.array(sth.offsets)[a] + (i * h + k) * np.array(sth.sizes)[a] + j * h + l
+    F = np.empty((theta.source.dim, sth.dim), dtype=complex)
+    F[:, pos.ravel()] = theta.images.reshape(theta.source.dim, -1)
+    return sth, F
+
+
 def quantum_isomorphism_residual(
     G1: QuantumGraph, G2: QuantumGraph, theta: OperatorValuedMap
 ) -> dict[str, float]:
@@ -377,7 +410,9 @@ def quantum_isomorphism_residual(
 
     unital = theta.apply_vec(st1.unit_vector) - st2.unit_vector[:, None, None] * eye_h
     star = imgs[st1.star_perm] - theta.star(imgs)
-    mult = _multiplicativity_defect(st1, st2, imgs)
+    sth, F = _block_images(theta)
+    u, p, q = st1.mul_nonzeros
+    mult = float(np.sqrt(_pair_defects(sth, F, F, F, p, q, u).max()))
     hom = max(float(np.linalg.norm(unital)), worst(star, 1), mult)
 
     state = np.einsum("q,pqkl->pkl", G2.psi.psi_vec, imgs) - G1.psi.psi_vec[:, None, None] * eye_h

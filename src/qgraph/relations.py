@@ -76,7 +76,7 @@ def _sq_nrm(X: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
     """Squared Frobenius norms of X (or P X P) over its last two axes, without a copy of X."""
     if P is not None:
         X = P @ X @ P
-    return sum(np.einsum("...ab,...ab->...", Y, Y) for Y in (X.real, X.imag))
+    return np.einsum("...ab,...ab->...", X.real, X.real) + np.einsum("...ab,...ab->...", X.imag, X.imag)
 
 
 def _nrm(X: np.ndarray, P: np.ndarray | None) -> np.ndarray:

@@ -6,7 +6,7 @@ from functools import cached_property
 import numpy as np
 
 import qgraph as qg
-from qgraph.correspondence import _gram_quotient, _same_base, from_spanning
+from qgraph.correspondence import GRAM_CUTOFF_RTOL, _gram_quotient, _same_base, from_spanning
 from qgraph.relations import _pair_sum
 
 
@@ -32,6 +32,16 @@ def mul_tensor(st):
                     q = st.flat_index(a, j, s)
                     M[st.flat_index(a, i, s), p, q] = 1.0
     return M
+
+
+def products_oracle(st, X, Y):
+    """Coordinates of x y for stacks X, Y (..., dim), one matmul per block."""
+    out = []
+    for n, lo in zip(st.sizes, st.offsets):
+        x, y = (Z[..., lo : lo + n * n].reshape(*Z.shape[:-1], n, n) for Z in (X, Y))
+        xy = x @ y
+        out.append(xy.reshape(*xy.shape[:-2], n * n))
+    return np.concatenate(out, axis=-1)
 
 
 def comult_tensor(psi):
@@ -159,8 +169,10 @@ def unit_orbit(M, xi):
 
 
 def orbit_span_rank(M, xi):
-    """Dimension of B . xi . B in the normal form M: the number of
-    scalar-orthonormal rows `from_spanning` finds for the whole unit orbit.
+    """Dimension of B . xi . B in the normal form M: the rank of the whole unit
+    orbit, its singular values cut at GRAM_CUTOFF_RTOL times the largest.  They
+    are linear in xi; the eigenvalues of the orbit's Gram, which `from_spanning`
+    cuts, are their squares and lose directions below about 1e-5 of the largest.
 
     Row b_p . xi . b_q is divided by the factor sqrt(w_c[t] / w_c[l]) with
     which b_q = e_lt of block c acts on the right.  That leaves the span as
@@ -169,7 +181,8 @@ def orbit_span_rank(M, xi):
     skewed states the weights alone pushed genuine rows under it."""
     undo = np.sqrt(M.psi.weight_of_row / M.psi.gram_diag)  # indexed by q, rows are p * dim + q
     rows = unit_orbit(M, xi) * np.tile(undo, M.structure.dim)[:, None]
-    return len(from_spanning(np.eye(M.size), rows))
+    svals = np.linalg.svd(rows, compute_uv=False)
+    return int(np.count_nonzero(svals > GRAM_CUTOFF_RTOL * max(svals.max(initial=0.0), 1e-300)))
 
 
 def quotient(ambient, spanning):

@@ -7,6 +7,8 @@ import qgraph as qg
 
 # block sizes with dim B <= 9, so loop oracles over unit pairs stay quick
 SMALL_SIZES = [(1,), (2,), (3,), (1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 1, 2)]
+# repeated sizes whose blocks are not contiguous, so a size group is gathered, dim B <= 19
+SCATTERED_SIZES = [(1, 2, 1, 3, 2), (1,) * 9, (3, 1, 3), (2, 1, 2), (1, 2, 1)]
 
 
 @st_.composite

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
+from strategies import SCATTERED_SIZES
 from oracles import (
     comultiply_adjoint_oracle,
     left_mul,
@@ -9,6 +12,7 @@ from oracles import (
     mul_tensor,
     multiply_down,
     partial_psi_left,
+    products_oracle,
     right_mul,
     right_mult_matrix,
     unflatten,
@@ -100,6 +104,65 @@ class TestBlockStructure:
         x, y = random_element(st), random_element(st)
         assert np.allclose(left_mult_matrix(st, x.vec) @ y.vec, (x * y).vec)
         assert np.allclose(right_mult_matrix(st, y.vec) @ x.vec, (x * y).vec)
+
+
+layouts = st_.one_of(
+    st_.sampled_from(SCATTERED_SIZES), st_.lists(st_.integers(1, 4), min_size=1, max_size=7).map(tuple)
+)
+
+
+class TestProducts:
+    @given(sizes=layouts, seed=st_.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_block_loop(self, sizes, seed):
+        # a block of size N > 1 is one matmul, as in the loop, bit for bit; a
+        # block of size 1 is the elementwise product, which a 1 x 1 matmul
+        # through BLAS can miss in the last bit
+        st = qg.BlockStructure(sizes)
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(3, 1, st.dim)) + 1j * rng.normal(size=(3, 1, st.dim))
+        Y = rng.normal(size=(2, st.dim)) + 1j * rng.normal(size=(2, st.dim))
+        got, want = st.products(X, Y), products_oracle(st, X, Y)
+        assert got.shape == want.shape == (3, 2, st.dim) and got.dtype == want.dtype
+        ones = np.repeat(np.array(st.sizes) == 1, np.square(st.sizes))
+        assert got[..., ~ones].tobytes() == want[..., ~ones].tobytes()
+        assert got[..., ones].tobytes() == (X * Y)[..., ones].tobytes()
+        scale = np.abs(X) * np.abs(Y)
+        assert np.all(np.abs(got - want)[..., ones] <= 4e-16 * scale[..., ones])
+        # a real 1 x 1 product has no sum to fuse: real stacks match on every block
+        assert np.array_equal(st.products(X.real, Y.real), products_oracle(st, X.real, Y.real))
+
+    @given(sizes=layouts)
+    @settings(max_examples=40, deadline=None)
+    def test_size_groups_partition_the_coordinates(self, sizes):
+        st = qg.BlockStructure(sizes)
+        groups = st.size_groups
+        assert [g.size for g in groups] == sorted(set(sizes))
+        assert sorted(np.concatenate([g.blocks for g in groups]).tolist()) == list(range(len(sizes)))
+        coords = np.concatenate([g.coords.ravel() for g in groups])
+        assert sorted(coords.tolist()) == list(range(st.dim))
+        for g in groups:
+            assert [sizes[a] for a in g.blocks] == [g.size] * len(g.blocks)
+            assert np.array_equal(np.arange(st.dim)[g.index], g.coords.ravel())
+            contiguous = np.array_equal(np.diff(g.coords.ravel()), np.ones(g.coords.size - 1))
+            assert isinstance(g.index, slice) == contiguous
+
+    @pytest.mark.parametrize("sizes", [(5,), (1,) * 25, (1, 1, 2, 2)])
+    def test_reads_contiguous_groups_without_a_copy(self, sizes):
+        # a single size group (one block, or all of size 1) and contiguous groups
+        # are read as views: besides the output, only the products of the groups
+        st = qg.BlockStructure(sizes)
+        X = RNG.normal(size=(400, st.dim)) + 1j * RNG.normal(size=(400, st.dim))
+        Y = RNG.normal(size=(400, st.dim)) + 1j * RNG.normal(size=(400, st.dim))
+        st.products(X[:1], Y[:1])  # caches the size groups
+        tracemalloc.start()
+        try:
+            out = st.products(X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        limit = out.nbytes if len(st.size_groups) == 1 else 2 * out.nbytes
+        assert peak <= limit + 4096
 
 
 class TestDeltaForm:

@@ -156,6 +156,17 @@ class TestEdgeCorrespondence:
         assert E.mult[2, 0] == 2
         assert E.size == cp_model_dim(G) == 28
 
+    def test_skewed_draw_generates_its_whole_module(self):
+        # the same draw: its generator spans all 28 dimensions, which a cut on
+        # the eigenvalues of Xi* Xi, the squares, read as 26 (NotGenerating);
+        # recognize goes on to the Schur gate, which this map fails
+        psi = qg.validate_delta_form([1, 1, 2], [[1 / 6], [1 / 6], [1 / 3, 1 / 3]])
+        G = qg.QuantumGraph(psi.structure, psi, random_cp_map(psi, np.random.default_rng(55670030)))
+        E = qg.build_edge_correspondence(G)
+        assert qgraph.correspondence._cyclic_dim(E, E.generator) == orbit_span_rank(E, E.generator) == E.size == 28
+        with pytest.raises(qg.NotQuantumAdjacency, match="Schur idempotency"):
+            qg.recognize(E.generator, psi, module=E)
+
     def test_inner_product_positivity(self, graph_complete_m2):
         E = qg.build_edge_correspondence(graph_complete_m2)
         st = graph_complete_m2.structure
@@ -437,15 +448,15 @@ class TestRecognition:
     @given(
         psi=delta_states(),
         kind=st_.sampled_from(["complete", "trivial"]),
-        vector=st_.sampled_from(["eps", "fii_eps", "eps_cut", "eps_faint"]),
+        vector=st_.sampled_from(["eps", "fii_eps", "eps_cut", "eps_faint", "eps_tiny"]),
         pick=st_.integers(0, 2**16),
     )
     @settings(max_examples=40, deadline=None)
     def test_module_dim_matches_the_orbit_oracle(self, psi, kind, vector, pick):
         # the span of the d^2 orbit rows b_p . xi . b_q against the per-pair
-        # ranks, on eps and on three rank-deficient vectors: f_ii . eps for a
-        # drawn unit, and eps zeroed on a drawn block pair or scaled by 1e-7
-        # there, below the one relative cut that both take over all pairs
+        # ranks, on eps, on f_ii . eps for a drawn unit, and on eps zeroed on a
+        # drawn block pair or scaled there by 1e-7, above the one relative cut
+        # on singular values that both take over all pairs, or by 1e-12, below it
         G = qg.complete_graph(psi) if kind == "complete" else qg.trivial_graph(psi)
         T = qg.psi_tensor_module(psi)
         out = qg.recognize(qg.edge_indicator(G), psi)
@@ -461,7 +472,7 @@ class TestRecognition:
             start = _layout(E.structure, E.mult)[-1]
             pair = np.flatnonzero(np.diff(start))[pick % np.count_nonzero(E.mult)]
             on_pair = (np.arange(E.size) >= start[pair]) & (np.arange(E.size) < start[pair + 1])
-            v = np.where(on_pair, 0.0 if vector == "eps_cut" else 1e-7 * v, v)
+            v = np.where(on_pair, {"eps_cut": 0.0, "eps_faint": 1e-7, "eps_tiny": 1e-12}[vector] * v, v)
         want = orbit_span_rank(E, v)
         if want < E.size:
             with pytest.raises(qg.NotGenerating, match=f"a {want}-dimensional submodule"):

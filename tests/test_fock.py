@@ -32,7 +32,7 @@ from oracles import (
     right_act,
     left_act,
 )
-from strategies import delta_states, quantum_graphs
+from strategies import SCATTERED_SIZES, delta_states, quantum_graphs
 
 import qgraph as qg
 import qgraph.correspondence
@@ -297,7 +297,11 @@ def reconstructed_eps(G, E):
     generator and the multiplicity bases, whose columns must be orthonormal
     for the weights w_a[j]."""
     st = G.structure
-    bases, _ = multiplicity_spaces(G)
+    bases = {
+        (a, b): u[:, :m]
+        for pairs, ranks, U in multiplicity_spaces(G)[0]
+        for (a, b), m, u in zip(pairs.tolist(), ranks.tolist(), U)
+    }
     eps = np.zeros((st.dim, st.dim), dtype=complex)
     pos = 0
     for a, na in enumerate(st.sizes):
@@ -313,6 +317,42 @@ def reconstructed_eps(G, E):
             eps[lo : lo + na * na, hi : hi + nb * nb] = slab.reshape(na * na, nb * nb)
     assert pos == E.size
     return eps
+
+
+class TestMultiplicitySpaces:
+    """M and eps from the per-group bases (pairs, ranks, U): on classical graphs
+    every slab is 1 x 1, s = |y| and U = 1; M[a, b] is adj[b, a]."""
+
+    @given(adj=st_.integers(1, 8).flatmap(lambda n: st_.lists(st_.sampled_from([0, 1]), min_size=n * n, max_size=n * n)))
+    @settings(max_examples=30, deadline=None)
+    def test_classical_graphs(self, adj):
+        n = int(round(len(adj) ** 0.5))
+        adj = np.reshape(adj, (n, n))
+        adj[:, n // 2] = 0  # a source, and a sink when n > 1
+        adj[n - 1, :] = 0
+        G = qg.classical_graph(adj)
+        E = qg.build_edge_correspondence(G)
+        assert np.array_equal(E.mult, adj.T) and E.size == adj.sum()
+        for pairs, ranks, U in multiplicity_spaces(G)[0]:
+            assert U.shape == (len(pairs), 1, 1) and np.array_equal(ranks, adj[pairs[:, 1], pairs[:, 0]])
+        assert close(reconstructed_eps(G, E), qg.edge_indicator(G).coeff)
+
+    def test_edgeless_graph(self):
+        # every slab is 0: s = 0, rank 0, and E is the zero module
+        G = qg.classical_graph(np.zeros((5, 5), dtype=int))
+        bases, gen = multiplicity_spaces(G)
+        assert gen.shape == (0,) and all(not ranks.any() for _, ranks, _ in bases)
+        E = qg.build_edge_correspondence(G)
+        assert not E.mult.any() and E.size == 0
+        assert not reconstructed_eps(G, E).any()
+
+    @given(drawn=quantum_graphs(SCATTERED_SIZES))
+    @settings(max_examples=10, deadline=None)
+    def test_scattered_size_groups(self, drawn):
+        G, rank = drawn
+        E = qg.build_edge_correspondence(G)
+        assert np.array_equal(E.mult, rank)
+        assert close(reconstructed_eps(G, E), qg.edge_indicator(G).coeff)
 
 
 def assert_matches_dense_oracle(F, D):

@@ -34,7 +34,7 @@ from oracles import (
     right_mul,
     tensor_square_module,
 )
-from strategies import delta_states
+from strategies import SCATTERED_SIZES, delta_states, quantum_graphs
 
 import qgraph as qg
 from qgraph.graphs import (
@@ -286,7 +286,7 @@ class TestHomomorphism:
         assert peak < 16 * d**4
 
     def test_forms_its_d3_stacks_in_chunks(self, trivial_m16):
-        # whole, the stacks X and mult would be 256 MiB each
+        # whole, each matmul of pairwise products [(s, i), (q, j)] would be 256 MiB
         qg.homomorphism_check(trivial_m16)  # caches the Choi verdict and m's triples
         rep, peak = traced_peak(lambda: qg.homomorphism_check(trivial_m16))
         assert rep == {"multiplicativity": 0.0, "indicator_shift": 0.0}
@@ -308,15 +308,32 @@ class TestHomomorphism:
                 for G1, G2, theta in (random, trivial)
             ]
 
-        whole = reports()
+        products = qg.BlockStructure.products
+        calls = []
+        monkeypatch.setattr(qg.BlockStructure, "products", lambda *args: calls.append(1) or products(*args))
+        whole, whole_calls = reports(), len(calls)
         monkeypatch.setattr(qg.graphs, "_CHUNK_ENTRIES", 1)
         chunked = reports()
+        # one triple of m per chunk: each of the 3 checks per report set multiplies
+        # its sum N_a^3 = 9 triples one by one
+        assert whole_calls == 2 * 3 and len(calls) - whole_calls == 2 * 3 * 9
         assert all(value > 1e-6 for value in whole[0].values())
         assert whole[1]["multiplicativity"] == whole[1]["homomorphism"] == 0.0
         for got, want in zip(chunked, whole, strict=True):
             assert got.keys() == want.keys()
             for key, value in want.items():
                 assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-300), key
+
+    def test_classical_200_in_bounded_memory(self):
+        # C^200: a few (d, d) tables of pairwise norms (3.1 MiB measured), where
+        # one chunk of the (d, d, d) stack of unit-pair products took 16 MiB
+        adj = np.roll(np.eye(200, dtype=int), 1, axis=0)
+        adj[:, 0] = 1
+        G = qg.classical_graph(adj)
+        qg.homomorphism_check(G)  # caches the Choi verdict, the indicator and m's triples
+        rep, peak = traced_peak(lambda: qg.homomorphism_check(G))
+        assert rep["multiplicativity"] > 0.1 and rep["indicator_shift"] > 0.1
+        assert peak < 16 * 8 * 200**2
 
     def test_automorphism_is_multiplicative(self, graph_swap, graph_trivial_m2):
         for G in (graph_swap, graph_trivial_m2):
@@ -449,6 +466,37 @@ def quantum_isomorphism_oracle(G1, G2, theta):
         lhs = np.einsum("rq,qkl->rkl", G2.adjacency.matrix, ip)
         adj = max(adj, np.linalg.norm(lhs - theta.apply_vec(G1.adjacency.matrix[:, p])))
     return {"homomorphism": hom, "state_covariance": state, "adjacency_covariance": adj}
+
+
+def assert_pair_defects_match(G, rng):
+    """homomorphism_check and quantum_isomorphism_residual against the loops over unit pairs."""
+    st = G.structure
+    got = qg.homomorphism_check(G)
+    for key, want in homomorphism_oracle(G).items():
+        assert abs(got[key] - want) <= 1e-12 * max(1.0, want), key
+    images = rng.normal(size=(st.dim, st.dim, 2, 2)) + 1j * rng.normal(size=(st.dim, st.dim, 2, 2))
+    theta = qg.OperatorValuedMap(st, st, images)
+    got = qg.quantum_isomorphism_residual(G, G, theta)
+    for key, want in quantum_isomorphism_oracle(G, G, theta).items():
+        assert abs(got[key] - want) <= 1e-12 * max(1.0, want), key
+
+
+class TestPairwiseDefects:
+    """The unit-pair checks from pairwise norms plus m's triples, on size groups
+    that are gathered from blocks that are not contiguous."""
+
+    @given(drawn=quantum_graphs(SCATTERED_SIZES), seed=st_.integers(0, 2**32 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_quantum_graphs(self, drawn, seed):
+        assert_pair_defects_match(drawn[0], np.random.default_rng(seed))
+
+    @given(psi=delta_states(SCATTERED_SIZES), seed=st_.integers(0, 2**32 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_random_cp_maps(self, psi, seed):
+        rng = np.random.default_rng(seed)
+        G = qg.QuantumGraph(psi.structure, psi, random_cp_map(psi, rng))  # skips the Schur gate on purpose
+        assert min(qg.homomorphism_check(G).values()) > 1e-6
+        assert_pair_defects_match(G, rng)
 
 
 class TestBatchedFormsMatchLoops:
