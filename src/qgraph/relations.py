@@ -8,7 +8,9 @@ in closed form from its slabs, in `qgraph.fock`.
 
 Contractions against m* run over the sum_a N_a^3 triples of
 `BlockStructure.mul_nonzeros` only (`_pair_sum`): m*(e_ij) has the weight
-1/w_k on e_ik (x) e_kj, and no d^3 array of coefficients is formed.
+1/w_k on e_ik (x) e_kj, and no d^3 array of coefficients is formed.  LQCK1/2's
+(d, d) pair tables take one GEMM per chunk of rows and subtract the m-term on
+those triples only, a compression applied to the factors (`_defect_table`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graphs
 from .blocks import BlockStructure, DeltaState
 from .errors import NotClassical, ShapeMismatch
 from .graphs import QuantumGraph
@@ -48,11 +51,13 @@ class CKFamily:
         return np.conj(np.swapaxes(self.images[structure.star_perm], -1, -2))
 
 
-def _check_family(s: CKFamily, G: QuantumGraph) -> None:
+def _check_family(s: CKFamily, G: QuantumGraph, compression: np.ndarray | None) -> None:
     if s.images.shape[0] != G.structure.dim:
         raise ShapeMismatch(
             f"family has {s.images.shape[0]} unit images, graph needs {G.structure.dim}"
         )
+    if compression is not None and np.shape(compression) != (s.k, s.k):
+        raise ShapeMismatch(f"compression has shape {np.shape(compression)}, family needs ({s.k}, {s.k})")
 
 
 def _pair_sum(psi: DeltaState, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -67,9 +72,36 @@ def _pair_sum(psi: DeltaState, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.add.reduceat(terms, np.unique(u, return_index=True)[1])
 
 
-def _products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """out[u, v] = X[u] @ Y[v], as one matmul."""
-    return np.tensordot(X, Y, axes=(2, 1)).transpose(0, 2, 1, 3)
+def _psi_t(G: QuantumGraph, S: np.ndarray, Ss: np.ndarray, P: np.ndarray | None):
+    """psi_t = mu(s x s*)m*, its image Y[u] = sum_v A[v, u] psi_t[v] under A, and
+    the squared QCK3 = LQCK3 defect ||psi_t(1) - delta^-2 1||^2."""
+    psi_t = _pair_sum(G.psi, S, Ss)
+    Y = np.tensordot(G.adjacency.matrix, psi_t, axes=(0, 0))
+    q3 = np.einsum("u,uac->ac", G.structure.unit_vector, psi_t)
+    return psi_t, Y, _sq_nrm(q3 - np.eye(S.shape[-1]) / G.delta_sq, P)
+
+
+def _defect_table(st: BlockStructure, L, R, T, c: float, P: np.ndarray | None) -> np.ndarray:
+    """[u, v] = ||P(L[u] R[v] - c T[w])P||^2, the m-term c T[w] only where b_u b_v = b_w.
+
+    Each chunk of rows u is one GEMM against R, read once as a (k, d k) matrix,
+    into a (chunk, k, d, k) buffer of at most graphs._CHUNK_ENTRIES entries;
+    c T[w] is subtracted in place on the chunk's triples of `mul_nonzeros`, and
+    the squares of its float64 view are summed over (a, c, re/im).
+    """
+    if P is not None:  # P(XY - Z)P = (PX)(YP) - PZP
+        L, R, T = P @ L, R @ P, P @ T @ P
+    (d, k, _), (w, left, right) = R.shape, st.mul_nonzeros
+    R = R.transpose(1, 0, 2).reshape(k, d * k)
+    out = np.empty((d, d))
+    step = max(1, graphs._CHUNK_ENTRIES // (d * k * k))
+    for lo in range(0, d, step):
+        buf = (L[lo : lo + step].reshape(-1, k) @ R).reshape(-1, k, d, k)
+        t = np.flatnonzero((lo <= left) & (left < lo + step))
+        buf[left[t] - lo, :, right[t], :] -= c * T[w[t]]
+        f = buf.view(np.float64)
+        out[lo : lo + step] = np.einsum("uavc,uavc->uv", f, f)
+    return out
 
 
 def _sq_nrm(X: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
@@ -92,24 +124,12 @@ def qck_residuals(
     QCK2: mu(s* x s)m* = mu(s x s*)m*A
     QCK3: mu(s x s*)m*(1) = delta^-2 1
     """
-    _check_family(s, G)
-    st, psi = G.structure, G.psi
-    S = s.images
-    Ss = s.star_images(st)
-    A = G.adjacency.matrix
-    P = compression
-
-    psi_t = _pair_sum(psi, S, Ss)
-    q1 = _pair_sum(psi, psi_t, S)
-    r1 = float(_nrm(q1 - S, P).max())
-
-    lhs2 = _pair_sum(psi, Ss, S)
-    rhs2 = np.einsum("vu,vac->uac", A, psi_t, optimize=True)
-    r2 = float(_nrm(lhs2 - rhs2, P).max())
-
-    q3 = np.einsum("u,uac->ac", st.unit_vector, psi_t)
-    r3 = float(_nrm(q3 - np.eye(s.k) / G.delta_sq, P))
-    return {"qck1": r1, "qck2": r2, "qck3": r3}
+    _check_family(s, G, compression)
+    S, Ss, P = s.images, s.star_images(G.structure), compression
+    psi_t, rhs2, n3 = _psi_t(G, S, Ss, P)
+    r1 = float(_nrm(_pair_sum(G.psi, psi_t, S) - S, P).max())
+    r2 = float(_nrm(_pair_sum(G.psi, Ss, S) - rhs2, P).max())
+    return {"qck1": r1, "qck2": r2, "qck3": float(np.sqrt(n3))}
 
 
 def lqck_residuals(
@@ -117,33 +137,22 @@ def lqck_residuals(
 ) -> dict[str, float]:
     """Residuals of the local relations LQCK1-3, maximized over all d^2
     adapted-unit pairs (f_u, f_v): a general family need not vanish on the
-    pairs with b_u b_v = 0, where the m-terms are 0.
+    pairs with b_u b_v = 0, where the m-terms are 0.  LQCK1/2 take one GEMM per
+    chunk of rows u, the m-term subtracted on the sum_a N_a^3 triples of m only
+    and a compression P applied to the factors, P(XY - Z)P = (PX)(YP) - PZP.
 
     LQCK1: mu(mu x 1)(s x s* x s)(m* x 1) = delta^-2 s m
     LQCK2: mu(s* x s) = delta^-2 mu(s x s*)m*Am
     LQCK3: mu(s x s*)m*(1) = delta^-2 1
     """
-    _check_family(s, G)
-    st, P = G.structure, compression
+    _check_family(s, G, compression)
+    st, P, c = G.structure, compression, 1.0 / G.delta_sq
     S, Ss = s.images, s.star_images(st)
-    psi_t = _pair_sum(G.psi, S, Ss)
-    target, left, right = st.mul_nonzeros
-    w = np.full((st.dim, st.dim), -1)  # [u, v]: b_u b_v = b_w, or -1 where b_u b_v = 0
-    w[left, right] = target
-    m_scale = (w >= 0)[..., None, None] / G.delta_sq  # delta^-2, or 0 where w = -1
+    psi_t, Y, n3 = _psi_t(G, S, Ss, P)
     scale_sq = G.psi.weight_of_row * G.psi.gram_diag  # f_u = b_u / sqrt(scale_sq[u])
     pair_scale = scale_sq[:, None] * scale_sq
-
-    def sq_defect(product, X):  # ||product[u, v] - delta^-2 X[w]||^2 at (f_u, f_v), in the one new array X[w]
-        diff = X[w]
-        diff *= m_scale
-        return _sq_nrm(np.subtract(product, diff, out=diff), P) / pair_scale
-
-    n1 = sq_defect(_products(psi_t, S), S)
-    Y = np.tensordot(G.adjacency.matrix, psi_t, axes=(0, 0))  # Y[w] = sum_v A[v, w] psi_t[v]
-    n2 = sq_defect(_products(Ss, S), Y)
-    q3 = np.einsum("u,uac->ac", st.unit_vector, psi_t)
-    n3 = _sq_nrm(q3 - np.eye(s.k) / G.delta_sq, P)
+    n1 = _defect_table(st, psi_t, S, S, c, P) / pair_scale
+    n2 = _defect_table(st, Ss, S, Y, c, P) / pair_scale
     return {f"lqck{i}": float(np.sqrt(np.max(n))) for i, n in enumerate((n1, n2, n3), start=1)}
 
 
@@ -168,7 +177,7 @@ def classical_reduction(
     relation pairs S_i*S_i with the i-th column of the adjacency map's
     coordinate matrix (the edges into vertex i under A's action).
     """
-    _check_family(s, G)
+    _check_family(s, G, compression)
     N = _require_classical(G)
     P = compression
     A = G.adjacency.matrix.real

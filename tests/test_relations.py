@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,22 @@ class TestCKFamily:
         fam = qg.CKFamily(1, np.zeros((4, 1, 1)))
         with pytest.raises(qg.ShapeMismatch):
             qg.qck_residuals(fam, graph_3cycle)
+
+    @pytest.mark.parametrize("bad", ["larger", "one_row"])
+    @pytest.mark.parametrize(
+        "residuals",
+        [
+            qg.qck_residuals,
+            qg.lqck_residuals,
+            lambda s, G, compression: qg.classical_reduction(G, s, compression=compression),
+        ],
+        ids=["qck", "lqck", "classical"],
+    )
+    def test_compression_must_be_k_by_k(self, residuals, bad):
+        G, s = two_cycle_family()
+        P = {"larger": np.eye(s.k + 1), "one_row": np.eye(s.k)[:1]}[bad]
+        with pytest.raises(qg.ShapeMismatch, match="compression"):
+            residuals(s, G, compression=P)
 
 
 class TestZeroFamily:
@@ -203,6 +221,43 @@ class TestLocalGlobalAgreement:
     def test_report_holds_the_local_relations_only(self, graph_trivial_m2):
         fam = qg.CKFamily.zero(graph_trivial_m2.structure, k=1)
         assert sorted(qg.lqck_residuals(fam, graph_trivial_m2)) == ["lqck1", "lqck2", "lqck3"]
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_one_row_per_chunk_gives_the_same_values(self, monkeypatch, compress):
+        # a family 1e-3 off the canonical one on trivial M_2 + M_1 (d = 5, k = 6):
+        # every m-term is O(1), and the largest adapted-unit defects lie on the
+        # last row u, the unit of M_1, whose weight 1/6 is the smallest
+        psi = qg.validate_delta_form([2, 1], [[(5 + ROOT5) / 12, (5 - ROOT5) / 12], [1 / 6]])
+        rng = np.random.default_rng(7)
+        u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        fam = qg.canonical_lqck_family("trivial", psi, u=u)
+        noise = rng.normal(size=fam.images.shape) + 1j * rng.normal(size=fam.images.shape)
+        fam = qg.CKFamily(fam.k, fam.images + 1e-3 * noise)
+        G = qg.trivial_graph(psi)
+        P = np.diag(rng.integers(0, 2, size=fam.k).astype(float)) if compress else None
+        whole = qg.lqck_residuals(fam, G, compression=P)
+        monkeypatch.setattr(qg.graphs, "_CHUNK_ENTRIES", 1)  # one row u per GEMM
+        chunked = qg.lqck_residuals(fam, G, compression=P)
+        for key, want in whole.items():
+            assert want > 1e-6, key
+            assert chunked[key] == pytest.approx(want, rel=1e-14, abs=0), key
+
+    def test_pair_tables_in_bounded_memory(self):
+        # trivial M_8 twisted by a random 4 x 4 unitary: d = 64, k = 32.  A d^2 k^2
+        # stack of all pair products takes 64 MiB; the chunked tables stay below one.
+        psi = qg.validate_delta_form([8], [[1 / 8] * 8])
+        rng = np.random.default_rng(8)
+        u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        fam = qg.canonical_lqck_family("trivial", psi, u=u)
+        G = qg.trivial_graph(psi)
+        tracemalloc.start()
+        try:
+            rep = qg.lqck_residuals(fam, G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(rep.values()) < 1e-12
+        assert peak < 64 * 2**20
 
     def test_identity_compression_matches_none(self, graph_trivial_m2):
         fam = qg.canonical_lqck_family("trivial", graph_trivial_m2.psi)
