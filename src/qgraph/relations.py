@@ -38,6 +38,8 @@ class CKFamily:
 
     def __post_init__(self):
         images = np.asarray(self.images, dtype=complex)
+        if self.k < 1:
+            raise ShapeMismatch(f"family size k = {self.k} is not at least 1")
         if images.ndim != 3 or images.shape[1:] != (self.k, self.k):
             raise ShapeMismatch(f"family images have shape {images.shape}")
         object.__setattr__(self, "images", images)

@@ -1,31 +1,43 @@
 """JSON file formats for graphs and relation families.
 
-Complex numbers are stored as [re, im] pairs; graph files carry block
-sizes, per-block state weights, and the adjacency matrix on canonical
-coordinates.  Files are written as compact JSON and read in any layout;
-every finite float round-trips bit-exactly.  A save with a NaN or infinite
-part raises WriteError and writes nothing.  A ParseError refuses a file
-that is not UTF-8, not JSON or nested too deep to decode, and a matrix
-whose parts are not finite JSON numbers within float range, whose pairs
-do not hold two parts, or whose rows or images are ragged.
+Complex numbers are stored as [re, im] pairs; graph files carry block sizes,
+per-block state weights, and the adjacency matrix on canonical coordinates.
+A matrix is dense nested pairs or the sparse {"shape", "index", "values"}
+object, whose strictly increasing C-order flat `index` names each entry not
++0.0.  Families, mostly zero, are written sparse; graphs dense, as graph
+readers expect.  Files are written as compact JSON and read in any layout;
+every finite float, -0.0 included, round-trips bit-exactly.  A save with a
+NaN or infinite part raises WriteError and writes nothing.  A ParseError
+refuses a file that is not UTF-8, not JSON or nested too deep to decode, a
+matrix whose parts are not finite JSON numbers within float range, whose
+pairs do not hold two parts or whose rows or images are ragged, and a sparse
+object with a bad key, shape or index; one past memory is a BudgetExceeded.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from itertools import chain
 
 import numpy as np
 
 from .blocks import validate_delta_form
-from .errors import ParseError, WriteError
+from .errors import BudgetExceeded, ParseError, WriteError
 from .graphs import LinearMapOnB, QuantumGraph
 from .relations import CKFamily
 
 
 def _matrix_to_pairs(mat: np.ndarray) -> list:
     return np.stack([mat.real, mat.imag], -1).tolist()
+
+
+def _matrix_to_nonzeros(mat: np.ndarray) -> dict:
+    """The sparse form of `mat`: each entry not +0.0 in both parts' bits, so -0.0 and subnormals stay."""
+    flat = np.ascontiguousarray(mat, dtype=complex).reshape(-1)
+    index = np.flatnonzero(flat.view(np.uint64).reshape(-1, 2).any(axis=1))
+    return {"shape": list(mat.shape), "index": index.tolist(), "values": _matrix_to_pairs(flat[index])}
 
 
 def _pairs_to_matrix(value, shape: tuple[int, ...]) -> np.ndarray:
@@ -52,6 +64,42 @@ def _pairs_to_matrix(value, shape: tuple[int, ...]) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ParseError("matrix has a NaN or infinite entry")
     return arr.view(complex).reshape(shape)
+
+
+def _json_ints(value, what: str) -> np.ndarray:
+    """A list of JSON integers, neither bools nor floats, as an int64 array."""
+    if not isinstance(value, list) or set(map(type, value)) - {int}:
+        raise ParseError(f"{what} is not a list of integers")
+    try:
+        return np.array(value, dtype=np.int64)
+    except OverflowError as exc:
+        raise ParseError(f"{what} holds an integer past int64: {exc}") from exc
+
+
+def _read_matrix(value, shape: tuple, what: str) -> np.ndarray:
+    """A complex array of `shape`, whose first entry None is any length >= 1, from
+    dense nested pairs or from the sparse object, sized before it is allocated."""
+    if isinstance(value, list):
+        if shape[0] is None and not value:
+            raise ParseError(f"{what} has no entries")
+        return _pairs_to_matrix(value, (len(value), *shape[1:]) if shape[0] is None else shape)
+    if not isinstance(value, dict) or sorted(value) != ["index", "shape", "values"]:
+        raise ParseError(f"{what} is neither nested [re, im] lists nor a shape, index, values object")
+    dims = _json_ints(value["shape"], f"{what} shape").tolist()
+    index = _json_ints(value["index"], f"{what} index")
+    if len(dims) != len(shape) or any(g < 1 if n is None else g != n for g, n in zip(dims, shape)):
+        raise ParseError(f"{what} shape {dims} is not {['n >= 1' if n is None else n for n in shape]}")
+    size = math.prod(dims)
+    try:  # an array past the machine's memory fails as its allocation would
+        if 16 * size > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+            raise MemoryError
+        out = np.zeros(dims, dtype=complex)
+    except MemoryError:
+        raise BudgetExceeded(f"{what} of shape {dims} needs {16 * size} bytes, past physical memory") from None
+    if index.size and (index[0] < 0 or index[-1] >= size or (np.diff(index) <= 0).any()):
+        raise ParseError(f"{what} index is not strictly increasing within [0, {size})")
+    np.put(out, index, _pairs_to_matrix(value["values"], (index.size,)))
+    return out
 
 
 def _json_number(value, what: str) -> int | float:
@@ -131,7 +179,7 @@ def parse_graph_document(doc: dict, tol: float = 1e-9) -> tuple[QuantumGraph, fl
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad blocks/psi: {exc}") from exc
     dim = psi.structure.dim
-    matrix = _pairs_to_matrix(doc["adjacency"], (dim, dim))
+    matrix = _read_matrix(doc["adjacency"], (dim, dim), "adjacency")
     graph = QuantumGraph.build(psi, LinearMapOnB(psi.structure, matrix), tol=eff_tol)
     return graph, eff_tol
 
@@ -145,7 +193,7 @@ def save_graph(path: str, G: QuantumGraph, tol: float | None = None) -> None:
 
 
 def family_to_document(fam: CKFamily) -> dict:
-    return {"k": fam.k, "images": _matrix_to_pairs(fam.images)}
+    return {"k": fam.k, "images": _matrix_to_nonzeros(fam.images)}
 
 
 def parse_family_document(doc: dict) -> CKFamily:
@@ -155,12 +203,9 @@ def parse_family_document(doc: dict) -> CKFamily:
         if key not in doc:
             raise ParseError(f"family document missing key {key!r}")
     k = _json_int(doc["k"], "family size k")
-    images = doc["images"]
-    if not isinstance(images, list):
-        raise ParseError("family images must be a list of matrices")
-    if not images:
-        raise ParseError("family has no unit images")
-    return CKFamily(k, _pairs_to_matrix(images, (len(images), k, k)))
+    if k < 1:
+        raise ParseError(f"family size k = {k} is not at least 1")
+    return CKFamily(k, _read_matrix(doc["images"], (None, k, k), "family images"))
 
 
 def load_family(path: str) -> CKFamily:

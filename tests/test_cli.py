@@ -98,6 +98,21 @@ def write_indented(path, doc) -> None:
         fh.write("\n")
 
 
+def dense_document(obj) -> dict:
+    """The document of a graph or family as earlier versions of qgraph wrote it:
+    its matrix as dense nested [re, im] pairs."""
+    if isinstance(obj, qg.CKFamily):
+        return {"k": obj.k, "images": np.stack([obj.images.real, obj.images.imag], -1).tolist()}
+    A = obj.adjacency.matrix
+    return {**graph_to_document(obj), "adjacency": np.stack([A.real, A.imag], -1).tolist()}
+
+
+def sparse_matrix(mat) -> dict:
+    """The sparse form of `mat`, written out by hand: the nonzero entries in C order."""
+    index = np.flatnonzero(mat)
+    return {"shape": list(mat.shape), "index": index.tolist(), "values": [[z.real, z.imag] for z in mat.flat[index]]}
+
+
 def put_pair(value):
     def fault(rows):
         rows[0][1] = value
@@ -125,6 +140,48 @@ MATRIX_FAULTS = {
     "nested_pair": put_pair([[1.0, 0.0], [0.0, 0.0]]),
     "null_part": put_pair([None, 0.0]),
     "int_overflow": put_pair([10**400, 0]),  # json writes it out in 401 digits
+}
+
+
+def sparse_fault(where, **fields):
+    """A fault that sets `fields` of the sparse "adjacency" or family "images"."""
+
+    def fault(graph, fam):
+        (graph if where == "adjacency" else fam)[where].update(fields)
+
+    return fault
+
+
+def values_fault(name):
+    """The MATRIX_FAULTS fault `name` on the sparse images' values, one row of pairs."""
+    return lambda graph, fam: MATRIX_FAULTS[name]([fam["images"]["values"]])
+
+
+# Faults of the sparse documents of TestSerialization.sparse_documents: an
+# adjacency of shape [2, 2], index [0, 1, 2, 3], and k = 1 images of shape
+# [2, 1, 1], index [0, 1].  Each would be read, or end untyped, without its check.
+SPARSE_FAULTS = {
+    "extra_key": sparse_fault("images", dtype="complex"),
+    "missing_key": lambda graph, fam: fam["images"].pop("values"),
+    "k_zero": lambda graph, fam: fam.update(k=0, images={"shape": [2, 0, 0], "index": [], "values": []}),
+    "shape_bool": sparse_fault("images", shape=[2, True, 1]),
+    "shape_float": sparse_fault("images", shape=[2, 1.0, 1]),
+    "shape_not_a_list": sparse_fault("adjacency", shape=4),
+    "shape_past_int64": sparse_fault("images", shape=[2**63, 1, 1]),
+    "shape_not_k": sparse_fault("images", shape=[2, 2, 2]),
+    "shape_no_images": sparse_fault("images", shape=[0, 1, 1], index=[], values=[]),
+    "shape_flat": sparse_fault("adjacency", shape=[4]),
+    "shape_not_dim": sparse_fault("adjacency", shape=[2, 3]),
+    "index_bool": sparse_fault("images", index=[False, True]),
+    "index_float": sparse_fault("images", index=[0.0, 1.0]),
+    "index_not_a_list": sparse_fault("images", index=0),
+    "index_past_int64": sparse_fault("images", index=[0, 2**63]),
+    "index_negative": sparse_fault("adjacency", index=[-1, 1, 2, 3]),
+    "index_past_end": sparse_fault("adjacency", index=[0, 1, 2, 4]),
+    "index_repeated": sparse_fault("images", index=[1, 1]),
+    "index_decreasing": sparse_fault("images", index=[1, 0]),
+    "index_shorter_than_values": sparse_fault("images", index=[0]),
+    **{f"values_{name}": values_fault(name) for name in MATRIX_FAULTS},
 }
 
 
@@ -170,31 +227,79 @@ class TestSerialization:
         overflowing parts end in exit 1 with a JSON ParseError, and raise no
         RuntimeWarning, for graph adjacencies and for family images alike."""
         for where in ("adjacency", "image"):
-            graph = graph_to_document(graph_trivial_m2)
-            fam = family_to_document(qg.canonical_lqck_family("trivial", tracial_m2))
+            graph = dense_document(graph_trivial_m2)
+            fam = dense_document(qg.canonical_lqck_family("trivial", tracial_m2))
             MATRIX_FAULTS[fault](graph["adjacency"] if where == "adjacency" else fam["images"][1])
             self.assert_check_refused(capsys, tmp_path, graph, fam)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("images", ["unequal_shapes", "empty"])
+    @pytest.mark.parametrize("images", ["unequal_shapes", "empty", "k_zero"])
     def test_bad_image_lists_are_parse_errors(self, capsys, tmp_path, graph_trivial_m2, tracial_m2, images):
-        fam = family_to_document(qg.canonical_lqck_family("trivial", tracial_m2))
-        fam["images"] = [] if images == "empty" else fam["images"][:1] + [[[[0.0, 0.0]] * 3] * 3]
+        fam = dense_document(qg.canonical_lqck_family("trivial", tracial_m2))
+        if images == "k_zero":  # four 0 x 0 images once passed QCK vacuously
+            fam = {"k": 0, "images": [[], [], [], []]}
+        else:
+            fam["images"] = [] if images == "empty" else fam["images"][:1] + [[[[0.0, 0.0]] * 3] * 3]
         self.assert_check_refused(capsys, tmp_path, graph_to_document(graph_trivial_m2), fam)
 
     @staticmethod
-    def assert_check_refused(capsys, tmp_path, graph, fam):
+    def sparse_documents():
+        """A graph on two vertices, every pair an edge, and a k = 1 family, both sparse."""
+        G = qg.classical_graph(np.ones((2, 2), dtype=int))
+        fam = {"k": 1, "images": {"shape": [2, 1, 1], "index": [0, 1], "values": [[0.5, 0.0], [0.5, 0.0]]}}
+        return {**graph_to_document(G), "adjacency": sparse_matrix(G.adjacency.matrix)}, fam
+
+    def test_sparse_documents_are_read(self, capsys, tmp_path):
+        graph, fam = self.sparse_documents()
+        assert graph["adjacency"]["index"] == [0, 1, 2, 3]
+        paths = tmp_path / "graph.json", tmp_path / "family.json"
+        for path, doc in zip(paths, (graph, fam)):
+            path.write_text(json.dumps(doc))
+        code, payload, _ = run(capsys, "check", str(paths[0]), "--family", str(paths[1]), "--mode", "classical")
+        assert code in (0, 2) and "cuntz_krieger" in payload
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fault", SPARSE_FAULTS)
+    def test_bad_sparse_matrices_are_refused(self, capsys, tmp_path, fault):
+        """A sparse object with a bad key, shape, index or value ends in exit 1
+        with a JSON ParseError, never in a numpy error or a family that loads."""
+        graph, fam = self.sparse_documents()
+        SPARSE_FAULTS[fault](graph, fam)
+        self.assert_check_refused(capsys, tmp_path, graph, fam)
+
+    def test_sparse_shape_past_memory_is_a_budget_refusal(self, capsys, tmp_path, monkeypatch):
+        """Its size is read off the shape before any allocation, and a failed
+        allocation is refused the same way."""
+        graph, fam = self.sparse_documents()
+        fam.update(k=2**31, images={"shape": [2, 2**31, 2**31], "index": [], "values": []})
+        self.assert_check_refused(capsys, tmp_path, graph, fam, "BudgetExceeded")
+
+        fam = self.sparse_documents()[1]
+        with monkeypatch.context() as patch:  # a machine of two 8-byte pages
+            patch.setattr(qgraph.serialize.os, "sysconf", lambda name: {"SC_PHYS_PAGES": 2, "SC_PAGE_SIZE": 8}[name])
+            with pytest.raises(qg.BudgetExceeded, match=re.escape("shape [2, 1, 1] needs 32 bytes")):
+                parse_family_document(fam)
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(qgraph.serialize.np, "zeros", no_memory)
+        with pytest.raises(qg.BudgetExceeded, match=re.escape("shape [2, 1, 1] needs 32 bytes")):
+            parse_family_document(fam)
+
+    @staticmethod
+    def assert_check_refused(capsys, tmp_path, graph, fam, error="ParseError"):
         """`check` reads the graph, then the family: the bad one must end it typed."""
         graph_path, fam_path = tmp_path / "graph.json", tmp_path / "family.json"
         graph_path.write_text(json.dumps(graph))
         fam_path.write_text(json.dumps(fam))
         code, payload, _ = run(capsys, "check", str(graph_path), "--family", str(fam_path))
-        assert code == 1 and payload["error"] == "ParseError", payload
+        assert code == 1 and payload["error"] == error, payload
 
     def test_integer_parts_are_read(self, capsys, tmp_path, graph_trivial_m2, tracial_m2):
         """[1, 0] reads as [1.0, 0.0]: files with integer parts load to the same arrays."""
-        graph = graph_to_document(graph_trivial_m2)
-        fam = family_to_document(qg.canonical_lqck_family("trivial", tracial_m2))
+        graph = dense_document(graph_trivial_m2)
+        fam = dense_document(qg.canonical_lqck_family("trivial", tracial_m2))
         paths = tmp_path / "graph.json", tmp_path / "family.json"
         for path, doc in zip(paths, (graph, fam)):
             text = json.dumps(doc).replace(".0,", ",").replace(".0]", "]")
@@ -209,13 +314,19 @@ class TestSerialization:
     @given(fam=families())
     @settings(max_examples=60, deadline=None)
     def test_family_files_round_trip_bit_exactly(self, tmp_path_factory, fam):
-        """Compact files, and files laid out as earlier versions wrote them, load bit-exactly."""
+        """Compact sparse files, and dense files laid out as earlier versions wrote
+        them, load bit-exactly; the sparse file keeps each entry that is not +0.0."""
         path = tmp_path_factory.mktemp("family") / "f.json"
         save_family(str(path), fam)
         assert path.read_text().count("\n") == 1
+        sparse = json.loads(path.read_text())["images"]
+        kept = np.signbit(fam.images.real) | np.signbit(fam.images.imag) | (fam.images != 0)
+        assert sparse["shape"] == list(fam.images.shape)
+        assert sparse["index"] == np.flatnonzero(kept).tolist()
         assert bit_equal(load_family(str(path)).images, fam.images)
-        write_indented(path, family_to_document(fam))
-        assert bit_equal(load_family(str(path)).images, fam.images)
+        for doc in (family_to_document(fam), dense_document(fam)):
+            write_indented(path, doc)
+            assert bit_equal(load_family(str(path)).images, fam.images)
 
     @given(G=graphs_with_tiny_parts())
     @settings(max_examples=40, deadline=None)
@@ -223,6 +334,7 @@ class TestSerialization:
         path = tmp_path_factory.mktemp("graph") / "g.json"
         for write in (lambda: save_graph(str(path), G), lambda: write_indented(path, graph_to_document(G))):
             write()
+            assert isinstance(json.loads(path.read_text())["adjacency"], list)  # graphs are written dense
             G2, _ = load_graph(str(path))
             assert bit_equal(G2.adjacency.matrix, G.adjacency.matrix)
             assert all(map(np.array_equal, G2.psi.weights, G.psi.weights))
@@ -269,7 +381,7 @@ class TestSerialization:
         if field == "adjacency":
             doc["adjacency"][0][0] = [value, 0]
         elif field == "images":
-            fam = family_to_document(qg.canonical_lqck_family("trivial", tracial_m2))
+            fam = dense_document(qg.canonical_lqck_family("trivial", tracial_m2))
             fam["images"][0][0][0] = [value, 0]
             fam_path = tmp_path / "family.json"
             fam_path.write_text(json.dumps(fam))
@@ -684,6 +796,21 @@ class TestExample:
             assert code == 0 and payload["kind"] == "graph"
             code, _, _ = run(capsys, "inspect", str(path))
             assert code == 0, name
+
+    def test_sparse_adjacency_gives_the_dense_reports(self, capsys, tmp_path):
+        """Each built-in graph, and a 200-cycle whose vertices all point to vertex 0,
+        read from a hand-written sparse adjacency give the reports of their dense files."""
+        adj = np.roll(np.eye(200, dtype=int), 1, axis=0)
+        adj[:, 0] = 1
+        graphs = {**qgraph.cli._example_registry()[0], "classical_200": lambda: qg.classical_graph(adj)}
+        for name, build in graphs.items():
+            G = build()
+            dense, sparse = tmp_path / f"{name}.json", tmp_path / f"{name}_sparse.json"
+            save_graph(str(dense), G)
+            sparse.write_text(json.dumps({**graph_to_document(G), "adjacency": sparse_matrix(G.adjacency.matrix)}))
+            for command in (["inspect"], ["fock", "--levels", "3"]):
+                want = run(capsys, command[0], str(dense), *command[1:])
+                assert run(capsys, command[0], str(sparse), *command[1:]) == want, (name, command)
 
     def test_materialize_family(self, capsys, tmp_path):
         path = tmp_path / "fam.json"

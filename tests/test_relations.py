@@ -37,6 +37,12 @@ class TestCKFamily:
         with pytest.raises(qg.ShapeMismatch):
             qg.CKFamily(2, np.zeros((4, 3, 3)))
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_needs_a_nonempty_factor(self, k):
+        # k = 0 once passed QCK vacuously and divided by zero in LQCK's chunking
+        with pytest.raises(qg.ShapeMismatch, match="at least 1"):
+            qg.CKFamily(k, np.zeros((4, 0, 0)))
+
     def test_star_images(self, tracial_m2):
         st = tracial_m2.structure
         fam = qg.CKFamily(2, RNG.normal(size=(4, 2, 2)) + 1j * RNG.normal(size=(4, 2, 2)))
