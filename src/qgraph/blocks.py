@@ -23,6 +23,7 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
+_CHUNK_ENTRIES = 1 << 20  # largest stack, in entries, that a contraction over m's triples forms per chunk
 
 
 class SizeGroup(NamedTuple):
@@ -406,15 +407,62 @@ def comultiply(x: AlgebraElement, psi: DeltaState) -> TensorElement:
     return TensorElement(st, coeff)
 
 
+def _row_chunks(rows: int, entries_per_row: int) -> Iterable[slice]:
+    """Slices of range(rows), each of as many rows as _CHUNK_ENTRIES allows, at least one."""
+    step = max(1, _CHUNK_ENTRIES // entries_per_row)
+    return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
+
+
+def triple_sum(st: BlockStructure, X: np.ndarray, Y: np.ndarray, product) -> np.ndarray:
+    """out[u] = sum over the triples b_p b_q = b_u of m of product(X[p], Y[q]), for a
+    product of stacks of X's items: per chunk of the runs of u (the triples list u
+    ascending), one product of the gathered stacks and a segmented sum by u."""
+    u, p, q = st.mul_nonzeros
+    first = np.searchsorted(u, np.arange(st.dim + 1))  # u's run is first[u]:first[u + 1]
+    out = np.empty((st.dim, *X.shape[1:]), np.result_type(X, Y))
+    for rows in _row_chunks(st.dim, max(st.sizes) * X[0].size):
+        t = slice(first[rows.start], first[rows.stop])
+        out[rows] = np.add.reduceat(product(X[p[t]], Y[q[t]]), first[rows] - t.start)
+    return out
+
+
+def pair_defects(st: BlockStructure, L, R, T, rows, cols, src) -> np.ndarray:
+    """[s, q] = ||T[src[t]] - L[s] R[q]||^2 on the pairs (s, q) = (rows[t], cols[t]), each
+    at most once, and ||L[s] R[q]||^2 off them, for stacks of coordinate vectors of B.
+
+    Per size group and chunk of rows s, the products [c, s, i, q, j] with every R[q]
+    are one buffer, less T in place on the chunk's pairs, so no O(1) terms cancel.
+    Each product is one N x N by N x (N len(R)) GEMM: a single (rows N) x N one
+    crosses BLAS's threading threshold on small structures, where waking its threads
+    can cost more than the product.  Size-1 blocks take |L|^2 |R|^2^T.
+    """
+    out = np.zeros((len(L), len(R)))
+    for n, blocks, _, index in st.size_groups:
+        g, x, y, t = len(blocks), L[:, index], R[:, index], T[:, index]
+        if n == 1:  # the first group, as the groups ascend by size
+            out = (x.real**2 + x.imag**2) @ (y.real**2 + y.imag**2).T
+            for on in _row_chunks(len(rows), g):
+                diff = t[src[on]] - x[rows[on]] * y[cols[on]]
+                out[rows[on], cols[on]] = (diff.real**2 + diff.imag**2).sum(axis=1)
+            continue
+        x = x.reshape(len(L), g, n, n).transpose(1, 0, 2, 3)  # [c, s, i, k]
+        y = y.reshape(len(R), g, n, n).transpose(1, 2, 0, 3).reshape(g, 1, n, len(R) * n)  # [c, k, (q, j)]
+        for chunk in _row_chunks(len(L), g * n * n * len(R)):
+            on = np.flatnonzero((chunk.start <= rows) & (rows < chunk.stop))
+            buf = (x[:, chunk] @ y).reshape(g, -1, n, len(R), n)
+            buf[:, rows[on] - chunk.start, :, cols[on], :] -= t[src[on]].reshape(len(on), g, n, n)
+            f = buf.view(np.float64)
+            out[chunk] += np.einsum("csiqj,csiqj->sq", f, f)
+    return out
+
+
 def sharp(u: TensorElement, v: TensorElement) -> TensorElement:
     """The # product: (a (x) b) # (c (x) d) = (ac) (x) (db), bilinearly."""
     if u.structure != v.structure:
         raise ShapeMismatch("tensors over different block structures")
     st = u.structure
     # row w of u # v sums v_r u_p over b_p b_r = b_w, u_p being row p of u as an element
-    w, p, r = st.mul_nonzeros
-    terms = st.products(v.coeff[r], u.coeff[p])
-    return TensorElement(st, np.add.reduceat(terms, np.unique(w, return_index=True)[1]))
+    return TensorElement(st, triple_sum(st, u.coeff, v.coeff, lambda x, y: st.products(y, x)))
 
 
 def modular_power(x: AlgebraElement, psi: DeltaState, power: float) -> AlgebraElement:

@@ -6,7 +6,7 @@ indicator, cross-checks complete positivity two independent ways, finds
 quantum sources/sinks, and evaluates the homomorphism and quantum
 isomorphism covariance residuals.  The checks work per group of blocks of one
 size: the Choi slabs are built once per graph, and the unit-pair checks are
-pairwise norms, one matmul per size group, plus the triples of m.
+tables of pairwise defects over the triples of m (`blocks.pair_defects`).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .blocks import (
     TensorElement,
     comultiply,
     modular_half_matrix,
+    pair_defects,
     sharp,
 )
 from .errors import (
@@ -35,7 +36,6 @@ from .errors import (
 )
 
 CHOI_EIG_RTOL = 1e-10
-_CHUNK_ENTRIES = 1 << 20  # largest stack, in entries, that a chunked unit-pair check forms
 
 
 @dataclass(frozen=True)
@@ -273,51 +273,6 @@ def adjoint_map(A: LinearMapOnB, psi: DeltaState) -> LinearMapOnB:
     return LinearMapOnB(A.structure, mat)
 
 
-def _product_norms(st: BlockStructure, L: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """[s, q] = ||L[s] R[q]||^2 for stacks L, R of complex coordinate vectors of B.
-
-    Per size group of blocks one batched matmul [s][i, k] @ [k, (q, j)] over
-    the group's blocks, then a squared-norm reduction over the blocks and
-    (i, j), in chunks of s that each form at most _CHUNK_ENTRIES entries.  On
-    blocks of size 1 it is |L|^2 |R|^2^T, a sum of nonnegative terms.  Each
-    product is one N x N by N x (N len(R)) matmul: a single (len(L) N) x N one
-    would cross BLAS's threading threshold on small structures, where waking
-    its threads costs more than the product.
-    """
-    out = np.zeros((len(L), len(R)))
-    for n, blocks, _, index in st.size_groups:
-        x, y = L[:, index], R[:, index]
-        if n == 1:
-            out += (x.real**2 + x.imag**2) @ (y.real**2 + y.imag**2).T
-            continue
-        g = len(blocks)
-        x = x.reshape(len(L), g, n, n).transpose(1, 0, 2, 3)  # [c, s, i, k]
-        y = y.reshape(len(R), g, n, n).transpose(1, 2, 0, 3).reshape(g, 1, n, len(R) * n)  # [c, k, (q, j)]
-        step = max(1, _CHUNK_ENTRIES // (g * n * n * len(R)))
-        for lo in range(0, len(L), step):
-            P = (x[:, lo : lo + step] @ y).view(np.float64)  # [c, s, i, (q, j, re/im)]
-            np.multiply(P, P, out=P)
-            out[lo : lo + step] += np.einsum("csiqj->sq", P.reshape(g, -1, n, len(R), 2 * n))
-    return out
-
-
-def _pair_defects(st: BlockStructure, L, R, T, rows, cols, src) -> np.ndarray:
-    """[s, q] = ||T_sq - L[s] R[q]||^2 with T_sq = T[src[t]] on the pairs
-    (rows[t], cols[t]), each at most once, and 0 off them.
-
-    Off the pairs it is `_product_norms`; on them the difference is formed
-    directly, in chunks of at most _CHUNK_ENTRIES entries, and overwrites the
-    entry: expanded into Gram terms it would cancel O(1) terms to rounding.
-    """
-    out = _product_norms(st, L, R)
-    step = max(1, _CHUNK_ENTRIES // st.dim)
-    for lo in range(0, len(rows), step):
-        s, q = rows[lo : lo + step], cols[lo : lo + step]
-        diff = T[src[lo : lo + step]] - st.products(L[s], R[q])
-        out[s, q] = (diff.real**2 + diff.imag**2).sum(axis=1)
-    return out
-
-
 def homomorphism_check(G: QuantumGraph) -> dict[str, float]:
     """Multiplicativity of A versus the indicator-shift identity.
 
@@ -327,14 +282,14 @@ def homomorphism_check(G: QuantumGraph) -> dict[str, float]:
     (a, j, .) of the first leg to (a, i, .): its worst value is the worst
     row-group norm of X.  Row s of X_q is -eps[s] A(b_q), except row u, which is
     eps[r] - eps[u] A(b_q) where b_q b_r = b_u; both defects are read off
-    `_pair_defects`.
+    `blocks.pair_defects`.
     """
     require_completely_positive(G)
     st, images = G.structure, G.adjacency.matrix.T  # images[q] = A(b_q)
     eps = edge_indicator(G).coeff
     u, q, r = st.mul_nonzeros  # b_q b_r = b_u
-    mult = _pair_defects(st, images, images, images, q, r, u)
-    shift = _pair_defects(st, eps, images, eps, u, q, r)  # [s, q]: ||row s of X_q||^2
+    mult = pair_defects(st, images, images, images, q, r, u)
+    shift = pair_defects(st, eps, images, eps, u, q, r)  # [s, q]: ||row s of X_q||^2
     row_groups = np.flatnonzero(st.unit_indices[2] == 0)  # (a, i, .) starts at e_i0
     return {
         "multiplicativity": float(np.sqrt(mult.max())),
@@ -412,7 +367,7 @@ def quantum_isomorphism_residual(
     star = imgs[st1.star_perm] - theta.star(imgs)
     sth, F = _block_images(theta)
     u, p, q = st1.mul_nonzeros
-    mult = float(np.sqrt(_pair_defects(sth, F, F, F, p, q, u).max()))
+    mult = float(np.sqrt(pair_defects(sth, F, F, F, p, q, u).max()))
     hom = max(float(np.linalg.norm(unital)), worst(star, 1), mult)
 
     state = np.einsum("q,pqkl->pkl", G2.psi.psi_vec, imgs) - G1.psi.psi_vec[:, None, None] * eye_h

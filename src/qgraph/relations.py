@@ -7,10 +7,10 @@ argument evaluates ||P X P|| instead.  The Fock module's family is judged
 in closed form from its slabs, in `qgraph.fock`.
 
 Contractions against m* run over the sum_a N_a^3 triples of
-`BlockStructure.mul_nonzeros` only (`_pair_sum`): m*(e_ij) has the weight
-1/w_k on e_ik (x) e_kj, and no d^3 array of coefficients is formed.  LQCK1/2's
-(d, d) pair tables take one GEMM per chunk of rows and subtract the m-term on
-those triples only, a compression applied to the factors (`_defect_table`).
+`BlockStructure.mul_nonzeros` only, in chunks of rows (`blocks.triple_sum`):
+m*(e_ij) has the weight 1/w_k on e_ik (x) e_kj.  LQCK1/2's (d, d) pair tables
+are `blocks.pair_defects` on the one-block structure M_k, the m-term subtracted
+on those triples only and a compression applied to the factors.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graphs
-from .blocks import BlockStructure, DeltaState
+from .blocks import BlockStructure, DeltaState, pair_defects, triple_sum
 from .errors import NotClassical, ShapeMismatch
 from .graphs import QuantumGraph
 
@@ -63,15 +62,8 @@ def _check_family(s: CKFamily, G: QuantumGraph, compression: np.ndarray | None) 
 
 
 def _pair_sum(psi: DeltaState, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """out[u] = sum_{p,q} W[u,p,q] X[p] @ Y[q] for the coefficients W of m*,
-    over its nonzeros W[u,p,q] = 1/gram_diag[p] on the triples of m only.
-
-    One batched matmul of the pair products, then a segmented sum by u: the
-    triples list u ascending, so each u is one contiguous run.
-    """
-    u, p, q = psi.structure.mul_nonzeros
-    terms = (1.0 / psi.gram_diag[p])[:, None, None] * (X[p] @ Y[q])
-    return np.add.reduceat(terms, np.unique(u, return_index=True)[1])
+    """out[u] = sum_{p,q} W[u,p,q] X[p] @ Y[q] over the nonzeros W[u,p,q] = 1/gram_diag[p] of m*."""
+    return triple_sum(psi.structure, X / psi.gram_diag[:, None, None], Y, np.matmul)
 
 
 def _psi_t(G: QuantumGraph, S: np.ndarray, Ss: np.ndarray, P: np.ndarray | None):
@@ -81,29 +73,6 @@ def _psi_t(G: QuantumGraph, S: np.ndarray, Ss: np.ndarray, P: np.ndarray | None)
     Y = np.tensordot(G.adjacency.matrix, psi_t, axes=(0, 0))
     q3 = np.einsum("u,uac->ac", G.structure.unit_vector, psi_t)
     return psi_t, Y, _sq_nrm(q3 - np.eye(S.shape[-1]) / G.delta_sq, P)
-
-
-def _defect_table(st: BlockStructure, L, R, T, c: float, P: np.ndarray | None) -> np.ndarray:
-    """[u, v] = ||P(L[u] R[v] - c T[w])P||^2, the m-term c T[w] only where b_u b_v = b_w.
-
-    Each chunk of rows u is one GEMM against R, read once as a (k, d k) matrix,
-    into a (chunk, k, d, k) buffer of at most graphs._CHUNK_ENTRIES entries;
-    c T[w] is subtracted in place on the chunk's triples of `mul_nonzeros`, and
-    the squares of its float64 view are summed over (a, c, re/im).
-    """
-    if P is not None:  # P(XY - Z)P = (PX)(YP) - PZP
-        L, R, T = P @ L, R @ P, P @ T @ P
-    (d, k, _), (w, left, right) = R.shape, st.mul_nonzeros
-    R = R.transpose(1, 0, 2).reshape(k, d * k)
-    out = np.empty((d, d))
-    step = max(1, graphs._CHUNK_ENTRIES // (d * k * k))
-    for lo in range(0, d, step):
-        buf = (L[lo : lo + step].reshape(-1, k) @ R).reshape(-1, k, d, k)
-        t = np.flatnonzero((lo <= left) & (left < lo + step))
-        buf[left[t] - lo, :, right[t], :] -= c * T[w[t]]
-        f = buf.view(np.float64)
-        out[lo : lo + step] = np.einsum("uavc,uavc->uv", f, f)
-    return out
 
 
 def _sq_nrm(X: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
@@ -139,8 +108,8 @@ def lqck_residuals(
 ) -> dict[str, float]:
     """Residuals of the local relations LQCK1-3, maximized over all d^2
     adapted-unit pairs (f_u, f_v): a general family need not vanish on the
-    pairs with b_u b_v = 0, where the m-terms are 0.  LQCK1/2 take one GEMM per
-    chunk of rows u, the m-term subtracted on the sum_a N_a^3 triples of m only
+    pairs with b_u b_v = 0, where the m-terms are 0.  LQCK1/2 are pair-defect
+    tables on M_k, the m-term subtracted on the sum_a N_a^3 triples of m only
     and a compression P applied to the factors, P(XY - Z)P = (PX)(YP) - PZP.
 
     LQCK1: mu(mu x 1)(s x s* x s)(m* x 1) = delta^-2 s m
@@ -153,8 +122,12 @@ def lqck_residuals(
     psi_t, Y, n3 = _psi_t(G, S, Ss, P)
     scale_sq = G.psi.weight_of_row * G.psi.gram_diag  # f_u = b_u / sqrt(scale_sq[u])
     pair_scale = scale_sq[:, None] * scale_sq
-    n1 = _defect_table(st, psi_t, S, S, c, P) / pair_scale
-    n2 = _defect_table(st, Ss, S, Y, c, P) / pair_scale
+    mk, (u, p, q) = BlockStructure((s.k,)), st.mul_nonzeros
+    L1, L2, R, T1, T2 = psi_t, Ss, S, c * S, c * Y  # [p, q] = ||L[p] R[q] - T[u]||^2, T[u] where b_p b_q = b_u
+    if P is not None:  # P(XY - Z)P = (PX)(YP) - PZP
+        L1, L2, R, T1, T2 = P @ L1, P @ L2, R @ P, P @ T1 @ P, P @ T2 @ P
+    L1, L2, R, T1, T2 = (Z.reshape(len(Z), -1) for Z in (L1, L2, R, T1, T2))  # k x k images as coordinates of M_k
+    n1, n2 = (pair_defects(mk, L, R, T, p, q, u) / pair_scale for L, T in ((L1, T1), (L2, T2)))
     return {f"lqck{i}": float(np.sqrt(np.max(n))) for i, n in enumerate((n1, n2, n3), start=1)}
 
 

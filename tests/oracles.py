@@ -7,7 +7,6 @@ import numpy as np
 
 import qgraph as qg
 from qgraph.correspondence import GRAM_CUTOFF_RTOL, _gram_quotient, _same_base, from_spanning
-from qgraph.relations import _pair_sum
 
 
 def unflatten(st, p):
@@ -651,7 +650,10 @@ def full_fock_residuals(F):
     report["toeplitz1"] = float(np.linalg.norm(P @ diff1 @ P, axis=(2, 3)).max())
 
     # mu(T (x) T*) m* = psi_t, i.e. equals pi on levels >= 1
-    diff2 = _pair_sum(G.psi, bigT, bigTstar) - pi
+    W = comult_tensor(G.psi)
+    diff2 = -pi
+    for u, p, q in zip(*np.nonzero(W)):
+        diff2[u] += W[u, p, q] * bigT[p] @ bigTstar[q]
     report["toeplitz2"] = float(np.linalg.norm(P @ diff2 @ P, axis=(1, 2)).max())
     return report
 

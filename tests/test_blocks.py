@@ -317,6 +317,19 @@ class TestTensorElement:
         rhs = qg.TensorElement.simple(a * c, d * b)
         assert (lhs - rhs).norm() < 1e-10
 
+    @pytest.mark.parametrize("sizes", [(1, 2), (3,)])
+    def test_sharp_in_chunks_of_one_row(self, monkeypatch, sizes):
+        st = qg.BlockStructure(sizes)
+        a, b, c, d = (random_element(st) for _ in range(4))
+        simple = qg.TensorElement.simple
+        u, v = simple(a, b) + simple(c, d), simple(d, a) + simple(b, c)
+        whole = qg.sharp(u, v).coeff
+        monkeypatch.setattr(qg.blocks, "_CHUNK_ENTRIES", 1)  # one row of u # v per chunk
+        assert np.array_equal(qg.sharp(u, v).coeff, whole)
+        # (x (x) y) # (z (x) w) = xz (x) wy, summed over the two terms of u and of v
+        want = sum(np.outer((x * z).vec, (w * y).vec) for x, y in ((a, b), (c, d)) for z, w in ((d, a), (b, c)))
+        assert np.allclose(whole, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
 
 class TestModular:
     def test_half_scales_units(self, skew_m2):

@@ -119,6 +119,15 @@ class TestEdgeIndicator:
             assert props["r2"] < 1e-12, name
             assert props["r3"] < 1e-12, name
 
+    def test_properties_of_trivial_m24_in_bounded_memory(self):
+        # eps # eps over the sum N_a^3 = 13824 triples of M_24 (d = 576) in chunks of rows:
+        # its whole (13824, d) stacks of rows and products took 370 MiB
+        G = qg.trivial_graph(qg.validate_delta_form([24], [[1 / 24] * 24]))
+        G.indicator
+        props, peak = traced_peak(lambda: qg.indicator_properties(G))
+        assert max(props.values()) < 1e-12
+        assert peak < 128 * 2**20
+
     def test_classical_indicator_is_transposed_matrix(self, graph_3cycle):
         eps = qg.edge_indicator(graph_3cycle)
         adj = graph_3cycle.adjacency.matrix
@@ -308,15 +317,21 @@ class TestHomomorphism:
                 for G1, G2, theta in (random, trivial)
             ]
 
-        products = qg.BlockStructure.products
-        calls = []
-        monkeypatch.setattr(qg.BlockStructure, "products", lambda *args: calls.append(1) or products(*args))
-        whole, whole_calls = reports(), len(calls)
-        monkeypatch.setattr(qg.graphs, "_CHUNK_ENTRIES", 1)
+        row_chunks, chunks = qg.blocks._row_chunks, []
+
+        def counted(*args):
+            chunks.extend(got := list(row_chunks(*args)))
+            return got
+
+        monkeypatch.setattr(qg.blocks, "_row_chunks", counted)
+        whole, whole_chunks = reports(), list(chunks)
+        monkeypatch.setattr(qg.blocks, "_CHUNK_ENTRIES", 1)
         chunked = reports()
-        # one triple of m per chunk: each of the 3 checks per report set multiplies
-        # its sum N_a^3 = 9 triples one by one
-        assert whole_calls == 2 * 3 and len(calls) - whole_calls == 2 * 3 * 9
+        # per report set, the 2 checks on B read the 9 triples of its size-1 group and the 5
+        # rows of its size-2 group, and the theta check the 5 rows of each of the groups of
+        # sizes 2 and 4 on B (x) M_2: whole, one chunk each, then one triple or row per chunk
+        assert [c.stop - c.start for c in whole_chunks] == [9, 5, 9, 5, 5, 5] * 2
+        assert [c.stop - c.start for c in chunks[len(whole_chunks) :]] == [1] * (9 + 5 + 9 + 5 + 5 + 5) * 2
         assert all(value > 1e-6 for value in whole[0].values())
         assert whole[1]["multiplicativity"] == whole[1]["homomorphism"] == 0.0
         for got, want in zip(chunked, whole, strict=True):

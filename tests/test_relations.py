@@ -241,9 +241,9 @@ class TestLocalGlobalAgreement:
         fam = qg.CKFamily(fam.k, fam.images + 1e-3 * noise)
         G = qg.trivial_graph(psi)
         P = np.diag(rng.integers(0, 2, size=fam.k).astype(float)) if compress else None
-        whole = qg.lqck_residuals(fam, G, compression=P)
-        monkeypatch.setattr(qg.graphs, "_CHUNK_ENTRIES", 1)  # one row u per GEMM
-        chunked = qg.lqck_residuals(fam, G, compression=P)
+        whole = {**qg.lqck_residuals(fam, G, compression=P), **qg.qck_residuals(fam, G, compression=P)}
+        monkeypatch.setattr(qg.blocks, "_CHUNK_ENTRIES", 1)  # one row per GEMM, one run of m's triples per sum
+        chunked = {**qg.lqck_residuals(fam, G, compression=P), **qg.qck_residuals(fam, G, compression=P)}
         for key, want in whole.items():
             assert want > 1e-6, key
             assert chunked[key] == pytest.approx(want, rel=1e-14, abs=0), key
@@ -264,6 +264,24 @@ class TestLocalGlobalAgreement:
             tracemalloc.stop()
         assert max(rep.values()) < 1e-12
         assert peak < 64 * 2**20
+
+    def test_trivial_m12_in_bounded_memory(self):
+        # trivial M_12 twisted by a random 4 x 4 unitary: d = 144, k = 48.  Each triple sum
+        # formed three whole (sum N_a^3, k, k) stacks of 61 MiB, and qck peaked at 198 MiB
+        psi = qg.validate_delta_form([12], [[1 / 12] * 12])
+        rng = np.random.default_rng(12)
+        u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        fam = qg.canonical_lqck_family("trivial", psi, u=u)
+        G = qg.trivial_graph(psi)
+        for residuals in (qg.qck_residuals, qg.lqck_residuals):
+            tracemalloc.start()
+            try:
+                rep = residuals(fam, G)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert max(rep.values()) < 1e-12
+            assert peak < 96 * 2**20, residuals.__name__
 
     def test_identity_compression_matches_none(self, graph_trivial_m2):
         fam = qg.canonical_lqck_family("trivial", graph_trivial_m2.psi)
