@@ -260,6 +260,11 @@ class DeltaState:
         return np.concatenate([np.tile(w, len(w)) for w in self.weights])
 
     @cached_property
+    def modular_half_scale(self) -> np.ndarray:
+        """sigma_{i/2} on coordinates, a diagonal: it scales e_ij by sqrt(w_j / w_i)."""
+        return np.sqrt(self.gram_diag / self.weight_of_row)
+
+    @cached_property
     def weight_table(self) -> np.ndarray:
         """[a, i] = w_a[i], padded with 1 past N_a: the weights of a stack of
         blocks of one size N are weight_table[blocks, :N]."""
@@ -367,20 +372,10 @@ class TensorElement:
     def __rmul__(self, scalar) -> "TensorElement":
         return TensorElement(self.structure, scalar * self.coeff)
 
-    def apply_second(self, matrix: np.ndarray) -> "TensorElement":
-        """(1 (x) F) for a linear map F given as a coordinate matrix."""
-        return TensorElement(self.structure, self.coeff @ matrix.T)
-
-    def apply_first(self, matrix: np.ndarray) -> "TensorElement":
-        """(F (x) 1) for a linear map F given as a coordinate matrix."""
-        return TensorElement(self.structure, matrix @ self.coeff)
-
     def dagger(self) -> "TensorElement":
-        """Involution a (x) b -> a* (x) b* with coefficient conjugation."""
+        """Involution a (x) b -> a* (x) b* with coefficient conjugation (star_perm is an involution)."""
         perm = self.structure.star_perm
-        out = np.empty_like(self.coeff)
-        out[np.ix_(perm, perm)] = self.coeff.conj()
-        return TensorElement(self.structure, out)
+        return TensorElement(self.structure, self.coeff[perm][:, perm].conj())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeff))
@@ -480,11 +475,6 @@ def modular_power(x: AlgebraElement, psi: DeltaState, power: float) -> AlgebraEl
 def modular_half(x: AlgebraElement, psi: DeltaState) -> AlgebraElement:
     """sigma_{i/2}(x) = rho^{-1/2} x rho^{1/2}: scales e_ij by sqrt(w_j/w_i)."""
     return modular_power(x, psi, 0.5)
-
-
-def modular_half_matrix(psi: DeltaState) -> np.ndarray:
-    """Diagonal coordinate matrix of sigma_{i/2}."""
-    return np.diag(np.sqrt(psi.gram_diag / psi.weight_of_row))
 
 
 def adapted_unit(a: int, i: int, j: int, psi: DeltaState) -> AlgebraElement:

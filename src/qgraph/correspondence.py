@@ -83,7 +83,7 @@ class Correspondence:
         n, off = np.array(self.structure.sizes), np.array(self.structure.offsets)
         x, t = np.nonzero(np.arange(n.max()) < n[c][:, None])
         p = off[c[x]] + l[x] * n[c[x]] + t  # e_lt in block c
-        return p, x + t - l[x], x, np.sqrt(self.psi.gram_diag[p] / self.psi.weight_of_row[p])
+        return p, x + t - l[x], x, self.psi.modular_half_scale[p]
 
     @cached_property
     def inner(self) -> tuple[np.ndarray, ...]:
@@ -294,8 +294,8 @@ def _empty_blocks(E: Correspondence) -> tuple[list[int], list[int]]:
     return np.flatnonzero(~E.mult.any(axis=1)).tolist(), np.flatnonzero(~E.mult.any(axis=0)).tolist()
 
 
-def left_kernel(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
-    """Left-action kernel of E_G on both sides of the faithfulness theorem.
+def _kernel_masks(E: Correspondence, tol: float) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Masks of the units in the left kernel of E_G and in its prediction, and their sizes.
 
     The units of block a move the coordinates (a, c, i, k, l), so the kernel
     is spanned by the units of the blocks with a zero row of M, the Kraus
@@ -304,18 +304,19 @@ def left_kernel(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
     subspaces, so the Frobenius distance of their projectors is the root of
     the number of units in one of them only.
     """
-    st = E.structure
     sources, _ = quantum_sources_sinks(E.graph, tol)
-    unit_block = np.repeat(np.arange(st.num_blocks), np.square(st.sizes))
+    unit_block = E.structure.unit_indices[0]
     in_kernel, in_perp = np.isin(unit_block, _empty_blocks(E)[0]), np.isin(unit_block, sources)
-    eye = np.eye(st.dim, dtype=complex)
-    return {
-        "kernel_basis": eye[in_kernel],
-        "kernel_dim": int(in_kernel.sum()),
-        "perp_basis": eye[in_perp],
-        "perp_blocks": sources,
-        "subspace_distance": float(np.sqrt(np.count_nonzero(in_kernel != in_perp))),
-    }
+    sizes = {"kernel_dim": int(in_kernel.sum()), "perp_blocks": sources}
+    sizes["subspace_distance"] = float(np.sqrt(np.count_nonzero(in_kernel != in_perp)))
+    return in_kernel, in_perp, sizes
+
+
+def left_kernel(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
+    """Left-action kernel of E_G on both sides of the faithfulness theorem, as rows of units."""
+    in_kernel, in_perp, sizes = _kernel_masks(E, tol)
+    eye = np.eye(E.structure.dim, dtype=complex)
+    return {"kernel_basis": eye[in_kernel], "perp_basis": eye[in_perp], **sizes}
 
 
 def compact_decomposition_residual(E: Correspondence) -> float:
@@ -443,10 +444,10 @@ def faithful_full_report(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
     M has no zero column (no sink block); B . <E, E>_B . B is the sum of
     the blocks of M's nonzero columns.  The subspace distance compares the
     kernel with the source blocks of `quantum_sources_sinks` at `tol`
-    (`left_kernel`).
+    (`_kernel_masks`, which forms no (d, d) array).
     """
     sources, sinks = _empty_blocks(E)
-    kern = left_kernel(E, tol)
+    _, _, kern = _kernel_masks(E, tol)
     return {
         "faithful": not sources,
         "full": not sinks,

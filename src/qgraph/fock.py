@@ -70,10 +70,14 @@ class FockTruncation:
     @cached_property
     def multiplicities(self) -> tuple[tuple[int, ...], ...]:
         """c_l = M^l n for l = 0..N, exact Python ints summed over M's nonzeros."""
-        rows = [[(b, m) for b, m in enumerate(row) if m] for row in self.edge.mult.tolist()]
+        rows, cols = np.nonzero(self.edge.mult)
+        entries = list(zip(rows.tolist(), cols.tolist(), self.edge.mult[rows, cols].tolist()))
         counts = [tuple(self.graph.structure.sizes)]
         for _ in range(self.depth):
-            counts.append(tuple(sum(m * counts[-1][b] for b, m in row) for row in rows))
+            c = [0] * len(counts[-1])
+            for a, b, m in entries:
+                c[a] += m * counts[-1][b]
+            counts.append(tuple(c))
         return tuple(counts)
 
     @cached_property

@@ -22,8 +22,6 @@ from .blocks import (
     BlockStructure,
     DeltaState,
     TensorElement,
-    comultiply,
-    modular_half_matrix,
     pair_defects,
     sharp,
 )
@@ -158,11 +156,13 @@ class QuantumGraph:
     @cached_property
     def indicator(self) -> TensorElement:
         """Quantum edge indicator eps = delta^-2 (1 x A) m*(1), formed once per
-        graph; its coefficients are read-only, as every reader shares them."""
-        t = comultiply(AlgebraElement.unit(self.structure), self.psi)
-        eps = (1.0 / self.delta_sq) * t.apply_second(self.adjacency.matrix)
-        eps.coeff.setflags(write=False)
-        return eps
+        graph; its coefficients are read-only, as every reader shares them.
+        m*(1) = sum_k w_k^-1 e_ik (x) e_ki is the flip b_p (x) b_p* scaled by
+        1 / gram_diag[p], so row p of eps gathers row star_perm[p] of A^T."""
+        coeff = self.adjacency.matrix.T[self.structure.star_perm] * (1.0 / self.psi.gram_diag)[:, None]
+        coeff *= 1.0 / self.delta_sq
+        coeff.setflags(write=False)
+        return TensorElement(self.structure, coeff)
 
     @cached_property
     def block_sq(self) -> np.ndarray:
@@ -183,15 +183,20 @@ def indicator_properties(G: QuantumGraph) -> dict[str, float]:
     r1: A(x) = delta^2 (psi x 1)(x . eps) over the standard basis.
     r2: eps # eps = eps.
     r3: self-adjointness of (sigma_{i/2} x 1)(eps).
+    eps = delta^-2 (1 x A) m*(1) with m*(1) the flip b_p (x) b_p* scaled by 1 /
+    gram_diag[p], so eps, r1's A_eps and r3's twist are gathers and row scales.
     """
-    psi = G.psi
     eps = edge_indicator(G)
-    diff = G.adjacency.matrix - _indicator_adjacency(eps.coeff, psi)
+    diff = G.adjacency.matrix - _indicator_adjacency(eps.coeff, G.psi)
     r1 = float(np.linalg.norm(diff, axis=0).max())
     r2 = (sharp(eps, eps) - eps).norm()
-    twisted = eps.apply_first(modular_half_matrix(psi))
-    r3 = (twisted - twisted.dagger()).norm()
-    return {"r1": r1, "r2": r2, "r3": r3}
+    twisted = _modular_twist(eps, G.psi)
+    return {"r1": r1, "r2": r2, "r3": (twisted - twisted.dagger()).norm()}
+
+
+def _modular_twist(xi: TensorElement, psi: DeltaState) -> TensorElement:
+    """(sigma_{i/2} x 1)(xi), the rows of xi scaled by `psi.modular_half_scale`."""
+    return TensorElement(xi.structure, psi.modular_half_scale[:, None] * xi.coeff)
 
 
 def is_completely_positive(psi: DeltaState, A: LinearMapOnB) -> tuple[bool, float]:
@@ -225,12 +230,10 @@ def require_completely_positive(G: QuantumGraph) -> None:
 def _indicator_adjacency(xi: np.ndarray, psi: DeltaState) -> np.ndarray:
     """Matrix of A_xi(x) = delta^2 (psi x 1)(x . xi) for coefficients xi.
 
-    Column p is delta^2 sum_q psi(b_p b_q) xi[q, :].
+    Column p is delta^2 sum_q psi(b_p b_q) xi[q, :], and psi(b_p b_q) is a scaled
+    flip as m*(1) is: w_i at q = star_perm[p] for b_p = e_ik, else 0.
     """
-    u, p, q = psi.structure.mul_nonzeros
-    R = np.zeros(xi.shape)  # R[p, q] = psi(b_p b_q)
-    R[p, q] = psi.psi_vec[u]
-    return psi.delta_sq * (R @ xi).T
+    return psi.delta_sq * (psi.weight_of_row[:, None] * xi[psi.structure.star_perm]).T
 
 
 def adjacency_from_indicator(
@@ -248,7 +251,7 @@ def adjacency_from_indicator(
     idem = (sharp(xi, xi) - xi).norm()
     if idem > tol * max(1.0, xi.norm()):
         raise NotIdempotent(f"xi # xi - xi has norm {idem:.3e}")
-    twisted = xi.apply_first(modular_half_matrix(psi))
+    twisted = _modular_twist(xi, psi)
     sa = (twisted - twisted.dagger()).norm()
     if sa > tol * max(1.0, xi.norm()):
         raise NotModularSelfAdjoint(f"modular self-adjointness defect {sa:.3e}")

@@ -87,6 +87,6 @@ def quantum_graphs(draw, sizes=SMALL_SIZES, sources=True):
         Q, _ = np.linalg.qr(rng.normal(size=(na * nb, r)) + 1j * rng.normal(size=(na * nb, r)))
         P = (Q @ Q.conj().T).reshape(na, nb, na, nb)  # [i, k, j, l]: e_ij (x) e_kl^op
         coeff[off[a] : off[a + 1], off[b] : off[b + 1]] = P.transpose(0, 2, 3, 1).reshape(na * na, nb * nb)
-    sigma = np.sqrt(psi.weight_of_row / psi.gram_diag)  # sigma_{-i/2}, the inverse of modular_half_matrix
+    sigma = np.sqrt(psi.weight_of_row / psi.gram_diag)  # sigma_{-i/2}, the inverse of psi.modular_half_scale
     eps = qg.TensorElement(st, sigma[:, None] * coeff)
     return qg.QuantumGraph.build(psi, qg.adjacency_from_indicator(eps, psi)), rank

@@ -444,12 +444,15 @@ class TestInspect:
     def test_forms_the_edge_indicator_once(self, capsys, monkeypatch, trivial_path):
         # the indicator properties and the homomorphism check read one cached eps
         calls = []
+        build = qgraph.graphs.QuantumGraph.indicator.func
 
-        def counting_comultiply(*args, **kwargs):
-            calls.append(args)
-            return qg.comultiply(*args, **kwargs)
+        def counting_build(G):
+            calls.append(G)
+            return build(G)
 
-        monkeypatch.setattr(qgraph.graphs, "comultiply", counting_comultiply)
+        indicator = functools.cached_property(counting_build)
+        indicator.__set_name__(qgraph.graphs.QuantumGraph, "indicator")
+        monkeypatch.setattr(qgraph.graphs.QuantumGraph, "indicator", indicator)
         code, payload, _ = run(capsys, "inspect", trivial_path)
         assert code == 0 and "homomorphism" in payload
         assert len(calls) == 1

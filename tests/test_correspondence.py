@@ -313,6 +313,25 @@ class TestFaithfulFull:
         assert rep["faithful"] and rep["kernel_dim"] == 0
         assert rep["subspace_distance"] <= 1e-9
 
+    def test_report_reads_block_masks(self):
+        # a 200-cycle whose vertices also all point to vertex 0 (d = 200): the report
+        # reads kernel_dim and the subspace distance off masks of the d units, where
+        # left_kernel's dense (d, d) identity alone is 16 d^2 bytes
+        adj = np.roll(np.eye(200, dtype=int), 1, axis=0)
+        adj[:, 0] = 1
+        G = qg.classical_graph(adj)
+        E = qg.build_edge_correspondence(G)
+        qg.quantum_sources_sinks(G)  # inspect reports the sources first, forming G.block_sq
+        tracemalloc.start()
+        try:
+            rep = qg.faithful_full_report(E)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep["faithful"] and rep["full"] and rep["kernel_dim"] == 0
+        assert rep["subspace_distance"] == 0.0
+        assert peak < 2 * G.structure.dim**2
+
     def test_fullness_ideal(self, graph_line, graph_3cycle):
         rep = qg.faithful_full_report(qg.build_edge_correspondence(graph_3cycle))
         assert rep["full"] and rep["ideal_blocks"] == [0, 1, 2]

@@ -39,6 +39,7 @@ from strategies import SCATTERED_SIZES, delta_states, quantum_graphs
 import qgraph as qg
 from qgraph.graphs import (
     _indicator_adjacency,
+    _modular_twist,
     _schur_square_matrix,
     adjacency_from_indicator,
 )
@@ -514,7 +515,32 @@ class TestPairwiseDefects:
         assert_pair_defects_match(G, rng)
 
 
+def assert_flip_forms_match(G):
+    """eps, A_eps and (sigma_{i/2} x 1)(eps), each read through the star permutation,
+    against their dense definitions: (1 x A) applied to the adjoint of m at 1, the
+    loop over units b_p . eps, and the diagonal matrix of sigma_{i/2} by columns."""
+    psi, st, A = G.psi, G.structure, G.adjacency.matrix
+    eps = qg.edge_indicator(G)
+    want = comultiply_adjoint_oracle(qg.AlgebraElement.unit(st), psi).coeff @ A.T / G.delta_sq
+    assert close(eps.coeff, want, rel=1e-15)
+    assert close(_indicator_adjacency(eps.coeff, psi), indicator_adjacency_oracle(eps.coeff, psi), rel=1e-15)
+    sigma = np.column_stack([qg.modular_half(x, psi).vec for x in units(st)])
+    assert close(_modular_twist(eps, psi).coeff, sigma @ eps.coeff, rel=1e-15)
+
+
 class TestBatchedFormsMatchLoops:
+    # m*(1), psi(b_p b_q) and sigma_{i/2} are index maps and scales, not matrices
+    @given(drawn=quantum_graphs())
+    @settings(max_examples=10, deadline=None)
+    def test_flip_forms_on_quantum_graphs(self, drawn):
+        assert_flip_forms_match(drawn[0])
+
+    @given(psi=delta_states(), seed=st_.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_flip_forms_on_random_cp_maps(self, psi, seed):
+        G = qg.QuantumGraph(psi.structure, psi, random_cp_map(psi, np.random.default_rng(seed)))
+        assert_flip_forms_match(G)
+
     @given(psi=delta_states(), seed=st_.integers(0, 2**32 - 1))
     # a Kraus direction of pair (2, 0) at 3.7e-6 of the largest Choi eigenvalue
     @example(psi=qg.validate_delta_form([1, 1, 2], [[1 / 6], [1 / 6], [1 / 3, 1 / 3]]), seed=55670030)

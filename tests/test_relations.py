@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 from oracles import (
     comult_tensor,
@@ -325,11 +325,17 @@ class TestClassicalReduction:
     @pytest.mark.parametrize("compress", [False, True])
     @pytest.mark.parametrize("n", [3, 4])
     @given(k=st_.integers(min_value=1, max_value=4), seed=st_.integers(0, 2**32 - 1))
+    # drew the identity adjacency, whose CK defect is exactly 0 for k = 1 without the forced edge
+    @example(k=1, seed=3072)
     @settings(max_examples=5, deadline=None)
     def test_matches_vertex_loop_oracle(self, n, compress, k, seed):
-        # a random directed graph on C^n and a random family far from CK
+        # a random directed graph on C^n and a random family far from CK; A[1, 0] = 1
+        # is forced, so the CK defect S_0*S_0 - sum_j A[j, 0] S_j S_j* holds the term
+        # S_1 S_1* of another vertex and does not vanish for commuting 1 x 1 images
         rng = np.random.default_rng(seed)
-        G = qg.classical_graph(rng.integers(0, 2, size=(n, n)))
+        adj = rng.integers(0, 2, size=(n, n))
+        adj[1, 0] = 1
+        G = qg.classical_graph(adj)
         fam = qg.CKFamily(k, rng.normal(size=(n, k, k)) + 1j * rng.normal(size=(n, k, k)))
         P = random_compression(rng, k) if compress else None
         got = qg.classical_reduction(G, fam, compression=P)
