@@ -370,15 +370,16 @@ def _cyclic_dim(X: Correspondence, xi: np.ndarray) -> int:
     rows xi[a, c, i, :, l]: sum N_a N_c rank(Xi_ac), the ranks cut at
     GRAM_CUTOFF_RTOL times the largest singular value of all pairs.  Singular
     values are linear in xi; a cut on the eigenvalues of Xi* Xi, their
-    squares, would lose directions below about 1e-5 of the largest.
+    squares, would lose directions below about 1e-5 of the largest.  Xi_ac is
+    xi's raw segment at M's nonzero (a, c): `pair_slabs`' X_ac, its columns over
+    sqrt(w_c), would let a skewed state push genuine rows under the one cut.
     """
-    n = np.array(X.structure.sizes)
-    segments = np.split(xi, X.layout[-1][1:-1])  # one per pair (a, c)
+    n, start = np.array(X.structure.sizes), X.layout[-1]
     svals = {}
-    for (a, c), m in np.ndenumerate(X.mult):
-        if m:
-            Xi = segments[a * n.size + c].reshape(n[a], m, n[c]).transpose(0, 2, 1).reshape(-1, m)
-            svals[a, c] = np.linalg.svd(Xi, compute_uv=False)
+    for a, c in np.argwhere(X.mult):
+        m, k = X.mult[a, c], a * n.size + c
+        Xi = xi[start[k] : start[k + 1]].reshape(n[a], m, n[c]).transpose(0, 2, 1).reshape(-1, m)
+        svals[a, c] = np.linalg.svd(Xi, compute_uv=False)
     cutoff = GRAM_CUTOFF_RTOL * max(max((s[0] for s in svals.values()), default=0.0), 1e-300)
     return int(sum(n[a] * n[c] * np.count_nonzero(s > cutoff) for (a, c), s in svals.items()))
 

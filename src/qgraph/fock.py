@@ -3,8 +3,9 @@
 Level l+1 is E (x)_B level l (Pimsner 1997, section 1), with c_l[b] coordinates
 for each block b and first index m, c_l = M^l n, and creation by eps is E's
 slabs X_ab (`pair_slabs`) tensored with identities: every identity on level l
-is a sum of block-pair terms of E weighted by c_{l-1} or c_l, so no level is
-built but by `interior_tensor`, for `canonical_fock_family` and the tests.
+is a sum of block-pair terms of E and A (`choi_slabs`), weighted by c_{l-1} or
+c_l, so no level is built but by `interior_tensor`, for `canonical_fock_family`
+and the tests.
 """
 
 from __future__ import annotations
@@ -174,40 +175,46 @@ def lqck_fock_residuals(F: FockTruncation) -> dict:
     LQCK3: (sum_a N_a ||H_a - 1||^2)^1/2 / delta^2;
     Toeplitz-1: sum_c c_l[c] delta^4 ||P_c - A_c/delta^4||^2;
     Toeplitz-2: max_a ||H_a - 1||, the defect at every unit of block a.
-    LQCK2's m-term is A_c (x) H_c, H_c = 1 + D_cb', and transposing H_c cannot
-    change a report: ||P (x) 1_s - A (x) H||^2 = s||P||^2 + ||A||^2 ||H||^2
-    - 2 Re(tr(P*A) tr H) sees H only through ||H|| and tr H.  Expanded, it
-    cancels O(1) terms to rounding (about 1e-8 in the root), so it is summed
-    entry by entry: ||A_c||^2 times D_cb''s off-diagonal squares, plus
-    ||P_c - A_c (1 + D_cb'[u, u]) / delta^4||^2 over the diagonal.
+    LQCK1 and the D_cb' sums are read per group of E's `pair_slabs`, P_c and
+    A_c per group of A's nonzero `choi_slabs`, where row-major keys place the
+    pairs with M_ac > 0.  LQCK2 is summed about mu_c, the mean of the diagonals
+    of D_cb' weighted by c_{l-1}[b'], of total weight s_c = sum_b' c_{l-1}[b'] M_cb':
+    s_c ||P_c - A_c (1 + mu_c)/delta^4||^2 + ||A_c||^2 sum_b' c_{l-1}[b'] ||D_cb' - mu_c 1||^2
+    / delta^8 is exact, its cross term a sum of deviations from the mean; no O(1) terms cancel.
     """
     G, E, N = F.graph, F.edge, F.depth
     if N == 1:
         return {**dict.fromkeys(("lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2")), "level_dims": F.level_dims}
-    d2, A, w = G.delta_sq, G.adjacency.matrix, G.psi.weights
-    n, off = np.array(G.structure.sizes), np.array(G.structure.offsets)
+    d2, W, n = G.delta_sq, G.psi.weight_table, np.array(G.structure.sizes)
     c = np.array(F.multiplicities, dtype=float)
     below, at, up = c[: N - 1].sum(axis=0), c[1:N].sum(axis=0), c[1 : N - 1].sum(axis=0)
-    w_min = [wa.min() for wa in w]
-    l1, l2, t1 = ([np.zeros((na,) * k) for na in n] for k in (1, 2, 2))
-    off_sq = np.zeros(len(n))  # per block c: the off-diagonal squares of D_cb', weighted over b'
-    slabs = {(a, b): (X[k], D[k]) for pairs, X, D in E.pair_slabs for k, (a, b) in enumerate(pairs.tolist())}
-    for (a, b), (X, D) in slabs.items():
-        off_sq[a] += below[b] * _sq_nrm(D - np.diag(np.diagonal(D)))
-        l1[a] += up[b] * _sq_nrm(D @ X) / (d2**3 * w_min[a] ** 3 * w[a])
-    # the block pairs (a, c) with M_ac > 0 or A(block a)_c != 0
-    for cc, a in zip(*np.nonzero((E.mult.T > 0) | (G.block_sq > 0))):
-        Ac = A[off[cc] : off[cc + 1], off[a] : off[a + 1]].T.reshape(n[a], n[a], n[cc], n[cc]) / (d2 * d2)
-        Q = -Ac  # [i, r]: P_c - A_c / delta^4
-        if (a, cc) in slabs:
-            X = slabs[a, cc][0]
-            Q = Q + np.einsum("ikm,rkl->irml", X.conj(), X) / d2
-        t1[a] += d2 * d2 * at[cc] * _sq_nrm(Q)
-        dg = np.concatenate([np.diagonal(slabs[cc, b][1]) for b in np.flatnonzero(E.mult[cc])])
-        wt = np.repeat(below, E.mult[cc])  # the weight of each diagonal entry
-        terms = _sq_nrm(Ac) * off_sq[cc] + (np.abs(Q[..., None] - Ac[..., None] * dg) ** 2 @ wt).sum(axis=(2, 3))
-        l2[a] += terms / (w_min[a] ** 2 * np.outer(w[a], w[a]))
-    lq1, lq2, tp1 = (float(np.sqrt(max(part.max() for part in parts))) for parts in (l1, l2, t1))
+    w_min = np.array([w.min() for w in G.psi.weights])
+    l1, (l2, t1) = np.zeros(W.shape), np.zeros((2,) + W.shape + W.shape[1:])  # by block a, padded
+    s, mu, spread = E.mult @ below, np.zeros(len(n), dtype=complex), np.zeros(len(n))
+    for pairs, _, D in E.pair_slabs:
+        np.add.at(mu, pairs[:, 0], below[pairs[:, 1]] * np.trace(D, axis1=1, axis2=2))
+    mu /= s
+    for pairs, X, D in E.pair_slabs:
+        a, b, na = pairs[:, 0], pairs[:, 1], X.shape[1]
+        np.add.at(spread, a, below[b] * _sq_nrm(D - mu[a, None, None] * np.eye(D.shape[1])))
+        DX = up[b, None] * _sq_nrm(D[:, None] @ X)  # [g, r]
+        np.add.at(l1[:, :na], a, DX / (d2**3 * w_min[a, None] ** 3 * W[a, :na]))
+    for pairs, H in G.adjacency.choi_slabs:
+        na, nc = n[pairs[0]]
+        keep = H.reshape(len(H), -1).any(axis=1)  # the pairs with A_ac != 0
+        (a, cc), H = pairs[keep].T, H[keep]
+        Ac = H.reshape(-1, na, nc, na, nc).transpose(0, 1, 3, 2, 4) / (d2 * d2)  # [g, i, r]: A_c / delta^4
+        Q = -Ac  # [g, i, r]: P_c - A_c / delta^4
+        for epairs, X, _ in E.pair_slabs:
+            if X.shape[1::2] == (na, nc):
+                k = np.searchsorted(a * len(n) + cc, epairs[:, 0] * len(n) + epairs[:, 1])
+                Q[k] += np.einsum("gikm,grkl->girml", X.conj(), X) / d2
+        np.add.at(t1[:, :na, :na], a, d2 * d2 * at[cc, None, None] * _sq_nrm(Q))
+        terms = s[cc, None, None] * _sq_nrm(Q - Ac * mu[cc, None, None, None, None])
+        terms += _sq_nrm(Ac) * spread[cc, None, None]
+        wt = w_min[a, None, None] ** 2 * W[a, :na, None] * W[a, None, :na]
+        np.add.at(l2[:, :na, :na], a, terms / wt)
+    lq1, lq2, tp1 = (float(np.sqrt(part.max())) for part in (l1, l2, t1))
     H2 = F.defect_squares
     return {
         "lqck1": lq1 if N > 2 else None,

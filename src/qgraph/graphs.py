@@ -68,30 +68,19 @@ class LinearMapOnB:
 
     @cached_property
     def choi_slabs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Choi slabs H[(i,r),(j,s)] = A(e_ij^{(a)})^{(b)}_{rs} of each block pair
-        (a, b), built once per map and grouped by (N_a, N_b) as `_pair_slabs`
-        groups them.  A is completely positive iff every slab is positive
-        semidefinite."""
+        """Choi slabs H[(i,r),(j,s)] = A(e_ij^{(a)})^{(b)}_{rs} of every block pair
+        (a, b), the one cut of A into block pairs, built once per map: per pair of
+        size groups (N_a, N_b), one gather gives the (g, 2) pairs, row-major, and
+        their (g, N_a N_b, N_a N_b) stack.  A is completely positive iff every
+        slab is positive semidefinite."""
         groups = []
-        for pairs, _, X in _pair_slabs(self):
-            g, nb, _, na, _ = X.shape
-            groups.append((pairs, X.transpose(0, 3, 1, 4, 2).reshape(g, na * nb, na * nb)))
+        for ga in self.structure.size_groups:
+            for gb in self.structure.size_groups:
+                ka, kb = np.divmod(np.arange(len(ga.blocks) * len(gb.blocks)), len(gb.blocks))
+                na, nb = ga.size, gb.size  # rows (r, s) of block b, columns (i, j) of block a
+                H = self.matrix[gb.coords[kb].reshape(-1, 1, nb, 1, nb), ga.coords[ka].reshape(-1, na, 1, na, 1)]
+                groups.append((np.stack([ga.blocks[ka], gb.blocks[kb]], axis=1), H.reshape(-1, na * nb, na * nb)))
         return groups
-
-
-def _pair_slabs(A: LinearMapOnB):
-    """A's slab X[r, s, i, j] = A(e_ij^{(a)})^{(b)}_{rs} of every block pair
-    (a, b), grouped by (N_a, N_b): yields each group's (g, 2) pairs, row-major,
-    the index of their entries in A.matrix and their (g, N_b, N_b, N_a, N_a)
-    slabs."""
-    groups = A.structure.size_groups
-    for ga in groups:
-        for gb in groups:
-            ka, kb = np.divmod(np.arange(len(ga.blocks) * len(gb.blocks)), len(gb.blocks))
-            # rows (r, s) of block b, columns (i, j) of block a
-            index = gb.coords[kb][:, :, None], ga.coords[ka][:, None, :]
-            slabs = A.matrix[index].reshape(-1, gb.size, gb.size, ga.size, ga.size)
-            yield np.stack([ga.blocks[ka], gb.blocks[kb]], axis=1), index, slabs
 
 
 def _schur_square_matrix(psi: DeltaState, A: LinearMapOnB) -> np.ndarray:
@@ -99,16 +88,19 @@ def _schur_square_matrix(psi: DeltaState, A: LinearMapOnB) -> np.ndarray:
 
     Column e_ij of block a is sum_k A(e_ik) A(e_kj) / w_k.  On block b that is
     one (N_b N_a)-square product per block pair, R D R with
-    R[(r,i),(s,k)] = A(e_ik)_rs and D = 1 (x) diag(1/w), batched over the
-    pairs of equal sizes: no array exceeds A's own d^2 entries.
+    R[(r,i),(s,k)] = A(e_ik)_rs, the Choi slab read through a transpose, and
+    D = 1 (x) diag(1/w), batched over each group of `A.choi_slabs` and
+    scattered by the block offsets: no array exceeds A's own d^2 entries.
     """
-    out = np.empty_like(A.matrix)
-    for pairs, index, X in _pair_slabs(A):
-        g, nb, _, na, _ = X.shape
-        R = X.transpose(0, 1, 3, 2, 4).reshape(g, nb * na, nb * na)
-        inv_w = np.tile(1.0 / psi.weight_table[pairs[:, 0], :na], nb)
+    out, off = np.empty_like(A.matrix), np.array(A.structure.offsets)
+    for pairs, H in A.choi_slabs:
+        a, b = pairs.T
+        g, na, nb = len(pairs), A.structure.sizes[a[0]], A.structure.sizes[b[0]]
+        R = H.reshape(g, na, nb, na, nb).transpose(0, 2, 1, 4, 3).reshape(g, nb * na, nb * na)
+        inv_w = np.tile(1.0 / psi.weight_table[a, :na], nb)
         Z = ((R * inv_w[:, None, :]) @ R).reshape(g, nb, na, nb, na)
-        out[index] = Z.transpose(0, 1, 3, 2, 4).reshape(g, nb * nb, na * na)
+        rows, cols = off[b][:, None] + np.arange(nb * nb), off[a][:, None] + np.arange(na * na)
+        out[rows[:, :, None], cols[:, None, :]] = Z.transpose(0, 1, 3, 2, 4).reshape(g, nb * nb, na * na)
     return out
 
 

@@ -457,8 +457,9 @@ class TestInspect:
         assert code == 0 and "homomorphism" in payload
         assert len(calls) == 1
 
-    def test_builds_the_choi_slabs_once(self, capsys, monkeypatch, trivial_path):
-        # the Choi test and E_G's multiplicity spaces read the same slabs
+    def test_builds_the_choi_slabs_once(self, capsys, monkeypatch, tmp_path, trivial_path, tracial_m2):
+        # A is cut into block pairs once per command: the Schur check, the Choi
+        # test, E_G's multiplicity spaces and the Fock LQCK checks read the same slabs
         calls = []
         build = qgraph.graphs.LinearMapOnB.choi_slabs.func
 
@@ -469,9 +470,16 @@ class TestInspect:
         slabs = functools.cached_property(counting_build)
         slabs.__set_name__(qgraph.graphs.LinearMapOnB, "choi_slabs")
         monkeypatch.setattr(qgraph.graphs.LinearMapOnB, "choi_slabs", slabs)
-        code, payload, _ = run(capsys, "inspect", trivial_path)
-        assert code == 0 and payload["dim_E"] == 4
-        assert len(calls) == 1
+        fam_path = tmp_path / "fam.json"
+        save_family(str(fam_path), qg.canonical_lqck_family("trivial", tracial_m2))
+        commands = (["inspect", trivial_path], ["fock", trivial_path, "--levels", "3"],
+                    ["check", trivial_path, "--family", str(fam_path)])
+        reports = {}
+        for argv in commands:
+            calls.clear()
+            code, reports[argv[0]], _ = run(capsys, *argv)
+            assert code == 0 and len(calls) == 1, argv
+        assert reports["inspect"]["dim_E"] == 4
 
     def test_forms_the_pair_slabs_once(self, capsys, tmp_path, graph_complete_m2, pair_slab_calls):
         # the B (x)_A B isomorphism and the compact decomposition read one set of slabs
