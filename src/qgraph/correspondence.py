@@ -241,7 +241,9 @@ def multiplicity_spaces(G: QuantumGraph) -> tuple[list[tuple[np.ndarray, ...]], 
     Y Y*, their squares, would lose Kraus directions below about 1e-5 of the
     largest.  Each group's bases are (pairs, ranks, U): its (g, 2) block
     pairs, row-major, their Kraus ranks M_ab and the (g, N_a N_b, N_a N_b)
-    stack whose first M_ab columns are the basis u of K_ab.
+    stack whose first M_ab columns are the basis u of K_ab.  A pair where A
+    is 0 has no slab, so it has rank 0 and no bases; with no edges at all the
+    generator is empty.
     """
     groups = []
     for pairs, H in G.adjacency.choi_slabs:
@@ -257,8 +259,8 @@ def multiplicity_spaces(G: QuantumGraph) -> tuple[list[tuple[np.ndarray, ...]], 
             coords = s[:, :, None] * Vh
         coords = coords.reshape(len(a), -1, na, nb) * root_b[:, None, None]
         groups.append((pairs, s, U / root_a[:, :, None], coords.transpose(0, 2, 1, 3)))  # (i, u, l)
-    cutoff = GRAM_CUTOFF_RTOL * max(max(s.max(initial=0.0) for _, s, _, _ in groups), 1e-300)
-    bases, segments, keys = [], [], []
+    cutoff = GRAM_CUTOFF_RTOL * max([1e-300] + [s.max() for _, s, _, _ in groups])
+    bases, segments, keys = [], [np.zeros(0, complex)], [np.zeros(0, int)]
     for pairs, s, U, coords in groups:
         g, na, _, nb = coords.shape
         keep = s > cutoff  # [pair, u], s descending

@@ -176,8 +176,8 @@ def lqck_fock_residuals(F: FockTruncation) -> dict:
     Toeplitz-1: sum_c c_l[c] delta^4 ||P_c - A_c/delta^4||^2;
     Toeplitz-2: max_a ||H_a - 1||, the defect at every unit of block a.
     LQCK1 and the D_cb' sums are read per group of E's `pair_slabs`, P_c and
-    A_c per group of A's nonzero `choi_slabs`, where row-major keys place the
-    pairs with M_ac > 0.  LQCK2 is summed about mu_c, the mean of the diagonals
+    A_c per group of A's `choi_slabs`, just the pairs with A_ac != 0, where
+    row-major keys place the pairs with M_ac > 0.  LQCK2 is summed about mu_c, the mean of the diagonals
     of D_cb' weighted by c_{l-1}[b'], of total weight s_c = sum_b' c_{l-1}[b'] M_cb':
     s_c ||P_c - A_c (1 + mu_c)/delta^4||^2 + ||A_c||^2 sum_b' c_{l-1}[b'] ||D_cb' - mu_c 1||^2
     / delta^8 is exact, its cross term a sum of deviations from the mean; no O(1) terms cancel.
@@ -200,9 +200,7 @@ def lqck_fock_residuals(F: FockTruncation) -> dict:
         DX = up[b, None] * _sq_nrm(D[:, None] @ X)  # [g, r]
         np.add.at(l1[:, :na], a, DX / (d2**3 * w_min[a, None] ** 3 * W[a, :na]))
     for pairs, H in G.adjacency.choi_slabs:
-        na, nc = n[pairs[0]]
-        keep = H.reshape(len(H), -1).any(axis=1)  # the pairs with A_ac != 0
-        (a, cc), H = pairs[keep].T, H[keep]
+        (a, cc), (na, nc) = pairs.T, n[pairs[0]]
         Ac = H.reshape(-1, na, nc, na, nc).transpose(0, 1, 3, 2, 4) / (d2 * d2)  # [g, i, r]: A_c / delta^4
         Q = -Ac  # [g, i, r]: P_c - A_c / delta^4
         for epairs, X, _ in E.pair_slabs:

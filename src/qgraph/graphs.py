@@ -5,8 +5,9 @@ delta^2 A.  This module validates that condition, builds the quantum edge
 indicator, cross-checks complete positivity two independent ways, finds
 quantum sources/sinks, and evaluates the homomorphism and quantum
 isomorphism covariance residuals.  The checks work per group of blocks of one
-size: the Choi slabs are built once per graph, and the unit-pair checks are
-tables of pairwise defects over the triples of m (`blocks.pair_defects`).
+size: the Choi slabs of A's nonzero block pairs are built once per graph, and
+the unit-pair checks are tables of pairwise defects over the triples of m
+(`blocks.pair_defects`).
 """
 
 from __future__ import annotations
@@ -58,59 +59,48 @@ class LinearMapOnB:
     def identity(cls, structure: BlockStructure) -> "LinearMapOnB":
         return cls(structure, np.eye(structure.dim))
 
-    def adapted_coefficients(self, psi: DeltaState) -> np.ndarray:
-        """Coefficient matrix in the adapted-unit basis, by diagonal rescaling.
-
-        A(f_p) = sum_q coeff[q, p] f_q with f_p = e_p / sqrt(w_i w_j).
-        """
-        scale = np.sqrt(psi.weight_of_row * psi.gram_diag)
-        return self.matrix * (scale[:, None] / scale[None, :])
-
     @cached_property
     def choi_slabs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Choi slabs H[(i,r),(j,s)] = A(e_ij^{(a)})^{(b)}_{rs} of every block pair
-        (a, b), the one cut of A into block pairs, built once per map: per pair of
-        size groups (N_a, N_b), one gather gives the (g, 2) pairs, row-major, and
-        their (g, N_a N_b, N_a N_b) stack.  A is completely positive iff every
-        slab is positive semidefinite."""
+        """Choi slabs H[(i,r),(j,s)] = A(e_ij^{(a)})^{(b)}_{rs} of the block pairs
+        (a, b) where A has a nonzero entry (an exact != 0 test: a subnormal entry
+        squares to 0), the one cut of A into block pairs, built once per map: per
+        pair of size groups (N_a, N_b) with any, one gather gives the (g, 2) pairs,
+        row-major, and their (g, N_a N_b, N_a N_b) stack.  A missing pair's slab is
+        0, so A is completely positive iff every slab here is positive semidefinite."""
+        starts = self.structure.offsets[:-1]
+        nonzero = np.logical_or.reduceat(np.logical_or.reduceat(self.matrix != 0, starts, axis=1), starts, axis=0).T
         groups = []
         for ga in self.structure.size_groups:
             for gb in self.structure.size_groups:
-                ka, kb = np.divmod(np.arange(len(ga.blocks) * len(gb.blocks)), len(gb.blocks))
-                na, nb = ga.size, gb.size  # rows (r, s) of block b, columns (i, j) of block a
-                H = self.matrix[gb.coords[kb].reshape(-1, 1, nb, 1, nb), ga.coords[ka].reshape(-1, na, 1, na, 1)]
-                groups.append((np.stack([ga.blocks[ka], gb.blocks[kb]], axis=1), H.reshape(-1, na * nb, na * nb)))
+                ka, kb = np.nonzero(nonzero[np.ix_(ga.blocks, gb.blocks)])
+                if len(ka):
+                    na, nb = ga.size, gb.size  # rows (r, s) of block b, columns (i, j) of block a
+                    H = self.matrix[gb.coords[kb].reshape(-1, 1, nb, 1, nb), ga.coords[ka].reshape(-1, na, 1, na, 1)]
+                    groups.append((np.stack([ga.blocks[ka], gb.blocks[kb]], axis=1), H.reshape(-1, na * nb, na * nb)))
         return groups
 
 
-def _schur_square_matrix(psi: DeltaState, A: LinearMapOnB) -> np.ndarray:
-    """Matrix of x -> m (A x A) m*(x) on canonical coordinates.
+def schur_residual(psi: DeltaState, A: LinearMapOnB) -> float:
+    """Frobenius residual of m (A x A) m* = delta^2 A over the standard basis.
 
-    Column e_ij of block a is sum_k A(e_ik) A(e_kj) / w_k.  On block b that is
-    one (N_b N_a)-square product per block pair, R D R with
+    Column e_ij of block a of m (A x A) m* is sum_k A(e_ik) A(e_kj) / w_k.  On
+    block b that is one (N_b N_a)-square product per block pair, R D R with
     R[(r,i),(s,k)] = A(e_ik)_rs, the Choi slab read through a transpose, and
-    D = 1 (x) diag(1/w), batched over each group of `A.choi_slabs` and
-    scattered by the block offsets: no array exceeds A's own d^2 entries.
+    D = 1 (x) diag(1/w), batched over each group of `A.choi_slabs`; in the
+    same layout delta^2 A is delta^2 R.  A missing pair adds 0 to both sides,
+    so the squared residual is the sum of ||R D R - delta^2 R||^2 over the slabs.
     """
-    out, off = np.empty_like(A.matrix), np.array(A.structure.offsets)
+    if A.structure != psi.structure:
+        raise ShapeMismatch("map and state over different structures")
+    total = 0.0
     for pairs, H in A.choi_slabs:
         a, b = pairs.T
         g, na, nb = len(pairs), A.structure.sizes[a[0]], A.structure.sizes[b[0]]
         R = H.reshape(g, na, nb, na, nb).transpose(0, 2, 1, 4, 3).reshape(g, nb * na, nb * na)
         inv_w = np.tile(1.0 / psi.weight_table[a, :na], nb)
-        Z = ((R * inv_w[:, None, :]) @ R).reshape(g, nb, na, nb, na)
-        rows, cols = off[b][:, None] + np.arange(nb * nb), off[a][:, None] + np.arange(na * na)
-        out[rows[:, :, None], cols[:, None, :]] = Z.transpose(0, 1, 3, 2, 4).reshape(g, nb * nb, na * na)
-    return out
-
-
-def schur_residual(psi: DeltaState, A: LinearMapOnB) -> float:
-    """Frobenius residual of m (A x A) m* = delta^2 A over the standard basis."""
-    if A.structure != psi.structure:
-        raise ShapeMismatch("map and state over different structures")
-    return float(
-        np.linalg.norm(_schur_square_matrix(psi, A) - psi.delta_sq * A.matrix)
-    )
+        diff = (R * inv_w[:, None, :]) @ R - psi.delta_sq * R
+        total += np.vdot(diff, diff).real
+    return float(np.sqrt(total))
 
 
 @dataclass(frozen=True)
@@ -156,13 +146,6 @@ class QuantumGraph:
         coeff.setflags(write=False)
         return TensorElement(self.structure, coeff)
 
-    @cached_property
-    def block_sq(self) -> np.ndarray:
-        """[b, a] = ||A(block a)_b||^2, the squared Frobenius norm of A from block a
-        into block b: two np.add.reduceat over the block offsets, once per graph."""
-        A, starts = self.adjacency.matrix, self.structure.offsets[:-1]
-        return np.add.reduceat(np.add.reduceat(A.real**2 + A.imag**2, starts, axis=0), starts, axis=1)
-
 
 def edge_indicator(G: QuantumGraph) -> TensorElement:
     """Quantum edge indicator eps = delta^-2 (1 x A) m*(1) of G (`QuantumGraph.indicator`)."""
@@ -196,6 +179,7 @@ def is_completely_positive(psi: DeltaState, A: LinearMapOnB) -> tuple[bool, floa
 
     One Hermitian check and one eigvalsh per group of `A.choi_slabs`; the first
     slab in (a, b) order that is not finite or not Hermitian fails with -||H||.
+    A missing block pair is a zero slab, whose eigenvalues are 0.
     """
     if A.structure != psi.structure:
         raise ShapeMismatch("map and state over different structures")
@@ -208,7 +192,8 @@ def is_completely_positive(psi: DeltaState, A: LinearMapOnB) -> tuple[bool, floa
     if bad:
         return False, -float(np.linalg.norm(min(bad, key=lambda kH: kH[0])[1]))
     evals = [np.linalg.eigvalsh((H + H.conj().transpose(0, 2, 1)) / 2) for _, H in A.choi_slabs]
-    min_eig, max_eig = min(e.min() for e in evals), max(0.0, *(e.max() for e in evals))
+    missing = sum(len(e) for e in evals) < A.structure.num_blocks**2
+    min_eig, max_eig = min([e.min() for e in evals] + [0.0] * missing), max([0.0] + [e.max() for e in evals])
     return bool(min_eig >= -CHOI_EIG_RTOL * max(1.0, max_eig)), float(min_eig)
 
 
@@ -253,9 +238,13 @@ def adjacency_from_indicator(
 def quantum_sources_sinks(
     G: QuantumGraph, tol: float = DEFAULT_TOL
 ) -> tuple[list[int], list[int]]:
-    """Indices of source blocks (in ker A) and sink blocks (orthogonal to ran A),
-    read off `QuantumGraph.block_sq`."""
-    on, into = (np.sqrt(G.block_sq.sum(axis=k)) for k in (0, 1))
+    """Indices of source blocks (in ker A) and sink blocks (orthogonal to ran A):
+    the norms of A on and into each block, summed from the squared norms of
+    the Choi slabs of the pairs (a, b) on a and into b."""
+    sq = np.zeros((2, G.structure.num_blocks))  # rows: on block a, into block b
+    for pairs, H in G.adjacency.choi_slabs:
+        np.add.at(sq, ([[0], [1]], pairs.T), np.sum(H.real**2 + H.imag**2, axis=(1, 2)))
+    on, into = np.sqrt(sq)
     return np.flatnonzero(on <= tol).tolist(), np.flatnonzero(into <= tol).tolist()
 
 

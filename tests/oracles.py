@@ -490,10 +490,25 @@ def random_cp_map(psi, rng, kraus=2, sources=(), sinks=()):
     return qg.LinearMapOnB(st, np.column_stack(cols))
 
 
+def zero_block_pairs(A, rng, p=0.4):
+    """A with each block pair (a, b), the part of A from block a into block b,
+    zeroed with probability p.  Each Choi slab is its own pair's, so a
+    completely positive A stays completely positive."""
+    st, mat = A.structure, A.matrix.copy()
+    off = st.offsets
+    for a in range(st.num_blocks):
+        for b in range(st.num_blocks):
+            if rng.random() < p:
+                mat[off[b] : off[b + 1], off[a] : off[a + 1]] = 0
+    return qg.LinearMapOnB(st, mat)
+
+
 def choi_blocks(A):
-    """The library's Choi slabs (`choi_slabs`) as one list in row-major (a, b) order."""
-    d = A.structure.num_blocks
-    out = [None] * (d * d)
+    """The library's Choi slabs (`choi_slabs`) as one list in row-major (a, b)
+    order, with a zero slab for each pair that `choi_slabs` leaves out."""
+    st = A.structure
+    d = st.num_blocks
+    out = [np.zeros((st.sizes[a] * st.sizes[b],) * 2, dtype=complex) for a in range(d) for b in range(d)]
     for pairs, H in A.choi_slabs:
         for (a, b), slab in zip(pairs, H, strict=True):
             out[a * d + b] = slab

@@ -321,7 +321,7 @@ class TestFaithfulFull:
         adj[:, 0] = 1
         G = qg.classical_graph(adj)
         E = qg.build_edge_correspondence(G)
-        qg.quantum_sources_sinks(G)  # inspect reports the sources first, forming G.block_sq
+        qg.quantum_sources_sinks(G)  # inspect reports the sources first, from A's Choi slabs
         tracemalloc.start()
         try:
             rep = qg.faithful_full_report(E)

@@ -335,7 +335,7 @@ class TestFockFamily:
 def reconstructed_eps(G, E):
     """eps_ab[i,j,k,l] = sum_x gen[a,b,i,x,l] u_x[jk] / sqrt(w_b[l]) from the
     generator and the multiplicity bases, whose columns must be orthonormal
-    for the weights w_a[j]."""
+    for the weights w_a[j]; a pair with no bases has rank 0."""
     st = G.structure
     bases = {
         (a, b): u[:, :m]
@@ -346,7 +346,7 @@ def reconstructed_eps(G, E):
     pos = 0
     for a, na in enumerate(st.sizes):
         for b, nb in enumerate(st.sizes):
-            u = bases[a, b]
+            u = bases.get((a, b), np.zeros((na * nb, 0)))
             weighted = np.repeat(G.psi.weights[a], nb)[:, None] * u
             assert close(u.conj().T @ weighted, np.eye(u.shape[1]))
             m = u.shape[1]

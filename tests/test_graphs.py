@@ -33,6 +33,7 @@ from oracles import (
     right_act,
     right_mul,
     tensor_square_module,
+    zero_block_pairs,
 )
 from strategies import SCATTERED_SIZES, delta_states, quantum_graphs
 
@@ -40,7 +41,6 @@ import qgraph as qg
 from qgraph.graphs import (
     _indicator_adjacency,
     _modular_twist,
-    _schur_square_matrix,
     adjacency_from_indicator,
 )
 
@@ -110,6 +110,21 @@ class TestSchur:
         res, peak = traced_peak(lambda: qg.schur_residual(G.psi, G.adjacency))
         assert res < 1e-12
         assert peak < 16 * 2**20
+
+    def test_holds_only_the_edges_of_a_classical_graph(self):
+        # a 1000-cycle whose vertices also all point to vertex 0: A is 16 d^2 bytes,
+        # and the Schur gate's Choi slabs are its 2d - 1 nonzero 1 x 1 pairs
+        n = 1000
+        adj = np.roll(np.eye(n, dtype=int), 1, axis=0)
+        adj[:, 0] = 1
+        tracemalloc.start()
+        try:
+            G = qg.classical_graph(adj)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(pairs) for pairs, _ in G.adjacency.choi_slabs) == 2 * n - 1
+        assert held < 2 * 16 * n**2
 
 
 class TestEdgeIndicator:
@@ -192,6 +207,11 @@ class TestCompletePositivity:
         flag, _ = qg.is_completely_positive(tracial_m2, qg.LinearMapOnB(tracial_m2.structure, mat))
         assert flag is False
 
+    def test_missing_pairs_read_as_zero_eigenvalues(self, graph_line):
+        # the line's one edge leaves three zero slabs; the edgeless graph leaves all
+        for G in (graph_line, qg.classical_graph(np.zeros((3, 3), dtype=int))):
+            assert qg.is_completely_positive(G.psi, G.adjacency) == (True, 0.0)
+
     def test_choi_blocks_of_identity_are_psd(self, tracial_m2):
         A = qg.LinearMapOnB.identity(tracial_m2.structure)
         for H in choi_blocks(A):
@@ -238,7 +258,7 @@ class TestGroupedChoiTest:
     @given(
         psi=delta_states(MIXED_SIZES),
         seed=st_.integers(0, 2**32 - 1),
-        kind=st_.sampled_from(["cp", "transpose", "non_hermitian", "non_finite"]),
+        kind=st_.sampled_from(["cp", "zeroed", "transpose", "non_hermitian", "non_finite"]),
     )
     @settings(max_examples=60, deadline=None)
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf on non-finite maps
@@ -246,7 +266,9 @@ class TestGroupedChoiTest:
         rng = np.random.default_rng(seed)
         st = psi.structure
         mat = random_cp_map(psi, rng).matrix
-        if kind == "transpose":  # x -> A(x)^T: Hermitian slabs, indefinite where N_b > 1
+        if kind == "zeroed":  # some block pairs missing from the slabs, each a zero Choi slab
+            mat = zero_block_pairs(qg.LinearMapOnB(st, mat), rng).matrix
+        elif kind == "transpose":  # x -> A(x)^T: Hermitian slabs, indefinite where N_b > 1
             mat = mat[st.star_perm]
         elif kind != "cp":
             # spoil a random set of block pairs, so the first spoiled pair in
@@ -396,6 +418,11 @@ def schur_square_oracle(psi, A):
     return np.column_stack(cols)
 
 
+def schur_residual_oracle(psi, A):
+    """||m (A x A) m* - delta^2 A|| over the whole matrix of A."""
+    return np.linalg.norm(schur_square_oracle(psi, A) - psi.delta_sq * A.matrix)
+
+
 def indicator_adjacency_oracle(xi, psi):
     """Columns delta^2 (psi x 1)(b_p . xi)."""
     st = psi.structure
@@ -528,6 +555,53 @@ def assert_flip_forms_match(G):
     assert close(_modular_twist(eps, psi).coeff, sigma @ eps.coeff, rel=1e-15)
 
 
+def assert_slabs_match_oracle(A):
+    """The pairs of `choi_slabs` are exactly those where the entry-by-entry
+    oracle's slab has a nonzero entry, and each slab equals the oracle's."""
+    d, oracle = A.structure.num_blocks, choi_blocks_oracle(A)
+    got = sorted(tuple(p) for pairs, _ in A.choi_slabs for p in pairs.tolist())
+    assert got == [divmod(k, d) for k, H in enumerate(oracle) if H.any()]
+    for H, want in zip(choi_blocks(A), oracle, strict=True):
+        assert close(H, want)
+
+
+class TestNonzeroPairs:
+    """`choi_slabs` holds A's block pairs with a nonzero entry and no others."""
+
+    @given(drawn=quantum_graphs())
+    @settings(max_examples=10, deadline=None)
+    def test_quantum_graphs(self, drawn):
+        assert_slabs_match_oracle(drawn[0].adjacency)
+
+    @given(n=st_.integers(1, 6), seed=st_.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_classical_graphs(self, n, seed):
+        adj = np.random.default_rng(seed).integers(0, 2, size=(n, n))
+        G = qg.classical_graph(adj)
+        assert_slabs_match_oracle(G.adjacency)
+        assert sum(len(pairs) for pairs, _ in G.adjacency.choi_slabs) == adj.sum()
+
+    @given(psi=delta_states(MIXED_SIZES), seed=st_.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_random_cp_maps_with_zeroed_pairs(self, psi, seed):
+        rng = np.random.default_rng(seed)
+        A = zero_block_pairs(random_cp_map(psi, rng), rng)
+        assert_slabs_match_oracle(A)
+        assert close(qg.schur_residual(psi, A), schur_residual_oracle(psi, A))
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (2, 1)])
+    def test_keeps_a_subnormal_pair(self, sizes):
+        # 1e-310 squares to 0, so a squared-norm test would drop the pair
+        psi = qg.validate_delta_form(list(sizes), [[n / sum(m * m for m in sizes)] * n for n in sizes])
+        st = psi.structure
+        mat = np.zeros((st.dim, st.dim), dtype=complex)
+        mat[st.flat_index(1, 0, 0), st.flat_index(0, 0, sizes[0] - 1)] = 1e-310
+        assert 1e-310**2 == 0.0
+        A = qg.LinearMapOnB(st, mat)
+        assert [pairs.tolist() for pairs, _ in A.choi_slabs] == [[[0, 1]]]
+        assert_slabs_match_oracle(A)
+
+
 class TestBatchedFormsMatchLoops:
     # m*(1), psi(b_p b_q) and sigma_{i/2} are index maps and scales, not matrices
     @given(drawn=quantum_graphs())
@@ -551,7 +625,7 @@ class TestBatchedFormsMatchLoops:
         st = psi.structure
         A = random_cp_map(psi, rng)
         xi = rng.normal(size=(st.dim, st.dim)) + 1j * rng.normal(size=(st.dim, st.dim))
-        assert close(_schur_square_matrix(psi, A), schur_square_oracle(psi, A))
+        assert close(qg.schur_residual(psi, A), schur_residual_oracle(psi, A))
         assert close(_indicator_adjacency(xi, psi), indicator_adjacency_oracle(xi, psi))
 
         G = qg.QuantumGraph(st, psi, A)  # skips the Schur gate on purpose
@@ -576,8 +650,7 @@ class TestBatchedFormsMatchLoops:
         assert close(sub.lmul, lmul) and close(sub.rmul, rmul)
         assert closure > 1e-6 or E.size == 1
 
-        for H, want in zip(choi_blocks(A), choi_blocks_oracle(A), strict=True):
-            assert close(H, want)
+        assert_slabs_match_oracle(A)
 
         h = 2
         images = rng.normal(size=(d, d, h, h)) + 1j * rng.normal(size=(d, d, h, h))

@@ -153,7 +153,7 @@ def qcp_oracle(s, G, P=None):
         return F[st.flat_index(a, i, j)]
 
     d2 = G.delta_sq
-    Aad = G.adjacency.adapted_coefficients(psi)
+    Aad = G.adjacency.matrix * (scale[:, None] / scale[None, :])  # A(f_p) = sum_q Aad[q, p] f_q
 
     # sum_n s_ln (s_mn)* per (c, l, m), reused by QCP2 and QCP3
     SS = {}
