@@ -461,15 +461,10 @@ def sharp(u: TensorElement, v: TensorElement) -> TensorElement:
 
 
 def modular_power(x: AlgebraElement, psi: DeltaState, power: float) -> AlgebraElement:
-    """rho^{-power} x rho^{power} blockwise (diagonal rho)."""
+    """rho^{-power} x rho^{power}: e_ij scaled by (w_j / w_i)^power = modular_half_scale^(2 power)."""
     if x.structure != psi.structure:
         raise ShapeMismatch("element and state over different structures")
-    blocks = []
-    for a, n in enumerate(x.structure.sizes):
-        w = psi.weights[a]
-        scale = (w[:, None] ** (-power)) * (w[None, :] ** power)
-        blocks.append(x.blocks[a] * scale)
-    return AlgebraElement(x.structure, blocks)
+    return AlgebraElement.from_vector(x.structure, x.vec * psi.modular_half_scale ** (2 * power))
 
 
 def modular_half(x: AlgebraElement, psi: DeltaState) -> AlgebraElement:

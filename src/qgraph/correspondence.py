@@ -96,13 +96,14 @@ class Correspondence:
         M[a, b] > 0: their (g, 2) pairs (a, b), row-major, the (g, N_a, M_ab, N_b)
         stack of X_ab, the generator's segment for the pair with column m divided
         by sqrt(w_b[m]), so that X_ab[j] = eps_ab[j] / sqrt(w_b) is an M_ab x N_b
-        matrix, and the (g, M_ab, M_ab) stack of D_ab = sum_j X_ab[j] X_ab[j]* / w_a[j] - 1."""
-        n, W, M = self.structure.sizes, self.psi.weight_table, self.mult.tolist()
+        matrix, and the (g, M_ab, M_ab) stack of D_ab = sum_j X_ab[j] X_ab[j]* / w_a[j] - 1.
+        M is read at those pairs only, with no list of all its (blocks, blocks) entries."""
+        n, W = self.structure.sizes, self.psi.weight_table
         pairs = np.argwhere(self.mult)  # row-major
         start, root_w = self.layout[-1][pairs[:, 0] * len(n) + pairs[:, 1]], np.sqrt(W)
         shapes = {}  # the pairs of each shape, in order of first appearance
-        for k, (a, b) in enumerate(pairs.tolist()):
-            shapes.setdefault((n[a], M[a][b], n[b]), []).append(k)
+        for k, ((a, b), m) in enumerate(zip(pairs.tolist(), self.mult[tuple(pairs.T)].tolist())):
+            shapes.setdefault((n[a], m, n[b]), []).append(k)
         slabs = []
         for (na, m, nb), group in shapes.items():
             group = np.array(group)

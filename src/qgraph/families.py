@@ -28,7 +28,7 @@ from .errors import (
     StateNotInvariant,
 )
 from .graphs import LinearMapOnB, QuantumGraph
-from .relations import CKFamily
+from .relations import CKFamily, lqck_residuals
 
 
 def complete_graph(psi: DeltaState) -> QuantumGraph:
@@ -208,8 +208,6 @@ def canonical_lqck_family(
     kind "trivial" uses T = 1; kind "rank_one" requires a normalized T.  The
     local relation residuals are verified at construction.
     """
-    from .relations import lqck_residuals
-
     st = psi.structure
     if kind == "trivial":
         if T is not None and (T - AlgebraElement.unit(st)).norm() > 1e-12:

@@ -94,11 +94,12 @@ class FockTruncation:
     def defect_squares(self) -> np.ndarray:
         """[l - 1, a] = ||H_a - 1||^2 on level l = 1..N-1, formed once per truncation:
         H_a - 1 is the sum over b of D_ab (x) 1 with c_{l-1}[b] copies, of squared
-        norm sum_b c_{l-1}[b] ||D_ab||^2."""
-        sq = np.zeros(self.edge.mult.shape)
+        norm sum_b c_{l-1}[b] ||D_ab||^2, added by pair with no (blocks, blocks) table."""
+        c = np.array(self.multiplicities[: self.depth - 1], dtype=float)
+        out = np.zeros(c.shape)
         for pairs, _, D in self.edge.pair_slabs:
-            sq[pairs[:, 0], pairs[:, 1]] = _sq_nrm(D)
-        return np.array(self.multiplicities[: self.depth - 1], dtype=float) @ sq.T
+            np.add.at(out, (slice(None), pairs[:, 0]), c[:, pairs[:, 1]] * _sq_nrm(D))
+        return out
 
 
 def build_fock(G: QuantumGraph, N: int) -> FockTruncation:

@@ -7,7 +7,8 @@ quantum sources/sinks, and evaluates the homomorphism and quantum
 isomorphism covariance residuals.  The checks work per group of blocks of one
 size: the Choi slabs of A's nonzero block pairs are built once per graph, and
 the unit-pair checks are tables of pairwise defects over the triples of m
-(`blocks.pair_defects`).
+(`blocks.pair_defects`); the homomorphism check forms one and reads the
+indicator shift off it through the star permutation (oracle: `tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -264,16 +265,17 @@ def homomorphism_check(G: QuantumGraph) -> dict[str, float]:
     (b_p b_q) . eps - b_p . eps . A(b_q); the two vanish together.  The second
     is b_p . X_q, X_q = b_q . eps - eps . A(b_q), and e_ij . moves row group
     (a, j, .) of the first leg to (a, i, .): its worst value is the worst
-    row-group norm of X.  Row s of X_q is -eps[s] A(b_q), except row u, which is
-    eps[r] - eps[u] A(b_q) where b_q b_r = b_u; both defects are read off
-    `blocks.pair_defects`.
+    row-group norm of X.  Row s of eps is A(b_{s*}) / (g_s delta^2), so for any linear
+    map ||row s of X_q||^2 = mult[star_perm[s], q] / (g_s delta^2)^2, mult being A's one
+    `blocks.pair_defects` table (on b_q b_r = b_u, b_{u*} b_q = b_{r*} and g_r = g_u);
+    its oracle is `tests/oracles.py::indicator_shift_table`.
     """
     require_completely_positive(G)
-    st, images = G.structure, G.adjacency.matrix.T  # images[q] = A(b_q)
-    eps = edge_indicator(G).coeff
+    st, psi, images = G.structure, G.psi, G.adjacency.matrix.T  # images[q] = A(b_q)
     u, q, r = st.mul_nonzeros  # b_q b_r = b_u
     mult = pair_defects(st, images, images, images, q, r, u)
-    shift = pair_defects(st, eps, images, eps, u, q, r)  # [s, q]: ||row s of X_q||^2
+    shift = mult[st.star_perm]  # [s, q]
+    shift /= ((psi.gram_diag * psi.delta_sq) ** 2)[:, None]
     row_groups = np.flatnonzero(st.unit_indices[2] == 0)  # (a, i, .) starts at e_i0
     return {
         "multiplicativity": float(np.sqrt(mult.max())),

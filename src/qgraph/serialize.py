@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .blocks import validate_delta_form
+from .blocks import DEFAULT_TOL, validate_delta_form
 from .errors import BudgetExceeded, ParseError, WriteError
 from .graphs import LinearMapOnB, QuantumGraph
 from .relations import CKFamily
@@ -160,7 +160,7 @@ def graph_to_document(G: QuantumGraph, tol: float | None = None) -> dict:
     return doc
 
 
-def parse_graph_document(doc: dict, tol: float = 1e-9) -> tuple[QuantumGraph, float]:
+def parse_graph_document(doc: dict, tol: float = DEFAULT_TOL) -> tuple[QuantumGraph, float]:
     """Validate a graph document; returns the graph and its effective tolerance."""
     if not isinstance(doc, dict):
         raise ParseError("graph document must be a JSON object")
@@ -184,7 +184,7 @@ def parse_graph_document(doc: dict, tol: float = 1e-9) -> tuple[QuantumGraph, fl
     return graph, eff_tol
 
 
-def load_graph(path: str, tol: float = 1e-9) -> tuple[QuantumGraph, float]:
+def load_graph(path: str, tol: float = DEFAULT_TOL) -> tuple[QuantumGraph, float]:
     return parse_graph_document(_read(path, "graph"), tol=tol)
 
 

@@ -467,6 +467,17 @@ def cp_model_dim(G):
     return len(_gram_quotient(model @ G.psi.psi_vec)[0])
 
 
+def indicator_shift_table(G):
+    """[s, q] = ||row s of X_q||^2, X_q = b_q . eps - eps . A(b_q), from the edge
+    indicator itself: row s of X_q is -eps[s] A(b_q), except row u, which is
+    eps[r] - eps[u] A(b_q) where b_q b_r = b_u.  `homomorphism_check` reads the
+    same table off A's multiplicativity table through the star permutation."""
+    st, images = G.structure, G.adjacency.matrix.T
+    eps = qg.edge_indicator(G).coeff
+    u, q, r = st.mul_nonzeros
+    return qg.blocks.pair_defects(st, eps, images, eps, u, q, r)
+
+
 def random_cp_map(psi, rng, kraus=2, sources=(), sinks=()):
     """x -> block-diagonal part of sum_K K x K*: completely positive, and
     for random K not Schur-idempotent.  The Kraus operators are zeroed on

@@ -665,3 +665,20 @@ class TestLevelwiseMatchesFullTruncation:
             tracemalloc.stop()
         assert all(report[key] < 1e-9 for key in (*FOCK_KEYS, "inner", "covariance"))
         assert peak < 2**20
+
+    def test_pair_tables_of_a_1000_vertex_graph_in_bounded_memory(self):
+        """A 1000-cycle whose vertices also all point to vertex 0 has 1999 of its
+        10^6 block pairs in E: `pair_slabs` reads M at those and `defect_squares`
+        adds by pair, each below one (blocks, blocks) float table, 7.6 MiB."""
+        adj = np.roll(np.eye(1000, dtype=int), 1, axis=0)
+        adj[:, 0] = 1
+        F = qg.build_fock(qg.classical_graph(adj), 3)
+        F.edge.layout, F.multiplicities  # cached before tracing
+        for name, of in (("pair_slabs", F.edge), ("defect_squares", F)):
+            tracemalloc.start()
+            try:
+                getattr(of, name)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 1000**2, name

@@ -19,6 +19,7 @@ from oracles import (
     dense_actions,
     dense_edge_correspondence,
     dense_fock,
+    indicator_shift_table,
     left_act,
     left_mul,
     mul_tensor,
@@ -303,6 +304,44 @@ class TestHomomorphism:
                 assert abs(got[key] - value) <= 1e-12 * max(1.0, value), (name, key)
         assert min(qg.homomorphism_check(complete).values()) > 0.1  # not multiplicative
 
+    @given(psi=delta_states(), seed=st_.integers(0, 2**32 - 1), kraus=st_.integers(1, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_random_completely_positive_maps(self, psi, seed, kraus):
+        # not multiplicative, so every unit pair is weighted by (g_s delta^2)^2 on a skewed state
+        G = qg.QuantumGraph(psi.structure, psi, random_cp_map(psi, np.random.default_rng(seed), kraus))
+        got, want = qg.homomorphism_check(G), homomorphism_oracle(G)
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-12 * max(1.0, value), key
+
+    @given(psi=delta_states(), seed=st_.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_indicator_shift_is_the_oracle_table_on_any_map(self, psi, seed):
+        """The indicator-shift table is the multiplicativity table read through the
+        star permutation for every linear map, so the Choi gate is lifted here to
+        compare on complex maps that are not completely positive."""
+        st, rng = psi.structure, np.random.default_rng(seed)
+        A = qg.LinearMapOnB(st, rng.normal(size=(st.dim, st.dim)) + 1j * rng.normal(size=(st.dim, st.dim)))
+        G = qg.QuantumGraph(st, psi, A)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qg.graphs, "require_completely_positive", lambda G: None)
+            got = qg.homomorphism_check(G)["indicator_shift"]
+        row_groups = np.flatnonzero(st.unit_indices[2] == 0)
+        want = np.sqrt(np.add.reduceat(indicator_shift_table(G), row_groups, axis=0).max())
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_forms_one_unit_pair_table(self, monkeypatch, nontracial_m1_m2):
+        G = qg.complete_graph(nontracial_m1_m2)
+        calls, pair_defects = [], qg.graphs.pair_defects
+
+        def counted(*args):
+            calls.append(args)
+            return pair_defects(*args)
+
+        monkeypatch.setattr(qg.graphs, "pair_defects", counted)
+        qg.homomorphism_check(G)
+        assert len(calls) == 1
+        assert "indicator" not in vars(G)  # the edge indicator is never formed
+
     def test_allocates_no_d4_array(self):
         # the unit-pair products are (d, d, d) stacks; one complex (d, d, d, d)
         # array on M_5 would be 6.25 MB
@@ -350,11 +389,12 @@ class TestHomomorphism:
         whole, whole_chunks = reports(), list(chunks)
         monkeypatch.setattr(qg.blocks, "_CHUNK_ENTRIES", 1)
         chunked = reports()
-        # per report set, the 2 checks on B read the 9 triples of its size-1 group and the 5
-        # rows of its size-2 group, and the theta check the 5 rows of each of the groups of
-        # sizes 2 and 4 on B (x) M_2: whole, one chunk each, then one triple or row per chunk
-        assert [c.stop - c.start for c in whole_chunks] == [9, 5, 9, 5, 5, 5] * 2
-        assert [c.stop - c.start for c in chunks[len(whole_chunks) :]] == [1] * (9 + 5 + 9 + 5 + 5 + 5) * 2
+        # per report set, the one table on B (the indicator shift is read off it) reads the 9
+        # triples of its size-1 group and the 5 rows of its size-2 group, and the theta check the
+        # 5 rows of each of the groups of sizes 2 and 4 on B (x) M_2: whole, one chunk each, then
+        # one triple or row per chunk
+        assert [c.stop - c.start for c in whole_chunks] == [9, 5, 5, 5] * 2
+        assert [c.stop - c.start for c in chunks[len(whole_chunks) :]] == [1] * (9 + 5 + 5 + 5) * 2
         assert all(value > 1e-6 for value in whole[0].values())
         assert whole[1]["multiplicativity"] == whole[1]["homomorphism"] == 0.0
         for got, want in zip(chunked, whole, strict=True):
