@@ -76,7 +76,7 @@ def cmd_inspect(args, tol: float) -> int:
     sources, sinks = quantum_sources_sinks(G, tol)
     report = {
         "delta_sq": G.delta_sq,
-        "schur_residual": G.schur_residual_cache,
+        "schur_residual": G.schur_defects[0],
         "cp": {
             "choi": cp_flag,
             "choi_min_eigenvalue": min_eig,
@@ -112,7 +112,7 @@ def cmd_inspect(args, tol: float) -> int:
         )
         gated += [ff["subspace_distance"], iso_res, compact]
     human = [
-        f"delta^2 = {G.delta_sq:.6g}, schur residual {G.schur_residual_cache:.3e}",
+        f"delta^2 = {G.delta_sq:.6g}, schur residual {G.schur_defects[0]:.3e}",
         f"completely positive: {cp_flag} (Choi min eig {min_eig:.3e})",
         f"indicator residuals r1={props['r1']:.3e} r2={props['r2']:.3e} r3={props['r3']:.3e}",
         f"sources {sources}, sinks {sinks}",

@@ -1,14 +1,14 @@
 """Quantum adjacency matrices, edge indicators, and their verification.
 
 A quantum graph is (B, psi, A) with A Schur-idempotent: m (A x A) m* =
-delta^2 A.  This module validates that condition, builds the quantum edge
-indicator, cross-checks complete positivity two independent ways, finds
-quantum sources/sinks, and evaluates the homomorphism and quantum
-isomorphism covariance residuals.  The checks work per group of blocks of one
-size: the Choi slabs of A's nonzero block pairs are built once per graph, and
-the unit-pair checks are tables of pairwise defects over the triples of m
-(`blocks.pair_defects`); the homomorphism check forms one and reads the
-indicator shift off it through the star permutation (oracle: `tests/oracles.py`).
+delta^2 A.  This module validates that condition, tests complete positivity,
+builds the quantum edge indicator and checks its identities, finds quantum
+sources/sinks, and evaluates the homomorphism and quantum isomorphism
+residuals.  The Choi slabs of A's nonzero block pairs are built once per graph;
+the indicator identities are their Schur and Hermitian defects, reweighted, and
+the unit-pair checks are tables over the triples of m (`blocks.pair_defects`):
+the homomorphism check forms one and reads the indicator shift off it through
+the star permutation (oracle: `tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -18,22 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import (
-    DEFAULT_TOL,
-    AlgebraElement,
-    BlockStructure,
-    DeltaState,
-    TensorElement,
-    pair_defects,
-    sharp,
-)
-from .errors import (
-    NotCompletelyPositive,
-    NotIdempotent,
-    NotModularSelfAdjoint,
-    NotQuantumAdjacency,
-    ShapeMismatch,
-)
+from .blocks import DEFAULT_TOL, AlgebraElement, BlockStructure, DeltaState, TensorElement, pair_defects
+from .errors import NotCompletelyPositive, NotIdempotent, NotModularSelfAdjoint, NotQuantumAdjacency, ShapeMismatch
 
 CHOI_EIG_RTOL = 1e-10
 
@@ -81,8 +67,9 @@ class LinearMapOnB:
         return groups
 
 
-def schur_residual(psi: DeltaState, A: LinearMapOnB) -> float:
-    """Frobenius residual of m (A x A) m* = delta^2 A over the standard basis.
+def schur_residual(psi: DeltaState, A: LinearMapOnB) -> tuple[float, float]:
+    """Frobenius residuals over the standard basis of m (A x A) m* = delta^2 A and
+    of eps # eps = eps for the edge indicator eps of A, from one pass.
 
     Column e_ij of block a of m (A x A) m* is sum_k A(e_ik) A(e_kj) / w_k.  On
     block b that is one (N_b N_a)-square product per block pair, R D R with
@@ -90,10 +77,12 @@ def schur_residual(psi: DeltaState, A: LinearMapOnB) -> float:
     D = 1 (x) diag(1/w), batched over each group of `A.choi_slabs`; in the
     same layout delta^2 A is delta^2 R.  A missing pair adds 0 to both sides,
     so the squared residual is the sum of ||R D R - delta^2 R||^2 over the slabs.
+    Row e_ji of eps # eps - eps is column e_ij of that defect over w_i delta^4:
+    the same slabs with row (r, i) weighted by 1/w_i.
     """
     if A.structure != psi.structure:
         raise ShapeMismatch("map and state over different structures")
-    total = 0.0
+    total = weighted = 0.0
     for pairs, H in A.choi_slabs:
         a, b = pairs.T
         g, na, nb = len(pairs), A.structure.sizes[a[0]], A.structure.sizes[b[0]]
@@ -101,7 +90,9 @@ def schur_residual(psi: DeltaState, A: LinearMapOnB) -> float:
         inv_w = np.tile(1.0 / psi.weight_table[a, :na], nb)
         diff = (R * inv_w[:, None, :]) @ R - psi.delta_sq * R
         total += np.vdot(diff, diff).real
-    return float(np.sqrt(total))
+        diff *= inv_w[:, :, None]
+        weighted += np.vdot(diff, diff).real
+    return float(np.sqrt(total)), float(np.sqrt(weighted)) / psi.delta_sq**2
 
 
 @dataclass(frozen=True)
@@ -111,21 +102,18 @@ class QuantumGraph:
     structure: BlockStructure
     psi: DeltaState
     adjacency: LinearMapOnB
-    schur_residual_cache: float = 0.0
 
     @classmethod
-    def build(
-        cls,
-        psi: DeltaState,
-        adjacency: LinearMapOnB,
-        tol: float = DEFAULT_TOL,
-    ) -> "QuantumGraph":
-        res = schur_residual(psi, adjacency)
-        if not res <= tol:  # a NaN residual fails too
-            raise NotQuantumAdjacency(
-                f"Schur idempotency residual {res:.3e} exceeds {tol:.1e}"
-            )
-        return cls(psi.structure, psi, adjacency, res)
+    def build(cls, psi: DeltaState, adjacency: LinearMapOnB, tol: float = DEFAULT_TOL) -> "QuantumGraph":
+        G = cls(psi.structure, psi, adjacency)
+        if not G.schur_defects[0] <= tol:  # a NaN residual fails too
+            raise NotQuantumAdjacency(f"Schur idempotency residual {G.schur_defects[0]:.3e} exceeds {tol:.1e}")
+        return G
+
+    @cached_property
+    def schur_defects(self) -> tuple[float, float]:
+        """`schur_residual` of the graph: the one Schur pass per graph, which build gates."""
+        return schur_residual(self.psi, self.adjacency)
 
     @property
     def delta_sq(self) -> float:
@@ -154,25 +142,29 @@ def edge_indicator(G: QuantumGraph) -> TensorElement:
 
 
 def indicator_properties(G: QuantumGraph) -> dict[str, float]:
-    """Residuals of the three defining properties of the edge indicator.
-
-    r1: A(x) = delta^2 (psi x 1)(x . eps) over the standard basis.
-    r2: eps # eps = eps.
-    r3: self-adjointness of (sigma_{i/2} x 1)(eps).
-    eps = delta^-2 (1 x A) m*(1) with m*(1) the flip b_p (x) b_p* scaled by 1 /
-    gram_diag[p], so eps, r1's A_eps and r3's twist are gathers and row scales.
+    """Residuals of the three defining properties of the edge indicator eps, read off
+    A's Choi slabs H[(i,r),(j,s)] = A(e_ij)_rs: row e_ij of eps is A(e_ji) / (w_i delta^2),
+    so for every linear map A each is a slab defect, reweighted.
+    r1: A(x) = delta^2 (psi x 1)(x . eps), the worst column of A - A_eps; A_eps is
+        each slab with row (i, r) scaled by 1/w_i and 1/delta^2, then back.
+    r2: eps # eps = eps, the row-weighted Schur defect of `G.schur_defects`.
+    r3: self-adjointness of (sigma_{i/2} x 1)(eps), ||W H W - (W H W)*|| / delta^2
+        over the slabs, W = diag(w_i^-1/2) (x) 1 on the index (i, r).
+    The dense forms are `tests/oracles.py::indicator_properties_oracle`.
     """
-    eps = edge_indicator(G)
-    diff = G.adjacency.matrix - _indicator_adjacency(eps.coeff, G.psi)
-    r1 = float(np.linalg.norm(diff, axis=0).max())
-    r2 = (sharp(eps, eps) - eps).norm()
-    twisted = _modular_twist(eps, G.psi)
-    return {"r1": r1, "r2": r2, "r3": (twisted - twisted.dagger()).norm()}
-
-
-def _modular_twist(xi: TensorElement, psi: DeltaState) -> TensorElement:
-    """(sigma_{i/2} x 1)(xi), the rows of xi scaled by `psi.modular_half_scale`."""
-    return TensorElement(xi.structure, psi.modular_half_scale[:, None] * xi.coeff)
+    psi, st = G.psi, G.structure
+    cols, r3 = np.zeros(st.dim), 0.0  # cols[p]: ||A(b_p) - A_eps(b_p)||^2, summed over pairs (a, .)
+    for pairs, H in G.adjacency.choi_slabs:
+        a, b = pairs.T
+        g, na, nb = len(pairs), st.sizes[a[0]], st.sizes[b[0]]
+        w = np.repeat(psi.weight_table[a, :na], nb, axis=1)[:, :, None]  # w_i at row (i, r)
+        diff = H - psi.delta_sq * (w * ((H * (1.0 / w)) * (1.0 / psi.delta_sq)))
+        sq = (diff.real**2 + diff.imag**2).reshape(g, na, nb, na, nb).sum(axis=(2, 4))
+        np.add.at(cols, np.array(st.offsets)[a][:, None] + np.arange(na * na), sq.reshape(g, -1))
+        X = H / np.sqrt(w * w.transpose(0, 2, 1))
+        defect = X - X.conj().transpose(0, 2, 1)
+        r3 += np.vdot(defect, defect).real
+    return {"r1": float(np.sqrt(cols.max())), "r2": G.schur_defects[1], "r3": float(np.sqrt(r3)) / psi.delta_sq}
 
 
 def is_completely_positive(psi: DeltaState, A: LinearMapOnB) -> tuple[bool, float]:
@@ -214,26 +206,23 @@ def _indicator_adjacency(xi: np.ndarray, psi: DeltaState) -> np.ndarray:
     return psi.delta_sq * (psi.weight_of_row[:, None] * xi[psi.structure.star_perm]).T
 
 
-def adjacency_from_indicator(
-    xi: TensorElement, psi: DeltaState, tol: float = DEFAULT_TOL
-) -> LinearMapOnB:
+def adjacency_from_indicator(xi: TensorElement, psi: DeltaState, tol: float = DEFAULT_TOL) -> LinearMapOnB:
     """Recover A_xi(x) = delta^2 (psi x 1)(x . xi) from a candidate indicator.
 
     Requires xi # xi = xi and modular self-adjointness; the result is then a
     completely positive quantum adjacency matrix and the indicator round
-    trips.
+    trips.  Both are r2 and r3 of `indicator_properties` on A_xi, as xi -> A_xi inverts A -> eps(A).
     """
     st = psi.structure
     if xi.structure != st:
         raise ShapeMismatch("tensor over a different block structure")
-    idem = (sharp(xi, xi) - xi).norm()
-    if idem > tol * max(1.0, xi.norm()):
-        raise NotIdempotent(f"xi # xi - xi has norm {idem:.3e}")
-    twisted = _modular_twist(xi, psi)
-    sa = (twisted - twisted.dagger()).norm()
-    if sa > tol * max(1.0, xi.norm()):
-        raise NotModularSelfAdjoint(f"modular self-adjointness defect {sa:.3e}")
-    return LinearMapOnB(st, _indicator_adjacency(xi.coeff, psi))
+    A = LinearMapOnB(st, _indicator_adjacency(xi.coeff, psi))
+    props, bound = indicator_properties(QuantumGraph(st, psi, A)), tol * max(1.0, xi.norm())
+    if not props["r2"] <= bound:  # a NaN defect fails too
+        raise NotIdempotent(f"xi # xi - xi has norm {props['r2']:.3e}")
+    if not props["r3"] <= bound:
+        raise NotModularSelfAdjoint(f"modular self-adjointness defect {props['r3']:.3e}")
+    return A
 
 
 def quantum_sources_sinks(

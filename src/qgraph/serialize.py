@@ -11,7 +11,8 @@ NaN or infinite part raises WriteError and writes nothing.  A ParseError
 refuses a file that is not UTF-8, not JSON or nested too deep to decode, a
 matrix whose parts are not finite JSON numbers within float range, whose
 pairs do not hold two parts or whose rows or images are ragged, and a sparse
-object with a bad key, shape or index; one past memory is a BudgetExceeded.
+object with a bad key, shape or index; one past physical memory or whose
+allocation fails is a BudgetExceeded that says which.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import resource
 from itertools import chain
 
 import numpy as np
@@ -90,12 +92,14 @@ def _read_matrix(value, shape: tuple, what: str) -> np.ndarray:
     if len(dims) != len(shape) or any(g < 1 if n is None else g != n for g, n in zip(dims, shape)):
         raise ParseError(f"{what} shape {dims} is not {['n >= 1' if n is None else n for n in shape]}")
     size = math.prod(dims)
-    try:  # an array past the machine's memory fails as its allocation would
-        if 16 * size > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
-            raise MemoryError
+    if 16 * size > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise BudgetExceeded(f"{what} of shape {dims} needs {16 * size} bytes, past physical memory")
+    try:
         out = np.zeros(dims, dtype=complex)
     except MemoryError:
-        raise BudgetExceeded(f"{what} of shape {dims} needs {16 * size} bytes, past physical memory") from None
+        cap = resource.getrlimit(resource.RLIMIT_AS)[0]
+        under = "" if cap == resource.RLIM_INFINITY else f" under the address-space limit RLIMIT_AS of {cap} bytes"
+        raise BudgetExceeded(f"{what} of shape {dims} needs {16 * size} bytes, whose allocation failed{under}") from None
     if index.size and (index[0] < 0 or index[-1] >= size or (np.diff(index) <= 0).any()):
         raise ParseError(f"{what} index is not strictly increasing within [0, {size})")
     np.put(out, index, _pairs_to_matrix(value["values"], (index.size,)))

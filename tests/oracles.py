@@ -7,6 +7,7 @@ import numpy as np
 
 import qgraph as qg
 from qgraph.correspondence import GRAM_CUTOFF_RTOL, _gram_quotient, _same_base, from_spanning
+from qgraph.graphs import _indicator_adjacency
 
 
 def unflatten(st, p):
@@ -476,6 +477,22 @@ def indicator_shift_table(G):
     eps = qg.edge_indicator(G).coeff
     u, q, r = st.mul_nonzeros
     return qg.blocks.pair_defects(st, eps, images, eps, u, q, r)
+
+
+def indicator_properties_oracle(G):
+    """r1, r2 and r3 of `indicator_properties` on the dense (d, d) edge indicator
+    eps: r1 the worst column of A - A_eps with A_eps(x) = delta^2 (psi x 1)(x . eps),
+    r2 = ||eps # eps - eps|| through `sharp`, and r3 the self-adjointness defect
+    of (sigma_{i/2} x 1)(eps), eps's rows scaled by `modular_half_scale`, through
+    `dagger`.  The library reads all three off A's Choi slabs."""
+    psi, eps = G.psi, qg.edge_indicator(G)
+    diff = G.adjacency.matrix - _indicator_adjacency(eps.coeff, psi)
+    twisted = qg.TensorElement(G.structure, psi.modular_half_scale[:, None] * eps.coeff)
+    return {
+        "r1": float(np.linalg.norm(diff, axis=0).max()),
+        "r2": (qg.sharp(eps, eps) - eps).norm(),
+        "r3": (twisted - twisted.dagger()).norm(),
+    }
 
 
 def random_cp_map(psi, rng, kraus=2, sources=(), sinks=()):

@@ -126,7 +126,7 @@ def test_criterion_02_schur_idempotency(instances):
         for family, graphs in instances.items():
             assert len(graphs) >= 10, family
             for G in graphs:
-                assert G.schur_residual_cache <= TOL, family
+                assert G.schur_defects[0] <= TOL, family
 
 
 def test_criterion_03_edge_indicator(instances):

@@ -1,7 +1,9 @@
 import argparse
 import functools
 import json
+import os
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -287,6 +289,47 @@ class TestSerialization:
         with pytest.raises(qg.BudgetExceeded, match=re.escape("shape [2, 1, 1] needs 32 bytes")):
             parse_family_document(fam)
 
+    def test_failed_allocation_is_not_called_past_physical_memory(self, monkeypatch):
+        """Only the size precheck says "past physical memory"; an allocation that
+        fails names itself and, when one is set, the RLIMIT_AS address-space cap."""
+        fam = self.sparse_documents()[1]
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(qgraph.serialize.np, "zeros", no_memory)
+        for cap, named in ((resource.RLIM_INFINITY, "failed"), (2**30, f"RLIMIT_AS of {2**30} bytes")):
+            monkeypatch.setattr(qgraph.serialize.resource, "getrlimit", lambda which, cap=cap: (cap, cap))
+            with pytest.raises(qg.BudgetExceeded) as info:
+                parse_family_document(fam)
+            assert "past physical memory" not in str(info.value)
+            assert "family images of shape [2, 1, 1] needs 32 bytes, whose allocation failed" in str(info.value)
+            assert named in str(info.value)
+
+    def test_allocation_past_an_address_space_cap(self, capsys, tmp_path):
+        """A 2 GiB family under a 1 GiB RLIMIT_AS fits physical memory but not the
+        cap: `check` refuses it with exit 1, naming the cap."""
+        if os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") < 2**32:
+            pytest.skip("needs 4 GiB of physical memory to pass the size precheck")
+        graph, fam = self.sparse_documents()
+        k = 2**13 + 2**12  # 16 k^2 bytes is 2.25 GiB
+        fam.update(k=k, images={"shape": [1, k, k], "index": [], "values": []})
+        graph_path, fam_path = tmp_path / "graph.json", tmp_path / "family.json"
+        graph_path.write_text(json.dumps(graph))
+        fam_path.write_text(json.dumps(fam))
+
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)
+        out = subprocess.run(
+            [sys.executable, "-m", "qgraph.cli", "check", str(graph_path), "--family", str(fam_path)],
+            capture_output=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, hard)),
+        )
+        payload = json.loads(out.stdout)
+        assert out.returncode == 1 and payload["error"] == "BudgetExceeded"
+        assert f"RLIMIT_AS of {cap} bytes" in payload["message"]
+        assert "past physical memory" not in payload["message"]
+
     @staticmethod
     def assert_check_refused(capsys, tmp_path, graph, fam, error="ParseError"):
         """`check` reads the graph, then the family: the bad one must end it typed."""
@@ -441,21 +484,36 @@ class TestInspect:
         assert code == 0
         assert len(calls) == 1
 
-    def test_forms_the_edge_indicator_once(self, capsys, monkeypatch, trivial_path):
-        # the indicator properties and the homomorphism check read one cached eps
-        calls = []
-        build = qgraph.graphs.QuantumGraph.indicator.func
+    def test_forms_no_edge_indicator_and_one_schur_product(self, capsys, monkeypatch, trivial_path):
+        # the indicator residuals are the Schur pass's and the Choi slabs' defects,
+        # reweighted: the command forms no eps and no eps # eps, and the Schur
+        # product R D R once per graph, in the gate that r2 rides
+        calls = {"indicator": 0, "sharp": 0, "schur": 0}
+        build, sharp, schur = qgraph.graphs.QuantumGraph.indicator.func, qgraph.blocks.sharp, qgraph.graphs.schur_residual
 
         def counting_build(G):
-            calls.append(G)
+            calls["indicator"] += 1
             return build(G)
+
+        def counting_sharp(*args, **kwargs):
+            calls["sharp"] += 1
+            return sharp(*args, **kwargs)
+
+        def counting_schur(*args, **kwargs):
+            calls["schur"] += 1
+            return schur(*args, **kwargs)
 
         indicator = functools.cached_property(counting_build)
         indicator.__set_name__(qgraph.graphs.QuantumGraph, "indicator")
         monkeypatch.setattr(qgraph.graphs.QuantumGraph, "indicator", indicator)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qgraph") and getattr(module, "sharp", None) is sharp:
+                monkeypatch.setattr(module, "sharp", counting_sharp)
+        monkeypatch.setattr(qgraph.graphs, "schur_residual", counting_schur)
         code, payload, _ = run(capsys, "inspect", trivial_path)
         assert code == 0 and "homomorphism" in payload
-        assert len(calls) == 1
+        assert payload["indicator"]["r2"] < 1e-12
+        assert calls == {"indicator": 0, "sharp": 0, "schur": 1}
 
     def test_builds_the_choi_slabs_once(self, capsys, monkeypatch, tmp_path, trivial_path, tracial_m2):
         # A is cut into block pairs once per command: the Schur check, the Choi

@@ -111,7 +111,7 @@ class TestRankOneGraph:
         for _ in range(5):
             Q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             G = qg.rank_one_graph(tracial_m2, qg.AlgebraElement(tracial_m2.structure, [Q]))
-            assert G.schur_residual_cache < 1e-9
+            assert G.schur_defects[0] < 1e-9
 
 
 class TestAutomorphismGraph:

@@ -19,6 +19,7 @@ from oracles import (
     dense_actions,
     dense_edge_correspondence,
     dense_fock,
+    indicator_properties_oracle,
     indicator_shift_table,
     left_act,
     left_mul,
@@ -36,14 +37,10 @@ from oracles import (
     tensor_square_module,
     zero_block_pairs,
 )
-from strategies import SCATTERED_SIZES, delta_states, quantum_graphs
+from strategies import SCATTERED_SIZES, SMALL_SIZES, delta_states, quantum_graphs
 
 import qgraph as qg
-from qgraph.graphs import (
-    _indicator_adjacency,
-    _modular_twist,
-    adjacency_from_indicator,
-)
+from qgraph.graphs import _indicator_adjacency, adjacency_from_indicator
 
 RNG = np.random.default_rng(11)
 
@@ -78,11 +75,11 @@ class TestSchur:
 
     def test_identity_is_adjacency(self, tracial_m2):
         A = qg.LinearMapOnB.identity(tracial_m2.structure)
-        assert qg.schur_residual(tracial_m2, A) < 1e-12
+        assert qg.schur_residual(tracial_m2, A)[0] < 1e-12
 
     def test_half_identity_fails(self, tracial_m2):
         A = qg.LinearMapOnB(tracial_m2.structure, 0.5 * np.eye(4))
-        assert qg.schur_residual(tracial_m2, A) > 0.1
+        assert qg.schur_residual(tracial_m2, A)[0] > 0.1
         with pytest.raises(qg.NotQuantumAdjacency):
             qg.QuantumGraph.build(tracial_m2, A)
 
@@ -92,23 +89,23 @@ class TestSchur:
         for i in range(2):
             for j in range(2):
                 mat[st.flat_index(0, j, i), st.flat_index(0, i, j)] = 1.0
-        assert qg.schur_residual(tracial_m2, qg.LinearMapOnB(st, mat)) > 0.1
+        assert qg.schur_residual(tracial_m2, qg.LinearMapOnB(st, mat))[0] > 0.1
 
     def test_all_constructor_families(self, cp_family_graphs):
         for name, G in cp_family_graphs.items():
-            assert G.schur_residual_cache <= 1e-9, name
+            assert G.schur_defects[0] <= 1e-9, name
 
     def test_classical_zero_one_matrices(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             adj = rng.integers(0, 2, size=(4, 4))
             G = qg.classical_graph(adj)
-            assert G.schur_residual_cache < 1e-12
+            assert G.schur_defects[0] < 1e-12
 
     def test_forms_no_d3_array(self, trivial_m16):
         # m (A x A) m* is one product per block pair; A itself is 1 MiB
         G = trivial_m16
-        res, peak = traced_peak(lambda: qg.schur_residual(G.psi, G.adjacency))
+        res, peak = traced_peak(lambda: qg.schur_residual(G.psi, G.adjacency)[0])
         assert res < 1e-12
         assert peak < 16 * 2**20
 
@@ -137,13 +134,48 @@ class TestEdgeIndicator:
             assert props["r3"] < 1e-12, name
 
     def test_properties_of_trivial_m24_in_bounded_memory(self):
-        # eps # eps over the sum N_a^3 = 13824 triples of M_24 (d = 576) in chunks of rows:
-        # its whole (13824, d) stacks of rows and products took 370 MiB
+        # r1 and r3 read M_24's one (576, 576) Choi slab (d = 576) and r2 comes from
+        # the Schur pass of the build; eps # eps over the sum N_a^3 = 13824 triples,
+        # with whole (13824, d) stacks of rows and products, took 370 MiB
         G = qg.trivial_graph(qg.validate_delta_form([24], [[1 / 24] * 24]))
-        G.indicator
         props, peak = traced_peak(lambda: qg.indicator_properties(G))
         assert max(props.values()) < 1e-12
         assert peak < 128 * 2**20
+
+    def test_properties_of_a_classical_graph_read_only_its_edges(self):
+        # the 2000-cycle plus hub: 3999 edges, where one dense (d, d) complex
+        # eps, A - A_eps, twist or dagger is 61 MiB (305 MiB traced in all)
+        n = 2000
+        adj = np.roll(np.eye(n, dtype=int), 1, axis=0)
+        adj[:, 0] = 1
+        G = qg.classical_graph(adj)
+        props, peak = traced_peak(lambda: qg.indicator_properties(G))
+        assert max(props.values()) < 1e-12
+        assert peak < 2**20
+
+    @given(psi=delta_states(SMALL_SIZES + SCATTERED_SIZES), seed=st_.integers(0, 2**32 - 1), zeroed=st_.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_slab_residuals_match_dense_oracle_on_random_maps(self, psi, seed, zeroed):
+        # a random complex map, neither Schur-idempotent nor CP, keeps r2 and r3 O(1),
+        # so a lost row weight, W or adjoint shows; some block pairs may be zero
+        rng = np.random.default_rng(seed)
+        st = psi.structure
+        A = qg.LinearMapOnB(st, rng.normal(size=(st.dim, st.dim)) + 1j * rng.normal(size=(st.dim, st.dim)))
+        if zeroed:
+            A = zero_block_pairs(A, rng)
+        G = qg.QuantumGraph(st, psi, A)  # skips the Schur and Choi gates on purpose
+        got, want = qg.indicator_properties(G), indicator_properties_oracle(G)
+        for key in ("r2", "r3"):
+            assert want[key] > 1e-6 or not A.choi_slabs, key
+        for key in want:
+            assert abs(got[key] - want[key]) <= 1e-12 * max(1e-3, want[key]), key
+
+    @given(drawn=quantum_graphs(SMALL_SIZES + SCATTERED_SIZES))
+    @settings(max_examples=15, deadline=None)
+    def test_slab_residuals_match_dense_oracle_on_quantum_graphs(self, drawn):
+        got, want = qg.indicator_properties(drawn[0]), indicator_properties_oracle(drawn[0])
+        for key in want:
+            assert abs(got[key] - want[key]) <= 1e-12 * max(1.0, want[key]), key
 
     def test_classical_indicator_is_transposed_matrix(self, graph_3cycle):
         eps = qg.edge_indicator(graph_3cycle)
@@ -161,6 +193,12 @@ class TestEdgeIndicator:
         bad = qg.TensorElement(tracial_m2.structure, RNG.normal(size=(4, 4)))
         with pytest.raises((qg.NotIdempotent, qg.NotModularSelfAdjoint)):
             adjacency_from_indicator(bad, tracial_m2)
+
+    def test_rejects_a_nan_candidate(self, graph_complete_m2):
+        coeff = qg.edge_indicator(graph_complete_m2).coeff.copy()
+        coeff[0, 0] = np.nan
+        with pytest.raises(qg.NotIdempotent):
+            adjacency_from_indicator(qg.TensorElement(graph_complete_m2.structure, coeff), graph_complete_m2.psi)
 
     def test_rejects_non_modular_self_adjoint(self, tracial_m2):
         st = tracial_m2.structure
@@ -583,16 +621,17 @@ class TestPairwiseDefects:
 
 
 def assert_flip_forms_match(G):
-    """eps, A_eps and (sigma_{i/2} x 1)(eps), each read through the star permutation,
-    against their dense definitions: (1 x A) applied to the adjoint of m at 1, the
-    loop over units b_p . eps, and the diagonal matrix of sigma_{i/2} by columns."""
+    """eps, A_eps and (sigma_{i/2} x 1)(eps), read through the star permutation and
+    `modular_half_scale` as `indicator_properties_oracle` reads them, against their
+    dense definitions: (1 x A) applied to the adjoint of m at 1, the loop over units
+    b_p . eps, and the diagonal matrix of sigma_{i/2} by columns."""
     psi, st, A = G.psi, G.structure, G.adjacency.matrix
     eps = qg.edge_indicator(G)
     want = comultiply_adjoint_oracle(qg.AlgebraElement.unit(st), psi).coeff @ A.T / G.delta_sq
     assert close(eps.coeff, want, rel=1e-15)
     assert close(_indicator_adjacency(eps.coeff, psi), indicator_adjacency_oracle(eps.coeff, psi), rel=1e-15)
     sigma = np.column_stack([qg.modular_half(x, psi).vec for x in units(st)])
-    assert close(_modular_twist(eps, psi).coeff, sigma @ eps.coeff, rel=1e-15)
+    assert close(psi.modular_half_scale[:, None] * eps.coeff, sigma @ eps.coeff, rel=1e-15)
 
 
 def assert_slabs_match_oracle(A):
@@ -627,7 +666,7 @@ class TestNonzeroPairs:
         rng = np.random.default_rng(seed)
         A = zero_block_pairs(random_cp_map(psi, rng), rng)
         assert_slabs_match_oracle(A)
-        assert close(qg.schur_residual(psi, A), schur_residual_oracle(psi, A))
+        assert close(qg.schur_residual(psi, A)[0], schur_residual_oracle(psi, A))
 
     @pytest.mark.parametrize("sizes", [(1, 1), (2, 1)])
     def test_keeps_a_subnormal_pair(self, sizes):
@@ -665,7 +704,7 @@ class TestBatchedFormsMatchLoops:
         st = psi.structure
         A = random_cp_map(psi, rng)
         xi = rng.normal(size=(st.dim, st.dim)) + 1j * rng.normal(size=(st.dim, st.dim))
-        assert close(qg.schur_residual(psi, A), schur_residual_oracle(psi, A))
+        assert close(qg.schur_residual(psi, A)[0], schur_residual_oracle(psi, A))
         assert close(_indicator_adjacency(xi, psi), indicator_adjacency_oracle(xi, psi))
 
         G = qg.QuantumGraph(st, psi, A)  # skips the Schur gate on purpose
