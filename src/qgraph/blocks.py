@@ -235,43 +235,44 @@ class AlgebraElement:
 
 @dataclass(frozen=True)
 class DeltaState:
-    """Faithful delta-form state: diagonal density weights per block.
+    """Faithful delta-form state psi = sum_a Tr(rho_a .), rho_a = diag(w_a).
 
-    weights[a][i] = psi(e_ii) on block a; delta_sq = sum_i 1/weights[a][i],
-    independent of a by the delta-form condition.
+    psi is stored as one read-only (blocks, max N) table, weight_table[a, i] =
+    w_a[i] = psi(e_ii), padded with 1 past N_a; the per-coordinate and
+    per-block tables are gathers and reductions of it, formed on first use.
+    delta_sq = sum_i 1/w_a[i], independent of a by the delta-form condition.
     """
 
     structure: BlockStructure
-    weights: tuple[np.ndarray, ...]
+    weight_table: np.ndarray
     delta_sq: float
 
     @property
-    def delta(self) -> float:
-        return float(np.sqrt(self.delta_sq))
+    def weights(self) -> tuple[np.ndarray, ...]:
+        """w_a per block, as views of the table's rows."""
+        return tuple(row[:n] for row, n in zip(self.weight_table, self.structure.sizes))
 
     @cached_property
     def weight_of_row(self) -> np.ndarray:
         """w_i indexed by the coordinate p = (a,i,j)."""
-        return np.concatenate([np.repeat(w, len(w)) for w in self.weights])
+        a, i, _ = self.structure.unit_indices
+        return self.weight_table[a, i]
 
     @cached_property
     def gram_diag(self) -> np.ndarray:
         """Diagonal GNS Gram: <e_ij, e_ij>_psi = psi(e_jj) = w_j."""
-        return np.concatenate([np.tile(w, len(w)) for w in self.weights])
+        a, _, j = self.structure.unit_indices
+        return self.weight_table[a, j]
+
+    @cached_property
+    def min_weight(self) -> np.ndarray:
+        """min_i w_a[i] by block a, the least `gram_diag` over the block's coordinates."""
+        return np.minimum.reduceat(self.gram_diag, self.structure.offsets[:-1])
 
     @cached_property
     def modular_half_scale(self) -> np.ndarray:
         """sigma_{i/2} on coordinates, a diagonal: it scales e_ij by sqrt(w_j / w_i)."""
         return np.sqrt(self.gram_diag / self.weight_of_row)
-
-    @cached_property
-    def weight_table(self) -> np.ndarray:
-        """[a, i] = w_a[i], padded with 1 past N_a: the weights of a stack of
-        blocks of one size N are weight_table[blocks, :N]."""
-        table = np.ones((self.structure.num_blocks, max(self.structure.sizes)))
-        for a, w in enumerate(self.weights):
-            table[a, : len(w)] = w
-        return table
 
     @cached_property
     def psi_vec(self) -> np.ndarray:
@@ -293,27 +294,44 @@ def validate_delta_form(
 ) -> DeltaState:
     """Validate per-block weights as a faithful delta-form and package them.
 
-    Raises NonPositiveWeight, NotState or NotDeltaForm on failure.
+    Raises ShapeMismatch, NonPositiveWeight, NotState or NotDeltaForm on
+    failure.  Lists of one size N stack into the table in one read; others,
+    or a failed read, are read block by block, which names the first bad one.
+    The per-block sums are row sums per size group, bit for bit each block's.
     """
     structure = sizes if isinstance(sizes, BlockStructure) else BlockStructure(tuple(sizes))
-    if len(weights) != structure.num_blocks:
+    d, n_max = structure.num_blocks, max(structure.sizes)
+    if len(weights) != d:
         raise ShapeMismatch("one weight list per block required")
-    ws = []
-    for n, w in zip(structure.sizes, weights):
-        arr = np.asarray(w, dtype=float)
-        if arr.shape != (n,):
-            raise ShapeMismatch(f"weight list shape {arr.shape} != ({n},)")
-        ws.append(arr)
-    if not all((w > 0).all() for w in ws):  # a NaN weight fails too
+    one_size, table = min(structure.sizes) == n_max, None
+    if one_size:  # as on C^n and on one block
+        try:
+            table = np.array(weights, dtype=float)
+        except (TypeError, ValueError, OverflowError):  # raised again, or named, by the per-block read
+            pass
+    if table is None or table.shape != (d, n_max):
+        rows = []
+        for n, w in zip(structure.sizes, weights):
+            arr = np.asarray(w, dtype=float)
+            if arr.shape != (n,):
+                raise ShapeMismatch(f"weight list shape {arr.shape} != ({n},)")
+            rows.append(arr)
+        table = np.ones((d, n_max))
+        table[np.arange(n_max) < np.array(structure.sizes)[:, None]] = np.concatenate(rows)
+    if not table.min() > 0:  # a NaN weight fails too
         raise NonPositiveWeight("state weights must be strictly positive")
-    total = sum(float(w.sum()) for w in ws)
+    sums = np.empty((2, d))  # [0, a] = sum_i w_a[i], [1, a] = sum_i 1/w_a[i]
+    for n, blocks in [(n_max, slice(None))] if one_size else [g[:2] for g in structure.size_groups]:
+        w = table[blocks, :n]
+        sums[:, blocks] = np.array((w, 1.0 / w)).sum(axis=2)
+    total, inv_sums = sum(sums[0].tolist()), sums[1].tolist()
     if abs(total - 1.0) > tol:
         raise NotState(f"weights sum to {total}, expected 1")
-    inv_sums = [float((1.0 / w).sum()) for w in ws]
-    delta_sq = inv_sums[0]
-    if any(abs(s - delta_sq) > tol * max(1.0, delta_sq) for s in inv_sums):
+    delta_sq, bound = inv_sums[0], tol * max(1.0, inv_sums[0])
+    if max(inv_sums) - delta_sq > bound or delta_sq - min(inv_sums) > bound:
         raise NotDeltaForm(f"per-block Tr(rho^-1) disagree: {inv_sums}")
-    return DeltaState(structure, tuple(ws), delta_sq)
+    table.flags.writeable = False
+    return DeltaState(structure, table, delta_sq)
 
 
 def gns_inner(x: AlgebraElement, y: AlgebraElement, psi: DeltaState) -> complex:
@@ -474,9 +492,5 @@ def modular_half(x: AlgebraElement, psi: DeltaState) -> AlgebraElement:
 
 def adapted_unit(a: int, i: int, j: int, psi: DeltaState) -> AlgebraElement:
     """Adapted matrix unit f_ij = e_ij / sqrt(psi(e_ii) psi(e_jj))."""
-    st = psi.structure
-    p = st.flat_index(a, i, j)  # validates the indices
-    w = psi.weights[a]
-    vec = np.zeros(st.dim, dtype=complex)
-    vec[p] = 1.0 / np.sqrt(w[i] * w[j])
-    return AlgebraElement.from_vector(st, vec)
+    unit = AlgebraElement.standard_unit(psi.structure, a, i, j)  # validates the indices
+    return unit * (1.0 / np.sqrt(psi.weight_table[a, i] * psi.weight_table[a, j]))

@@ -206,7 +206,7 @@ def _same_base(psi: DeltaState, phi: DeltaState) -> None:
         return
     if psi.structure != phi.structure:
         raise MismatchedBase("correspondences over different block structures")
-    if not all(np.allclose(a, b, atol=0.0) for a, b in zip(psi.weights, phi.weights)):
+    if not np.allclose(psi.weight_table, phi.weight_table, atol=0.0):
         raise MismatchedBase("correspondences over different states")
 
 
@@ -297,28 +297,14 @@ def _empty_blocks(E: Correspondence) -> tuple[list[int], list[int]]:
     return np.flatnonzero(~E.mult.any(axis=1)).tolist(), np.flatnonzero(~E.mult.any(axis=0)).tolist()
 
 
-def _kernel_masks(E: Correspondence, tol: float) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Masks of the units in the left kernel of E_G and in its prediction, and their sizes.
-
-    The units of block a move the coordinates (a, c, i, k, l), so the kernel
-    is spanned by the units of the blocks with a zero row of M, the Kraus
-    ranks.  The prediction is the sum of the central summands inside ker A,
-    the source blocks of `quantum_sources_sinks`.  Both are coordinate
-    subspaces, so the Frobenius distance of their projectors is the root of
-    the number of units in one of them only.
-    """
-    sources, _ = quantum_sources_sinks(E.graph, tol)
-    unit_block = E.structure.unit_indices[0]
-    in_kernel, in_perp = np.isin(unit_block, _empty_blocks(E)[0]), np.isin(unit_block, sources)
-    sizes = {"kernel_dim": int(in_kernel.sum()), "perp_blocks": sources}
-    sizes["subspace_distance"] = float(np.sqrt(np.count_nonzero(in_kernel != in_perp)))
-    return in_kernel, in_perp, sizes
-
-
 def left_kernel(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
-    """Left-action kernel of E_G on both sides of the faithfulness theorem, as rows of units."""
-    in_kernel, in_perp, sizes = _kernel_masks(E, tol)
-    eye = np.eye(E.structure.dim, dtype=complex)
+    """Left-action kernel of E_G on both sides of the faithfulness theorem, as rows
+    of units: the units of the source blocks of M and of `perp_blocks`, with the
+    sizes of `faithful_full_report`."""
+    report = faithful_full_report(E, tol)
+    unit_block, eye = E.structure.unit_indices[0], np.eye(E.structure.dim, dtype=complex)
+    in_kernel, in_perp = (np.isin(unit_block, report[key]) for key in ("sources", "perp_blocks"))
+    sizes = {key: report[key] for key in ("kernel_dim", "subspace_distance", "perp_blocks")}
     return {"kernel_basis": eye[in_kernel], "perp_basis": eye[in_perp], **sizes}
 
 
@@ -330,8 +316,7 @@ def compact_decomposition_residual(E: Correspondence) -> float:
     (`pair_slabs`): its largest column norm over all units is
     max_{a,b} (largest column norm of D_ab) / min w_a.
     """
-    w_min = np.array([w.min() for w in E.psi.weights])
-    worst = [np.linalg.norm(D, axis=1).max(axis=1) / w_min[pairs[:, 0]] for pairs, _, D in E.pair_slabs]
+    worst = [np.linalg.norm(D, axis=1).max(axis=1) / E.psi.min_weight[pairs[:, 0]] for pairs, _, D in E.pair_slabs]
     return float(max((x.max() for x in worst), default=0.0))
 
 
@@ -446,18 +431,22 @@ def faithful_full_report(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
 
     E_G is faithful when M has no zero row (no source block) and full when
     M has no zero column (no sink block); B . <E, E>_B . B is the sum of
-    the blocks of M's nonzero columns.  The subspace distance compares the
-    kernel with the source blocks of `quantum_sources_sinks` at `tol`
-    (`_kernel_masks`, which forms no (d, d) array).
+    the blocks of M's nonzero columns.  The left kernel is spanned by the
+    units of the source blocks (those of block a move the coordinates
+    (a, c, i, k, l)), of dimension sum N_a^2 over them; its prediction, the
+    source blocks `perp_blocks` of `quantum_sources_sinks` at `tol`, is a
+    coordinate subspace too, so the Frobenius distance of their projectors
+    is the root of sum N_a^2 over the blocks in one set only.
     """
-    sources, sinks = _empty_blocks(E)
-    _, _, kern = _kernel_masks(E, tol)
+    (sources, sinks), (perp, _) = _empty_blocks(E), quantum_sources_sinks(E.graph, tol)
+    units = np.square(E.structure.sizes)
     return {
         "faithful": not sources,
         "full": not sinks,
-        "kernel_dim": kern["kernel_dim"],
-        "ideal_blocks": [a for a in range(E.structure.num_blocks) if a not in sinks],
-        "subspace_distance": kern["subspace_distance"],
+        "kernel_dim": int(units[sources].sum()),
+        "ideal_blocks": sorted(set(range(E.structure.num_blocks)) - set(sinks)),
+        "subspace_distance": float(np.sqrt(units[list(set(sources) ^ set(perp))].sum())),
         "sources": sources,
         "sinks": sinks,
+        "perp_blocks": perp,
     }

@@ -58,17 +58,15 @@ def rank_one_graph(
     """The rank-one quantum graph A(x) = T x T*.
 
     Requires the per-block normalization Tr(rho_a^-1 T_a* T_a) = delta^2,
-    which makes A Schur-idempotent.
+    which makes A Schur-idempotent: a per-block sum of |T_p|^2 / gram_diag[p].
     """
     st = psi.structure
     if T.structure != st:
         raise ShapeMismatch("generator over a different block structure")
-    for a, n in enumerate(st.sizes):
-        tr = float(np.real(np.sum(np.diag(T.blocks[a].conj().T @ T.blocks[a]) / psi.weights[a])))
-        if abs(tr - psi.delta_sq) > tol * max(1.0, psi.delta_sq):
-            raise BadNormalization(
-                f"block {a}: Tr(rho^-1 T*T) = {tr:.6g}, expected {psi.delta_sq:.6g}"
-            )
+    tr = np.bincount(st.unit_indices[0], (T.vec.real**2 + T.vec.imag**2) / psi.gram_diag, st.num_blocks)
+    bad = np.flatnonzero(np.abs(tr - psi.delta_sq) > tol * max(1.0, psi.delta_sq))
+    if bad.size:
+        raise BadNormalization(f"block {bad[0]}: Tr(rho^-1 T*T) = {tr[bad[0]]:.6g}, expected {psi.delta_sq:.6g}")
     matrix = _conjugation_matrix(st, range(st.num_blocks), T.blocks)
     return QuantumGraph.build(psi, LinearMapOnB(st, matrix), tol=tol)
 
@@ -130,6 +128,7 @@ def automorphism_graph(
     The report decomposes the block permutation into cycles; a cycle of
     length k on blocks of size n contributes a crossed-product factor
     M_n (x) M_k (x) C(T).  Inner parts do not affect the decomposition.
+    Sizes and unitaries are checked block by block, the state's invariance once.
     """
     st = psi.structure
     perm = spec.block_permutation
@@ -148,10 +147,11 @@ def automorphism_graph(
             raise ShapeMismatch(f"unitary {a} has shape {u.shape}")
         if np.linalg.norm(u.conj().T @ u - np.eye(n)) > 1e-12 * max(1.0, n):
             raise NotUnitary(f"matrix for block {a} is not unitary")
-        if not np.allclose(psi.weights[perm[a]], psi.weights[a], atol=1e-12):
-            raise StateNotInvariant(
-                f"weights of blocks {a} and {perm[a]} differ under the permutation"
-            )
+    W = psi.weight_table
+    moved = np.flatnonzero(~np.isclose(W[list(perm)], W, atol=1e-12).all(axis=1))
+    if moved.size:
+        a = int(moved[0])
+        raise StateNotInvariant(f"weights of blocks {a} and {perm[a]} differ under the permutation")
 
     # e_ij of block a goes to U e_ij U* in block b = perm[a], U = unitaries[b]
     matrix = _conjugation_matrix(st, perm, [spec.unitaries[b] for b in perm])

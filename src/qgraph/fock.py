@@ -50,7 +50,7 @@ def interior_tensor(X: Correspondence, Y: Correspondence) -> Correspondence:
     prod = MX[:, :, None] * MY  # [a, b, c]: dim K_ab (x) K_bc, stacked over b
     kz = (np.cumsum(prod, axis=1) - prod)[a, b, c] + xk[sx] * MY[b, c] + yk[sy]
     z = zstart[a * st.num_blocks + c] + (xi[sx] * MZ[a, c] + kz) * n[c] + yl[sy]
-    value = 1.0 / np.sqrt(X.psi.gram_diag[np.array(st.offsets)[b] + xm[sx]])
+    value = 1.0 / np.sqrt(X.psi.weight_table[b, xm[sx]])
     return normal_form(X.psi, MZ, creation=(z, sx, sy, value))
 
 
@@ -140,8 +140,7 @@ def representation_residuals(F: FockTruncation) -> dict:
     x, y, _, value = E.inner
     sq = sum(np.abs(values[x, t].conj() * values[y, t] - value) ** 2 * (t < n[block[x]]) for t in range(n.max()))
     inner = float(np.sqrt(sq * (c[:N].max(axis=0) / n)[block[x]]).max(initial=0.0))
-    w_min = [w.min() for w in F.graph.psi.weights]
-    covariance = float((np.sqrt(F.defect_squares) / w_min).max()) if N > 1 else None
+    covariance = float((np.sqrt(F.defect_squares) / F.graph.psi.min_weight).max()) if N > 1 else None
     return {"inner": inner, "covariance": covariance, "vacuum_defect": float(np.sqrt(n.max()))}
 
 
@@ -186,10 +185,9 @@ def lqck_fock_residuals(F: FockTruncation) -> dict:
     G, E, N = F.graph, F.edge, F.depth
     if N == 1:
         return {**dict.fromkeys(("lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2")), "level_dims": F.level_dims}
-    d2, W, n = G.delta_sq, G.psi.weight_table, np.array(G.structure.sizes)
+    d2, W, w_min, n = G.delta_sq, G.psi.weight_table, G.psi.min_weight, np.array(G.structure.sizes)
     c = np.array(F.multiplicities, dtype=float)
     below, at, up = c[: N - 1].sum(axis=0), c[1:N].sum(axis=0), c[1 : N - 1].sum(axis=0)
-    w_min = np.array([w.min() for w in G.psi.weights])
     l1, (l2, t1) = np.zeros(W.shape), np.zeros((2,) + W.shape + W.shape[1:])  # by block a, padded
     s, mu, spread = E.mult @ below, np.zeros(len(n), dtype=complex), np.zeros(len(n))
     for pairs, _, D in E.pair_slabs:

@@ -132,13 +132,12 @@ def lqck_residuals(
 
 
 def _require_classical(G: QuantumGraph) -> int:
-    st = G.structure
-    if any(n != 1 for n in st.sizes):
+    W = G.psi.weight_table  # one column exactly when every block has size 1
+    if W.shape[1] != 1:
         raise NotClassical("graph has a matrix block of size > 1")
-    N = st.num_blocks
-    if any(abs(float(w[0]) - 1.0 / N) > 1e-12 for w in G.psi.weights):
+    if (np.abs(W[:, 0] - 1.0 / len(W)) > 1e-12).any():
         raise NotClassical("state is not uniform on the vertices")
-    return N
+    return len(W)
 
 
 def classical_reduction(

@@ -12,7 +12,8 @@ refuses a file that is not UTF-8, not JSON or nested too deep to decode, a
 matrix whose parts are not finite JSON numbers within float range, whose
 pairs do not hold two parts or whose rows or images are ragged, and a sparse
 object with a bad key, shape or index; one past physical memory or whose
-allocation fails is a BudgetExceeded that says which.
+allocation fails is a BudgetExceeded that says which, and so is a file whose
+decoding runs out of memory: it names the file, its size and any RLIMIT_AS cap.
 """
 
 from __future__ import annotations
@@ -97,9 +98,7 @@ def _read_matrix(value, shape: tuple, what: str) -> np.ndarray:
     try:
         out = np.zeros(dims, dtype=complex)
     except MemoryError:
-        cap = resource.getrlimit(resource.RLIMIT_AS)[0]
-        under = "" if cap == resource.RLIM_INFINITY else f" under the address-space limit RLIMIT_AS of {cap} bytes"
-        raise BudgetExceeded(f"{what} of shape {dims} needs {16 * size} bytes, whose allocation failed{under}") from None
+        raise _out_of_memory(f"{what} of shape {dims} needs {16 * size} bytes, whose allocation failed") from None
     if index.size and (index[0] < 0 or index[-1] >= size or (np.diff(index) <= 0).any()):
         raise ParseError(f"{what} index is not strictly increasing within [0, {size})")
     np.put(out, index, _pairs_to_matrix(value["values"], (index.size,)))
@@ -131,10 +130,21 @@ def parse_tolerance(value, source: str) -> float:
     return tol
 
 
+def _out_of_memory(message: str) -> BudgetExceeded:
+    """The refusal of a failed allocation, naming the address-space limit RLIMIT_AS when one is set."""
+    cap = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if cap != resource.RLIM_INFINITY:
+        message += f" under the address-space limit RLIMIT_AS of {cap} bytes"
+    return BudgetExceeded(message)
+
+
 def _read(path: str, what: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
+    except MemoryError:  # the decoded JSON objects outgrow the memory left
+        size = os.path.getsize(path)
+        raise _out_of_memory(f"decoding {what} file {path} of {size} bytes ran out of memory") from None
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
 

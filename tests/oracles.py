@@ -44,6 +44,42 @@ def products_oracle(st, X, Y):
     return np.concatenate(out, axis=-1)
 
 
+def delta_form_oracle(sizes, weights, tol=qg.DEFAULT_TOL):
+    """Per-block arrays and delta^2 of a delta-form input, read and checked block
+    by block, each check raising the library's error class and message."""
+    if len(weights) != len(sizes):
+        raise qg.ShapeMismatch("one weight list per block required")
+    ws = []
+    for n, w in zip(sizes, weights):
+        arr = np.asarray(w, dtype=float)
+        if arr.shape != (n,):
+            raise qg.ShapeMismatch(f"weight list shape {arr.shape} != ({n},)")
+        ws.append(arr)
+    if not all((w > 0).all() for w in ws):
+        raise qg.NonPositiveWeight("state weights must be strictly positive")
+    total = sum(float(w.sum()) for w in ws)
+    if abs(total - 1.0) > tol:
+        raise qg.NotState(f"weights sum to {total}, expected 1")
+    inv_sums = [float((1.0 / w).sum()) for w in ws]
+    if any(abs(s - inv_sums[0]) > tol * max(1.0, inv_sums[0]) for s in inv_sums):
+        raise qg.NotDeltaForm(f"per-block Tr(rho^-1) disagree: {inv_sums}")
+    return ws, inv_sums[0]
+
+
+def state_tables_oracle(ws):
+    """The state's tables from its per-block weight arrays ws, one block at a time."""
+    table = np.ones((len(ws), max(map(len, ws))))
+    for a, w in enumerate(ws):
+        table[a, : len(w)] = w
+    return {
+        "weight_table": table,
+        "weight_of_row": np.concatenate([np.repeat(w, len(w)) for w in ws]),
+        "gram_diag": np.concatenate([np.tile(w, len(w)) for w in ws]),
+        "min_weight": np.array([w.min() for w in ws]),
+        "psi_vec": np.concatenate([np.diag(w).ravel() for w in ws]),
+    }
+
+
 def comult_tensor(psi):
     """W[u, p, q]: coefficient of b_p (x) b_q in m*(b_u).
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
-from strategies import SCATTERED_SIZES
+from strategies import SCATTERED_SIZES, SMALL_SIZES, delta_states
 from oracles import (
     comultiply_adjoint_oracle,
+    delta_form_oracle,
     left_mul,
     left_mult_matrix,
     mul_tensor,
@@ -15,6 +16,7 @@ from oracles import (
     products_oracle,
     right_mul,
     right_mult_matrix,
+    state_tables_oracle,
     unflatten,
 )
 
@@ -75,21 +77,29 @@ class TestBlockStructure:
 
     @pytest.mark.parametrize("sizes", [(1,), (2,), (1, 2, 3), (3, 1, 2), (4, 4)])
     def test_unit_tables_match_flat_index_loops(self, sizes):
-        # star_perm, unit_vector and the state's tables, bit for bit, against loops over flat_index
+        # star_perm, unit_vector and the state's tables, bit for bit, against loops over flat_index,
+        # on a weight table given as it is and on a delta-form state read by validate_delta_form
         st = qg.BlockStructure(sizes)
-        weights = [RNG.uniform(0.5, 2.0, size=n) for n in sizes]
-        psi = qg.DeltaState(st, tuple(weights), 1.0)
-        star, unit = np.empty(st.dim, dtype=np.intp), np.zeros(st.dim, dtype=complex)
-        psi_vec, gram, row = np.zeros(st.dim), np.empty(st.dim), np.empty(st.dim)
-        for a, i, j in st.basis_indices():
-            p = st.flat_index(a, i, j)
-            star[p], gram[p], row[p] = st.flat_index(a, j, i), weights[a][j], weights[a][i]
-            if i == j:
-                unit[p], psi_vec[p] = 1.0, weights[a][i]
-        for got, want in ((st.star_perm, star), (st.unit_vector, unit), (psi.psi_vec, psi_vec),
-                          (psi.gram_diag, gram), (psi.weight_of_row, row)):
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        r = [RNG.uniform(0.5, 2.0, size=n) for n in sizes]
+        table = np.ones((len(sizes), max(sizes)))
+        for a, w in enumerate(r):
+            table[a, : len(w)] = w
+        delta_sq = sum(w.sum() * (1.0 / w).sum() for w in r)
+        valid = [w * (1.0 / w).sum() / delta_sq for w in r]  # sum to 1, sum 1/w_a = delta^2
+        for weights, psi in ((r, qg.DeltaState(st, table, 1.0)), (valid, qg.validate_delta_form(st, valid))):
+            star, unit = np.empty(st.dim, dtype=np.intp), np.zeros(st.dim, dtype=complex)
+            psi_vec, gram, row = np.zeros(st.dim), np.empty(st.dim), np.empty(st.dim)
+            for a, i, j in st.basis_indices():
+                p = st.flat_index(a, i, j)
+                star[p], gram[p], row[p] = st.flat_index(a, j, i), weights[a][j], weights[a][i]
+                if i == j:
+                    unit[p], psi_vec[p] = 1.0, weights[a][i]
+            min_weight = np.array([min(w) for w in weights])
+            for got, want in ((st.star_perm, star), (st.unit_vector, unit), (psi.psi_vec, psi_vec),
+                              (psi.gram_diag, gram), (psi.weight_of_row, row), (psi.min_weight, min_weight)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            assert all(w.tobytes() == np.asarray(v).tobytes() for w, v in zip(psi.weights, weights, strict=True))
 
     def test_star_perm_is_involution(self):
         st = qg.BlockStructure((3, 2))
@@ -200,6 +210,61 @@ class TestDeltaForm:
     def test_shape_mismatch(self):
         with pytest.raises(qg.ShapeMismatch):
             qg.validate_delta_form([2], [[0.5, 0.25, 0.25]])
+
+    @pytest.mark.parametrize(
+        "sizes, weights",
+        [
+            ([1, 1], [[0.5]]),  # a wrong count
+            ([1, 1, 1], [[0.5], [0.25], [0.25], [0.1]]),
+            ([2], [[0.5, 0.25, 0.25]]),  # a list of the wrong length
+            ([1, 2], [[0.2], [0.4]]),
+            ([1, 2], [[0.2, 0.2], [0.3, 0.3]]),  # lists that stack, one of the wrong length
+            ([2, 2], [[0.25, 0.25], [[0.25, 0.25]]]),  # ragged lists
+            ([2], [[0.5, [0.5]]]),
+            ([1, 1], [[0.5], 0.5]),
+            ([1, 2], [[0.5, 0.5], [0.25, [0.25]]]),  # the first block's shape is read before the second's lists
+            ([2], [[1.0, 0.0]]),  # zero
+            ([1, 2], [[0.0], [0.5, 0.5]]),
+            ([1], [[-1.0]]),  # negative
+            ([2, 2], [[0.25, 0.25], [0.75, -0.25]]),
+            ([2], [[np.nan, 0.5]]),  # NaN
+            ([1, 2], [[0.2], [np.nan, 0.4]]),
+            ([2], [[0.25, 0.25]]),  # a sum other than 1
+            ([2], [[np.inf, 0.5]]),
+            ([3, 1], [[0.1, 0.2, 0.3], [0.3]]),
+            ([1, 1], [[0.3], [0.7]]),  # per-block Tr(rho^-1) that disagree
+            ([2, 1], [[0.35, 0.35], [0.3]]),
+            ([9, 9], [[1 / 18] * 8 + [1 / 18 + 1e-7], [1 / 18] * 8 + [1 / 18 - 1e-7]]),
+            ([5, 9], [[0.0402, 0.0113, 0.0426, 0.0422, 0.1056], [0.1797, 0.0206, 0.0185, 0.1951, 0.0119, 0.0472, 0.1518, 0.123, 0.0103]]),
+        ],
+    )
+    def test_malformed_weights_raise_the_block_by_block_error(self, sizes, weights):
+        # the stacked read and the per-size-group sums raise what a read block by block raises,
+        # message included: the sums and Tr(rho^-1) it prints are each block's own, bit for bit
+        with pytest.raises(Exception) as want:
+            delta_form_oracle(sizes, weights)
+        with pytest.raises(want.type) as got:
+            qg.validate_delta_form(sizes, weights)
+        assert got.type is want.type and str(got.value) == str(want.value)
+
+    @given(
+        psi=delta_states(SMALL_SIZES + SCATTERED_SIZES + [(9,), (1, 9), (5, 9), (9, 7, 2, 9), (8,) * 3]),
+        uniform=st_.lists(st_.integers(1, 3), min_size=1, max_size=500) | st_.integers(1, 500).map(lambda d: [1] * d),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tables_match_the_block_loop(self, psi, uniform):
+        # a drawn state and the uniform state w_a[i] = N_a / dim B on up to 500 blocks, read back from
+        # per-block lists: every table the state derives equals the block-by-block oracle, bit for bit
+        sizes = list(psi.structure.sizes)
+        uniform_weights = [[n / sum(m * m for m in uniform)] * n for n in uniform]
+        for sizes, weights in ((sizes, [w.tolist() for w in psi.weights]), (uniform, uniform_weights)):
+            state = qg.validate_delta_form(sizes, weights)
+            ws, delta_sq = delta_form_oracle(sizes, weights)
+            assert state.delta_sq == delta_sq and type(state.delta_sq) is float
+            for name, want in state_tables_oracle(ws).items():
+                got = getattr(state, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            assert all(w.tobytes() == v.tobytes() and not w.flags.writeable for w, v in zip(state.weights, ws, strict=True))
 
     def test_state_value_and_gram(self, skew_m2):
         st = skew_m2.structure

@@ -330,6 +330,49 @@ class TestSerialization:
         assert f"RLIMIT_AS of {cap} bytes" in payload["message"]
         assert "past physical memory" not in payload["message"]
 
+    def test_decoding_out_of_memory_is_a_budget_refusal(self, capsys, monkeypatch, trivial_path):
+        """A file whose JSON objects outgrow the memory left ends in exit 1 with a
+        JSON BudgetExceeded that names the file, its size and any RLIMIT_AS cap."""
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        size = os.path.getsize(trivial_path)
+        for cap, under in ((resource.RLIM_INFINITY, ""), (2**30, f" under the address-space limit RLIMIT_AS of {2**30} bytes")):
+            with monkeypatch.context() as patch:  # the decoder fails inside the command only
+                patch.setattr(json.JSONDecoder, "raw_decode", no_memory)
+                patch.setattr(qgraph.serialize.resource, "getrlimit", lambda which, cap=cap: (cap, cap))
+                code = main(["inspect", trivial_path])
+            assert code == 1 and json.loads(capsys.readouterr().out) == {
+                "error": "BudgetExceeded",
+                "message": f"decoding graph file {trivial_path} of {size} bytes ran out of memory{under}",
+            }
+
+    def test_dense_file_past_an_address_space_cap(self, tmp_path):
+        """The cycle plus hub on 1500 vertices, written dense, is a 26 MiB file whose
+        decoded pairs outgrow a 300 MiB RLIMIT_AS: `inspect` refuses it with exit 1
+        and one JSON line, naming the file, its size and the cap."""
+        n, path = 1500, tmp_path / "classical_1500.json"
+        rows = []
+        for r in range(n):  # edges r - 1 -> r and r -> 0
+            row = ["[0.0, 0.0]"] * n
+            row[(r - 1) % n] = row[0] = "[1.0, 0.0]"
+            rows.append("[" + ", ".join(row) + "]")
+        path.write_text(json.dumps({"blocks": [1] * n, "psi": [[1 / n]] * n})[:-1] + ', "adjacency": [' + ", ".join(rows) + "]}")
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = 300 * 2**20 if hard == resource.RLIM_INFINITY else min(300 * 2**20, hard)
+        out = subprocess.run(
+            [sys.executable, "-m", "qgraph.cli", "inspect", str(path)],
+            capture_output=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, hard)),
+        )
+        assert out.returncode == 1 and len(out.stdout.splitlines()) == 1, out.stderr[-2000:]
+        assert json.loads(out.stdout) == {
+            "error": "BudgetExceeded",
+            "message": f"decoding graph file {path} of {path.stat().st_size} bytes ran out of memory"
+            f" under the address-space limit RLIMIT_AS of {cap} bytes",
+        }
+
     @staticmethod
     def assert_check_refused(capsys, tmp_path, graph, fam, error="ParseError"):
         """`check` reads the graph, then the family: the bad one must end it typed."""
