@@ -149,54 +149,50 @@ class BlockStructure:
 
 
 class AlgebraElement:
-    """Element of B, stored as one complex matrix per block."""
+    """Element of B, stored as its canonical coordinate vector `vec`."""
 
-    __slots__ = ("structure", "blocks", "_vec")
+    __slots__ = ("structure", "vec")
 
     def __init__(self, structure: BlockStructure, blocks: Sequence[np.ndarray]):
         if len(blocks) != structure.num_blocks:
             raise ShapeMismatch("block count mismatch")
-        mats = []
+        parts = []
         for n, blk in zip(structure.sizes, blocks):
             arr = np.asarray(blk, dtype=complex)
             if arr.shape != (n, n):
                 raise ShapeMismatch(f"block shape {arr.shape} != ({n},{n})")
-            mats.append(arr)
-        self.structure = structure
-        self.blocks = tuple(mats)
-        self._vec = None
+            parts.append(arr.ravel())
+        self.structure, self.vec = structure, np.concatenate(parts)
 
     @classmethod
     def from_vector(cls, structure: BlockStructure, vec: np.ndarray) -> "AlgebraElement":
-        vec = np.asarray(vec, dtype=complex)
+        """The element with coordinates a copy of `vec`."""
+        vec = np.array(vec, dtype=complex)
         if vec.shape != (structure.dim,):
             raise ShapeMismatch(f"coordinate vector has shape {vec.shape}")
-        blocks = []
-        for a, n in enumerate(structure.sizes):
-            lo = structure.offsets[a]
-            blocks.append(vec[lo : lo + n * n].reshape(n, n))
-        return cls(structure, blocks)
+        x = object.__new__(cls)
+        x.structure, x.vec = structure, vec
+        return x
 
     @classmethod
     def zero(cls, structure: BlockStructure) -> "AlgebraElement":
-        return cls(structure, [np.zeros((n, n)) for n in structure.sizes])
+        return cls.from_vector(structure, np.zeros(structure.dim))
 
     @classmethod
     def unit(cls, structure: BlockStructure) -> "AlgebraElement":
-        return cls(structure, [np.eye(n) for n in structure.sizes])
+        return cls.from_vector(structure, structure.unit_vector)
 
     @classmethod
     def standard_unit(cls, structure: BlockStructure, a: int, i: int, j: int) -> "AlgebraElement":
-        p = structure.flat_index(a, i, j)
-        vec = np.zeros(structure.dim, dtype=complex)
-        vec[p] = 1.0
-        return cls.from_vector(structure, vec)
+        x = cls.zero(structure)
+        x.vec[structure.flat_index(a, i, j)] = 1.0
+        return x
 
     @property
-    def vec(self) -> np.ndarray:
-        if self._vec is None:
-            self._vec = np.concatenate([b.ravel() for b in self.blocks])
-        return self._vec
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """x_a per block, as (N_a, N_a) views of `vec`."""
+        st = self.structure
+        return tuple(self.vec[lo : lo + n * n].reshape(n, n) for n, lo in zip(st.sizes, st.offsets))
 
     def _check(self, other: "AlgebraElement") -> None:
         if self.structure != other.structure:
@@ -204,26 +200,26 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return AlgebraElement(self.structure, [x + y for x, y in zip(self.blocks, other.blocks)])
+        return AlgebraElement.from_vector(self.structure, self.vec + other.vec)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return AlgebraElement(self.structure, [x - y for x, y in zip(self.blocks, other.blocks)])
+        return AlgebraElement.from_vector(self.structure, self.vec - other.vec)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check(other)
-            return AlgebraElement(self.structure, [x @ y for x, y in zip(self.blocks, other.blocks)])
-        return AlgebraElement(self.structure, [other * x for x in self.blocks])
+            return AlgebraElement.from_vector(self.structure, self.structure.products(self.vec, other.vec))
+        return AlgebraElement.from_vector(self.structure, other * self.vec)
 
     def __rmul__(self, scalar) -> "AlgebraElement":
-        return AlgebraElement(self.structure, [scalar * x for x in self.blocks])
+        return AlgebraElement.from_vector(self.structure, scalar * self.vec)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.structure, [-x for x in self.blocks])
+        return AlgebraElement.from_vector(self.structure, -self.vec)
 
     def star(self) -> "AlgebraElement":
-        return AlgebraElement(self.structure, [x.conj().T for x in self.blocks])
+        return AlgebraElement.from_vector(self.structure, self.vec[self.structure.star_perm].conj())
 
     def norm(self) -> float:
         """Frobenius norm over the block-diagonal coefficients."""
@@ -295,33 +291,26 @@ def validate_delta_form(
     """Validate per-block weights as a faithful delta-form and package them.
 
     Raises ShapeMismatch, NonPositiveWeight, NotState or NotDeltaForm on
-    failure.  Lists of one size N stack into the table in one read; others,
-    or a failed read, are read block by block, which names the first bad one.
-    The per-block sums are row sums per size group, bit for bit each block's.
+    failure.  The lists are read block by block, which names the first bad
+    one, and scattered into the table; the per-block sums are row sums per
+    size group, bit for bit each block's.
     """
     structure = sizes if isinstance(sizes, BlockStructure) else BlockStructure(tuple(sizes))
     d, n_max = structure.num_blocks, max(structure.sizes)
     if len(weights) != d:
         raise ShapeMismatch("one weight list per block required")
-    one_size, table = min(structure.sizes) == n_max, None
-    if one_size:  # as on C^n and on one block
-        try:
-            table = np.array(weights, dtype=float)
-        except (TypeError, ValueError, OverflowError):  # raised again, or named, by the per-block read
-            pass
-    if table is None or table.shape != (d, n_max):
-        rows = []
-        for n, w in zip(structure.sizes, weights):
-            arr = np.asarray(w, dtype=float)
-            if arr.shape != (n,):
-                raise ShapeMismatch(f"weight list shape {arr.shape} != ({n},)")
-            rows.append(arr)
-        table = np.ones((d, n_max))
-        table[np.arange(n_max) < np.array(structure.sizes)[:, None]] = np.concatenate(rows)
+    rows = []
+    for n, w in zip(structure.sizes, weights):
+        arr = np.asarray(w, dtype=float)
+        if arr.shape != (n,):
+            raise ShapeMismatch(f"weight list shape {arr.shape} != ({n},)")
+        rows.append(arr)
+    table = np.ones((d, n_max))
+    table[np.arange(n_max) < np.array(structure.sizes)[:, None]] = np.concatenate(rows)
     if not table.min() > 0:  # a NaN weight fails too
         raise NonPositiveWeight("state weights must be strictly positive")
     sums = np.empty((2, d))  # [0, a] = sum_i w_a[i], [1, a] = sum_i 1/w_a[i]
-    for n, blocks in [(n_max, slice(None))] if one_size else [g[:2] for g in structure.size_groups]:
+    for n, blocks, *_ in structure.size_groups:
         w = table[blocks, :n]
         sums[:, blocks] = np.array((w, 1.0 / w)).sum(axis=2)
     total, inv_sums = sum(sums[0].tolist()), sums[1].tolist()

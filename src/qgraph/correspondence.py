@@ -313,10 +313,11 @@ def compact_decomposition_residual(E: Correspondence) -> float:
 
     On level 1 of the Fock module theta_{xi,eta} = T(xi)T(eta)*, so this is the
     covariance defect (1 - H_a) / sqrt(w_i w_j) with H_a - 1 = sum_b D_ab (x) 1
-    (`pair_slabs`): its largest column norm over all units is
-    max_{a,b} (largest column norm of D_ab) / min w_a.
+    (`pair_slabs`): its largest operator norm over all units is
+    max_{a,b} ||D_ab|| / min w_a, the spectral norm of the Hermitian D_ab, which
+    no change of basis of K_ab moves.
     """
-    worst = [np.linalg.norm(D, axis=1).max(axis=1) / E.psi.min_weight[pairs[:, 0]] for pairs, _, D in E.pair_slabs]
+    worst = [np.abs(np.linalg.eigvalsh(D)).max(axis=1) / E.psi.min_weight[pairs[:, 0]] for pairs, _, D in E.pair_slabs]
     return float(max((x.max() for x in worst), default=0.0))
 
 

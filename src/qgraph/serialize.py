@@ -10,8 +10,9 @@ every finite float, -0.0 included, round-trips bit-exactly.  A save with a
 NaN or infinite part raises WriteError and writes nothing.  A ParseError
 refuses a file that is not UTF-8, not JSON or nested too deep to decode, a
 matrix whose parts are not finite JSON numbers within float range, whose
-pairs do not hold two parts or whose rows or images are ragged, and a sparse
-object with a bad key, shape or index; one past physical memory or whose
+pairs do not hold two parts or whose rows or images are ragged, a sparse
+object with a bad key, shape or index, and a state weight or tolerance that
+is an integer past the float range; one past physical memory or whose
 allocation fails is a BudgetExceeded that says which, and so is a file whose
 decoding runs out of memory: it names the file, its size and any RLIMIT_AS cap.
 """
@@ -123,7 +124,7 @@ def parse_tolerance(value, source: str) -> float:
     """A tolerance read from outside the program: a finite positive number."""
     try:
         tol = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large for a float
         raise ParseError(f"{source} = {value!r} is not a number") from None
     if not (math.isfinite(tol) and tol > 0):
         raise ParseError(f"{source} = {value!r} is not a finite positive number")
@@ -190,7 +191,7 @@ def parse_graph_document(doc: dict, tol: float = DEFAULT_TOL) -> tuple[QuantumGr
     weights = [[_json_number(x, "psi weight") for x in w] for w in doc["psi"]]
     try:
         psi = validate_delta_form(sizes, weights, tol=eff_tol)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad blocks/psi: {exc}") from exc
     dim = psi.structure.dim
     matrix = _read_matrix(doc["adjacency"], (dim, dim), "adjacency")

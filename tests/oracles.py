@@ -44,6 +44,56 @@ def products_oracle(st, X, Y):
     return np.concatenate(out, axis=-1)
 
 
+class BlockElement:
+    """An element of B as one complex matrix per block, its arithmetic done block
+    by block: the reference for `AlgebraElement`, which stores coordinates."""
+
+    def __init__(self, st, blocks):
+        self.structure, self.blocks = st, [np.asarray(b, dtype=complex) for b in blocks]
+
+    @classmethod
+    def from_vector(cls, st, vec):
+        return cls(st, [vec[lo : lo + n * n].reshape(n, n) for n, lo in zip(st.sizes, st.offsets)])
+
+    @classmethod
+    def zero(cls, st):
+        return cls(st, [np.zeros((n, n)) for n in st.sizes])
+
+    @classmethod
+    def unit(cls, st):
+        return cls(st, [np.eye(n) for n in st.sizes])
+
+    @classmethod
+    def standard_unit(cls, st, a, i, j):
+        x = cls.zero(st)
+        x.blocks[a][i, j] = 1.0
+        return x
+
+    @property
+    def vec(self):
+        return np.concatenate([b.ravel() for b in self.blocks])
+
+    def __add__(self, other):
+        return BlockElement(self.structure, [x + y for x, y in zip(self.blocks, other.blocks)])
+
+    def __sub__(self, other):
+        return BlockElement(self.structure, [x - y for x, y in zip(self.blocks, other.blocks)])
+
+    def __mul__(self, other):
+        if isinstance(other, BlockElement):
+            return BlockElement(self.structure, [x @ y for x, y in zip(self.blocks, other.blocks)])
+        return BlockElement(self.structure, [other * x for x in self.blocks])
+
+    def __rmul__(self, scalar):
+        return BlockElement(self.structure, [scalar * x for x in self.blocks])
+
+    def __neg__(self):
+        return BlockElement(self.structure, [-x for x in self.blocks])
+
+    def star(self):
+        return BlockElement(self.structure, [x.conj().T for x in self.blocks])
+
+
 def delta_form_oracle(sizes, weights, tol=qg.DEFAULT_TOL):
     """Per-block arrays and delta^2 of a delta-form input, read and checked block
     by block, each check raising the library's error class and message."""
@@ -394,7 +444,7 @@ def rank_one_operator(E, u, w):
 
 
 def compact_decomposition_oracle(E):
-    """Worst column norm of f_ij - sum_k theta_{f_ik.eps, f_jk.eps}, unit by unit."""
+    """Worst spectral norm of f_ij - sum_k theta_{f_ik.eps, f_jk.eps}, unit by unit."""
     psi = E.graph.psi
     lmul = dense_actions(E)[0]
     worst = 0.0
@@ -408,7 +458,7 @@ def compact_decomposition_oracle(E):
             for j in range(n):
                 lhs = np.einsum("p,pab->ab", qg.adapted_unit(a, i, j, psi).vec, lmul)
                 rhs = sum(rank_one_operator(E, vec[i, k], vec[j, k]) for k in range(n))
-                worst = max(worst, float(np.linalg.norm(lhs - rhs, axis=0).max()))
+                worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
     return worst
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 from strategies import SCATTERED_SIZES, SMALL_SIZES, delta_states
 from oracles import (
+    BlockElement,
     comultiply_adjoint_oracle,
     delta_form_oracle,
     left_mul,
@@ -174,6 +175,48 @@ class TestProducts:
         assert peak <= limit + 4096
 
 
+class TestAlgebraElement:
+    @given(psi=delta_states(SMALL_SIZES + SCATTERED_SIZES), seed=st_.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_block_loop(self, psi, seed):
+        # an element is its coordinate vector: every operation but the product equals the
+        # block-by-block reference bit for bit; the product is `products`, one matmul per size
+        # group and elementwise on size 1, where the reference's 1 x 1 matmul can miss the last bit
+        st, rng = psi.structure, np.random.default_rng(seed)
+        X, Y = rng.normal(size=(2, st.dim)) + 1j * rng.normal(size=(2, st.dim))
+        c = complex(*rng.normal(size=2))
+        x, y = qg.AlgebraElement.from_vector(st, X), qg.AlgebraElement(st, BlockElement.from_vector(st, Y).blocks)
+        rx, ry = BlockElement.from_vector(st, X), BlockElement.from_vector(st, Y)
+        pairs = [(x + y, rx + ry), (x - y, rx - ry), (-x, -rx), (c * x, c * rx), (x * c, rx * c), (x.star(), rx.star()),
+                 (qg.AlgebraElement.zero(st), BlockElement.zero(st)), (qg.AlgebraElement.unit(st), BlockElement.unit(st))]
+        pairs += [(qg.AlgebraElement.standard_unit(st, *u), BlockElement.standard_unit(st, *u)) for u in st.basis_indices()]
+        for got, want in pairs:
+            assert got.structure == st and got.vec.dtype == want.vec.dtype
+            assert got.vec.tobytes() == want.vec.tobytes()
+        for z, rz in ((x, rx), (y, ry)):
+            for got, want in zip(z.blocks, rz.blocks, strict=True):
+                assert got.tobytes() == want.tobytes() and np.shares_memory(got, z.vec)
+        got, want = (x * y).vec, (rx * ry).vec
+        assert np.all(np.abs(got - want) <= 1e-14 * products_oracle(st, np.abs(X), np.abs(Y)))
+
+    def test_stores_one_vector_of_its_own(self):
+        st = qg.BlockStructure((1, 2))
+        assert qg.AlgebraElement.__slots__ == ("structure", "vec")
+        vec = np.arange(st.dim, dtype=complex)
+        x = qg.AlgebraElement.from_vector(st, vec)
+        vec[0] = 7.0
+        assert x.vec[0] == 0.0
+        one = qg.AlgebraElement.unit(st)
+        one.vec[:] = 5.0
+        assert np.array_equal(st.unit_vector, [1, 1, 0, 0, 1])
+        with pytest.raises(qg.ShapeMismatch):
+            qg.AlgebraElement.from_vector(st, vec[:-1])
+        with pytest.raises(qg.ShapeMismatch):
+            qg.AlgebraElement(st, [np.eye(1), np.eye(3)])
+        with pytest.raises(qg.ShapeMismatch):
+            qg.AlgebraElement(st, [np.eye(1)])
+
+
 class TestDeltaForm:
     def test_uniform_classical(self):
         for N in (2, 3, 5):
@@ -218,7 +261,7 @@ class TestDeltaForm:
             ([1, 1, 1], [[0.5], [0.25], [0.25], [0.1]]),
             ([2], [[0.5, 0.25, 0.25]]),  # a list of the wrong length
             ([1, 2], [[0.2], [0.4]]),
-            ([1, 2], [[0.2, 0.2], [0.3, 0.3]]),  # lists that stack, one of the wrong length
+            ([1, 2], [[0.2, 0.2], [0.3, 0.3]]),  # lists of one length, the second block's too short
             ([2, 2], [[0.25, 0.25], [[0.25, 0.25]]]),  # ragged lists
             ([2], [[0.5, [0.5]]]),
             ([1, 1], [[0.5], 0.5]),
@@ -239,8 +282,8 @@ class TestDeltaForm:
         ],
     )
     def test_malformed_weights_raise_the_block_by_block_error(self, sizes, weights):
-        # the stacked read and the per-size-group sums raise what a read block by block raises,
-        # message included: the sums and Tr(rho^-1) it prints are each block's own, bit for bit
+        # the per-block read and the per-size-group sums raise what the oracle's checks block by block
+        # raise, message included: the sums and Tr(rho^-1) it prints are each block's own, bit for bit
         with pytest.raises(Exception) as want:
             delta_form_oracle(sizes, weights)
         with pytest.raises(want.type) as got:

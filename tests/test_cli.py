@@ -627,6 +627,25 @@ class TestInspect:
             assert code == 1, argv
             assert payload["error"] == "ParseError", argv
 
+    @pytest.mark.parametrize(
+        "blocks, psi, tol",
+        [([1], [[10**400]], None), ([1, 1], [[10**400], [0.5]], None), ([1, 2], [[10**400], [0.25, 0.25]], None),
+         ([2], [[0.5, 0.5]], 10**400)],
+        ids=["psi_c", "psi_c2", "psi_c_m2", "tol"],
+    )
+    def test_integers_past_the_float_range_are_parse_errors(self, capsys, tmp_path, blocks, psi, tol):
+        """A state weight or a tolerance that is an integer past the float range ends in
+        exit 1 with one JSON ParseError line, not an OverflowError traceback."""
+        dim = sum(n * n for n in blocks)
+        doc = {"blocks": blocks, "psi": psi, "adjacency": [[[1.0, 0.0]] * dim] * dim}
+        if tol is not None:
+            doc["tol"] = tol
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code = main(["inspect", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(lines) == 1 and json.loads(lines[0])["error"] == "ParseError"
+
     def test_invalid_weights(self, capsys, tmp_path):
         doc = {
             "blocks": [2],

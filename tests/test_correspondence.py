@@ -242,6 +242,32 @@ class TestNonzeroFormMatchesDenseOracle:
         ):
             assert want > 1e-6 and close(got, want)
 
+    @pytest.mark.parametrize("draw", [None] + list(range(8)))
+    def test_compact_defect_is_basis_free(self, draw):
+        # a unitary on each multiplicity space K_ab conjugates D_ab: its spectral norm, and so the
+        # compact defect, stays within 1e-12 while the largest column norm of some D_ab moves;
+        # draw None is psi = (1/3, 2/3) on M_2
+        rng = np.random.default_rng(draw)
+        sizes = [[2], [1, 2], [2, 2], [1, 1, 2]][0 if draw is None else draw % 4]
+        r = [rng.uniform(0.1, 10.0, n) for n in sizes]
+        delta_sq = sum(ra.sum() * (1.0 / ra).sum() for ra in r)
+        weights = [[1 / 3, 2 / 3]] if draw is None else [ra * (1.0 / ra).sum() / delta_sq for ra in r]
+        psi = qg.validate_delta_form(sizes, weights)
+        A = random_cp_map(psi, np.random.default_rng(0) if draw is None else rng)
+        E = qg.build_edge_correspondence(qg.QuantumGraph(psi.structure, psi, A))
+        rotated = E.generator.copy()
+        for pairs, X, _ in E.pair_slabs:
+            g, na, m, nb = X.shape
+            z = rng.normal(size=(2, g, m, m))
+            U = np.linalg.qr(z[0] + 1j * z[1])[0]
+            seg = E.layout[-1][pairs[:, 0] * len(sizes) + pairs[:, 1], None] + np.arange(na * m * nb)
+            rotated[seg] = np.einsum("gkl,gjlm->gjkm", U, E.generator[seg].reshape(g, na, m, nb)).reshape(g, -1)
+        Er = replace(E, generator=rotated)
+        column = [np.concatenate([np.linalg.norm(D, axis=1).max(axis=1) for _, _, D in F.pair_slabs]) for F in (E, Er)]
+        assert np.abs(column[0] - column[1]).max() > 1e-6 * column[0].max()
+        want = qg.compact_decomposition_residual(E)
+        assert want > 1e-6 and abs(qg.compact_decomposition_residual(Er) - want) <= 1e-12 * want
+
     @given(psi=delta_states(), seed=st_.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_perturbed_generator_fails_both_gates(self, psi, seed):
