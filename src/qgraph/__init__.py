@@ -7,27 +7,20 @@ from .blocks import (
     BlockStructure,
     DeltaState,
     TensorElement,
-    adapted_unit,
     comultiply,
-    gns_inner,
-    modular_half,
-    modular_power,
     sharp,
     validate_delta_form,
 )
 from .correspondence import (
     Correspondence,
-    CorrVector,
-    RecognitionResult,
-    b_inner,
     build_edge_correspondence,
     compact_decomposition_residual,
     cp_correspondence,
+    cyclic_dim,
     faithful_full_report,
     from_spanning,
     left_kernel,
     psi_tensor_module,
-    recognize,
     trivial_correspondence,
 )
 from .errors import (
@@ -62,7 +55,6 @@ from .families import (
     complete_graph,
     rank_one_graph,
     trivial_graph,
-    trivial_structure_report,
 )
 from .fock import (
     FockTruncation,
@@ -76,9 +68,7 @@ from .graphs import (
     LinearMapOnB,
     OperatorValuedMap,
     QuantumGraph,
-    adjacency_from_indicator,
     adjoint_map,
-    edge_indicator,
     homomorphism_check,
     indicator_properties,
     is_completely_positive,

@@ -20,6 +20,7 @@ from .errors import (
     NotDeltaForm,
     NotState,
     ShapeMismatch,
+    echo,
 )
 
 DEFAULT_TOL = 1e-9
@@ -46,7 +47,7 @@ class BlockStructure:
 
     def __post_init__(self):
         if len(self.sizes) < 1 or any(n < 1 for n in self.sizes):
-            raise ShapeMismatch(f"invalid block sizes {self.sizes}")
+            raise ShapeMismatch(f"invalid block sizes {echo(self.sizes)}")
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
 
     @property
@@ -72,12 +73,6 @@ class BlockStructure:
         if not (0 <= i < n and 0 <= j < n):
             raise IndexOutOfRange(f"unit ({i},{j}) out of range for size {n}")
         return self.offsets[a] + i * n + j
-
-    def basis_indices(self) -> Iterable[tuple[int, int, int]]:
-        for a, n in enumerate(self.sizes):
-            for i in range(n):
-                for j in range(n):
-                    yield a, i, j
 
     @cached_property
     def unit_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -276,12 +271,6 @@ class DeltaState:
         _, i, j = self.structure.unit_indices
         return np.where(i == j, self.weight_of_row, 0.0)
 
-    def value(self, x: AlgebraElement) -> complex:
-        """psi(x) = sum_a Tr(rho_a x_a) with diagonal rho_a."""
-        if x.structure != self.structure:
-            raise ShapeMismatch("element over a different block structure")
-        return complex(np.dot(self.psi_vec, x.vec))
-
 
 def validate_delta_form(
     sizes: BlockStructure | Sequence[int],
@@ -303,7 +292,7 @@ def validate_delta_form(
     for n, w in zip(structure.sizes, weights):
         arr = np.asarray(w, dtype=float)
         if arr.shape != (n,):
-            raise ShapeMismatch(f"weight list shape {arr.shape} != ({n},)")
+            raise ShapeMismatch(f"weight list shape {echo(arr.shape)} != ({echo(n)},)")
         rows.append(arr)
     table = np.ones((d, n_max))
     table[np.arange(n_max) < np.array(structure.sizes)[:, None]] = np.concatenate(rows)
@@ -318,16 +307,9 @@ def validate_delta_form(
         raise NotState(f"weights sum to {total}, expected 1")
     delta_sq, bound = inv_sums[0], tol * max(1.0, inv_sums[0])
     if max(inv_sums) - delta_sq > bound or delta_sq - min(inv_sums) > bound:
-        raise NotDeltaForm(f"per-block Tr(rho^-1) disagree: {inv_sums}")
+        raise NotDeltaForm(f"per-block Tr(rho^-1) disagree: {echo(inv_sums)}")
     table.flags.writeable = False
     return DeltaState(structure, table, delta_sq)
-
-
-def gns_inner(x: AlgebraElement, y: AlgebraElement, psi: DeltaState) -> complex:
-    """GNS inner product <x, y>_psi = psi(x* y), conjugate-linear in x."""
-    if x.structure != y.structure or x.structure != psi.structure:
-        raise ShapeMismatch("mismatched operands")
-    return complex(np.sum(x.vec.conj() * psi.gram_diag * y.vec))
 
 
 class TensorElement:
@@ -466,20 +448,3 @@ def sharp(u: TensorElement, v: TensorElement) -> TensorElement:
     # row w of u # v sums v_r u_p over b_p b_r = b_w, u_p being row p of u as an element
     return TensorElement(st, triple_sum(st, u.coeff, v.coeff, lambda x, y: st.products(y, x)))
 
-
-def modular_power(x: AlgebraElement, psi: DeltaState, power: float) -> AlgebraElement:
-    """rho^{-power} x rho^{power}: e_ij scaled by (w_j / w_i)^power = modular_half_scale^(2 power)."""
-    if x.structure != psi.structure:
-        raise ShapeMismatch("element and state over different structures")
-    return AlgebraElement.from_vector(x.structure, x.vec * psi.modular_half_scale ** (2 * power))
-
-
-def modular_half(x: AlgebraElement, psi: DeltaState) -> AlgebraElement:
-    """sigma_{i/2}(x) = rho^{-1/2} x rho^{1/2}: scales e_ij by sqrt(w_j/w_i)."""
-    return modular_power(x, psi, 0.5)
-
-
-def adapted_unit(a: int, i: int, j: int, psi: DeltaState) -> AlgebraElement:
-    """Adapted matrix unit f_ij = e_ij / sqrt(psi(e_ii) psi(e_jj))."""
-    unit = AlgebraElement.standard_unit(psi.structure, a, i, j)  # validates the indices
-    return unit * (1.0 / np.sqrt(psi.weight_table[a, i] * psi.weight_table[a, j]))

@@ -21,9 +21,10 @@ from .correspondence import (
     build_edge_correspondence,
     compact_decomposition_residual,
     cp_correspondence,
+    cyclic_dim,
     faithful_full_report,
 )
-from .errors import QGraphError
+from .errors import QGraphError, echo
 from .families import (
     AutomorphismSpec,
     automorphism_graph,
@@ -98,6 +99,7 @@ def cmd_inspect(args, tol: float) -> int:
         iso_res = cp_correspondence(E)
         hom = homomorphism_check(G)
         compact = compact_decomposition_residual(E)
+        cyclic = cyclic_dim(E)
         report.update(
             {
                 "faithful": ff["faithful"],
@@ -105,12 +107,14 @@ def cmd_inspect(args, tol: float) -> int:
                 "kernel_dim": ff["kernel_dim"],
                 "kernel_subspace_distance": ff["subspace_distance"],
                 "dim_E": E.size,
+                "cyclic_dim": cyclic,
                 "cp_model_residual": iso_res,
                 "homomorphism": hom,
                 "compact_decomposition_residual": compact,
             }
         )
-        gated += [ff["subspace_distance"], iso_res, compact]
+        # eps generates E_G = B . eps . B, gated as tests_agree is
+        gated += [ff["subspace_distance"], iso_res, compact, 0.0 if cyclic == E.size else float("inf")]
     human = [
         f"delta^2 = {G.delta_sq:.6g}, schur residual {G.schur_defects[0]:.3e}",
         f"completely positive: {cp_flag} (Choi min eig {min_eig:.3e})",
@@ -119,7 +123,8 @@ def cmd_inspect(args, tol: float) -> int:
     ]
     if cp_flag:
         human.append(
-            f"faithful={report['faithful']} full={report['full']} dim E = {report['dim_E']}"
+            f"faithful={report['faithful']} full={report['full']} dim E = {report['dim_E']}, "
+            f"cyclic dim {report['cyclic_dim']}"
         )
     _emit(report, human)
     return EXIT_OK if all(r <= tol for r in gated) else EXIT_RESIDUAL
@@ -231,7 +236,7 @@ def cmd_example(args, tol: float) -> int:
         kind = "family"
     else:
         known = sorted(list(graphs) + list(families))
-        raise QGraphError(f"unknown example {name!r}; known: {', '.join(known)}")
+        raise QGraphError(f"unknown example {echo(name)}; known: {', '.join(known)}")
     _emit({"example": name, "kind": kind, "path": args.out}, [f"wrote {kind} {name} to {args.out}"])
     return EXIT_OK
 

@@ -7,32 +7,21 @@ the Kraus rank of A from block a to b, and its zero rows and columns decide
 the left kernel, faithfulness and fullness.  It stores only the nonzeros of
 its actions and B-valued inner product on a psi-orthonormal basis.  E_G's
 generator, cut into block pairs, gives the `pair_slabs` X_ab and D_ab off
-which the B (x)_A B isomorphism, the compact decomposition and every Fock
-identity are read.  The dense ambients and Gram quotients are `tests/oracles.py`.
+which the B (x)_A B isomorphism, the compact decomposition, the dimension of
+B . eps . B and every Fock identity are read.  The dense ambients and Gram
+quotients, and the recognizer of cyclic vectors, are `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .blocks import (
-    DEFAULT_TOL,
-    AlgebraElement,
-    BlockStructure,
-    DeltaState,
-    TensorElement,
-)
-from .errors import MismatchedBase, NotCompletelyPositive, NotGenerating, ShapeMismatch
-from .graphs import (
-    LinearMapOnB,
-    QuantumGraph,
-    _indicator_adjacency,
-    quantum_sources_sinks,
-    require_completely_positive,
-)
+from .blocks import DEFAULT_TOL, BlockStructure, DeltaState
+from .errors import MismatchedBase, NotCompletelyPositive
+from .graphs import QuantumGraph, quantum_sources_sinks, require_completely_positive
 
 GRAM_CUTOFF_RTOL = 1e-10
 
@@ -120,36 +109,6 @@ class Correspondence:
         out[p, row] = V[col]
         return out
 
-    def right_units(self, V: np.ndarray) -> np.ndarray:
-        p, row, col, value = self.right
-        out = np.zeros((self.structure.dim, self.size, V.shape[1]), dtype=complex)
-        out[p, row] = value[:, None] * V[col]
-        return out
-
-    def b_inner_coords(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """Canonical coordinates of <xi, eta>_B; leading axes of eta are batch axes."""
-        x, y, p, value = self.inner
-        out = np.zeros((self.structure.dim,) + np.shape(eta)[:-1], dtype=complex)
-        np.add.at(out, p, np.moveaxis((xi.conj()[x] * value) * eta[..., y], -1, 0))
-        return np.moveaxis(out, 0, -1)
-
-    def vector(self, coords: np.ndarray) -> "CorrVector":
-        return CorrVector(self, np.asarray(coords, dtype=complex))
-
-
-@dataclass(frozen=True)
-class CorrVector:
-    """Vector in a correspondence, given by coefficients over its basis."""
-
-    module: Correspondence
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=complex)
-        if coords.shape != (self.module.size,):
-            raise ShapeMismatch(f"coordinate vector has shape {coords.shape}")
-        object.__setattr__(self, "coords", coords)
-
 
 def _gram_quotient(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a Gram matrix above the relative cutoff GRAM_CUTOFF_RTOL.
@@ -218,16 +177,6 @@ def psi_tensor_module(psi: DeltaState) -> Correspondence:
     return normal_form(psi, np.outer(n, n))
 
 
-def _psi_tensor_coords(psi: DeltaState, coeff: np.ndarray) -> np.ndarray:
-    """`psi_tensor_module` coordinates of sum_pq coeff[p, q] b_p (x) b_q."""
-    st = psi.structure
-    n, off = np.array(st.sizes), np.array(st.offsets)
-    a, c, i, jk, l, _ = _layout(st, np.outer(n, n))
-    j, k = np.divmod(jk, n[c])
-    p, q = off[a] + i * n[a] + j, off[c] + k * n[c] + l
-    return coeff[p, q] * np.sqrt(psi.gram_diag[p] * psi.gram_diag[q])
-
-
 def multiplicity_spaces(G: QuantumGraph) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray]:
     """Bases of the multiplicity spaces K_ab of E_G, per group of `choi_slabs`,
     and eps in `normal_form` coordinates: eps_ab[i,j,k,l] = sum_u gen_ab[i,u,l]
@@ -283,13 +232,6 @@ def build_edge_correspondence(G: QuantumGraph) -> Correspondence:
     for pairs, ranks, _ in bases:
         M[pairs[:, 0], pairs[:, 1]] = ranks
     return normal_form(G.psi, M, generator=gen, graph=G)
-
-
-def b_inner(xi: CorrVector, eta: CorrVector, E: Correspondence) -> AlgebraElement:
-    """B-valued inner product <xi, eta>_B of two vectors of E."""
-    if xi.module is not E or eta.module is not E:
-        raise MismatchedBase("vectors of a different correspondence")
-    return AlgebraElement.from_vector(E.structure, E.b_inner_coords(xi.coords, eta.coords))
 
 
 def _empty_blocks(E: Correspondence) -> tuple[list[int], list[int]]:
@@ -351,80 +293,30 @@ def cp_correspondence(E: Correspondence) -> float:
     return float(np.abs(diff).max(initial=0.0)) / G.delta_sq
 
 
-def _cyclic_dim(X: Correspondence, xi: np.ndarray) -> int:
-    """Dimension of the cyclic submodule B . xi . B of the normal form X.
+def cyclic_dim(X: Correspondence) -> int:
+    """Dimension of the cyclic submodule B . xi . B of X's generator xi.
 
     The units move i and l of the coordinates (a, c, i, k, l), so B . xi . B
     is sum_{a,c} C^{N_a} (x) K'_ac (x) C^{N_c} with K'_ac the span of the
-    rows xi[a, c, i, :, l]: sum N_a N_c rank(Xi_ac), the ranks cut at
-    GRAM_CUTOFF_RTOL times the largest singular value of all pairs.  Singular
-    values are linear in xi; a cut on the eigenvalues of Xi* Xi, their
-    squares, would lose directions below about 1e-5 of the largest.  Xi_ac is
-    xi's raw segment at M's nonzero (a, c): `pair_slabs`' X_ac, its columns over
-    sqrt(w_c), would let a skewed state push genuine rows under the one cut.
+    rows xi[a, c, i, :, l]: sum N_a N_c rank(Xi_ac), from one batched SVD per
+    group of `pair_slabs`, the ranks cut at GRAM_CUTOFF_RTOL times the largest
+    singular value of all pairs.  Singular values are linear in xi; a cut on
+    the eigenvalues of Xi* Xi, their squares, would lose directions below
+    about 1e-5 of the largest.  Xi_ac is xi's raw segment, X_ac with its
+    columns multiplied back by sqrt(w_c): X_ac itself would let a skewed state
+    push genuine rows under the one cut.  On E_G it is dim E_G exactly when
+    eps generates E_G = B . eps . B.
     """
-    n, start = np.array(X.structure.sizes), X.layout[-1]
-    svals = {}
-    for a, c in np.argwhere(X.mult):
-        m, k = X.mult[a, c], a * n.size + c
-        Xi = xi[start[k] : start[k + 1]].reshape(n[a], m, n[c]).transpose(0, 2, 1).reshape(-1, m)
-        svals[a, c] = np.linalg.svd(Xi, compute_uv=False)
-    cutoff = GRAM_CUTOFF_RTOL * max(max((s[0] for s in svals.values()), default=0.0), 1e-300)
-    return int(sum(n[a] * n[c] * np.count_nonzero(s > cutoff) for (a, c), s in svals.items()))
-
-
-@dataclass(frozen=True)
-class RecognitionResult:
-    graph: QuantumGraph
-    module_dim: int
-    iso_residual: float
-
-
-def recognize(
-    xi,
-    psi: DeltaState,
-    module: Correspondence | None = None,
-    tol: float = DEFAULT_TOL,
-) -> RecognitionResult:
-    """Decide whether a cyclic vector generates a quantum edge correspondence.
-
-    xi is a TensorElement in B (x)_psi B (`psi_tensor_module`), or a
-    CorrVector of `module` or its coordinates when `module` is given; inputs
-    over another base or module raise MismatchedBase before any work.  The
-    candidate adjacency is A(x) = delta^2 (psi (x) 1)(x . xi) in the ambient
-    tensor model and A(x) = delta^2 <xi, x . xi>_B in a cyclic module; it
-    must be Schur-idempotent.  The module dimension is that of B . xi . B,
-    read off the coordinates block pair by block pair (`_cyclic_dim`); a
-    vector that generates less than `module` raises NotGenerating.  On
-    success returns the recovered graph together with the inner-product
-    defect of the identification x . xi . y -> x . eps . y.
-    """
-    st = psi.structure
-    if module is None:
-        if not isinstance(xi, TensorElement):
-            raise ShapeMismatch("expected a TensorElement without a module")
-        if xi.structure != st:
-            raise MismatchedBase("tensor over a different block structure")
-        space, coords = psi_tensor_module(psi), _psi_tensor_coords(psi, xi.coeff)
-    else:
-        _same_base(module.psi, psi)
-        vec = xi if isinstance(xi, CorrVector) else module.vector(xi)  # checks the size
-        if vec.module is not module:
-            raise MismatchedBase("vector of a different correspondence")
-        space, coords = module, vec.coords
-    inner = _vector_map(replace(space, generator=coords))
-    A = _indicator_adjacency(xi.coeff, psi) if module is None else psi.delta_sq * inner
-
-    span_rank = _cyclic_dim(space, coords)
-    if module is not None and span_rank < module.size:
-        raise NotGenerating(
-            f"xi generates a {span_rank}-dimensional submodule of dimension-{module.size} module"
-        )
-
-    G = QuantumGraph.build(psi, LinearMapOnB(st, A), tol=tol)
-    E = build_edge_correspondence(G)
-    iso = float(np.abs(inner - _vector_map(E)).max(initial=0.0))
-    return RecognitionResult(graph=G, module_dim=span_rank, iso_residual=iso)
+    groups = []
+    for pairs, X_ac, _ in X.pair_slabs:
+        g, na, m, nc = X_ac.shape
+        raw = X_ac * np.sqrt(X.psi.weight_table[pairs[:, 1], None, None, :nc])
+        Xi = raw.transpose(0, 1, 3, 2).reshape(g, na * nc, m)
+        # a single row or column, as on every pair of a classical graph, has one singular value: its norm
+        s = np.linalg.norm(Xi, axis=(1, 2))[:, None] if min(na * nc, m) == 1 else np.linalg.svd(Xi, compute_uv=False)
+        groups.append((na * nc, s))
+    cutoff = GRAM_CUTOFF_RTOL * max([1e-300] + [s.max() for _, s in groups])
+    return int(sum(k * np.count_nonzero(s > cutoff) for k, s in groups))
 
 
 def faithful_full_report(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:

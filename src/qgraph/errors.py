@@ -1,8 +1,18 @@
 """Exception hierarchy for qgraph.
 
 Validation errors signal bad input data; tolerance-style failures carry the
-offending residual or eigenvalue where that helps diagnosis.
+offending residual or eigenvalue where that helps diagnosis.  A message
+echoes an input value through `echo`, so an oversized input cannot make it long.
 """
+
+ECHO_CHARS = 64
+
+
+def echo(value) -> str:
+    """repr(value) for an error message: its first ECHO_CHARS characters and
+    its length when it is longer."""
+    text = repr(value)
+    return text if len(text) <= ECHO_CHARS else f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
 
 
 class QGraphError(Exception):

@@ -43,15 +43,6 @@ def trivial_graph(psi: DeltaState) -> QuantumGraph:
     return QuantumGraph.build(psi, LinearMapOnB.identity(psi.structure))
 
 
-def trivial_structure_report(psi: DeltaState) -> str:
-    """Description of the Cuntz-Pimsner algebra of the trivial graph."""
-    sizes = "+".join(f"M_{n}" for n in psi.structure.sizes)
-    return (
-        f"O_E of the trivial graph over B = {sizes} is isomorphic to B(x)C(T) "
-        "(edge correspondence is B itself)"
-    )
-
-
 def rank_one_graph(
     psi: DeltaState, T: AlgebraElement, tol: float = DEFAULT_TOL
 ) -> QuantumGraph:

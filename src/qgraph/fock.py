@@ -25,7 +25,7 @@ from .correspondence import (
     normal_form,
     trivial_correspondence,
 )
-from .errors import BudgetExceeded, HasQuantumSource, ShapeMismatch
+from .errors import BudgetExceeded, HasQuantumSource, ShapeMismatch, echo
 from .graphs import QuantumGraph
 from .relations import _sq_nrm
 
@@ -107,13 +107,13 @@ def build_fock(G: QuantumGraph, N: int) -> FockTruncation:
     N > FOCK_MAX_DEPTH are refused before E is built, a zero row of M (HasQuantumSource),
     and, naming the first such depth, levels with more coordinates than a float holds."""
     if N < 1:
-        raise ShapeMismatch(f"level count {N} must be at least 1")
+        raise ShapeMismatch(f"level count {echo(N)} must be at least 1")
     if N > FOCK_MAX_DEPTH:
-        raise BudgetExceeded(f"depth {N} is past the largest Fock depth {FOCK_MAX_DEPTH}")
+        raise BudgetExceeded(f"depth {echo(N)} is past the largest Fock depth {FOCK_MAX_DEPTH}")
     E = build_edge_correspondence(G)
     sources, _ = _empty_blocks(E)
     if sources:
-        raise HasQuantumSource(f"blocks {sources} lie in ker A")
+        raise HasQuantumSource(f"blocks {echo(sources)} lie in ker A")
     p, row, col, _ = E.right
     F = FockTruncation(G, E, N, (row, col, p, 1.0 / np.sqrt(E.psi.weight_of_row[p])))
     for l, total in enumerate(accumulate(F.level_dims)):

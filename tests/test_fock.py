@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st_
 from oracles import (
     BuiltFock,
+    CorrVector,
     algebra_module,
     big_creation,
     built_fock,
@@ -21,6 +22,7 @@ from oracles import (
     dense_edge_correspondence,
     dense_fock,
     dense_inner_defect,
+    edge_indicator,
     edge_unitary,
     full_fock_family,
     full_fock_residuals,
@@ -29,6 +31,7 @@ from oracles import (
     orbit_unitaries,
     pi_level,
     random_cp_map,
+    recognize,
     recognize_iso_oracle,
     right_act,
     left_act,
@@ -36,7 +39,6 @@ from oracles import (
 from strategies import SCATTERED_SIZES, delta_states, quantum_graphs
 
 import qgraph as qg
-import qgraph.correspondence
 import qgraph.fock
 from qgraph.correspondence import multiplicity_spaces
 
@@ -375,7 +377,7 @@ class TestMultiplicitySpaces:
         assert np.array_equal(E.mult, adj.T) and E.size == adj.sum()
         for pairs, ranks, U in multiplicity_spaces(G)[0]:
             assert U.shape == (len(pairs), 1, 1) and np.array_equal(ranks, adj[pairs[:, 1], pairs[:, 0]])
-        assert close(reconstructed_eps(G, E), qg.edge_indicator(G).coeff)
+        assert close(reconstructed_eps(G, E), edge_indicator(G).coeff)
 
     def test_edgeless_graph(self):
         # every slab is 0: s = 0, rank 0, and E is the zero module
@@ -392,7 +394,7 @@ class TestMultiplicitySpaces:
         G, rank = drawn
         E = qg.build_edge_correspondence(G)
         assert np.array_equal(E.mult, rank)
-        assert close(reconstructed_eps(G, E), qg.edge_indicator(G).coeff)
+        assert close(reconstructed_eps(G, E), edge_indicator(G).coeff)
 
 
 def assert_matches_dense_oracle(F, D):
@@ -454,7 +456,7 @@ class TestNormalFormMatchesDenseOracle:
         assert all(d <= f for d, f in zip(D.level_dims, F.level_dims, strict=True))
         assume(D.level_dims == F.level_dims)
         assert_matches_dense_oracle(F, D)
-        assert close(reconstructed_eps(G, F.edge), qg.edge_indicator(G).coeff)
+        assert close(reconstructed_eps(G, F.edge), edge_indicator(G).coeff)
 
     @pytest.mark.parametrize("level", [1, 2])
     def test_a_changed_action_fails(self, level):
@@ -471,7 +473,7 @@ class TestNormalFormMatchesDenseOracle:
 
     def test_built_in_graphs(self, cp_family_graphs):
         for name, G in cp_family_graphs.items():
-            eps = qg.edge_indicator(G).coeff
+            eps = edge_indicator(G).coeff
             if qg.quantum_sources_sinks(G)[0]:
                 # no Fock module over a graph with a source: compare E_G alone
                 E, D = qg.build_edge_correspondence(G), dense_edge_correspondence(G)
@@ -565,14 +567,14 @@ def assert_recognition_matches_orbit_grams(G, rng):
     generator perturbed so that the defect is O(1)."""
     E = qg.build_edge_correspondence(G)
     Ep = perturbed(E, rng)
-    eps = qg.edge_indicator(G)
+    eps = edge_indicator(G)
     cases = [
         (eps, None, dense_edge_correspondence(G).ambient, eps.coeff.ravel()),
-        (E.vector(E.generator), E, E, E.generator),
+        (CorrVector(E, E.generator), E, E, E.generator),
     ]
-    with mock.patch.object(qgraph.correspondence, "build_edge_correspondence", return_value=Ep):
+    with mock.patch.object(qg, "build_edge_correspondence", return_value=Ep):
         for xi, module, space, coords in cases:
-            got = qg.recognize(xi, G.psi, module=module).iso_residual
+            got = recognize(xi, G.psi, module=module).iso_residual
             assert_relative(got, recognize_iso_oracle(space, coords, Ep))
 
 

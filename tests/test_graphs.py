@@ -6,6 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 from oracles import (
+    adapted_unit,
+    adjacency_from_indicator,
+    apply_map,
     built_fock,
     carried,
     choi_blocks,
@@ -19,10 +22,14 @@ from oracles import (
     dense_actions,
     dense_edge_correspondence,
     dense_fock,
+    edge_indicator,
+    gns_inner,
+    indicator_adjacency,
     indicator_properties_oracle,
     indicator_shift_table,
     left_act,
     left_mul,
+    modular_half,
     mul_tensor,
     multiply_down,
     oracle_defect,
@@ -40,7 +47,6 @@ from oracles import (
 from strategies import SCATTERED_SIZES, SMALL_SIZES, delta_states, quantum_graphs
 
 import qgraph as qg
-from qgraph.graphs import _indicator_adjacency, adjacency_from_indicator
 
 RNG = np.random.default_rng(11)
 
@@ -178,14 +184,14 @@ class TestEdgeIndicator:
             assert abs(got[key] - want[key]) <= 1e-12 * max(1.0, want[key]), key
 
     def test_classical_indicator_is_transposed_matrix(self, graph_3cycle):
-        eps = qg.edge_indicator(graph_3cycle)
+        eps = edge_indicator(graph_3cycle)
         adj = graph_3cycle.adjacency.matrix
         # eps = sum over edges i->j of e_j (x) e_i (reversed-edge indicator)
         assert np.allclose(eps.coeff, adj.T)
 
     def test_round_trip(self, cp_family_graphs):
         for name, G in cp_family_graphs.items():
-            eps = qg.edge_indicator(G)
+            eps = edge_indicator(G)
             A2 = adjacency_from_indicator(eps, G.psi)
             assert np.allclose(A2.matrix, G.adjacency.matrix, atol=1e-10), name
 
@@ -195,7 +201,7 @@ class TestEdgeIndicator:
             adjacency_from_indicator(bad, tracial_m2)
 
     def test_rejects_a_nan_candidate(self, graph_complete_m2):
-        coeff = qg.edge_indicator(graph_complete_m2).coeff.copy()
+        coeff = edge_indicator(graph_complete_m2).coeff.copy()
         coeff[0, 0] = np.nan
         with pytest.raises(qg.NotIdempotent):
             adjacency_from_indicator(qg.TensorElement(graph_complete_m2.structure, coeff), graph_complete_m2.psi)
@@ -270,6 +276,23 @@ class TestSourcesSinks:
             sources, sinks = qg.quantum_sources_sinks(G)
             assert sources == [] and sinks == [], name
 
+    @given(psi=delta_states(SMALL_SIZES + SCATTERED_SIZES), seed=st_.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_block_norms_are_the_dense_norms(self, psi, seed):
+        # the norms of A on block a and into block b are those of its columns
+        # of block a and its rows of block b; sources and sinks threshold them
+        rng = np.random.default_rng(seed)
+        st = psi.structure
+        A = zero_block_pairs(random_cp_map(psi, rng), rng)
+        G = qg.QuantumGraph(st, psi, A)
+        cut = [slice(lo, hi) for lo, hi in zip(st.offsets, st.offsets[1:])]
+        want = np.array([[np.linalg.norm(A.matrix[:, s]) for s in cut], [np.linalg.norm(A.matrix[s]) for s in cut]])
+        assert close(G.block_norms, want)
+        tol = float(np.median(want))
+        on, into = (np.flatnonzero(w <= tol).tolist() for w in G.block_norms)
+        assert qg.quantum_sources_sinks(G, tol) == (on, into)
+        assert qg.quantum_sources_sinks(G) == tuple(np.flatnonzero(w == 0).tolist() for w in want)
+
 
 class TestAdjointMap:
     @pytest.mark.parametrize("seed", range(5))
@@ -279,8 +302,8 @@ class TestAdjointMap:
         A = qg.LinearMapOnB(st, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         Astar = qg.adjoint_map(A, skew_m2)
         x, y = random_element(st, rng), random_element(st, rng)
-        assert qg.gns_inner(A(x), y, skew_m2) == pytest.approx(
-            qg.gns_inner(x, Astar(y), skew_m2)
+        assert gns_inner(apply_map(A, x), y, skew_m2) == pytest.approx(
+            gns_inner(x, apply_map(Astar, y), skew_m2)
         )
 
     def test_involutive(self, skew_m2):
@@ -511,8 +534,11 @@ def indicator_adjacency_oracle(xi, psi):
 
 
 def homomorphism_oracle(G):
-    eps = qg.edge_indicator(G)
-    A = G.adjacency
+    eps = edge_indicator(G)
+
+    def A(x):
+        return apply_map(G.adjacency, x)
+
     mult = shift = 0.0
     for x in units(G.structure):
         for y in units(G.structure):
@@ -551,14 +577,14 @@ def fock_covariance_oracle(F):
         for a, n in enumerate(psi.structure.sizes):
             T = {
                 (i, k): creation_matrix(
-                    F, l - 1, left_act(E, qg.adapted_unit(a, i, k, psi), E.generator)
+                    F, l - 1, left_act(E, adapted_unit(a, i, k, psi), E.generator)
                 )
                 for i in range(n)
                 for k in range(n)
             }
             for i in range(n):
                 for j in range(n):
-                    lhs = pi_level(F, l, qg.adapted_unit(a, i, j, psi))
+                    lhs = pi_level(F, l, adapted_unit(a, i, j, psi))
                     rhs = sum(T[i, k] @ T[j, k].conj().T for k in range(n))
                     worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst
@@ -626,11 +652,11 @@ def assert_flip_forms_match(G):
     dense definitions: (1 x A) applied to the adjoint of m at 1, the loop over units
     b_p . eps, and the diagonal matrix of sigma_{i/2} by columns."""
     psi, st, A = G.psi, G.structure, G.adjacency.matrix
-    eps = qg.edge_indicator(G)
+    eps = edge_indicator(G)
     want = comultiply_adjoint_oracle(qg.AlgebraElement.unit(st), psi).coeff @ A.T / G.delta_sq
     assert close(eps.coeff, want, rel=1e-15)
-    assert close(_indicator_adjacency(eps.coeff, psi), indicator_adjacency_oracle(eps.coeff, psi), rel=1e-15)
-    sigma = np.column_stack([qg.modular_half(x, psi).vec for x in units(st)])
+    assert close(indicator_adjacency(eps.coeff, psi), indicator_adjacency_oracle(eps.coeff, psi), rel=1e-15)
+    sigma = np.column_stack([modular_half(x, psi).vec for x in units(st)])
     assert close(psi.modular_half_scale[:, None] * eps.coeff, sigma @ eps.coeff, rel=1e-15)
 
 
@@ -705,7 +731,7 @@ class TestBatchedFormsMatchLoops:
         A = random_cp_map(psi, rng)
         xi = rng.normal(size=(st.dim, st.dim)) + 1j * rng.normal(size=(st.dim, st.dim))
         assert close(qg.schur_residual(psi, A)[0], schur_residual_oracle(psi, A))
-        assert close(_indicator_adjacency(xi, psi), indicator_adjacency_oracle(xi, psi))
+        assert close(indicator_adjacency(xi, psi), indicator_adjacency_oracle(xi, psi))
 
         G = qg.QuantumGraph(st, psi, A)  # skips the Schur gate on purpose
         got = qg.homomorphism_check(G)

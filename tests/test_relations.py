@@ -10,6 +10,7 @@ from oracles import (
     full_fock_family,
     interior_projector,
     mul_tensor,
+    zero_family,
 )
 
 import qgraph as qg
@@ -74,7 +75,7 @@ class TestCKFamily:
 
 class TestZeroFamily:
     def test_first_two_relations_vanish(self, graph_trivial_m2):
-        fam = qg.CKFamily.zero(graph_trivial_m2.structure, k=1)
+        fam = zero_family(graph_trivial_m2.structure, k=1)
         rep = qg.qck_residuals(fam, graph_trivial_m2)
         assert rep["qck1"] == 0.0
         assert rep["qck2"] == 0.0
@@ -82,14 +83,14 @@ class TestZeroFamily:
     def test_third_relation_is_exactly_inverse_delta_sq(self, cp_family_graphs):
         # with k = 1 the defect || -delta^-2 I_1 || is exactly delta^-2
         for name, G in cp_family_graphs.items():
-            fam = qg.CKFamily.zero(G.structure, k=1)
+            fam = zero_family(G.structure, k=1)
             qck = qg.qck_residuals(fam, G)
             lq = qg.lqck_residuals(fam, G)
             assert abs(qck["qck3"] - 1.0 / G.delta_sq) <= 1e-12, name
             assert abs(lq["lqck3"] - 1.0 / G.delta_sq) <= 1e-12, name
 
     def test_scaling_with_k(self, graph_trivial_m2):
-        fam = qg.CKFamily.zero(graph_trivial_m2.structure, k=4)
+        fam = zero_family(graph_trivial_m2.structure, k=4)
         rep = qg.qck_residuals(fam, graph_trivial_m2)
         assert rep["qck3"] == pytest.approx(2.0 / graph_trivial_m2.delta_sq, abs=1e-14)
 
@@ -225,7 +226,7 @@ class TestLocalGlobalAgreement:
         assert gap <= 1e-12 * max(1.0, rep["lqck1"], rep["lqck2"])
 
     def test_report_holds_the_local_relations_only(self, graph_trivial_m2):
-        fam = qg.CKFamily.zero(graph_trivial_m2.structure, k=1)
+        fam = zero_family(graph_trivial_m2.structure, k=1)
         assert sorted(qg.lqck_residuals(fam, graph_trivial_m2)) == ["lqck1", "lqck2", "lqck3"]
 
     @pytest.mark.parametrize("compress", [False, True])
@@ -318,7 +319,7 @@ class TestClassicalReduction:
         assert rep["unit_sum"] < 1e-9
 
     def test_rejects_quantum_graph(self, graph_trivial_m2):
-        fam = qg.CKFamily.zero(graph_trivial_m2.structure, k=1)
+        fam = zero_family(graph_trivial_m2.structure, k=1)
         with pytest.raises(qg.NotClassical):
             qg.classical_reduction(graph_trivial_m2, fam)
 
