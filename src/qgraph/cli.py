@@ -2,8 +2,8 @@
 
 Subcommands: inspect, fock, check, example.  Human-readable summaries go to
 stderr; a machine-readable JSON report mirroring the same structure goes to
-stdout.  Exit codes: 0 all checks pass, 1 input/validation error, 2 a
-residual exceeded tolerance.
+stdout.  Exit codes: 0 all checks pass, 1 input/validation error or a failed
+allocation (a BudgetExceeded), 2 a residual exceeded tolerance.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .graphs import (
     quantum_sources_sinks,
 )
 from .relations import classical_reduction, lqck_residuals, qck_residuals
-from .serialize import load_family, load_graph, parse_tolerance, save_family, save_graph
+from .serialize import _out_of_memory, load_family, load_graph, parse_tolerance, save_family, save_graph
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -280,7 +280,9 @@ def main(argv=None) -> int:
     try:
         tol = _default_tol()
         return handler[args.command](args, tol)
-    except QGraphError as exc:
+    except (QGraphError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):  # a failed allocation inside the command, refused as one JSON line
+            exc = _out_of_memory(f"{args.command} ran out of memory")
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stdout)
         print()

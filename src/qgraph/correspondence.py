@@ -5,11 +5,13 @@ every Fock level) is a `Correspondence` in block-multiplicity normal form
 sum_{a,c} C^{N_a} (x) K_ac (x) C^{N_c}, M[a, c] = dim K_ac; for E_G, M[a, b] is
 the Kraus rank of A from block a to b, and its zero rows and columns decide
 the left kernel, faithfulness and fullness.  It stores only the nonzeros of
-its actions and B-valued inner product on a psi-orthonormal basis.  E_G's
-generator, cut into block pairs, gives the `pair_slabs` X_ab and D_ab off
-which the B (x)_A B isomorphism, the compact decomposition, the dimension of
-B . eps . B and every Fock identity are read.  The dense ambients and Gram
-quotients, and the recognizer of cyclic vectors, are `tests/oracles.py`.
+its left action on a psi-orthonormal basis; its right action and B-valued
+inner product are psi's weights.  E_G's generator, cut into block pairs,
+gives the `pair_slabs` X_ab and D_ab, and with A's Choi slabs the
+`orbit_defects`, off which the B (x)_A B isomorphism, the compact
+decomposition, the dimension of B . eps . B and every Fock identity are read.
+The dense ambients and Gram quotients, the tables of the right action and
+inner product, and the recognizer of cyclic vectors are `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -28,18 +30,16 @@ GRAM_CUTOFF_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class Correspondence:
-    """A `normal_form` correspondence, read through the nonzeros of its actions
-    on an orthonormal basis, which are computed from (psi, mult) on first use.
+    """A `normal_form` correspondence, read through its pair slabs and the
+    nonzeros of its left action on an orthonormal basis, which are computed
+    from (psi, mult) on first use.
 
-    left = (p, row, col): b_p . u_col = u_row, each unit a partial permutation;
-    right = (p, row, col, value): u_col . b_p = value u_row;
-    inner = (x, y, p, value): <u_x, u_y>_B has coordinate value at b_p.
-    In each, the pairs (p, row) and (x, y) are distinct.  mult is the
-    multiplicity matrix; generator, when set, holds the coordinates of the
-    distinguished generating vector (the edge indicator for edge
-    correspondences), graph the quantum graph it came from, and creation, on
-    X (x)_B Y, the nonzeros (z, x, y, value) of the canonical map
-    u_x (x) u_y -> value u_z.
+    left = (p, row, col): b_p . u_col = u_row, each unit a partial permutation,
+    the pairs (p, row) distinct.  mult is the multiplicity matrix; generator,
+    when set, holds the coordinates of the distinguished generating vector
+    (the edge indicator for edge correspondences), graph the quantum graph it
+    came from, and creation, on X (x)_B Y, the nonzeros (z, x, y, value) of
+    the canonical map u_x (x) u_y -> value u_z.
     """
 
     structure: BlockStructure
@@ -67,32 +67,22 @@ class Correspondence:
         return off[a[x]] + t * n[a[x]] + i[x], x + (t - i[x]) * self.mult[a, c][x] * n[c[x]], x
 
     @cached_property
-    def right(self) -> tuple[np.ndarray, ...]:
-        _, c, _, _, l, _ = self.layout
-        n, off = np.array(self.structure.sizes), np.array(self.structure.offsets)
-        x, t = np.nonzero(np.arange(n.max()) < n[c][:, None])
-        p = off[c[x]] + l[x] * n[c[x]] + t  # e_lt in block c
-        return p, x + t - l[x], x, self.psi.modular_half_scale[p]
-
-    @cached_property
-    def inner(self) -> tuple[np.ndarray, ...]:
-        p, y, x, _ = self.right  # <u_x, u_y>_B sits at b_p where u_x . b_p involves u_y
-        return x, y, p, 1.0 / np.sqrt(self.psi.gram_diag[p] * self.psi.weight_of_row[p])
-
-    @cached_property
     def pair_slabs(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """(pairs, X, D) for each shape (N_a, M_ab, N_b) of the block pairs with
         M[a, b] > 0: their (g, 2) pairs (a, b), row-major, the (g, N_a, M_ab, N_b)
         stack of X_ab, the generator's segment for the pair with column m divided
         by sqrt(w_b[m]), so that X_ab[j] = eps_ab[j] / sqrt(w_b) is an M_ab x N_b
         matrix, and the (g, M_ab, M_ab) stack of D_ab = sum_j X_ab[j] X_ab[j]* / w_a[j] - 1.
-        M is read at those pairs only, with no list of all its (blocks, blocks) entries."""
-        n, W = self.structure.sizes, self.psi.weight_table
+        M is read at those pairs only, with no list of all its (blocks, blocks) entries,
+        and the pairs' segments start at the running sum of their sizes N_a M_ab N_b."""
+        n, W = np.array(self.structure.sizes), self.psi.weight_table
         pairs = np.argwhere(self.mult)  # row-major
-        start, root_w = self.layout[-1][pairs[:, 0] * len(n) + pairs[:, 1]], np.sqrt(W)
+        shape = np.stack([n[pairs[:, 0]], self.mult[tuple(pairs.T)], n[pairs[:, 1]]], axis=1)
+        size = shape.prod(axis=1)
+        start, root_w = np.cumsum(size) - size, np.sqrt(W)
         shapes = {}  # the pairs of each shape, in order of first appearance
-        for k, ((a, b), m) in enumerate(zip(pairs.tolist(), self.mult[tuple(pairs.T)].tolist())):
-            shapes.setdefault((n[a], m, n[b]), []).append(k)
+        for k, key in enumerate(map(tuple, shape.tolist())):
+            shapes.setdefault(key, []).append(k)
         slabs = []
         for (na, m, nb), group in shapes.items():
             group = np.array(group)
@@ -102,6 +92,27 @@ class Correspondence:
             D = np.einsum("gjkm,gjlm->gkl", X / W[ab[:, 0], :na, None, None], X.conj()) - np.eye(m)
             slabs.append((ab, X, D))
         return tuple(slabs)
+
+    @cached_property
+    def orbit_defects(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """(pairs, A4, Q) for each group of the graph's `choi_slabs`, on E_G: the
+        pairs (a, c) where A_ac != 0, the (g, N_a, N_a, N_c, N_c) stack A4[i, r] =
+        A(e_ir)_c / delta^4 and Q[i, r] = X_ac[i]* X_ac[r] / delta^2 - A4[i, r]
+        (`pair_slabs`; the first term is 0 when M_ac = 0).  Block c of
+        <eps, e_ir . eps>_B is X_ac[i]* X_ac[r], so Q is delta^-2 times the defect
+        of delta^2 <eps, x . eps>_B = A(x) at x = e_ir, and every pair where A is
+        0 has none.  Row-major keys place E's pairs, M_ac > 0, among A's."""
+        d2, n, out = self.graph.delta_sq, np.array(self.structure.sizes), []
+        for pairs, H in self.graph.adjacency.choi_slabs:
+            (a, c), (na, nc) = pairs.T, n[pairs[0]]
+            A4 = H.reshape(-1, na, nc, na, nc).transpose(0, 1, 3, 2, 4) / (d2 * d2)
+            Q = -A4
+            for epairs, X, _ in self.pair_slabs:
+                if X.shape[1::2] == (na, nc):
+                    k = np.searchsorted(a * len(n) + c, epairs[:, 0] * len(n) + epairs[:, 1])
+                    Q[k] += np.einsum("gikm,grkl->girml", X.conj(), X) / d2
+            out.append((pairs, A4, Q))
+        return tuple(out)
 
     def left_units(self, V: np.ndarray) -> np.ndarray:
         p, row, col = self.left
@@ -263,21 +274,6 @@ def compact_decomposition_residual(E: Correspondence) -> float:
     return float(max((x.max() for x in worst), default=0.0))
 
 
-def _vector_map(M: Correspondence) -> np.ndarray:
-    """Matrix of x -> <xi, x . xi>_B for the generator xi of M, column p <xi, b_p . xi>_B.
-    It decides the orbit Gram: <b_p.xi.b_q, b_r.xi.b_s>_B = b_q* <xi, b_p* b_r . xi>_B b_s.
-    Block b of <xi, e_ij . xi>_B is X_ab[i]* X_ab[j] (`pair_slabs`), 0 when M[a, b] = 0."""
-    st = M.structure
-    off = np.array(st.offsets)
-    out = np.zeros((st.dim, st.dim), dtype=complex)
-    for pairs, X, _ in M.pair_slabs:
-        na, nb = X.shape[1], X.shape[3]
-        P = np.einsum("gikm,gjkl->gmlij", X.conj(), X)  # [m, l, i, j]: (X_ab[i]* X_ab[j])[m, l]
-        rows, cols = (off[c][:, None] + np.arange(k * k) for c, k in ((pairs[:, 1], nb), (pairs[:, 0], na)))
-        out[rows[:, :, None], cols[:, None, :]] = P.reshape(len(pairs), nb * nb, na * na)
-    return out
-
-
 def cp_correspondence(E: Correspondence) -> float:
     """Defect of the isomorphism of B (x)_A B with E_G.
 
@@ -286,11 +282,11 @@ def cp_correspondence(E: Correspondence) -> float:
     exactly when delta^2 <eps, x . eps>_B = A(x), since both Grams of the
     orbit b_p . eps . b_q are b_q* (.)(b_p* b_r) b_s of that map; the
     residual is the worst entry of delta^2 <eps, b_p . eps>_B - A(b_p),
-    divided by delta^2.
+    divided by delta^2: delta^2 max |Q| over E's `orbit_defects`, which are 0
+    at every block pair where A is.
     """
-    G = E.graph
-    diff = G.delta_sq * _vector_map(E) - G.adjacency.matrix
-    return float(np.abs(diff).max(initial=0.0)) / G.delta_sq
+    worst = max((np.abs(Q).max() for _, _, Q in E.orbit_defects), default=0.0)
+    return float(E.graph.delta_sq * worst)
 
 
 def cyclic_dim(X: Correspondence) -> int:

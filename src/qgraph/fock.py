@@ -58,15 +58,15 @@ def interior_tensor(X: Correspondence, Y: Correspondence) -> Correspondence:
 class FockTruncation:
     """The depth-N Fock truncation of the edge correspondence E of a graph.
 
-    creation = (z, e, y, value) are the nonzeros of the canonical map from
-    E (x)_B B onto level 1 = E, off E's right action: T(u_e) maps
-    b_y / sqrt(g_y) to value u_z.  On level l, T(u_e) is it tensored with 1.
+    No level is stored: T(u_e) maps b_y / sqrt(g_y) on level 0, y = e_lt in
+    block c, to u_z / sqrt(w_c[l]), z the coordinate of e with last index t,
+    and on level l it is that map tensored with 1, so every identity reads
+    E's slabs, psi's weights and the multiplicities c_l = M^l n.
     """
 
     graph: QuantumGraph
     edge: Correspondence
     depth: int
-    creation: tuple[np.ndarray, ...]
 
     @cached_property
     def multiplicities(self) -> tuple[tuple[int, ...], ...]:
@@ -114,8 +114,7 @@ def build_fock(G: QuantumGraph, N: int) -> FockTruncation:
     sources, _ = _empty_blocks(E)
     if sources:
         raise HasQuantumSource(f"blocks {echo(sources)} lie in ker A")
-    p, row, col, _ = E.right
-    F = FockTruncation(G, E, N, (row, col, p, 1.0 / np.sqrt(E.psi.weight_of_row[p])))
+    F = FockTruncation(G, E, N)
     for l, total in enumerate(accumulate(F.level_dims)):
         if total > sys.float_info.max:
             raise BudgetExceeded(f"depth {N} leaves the float range at depth {l}, past 1.8e308 coordinates")
@@ -126,20 +125,24 @@ def representation_residuals(F: FockTruncation) -> dict:
     """Defects of the covariant-representation identities on the truncation.
 
     inner: T(xi)*T(eta) = pi(<xi,eta>_B) on levels 0..N-1, worst at basis pairs.
-    At an inner nonzero (x, y, e_mm', value) of E in block c both sides map
-    b_m't to b_mt on level 0, t < N_c, by conj(v_xt) v_yt (v from F.creation)
-    and by value; level l repeats each entry c_l[c] / N_c times.  covariance:
+    For coordinates of E in block c with last indices l, l' (and equal i, k),
+    both sides map b_l't to b_lt on level 0, t < N_c: T(u)*T(u') by
+    1/(sqrt(w_l) sqrt(w_l')), pi(<u, u'>_B) by 1/sqrt(w_l w_l'), so the
+    defect is the Frobenius norm of their difference on N_c units, read from
+    psi's weights for every block c with coordinates, a nonzero column of M;
+    level l repeats each entry c_l[c] / N_c times.  covariance:
     pi(f_ij) = sum_k T(f_ik.eps)T(f_jk.eps)* on levels 1..N-1 (None when N = 1),
     of defect (1 - H_a) / sqrt(w_i w_j), worst ||H_a - 1|| / min w_a.  vacuum_defect:
     the norm of pi on level 0, where covariance must fail, sqrt(max N_a)."""
-    E, N, n = F.edge, F.depth, np.array(F.graph.structure.sizes)
-    c = np.array(F.multiplicities, dtype=float)
-    (z, e, _, v), (_, block, _, _, last, _) = F.creation, E.layout
-    values = np.zeros((E.size, n.max()), dtype=complex)
-    values[e, last[z]] = v  # [e, t]: T(u_e) on the units of last index t
-    x, y, _, value = E.inner
-    sq = sum(np.abs(values[x, t].conj() * values[y, t] - value) ** 2 * (t < n[block[x]]) for t in range(n.max()))
-    inner = float(np.sqrt(sq * (c[:N].max(axis=0) / n)[block[x]]).max(initial=0.0))
+    E, N, W = F.edge, F.depth, F.graph.psi.weight_table
+    c, n = np.array(F.multiplicities, dtype=float), np.array(F.graph.structure.sizes)
+    scale, has_coords, inner = c[:N].max(axis=0) / n, E.mult.any(axis=0), 0.0
+    for size, blocks, *_ in F.graph.structure.size_groups:
+        blocks = blocks[has_coords[blocks]]
+        w = W[blocks, :size]
+        root = 1.0 / np.sqrt(w)
+        sq = size * (root[:, :, None] * root[:, None] - 1.0 / np.sqrt(w[:, :, None] * w[:, None])) ** 2
+        inner = max(inner, float(np.sqrt(sq * scale[blocks, None, None]).max(initial=0.0)))
     covariance = float((np.sqrt(F.defect_squares) / F.graph.psi.min_weight).max()) if N > 1 else None
     return {"inner": inner, "covariance": covariance, "vacuum_defect": float(np.sqrt(n.max()))}
 
@@ -175,9 +178,9 @@ def lqck_fock_residuals(F: FockTruncation) -> dict:
     LQCK3: (sum_a N_a ||H_a - 1||^2)^1/2 / delta^2;
     Toeplitz-1: sum_c c_l[c] delta^4 ||P_c - A_c/delta^4||^2;
     Toeplitz-2: max_a ||H_a - 1||, the defect at every unit of block a.
-    LQCK1 and the D_cb' sums are read per group of E's `pair_slabs`, P_c and
-    A_c per group of A's `choi_slabs`, just the pairs with A_ac != 0, where
-    row-major keys place the pairs with M_ac > 0.  LQCK2 is summed about mu_c, the mean of the diagonals
+    LQCK1 and the D_cb' sums are read per group of E's `pair_slabs`, and
+    P_c - A_c/delta^4 and A_c/delta^4 are E's `orbit_defects`, one table per
+    group of A's `choi_slabs`.  LQCK2 is summed about mu_c, the mean of the diagonals
     of D_cb' weighted by c_{l-1}[b'], of total weight s_c = sum_b' c_{l-1}[b'] M_cb':
     s_c ||P_c - A_c (1 + mu_c)/delta^4||^2 + ||A_c||^2 sum_b' c_{l-1}[b'] ||D_cb' - mu_c 1||^2
     / delta^8 is exact, its cross term a sum of deviations from the mean; no O(1) terms cancel.
@@ -198,14 +201,8 @@ def lqck_fock_residuals(F: FockTruncation) -> dict:
         np.add.at(spread, a, below[b] * _sq_nrm(D - mu[a, None, None] * np.eye(D.shape[1])))
         DX = up[b, None] * _sq_nrm(D[:, None] @ X)  # [g, r]
         np.add.at(l1[:, :na], a, DX / (d2**3 * w_min[a, None] ** 3 * W[a, :na]))
-    for pairs, H in G.adjacency.choi_slabs:
-        (a, cc), (na, nc) = pairs.T, n[pairs[0]]
-        Ac = H.reshape(-1, na, nc, na, nc).transpose(0, 1, 3, 2, 4) / (d2 * d2)  # [g, i, r]: A_c / delta^4
-        Q = -Ac  # [g, i, r]: P_c - A_c / delta^4
-        for epairs, X, _ in E.pair_slabs:
-            if X.shape[1::2] == (na, nc):
-                k = np.searchsorted(a * len(n) + cc, epairs[:, 0] * len(n) + epairs[:, 1])
-                Q[k] += np.einsum("gikm,grkl->girml", X.conj(), X) / d2
+    for pairs, Ac, Q in E.orbit_defects:  # [g, i, r]: A_c / delta^4 and P_c - A_c / delta^4
+        (a, cc), na = pairs.T, n[pairs[0, 0]]
         np.add.at(t1[:, :na, :na], a, d2 * d2 * at[cc, None, None] * _sq_nrm(Q))
         terms = s[cc, None, None] * _sq_nrm(Q - Ac * mu[cc, None, None, None, None])
         terms += _sq_nrm(Ac) * spread[cc, None, None]

@@ -1,7 +1,8 @@
 """Reference implementations shared by several test modules, and the library
 functions that no command runs (the edge indicator as a tensor, the recognizer
-of cyclic vectors, the GNS inner product and the modular group on elements),
-kept here for the tests that pin them."""
+of cyclic vectors, the GNS inner product and the modular group on elements,
+a normal form's right action and inner product as per-coordinate tables, and
+the Fock truncation's map from level 0), kept here for the tests that pin them."""
 
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -14,7 +15,6 @@ from qgraph.correspondence import (
     _gram_quotient,
     _layout,
     _same_base,
-    _vector_map,
     from_spanning,
     psi_tensor_module,
 )
@@ -303,12 +303,55 @@ class QuotientModule(ModuleSpace):
         return self.basis_ambient.conj() @ (self.ambient.scalar_gram @ ambient_vec)
 
 
+def right_table(M):
+    """The right action of the normal form M as nonzeros (p, row, col, value):
+    u_col . b_p = value u_row, the pairs (p, row) distinct.  The unit e_lt of
+    block c moves the last index l of the coordinates (a, c, i, k, l) to t,
+    times sqrt(w_c[t] / w_c[l])."""
+    _, c, _, _, l, _ = M.layout
+    n, off = np.array(M.structure.sizes), np.array(M.structure.offsets)
+    x, t = np.nonzero(np.arange(n.max()) < n[c][:, None])
+    p = off[c[x]] + l[x] * n[c[x]] + t  # e_lt in block c
+    return p, x + t - l[x], x, M.psi.modular_half_scale[p]
+
+
+def inner_table(M):
+    """The B-valued inner product of the normal form M as nonzeros (x, y, p,
+    value): <u_x, u_y>_B has coordinate value at b_p, the pairs (x, y)
+    distinct; it sits at b_p where u_x . b_p involves u_y."""
+    p, y, x, _ = right_table(M)
+    return x, y, p, 1.0 / np.sqrt(M.psi.gram_diag[p] * M.psi.weight_of_row[p])
+
+
+def level_one_creation(F):
+    """The canonical map from E (x)_B B onto level 1 = E of the truncation F, as
+    nonzeros (z, e, y, value), off E's right action: T(u_e) maps b_y / sqrt(g_y)
+    to value u_z."""
+    p, row, col, _ = right_table(F.edge)
+    return row, col, p, 1.0 / np.sqrt(F.edge.psi.weight_of_row[p])
+
+
+def inner_defect_oracle(F):
+    """The inner-product defect of `qg.representation_residuals`, per coordinate:
+    a (dim E, max N) table of T(u_e) on the units of each last index, read off
+    `level_one_creation`, against every nonzero of E's `inner_table`, level l
+    repeating each entry c_l[c] / N_c times."""
+    E, N, n = F.edge, F.depth, np.array(F.graph.structure.sizes)
+    c = np.array(F.multiplicities, dtype=float)
+    (z, e, _, v), (_, block, _, _, last, _) = level_one_creation(F), E.layout
+    values = np.zeros((E.size, n.max()), dtype=complex)
+    values[e, last[z]] = v  # [e, t]: T(u_e) on the units of last index t
+    x, y, _, value = inner_table(E)
+    sq = sum(np.abs(values[x, t].conj() * values[y, t] - value) ** 2 * (t < n[block[x]]) for t in range(n.max()))
+    return float(np.sqrt(sq * (c[:N].max(axis=0) / n)[block[x]]).max(initial=0.0))
+
+
 def right_units(M, V):
     """v . b_p for every unit p and column v of V, shape (dim, size, n): the
     dense module's own, or gathered from a normal form's right-action nonzeros."""
     if not isinstance(M, qg.Correspondence):
         return M.right_units(V)
-    p, row, col, value = M.right
+    p, row, col, value = right_table(M)
     out = np.zeros((M.structure.dim, M.size, V.shape[1]), dtype=complex)
     out[p, row] = value[:, None] * V[col]
     return out
@@ -320,7 +363,7 @@ def b_inner_coords(M, xi, eta):
     inner-product nonzeros."""
     if not isinstance(M, qg.Correspondence):
         return M.b_inner_coords(xi, eta)
-    x, y, p, value = M.inner
+    x, y, p, value = inner_table(M)
     out = np.zeros((M.structure.dim,) + np.shape(eta)[:-1], dtype=complex)
     np.add.at(out, p, np.moveaxis((xi.conj()[x] * value) * eta[..., y], -1, 0))
     return np.moveaxis(out, 0, -1)
@@ -449,9 +492,9 @@ def dense_actions(M):
     binner = np.zeros((n, n, dim), dtype=complex)
     p, row, col = M.left
     np.add.at(lmul, (p, row, col), 1.0)
-    p, row, col, value = M.right
+    p, row, col, value = right_table(M)
     np.add.at(rmul, (p, row, col), value)
-    x, y, p, value = M.inner
+    x, y, p, value = inner_table(M)
     np.add.at(binner, (x, y, p), value)
     return lmul, rmul, binner
 
@@ -493,14 +536,14 @@ class BuiltFock:
 
 def built_fock(F):
     """The levels of the truncation F built as normal forms, level l+1 =
-    `interior_tensor(E, level l)`.  The map from level 0 is F's own, the
-    one the library reads; the others are the built canonical maps."""
+    `interior_tensor(E, level l)`.  The map from level 0 is
+    `level_one_creation(F)`; the others are the built canonical maps."""
     if isinstance(F, BuiltFock):
         return F
     levels = [qg.trivial_correspondence(F.graph.psi)]
     for _ in range(F.depth):
         levels.append(qg.interior_tensor(F.edge, levels[-1]))
-    creation = (F.creation,) + tuple(level.creation for level in levels[2:])
+    creation = (level_one_creation(F),) + tuple(level.creation for level in levels[2:])
     return BuiltFock(F.graph, F.edge, tuple(levels), creation)
 
 
@@ -954,6 +997,21 @@ def recognize_iso_oracle(module, coords, E):
     Grams of coords in `module` and of the generator of E."""
     diff = orbit_gram(module, coords) - orbit_gram(E, E.generator)
     return float(np.abs(diff).max(initial=0.0))
+
+
+def _vector_map(M):
+    """Matrix of x -> <xi, x . xi>_B for the generator xi of M, column p <xi, b_p . xi>_B.
+    It decides the orbit Gram: <b_p.xi.b_q, b_r.xi.b_s>_B = b_q* <xi, b_p* b_r . xi>_B b_s.
+    Block b of <xi, e_ij . xi>_B is X_ab[i]* X_ab[j] (`pair_slabs`), 0 when M[a, b] = 0."""
+    st = M.structure
+    off = np.array(st.offsets)
+    out = np.zeros((st.dim, st.dim), dtype=complex)
+    for pairs, X, _ in M.pair_slabs:
+        na, nb = X.shape[1], X.shape[3]
+        P = np.einsum("gikm,gjkl->gmlij", X.conj(), X)  # [m, l, i, j]: (X_ab[i]* X_ab[j])[m, l]
+        rows, cols = (off[c][:, None] + np.arange(k * k) for c, k in ((pairs[:, 1], nb), (pairs[:, 0], na)))
+        out[rows[:, :, None], cols[:, None, :]] = P.reshape(len(pairs), nb * nb, na * na)
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import argparse
 import functools
+import importlib.util
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -840,6 +842,56 @@ class TestFock:
         assert code == 1
         assert payload["error"] == "BudgetExceeded"
         assert calls == []
+
+
+    def test_failed_allocation_is_a_budget_refusal(self, capsys, monkeypatch, trivial_path):
+        """A MemoryError inside a command ends in exit 1 with one JSON BudgetExceeded
+        line that names the command and any RLIMIT_AS cap, not in a traceback."""
+
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(qgraph.cli, "build_fock", no_memory)
+        for cap, under in ((resource.RLIM_INFINITY, ""), (2**30, f" under the address-space limit RLIMIT_AS of {2**30} bytes")):
+            monkeypatch.setattr(qgraph.serialize.resource, "getrlimit", lambda which, cap=cap: (cap, cap))
+            code = main(["fock", trivial_path, "--levels", "2"])
+            lines = capsys.readouterr().out.splitlines()
+            assert code == 1 and len(lines) == 1
+            assert json.loads(lines[0]) == {"error": "BudgetExceeded", "message": f"fock ran out of memory{under}"}
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def ladder_inputs(directory, seed):
+    """The graph files of the benchmark's inspect and fock ladders at `seed`."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    files = {}
+    for name in ("inspect-ladder", "fock-ladder"):
+        files.update(workloads.build_inputs(workloads.make_workload(name, seed), seed, str(directory / name)))
+    return files
+
+
+def test_reports_read_no_coordinate_layout(capsys, monkeypatch, tmp_path):
+    """inspect and fock read E_G through its pair slabs, its orbit defects and psi's
+    weights: with the per-coordinate layout of a normal form refused, the built-in
+    graphs and the ladder inputs give the exit codes and reports they give without."""
+    paths = list(ladder_inputs(tmp_path, 7).values())
+    for name, build in qgraph.cli._example_registry()[0].items():
+        paths.append(str(tmp_path / f"{name}.json"))
+        save_graph(paths[-1], build())
+
+    def refused(*args):
+        raise AssertionError("the coordinate layout was formed")
+
+    for path in paths:
+        for command in (["inspect", path], ["fock", path, "--levels", "3"]):
+            want = run(capsys, *command)
+            with monkeypatch.context() as patch:
+                patch.setattr(qgraph.correspondence, "_layout", refused)
+                assert run(capsys, *command) == want, command
 
 
 # (kind, w, command): every command that passes on the M_2 state (w, 1 - w).

@@ -277,6 +277,22 @@ class TestNonzeroFormMatchesDenseOracle:
         want = qg.compact_decomposition_residual(E)
         assert want > 1e-6 and abs(qg.compact_decomposition_residual(Er) - want) <= 1e-12 * want
 
+    def test_cp_correspondence_of_a_1000_vertex_graph_in_bounded_memory(self):
+        """A 1000-cycle whose vertices also all point to vertex 0: the B (x)_A B defect
+        reads one 1 x 1 orbit defect per edge, 1999 of them, and no (d, d) map of
+        x -> <eps, x . eps>_B, 15 MiB; it peaked at 38 MiB with that map."""
+        adj = np.roll(np.eye(1000, dtype=int), 1, axis=0)
+        adj[:, 0] = 1
+        E = qg.build_edge_correspondence(qg.classical_graph(adj))
+        tracemalloc.start()
+        try:
+            residual = qg.cp_correspondence(E)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residual <= 1e-12
+        assert peak < 2**20
+
     @given(psi=delta_states(), seed=st_.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_perturbed_generator_fails_both_gates(self, psi, seed):
