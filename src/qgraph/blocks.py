@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -60,10 +61,8 @@ class BlockStructure:
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
-        offs = [0]
-        for n in self.sizes:
-            offs.append(offs[-1] + n * n)
-        return tuple(offs)
+        """Where each block's coordinates start, then dim: exact Python ints, as slices read them."""
+        return tuple(accumulate((n * n for n in self.sizes), initial=0))
 
     def flat_index(self, a: int, i: int, j: int) -> int:
         """Canonical coordinate of the unit e_ij in block a (all 0-based)."""

@@ -75,24 +75,21 @@ def cmd_inspect(args, tol: float) -> int:
     cp_flag, min_eig = G.choi
     props = indicator_properties(G)
     sources, sinks = quantum_sources_sinks(G, tol)
+    modular = props["r3"] <= tol
     report = {
         "delta_sq": G.delta_sq,
         "schur_residual": G.schur_defects[0],
         "cp": {
             "choi": cp_flag,
             "choi_min_eigenvalue": min_eig,
-            "modular_self_adjoint": props["r3"] <= tol,
+            "modular_self_adjoint": modular,
+            "tests_agree": cp_flag == modular,
         },
         "indicator": props,
         "sources": sources,
         "sinks": sinks,
     }
-    gated = [props["r1"], props["r2"]]
-    if cp_flag != (props["r3"] <= tol):
-        report["cp"]["tests_agree"] = False
-        gated.append(float("inf"))
-    else:
-        report["cp"]["tests_agree"] = True
+    gated = [props["r2"], 0.0 if cp_flag == modular else float("inf")]
     if cp_flag:
         E = build_edge_correspondence(G)
         ff = faithful_full_report(E, tol)
@@ -118,7 +115,7 @@ def cmd_inspect(args, tol: float) -> int:
     human = [
         f"delta^2 = {G.delta_sq:.6g}, schur residual {G.schur_defects[0]:.3e}",
         f"completely positive: {cp_flag} (Choi min eig {min_eig:.3e})",
-        f"indicator residuals r1={props['r1']:.3e} r2={props['r2']:.3e} r3={props['r3']:.3e}",
+        f"indicator residuals r2={props['r2']:.3e} r3={props['r3']:.3e}",
         f"sources {sources}, sinks {sinks}",
     ]
     if cp_flag:
@@ -147,13 +144,10 @@ def cmd_fock(args, tol: float) -> int:
         "vacuum_defect": rep["vacuum_defect"],
     }
     # identities with no level to check at this depth are None (null), not gated
-    gated = [rep["inner"], rep["covariance"]] + [
-        lq[k] for k in ("lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2")
-    ]
+    gated = [rep["covariance"]] + [lq[k] for k in ("lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2")]
     human = [
         f"level dims {report['level_dims']}",
-        f"representation: inner {_num(rep['inner'])}, covariance {_num(rep['covariance'])}, "
-        f"vacuum defect {_num(rep['vacuum_defect'])}",
+        f"representation: covariance {_num(rep['covariance'])}, vacuum defect {_num(rep['vacuum_defect'])}",
         f"LQCK interior residuals {_num(lq['lqck1'])} {_num(lq['lqck2'])} {_num(lq['lqck3'])}",
         f"abstract Toeplitz {_num(lq['toeplitz1'])} {_num(lq['toeplitz2'])}",
     ]

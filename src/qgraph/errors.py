@@ -11,7 +11,10 @@ ECHO_CHARS = 64
 def echo(value) -> str:
     """repr(value) for an error message: its first ECHO_CHARS characters and
     its length when it is longer."""
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits, as the square of a long block size
+        return f"<{type(value).__name__} too long to print>"
     return text if len(text) <= ECHO_CHARS else f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
 
 

@@ -27,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from .blocks import DEFAULT_TOL, validate_delta_form
+from .blocks import DEFAULT_TOL, BlockStructure, validate_delta_form
 from .errors import BudgetExceeded, ParseError, WriteError, echo
 from .graphs import LinearMapOnB, QuantumGraph
 from .relations import CKFamily
@@ -80,6 +80,14 @@ def _json_ints(value, what: str) -> np.ndarray:
         raise ParseError(f"{what} holds an integer past int64: {exc}") from exc
 
 
+def _refuse_past_memory(what: str, dims: list[int]) -> int:
+    """Entries of a complex array of shape `dims`; a BudgetExceeded if past physical memory."""
+    size = math.prod(dims)
+    if 16 * size > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise BudgetExceeded(f"{what} of shape {echo(dims)} needs {echo(16 * size)} bytes, past physical memory")
+    return size
+
+
 def _read_matrix(value, shape: tuple, what: str) -> np.ndarray:
     """A complex array of `shape`, whose first entry None is any length >= 1, from
     dense nested pairs or from the sparse object, sized before it is allocated."""
@@ -93,9 +101,7 @@ def _read_matrix(value, shape: tuple, what: str) -> np.ndarray:
     index = _json_ints(value["index"], f"{what} index")
     if len(dims) != len(shape) or any(g < 1 if n is None else g != n for g, n in zip(dims, shape)):
         raise ParseError(f"{what} shape {echo(dims)} is not {echo(['n >= 1' if n is None else n for n in shape])}")
-    size = math.prod(dims)
-    if 16 * size > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
-        raise BudgetExceeded(f"{what} of shape {dims} needs {16 * size} bytes, past physical memory")
+    size = _refuse_past_memory(what, dims)
     try:
         out = np.zeros(dims, dtype=complex)
     except MemoryError:
@@ -189,13 +195,15 @@ def parse_graph_document(doc: dict, tol: float = DEFAULT_TOL) -> tuple[QuantumGr
     if not isinstance(doc["psi"], list) or not all(isinstance(w, list) for w in doc["psi"]):
         raise ParseError(f"psi = {echo(doc['psi'])} is not a list of weight lists")
     weights = [[_json_number(x, "psi weight") for x in w] for w in doc["psi"]]
+    structure = BlockStructure(tuple(sizes))
+    if isinstance(doc["adjacency"], dict):  # sized as `_read_matrix` sizes it, before the state forms tables
+        _refuse_past_memory("adjacency", [structure.dim] * 2)
     try:
-        psi = validate_delta_form(sizes, weights, tol=eff_tol)
+        psi = validate_delta_form(structure, weights, tol=eff_tol)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad blocks/psi: {exc}") from exc
-    dim = psi.structure.dim
-    matrix = _read_matrix(doc["adjacency"], (dim, dim), "adjacency")
-    graph = QuantumGraph.build(psi, LinearMapOnB(psi.structure, matrix), tol=eff_tol)
+    matrix = _read_matrix(doc["adjacency"], (structure.dim,) * 2, "adjacency")
+    graph = QuantumGraph.build(psi, LinearMapOnB(structure, matrix), tol=eff_tol)
     return graph, eff_tol
 
 

@@ -331,21 +331,6 @@ def level_one_creation(F):
     return row, col, p, 1.0 / np.sqrt(F.edge.psi.weight_of_row[p])
 
 
-def inner_defect_oracle(F):
-    """The inner-product defect of `qg.representation_residuals`, per coordinate:
-    a (dim E, max N) table of T(u_e) on the units of each last index, read off
-    `level_one_creation`, against every nonzero of E's `inner_table`, level l
-    repeating each entry c_l[c] / N_c times."""
-    E, N, n = F.edge, F.depth, np.array(F.graph.structure.sizes)
-    c = np.array(F.multiplicities, dtype=float)
-    (z, e, _, v), (_, block, _, _, last, _) = level_one_creation(F), E.layout
-    values = np.zeros((E.size, n.max()), dtype=complex)
-    values[e, last[z]] = v  # [e, t]: T(u_e) on the units of last index t
-    x, y, _, value = inner_table(E)
-    sq = sum(np.abs(values[x, t].conj() * values[y, t] - value) ** 2 * (t < n[block[x]]) for t in range(n.max()))
-    return float(np.sqrt(sq * (c[:N].max(axis=0) / n)[block[x]]).max(initial=0.0))
-
-
 def right_units(M, V):
     """v . b_p for every unit p and column v of V, shape (dim, size, n): the
     dense module's own, or gathered from a normal form's right-action nonzeros."""
@@ -718,11 +703,12 @@ def indicator_shift_table(G):
 
 
 def indicator_properties_oracle(G):
-    """r1, r2 and r3 of `indicator_properties` on the dense (d, d) edge indicator
-    eps: r1 the worst column of A - A_eps with A_eps(x) = delta^2 (psi x 1)(x . eps),
+    """r2 and r3 of `indicator_properties` on the dense (d, d) edge indicator eps:
     r2 = ||eps # eps - eps|| through `sharp`, and r3 the self-adjointness defect
     of (sigma_{i/2} x 1)(eps), eps's rows scaled by `modular_half_scale`, through
-    `dagger`.  The library reads all three off A's Choi slabs."""
+    `dagger`; the library reads both off A's Choi slabs.  r1 is the round trip,
+    the worst column of A - A_eps with A_eps(x) = delta^2 (psi x 1)(x . eps), which
+    holds for every linear map and which the library does not read."""
     psi, eps = G.psi, edge_indicator(G)
     diff = G.adjacency.matrix - indicator_adjacency(eps.coeff, psi)
     twisted = qg.TensorElement(G.structure, psi.modular_half_scale[:, None] * eps.coeff)

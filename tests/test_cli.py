@@ -293,6 +293,29 @@ class TestSerialization:
         with pytest.raises(qg.BudgetExceeded, match=re.escape("shape [2, 1, 1] needs 32 bytes")):
             parse_family_document(fam)
 
+    def test_block_sizes_past_memory_are_refused_before_the_state(self, capsys, tmp_path, monkeypatch):
+        """One block of size 10^5 and a sparse adjacency: its (dim, dim) shape, dim =
+        10^10, is refused from the block sizes before the state is validated, whose
+        tables over dim coordinates (80 GB of int64 each) ran out of memory first, so
+        no address-space cap is needed.  A block size whose square Python will not
+        print is refused on one short line."""
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("the state was validated")
+
+        monkeypatch.setattr(qgraph.serialize, "validate_delta_form", unreached)
+        path, n = tmp_path / "huge.json", 10**5
+        empty = {"shape": [n * n, n * n], "index": [], "values": []}
+        path.write_text(json.dumps({"blocks": [n], "psi": [[1 / n] * n], "adjacency": empty}))
+        code, payload, _ = run(capsys, "inspect", str(path))
+        message = f"adjacency of shape [{n * n}, {n * n}] needs {16 * n**4} bytes, past physical memory"
+        assert code == 1 and payload == {"error": "BudgetExceeded", "message": message}
+        path.write_text(json.dumps({"blocks": [10**3000], "psi": [[1.0]], "adjacency": {**empty, "shape": [1, 1]}}))
+        code = main(["inspect", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(lines) == 1 and len(lines[0].encode()) <= 1024
+        assert json.loads(lines[0])["error"] == "BudgetExceeded" and "past physical memory" in lines[0]
+
     def test_failed_allocation_is_not_called_past_physical_memory(self, monkeypatch):
         """Only the size precheck says "past physical memory"; an allocation that
         fails names itself and, when one is set, the RLIMIT_AS address-space cap."""
@@ -914,6 +937,98 @@ def test_gates_pass_on_skewed_states(capsys, tmp_path, kind, w, command):
     save_graph(str(path), {"trivial": qg.trivial_graph, "complete": qg.complete_graph}[kind](psi))
     code, payload, _ = run(capsys, command[0], str(path), *command[1:])
     assert code == 0, payload
+
+
+def ungated(matrix_of):
+    """Give the command matrix_of(G) over G's state as a graph, without build's Schur gate."""
+
+    def perturb(patch, G, path):
+        A = qg.LinearMapOnB(G.structure, matrix_of(G))
+        patch.setattr(qgraph.cli, "load_graph", lambda _, tol: (qg.QuantumGraph(G.structure, G.psi, A), tol))
+        return qg.DEFAULT_TOL
+
+    return perturb
+
+
+def transpose_map(G):
+    """x -> x^T on G's one block: modular self-adjoint, with an indefinite Choi matrix, the flip."""
+    n, T = G.structure.sizes[0], np.zeros((G.structure.dim,) * 2)
+    for i in range(n):
+        for j in range(n):
+            T[G.structure.flat_index(0, j, i), G.structure.flat_index(0, i, j)] = 1.0
+    return T
+
+
+def moved_generator(module, scale):
+    """Give `module`'s build_edge_correspondence E_G with its generator moved by `scale`
+    times seeded complex noise."""
+
+    def perturb(patch, G, path):
+        E = qg.build_edge_correspondence(G)
+        noise = [1, 1j] @ np.random.default_rng(5).normal(size=(2, E.size))
+        patch.setattr(module, "build_edge_correspondence", lambda _: replace(E, generator=E.generator + scale * noise))
+        return qg.DEFAULT_TOL
+
+    return perturb
+
+
+def short_generator(patch, G, path):
+    """E_G of complete M_2 with one multiplicity row of K_00 zeroed: it generates 12 of 16 dimensions."""
+    E = qg.build_edge_correspondence(G)
+    generator = E.generator.copy()
+    generator.reshape(2, 4, 2)[:, 1, :] = 0.0
+    patch.setattr(qgraph.cli, "build_edge_correspondence", lambda _: replace(E, generator=generator))
+    return qg.DEFAULT_TOL
+
+
+def loose_tol(patch, G, path):
+    """A file whose "tol" of 1e-3 lets in diag(1, 1e-4) on C^2: block 1 is a predicted
+    source at that tol, but M, cut relative to the largest Kraus direction, keeps it."""
+    c2 = qg.validate_delta_form([1, 1], [[0.5], [0.5]])
+    save_graph(path, qg.QuantumGraph(c2.structure, c2, qg.LinearMapOnB(c2.structure, np.diag([1.0, 1e-4]))), tol=1e-3)
+    return 1e-3
+
+
+# gated key -> (command, perturbation); the moves of E_G's generator are those of
+# test_perturbed_generator_fails_both_gates (1e-6) and test_fock.perturbed (0.5)
+GATE_FAILURES = {
+    "r2": (["inspect"], ungated(lambda G: 2 * G.adjacency.matrix)),
+    "cp.tests_agree": (["inspect"], ungated(transpose_map)),
+    "kernel_subspace_distance": (["inspect"], loose_tol),
+    "cp_model_residual": (["inspect"], moved_generator(qgraph.cli, 1e-6)),
+    "compact_decomposition_residual": (["inspect"], moved_generator(qgraph.cli, 1e-6)),
+    "cyclic_dim": (["inspect"], short_generator),
+    **{
+        key: (["fock", "--levels", "3"], moved_generator(qgraph.fock, 0.5))
+        for key in ("covariance", "lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2")
+    },
+}
+
+
+def gated_value(payload, key):
+    """The value that the command gates for `key`: a false tests_agree and a cyclic_dim
+    short of dim_E count as infinite."""
+    if key == "cp.tests_agree":
+        return 0.0 if payload["cp"]["tests_agree"] else float("inf")
+    if key == "cyclic_dim":
+        return 0.0 if payload["cyclic_dim"] == payload["dim_E"] else float("inf")
+    parts = ("indicator", "representation", "lqck_interior", "toeplitz_interior")
+    return {**payload, **{k: v for part in parts for k, v in payload.get(part, {}).items()}}[key]
+
+
+@pytest.mark.parametrize("key", GATE_FAILURES)
+def test_every_gated_key_can_fail(capsys, monkeypatch, tmp_path, graph_complete_m2, key):
+    """Each gated key of inspect and fock passes on complete M_2 and, under one
+    perturbation, moves above tol and makes the command exit 2: no gate is one that
+    no input can fail."""
+    (command, *options), perturb = GATE_FAILURES[key]
+    path = str(tmp_path / "graph.json")
+    save_graph(path, graph_complete_m2)
+    code, payload, _ = run(capsys, command, path, *options)
+    assert code == 0 and gated_value(payload, key) <= qg.DEFAULT_TOL
+    tol = perturb(monkeypatch, graph_complete_m2, path)
+    code, payload, _ = run(capsys, command, path, *options)
+    assert code == 2 and gated_value(payload, key) > tol, payload
 
 
 class TestCheck:

@@ -135,12 +135,11 @@ class TestEdgeIndicator:
     def test_properties_small(self, cp_family_graphs):
         for name, G in cp_family_graphs.items():
             props = qg.indicator_properties(G)
-            assert props["r1"] < 1e-12, name
             assert props["r2"] < 1e-12, name
             assert props["r3"] < 1e-12, name
 
     def test_properties_of_trivial_m24_in_bounded_memory(self):
-        # r1 and r3 read M_24's one (576, 576) Choi slab (d = 576) and r2 comes from
+        # r3 reads M_24's one (576, 576) Choi slab (d = 576) and r2 comes from
         # the Schur pass of the build; eps # eps over the sum N_a^3 = 13824 triples,
         # with whole (13824, d) stacks of rows and products, took 370 MiB
         G = qg.trivial_graph(qg.validate_delta_form([24], [[1 / 24] * 24]))
@@ -163,7 +162,9 @@ class TestEdgeIndicator:
     @settings(max_examples=25, deadline=None)
     def test_slab_residuals_match_dense_oracle_on_random_maps(self, psi, seed, zeroed):
         # a random complex map, neither Schur-idempotent nor CP, keeps r2 and r3 O(1),
-        # so a lost row weight, W or adjoint shows; some block pairs may be zero
+        # so a lost row weight, W or adjoint shows; some block pairs may be zero.  The
+        # round trip A -> eps -> A (the oracle's r1) holds for it too, to rounding,
+        # which is why the library does not read it
         rng = np.random.default_rng(seed)
         st = psi.structure
         A = qg.LinearMapOnB(st, rng.normal(size=(st.dim, st.dim)) + 1j * rng.normal(size=(st.dim, st.dim)))
@@ -173,14 +174,15 @@ class TestEdgeIndicator:
         got, want = qg.indicator_properties(G), indicator_properties_oracle(G)
         for key in ("r2", "r3"):
             assert want[key] > 1e-6 or not A.choi_slabs, key
-        for key in want:
+        for key in got:
             assert abs(got[key] - want[key]) <= 1e-12 * max(1e-3, want[key]), key
+        assert want["r1"] <= 1e-12 * max(1.0, np.abs(A.matrix).max())
 
     @given(drawn=quantum_graphs(SMALL_SIZES + SCATTERED_SIZES))
     @settings(max_examples=15, deadline=None)
     def test_slab_residuals_match_dense_oracle_on_quantum_graphs(self, drawn):
         got, want = qg.indicator_properties(drawn[0]), indicator_properties_oracle(drawn[0])
-        for key in want:
+        for key in got:
             assert abs(got[key] - want[key]) <= 1e-12 * max(1.0, want[key]), key
 
     def test_classical_indicator_is_transposed_matrix(self, graph_3cycle):
