@@ -293,12 +293,13 @@ def validate_delta_form(
         if arr.shape != (n,):
             raise ShapeMismatch(f"weight list shape {echo(arr.shape)} != ({echo(n)},)")
         rows.append(arr)
-    table = np.ones((d, n_max))
-    table[np.arange(n_max) < np.array(structure.sizes)[:, None]] = np.concatenate(rows)
+    table, sizes = np.ones((d, n_max)), np.array(structure.sizes)
+    table[np.arange(n_max) < sizes[:, None]] = np.concatenate(rows)
     if not table.min() > 0:  # a NaN weight fails too
         raise NonPositiveWeight("state weights must be strictly positive")
     sums = np.empty((2, d))  # [0, a] = sum_i w_a[i], [1, a] = sum_i 1/w_a[i]
-    for n, blocks, *_ in structure.size_groups:
+    for n in set(structure.sizes):  # the blocks of each size, with no (g, N^2) table of their coordinates
+        blocks = sizes == n
         w = table[blocks, :n]
         sums[:, blocks] = np.array((w, 1.0 / w)).sum(axis=2)
     total, inv_sums = sum(sums[0].tolist()), sums[1].tolist()

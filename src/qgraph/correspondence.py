@@ -194,41 +194,34 @@ def multiplicity_spaces(G: QuantumGraph) -> tuple[list[tuple[np.ndarray, ...]], 
     u[jk] / sqrt(w_b[l]).
 
     K_ab is the column space of Y[(j,k), (i,l)] = sqrt(w_a[j]) eps_ab[i,j,k,l]
-    = delta^-2 w_a[j]^-1/2 (Choi slab ab), from one batched SVD Y = U s Vh per
-    group: u = U / sqrt(w_a[j]) has columns orthonormal for the weights w_a[j],
-    and gen = s Vh.  A 1 x 1 slab y needs no SVD: s = |y|, U = 1 and gen = y.
-    The singular values are linear in the slab, so the rank is cut at
-    GRAM_CUTOFF_RTOL times the largest of all; a cut on the eigenvalues of
-    Y Y*, their squares, would lose Kraus directions below about 1e-5 of the
-    largest.  Each group's bases are (pairs, ranks, U): its (g, 2) block
-    pairs, row-major, their Kraus ranks M_ab and the (g, N_a N_b, N_a N_b)
-    stack whose first M_ab columns are the basis u of K_ab.  A pair where A
+    = delta^-2 w_a[j]^-1/2 H, H = V diag(lam) V* the Choi slab ab as
+    `A.choi_spectra` holds it, from the one eigh the Choi test read.  The Kraus
+    rank M_ab counts the eigenvalues above GRAM_CUTOFF_RTOL times the largest
+    of all slabs: for a PSD slab they are its singular values, linear in it; a
+    cut on their squares would lose directions below about 1e-5 of the largest.
+    One reduced QR V[:, :r] / sqrt(w_a[j]) = U R per group, r its largest rank,
+    keeps nested spans, so the first M_ab columns of U span Y's columns for every
+    pair: u = U / sqrt(w_a[j]) is orthonormal for the weights w_a[j], gen = U* Y.
+    Each group's bases are (pairs, ranks, u): its (g, 2) block pairs, row-major,
+    their Kraus ranks M_ab and the (g, N_a N_b, r) stack of u.  A pair where A
     is 0 has no slab, so it has rank 0 and no bases; with no edges at all the
     generator is empty.
     """
-    groups = []
-    for pairs, H in G.adjacency.choi_slabs:
-        a, b = pairs.T
-        na, nb = G.structure.sizes[a[0]], G.structure.sizes[b[0]]
-        root_a = np.sqrt(np.repeat(G.psi.weight_table[a, :na], nb, axis=1))
-        root_b = np.sqrt(G.psi.weight_table[b, :nb])
-        Y = H / G.delta_sq / root_a[:, :, None]
-        if na * nb == 1:
-            U, s, coords = np.ones_like(Y), np.abs(Y[:, 0]), Y
-        else:
-            U, s, Vh = np.linalg.svd(Y, full_matrices=False)
-            coords = s[:, :, None] * Vh
-        coords = coords.reshape(len(a), -1, na, nb) * root_b[:, None, None]
-        groups.append((pairs, s, U / root_a[:, :, None], coords.transpose(0, 2, 1, 3)))  # (i, u, l)
-    cutoff = GRAM_CUTOFF_RTOL * max([1e-300] + [s.max() for _, s, _, _ in groups])
+    A, W = G.adjacency, G.psi.weight_table
+    cutoff = GRAM_CUTOFF_RTOL * max([1e-300] + [lam[:, 0].max() for lam, _ in A.choi_spectra])
     bases, segments, keys = [], [np.zeros(0, complex)], [np.zeros(0, int)]
-    for pairs, s, U, coords in groups:
-        g, na, _, nb = coords.shape
-        keep = s > cutoff  # [pair, u], s descending
-        ranks = keep.sum(axis=1)
-        bases.append((pairs, ranks, U))
-        segments.append(coords.reshape(g, na, -1)[keep.repeat(nb, axis=1)[:, None].repeat(na, axis=1)])
-        keys.append((pairs[:, 0] * G.structure.num_blocks + pairs[:, 1]).repeat(na * nb * ranks))
+    for (pairs, H), (lam, V) in zip(A.choi_slabs, A.choi_spectra):
+        a, b = pairs.T
+        g, na, nb = len(pairs), G.structure.sizes[a[0]], G.structure.sizes[b[0]]
+        root_a = np.sqrt(np.repeat(W[a, :na], nb, axis=1))[:, :, None]
+        ranks = np.count_nonzero(lam > cutoff, axis=1)
+        U = np.linalg.qr(V[:, :, : ranks.max()] / root_a)[0]
+        Y = H / G.delta_sq / root_a
+        gen = (U.conj().transpose(0, 2, 1) @ Y).reshape(g, -1, na, nb) * np.sqrt(W[b, None, None, :nb])
+        bases.append((pairs, ranks, U / root_a))
+        keep = (lam[:, None, : U.shape[2]] > cutoff).repeat(na, axis=1)  # [pair, i, u], lam descending
+        segments.append(gen.transpose(0, 2, 1, 3)[keep].ravel())  # (i, u, l)
+        keys.append((a * G.structure.num_blocks + b).repeat(na * nb * ranks))
     order = np.argsort(np.concatenate(keys), kind="stable")  # the pairs in row-major order
     return bases, np.concatenate(segments)[order]
 

@@ -61,6 +61,15 @@ class LinearMapOnB:
                     groups.append((np.stack([ga.blocks[ka], gb.blocks[kb]], axis=1), H.reshape(-1, na * nb, na * nb)))
         return groups
 
+    @cached_property
+    def choi_spectra(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(eigenvalues, eigenvectors), descending, of the Hermitian part of each group
+        of `choi_slabs` from one batched eigh, built once per map: the Choi verdict and
+        E_G's Kraus ranks and bases read it.  It decomposes H itself, whose least
+        eigenvalue the Choi test reports, not H weighted by psi."""
+        spectra = [np.linalg.eigh((H + H.conj().transpose(0, 2, 1)) / 2) for _, H in self.choi_slabs]
+        return [(lam[:, ::-1], V[:, :, ::-1]) for lam, V in spectra]
+
 
 def schur_residual(psi: DeltaState, A: LinearMapOnB) -> tuple[float, float]:
     """Frobenius residuals over the standard basis of m (A x A) m* = delta^2 A and
@@ -154,9 +163,10 @@ def indicator_properties(G: QuantumGraph) -> dict[str, float]:
 def is_completely_positive(psi: DeltaState, A: LinearMapOnB) -> tuple[bool, float]:
     """Choi positivity test; returns (flag, min eigenvalue over all slabs).
 
-    One Hermitian check and one eigvalsh per group of `A.choi_slabs`; the first
-    slab in (a, b) order that is not finite or not Hermitian fails with -||H||.
-    A missing block pair is a zero slab, whose eigenvalues are 0.
+    One Hermitian check per group of `A.choi_slabs`, then the eigenvalues of
+    `A.choi_spectra`; the first slab in (a, b) order that is not finite or not
+    Hermitian fails with -||H||, before any slab is decomposed (eigh reads a NaN
+    slab with no error).  A missing block pair is a zero slab, whose eigenvalues are 0.
     """
     if A.structure != psi.structure:
         raise ShapeMismatch("map and state over different structures")
@@ -168,7 +178,7 @@ def is_completely_positive(psi: DeltaState, A: LinearMapOnB) -> tuple[bool, floa
         bad += [(tuple(pairs[k]), H[k]) for k in np.flatnonzero(~ok)[:1]]
     if bad:
         return False, -float(np.linalg.norm(min(bad, key=lambda kH: kH[0])[1]))
-    evals = [np.linalg.eigvalsh((H + H.conj().transpose(0, 2, 1)) / 2) for _, H in A.choi_slabs]
+    evals = [lam for lam, _ in A.choi_spectra]
     missing = sum(len(e) for e in evals) < A.structure.num_blocks**2
     min_eig, max_eig = min([e.min() for e in evals] + [0.0] * missing), max([0.0] + [e.max() for e in evals])
     return bool(min_eig >= -CHOI_EIG_RTOL * max(1.0, max_eig)), float(min_eig)

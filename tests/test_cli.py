@@ -65,20 +65,25 @@ def line_path(tmp_path, graph_line):
     return str(path)
 
 
+def count_builds(monkeypatch, cls, name):
+    """Every object whose cached property `cls.name` is built, in order."""
+    calls = []
+    build = getattr(cls, name).func
+
+    def counting_build(obj):
+        calls.append(obj)
+        return build(obj)
+
+    prop = functools.cached_property(counting_build)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return calls
+
+
 @pytest.fixture
 def pair_slab_calls(monkeypatch):
     """Every correspondence whose `pair_slabs` are formed."""
-    calls = []
-    build = qgraph.correspondence.Correspondence.pair_slabs.func
-
-    def counting_build(E):
-        calls.append(E)
-        return build(E)
-
-    slabs = functools.cached_property(counting_build)
-    slabs.__set_name__(qgraph.correspondence.Correspondence, "pair_slabs")
-    monkeypatch.setattr(qgraph.correspondence.Correspondence, "pair_slabs", slabs)
-    return calls
+    return count_builds(monkeypatch, qgraph.correspondence.Correspondence, "pair_slabs")
 
 
 def run(capsys, *argv):
@@ -591,26 +596,21 @@ class TestInspect:
 
     def test_builds_the_choi_slabs_once(self, capsys, monkeypatch, tmp_path, trivial_path, tracial_m2):
         # A is cut into block pairs once per command: the Schur check, the Choi
-        # test, E_G's multiplicity spaces and the Fock LQCK checks read the same slabs
-        calls = []
-        build = qgraph.graphs.LinearMapOnB.choi_slabs.func
-
-        def counting_build(A):
-            calls.append(A)
-            return build(A)
-
-        slabs = functools.cached_property(counting_build)
-        slabs.__set_name__(qgraph.graphs.LinearMapOnB, "choi_slabs")
-        monkeypatch.setattr(qgraph.graphs.LinearMapOnB, "choi_slabs", slabs)
+        # test, E_G's multiplicity spaces and the Fock LQCK checks read the same slabs.
+        # The Choi verdict and E_G's Kraus ranks and bases read one eigh per slab,
+        # and check, which only loads the graph, decomposes none
+        slabs = count_builds(monkeypatch, qgraph.graphs.LinearMapOnB, "choi_slabs")
+        spectra = count_builds(monkeypatch, qgraph.graphs.LinearMapOnB, "choi_spectra")
         fam_path = tmp_path / "fam.json"
         save_family(str(fam_path), qg.canonical_lqck_family("trivial", tracial_m2))
-        commands = (["inspect", trivial_path], ["fock", trivial_path, "--levels", "3"],
-                    ["check", trivial_path, "--family", str(fam_path)])
+        commands = ((["inspect", trivial_path], 1), (["fock", trivial_path, "--levels", "3"], 1),
+                    (["check", trivial_path, "--family", str(fam_path)], 0))
         reports = {}
-        for argv in commands:
-            calls.clear()
+        for argv, decompositions in commands:
+            slabs.clear()
+            spectra.clear()
             code, reports[argv[0]], _ = run(capsys, *argv)
-            assert code == 0 and len(calls) == 1, argv
+            assert code == 0 and len(slabs) == 1 and len(spectra) == decompositions, argv
         assert reports["inspect"]["dim_E"] == 4
 
     def test_forms_the_pair_slabs_once(self, capsys, tmp_path, graph_complete_m2, pair_slab_calls):
@@ -624,16 +624,7 @@ class TestInspect:
     def test_forms_the_block_norms_once(self, capsys, monkeypatch, line_path, trivial_path):
         # the sources and sinks of the report and of faithful_full_report's
         # prediction threshold one pass of norms over A's Choi slabs
-        calls = []
-        build = qgraph.graphs.QuantumGraph.block_norms.func
-
-        def counting_build(G):
-            calls.append(G)
-            return build(G)
-
-        norms = functools.cached_property(counting_build)
-        norms.__set_name__(qgraph.graphs.QuantumGraph, "block_norms")
-        monkeypatch.setattr(qgraph.graphs.QuantumGraph, "block_norms", norms)
+        calls = count_builds(monkeypatch, qgraph.graphs.QuantumGraph, "block_norms")
         for path, blocks in ((line_path, ([0], [1])), (trivial_path, ([], []))):
             calls.clear()
             code, payload, _ = run(capsys, "inspect", path)
@@ -737,6 +728,16 @@ class TestInspect:
         lines = capsys.readouterr().out.splitlines()
         assert code == 1 and len(lines) == 1 and len(lines[0].encode()) <= 1024
         assert json.loads(lines[0])["error"] == error
+
+    def test_dense_file_with_one_huge_block_reaches_the_adjacency(self, capsys, tmp_path):
+        """One block of 10^5: the state sums its weights with no (1, 10^10) table
+        of the block's coordinates, so the load reaches the empty adjacency,
+        whose wrong length ends in exit 1 with one JSON ParseError line."""
+        path = tmp_path / "huge_block.json"
+        path.write_text(json.dumps({"blocks": [10**5], "psi": [[1e-5] * 10**5], "adjacency": []}))
+        code = main(["inspect", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(lines) == 1 and json.loads(lines[0])["error"] == "ParseError"
 
     def test_invalid_weights(self, capsys, tmp_path):
         doc = {

@@ -147,13 +147,15 @@ class TestEdgeCorrespondence:
     def test_rank_is_cut_on_the_choi_scale(self, t, rank):
         # A = K1 . K1* + t^2 K2 . K2* on M_2: the cut reads quantities linear in
         # the Choi slab, so a Kraus direction of relative weight t^2 = 1e-8 stays
-        # and one of 1e-14 goes; a cut on their squares loses both
-        psi = qg.validate_delta_form([2], [[0.5, 0.5]])
+        # and one of 1e-14 goes; a cut on their squares loses both.  The cut is
+        # on the eigenvalues of the unweighted slab, so skewed states keep it
         rng = np.random.default_rng(6)
         K1, K2 = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
         A = np.kron(K1, K1.conj()) + t**2 * np.kron(K2, K2.conj())
-        E = qg.build_edge_correspondence(qg.QuantumGraph(psi.structure, psi, qg.LinearMapOnB(psi.structure, A)))
-        assert E.mult.tolist() == [[rank]]
+        for weights in ([0.5, 0.5], [1 / 3, 2 / 3], [1e-3, 1 - 1e-3]):
+            psi = qg.validate_delta_form([2], [weights])
+            E = qg.build_edge_correspondence(qg.QuantumGraph(psi.structure, psi, qg.LinearMapOnB(psi.structure, A)))
+            assert E.mult.tolist() == [[rank]], weights
 
     def test_skewed_draw_keeps_its_small_kraus_direction(self):
         # random_cp_map(psi, default_rng(55670030)) on C + C + M_2: pair (2, 0)

@@ -36,7 +36,7 @@ from oracles import (
     right_act,
     left_act,
 )
-from strategies import SCATTERED_SIZES, delta_states, quantum_graphs
+from strategies import SCATTERED_SIZES, SMALL_SIZES, delta_states, quantum_graphs
 
 import qgraph as qg
 import qgraph.fock
@@ -362,8 +362,9 @@ def reconstructed_eps(G, E):
 
 
 class TestMultiplicitySpaces:
-    """M and eps from the per-group bases (pairs, ranks, U): on classical graphs
-    every slab is 1 x 1, s = |y| and U = 1; M[a, b] is adj[b, a]."""
+    """M and eps from the per-group bases (pairs, ranks, u), read off the one
+    eigh of each Choi slab: on classical graphs every slab is 1 x 1, of rank 1
+    where there is an edge, so u is 1 x 1; M[a, b] is adj[b, a]."""
 
     @given(adj=st_.integers(1, 8).flatmap(lambda n: st_.lists(st_.sampled_from([0, 1]), min_size=n * n, max_size=n * n)))
     @settings(max_examples=30, deadline=None)
@@ -375,12 +376,12 @@ class TestMultiplicitySpaces:
         G = qg.classical_graph(adj)
         E = qg.build_edge_correspondence(G)
         assert np.array_equal(E.mult, adj.T) and E.size == adj.sum()
-        for pairs, ranks, U in multiplicity_spaces(G)[0]:
-            assert U.shape == (len(pairs), 1, 1) and np.array_equal(ranks, adj[pairs[:, 1], pairs[:, 0]])
+        for pairs, ranks, u in multiplicity_spaces(G)[0]:
+            assert u.shape == (len(pairs), 1, 1) and np.array_equal(ranks, adj[pairs[:, 1], pairs[:, 0]])
         assert close(reconstructed_eps(G, E), edge_indicator(G).coeff)
 
     def test_edgeless_graph(self):
-        # every slab is 0: s = 0, rank 0, and E is the zero module
+        # A is 0 on every block pair, so there is no slab: rank 0, and E is the zero module
         G = qg.classical_graph(np.zeros((5, 5), dtype=int))
         bases, gen = multiplicity_spaces(G)
         assert gen.shape == (0,) and all(not ranks.any() for _, ranks, _ in bases)
@@ -388,7 +389,7 @@ class TestMultiplicitySpaces:
         assert not E.mult.any() and E.size == 0
         assert not reconstructed_eps(G, E).any()
 
-    @given(drawn=quantum_graphs(SCATTERED_SIZES))
+    @given(drawn=quantum_graphs(SMALL_SIZES + SCATTERED_SIZES))
     @settings(max_examples=10, deadline=None)
     def test_scattered_size_groups(self, drawn):
         G, rank = drawn
@@ -522,13 +523,15 @@ def assert_levelwise_matches_full_truncation(G, rng, N=3, check=assert_relative)
 
 
 def perturbed_creation(F, rng):
-    """The built truncation F with an O(1) random change to every value of its
-    map from level 0 (`level_one_creation`), so that T(xi)*T(eta) =
-    pi(<xi,eta>_B) fails there."""
+    """The built truncation F with every value of its map from level 0
+    (`level_one_creation`) scaled by a random factor of at least 2, so that
+    T(xi)*T(eta) = pi(<xi,eta>_B) fails there: each nonzero diagonal entry of
+    the Gram at least quadruples.  An additive random change can keep the
+    modulus of a 1 x 1 map (on C, |1 + 0.5 n| = 1.008 read 0.016)."""
     F = built_fock(F)
     z, e, y, value = F.creation[0]
-    noise = rng.normal(size=value.shape) + 1j * rng.normal(size=value.shape)
-    return replace(F, creation=((z, e, y, value + 0.5 * noise),) + F.creation[1:])
+    scale = 2 + np.abs(rng.normal(size=value.shape) + 1j * rng.normal(size=value.shape))
+    return replace(F, creation=((z, e, y, value * scale),) + F.creation[1:])
 
 
 def assert_inner_holds_on_built_levels(F, rng):
