@@ -56,18 +56,8 @@ def _default_tol() -> float:
 def _emit(report: dict, human_lines: list[str]) -> None:
     for line in human_lines:
         print(line, file=sys.stderr)
-    json.dump(report, sys.stdout, indent=2, default=_jsonable)
+    json.dump(report, sys.stdout, indent=2)
     print()
-
-
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
-    raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def cmd_inspect(args, tol: float) -> int:
@@ -89,7 +79,7 @@ def cmd_inspect(args, tol: float) -> int:
         "sources": sources,
         "sinks": sinks,
     }
-    gated = [props["r2"], 0.0 if cp_flag == modular else float("inf")]
+    gated = [0.0 if cp_flag == modular else float("inf")]
     if cp_flag:
         E = build_edge_correspondence(G)
         ff = faithful_full_report(E, tol)

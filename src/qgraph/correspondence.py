@@ -23,9 +23,7 @@ import numpy as np
 
 from .blocks import DEFAULT_TOL, BlockStructure, DeltaState
 from .errors import MismatchedBase, NotCompletelyPositive
-from .graphs import QuantumGraph, quantum_sources_sinks, require_completely_positive
-
-GRAM_CUTOFF_RTOL = 1e-10
+from .graphs import GRAM_CUTOFF_RTOL, QuantumGraph, quantum_sources_sinks, require_completely_positive
 
 
 @dataclass(frozen=True)
@@ -196,9 +194,9 @@ def multiplicity_spaces(G: QuantumGraph) -> tuple[list[tuple[np.ndarray, ...]], 
     K_ab is the column space of Y[(j,k), (i,l)] = sqrt(w_a[j]) eps_ab[i,j,k,l]
     = delta^-2 w_a[j]^-1/2 H, H = V diag(lam) V* the Choi slab ab as
     `A.choi_spectra` holds it, from the one eigh the Choi test read.  The Kraus
-    rank M_ab counts the eigenvalues above GRAM_CUTOFF_RTOL times the largest
-    of all slabs: for a PSD slab they are its singular values, linear in it; a
-    cut on their squares would lose directions below about 1e-5 of the largest.
+    rank M_ab counts the eigenvalues above `A.choi_cut`, the one cut that the
+    Choi verdict reads: for a PSD slab they are its singular values, linear in it;
+    a cut on their squares would lose directions below about 1e-5 of the largest.
     One reduced QR V[:, :r] / sqrt(w_a[j]) = U R per group, r its largest rank,
     keeps nested spans, so the first M_ab columns of U span Y's columns for every
     pair: u = U / sqrt(w_a[j]) is orthonormal for the weights w_a[j], gen = U* Y.
@@ -208,18 +206,17 @@ def multiplicity_spaces(G: QuantumGraph) -> tuple[list[tuple[np.ndarray, ...]], 
     generator is empty.
     """
     A, W = G.adjacency, G.psi.weight_table
-    cutoff = GRAM_CUTOFF_RTOL * max([1e-300] + [lam[:, 0].max() for lam, _ in A.choi_spectra])
     bases, segments, keys = [], [np.zeros(0, complex)], [np.zeros(0, int)]
     for (pairs, H), (lam, V) in zip(A.choi_slabs, A.choi_spectra):
         a, b = pairs.T
         g, na, nb = len(pairs), G.structure.sizes[a[0]], G.structure.sizes[b[0]]
         root_a = np.sqrt(np.repeat(W[a, :na], nb, axis=1))[:, :, None]
-        ranks = np.count_nonzero(lam > cutoff, axis=1)
+        ranks = np.count_nonzero(lam > A.choi_cut, axis=1)
         U = np.linalg.qr(V[:, :, : ranks.max()] / root_a)[0]
         Y = H / G.delta_sq / root_a
         gen = (U.conj().transpose(0, 2, 1) @ Y).reshape(g, -1, na, nb) * np.sqrt(W[b, None, None, :nb])
         bases.append((pairs, ranks, U / root_a))
-        keep = (lam[:, None, : U.shape[2]] > cutoff).repeat(na, axis=1)  # [pair, i, u], lam descending
+        keep = (lam[:, None, : U.shape[2]] > A.choi_cut).repeat(na, axis=1)  # [pair, i, u], lam descending
         segments.append(gen.transpose(0, 2, 1, 3)[keep].ravel())  # (i, u, l)
         keys.append((a * G.structure.num_blocks + b).repeat(na * nb * ranks))
     order = np.argsort(np.concatenate(keys), kind="stable")  # the pairs in row-major order
@@ -312,8 +309,7 @@ def faithful_full_report(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
     """Faithfulness and fullness of E_G, read off its multiplicity matrix M.
 
     E_G is faithful when M has no zero row (no source block) and full when
-    M has no zero column (no sink block); B . <E, E>_B . B is the sum of
-    the blocks of M's nonzero columns.  The left kernel is spanned by the
+    M has no zero column (no sink block).  The left kernel is spanned by the
     units of the source blocks (those of block a move the coordinates
     (a, c, i, k, l)), of dimension sum N_a^2 over them; its prediction, the
     source blocks `perp_blocks` of `quantum_sources_sinks` at `tol`, is a
@@ -326,7 +322,6 @@ def faithful_full_report(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
         "faithful": not sources,
         "full": not sinks,
         "kernel_dim": int(units[sources].sum()),
-        "ideal_blocks": sorted(set(range(E.structure.num_blocks)) - set(sinks)),
         "subspace_distance": float(np.sqrt(units[list(set(sources) ^ set(perp))].sum())),
         "sources": sources,
         "sinks": sinks,

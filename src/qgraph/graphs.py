@@ -21,7 +21,7 @@ import numpy as np
 from .blocks import DEFAULT_TOL, BlockStructure, DeltaState, pair_defects
 from .errors import NotCompletelyPositive, NotQuantumAdjacency, ShapeMismatch
 
-CHOI_EIG_RTOL = 1e-10
+GRAM_CUTOFF_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,19 @@ class LinearMapOnB:
     def choi_spectra(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(eigenvalues, eigenvectors), descending, of the Hermitian part of each group
         of `choi_slabs` from one batched eigh, built once per map: the Choi verdict and
-        E_G's Kraus ranks and bases read it.  It decomposes H itself, whose least
-        eigenvalue the Choi test reports, not H weighted by psi."""
+        E_G's Kraus ranks read it through the one cut `choi_cut`, and E_G's bases
+        read its eigenvectors.  It decomposes H itself, whose least eigenvalue the
+        Choi test reports, not H weighted by psi."""
         spectra = [np.linalg.eigh((H + H.conj().transpose(0, 2, 1)) / 2) for _, H in self.choi_slabs]
         return [(lam[:, ::-1], V[:, :, ::-1]) for lam, V in spectra]
+
+    @cached_property
+    def choi_cut(self) -> float:
+        """GRAM_CUTOFF_RTOL times the largest eigenvalue of all `choi_spectra`,
+        floored at 1e-300: the one cut of A's Choi spectrum, relative to A's
+        scale.  A is completely positive iff no eigenvalue is below -cut, and
+        E_G's Kraus ranks count the eigenvalues above it."""
+        return GRAM_CUTOFF_RTOL * max([1e-300] + [lam[:, 0].max() for lam, _ in self.choi_spectra])
 
 
 def schur_residual(psi: DeltaState, A: LinearMapOnB) -> tuple[float, float]:
@@ -126,7 +135,7 @@ class QuantumGraph:
     @cached_property
     def choi(self) -> tuple[bool, float]:
         """Choi verdict of the adjacency: (completely positive, min eigenvalue)."""
-        return is_completely_positive(self.psi, self.adjacency)
+        return is_completely_positive(self.adjacency)
 
     @cached_property
     def block_norms(self) -> np.ndarray:
@@ -160,16 +169,16 @@ def indicator_properties(G: QuantumGraph) -> dict[str, float]:
     return {"r2": G.schur_defects[1], "r3": float(np.sqrt(r3)) / psi.delta_sq}
 
 
-def is_completely_positive(psi: DeltaState, A: LinearMapOnB) -> tuple[bool, float]:
+def is_completely_positive(A: LinearMapOnB) -> tuple[bool, float]:
     """Choi positivity test; returns (flag, min eigenvalue over all slabs).
 
     One Hermitian check per group of `A.choi_slabs`, then the eigenvalues of
     `A.choi_spectra`; the first slab in (a, b) order that is not finite or not
     Hermitian fails with -||H||, before any slab is decomposed (eigh reads a NaN
-    slab with no error).  A missing block pair is a zero slab, whose eigenvalues are 0.
+    slab with no error).  A missing block pair is a zero slab, whose eigenvalues
+    are 0.  A passes when its least eigenvalue is at least -`A.choi_cut`, the
+    cut that E_G's Kraus ranks read, so the verdict does not move with A's scale.
     """
-    if A.structure != psi.structure:
-        raise ShapeMismatch("map and state over different structures")
     bad = []
     for pairs, H in A.choi_slabs:
         defect = np.linalg.norm(H - H.conj().transpose(0, 2, 1), axis=(1, 2))
@@ -180,8 +189,8 @@ def is_completely_positive(psi: DeltaState, A: LinearMapOnB) -> tuple[bool, floa
         return False, -float(np.linalg.norm(min(bad, key=lambda kH: kH[0])[1]))
     evals = [lam for lam, _ in A.choi_spectra]
     missing = sum(len(e) for e in evals) < A.structure.num_blocks**2
-    min_eig, max_eig = min([e.min() for e in evals] + [0.0] * missing), max([0.0] + [e.max() for e in evals])
-    return bool(min_eig >= -CHOI_EIG_RTOL * max(1.0, max_eig)), float(min_eig)
+    min_eig = min([e.min() for e in evals] + [0.0] * missing)
+    return bool(min_eig >= -A.choi_cut), float(min_eig)
 
 
 def require_completely_positive(G: QuantumGraph) -> None:

@@ -792,6 +792,21 @@ def zero_block_pairs(A, rng, p=0.4):
     return qg.LinearMapOnB(st, mat)
 
 
+def subtract_kraus_direction(A, t):
+    """A minus a rank-one Choi direction: the least eigenvector v of the Choi slab
+    with the least eigenvalue lam_min moves to the eigenvalue -t lam_max, lam_max the
+    largest eigenvalue of all slabs, by subtracting (lam_min + t lam_max) v v* there."""
+    st, mat, off = A.structure, A.matrix.copy(), A.structure.offsets
+    spectra = [np.linalg.eigh(H) for H in choi_blocks_oracle(A)]
+    top = max(lam[-1] for lam, _ in spectra)
+    k = min(range(len(spectra)), key=lambda k: spectra[k][0][0])
+    (a, b), (lam, V) = divmod(k, st.num_blocks), spectra[k]
+    na, nb = st.sizes[a], st.sizes[b]
+    dH = (lam[0] + t * top) * np.outer(V[:, 0], V[:, 0].conj())  # rows (i, r), columns (j, s)
+    mat[off[b] : off[b + 1], off[a] : off[a + 1]] -= dH.reshape(na, nb, na, nb).transpose(1, 3, 0, 2).reshape(nb * nb, na * na)
+    return qg.LinearMapOnB(st, mat)
+
+
 def choi_blocks(A):
     """The library's Choi slabs (`choi_slabs`) as one list in row-major (a, b)
     order, with a zero slab for each pair that `choi_slabs` leaves out."""
@@ -823,8 +838,10 @@ def choi_blocks_oracle(A):
 
 def choi_test_oracle(A):
     """The Choi test one slab at a time: (flag, min eigenvalue), failing with
-    -||H|| at the first slab in (a, b) order that is not finite or not Hermitian."""
-    min_eig, max_eig = np.inf, 0.0
+    -||H|| at the first slab in (a, b) order that is not finite or not Hermitian,
+    and passing when no eigenvalue is below minus its own cut, GRAM_CUTOFF_RTOL
+    times the largest eigenvalue of all slabs, floored at 1e-300."""
+    min_eig, max_eig = np.inf, 1e-300
     for H in choi_blocks_oracle(A):
         herm_defect = np.linalg.norm(H - H.conj().T)
         if not np.isfinite(H).all() or herm_defect > 1e-8 * max(1.0, np.linalg.norm(H)):
@@ -832,7 +849,7 @@ def choi_test_oracle(A):
         evals = np.linalg.eigvalsh((H + H.conj().T) / 2)
         min_eig = min(min_eig, float(evals.min()))
         max_eig = max(max_eig, float(evals.max()))
-    return bool(min_eig >= -qg.graphs.CHOI_EIG_RTOL * max(1.0, max_eig)), float(min_eig)
+    return bool(min_eig >= -GRAM_CUTOFF_RTOL * max_eig), float(min_eig)
 
 
 def close(got, want, rel=1e-12):

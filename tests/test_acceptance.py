@@ -157,7 +157,7 @@ def test_criterion_04_complete_positivity(instances):
     with criterion(4, "Choi positivity agrees with modular self-adjointness"):
         for family, graphs in instances.items():
             for G in graphs:
-                flag, _ = qg.is_completely_positive(G.psi, G.adjacency)
+                flag, _ = qg.is_completely_positive(G.adjacency)
                 props = qg.indicator_properties(G)
                 assert flag == (props["r3"] <= TOL), family
         # a decisively non-CP Schur contraction: the transpose map on M_2
@@ -168,7 +168,7 @@ def test_criterion_04_complete_positivity(instances):
             for j in range(2):
                 mat[st.flat_index(0, j, i), st.flat_index(0, i, j)] = 1.0
         A = qg.LinearMapOnB(st, mat)
-        flag, min_eig = qg.is_completely_positive(psi, A)
+        flag, min_eig = qg.is_completely_positive(A)
         max_eig = max(float(np.linalg.eigvalsh(H).max()) for H in choi_blocks(A))
         assert not flag
         assert min_eig <= -0.5 * max_eig
@@ -178,7 +178,7 @@ def test_criterion_05_faithful_full(instances):
     with criterion(5, "faithfulness/fullness with kernel cross-check"):
         for family, graphs in instances.items():
             for G in graphs:
-                flag, _ = qg.is_completely_positive(G.psi, G.adjacency)
+                flag, _ = qg.is_completely_positive(G.adjacency)
                 if not flag:
                     continue
                 rep = qg.faithful_full_report(qg.build_edge_correspondence(G))

@@ -993,7 +993,6 @@ def loose_tol(patch, G, path):
 # gated key -> (command, perturbation); the moves of E_G's generator are those of
 # test_perturbed_generator_fails_both_gates (1e-6) and test_fock.perturbed (0.5)
 GATE_FAILURES = {
-    "r2": (["inspect"], ungated(lambda G: 2 * G.adjacency.matrix)),
     "cp.tests_agree": (["inspect"], ungated(transpose_map)),
     "kernel_subspace_distance": (["inspect"], loose_tol),
     "cp_model_residual": (["inspect"], moved_generator(qgraph.cli, 1e-6)),

@@ -387,9 +387,10 @@ class TestFaithfulFull:
 
     def test_fullness_ideal(self, graph_line, graph_3cycle):
         rep = qg.faithful_full_report(qg.build_edge_correspondence(graph_3cycle))
-        assert rep["full"] and rep["ideal_blocks"] == [0, 1, 2]
+        # B . <E, E>_B . B is the sum of the blocks of M's nonzero columns, all but the sinks
+        assert rep["full"] and rep["sinks"] == []
         rep = qg.faithful_full_report(qg.build_edge_correspondence(graph_line))
-        assert not rep["full"] and rep["ideal_blocks"] == [0]
+        assert not rep["full"] and rep["sinks"] == [1]
 
     @given(
         psi=delta_states(),
@@ -423,7 +424,6 @@ class TestFaithfulFull:
         assert (rep["sources"], rep["sinks"]) == (sources, sinks)
         assert rep["faithful"] == (kern["kernel_dim"] == 0)
         assert rep["full"] == (not sinks)
-        assert rep["ideal_blocks"] == [b for b in range(d) if b not in sinks]
 
     def test_subspace_distance_counts_the_blocks_the_sides_disagree_on(self):
         # at tol = 1e-2 block 1 of A, of norm 1e-3, counts as a source

@@ -41,6 +41,7 @@ from oracles import (
     random_cp_map,
     right_act,
     right_mul,
+    subtract_kraus_direction,
     tensor_square_module,
     zero_block_pairs,
 )
@@ -178,6 +179,20 @@ class TestEdgeIndicator:
             assert abs(got[key] - want[key]) <= 1e-12 * max(1e-3, want[key]), key
         assert want["r1"] <= 1e-12 * max(1.0, np.abs(A.matrix).max())
 
+    @given(psi=delta_states(), seed=st_.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_r2_is_bounded_by_the_schur_residual(self, psi, seed):
+        # eps # eps - eps is the Schur defect with row (r, i) weighted by 1/w_i, over
+        # delta^4, and 1/w_i <= sum_j 1/w_j = delta^2: r2 <= schur_residual / delta^2 for
+        # every linear map.  With delta^2 >= 1 and the load gating schur_residual at tol,
+        # r2 cannot exceed tol on a graph that loads, so inspect reports it ungated
+        rng = np.random.default_rng(seed)
+        st = psi.structure
+        A = qg.LinearMapOnB(st, rng.normal(size=(st.dim, st.dim)) + 1j * rng.normal(size=(st.dim, st.dim)))
+        G = qg.QuantumGraph(st, psi, A)  # skips the Schur gate on purpose
+        assert psi.delta_sq >= 1.0
+        assert qg.indicator_properties(G)["r2"] <= G.schur_defects[0] / psi.delta_sq * (1 + 1e-12)
+
     @given(drawn=quantum_graphs(SMALL_SIZES + SCATTERED_SIZES))
     @settings(max_examples=15, deadline=None)
     def test_slab_residuals_match_dense_oracle_on_quantum_graphs(self, drawn):
@@ -223,7 +238,7 @@ class TestEdgeIndicator:
 class TestCompletePositivity:
     def test_flag_matches_modular_self_adjointness(self, cp_family_graphs):
         for name, G in cp_family_graphs.items():
-            flag, min_eig = qg.is_completely_positive(G.psi, G.adjacency)
+            flag, min_eig = qg.is_completely_positive(G.adjacency)
             props = qg.indicator_properties(G)
             assert flag, name
             assert props["r3"] < 1e-9, name
@@ -235,7 +250,7 @@ class TestCompletePositivity:
         for i in range(2):
             for j in range(2):
                 mat[st.flat_index(0, j, i), st.flat_index(0, i, j)] = 1.0
-        flag, min_eig = qg.is_completely_positive(tracial_m2, qg.LinearMapOnB(st, mat))
+        flag, min_eig = qg.is_completely_positive(qg.LinearMapOnB(st, mat))
         assert not flag
         assert min_eig == pytest.approx(-1.0, abs=1e-12)
         evs = np.concatenate(
@@ -251,13 +266,31 @@ class TestCompletePositivity:
         # its inf threshold would pass: the finiteness check catches it
         mat = np.eye(4, dtype=complex)
         mat[entry] = value
-        flag, _ = qg.is_completely_positive(tracial_m2, qg.LinearMapOnB(tracial_m2.structure, mat))
+        flag, _ = qg.is_completely_positive(qg.LinearMapOnB(tracial_m2.structure, mat))
         assert flag is False
 
     def test_missing_pairs_read_as_zero_eigenvalues(self, graph_line):
         # the line's one edge leaves three zero slabs; the edgeless graph leaves all
         for G in (graph_line, qg.classical_graph(np.zeros((3, 3), dtype=int))):
-            assert qg.is_completely_positive(G.psi, G.adjacency) == (True, 0.0)
+            assert qg.is_completely_positive(G.adjacency) == (True, 0.0)
+
+    @pytest.mark.parametrize("shift", [None, 1e-9, 1e-11])
+    def test_verdict_and_kraus_ranks_do_not_move_with_scale(self, tracial_m2, shift):
+        # one cut, relative to the largest Choi eigenvalue, decides both: an eigenvalue at
+        # -1e-9 of the largest fails at every scale, one at -1e-11 passes and adds no
+        # Kraus direction.  A floor of 1e-10 read -1e-9 x 5.8e-3 as PSD at c = 1e-3
+        st = tracial_m2.structure
+        A = random_cp_map(tracial_m2, np.random.default_rng(7))
+        if shift is not None:
+            A = subtract_kraus_direction(A, shift)
+        verdicts, ranks = [], []
+        for c in (1e-3, 1.0, 1e3):
+            cA = qg.LinearMapOnB(st, c * A.matrix)
+            verdicts.append(qg.is_completely_positive(cA)[0])
+            if verdicts[-1]:
+                ranks.append(qg.build_edge_correspondence(qg.QuantumGraph(st, tracial_m2, cA)).mult.tolist())
+        assert verdicts == [shift != 1e-9] * 3
+        assert ranks == ([] if shift == 1e-9 else [[[2]]] * 3)
 
     def test_choi_blocks_of_identity_are_psd(self, tracial_m2):
         A = qg.LinearMapOnB.identity(tracial_m2.structure)
@@ -322,7 +355,7 @@ class TestGroupedChoiTest:
     @given(
         psi=delta_states(MIXED_SIZES),
         seed=st_.integers(0, 2**32 - 1),
-        kind=st_.sampled_from(["cp", "zeroed", "transpose", "non_hermitian", "non_finite"]),
+        kind=st_.sampled_from(["cp", "zeroed", "near_cut", "transpose", "non_hermitian", "non_finite"]),
     )
     @settings(max_examples=60, deadline=None)
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf on non-finite maps
@@ -332,6 +365,8 @@ class TestGroupedChoiTest:
         mat = random_cp_map(psi, rng).matrix
         if kind == "zeroed":  # some block pairs missing from the slabs, each a zero Choi slab
             mat = zero_block_pairs(qg.LinearMapOnB(st, mat), rng).matrix
+        elif kind == "near_cut":  # a least eigenvalue a decade beyond -cut, or a decade inside it
+            mat = subtract_kraus_direction(qg.LinearMapOnB(st, mat), rng.choice([1e-9, 1e-11])).matrix
         elif kind == "transpose":  # x -> A(x)^T: Hermitian slabs, indefinite where N_b > 1
             mat = mat[st.star_perm]
         elif kind != "cp":
@@ -347,7 +382,7 @@ class TestGroupedChoiTest:
                         else:
                             slab[tuple(rng.integers(0, slab.shape))] = rng.choice([np.nan, np.inf, -np.inf])
         A = qg.LinearMapOnB(st, mat)
-        (flag, value), (want_flag, want) = qg.is_completely_positive(psi, A), choi_test_oracle(A)
+        (flag, value), (want_flag, want) = qg.is_completely_positive(A), choi_test_oracle(A)
         assert flag is want_flag
         if np.isfinite(want):
             assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
