@@ -64,7 +64,7 @@ def cmd_inspect(args, tol: float) -> int:
     G, tol = load_graph(args.graph, tol=tol)
     cp_flag, min_eig = G.choi
     props = indicator_properties(G)
-    sources, sinks = quantum_sources_sinks(G, tol)
+    sources, sinks = quantum_sources_sinks(G)
     modular = props["r3"] <= tol
     report = {
         "delta_sq": G.delta_sq,
@@ -82,7 +82,7 @@ def cmd_inspect(args, tol: float) -> int:
     gated = [0.0 if cp_flag == modular else float("inf")]
     if cp_flag:
         E = build_edge_correspondence(G)
-        ff = faithful_full_report(E, tol)
+        ff = faithful_full_report(E)
         iso_res = cp_correspondence(E)
         hom = homomorphism_check(G)
         compact = compact_decomposition_residual(E)
@@ -92,7 +92,6 @@ def cmd_inspect(args, tol: float) -> int:
                 "faithful": ff["faithful"],
                 "full": ff["full"],
                 "kernel_dim": ff["kernel_dim"],
-                "kernel_subspace_distance": ff["subspace_distance"],
                 "dim_E": E.size,
                 "cyclic_dim": cyclic,
                 "cp_model_residual": iso_res,
@@ -101,7 +100,7 @@ def cmd_inspect(args, tol: float) -> int:
             }
         )
         # eps generates E_G = B . eps . B, gated as tests_agree is
-        gated += [ff["subspace_distance"], iso_res, compact, 0.0 if cyclic == E.size else float("inf")]
+        gated += [iso_res, compact, 0.0 if cyclic == E.size else float("inf")]
     human = [
         f"delta^2 = {G.delta_sq:.6g}, schur residual {G.schur_defects[0]:.3e}",
         f"completely positive: {cp_flag} (Choi min eig {min_eig:.3e})",

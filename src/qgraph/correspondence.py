@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import DEFAULT_TOL, BlockStructure, DeltaState
+from .blocks import BlockStructure, DeltaState
 from .errors import MismatchedBase, NotCompletelyPositive
 from .graphs import GRAM_CUTOFF_RTOL, QuantumGraph, quantum_sources_sinks, require_completely_positive
 
@@ -122,12 +122,13 @@ class Correspondence:
 def _gram_quotient(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a Gram matrix above the relative cutoff GRAM_CUTOFF_RTOL.
 
-    Raises NotCompletelyPositive when the Gram has a significantly negative
-    eigenvalue (the semi-inner product is not positive).
+    Raises NotCompletelyPositive when the Gram has an eigenvalue below -1e-8
+    times its own largest eigenvalue (the semi-inner product is not positive),
+    a cut relative to the Gram, so the verdict does not move with its scale.
     """
     evals, evecs = np.linalg.eigh((gram + gram.conj().T) / 2)
     top = float(evals.max(initial=0.0))
-    if evals.size and float(evals.min()) < -1e-8 * max(1.0, top):
+    if evals.size and float(evals.min()) < -1e-8 * top:
         raise NotCompletelyPositive(f"scalar Gram min eigenvalue {evals.min():.3e}")
     keep = evals > GRAM_CUTOFF_RTOL * max(top, 1e-300)
     return evals[keep], evecs[:, keep]
@@ -235,20 +236,12 @@ def build_edge_correspondence(G: QuantumGraph) -> Correspondence:
     return normal_form(G.psi, M, generator=gen, graph=G)
 
 
-def _empty_blocks(E: Correspondence) -> tuple[list[int], list[int]]:
-    """Blocks with a zero row of E.mult (sources) and a zero column (sinks)."""
-    return np.flatnonzero(~E.mult.any(axis=1)).tolist(), np.flatnonzero(~E.mult.any(axis=0)).tolist()
-
-
-def left_kernel(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
-    """Left-action kernel of E_G on both sides of the faithfulness theorem, as rows
-    of units: the units of the source blocks of M and of `perp_blocks`, with the
-    sizes of `faithful_full_report`."""
-    report = faithful_full_report(E, tol)
-    unit_block, eye = E.structure.unit_indices[0], np.eye(E.structure.dim, dtype=complex)
-    in_kernel, in_perp = (np.isin(unit_block, report[key]) for key in ("sources", "perp_blocks"))
-    sizes = {key: report[key] for key in ("kernel_dim", "subspace_distance", "perp_blocks")}
-    return {"kernel_basis": eye[in_kernel], "perp_basis": eye[in_perp], **sizes}
+def left_kernel(E: Correspondence) -> dict:
+    """Left-action kernel of E_G as rows of units: the units of the source blocks
+    of `faithful_full_report`, which move no coordinate of E_G, and its kernel_dim."""
+    report = faithful_full_report(E)
+    in_kernel = np.isin(E.structure.unit_indices[0], report["sources"])
+    return {"kernel_basis": np.eye(E.structure.dim, dtype=complex)[in_kernel], "kernel_dim": report["kernel_dim"]}
 
 
 def compact_decomposition_residual(E: Correspondence) -> float:
@@ -305,25 +298,21 @@ def cyclic_dim(X: Correspondence) -> int:
     return int(sum(k * np.count_nonzero(s > cutoff) for k, s in groups))
 
 
-def faithful_full_report(E: Correspondence, tol: float = DEFAULT_TOL) -> dict:
-    """Faithfulness and fullness of E_G, read off its multiplicity matrix M.
+def faithful_full_report(E: Correspondence) -> dict:
+    """Faithfulness and fullness of E_G, read off the sources and sinks of its
+    graph by `quantum_sources_sinks`, the zero rows and columns of E_G's
+    multiplicity matrix M, under the same cut of A's Choi spectra.
 
-    E_G is faithful when M has no zero row (no source block) and full when
-    M has no zero column (no sink block).  The left kernel is spanned by the
-    units of the source blocks (those of block a move the coordinates
-    (a, c, i, k, l)), of dimension sum N_a^2 over them; its prediction, the
-    source blocks `perp_blocks` of `quantum_sources_sinks` at `tol`, is a
-    coordinate subspace too, so the Frobenius distance of their projectors
-    is the root of sum N_a^2 over the blocks in one set only.
+    E_G is faithful when M has no zero row (no source block: ker A contains no
+    central summand of B) and full when M has no zero column (no sink block).
+    The left kernel is spanned by the units of the source blocks (those of
+    block a move the coordinates (a, c, i, k, l)), of dimension sum N_a^2 over them.
     """
-    (sources, sinks), (perp, _) = _empty_blocks(E), quantum_sources_sinks(E.graph, tol)
-    units = np.square(E.structure.sizes)
+    sources, sinks = quantum_sources_sinks(E.graph)
     return {
         "faithful": not sources,
         "full": not sinks,
-        "kernel_dim": int(units[sources].sum()),
-        "subspace_distance": float(np.sqrt(units[list(set(sources) ^ set(perp))].sum())),
+        "kernel_dim": int(np.square(E.structure.sizes)[sources].sum()),
         "sources": sources,
         "sinks": sinks,
-        "perp_blocks": perp,
     }

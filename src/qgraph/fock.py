@@ -19,14 +19,13 @@ import numpy as np
 
 from .correspondence import (
     Correspondence,
-    _empty_blocks,
     _same_base,
     build_edge_correspondence,
     normal_form,
     trivial_correspondence,
 )
 from .errors import BudgetExceeded, HasQuantumSource, ShapeMismatch, echo
-from .graphs import QuantumGraph
+from .graphs import QuantumGraph, quantum_sources_sinks
 from .relations import _sq_nrm
 
 FOCK_MAX_DEPTH = 10_000  # bounds the O(N) multiplicities and reports
@@ -104,14 +103,15 @@ class FockTruncation:
 
 def build_fock(G: QuantumGraph, N: int) -> FockTruncation:
     """The depth-N Fock truncation of the edge correspondence of G.  N < 1 and
-    N > FOCK_MAX_DEPTH are refused before E is built, a zero row of M (HasQuantumSource),
-    and, naming the first such depth, levels with more coordinates than a float holds."""
+    N > FOCK_MAX_DEPTH are refused before E is built, a source block of
+    `quantum_sources_sinks`, a zero row of M (HasQuantumSource), and, naming the
+    first such depth, levels with more coordinates than a float holds."""
     if N < 1:
         raise ShapeMismatch(f"level count {echo(N)} must be at least 1")
     if N > FOCK_MAX_DEPTH:
         raise BudgetExceeded(f"depth {echo(N)} is past the largest Fock depth {FOCK_MAX_DEPTH}")
     E = build_edge_correspondence(G)
-    sources, _ = _empty_blocks(E)
+    sources, _ = quantum_sources_sinks(G)
     if sources:
         raise HasQuantumSource(f"blocks {echo(sources)} lie in ker A")
     F = FockTruncation(G, E, N)

@@ -62,14 +62,30 @@ class LinearMapOnB:
         return groups
 
     @cached_property
+    def choi_faults(self) -> list[np.ndarray]:
+        """Per group of `choi_slabs`, the mask of its slabs that are not finite or
+        not Hermitian: ||H - H*|| above 1e-8 times the largest norm of A's finite
+        slabs, A's scale, so that neither a slab's own norm nor an absolute floor
+        decides.  A faulty slab fails the Choi test and is a nonzero pair of A."""
+        slabs = [H for _, H in self.choi_slabs]
+        finite = [np.isfinite(H).all(axis=(1, 2)) for H in slabs]
+        scale = max([0.0] + [np.where(ok, np.linalg.norm(H, axis=(1, 2)), 0.0).max() for H, ok in zip(slabs, finite)])
+        defects = [np.linalg.norm(H - H.conj().transpose(0, 2, 1), axis=(1, 2)) for H in slabs]
+        return [~ok | ~(defect <= 1e-8 * scale) for ok, defect in zip(finite, defects)]
+
+    @cached_property
     def choi_spectra(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(eigenvalues, eigenvectors), descending, of the Hermitian part of each group
-        of `choi_slabs` from one batched eigh, built once per map: the Choi verdict and
-        E_G's Kraus ranks read it through the one cut `choi_cut`, and E_G's bases
-        read its eigenvectors.  It decomposes H itself, whose least eigenvalue the
-        Choi test reports, not H weighted by psi."""
-        spectra = [np.linalg.eigh((H + H.conj().transpose(0, 2, 1)) / 2) for _, H in self.choi_slabs]
-        return [(lam[:, ::-1], V[:, :, ::-1]) for lam, V in spectra]
+        of `choi_slabs` from one batched eigh, built once per map: the Choi verdict,
+        E_G's Kraus ranks and `quantum_sources_sinks` read it through the one cut
+        `choi_cut`, and E_G's bases read its eigenvectors.  It decomposes H itself,
+        whose least eigenvalue the Choi test reports, not H weighted by psi; a
+        slab of `choi_faults` is read as 0 (eigh refuses an infinite one)."""
+        spectra = []
+        for (_, H), bad in zip(self.choi_slabs, self.choi_faults):
+            lam, V = np.linalg.eigh(np.where(bad[:, None, None], 0, H + H.conj().transpose(0, 2, 1)) / 2)
+            spectra.append((lam[:, ::-1], V[:, :, ::-1]))
+        return spectra
 
     @cached_property
     def choi_cut(self) -> float:
@@ -137,16 +153,6 @@ class QuantumGraph:
         """Choi verdict of the adjacency: (completely positive, min eigenvalue)."""
         return is_completely_positive(self.adjacency)
 
-    @cached_property
-    def block_norms(self) -> np.ndarray:
-        """(2, blocks) norms of A on each block (row 0) and into each block (row 1),
-        summed from the squared norms of the Choi slabs of the pairs (a, b) on a
-        and into b, once per graph."""
-        sq = np.zeros((2, self.structure.num_blocks))
-        for pairs, H in self.adjacency.choi_slabs:
-            np.add.at(sq, ([[0], [1]], pairs.T), np.sum(H.real**2 + H.imag**2, axis=(1, 2)))
-        return np.sqrt(sq)
-
 
 def indicator_properties(G: QuantumGraph) -> dict[str, float]:
     """Residuals of two defining properties of the edge indicator eps, read off A's
@@ -172,19 +178,16 @@ def indicator_properties(G: QuantumGraph) -> dict[str, float]:
 def is_completely_positive(A: LinearMapOnB) -> tuple[bool, float]:
     """Choi positivity test; returns (flag, min eigenvalue over all slabs).
 
-    One Hermitian check per group of `A.choi_slabs`, then the eigenvalues of
-    `A.choi_spectra`; the first slab in (a, b) order that is not finite or not
-    Hermitian fails with -||H||, before any slab is decomposed (eigh reads a NaN
-    slab with no error).  A missing block pair is a zero slab, whose eigenvalues
-    are 0.  A passes when its least eigenvalue is at least -`A.choi_cut`, the
-    cut that E_G's Kraus ranks read, so the verdict does not move with A's scale.
+    The first slab of `A.choi_faults` in (a, b) order, not finite or not
+    Hermitian at A's scale, fails with -||H||, before any slab is decomposed;
+    else the eigenvalues of `A.choi_spectra` decide.  A missing block pair is a
+    zero slab, whose eigenvalues are 0.  A passes when its least eigenvalue is at
+    least -`A.choi_cut`, the cut that E_G's Kraus ranks read, so the verdict does
+    not move with A's scale.
     """
     bad = []
-    for pairs, H in A.choi_slabs:
-        defect = np.linalg.norm(H - H.conj().transpose(0, 2, 1), axis=(1, 2))
-        ok = defect <= 1e-8 * np.maximum(1.0, np.linalg.norm(H, axis=(1, 2)))
-        ok &= np.isfinite(H).all(axis=(1, 2))
-        bad += [(tuple(pairs[k]), H[k]) for k in np.flatnonzero(~ok)[:1]]
+    for (pairs, H), faults in zip(A.choi_slabs, A.choi_faults):
+        bad += [(tuple(pairs[k]), H[k]) for k in np.flatnonzero(faults)[:1]]
     if bad:
         return False, -float(np.linalg.norm(min(bad, key=lambda kH: kH[0])[1]))
     evals = [lam for lam, _ in A.choi_spectra]
@@ -200,13 +203,18 @@ def require_completely_positive(G: QuantumGraph) -> None:
         raise NotCompletelyPositive(f"Choi min eigenvalue {min_eig:.3e}")
 
 
-def quantum_sources_sinks(
-    G: QuantumGraph, tol: float = DEFAULT_TOL
-) -> tuple[list[int], list[int]]:
-    """Indices of source blocks (in ker A) and sink blocks (orthogonal to ran A):
-    the blocks where `G.block_norms` is at most tol."""
-    on, into = G.block_norms
-    return np.flatnonzero(on <= tol).tolist(), np.flatnonzero(into <= tol).tolist()
+def quantum_sources_sinks(G: QuantumGraph) -> tuple[list[int], list[int]]:
+    """Indices of source blocks (in ker A) and sink blocks (orthogonal to ran A),
+    the one rule for where A vanishes: the block pairs (a, b) where A is nonzero
+    are those whose Choi slab is in `choi_faults` or has an eigenvalue in
+    `choi_spectra` with |lam| > `choi_cut`, and the sources and sinks are the
+    blocks a that no such pair leaves and the blocks b that none reaches.  For a
+    completely positive A, |lam| > cut is lam > cut, so they are the zero rows and
+    columns of E_G's Kraus ranks M.  No threshold but the cut, relative to A, is read."""
+    A, hit = G.adjacency, np.zeros((2, G.structure.num_blocks), dtype=bool)  # A nonzero on a, into b
+    for (pairs, _), (lam, _), faults in zip(A.choi_slabs, A.choi_spectra, A.choi_faults):
+        hit[[[0], [1]], pairs[faults | (np.abs(lam).max(axis=1) > A.choi_cut)].T] = True
+    return np.flatnonzero(~hit[0]).tolist(), np.flatnonzero(~hit[1]).tolist()
 
 
 def adjoint_map(A: LinearMapOnB, psi: DeltaState) -> LinearMapOnB:

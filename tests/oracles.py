@@ -668,21 +668,20 @@ def gns_projector(vectors, gram):
     return V.T @ V.conj() @ weighted
 
 
-def left_kernel_oracle(M, G, tol=qg.DEFAULT_TOL):
-    """kernel_dim and subspace distance of the left-action kernel of the
-    module M over the graph G, from the SVD of the whole dense
-    K = lmul.reshape(dim, -1).T, zero rows included."""
+def left_kernel_oracle(M, G, basis):
+    """Dimension of the left-action kernel of the module M over the graph G,
+    from the SVD of the whole dense K = lmul.reshape(dim, -1).T, zero rows
+    included, and the distance of its GNS projector from that of the rows of
+    `basis` (the library's `kernel_basis`)."""
     dim = G.structure.dim
     K = dense_actions(M)[0].reshape(dim, -1).T
-    if not K.shape[0]:
-        return dim, 0.0
-    _, svals, vh = np.linalg.svd(np.linalg.qr(K, mode="r"))
-    null_dim = int(np.sum(svals <= tol * max(float(svals.max()), 1.0))) + dim - len(svals)
-    kernel = vh.conj()[dim - null_dim :]
-    sources, _ = qg.quantum_sources_sinks(G, tol)
-    perp = np.eye(dim)[[p for p in range(dim) if unflatten(G.structure, p)[0] in sources]]
+    kernel = np.eye(dim)
+    if K.shape[0]:
+        _, svals, vh = np.linalg.svd(np.linalg.qr(K, mode="r"))
+        null_dim = int(np.sum(svals <= qg.DEFAULT_TOL * max(float(svals.max()), 1.0))) + dim - len(svals)
+        kernel = vh.conj()[dim - null_dim :]
     g = G.psi.gram_diag
-    return null_dim, float(np.linalg.norm(gns_projector(kernel, g) - gns_projector(perp, g)))
+    return len(kernel), float(np.linalg.norm(gns_projector(kernel, g) - gns_projector(basis, g)))
 
 
 def cp_model_dim(G):
@@ -838,13 +837,15 @@ def choi_blocks_oracle(A):
 
 def choi_test_oracle(A):
     """The Choi test one slab at a time: (flag, min eigenvalue), failing with
-    -||H|| at the first slab in (a, b) order that is not finite or not Hermitian,
-    and passing when no eigenvalue is below minus its own cut, GRAM_CUTOFF_RTOL
+    -||H|| at the first slab in (a, b) order that is not finite or whose
+    ||H - H*|| exceeds 1e-8 times the largest norm of the finite slabs, and
+    passing when no eigenvalue is below minus its own cut, GRAM_CUTOFF_RTOL
     times the largest eigenvalue of all slabs, floored at 1e-300."""
-    min_eig, max_eig = np.inf, 1e-300
-    for H in choi_blocks_oracle(A):
+    min_eig, max_eig, slabs = np.inf, 1e-300, choi_blocks_oracle(A)
+    scale = max(float(np.linalg.norm(H)) if np.isfinite(H).all() else 0.0 for H in slabs)
+    for H in slabs:
         herm_defect = np.linalg.norm(H - H.conj().T)
-        if not np.isfinite(H).all() or herm_defect > 1e-8 * max(1.0, np.linalg.norm(H)):
+        if not np.isfinite(H).all() or not herm_defect <= 1e-8 * scale:
             return False, -float(np.linalg.norm(H))
         evals = np.linalg.eigvalsh((H + H.conj().T) / 2)
         min_eig = min(min_eig, float(evals.min()))

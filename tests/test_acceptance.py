@@ -181,8 +181,11 @@ def test_criterion_05_faithful_full(instances):
                 flag, _ = qg.is_completely_positive(G.adjacency)
                 if not flag:
                     continue
-                rep = qg.faithful_full_report(qg.build_edge_correspondence(G))
-                assert rep["subspace_distance"] <= TOL, family
+                E = qg.build_edge_correspondence(G)
+                rep = qg.faithful_full_report(E)
+                # where A vanishes, the graph side, is where M has zero rows and columns, E_G's side
+                assert rep["sources"] == np.flatnonzero(~E.mult.any(axis=1)).tolist(), family
+                assert rep["sinks"] == np.flatnonzero(~E.mult.any(axis=0)).tolist(), family
                 assert rep["faithful"] == (rep["sources"] == []), family
                 assert rep["full"] == (rep["sinks"] == []), family
         line = qg.classical_graph([[0, 1], [0, 0]])

@@ -621,15 +621,33 @@ class TestInspect:
         assert code == 0 and payload["dim_E"] == 16
         assert len(pair_slab_calls) == 1
 
-    def test_forms_the_block_norms_once(self, capsys, monkeypatch, line_path, trivial_path):
-        # the sources and sinks of the report and of faithful_full_report's
-        # prediction threshold one pass of norms over A's Choi slabs
-        calls = count_builds(monkeypatch, qgraph.graphs.QuantumGraph, "block_norms")
-        for path, blocks in ((line_path, ([0], [1])), (trivial_path, ([], []))):
-            calls.clear()
+    def test_sources_and_faithfulness_read_one_rule(self, capsys, tmp_path, line_path, trivial_path):
+        # sources, sinks, faithful and full are read off A's Choi spectra at its one cut,
+        # whatever the file's tol: diag(1, 1e-4) on C^2, written with a "tol" of 1e-3 that lets it
+        # load, has no source (at an absolute tol of 1e-3 block 1 was one, next to faithful: true)
+        # and exits 2 on its compact decomposition, which no cut of sources can pass
+        c2 = qg.validate_delta_form([1, 1], [[0.5], [0.5]])
+        loose = str(tmp_path / "loose.json")
+        save_graph(loose, qg.QuantumGraph(c2.structure, c2, qg.LinearMapOnB(c2.structure, np.diag([1.0, 1e-4]))), tol=1e-3)
+        for path, blocks, want in ((line_path, ([0], [1]), 0), (trivial_path, ([], []), 0), (loose, ([], []), 2)):
             code, payload, _ = run(capsys, "inspect", path)
-            assert code == 0 and len(calls) == 1, path
-            assert (payload["sources"], payload["sinks"]) == blocks
+            assert code == want and (payload["sources"], payload["sinks"]) == blocks, path
+            assert (payload["faithful"], payload["full"]) == (not blocks[0], not blocks[1]), path
+        assert payload["compact_decomposition_residual"] > 1e-3 and "kernel_subspace_distance" not in payload
+
+    def test_a_faint_non_hermitian_map_is_not_cp(self, capsys, tmp_path, tracial_m2):
+        # 1e-11 (x + i x^T) on tracial M_2 loads (Schur residual 1.1e-10) and is not Hermitian-
+        # preserving: the Choi guard reads it at its own scale, so cp.choi is false where r3,
+        # gated at the file's tol, is not, and tests_agree fails the command
+        st = tracial_m2.structure
+        T = np.zeros((4, 4))
+        for i in range(2):
+            for j in range(2):
+                T[st.flat_index(0, j, i), st.flat_index(0, i, j)] = 1.0
+        path = str(tmp_path / "faint.json")
+        save_graph(path, qg.QuantumGraph(st, tracial_m2, qg.LinearMapOnB(st, 1e-11 * (np.eye(4) + 1j * T))))
+        code, payload, _ = run(capsys, "inspect", path)
+        assert code == 2 and payload["cp"]["choi"] is False and payload["cp"]["modular_self_adjoint"] is True
 
     def test_reports_and_gates_the_cyclic_dim(self, capsys, monkeypatch, tmp_path, graph_complete_m2):
         # eps generates E_G = B . eps . B: cyclic_dim == dim_E on a valid graph,
@@ -982,19 +1000,10 @@ def short_generator(patch, G, path):
     return qg.DEFAULT_TOL
 
 
-def loose_tol(patch, G, path):
-    """A file whose "tol" of 1e-3 lets in diag(1, 1e-4) on C^2: block 1 is a predicted
-    source at that tol, but M, cut relative to the largest Kraus direction, keeps it."""
-    c2 = qg.validate_delta_form([1, 1], [[0.5], [0.5]])
-    save_graph(path, qg.QuantumGraph(c2.structure, c2, qg.LinearMapOnB(c2.structure, np.diag([1.0, 1e-4]))), tol=1e-3)
-    return 1e-3
-
-
 # gated key -> (command, perturbation); the moves of E_G's generator are those of
 # test_perturbed_generator_fails_both_gates (1e-6) and test_fock.perturbed (0.5)
 GATE_FAILURES = {
     "cp.tests_agree": (["inspect"], ungated(transpose_map)),
-    "kernel_subspace_distance": (["inspect"], loose_tol),
     "cp_model_residual": (["inspect"], moved_generator(qgraph.cli, 1e-6)),
     "compact_decomposition_residual": (["inspect"], moved_generator(qgraph.cli, 1e-6)),
     "cyclic_dim": (["inspect"], short_generator),

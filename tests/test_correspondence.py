@@ -110,6 +110,16 @@ class TestModuleBasics:
         # sanity: the honest ambient passes
         from_spanning(amb.scalar_gram, np.eye(4, dtype=complex))
 
+    @pytest.mark.parametrize("c", [1e6, 1.0, 1e-3, 1e-9, 1e-15])
+    def test_gram_refusal_does_not_move_with_scale(self, c):
+        # the refusal cut is -1e-8 times the Gram's own largest eigenvalue: c diag(1, -1e-6)
+        # is refused and c diag(1, -1e-10) kept to rank 1 at every scale (an absolute
+        # floor of 1e-8 accepted the first from c = 1e-3 on)
+        eye = np.eye(2, dtype=complex)
+        with pytest.raises(qg.NotCompletelyPositive):
+            from_spanning(c * np.diag([1.0, -1e-6]), eye)
+        assert from_spanning(c * np.diag([1.0, -1e-10]), eye).shape == (1, 2)
+
 
 class TestEdgeCorrespondence:
     def test_dimensions(self, cp_family_graphs):
@@ -244,9 +254,9 @@ class TestNonzeroFormMatchesDenseOracle:
         assert close([b_inner_coords(E, v, orbit) for v in orbit], want)
 
         kern = qg.left_kernel(E)
-        want_dim, want_dist = left_kernel_oracle(D, G)
+        want_dim, dist = left_kernel_oracle(D, G, kern["kernel_basis"])
         assert kern["kernel_dim"] == want_dim == (st.sizes[0] ** 2 if source else 0)
-        assert abs(kern["subspace_distance"] - want_dist) <= 1e-12
+        assert dist <= 1e-12
         for got, want in (
             (qg.cp_correspondence(E), cp_correspondence_oracle(D)),
             (qg.compact_decomposition_residual(E), compact_decomposition_oracle(D)),
@@ -326,8 +336,10 @@ class TestFaithfulFull:
 
     def test_regular_families(self, cp_family_graphs):
         for name, G in cp_family_graphs.items():
-            rep = qg.faithful_full_report(qg.build_edge_correspondence(G))
-            assert rep["subspace_distance"] < 1e-9, name
+            E = qg.build_edge_correspondence(G)
+            rep = qg.faithful_full_report(E)
+            assert rep["sources"] == np.flatnonzero(~E.mult.any(axis=1)).tolist(), name
+            assert rep["sinks"] == np.flatnonzero(~E.mult.any(axis=0)).tolist(), name
             if name == "classical_line":
                 continue
             assert rep["faithful"] and rep["full"], name
@@ -347,15 +359,18 @@ class TestFaithfulFull:
         assert abs(abs(basis[0, 0]) - 1.0) < 1e-9 and abs(basis[0, 1]) < 1e-9
 
     def test_predicted_kernel_is_the_source_blocks(self, cp_family_graphs):
-        # one rule, quantum_sources_sinks, decides the predicted kernel;
-        # the line graph is the one fixture whose sources and sinks differ
+        # one rule, quantum_sources_sinks, decides the kernel: the units of its source
+        # blocks, which are M's zero rows, span the dense SVD's kernel; the line graph
+        # is the one fixture whose sources and sinks differ
         assert "classical_line" in cp_family_graphs
         for name, G in cp_family_graphs.items():
-            kern = qg.left_kernel(qg.build_edge_correspondence(G))
+            E = qg.build_edge_correspondence(G)
+            kern = qg.left_kernel(E)
             sources, _ = qg.quantum_sources_sinks(G)
-            assert kern["perp_blocks"] == sources, name
+            assert sources == np.flatnonzero(~E.mult.any(axis=1)).tolist(), name
             assert kern["kernel_dim"] == sum(G.structure.sizes[a] ** 2 for a in sources), name
-            assert kern["subspace_distance"] <= 1e-9, name
+            want_dim, dist = left_kernel_oracle(E, G, kern["kernel_basis"])
+            assert want_dim == kern["kernel_dim"] and dist <= 1e-9, name
 
     def test_complete_m2_plus_m3_is_faithful(self):
         # dim E = 13^2, so the kernel matrix has 13^4 rows and 13 columns
@@ -364,11 +379,10 @@ class TestFaithfulFull:
         assert E.size == 169
         rep = qg.faithful_full_report(E)
         assert rep["faithful"] and rep["kernel_dim"] == 0
-        assert rep["subspace_distance"] <= 1e-9
 
     def test_report_reads_block_masks(self):
         # a 200-cycle whose vertices also all point to vertex 0 (d = 200): the report
-        # reads kernel_dim and the subspace distance off masks of the d units, where
+        # reads kernel_dim off the source blocks, with no table of the d units, where
         # left_kernel's dense (d, d) identity alone is 16 d^2 bytes
         adj = np.roll(np.eye(200, dtype=int), 1, axis=0)
         adj[:, 0] = 1
@@ -382,7 +396,6 @@ class TestFaithfulFull:
         finally:
             tracemalloc.stop()
         assert rep["faithful"] and rep["full"] and rep["kernel_dim"] == 0
-        assert rep["subspace_distance"] == 0.0
         assert peak < 2 * G.structure.dim**2
 
     def test_fullness_ideal(self, graph_line, graph_3cycle):
@@ -416,8 +429,8 @@ class TestFaithfulFull:
         assert (zero_rows, zero_cols) == qg.quantum_sources_sinks(G) == (sources, sinks)
 
         kern, rep = qg.left_kernel(E), qg.faithful_full_report(E)
-        want_dim, want_dist = left_kernel_oracle(E, G)
-        assert kern["kernel_dim"] == want_dim and abs(kern["subspace_distance"] - want_dist) <= 1e-12
+        want_dim, dist = left_kernel_oracle(E, G, kern["kernel_basis"])
+        assert kern["kernel_dim"] == want_dim and dist <= 1e-12
         assert kern["kernel_dim"] == sum(psi.structure.sizes[a] ** 2 for a in sources)
         lmul = dense_actions(E)[0]
         assert not np.einsum("kp,pxy->kxy", kern["kernel_basis"], lmul).any()
@@ -425,20 +438,22 @@ class TestFaithfulFull:
         assert rep["faithful"] == (kern["kernel_dim"] == 0)
         assert rep["full"] == (not sinks)
 
-    def test_subspace_distance_counts_the_blocks_the_sides_disagree_on(self):
-        # at tol = 1e-2 block 1 of A, of norm 1e-3, counts as a source
-        # for quantum_sources_sinks, while its Kraus rank survives the
-        # relative cut: the two projectors differ by the 4 units of block 1
+    def test_a_faint_block_is_a_source_on_both_sides_or_on_neither(self):
+        # A on block 1 scaled to norm 1e-3 keeps its Kraus rank under the cut relative
+        # to A, and to 1e-13 it falls below it: quantum_sources_sinks reads the same cut,
+        # so no absolute threshold can make block 1 a source on one side only
         psi = qg.validate_delta_form([1, 2], [[1 / 6], [(5 + np.sqrt(5)) / 12, (5 - np.sqrt(5)) / 12]])
-        A = random_cp_map(psi, np.random.default_rng(4)).matrix
-        A[:, 1:] *= 1e-3 / np.linalg.norm(A[:, 1:])
-        G = qg.QuantumGraph(psi.structure, psi, qg.LinearMapOnB(psi.structure, A))
-        E = qg.build_edge_correspondence(G)
-        kern = qg.left_kernel(E, tol=1e-2)
-        assert kern["kernel_dim"] == 0 and kern["perp_blocks"] == [1]
-        assert kern["kernel_basis"].shape == (0, 5) and kern["perp_basis"].shape == (4, 5)
-        assert kern["subspace_distance"] == 2.0
-        assert left_kernel_oracle(E, G, tol=1e-2) == (0, pytest.approx(2.0, rel=1e-12))
+        for norm, sources in ((1e-3, []), (1e-13, [1])):
+            A = random_cp_map(psi, np.random.default_rng(4)).matrix
+            A[:, 1:] *= norm / np.linalg.norm(A[:, 1:])
+            G = qg.QuantumGraph(psi.structure, psi, qg.LinearMapOnB(psi.structure, A))
+            E = qg.build_edge_correspondence(G)
+            assert qg.quantum_sources_sinks(G) == (sources, [])
+            assert np.flatnonzero(~E.mult.any(axis=1)).tolist() == sources
+            kern = qg.left_kernel(E)
+            assert kern["kernel_dim"] == 4 * len(sources) and kern["kernel_basis"].shape == (4 * len(sources), 5)
+            want_dim, dist = left_kernel_oracle(E, G, kern["kernel_basis"])
+            assert want_dim == kern["kernel_dim"] and dist <= 1e-12
 
 
 class TestCompacts:

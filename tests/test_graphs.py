@@ -292,6 +292,29 @@ class TestCompletePositivity:
         assert verdicts == [shift != 1e-9] * 3
         assert ranks == ([] if shift == 1e-9 else [[[2]]] * 3)
 
+    def test_hermitian_guard_reads_the_map_scale(self):
+        # x -> c (x + i x^T) on tracial M_2 is not Hermitian-preserving at any scale: the
+        # guard compares each slab's ||H - H*|| with 1e-8 times A's largest slab norm (a floor
+        # of 1e-8 read it as CP from c = 1e-9 down)
+        psi = qg.validate_delta_form([2], [[0.5, 0.5]])
+        st = psi.structure
+        T = np.zeros((4, 4))
+        for i in range(2):
+            for j in range(2):
+                T[st.flat_index(0, j, i), st.flat_index(0, i, j)] = 1.0
+        for c in 10.0 ** -np.arange(0, 13, 3):
+            assert qg.is_completely_positive(qg.LinearMapOnB(st, c * (np.eye(4) + 1j * T)))[0] is False, c
+        # a CP map on M_1 + M_2 whose pair (1, 1) is scaled to norm 1e-12 and carries 1e-17
+        # non-Hermitian noise: 1e-5 of its own norm, but far below A's scale, so it stays CP
+        psi = qg.validate_delta_form([1, 2], [[1 / 6], [(5 + np.sqrt(5)) / 12, (5 - np.sqrt(5)) / 12]])
+        A = random_cp_map(psi, np.random.default_rng(3)).matrix
+        A[1:, 1:] *= 1e-12 / np.linalg.norm(A[1:, 1:])
+        A[2, 1] += 1e-17j
+        A = qg.LinearMapOnB(psi.structure, A)
+        assert not any(f.any() for f in A.choi_faults) and qg.is_completely_positive(A)[0] is True
+        (H,) = [H[0] for pairs, H in A.choi_slabs if pairs[0].tolist() == [1, 1]]
+        assert np.linalg.norm(H - H.conj().T) > 1e-8 * np.linalg.norm(H)
+
     def test_choi_blocks_of_identity_are_psd(self, tracial_m2):
         A = qg.LinearMapOnB.identity(tracial_m2.structure)
         for H in choi_blocks(A):
@@ -311,22 +334,40 @@ class TestSourcesSinks:
             sources, sinks = qg.quantum_sources_sinks(G)
             assert sources == [] and sinks == [], name
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the Hermitian defect
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1j])
+    def test_faulty_slabs_are_nonzero_pairs(self, value):
+        # on C^2 A is 1 on block 0 into block 0, and its pair (0, 1) fails the Choi guard:
+        # that pair is one where A does not vanish, and no eigh reads it
+        c2 = qg.validate_delta_form([1, 1], [[0.5], [0.5]])
+        A = np.array([[1.0, 0.0], [value, 0.0]], dtype=complex)
+        G = qg.QuantumGraph(c2.structure, c2, qg.LinearMapOnB(c2.structure, A))
+        assert qg.quantum_sources_sinks(G) == ([1], [])
+        assert G.choi[0] is False
+
     @given(psi=delta_states(SMALL_SIZES + SCATTERED_SIZES), seed=st_.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
-    def test_block_norms_are_the_dense_norms(self, psi, seed):
-        # the norms of A on block a and into block b are those of its columns
-        # of block a and its rows of block b; sources and sinks threshold them
+    def test_sources_and_sinks_are_the_zero_rows_of_m(self, psi, seed):
+        # a CP map with some block pairs zeroed and some scaled to 1e-5 (kept) or 1e-14
+        # (below the cut): sources and sinks are the zero rows and columns of the pairs whose
+        # dense Choi block has an eigenvalue past 1e-10 of the largest, those of M, the ones
+        # faithful_full_report reads, and no scale c of A moves them
         rng = np.random.default_rng(seed)
-        st = psi.structure
-        A = zero_block_pairs(random_cp_map(psi, rng), rng)
-        G = qg.QuantumGraph(st, psi, A)
-        cut = [slice(lo, hi) for lo, hi in zip(st.offsets, st.offsets[1:])]
-        want = np.array([[np.linalg.norm(A.matrix[:, s]) for s in cut], [np.linalg.norm(A.matrix[s]) for s in cut]])
-        assert close(G.block_norms, want)
-        tol = float(np.median(want))
-        on, into = (np.flatnonzero(w <= tol).tolist() for w in G.block_norms)
-        assert qg.quantum_sources_sinks(G, tol) == (on, into)
-        assert qg.quantum_sources_sinks(G) == tuple(np.flatnonzero(w == 0).tolist() for w in want)
+        st, d, off = psi.structure, psi.structure.num_blocks, psi.structure.offsets
+        mat = zero_block_pairs(random_cp_map(psi, rng), rng).matrix
+        for (a, b), faint in np.ndenumerate(rng.choice([1.0, 1e-5, 1e-14], size=(d, d), p=[0.6, 0.2, 0.2])):
+            mat[off[b] : off[b + 1], off[a] : off[a + 1]] *= faint
+        lam = [np.linalg.eigvalsh(H) for H in choi_blocks_oracle(qg.LinearMapOnB(st, mat))]
+        cut = qg.graphs.GRAM_CUTOFF_RTOL * max(1e-300, *(x.max() for x in lam))
+        nonzero = np.reshape([np.abs(x).max() > cut for x in lam], (d, d))
+        want = np.flatnonzero(~nonzero.any(axis=1)).tolist(), np.flatnonzero(~nonzero.any(axis=0)).tolist()
+        for c in (1.0, 1e-12, 1e12):
+            G = qg.QuantumGraph(st, psi, qg.LinearMapOnB(st, c * mat))
+            E = qg.build_edge_correspondence(G)
+            assert qg.quantum_sources_sinks(G) == want, c
+            assert (np.flatnonzero(~E.mult.any(axis=1)).tolist(), np.flatnonzero(~E.mult.any(axis=0)).tolist()) == want, c
+            rep = qg.faithful_full_report(E)
+            assert (rep["sources"], rep["sinks"]) == want and (rep["faithful"], rep["full"]) == (not want[0], not want[1]), c
 
 
 class TestAdjointMap:
