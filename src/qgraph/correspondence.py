@@ -6,12 +6,13 @@ sum_{a,c} C^{N_a} (x) K_ac (x) C^{N_c}, M[a, c] = dim K_ac; for E_G, M[a, b] is
 the Kraus rank of A from block a to b, and its zero rows and columns decide
 the left kernel, faithfulness and fullness.  It stores only the nonzeros of
 its left action on a psi-orthonormal basis; its right action and B-valued
-inner product are psi's weights.  E_G's generator, cut into block pairs,
-gives the `pair_slabs` X_ab and D_ab, and with A's Choi slabs the
+inner product are psi's weights.  E_G is held as its `pair_slabs` X_ab and
+D_ab, formed from A's Choi spectra, and with A's Choi slabs they give the
 `orbit_defects`, off which the B (x)_A B isomorphism, the compact
-decomposition, the dimension of B . eps . B and every Fock identity are read.
-The dense ambients and Gram quotients, the tables of the right action and
-inner product, and the recognizer of cyclic vectors are `tests/oracles.py`.
+decomposition, the dimension of B . eps . B and every Fock identity are read;
+its generator is derived from them.  The dense ambients and Gram quotients,
+the tables of the right action and inner product, the cut of a vector into
+pair slabs and the recognizer of cyclic vectors are `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -29,21 +30,24 @@ from .graphs import GRAM_CUTOFF_RTOL, QuantumGraph, quantum_sources_sinks, requi
 @dataclass(frozen=True)
 class Correspondence:
     """A `normal_form` correspondence, read through its pair slabs and the
-    nonzeros of its left action on an orthonormal basis, which are computed
+    nonzeros of its left action on an orthonormal basis, the latter computed
     from (psi, mult) on first use.
 
     left = (p, row, col): b_p . u_col = u_row, each unit a partial permutation,
-    the pairs (p, row) distinct.  mult is the multiplicity matrix; generator,
-    when set, holds the coordinates of the distinguished generating vector
-    (the edge indicator for edge correspondences), graph the quantum graph it
-    came from, and creation, on X (x)_B Y, the nonzeros (z, x, y, value) of
-    the canonical map u_x (x) u_y -> value u_z.
+    the pairs (p, row) distinct.  mult is the multiplicity matrix; pair_slabs,
+    when set, holds the distinguished generating vector xi (the edge indicator
+    for edge correspondences) as one (pairs, X, D) per shape (N_a, M_ab, N_b):
+    the (g, 2) pairs (a, b) with M[a, b] > 0, row-major, the (g, N_a, M_ab, N_b)
+    stack of X_ab[j] = xi_ab[j] / sqrt(w_b) and the (g, M_ab, M_ab) stack of
+    D_ab = sum_j X_ab[j] X_ab[j]* / w_a[j] - 1.  graph is the quantum graph it
+    came from, and creation, on X (x)_B Y, the nonzeros (z, x, y, value) of the
+    canonical map u_x (x) u_y -> value u_z.
     """
 
     structure: BlockStructure
     psi: DeltaState
     mult: np.ndarray
-    generator: np.ndarray | None = None
+    pair_slabs: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] | None = None
     graph: QuantumGraph | None = None
     creation: tuple[np.ndarray, ...] | None = None
 
@@ -65,31 +69,17 @@ class Correspondence:
         return off[a[x]] + t * n[a[x]] + i[x], x + (t - i[x]) * self.mult[a, c][x] * n[c[x]], x
 
     @cached_property
-    def pair_slabs(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """(pairs, X, D) for each shape (N_a, M_ab, N_b) of the block pairs with
-        M[a, b] > 0: their (g, 2) pairs (a, b), row-major, the (g, N_a, M_ab, N_b)
-        stack of X_ab, the generator's segment for the pair with column m divided
-        by sqrt(w_b[m]), so that X_ab[j] = eps_ab[j] / sqrt(w_b) is an M_ab x N_b
-        matrix, and the (g, M_ab, M_ab) stack of D_ab = sum_j X_ab[j] X_ab[j]* / w_a[j] - 1.
-        M is read at those pairs only, with no list of all its (blocks, blocks) entries,
-        and the pairs' segments start at the running sum of their sizes N_a M_ab N_b."""
-        n, W = np.array(self.structure.sizes), self.psi.weight_table
-        pairs = np.argwhere(self.mult)  # row-major
-        shape = np.stack([n[pairs[:, 0]], self.mult[tuple(pairs.T)], n[pairs[:, 1]]], axis=1)
-        size = shape.prod(axis=1)
-        start, root_w = np.cumsum(size) - size, np.sqrt(W)
-        shapes = {}  # the pairs of each shape, in order of first appearance
-        for k, key in enumerate(map(tuple, shape.tolist())):
-            shapes.setdefault(key, []).append(k)
-        slabs = []
-        for (na, m, nb), group in shapes.items():
-            group = np.array(group)
-            ab = pairs[group]
-            X = self.generator[start[group, None] + np.arange(na * m * nb)].reshape(-1, na, m, nb)
-            X = X / root_w[ab[:, 1], None, None, :nb]
-            D = np.einsum("gjkm,gjlm->gkl", X / W[ab[:, 0], :na, None, None], X.conj()) - np.eye(m)
-            slabs.append((ab, X, D))
-        return tuple(slabs)
+    def generator(self) -> np.ndarray:
+        """The coordinates of the generating vector, laid out from `pair_slabs`
+        in `normal_form` order: each X_ab with column l multiplied by
+        sqrt(w_b[l]), (i, k, l) row-major, the pairs row-major by one stable
+        argsort.  Only `canonical_fock_family` and the tests read it."""
+        W, d = self.psi.weight_table, self.structure.num_blocks
+        segments, keys = [np.zeros(0, complex)], [np.zeros(0, int)]
+        for pairs, X, _ in self.pair_slabs:
+            segments.append((X * np.sqrt(W[pairs[:, 1], None, None, : X.shape[3]])).ravel())
+            keys.append((pairs[:, 0] * d + pairs[:, 1]).repeat(np.prod(X.shape[1:])))
+        return np.concatenate(segments)[np.argsort(np.concatenate(keys), kind="stable")]
 
     @cached_property
     def orbit_defects(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -187,10 +177,9 @@ def psi_tensor_module(psi: DeltaState) -> Correspondence:
     return normal_form(psi, np.outer(n, n))
 
 
-def multiplicity_spaces(G: QuantumGraph) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray]:
+def multiplicity_spaces(G: QuantumGraph) -> tuple[list[tuple[np.ndarray, ...]], tuple[tuple[np.ndarray, ...], ...]]:
     """Bases of the multiplicity spaces K_ab of E_G, per group of `choi_slabs`,
-    and eps in `normal_form` coordinates: eps_ab[i,j,k,l] = sum_u gen_ab[i,u,l]
-    u[jk] / sqrt(w_b[l]).
+    and E_G's `pair_slabs`: eps_ab[i,j,k,l] = sum_u X_ab[i,u,l] u[jk].
 
     K_ab is the column space of Y[(j,k), (i,l)] = sqrt(w_a[j]) eps_ab[i,j,k,l]
     = delta^-2 w_a[j]^-1/2 H, H = V diag(lam) V* the Choi slab ab as
@@ -200,40 +189,42 @@ def multiplicity_spaces(G: QuantumGraph) -> tuple[list[tuple[np.ndarray, ...]], 
     a cut on their squares would lose directions below about 1e-5 of the largest.
     One reduced QR V[:, :r] / sqrt(w_a[j]) = U R per group, r its largest rank,
     keeps nested spans, so the first M_ab columns of U span Y's columns for every
-    pair: u = U / sqrt(w_a[j]) is orthonormal for the weights w_a[j], gen = U* Y.
+    pair: u = U / sqrt(w_a[j]) is orthonormal for the weights w_a[j], and the
+    first M_ab rows of U* Y are X_ab, one (pairs, X, D) stack per group and rank.
     Each group's bases are (pairs, ranks, u): its (g, 2) block pairs, row-major,
     their Kraus ranks M_ab and the (g, N_a N_b, r) stack of u.  A pair where A
-    is 0 has no slab, so it has rank 0 and no bases; with no edges at all the
-    generator is empty.
+    is 0 has no slab, so it has rank 0, no bases and no pair slab; with no edges
+    at all there are no pair slabs.
     """
     A, W = G.adjacency, G.psi.weight_table
-    bases, segments, keys = [], [np.zeros(0, complex)], [np.zeros(0, int)]
+    bases, slabs = [], []
     for (pairs, H), (lam, V) in zip(A.choi_slabs, A.choi_spectra):
         a, b = pairs.T
         g, na, nb = len(pairs), G.structure.sizes[a[0]], G.structure.sizes[b[0]]
         root_a = np.sqrt(np.repeat(W[a, :na], nb, axis=1))[:, :, None]
         ranks = np.count_nonzero(lam > A.choi_cut, axis=1)
         U = np.linalg.qr(V[:, :, : ranks.max()] / root_a)[0]
-        Y = H / G.delta_sq / root_a
-        gen = (U.conj().transpose(0, 2, 1) @ Y).reshape(g, -1, na, nb) * np.sqrt(W[b, None, None, :nb])
+        UY = (U.conj().transpose(0, 2, 1) @ (H / G.delta_sq / root_a)).reshape(g, -1, na, nb).transpose(0, 2, 1, 3)
         bases.append((pairs, ranks, U / root_a))
-        keep = (lam[:, None, : U.shape[2]] > A.choi_cut).repeat(na, axis=1)  # [pair, i, u], lam descending
-        segments.append(gen.transpose(0, 2, 1, 3)[keep].ravel())  # (i, u, l)
-        keys.append((a * G.structure.num_blocks + b).repeat(na * nb * ranks))
-    order = np.argsort(np.concatenate(keys), kind="stable")  # the pairs in row-major order
-    return bases, np.concatenate(segments)[order]
+        for m in sorted(set(ranks.tolist()) - {0}):
+            k = ranks == m
+            X = UY[k, :, :m]  # [pair, i, u, l]
+            D = np.einsum("gjkl,gjml->gkm", X / W[a[k], :na, None, None], X.conj()) - np.eye(m)
+            slabs.append((pairs[k], X, D))
+    return bases, tuple(slabs)
 
 
 def build_edge_correspondence(G: QuantumGraph) -> Correspondence:
-    """E_G = B . eps . B in normal form, M[a, b] = dim K_ab, with the indicator
-    as generator.  The result records G, so every E_G report takes E_G alone.
+    """E_G = B . eps . B in normal form, M[a, b] = dim K_ab, held as the
+    `pair_slabs` of the indicator that `multiplicity_spaces` forms.  The result
+    records G, so every E_G report takes E_G alone.
     """
     require_completely_positive(G)
-    bases, gen = multiplicity_spaces(G)
+    bases, slabs = multiplicity_spaces(G)
     M = np.zeros((G.structure.num_blocks,) * 2, dtype=int)
     for pairs, ranks, _ in bases:
         M[pairs[:, 0], pairs[:, 1]] = ranks
-    return normal_form(G.psi, M, generator=gen, graph=G)
+    return normal_form(G.psi, M, pair_slabs=slabs, graph=G)
 
 
 def left_kernel(E: Correspondence) -> dict:
@@ -281,10 +272,10 @@ def cyclic_dim(X: Correspondence) -> int:
     group of `pair_slabs`, the ranks cut at GRAM_CUTOFF_RTOL times the largest
     singular value of all pairs.  Singular values are linear in xi; a cut on
     the eigenvalues of Xi* Xi, their squares, would lose directions below
-    about 1e-5 of the largest.  Xi_ac is xi's raw segment, X_ac with its
-    columns multiplied back by sqrt(w_c): X_ac itself would let a skewed state
-    push genuine rows under the one cut.  On E_G it is dim E_G exactly when
-    eps generates E_G = B . eps . B.
+    about 1e-5 of the largest.  Xi_ac is xi's coordinates on the pair, X_ac
+    with its columns multiplied back by sqrt(w_c): X_ac itself would let a
+    skewed state push genuine rows under the one cut.  On E_G it is dim E_G
+    exactly when eps generates E_G = B . eps . B; no coordinate vector is formed.
     """
     groups = []
     for pairs, X_ac, _ in X.pair_slabs:

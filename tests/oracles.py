@@ -1,8 +1,9 @@
 """Reference implementations shared by several test modules, and the library
 functions that no command runs (the edge indicator as a tensor, the recognizer
 of cyclic vectors, the GNS inner product and the modular group on elements,
-a normal form's right action and inner product as per-coordinate tables, and
-the Fock truncation's map from level 0), kept here for the tests that pin them."""
+a normal form's right action and inner product as per-coordinate tables, the
+Fock truncation's map from level 0, and the cut of a coordinate vector into
+pair slabs), kept here for the tests that pin them."""
 
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -1018,6 +1019,32 @@ def _vector_map(M):
     return out
 
 
+def with_generator(X, coords):
+    """X with the coordinate vector coords as its generator, cut into `pair_slabs`:
+    for each shape (N_a, M_ab, N_b) of the block pairs with M[a, b] > 0, in order
+    of first appearance, their (g, 2) pairs (a, b), row-major, the (g, N_a, M_ab,
+    N_b) stack of X_ab, the pair's segment of coords with column m divided by
+    sqrt(w_b[m]), and the (g, M_ab, M_ab) stack of D_ab = sum_j X_ab[j] X_ab[j]* /
+    w_a[j] - 1.  The pairs' segments start at the running sum of their sizes
+    N_a M_ab N_b; `X.generator` lays the slabs out again."""
+    n, W = np.array(X.structure.sizes), X.psi.weight_table
+    pairs = np.argwhere(X.mult)  # row-major
+    shape = np.stack([n[pairs[:, 0]], X.mult[tuple(pairs.T)], n[pairs[:, 1]]], axis=1)
+    size = shape.prod(axis=1)
+    start = np.cumsum(size) - size
+    shapes = {}  # the pairs of each shape, in order of first appearance
+    for k, key in enumerate(map(tuple, shape.tolist())):
+        shapes.setdefault(key, []).append(k)
+    slabs = []
+    for (na, m, nb), group in shapes.items():
+        ab = pairs[group]
+        Xab = coords[start[group, None] + np.arange(na * m * nb)].reshape(-1, na, m, nb)
+        Xab = Xab / np.sqrt(W[ab[:, 1], None, None, :nb])
+        D = np.einsum("gjkm,gjlm->gkl", Xab / W[ab[:, 0], :na, None, None], Xab.conj()) - np.eye(m)
+        slabs.append((ab, Xab, D))
+    return replace(X, pair_slabs=tuple(slabs))
+
+
 @dataclass(frozen=True)
 class RecognitionResult:
     graph: qg.QuantumGraph
@@ -1052,7 +1079,7 @@ def recognize(xi, psi, module=None, tol=qg.DEFAULT_TOL):
         if vec.module is not module:
             raise qg.MismatchedBase("vector of a different correspondence")
         space, coords = module, vec.coords
-    cyclic = replace(space, generator=coords)
+    cyclic = with_generator(space, coords)
     inner = _vector_map(cyclic)
     A = indicator_adjacency(xi.coeff, psi) if module is None else psi.delta_sq * inner
 

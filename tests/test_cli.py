@@ -59,6 +59,22 @@ def empty_graph(tmp_path, tracial_m2, request):
 
 
 @pytest.fixture()
+def union_graph(tmp_path):
+    """Complete M_2 next to trivial M_2, psi = 1/4 on each diagonal: A = 8 psi(.) 1 on
+    block 0 and the identity on block 1, Schur residual 0.  Its one (2, 2) group of
+    Choi slabs splits into the Kraus ranks 4 and 1, so M = diag(4, 1) and dim E_G = 20,
+    and level l of the Fock module has 4^(l+1) + 4 coordinates.  Returns G and its file."""
+    psi = qg.validate_delta_form([2, 2], [[0.25, 0.25], [0.25, 0.25]])
+    A = np.zeros((8, 8))
+    A[np.ix_([0, 3], [0, 3])] = 2.0
+    A[4:, 4:] = np.eye(4)
+    G = qg.QuantumGraph.build(psi, qg.LinearMapOnB(psi.structure, A))
+    path = tmp_path / "union.json"
+    save_graph(str(path), G)
+    return G, str(path)
+
+
+@pytest.fixture()
 def line_path(tmp_path, graph_line):
     path = tmp_path / "line.json"
     save_graph(str(path), graph_line)
@@ -82,8 +98,16 @@ def count_builds(monkeypatch, cls, name):
 
 @pytest.fixture
 def pair_slab_calls(monkeypatch):
-    """Every correspondence whose `pair_slabs` are formed."""
-    return count_builds(monkeypatch, qgraph.correspondence.Correspondence, "pair_slabs")
+    """Every graph whose E_G pair slabs `multiplicity_spaces` forms."""
+    calls = []
+    form = qgraph.correspondence.multiplicity_spaces
+
+    def counting_form(G):
+        calls.append(G)
+        return form(G)
+
+    monkeypatch.setattr(qgraph.correspondence, "multiplicity_spaces", counting_form)
+    return calls
 
 
 def run(capsys, *argv):
@@ -614,12 +638,20 @@ class TestInspect:
         assert reports["inspect"]["dim_E"] == 4
 
     def test_forms_the_pair_slabs_once(self, capsys, tmp_path, graph_complete_m2, pair_slab_calls):
-        # the B (x)_A B isomorphism and the compact decomposition read one set of slabs
+        # the B (x)_A B isomorphism, the compact decomposition and the cyclic dimension read
+        # the one set of slabs that E_G is built with
         path = tmp_path / "complete.json"
         save_graph(str(path), graph_complete_m2)
         code, payload, _ = run(capsys, "inspect", str(path))
         assert code == 0 and payload["dim_E"] == 16
         assert len(pair_slab_calls) == 1
+
+    def test_a_choi_group_of_two_kraus_ranks(self, capsys, union_graph):
+        G, path = union_graph
+        assert G.schur_defects[0] == 0.0
+        assert np.array_equal(qg.build_edge_correspondence(G).mult, np.diag([4, 1]))
+        code, payload, _ = run(capsys, "inspect", path)
+        assert code == 0 and payload["dim_E"] == payload["cyclic_dim"] == 20
 
     def test_sources_and_faithfulness_read_one_rule(self, capsys, tmp_path, line_path, trivial_path):
         # sources, sinks, faithful and full are read off A's Choi spectra at its one cut,
@@ -660,7 +692,7 @@ class TestInspect:
         E = qg.build_edge_correspondence(graph_complete_m2)
         generator = E.generator.copy()
         generator.reshape(2, 4, 2)[:, 1, :] = 0.0  # the one pair (N_a, M, N_c) = (2, 4, 2), row k = 1
-        mutant = replace(E, generator=generator)
+        mutant = oracles.with_generator(E, generator)
         assert qg.cyclic_dim(mutant) == 12 < E.size
         monkeypatch.setattr(qgraph.cli, "build_edge_correspondence", lambda G: mutant)
         code, payload, _ = run(capsys, "inspect", str(path))
@@ -825,11 +857,15 @@ class TestFock:
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 4])
     def test_forms_the_pair_slabs_once(self, capsys, trivial_path, pair_slab_calls, levels):
-        """Covariance, Toeplitz and LQCK read E's pair slabs, formed once whatever the
-        depth; at depth 1 no identity reads them."""
+        """Covariance, Toeplitz and LQCK read E's pair slabs, formed once with E whatever
+        the depth, at depth 1 too, where no identity reads them."""
         code, _, _ = run(capsys, "fock", trivial_path, "--levels", str(levels))
         assert code == 0
-        assert len(pair_slab_calls) == (levels > 1)
+        assert len(pair_slab_calls) == 1
+
+    def test_a_choi_group_of_two_kraus_ranks(self, capsys, union_graph):
+        code, payload, _ = run(capsys, "fock", union_graph[1], "--levels", "3")
+        assert code == 0 and payload["level_dims"] == [8, 20, 68, 260]
 
     @pytest.mark.parametrize(
         "case, error",
@@ -985,7 +1021,7 @@ def moved_generator(module, scale):
     def perturb(patch, G, path):
         E = qg.build_edge_correspondence(G)
         noise = [1, 1j] @ np.random.default_rng(5).normal(size=(2, E.size))
-        patch.setattr(module, "build_edge_correspondence", lambda _: replace(E, generator=E.generator + scale * noise))
+        patch.setattr(module, "build_edge_correspondence", lambda _: oracles.with_generator(E, E.generator + scale * noise))
         return qg.DEFAULT_TOL
 
     return perturb
@@ -996,7 +1032,7 @@ def short_generator(patch, G, path):
     E = qg.build_edge_correspondence(G)
     generator = E.generator.copy()
     generator.reshape(2, 4, 2)[:, 1, :] = 0.0
-    patch.setattr(qgraph.cli, "build_edge_correspondence", lambda _: replace(E, generator=generator))
+    patch.setattr(qgraph.cli, "build_edge_correspondence", lambda _: oracles.with_generator(E, generator))
     return qg.DEFAULT_TOL
 
 

@@ -35,6 +35,7 @@ from oracles import (
     state_value,
     tensor_square_module,
     unit_orbit,
+    with_generator,
 )
 from strategies import SCATTERED_SIZES, SMALL_SIZES, delta_states, quantum_graphs
 
@@ -276,16 +277,18 @@ class TestNonzeroFormMatchesDenseOracle:
         psi = qg.validate_delta_form(sizes, weights)
         A = random_cp_map(psi, np.random.default_rng(0) if draw is None else rng)
         E = qg.build_edge_correspondence(qg.QuantumGraph(psi.structure, psi, A))
-        rotated = E.generator.copy()
-        for pairs, X, _ in E.pair_slabs:
-            g, na, m, nb = X.shape
-            z = rng.normal(size=(2, g, m, m))
+        rotated = []
+        for pairs, X, D in E.pair_slabs:
+            z = rng.normal(size=(2, len(pairs)) + D.shape[1:])
             U = np.linalg.qr(z[0] + 1j * z[1])[0]
-            seg = E.layout[-1][pairs[:, 0] * len(sizes) + pairs[:, 1], None] + np.arange(na * m * nb)
-            rotated[seg] = np.einsum("gkl,gjlm->gjkm", U, E.generator[seg].reshape(g, na, m, nb)).reshape(g, -1)
-        Er = replace(E, generator=rotated)
-        column = [np.concatenate([np.linalg.norm(D, axis=1).max(axis=1) for _, _, D in F.pair_slabs]) for F in (E, Er)]
-        assert np.abs(column[0] - column[1]).max() > 1e-6 * column[0].max()
+            rotated.append((pairs, np.einsum("gkl,gjlm->gjkm", U, X), None))
+        # laid out and cut again, so that D_ab is formed afresh from the rotated X_ab
+        Er = with_generator(E, replace(E, pair_slabs=tuple(rotated)).generator)
+        column = [
+            {(a, b): np.linalg.norm(d, axis=0).max() for pairs, _, D in F.pair_slabs for (a, b), d in zip(pairs.tolist(), D)}
+            for F in (E, Er)
+        ]
+        assert max(abs(column[0][ab] - column[1][ab]) for ab in column[0]) > 1e-6 * max(column[0].values())
         want = qg.compact_decomposition_residual(E)
         assert want > 1e-6 and abs(qg.compact_decomposition_residual(Er) - want) <= 1e-12 * want
 
@@ -317,7 +320,7 @@ class TestNonzeroFormMatchesDenseOracle:
         assert qg.cp_correspondence(E) <= tol
         rng = np.random.default_rng(seed)
         noise = [1, 1j] @ rng.normal(size=(2, E.size))
-        Ep = replace(E, generator=E.generator + 1e-6 * noise)
+        Ep = with_generator(E, E.generator + 1e-6 * noise)
         assert qg.compact_decomposition_residual(Ep) > tol
         assert qg.cp_correspondence(Ep) > tol
 
@@ -500,7 +503,7 @@ class TestCyclicDim:
         E = qg.build_edge_correspondence(drawn[0])
         assert qg.cyclic_dim(E) == E.size
         coords, dim = low_rank_coordinates(E, np.random.default_rng(seed))
-        assert qg.cyclic_dim(replace(E, generator=coords)) == orbit_span_rank(E, coords) == dim
+        assert qg.cyclic_dim(with_generator(E, coords)) == orbit_span_rank(E, coords) == dim
 
 
 class TestRecognition:
@@ -611,7 +614,7 @@ class TestRecognition:
         T = qg.psi_tensor_module(psi)
         rng = np.random.default_rng(36)
         xi = (rng.normal(size=T.size) + 1j * rng.normal(size=T.size)) * (rng.random(T.size) < 0.3)
-        assert orbit_span_rank(T, xi) == qg.cyclic_dim(replace(T, generator=xi)) == 81
+        assert orbit_span_rank(T, xi) == qg.cyclic_dim(with_generator(T, xi)) == 81
 
     def test_complete_m5_recognizes_in_bounded_memory(self):
         # one dense (d^2, d^2, d) inner-product array of B (x)_psi B is 156 MB

@@ -35,6 +35,8 @@ from oracles import (
     recognize_iso_oracle,
     right_act,
     left_act,
+    with_generator,
+    zero_block_pairs,
 )
 from strategies import SCATTERED_SIZES, SMALL_SIZES, delta_states, quantum_graphs
 
@@ -258,7 +260,7 @@ class TestToeplitz2IsCovariance:
         makes them nonzero."""
         F = qg.build_fock(make(), 2)
         noise = np.random.default_rng(23).normal(size=(F.edge.size, 2)) @ [1.0, 1.0j]
-        F = replace(F, edge=replace(F.edge, generator=F.edge.generator + 1e-6 * noise))
+        F = replace(F, edge=with_generator(F.edge, F.edge.generator + 1e-6 * noise))
         covariance = qg.representation_residuals(F)["covariance"]
         toeplitz2 = qg.lqck_fock_residuals(F)["toeplitz2"]
         assert covariance > 1e-7
@@ -288,7 +290,7 @@ class TestLqckFockResiduals:
         O(1) terms and read about 1e-8 here."""
         for name, G in graphs.items():
             F = qg.build_fock(G, 3)
-            F = replace(F, edge=replace(F.edge, generator=t * F.edge.generator))
+            F = replace(F, edge=with_generator(F.edge, t * F.edge.generator))
             report = qg.lqck_fock_residuals(F)
             assert report["lqck2"] <= 1e-13, name
             assert min(report[key] for key in FOCK_KEYS if key != "lqck2") > 1e-2, name
@@ -383,10 +385,10 @@ class TestMultiplicitySpaces:
     def test_edgeless_graph(self):
         # A is 0 on every block pair, so there is no slab: rank 0, and E is the zero module
         G = qg.classical_graph(np.zeros((5, 5), dtype=int))
-        bases, gen = multiplicity_spaces(G)
-        assert gen.shape == (0,) and all(not ranks.any() for _, ranks, _ in bases)
+        bases, slabs = multiplicity_spaces(G)
+        assert slabs == () and all(not ranks.any() for _, ranks, _ in bases)
         E = qg.build_edge_correspondence(G)
-        assert not E.mult.any() and E.size == 0
+        assert not E.mult.any() and E.size == 0 and E.generator.shape == (0,)
         assert not reconstructed_eps(G, E).any()
 
     @given(drawn=quantum_graphs(SMALL_SIZES + SCATTERED_SIZES))
@@ -395,6 +397,42 @@ class TestMultiplicitySpaces:
         G, rank = drawn
         E = qg.build_edge_correspondence(G)
         assert np.array_equal(E.mult, rank)
+        assert close(reconstructed_eps(G, E), edge_indicator(G).coeff)
+
+    @given(
+        drawn=quantum_graphs(SMALL_SIZES + SCATTERED_SIZES),
+        faint=st_.booleans(),
+        seed=st_.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_the_generator_is_a_view_of_the_pair_slabs(self, drawn, faint, seed):
+        """E's generator, cut again by the oracle, gives E's pair slabs back pair by
+        pair and the dense eps through the bases, and no report that a command
+        takes flattens them.  With faint, some block pairs of A are scaled by 1e-14,
+        below the cut: Choi slabs of Kraus rank 0 next to ones of rank > 0."""
+        G = drawn[0]
+        if faint:
+            A = G.adjacency.matrix
+            kept = zero_block_pairs(G.adjacency, np.random.default_rng(seed)).matrix
+            G = qg.QuantumGraph(G.structure, G.psi, qg.LinearMapOnB(G.structure, kept + 1e-14 * (A - kept)))
+        E = qg.build_edge_correspondence(G)
+        for report in (qg.cp_correspondence, qg.compact_decomposition_residual, qg.cyclic_dim):
+            report(E)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a source block has no LQCK2 mean
+            qg.lqck_fock_residuals(qgraph.fock.FockTruncation(G, E, 3))
+        assert "generator" not in vars(E)
+
+        def by_pair(F):
+            return {(a, b): (x, d) for pairs, X, D in F.pair_slabs for (a, b), x, d in zip(pairs.tolist(), X, D)}
+
+        got, want = by_pair(with_generator(E, E.generator)), by_pair(E)
+        assert got.keys() == want.keys() == set(map(tuple, np.argwhere(E.mult).tolist()))
+        for ab, (x, d) in want.items():
+            (gx, gd), one = got[ab], np.eye(len(d))
+            assert gx.shape == x.shape and gd.shape == d.shape, ab
+            # D_ab, a Gram minus 1, is near 0 on a quantum graph: it is read at the larger term's scale
+            scale = max(np.linalg.norm(d + one), np.linalg.norm(one))
+            assert close(gx, x, 1e-14) and np.linalg.norm(gd - d) <= 1e-14 * scale, ab
         assert close(reconstructed_eps(G, E), edge_indicator(G).coeff)
 
 
@@ -496,7 +534,7 @@ FOCK_KEYS = ("lqck1", "lqck2", "lqck3", "toeplitz1", "toeplitz2")
 def perturbed(E, rng):
     """E with an O(1) random change to its generator, so every identity fails."""
     noise = rng.normal(size=E.size) + 1j * rng.normal(size=E.size)
-    return replace(E, generator=E.generator + 0.5 * noise)
+    return with_generator(E, E.generator + 0.5 * noise)
 
 
 def assert_relative(got, want):
@@ -706,16 +744,18 @@ class TestLevelwiseMatchesFullTruncation:
 
     def test_pair_tables_of_a_1000_vertex_graph_in_bounded_memory(self):
         """A 1000-cycle whose vertices also all point to vertex 0 has 1999 of its
-        10^6 block pairs in E: `pair_slabs` reads M at those and `defect_squares`
-        adds by pair, each below one (blocks, blocks) float table, 7.6 MiB."""
+        10^6 block pairs in E: `multiplicity_spaces` forms the pair slabs from A's
+        1999 Choi slabs and `defect_squares` adds by pair, each below one
+        (blocks, blocks) float table, 7.6 MiB."""
         adj = np.roll(np.eye(1000, dtype=int), 1, axis=0)
         adj[:, 0] = 1
-        F = qg.build_fock(qg.classical_graph(adj), 3)
-        F.multiplicities  # cached before tracing
-        for name, of in (("pair_slabs", F.edge), ("defect_squares", F)):
+        G = qg.classical_graph(adj)
+        F = qg.build_fock(G, 3)
+        F.multiplicities, G.adjacency.choi_cut  # cached before tracing, A's Choi spectra with the cut
+        for name, form in (("multiplicity_spaces", lambda: multiplicity_spaces(G)), ("defect_squares", lambda: F.defect_squares)):
             tracemalloc.start()
             try:
-                getattr(of, name)
+                form()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

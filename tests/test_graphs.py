@@ -43,6 +43,7 @@ from oracles import (
     right_mul,
     subtract_kraus_direction,
     tensor_square_module,
+    with_generator,
     zero_block_pairs,
 )
 from strategies import SCATTERED_SIZES, SMALL_SIZES, delta_states, quantum_graphs
@@ -871,6 +872,6 @@ class TestBatchedFormsMatchLoops:
         # covariance defect is seen; an O(1) change of eps makes it O(1)
         F = qg.build_fock(make(nontracial_m1_m2), 3)
         noise = [1, 1j] @ np.random.default_rng(31).normal(size=(2, F.edge.size))
-        F = replace(F, edge=replace(F.edge, generator=F.edge.generator + 0.5 * noise))
+        F = replace(F, edge=with_generator(F.edge, F.edge.generator + 0.5 * noise))
         want = fock_covariance_oracle(built_fock(F))
         assert want > 1e-6 and close(qg.representation_residuals(F)["covariance"], want)
