@@ -282,9 +282,7 @@ def cyclic_dim(X: Correspondence) -> int:
         g, na, m, nc = X_ac.shape
         raw = X_ac * np.sqrt(X.psi.weight_table[pairs[:, 1], None, None, :nc])
         Xi = raw.transpose(0, 1, 3, 2).reshape(g, na * nc, m)
-        # a single row or column, as on every pair of a classical graph, has one singular value: its norm
-        s = np.linalg.norm(Xi, axis=(1, 2))[:, None] if min(na * nc, m) == 1 else np.linalg.svd(Xi, compute_uv=False)
-        groups.append((na * nc, s))
+        groups.append((na * nc, np.linalg.svd(Xi, compute_uv=False)))
     cutoff = GRAM_CUTOFF_RTOL * max([1e-300] + [s.max() for _, s in groups])
     return int(sum(k * np.count_nonzero(s > cutoff) for k, s in groups))
 

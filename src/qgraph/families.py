@@ -43,23 +43,21 @@ def trivial_graph(psi: DeltaState) -> QuantumGraph:
     return QuantumGraph.build(psi, LinearMapOnB.identity(psi.structure))
 
 
-def rank_one_graph(
-    psi: DeltaState, T: AlgebraElement, tol: float = DEFAULT_TOL
-) -> QuantumGraph:
+def rank_one_graph(psi: DeltaState, T: AlgebraElement) -> QuantumGraph:
     """The rank-one quantum graph A(x) = T x T*.
 
-    Requires the per-block normalization Tr(rho_a^-1 T_a* T_a) = delta^2,
-    which makes A Schur-idempotent: a per-block sum of |T_p|^2 / gram_diag[p].
+    Requires the per-block normalization Tr(rho_a^-1 T_a* T_a) = delta^2, within
+    DEFAULT_TOL, which makes A Schur-idempotent: a per-block sum of |T_p|^2 / gram_diag[p].
     """
     st = psi.structure
     if T.structure != st:
         raise ShapeMismatch("generator over a different block structure")
     tr = np.bincount(st.unit_indices[0], (T.vec.real**2 + T.vec.imag**2) / psi.gram_diag, st.num_blocks)
-    bad = np.flatnonzero(np.abs(tr - psi.delta_sq) > tol * max(1.0, psi.delta_sq))
+    bad = np.flatnonzero(np.abs(tr - psi.delta_sq) > DEFAULT_TOL * max(1.0, psi.delta_sq))
     if bad.size:
         raise BadNormalization(f"block {bad[0]}: Tr(rho^-1 T*T) = {tr[bad[0]]:.6g}, expected {psi.delta_sq:.6g}")
     matrix = _conjugation_matrix(st, range(st.num_blocks), T.blocks)
-    return QuantumGraph.build(psi, LinearMapOnB(st, matrix), tol=tol)
+    return QuantumGraph.build(psi, LinearMapOnB(st, matrix))
 
 
 def _conjugation_matrix(st: BlockStructure, targets, mats) -> np.ndarray:
@@ -188,16 +186,12 @@ def _defining_rep(st: BlockStructure, vec: np.ndarray) -> np.ndarray:
 
 
 def canonical_lqck_family(
-    kind: str,
-    psi: DeltaState,
-    T: AlgebraElement | None = None,
-    u: np.ndarray | None = None,
-    tol: float = DEFAULT_TOL,
+    kind: str, psi: DeltaState, T: AlgebraElement | None = None, u: np.ndarray | None = None
 ) -> CKFamily:
     """The family s(x) = delta^-2 (x T*) (x) u on the defining representation.
 
     kind "trivial" uses T = 1; kind "rank_one" requires a normalized T.  The
-    local relation residuals are verified at construction.
+    local relation residuals are verified at construction, within DEFAULT_TOL.
     """
     st = psi.structure
     if kind == "trivial":
@@ -208,7 +202,7 @@ def canonical_lqck_family(
     elif kind == "rank_one":
         if T is None:
             raise ShapeMismatch("rank-one family requires a generator T")
-        graph = rank_one_graph(psi, T, tol=tol)
+        graph = rank_one_graph(psi, T)
     else:
         raise ShapeMismatch(f"unknown family kind {kind!r}")
 
@@ -227,6 +221,6 @@ def canonical_lqck_family(
     fam = CKFamily(k, images)
     report = lqck_residuals(fam, graph)
     worst = max(report["lqck1"], report["lqck2"], report["lqck3"])
-    if worst > tol:
+    if worst > DEFAULT_TOL:
         raise QGraphError(f"canonical family has local residual {worst:.3e}")
     return fam

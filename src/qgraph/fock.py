@@ -13,7 +13,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -69,14 +68,21 @@ class FockTruncation:
 
     @cached_property
     def multiplicities(self) -> tuple[tuple[int, ...], ...]:
-        """c_l = M^l n for l = 0..N, exact Python ints summed over M's nonzeros."""
-        rows, cols = np.nonzero(self.edge.mult)
-        entries = list(zip(rows.tolist(), cols.tolist(), self.edge.mult[rows, cols].tolist()))
-        counts = [tuple(self.graph.structure.sizes)]
-        for _ in range(self.depth):
-            c = [0] * len(counts[-1])
-            for a, b, m in entries:
-                c[a] += m * counts[-1][b]
+        """c_l = M^l n for l = 0..N, exact Python ints: c_l[a] sums M_ab c_{l-1}[b]
+        over E's `pair_slabs`, M_ab the width of X_ab.  The running coordinate
+        total is checked as each level is formed, so the first level past the
+        float range is refused (BudgetExceeded, naming it) before a deeper one."""
+        n, N = self.graph.structure.sizes, self.depth
+        entries = [(a, b, X.shape[2]) for pairs, X, _ in self.edge.pair_slabs for a, b in pairs.tolist()]
+        counts, c, total = [], list(n), 0
+        for l in range(N + 1):
+            if l:
+                c = [0] * len(n)
+                for a, b, m in entries:
+                    c[a] += m * counts[-1][b]
+            total += sum(k * x for k, x in zip(n, c))
+            if total > sys.float_info.max:
+                raise BudgetExceeded(f"depth {N} leaves the float range at depth {l}, past 1.8e308 coordinates")
             counts.append(tuple(c))
         return tuple(counts)
 
@@ -105,7 +111,7 @@ def build_fock(G: QuantumGraph, N: int) -> FockTruncation:
     """The depth-N Fock truncation of the edge correspondence of G.  N < 1 and
     N > FOCK_MAX_DEPTH are refused before E is built, a source block of
     `quantum_sources_sinks`, a zero row of M (HasQuantumSource), and, naming the
-    first such depth, levels with more coordinates than a float holds."""
+    first such depth, levels past the float range, as `multiplicities` forms them."""
     if N < 1:
         raise ShapeMismatch(f"level count {echo(N)} must be at least 1")
     if N > FOCK_MAX_DEPTH:
@@ -115,9 +121,7 @@ def build_fock(G: QuantumGraph, N: int) -> FockTruncation:
     if sources:
         raise HasQuantumSource(f"blocks {echo(sources)} lie in ker A")
     F = FockTruncation(G, E, N)
-    for l, total in enumerate(accumulate(F.level_dims)):
-        if total > sys.float_info.max:
-            raise BudgetExceeded(f"depth {N} leaves the float range at depth {l}, past 1.8e308 coordinates")
+    F.multiplicities  # refuses the first level past the float range
     return F
 
 
@@ -178,8 +182,9 @@ def lqck_fock_residuals(F: FockTruncation) -> dict:
     c = np.array(F.multiplicities, dtype=float)
     below, at, up = c[: N - 1].sum(axis=0), c[1:N].sum(axis=0), c[1 : N - 1].sum(axis=0)
     l1, (l2, t1) = np.zeros(W.shape), np.zeros((2,) + W.shape + W.shape[1:])  # by block a, padded
-    s, mu, spread = E.mult @ below, np.zeros(len(n), dtype=complex), np.zeros(len(n))
+    s, mu, spread = np.zeros(len(n)), np.zeros(len(n), dtype=complex), np.zeros(len(n))
     for pairs, _, D in E.pair_slabs:
+        np.add.at(s, pairs[:, 0], below[pairs[:, 1]] * D.shape[1])
         np.add.at(mu, pairs[:, 0], below[pairs[:, 1]] * np.trace(D, axis1=1, axis2=2))
     mu /= s
     for pairs, X, D in E.pair_slabs:
@@ -189,7 +194,7 @@ def lqck_fock_residuals(F: FockTruncation) -> dict:
         np.add.at(l1[:, :na], a, DX / (d2**3 * w_min[a, None] ** 3 * W[a, :na]))
     for pairs, Ac, Q in E.orbit_defects:  # [g, i, r]: A_c / delta^4 and P_c - A_c / delta^4
         (a, cc), na = pairs.T, n[pairs[0, 0]]
-        np.add.at(t1[:, :na, :na], a, d2 * d2 * at[cc, None, None] * _sq_nrm(Q))
+        np.add.at(t1[:, :na, :na], a, _sq_nrm(Q) * at[cc, None, None] * d2 * d2)  # defect first, so 0 stays 0
         terms = s[cc, None, None] * _sq_nrm(Q - Ac * mu[cc, None, None, None, None])
         terms += _sq_nrm(Ac) * spread[cc, None, None]
         wt = w_min[a, None, None] ** 2 * W[a, :na, None] * W[a, None, :na]

@@ -921,6 +921,17 @@ class TestFock:
         assert payload["error"] == "BudgetExceeded"
         assert calls == []
 
+    def test_deep_cycle_plus_hub_reads_toeplitz1_as_zero(self, capsys, tmp_path):
+        """The 50-cycle whose vertices also all point to vertex 0, at depth 1010:
+        delta^4 = 2500 times a level sum passes the float range, and the exact 0
+        defect is multiplied first, so Toeplitz-1 reads 0.0, not inf * 0 = NaN."""
+        adj = np.roll(np.eye(50, dtype=int), 1, axis=0)
+        adj[:, 0] = 1
+        path = tmp_path / "cycle_plus_hub.json"
+        save_graph(str(path), qg.classical_graph(adj))
+        code, payload, _ = run(capsys, "fock", str(path), "--levels", "1010")
+        assert code == 0
+        assert payload["toeplitz_interior"]["toeplitz1"] == 0.0
 
     def test_failed_allocation_is_a_budget_refusal(self, capsys, monkeypatch, trivial_path):
         """A MemoryError inside a command ends in exit 1 with one JSON BudgetExceeded

@@ -148,6 +148,36 @@ class TestBuildFock:
         with pytest.raises(qg.BudgetExceeded, match=r"at depth 511,"):
             qg.build_fock(graph_complete_m2, 1000)
 
+    def test_the_first_level_past_the_float_range_is_refused_in_bounded_memory(self):
+        """The 50-cycle whose vertices also all point to vertex 0 doubles its
+        coordinates per level: at the largest depth the counts stop at depth
+        1018, the first level past the float range, and peak near 5 MiB; forming
+        all 10^4 levels of growing ints first took 342 MiB."""
+        adj = np.roll(np.eye(50, dtype=int), 1, axis=0)
+        adj[:, 0] = 1
+        G = qg.classical_graph(adj)
+        assert len(qg.build_fock(G, 1017).level_dims) == 1018
+        tracemalloc.start()
+        try:
+            with pytest.raises(qg.BudgetExceeded, match=r"leaves the float range at depth 1018,"):
+                qg.build_fock(G, qgraph.fock.FOCK_MAX_DEPTH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_counts_and_checks_read_no_multiplicity_matrix(self, cp_family_graphs):
+        """The level counts, the covariance and the LQCK and Toeplitz sums read M
+        off E's pair slabs: with E's dense M gone, every report is the same."""
+        for name, G in cp_family_graphs.items():
+            if name == "classical_line":  # a source: build_fock refuses it
+                continue
+            F = qg.build_fock(G, 3)
+            bare = qgraph.fock.FockTruncation(G, replace(F.edge, mult=None), 3)
+            assert bare.level_dims == F.level_dims, name
+            assert qg.representation_residuals(bare) == qg.representation_residuals(F), name
+            assert qg.lqck_fock_residuals(bare) == qg.lqck_fock_residuals(F), name
+
     def test_no_level_is_built(self, graph_complete_m2, monkeypatch):
         calls = []
         monkeypatch.setattr(qgraph.fock, "interior_tensor", lambda *args: calls.append(args))
